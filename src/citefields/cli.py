@@ -44,6 +44,32 @@ def _window(text: str) -> TimeWindow:
     return TimeWindow.parse(text)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citefields",
@@ -81,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impact", help="per-paper impact scores (or per-field top-cited shares)")
     add_common(p)
     p.add_argument("--window", type=_window, metavar="START:END")
-    p.add_argument("--horizon", type=int, default=5,
+    p.add_argument("--horizon", type=_int_at_least(1), default=5,
                    help="citation horizon in years (default 5)")
     p.add_argument("--lifetime", action="store_true", help="count citations without a horizon")
     p.add_argument("--top-share", action="store_true",
@@ -92,9 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("buckets", help="impact means per equal-width diversity bucket")
     add_common(p)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
-    p.add_argument("--buckets", type=int, default=5)
+    p.add_argument("--buckets", type=_int_at_least(1), default=5)
     p.add_argument("--window", type=_window, metavar="START:END")
-    p.add_argument("--horizon", type=int, default=5)
+    p.add_argument("--horizon", type=_int_at_least(1), default=5)
     p.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), default=FULL_COUNT)
     p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL),
                    default=WINDOW_LOCAL)
@@ -112,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--focal", required=True, metavar="FIELD")
     p.add_argument("--target", required=True, metavar="FIELD")
     p.add_argument("--window", type=_window, required=True, metavar="START:END")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_fraction, default=0.5)
     p.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), default=FULL_COUNT)
 
     p = sub.add_parser("trajectory", help="per-year tau/zeta series for a field (or its phases)")
@@ -122,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="year span (default: field's first paper to corpus end)")
     p.add_argument("--phases", action="store_true",
                    help="emit the detected phase labeling instead of the series")
-    p.add_argument("--min-years", type=int, default=10)
+    p.add_argument("--min-years", type=_int_at_least(2), default=10)
 
     p = sub.add_parser("evidence", help="per-year corpus-wide cross-field indicators")
     add_common(p)

@@ -83,8 +83,16 @@ class FieldTrajectory:
     phases: tuple[Phase, ...] = ()
 
 
-def _default_years(corpus: Corpus) -> list[int]:
-    return corpus.years()
+def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[int, int]:
+    """(cross, same) counts of a paper's resolved references.
+
+    A reference is same-field when the cited paper shares at least one
+    field tag with the citing paper.
+    """
+    fields = corpus[pid].fields
+    refs = graph.out_edges.get(pid, ())
+    same = sum(1 for rid in refs if corpus.resolve(rid).fields & fields)
+    return len(refs) - same, same
 
 
 def tau_series(
@@ -100,21 +108,14 @@ def tau_series(
     """
     if mode not in (POOLED, PER_PAPER):
         raise ValueError(f"unknown tau mode {mode!r}")
-    years = years if years is not None else _default_years(corpus)
+    years = years if years is not None else corpus.years()
     field_ids = corpus.field_papers(focal)
     out: dict[int, float | None] = {}
     for y in years:
         pooled_cross = pooled_same = 0
         ratios: list[float] = []
         for pid in sorted(corpus.by_year.get(y, frozenset()) & field_ids):
-            rec = corpus[pid]
-            cross = same = 0
-            for rid in graph.out_edges.get(pid, ()):
-                cited = corpus.resolve(rid)
-                if cited.fields & rec.fields:
-                    same += 1
-                else:
-                    cross += 1
+            cross, same = _reference_split(graph, corpus, pid)
             pooled_cross += cross
             pooled_same += same
             if same:
@@ -140,7 +141,7 @@ def zeta_series(
     """
     if index_by not in (CITING_YEAR, CITED_YEAR):
         raise ValueError(f"unknown zeta indexing {index_by!r}")
-    years = years if years is not None else _default_years(corpus)
+    years = years if years is not None else corpus.years()
     wanted = set(years)
     cross: dict[int, int] = {y: 0 for y in years}
     same: dict[int, int] = {y: 0 for y in years}
@@ -271,16 +272,28 @@ def evidence_series(
     breadth of the authors' cumulative publication fields. An author's
     expertise at year y is the set of fields of their corpus papers
     published up to and including y.
+
+    Cost: O(N log N) in N = papers x authors. Each author's history is
+    sorted by year once and folded into the cumulative field union at each
+    year they published in; a paper then looks up its authors' unions at
+    its own year instead of rescanning their histories.
     """
-    years = years if years is not None else _default_years(corpus)
+    years = years if years is not None else corpus.years()
     history: dict[str, list[tuple[int, frozenset[int]]]] = {}
     for pid in corpus:
         rec = corpus[pid]
         for author in rec.authors:
             key = author.strip().casefold()
             history.setdefault(key, []).append((rec.year, rec.fields))
-    for entries in history.values():
+    # Every author of a paper has an entry at the paper's year; with several
+    # papers in one year the last write holds that year's full union.
+    expertise: dict[tuple[str, int], frozenset[int]] = {}
+    for key, entries in history.items():
         entries.sort(key=lambda e: e[0])
+        known: frozenset[int] = frozenset()
+        for year_a, fields_a in entries:
+            known |= fields_a
+            expertise[key, year_a] = known
 
     report = MetricReport(
         name="evidence",
@@ -305,24 +318,18 @@ def evidence_series(
             if len(rec.fields) > 1:
                 multi += 1
             team_sizes.append(len(rec.authors))
-            cited_fields: set[int] = set()
-            for rid in graph.out_edges.get(pid, ()):
-                cited = corpus.resolve(rid)
-                cited_fields |= cited.fields
-                if cited.fields & rec.fields:
-                    same += 1
-                else:
-                    cross += 1
-            if graph.out_edges.get(pid, ()):
-                fields_cited.append(len(cited_fields))
-            expertise: set[int] = set()
-            for author in rec.authors:
-                for year_a, fields_a in history[author.strip().casefold()]:
-                    if year_a > y:
-                        break
-                    expertise |= fields_a
+            refs = graph.out_edges.get(pid, ())
+            if refs:
+                fields_cited.append(
+                    len(frozenset().union(*(corpus.resolve(rid).fields for rid in refs)))
+                )
+            pcross, psame = _reference_split(graph, corpus, pid)
+            cross += pcross
+            same += psame
             if rec.authors:
-                breadths.append(len(expertise))
+                breadths.append(len(frozenset().union(
+                    *(expertise[author.strip().casefold(), y] for author in rec.authors)
+                )))
         report.add_row(
             y,
             len(ids),

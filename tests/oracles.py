@@ -168,3 +168,28 @@ def tau_direct(corpus: Corpus, focal: int, year: int) -> float | None:
             else:
                 cross += 1
     return cross / same if same else None
+
+
+def author_breadth_direct(corpus: Corpus, year: int) -> float | None:
+    """Mean author field breadth of a year's papers, by a full corpus scan.
+
+    For each paper of the year with authors: the distinct fields of every
+    corpus paper up to and including the year that shares an author
+    (trimmed, case-insensitive) with it.
+    """
+
+    def team(p) -> set[str]:
+        return {a.strip().casefold() for a in p.authors}
+
+    breadths = []
+    for pid in corpus:
+        p = corpus[pid]
+        if p.year != year or not p.authors:
+            continue
+        fields: set[int] = set()
+        for qid in corpus:
+            q = corpus[qid]
+            if q.year <= year and team(q) & team(p):
+                fields |= q.fields
+        breadths.append(len(fields))
+    return sum(breadths) / len(breadths) if breadths else None

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import citefields
 from citefields.cli import main
 from conftest import GOLDEN_RECORD
 
@@ -76,6 +79,27 @@ def test_unknown_flag_rejected_before_work(golden_file):
     with pytest.raises(SystemExit) as exc_info:
         main(["stats", str(golden_file), "--bogus-flag"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["buckets", "--metric", "rdi", "--buckets", "0"],
+    ["impact", "--horizon", "0"],
+    ["buckets", "--metric", "rdi", "--horizon", "-3"],
+    ["trajectory", "--field", "AI", "--phases", "--min-years", "1"],
+    ["acp", "--focal", "AI", "--target", "Algo", "--window", "1975:1985",
+     "--threshold", "2"],
+    ["acp", "--focal", "AI", "--target", "Algo", "--window", "1975:1985",
+     "--threshold", "nan"],
+])
+def test_out_of_range_numeric_flag_is_usage_error(argv, synth_file, capsys):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, str(synth_file), *flags])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
+    assert flags[-2] in err  # names the offending flag
 
 
 def test_stats_output(synth_file, capsys):
@@ -240,9 +264,15 @@ def test_taxonomy_sidecar_flag(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # The child must import the package under test, which may be on sys.path
+    # only (pytest's pythonpath setting) rather than installed.
+    src = str(Path(citefields.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
     proc = subprocess.run(
         [sys.executable, "-m", "citefields.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "citefields" in proc.stdout

@@ -10,7 +10,7 @@ from citefields import (
 )
 from citefields.trajectory import CITED_YEAR, PER_PAPER, _two_segment_split
 from conftest import corpus_of, rec
-from oracles import tau_direct
+from oracles import author_breadth_direct, tau_direct
 
 
 def test_tau_all_in_field_is_zero():
@@ -239,6 +239,36 @@ def test_evidence_author_expertise_is_cumulative():
     report = evidence_series(graph, corpus, years=[2000])
     # Jo Coder's history {0,1,2} union New Person's {2,3} -> 4 fields
     assert report.rows[0][6] == 4.0
+
+
+def test_evidence_author_breadth_collapses_names_and_same_year_papers():
+    corpus = corpus_of(
+        rec(1, year=1999, fields=(0,), authors=("Jo Coder",)),
+        rec(2, year=1999, fields=(1,), authors=(" jo coder ",)),
+        rec(3, year=1999, fields=(2,), authors=("Other One",)),
+        rec(4, year=2000, fields=(3,), authors=("JO CODER", "Other One")),
+        rec(5, year=2001, fields=(4,), authors=("Other One",)),
+    )
+    graph = build_graph(corpus)
+    breadth = {row[0]: row[6] for row in evidence_series(graph, corpus).rows}
+    # 1999: both Jo Coder papers see {0, 1}; Other One sees {2}.
+    # 2000: {0, 1, 2, 3}. 2001: Other One's {2, 3, 4}.
+    assert breadth == {1999: (2 + 2 + 1) / 3, 2000: 4.0, 2001: 3.0}
+    for year in corpus.years():
+        assert breadth[year] == author_breadth_direct(corpus, year)
+
+
+@pytest.mark.parametrize("seed", [5, 17, 42])
+def test_evidence_author_breadth_matches_direct_oracle(seed):
+    corpus = generate_corpus(GeneratorSpec(
+        seed=seed, field_count=8, years_span=12, papers_per_year=(15, 25),
+        author_pool_size=120, multi_tag_probability=0.3,
+    ))
+    view = corpus.filter_window(TimeWindow(1974, 1979))
+    for c in (corpus, view):
+        report = evidence_series(build_graph(c), c, years=list(range(1968, 1983)))
+        for row in report.rows:
+            assert row[6] == author_breadth_direct(c, row[0])
 
 
 def test_evidence_multi_field_fraction_bounds():
