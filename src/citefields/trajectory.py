@@ -273,27 +273,29 @@ def evidence_series(
     expertise at year y is the set of fields of their corpus papers
     published up to and including y.
 
-    Cost: O(N log N) in N = papers x authors. Each author's history is
-    sorted by year once and folded into the cumulative field union at each
-    year they published in; a paper then looks up its authors' unions at
-    its own year instead of rescanning their histories.
+    Cost: O(N) in N = papers x authors. One pass over the corpus years in
+    order folds each author's papers into the cumulative field union at
+    every year they published in; a paper looks up its authors' unions at
+    its own year.
     """
     years = years if years is not None else corpus.years()
-    history: dict[str, list[tuple[int, frozenset[int]]]] = {}
-    for pid in corpus:
-        rec = corpus[pid]
-        for author in rec.authors:
-            key = author.strip().casefold()
-            history.setdefault(key, []).append((rec.year, rec.fields))
-    # Every author of a paper has an entry at the paper's year; with several
-    # papers in one year the last write holds that year's full union.
-    expertise: dict[tuple[str, int], frozenset[int]] = {}
-    for key, entries in history.items():
-        entries.sort(key=lambda e: e[0])
-        known: frozenset[int] = frozenset()
-        for year_a, fields_a in entries:
-            known |= fields_a
-            expertise[key, year_a] = known
+    # expertise[author][y] for each year y the author published in. Saturated
+    # unions are shared, not copied, so memory stays near one entry per
+    # author-year.
+    expertise: dict[str, dict[int, frozenset[int]]] = {}
+    known: dict[str, frozenset[int]] = {}
+    for y in corpus.years():
+        published: set[str] = set()
+        for pid in corpus.by_year[y]:
+            rec = corpus[pid]
+            for author in rec.authors:
+                key = author.strip().casefold()
+                seen = known.get(key, frozenset())
+                if not rec.fields <= seen:
+                    known[key] = seen | rec.fields
+                published.add(key)
+        for key in published:
+            expertise.setdefault(key, {})[y] = known[key]
 
     report = MetricReport(
         name="evidence",
@@ -319,17 +321,19 @@ def evidence_series(
                 multi += 1
             team_sizes.append(len(rec.authors))
             refs = graph.out_edges.get(pid, ())
+            cited_fields: set[int] = set()
+            for rid in refs:
+                cited_fields |= corpus.resolve(rid).fields
             if refs:
-                fields_cited.append(
-                    len(frozenset().union(*(corpus.resolve(rid).fields for rid in refs)))
-                )
+                fields_cited.append(len(cited_fields))
             pcross, psame = _reference_split(graph, corpus, pid)
             cross += pcross
             same += psame
+            team_fields: set[int] = set()
+            for author in rec.authors:
+                team_fields |= expertise[author.strip().casefold()][y]
             if rec.authors:
-                breadths.append(len(frozenset().union(
-                    *(expertise[author.strip().casefold(), y] for author in rec.authors)
-                )))
+                breadths.append(len(team_fields))
         report.add_row(
             y,
             len(ids),
