@@ -5,6 +5,12 @@ embed the tool version and a config echo, and are byte-identical for
 identical inputs and flags (no timestamps anywhere). Errors print a
 machine-readable JSON record to stderr and exit nonzero. The only
 environment variable honored is CITEFIELDS_LOG (logging verbosity).
+
+Exit codes: 0 success; 1 bad input or an undefined analysis (unreadable
+file, strict-mode parse error, a corpus with no parsed records for any
+subcommand but ``validate``); 2 usage error; 3 internal error (any other
+exception, reported as the same JSON record; its traceback is logged at
+DEBUG level).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .diversity import (
     CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL,
     build_keyword_sets, kdi_paper, rank_fields, rdi_paper,
 )
-from .errors import CitefieldsError
+from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
 from .impact import bucket_impact, compute_impact_scores, top_cited_share
 from .records import TimeWindow
@@ -38,6 +44,8 @@ from .trajectory import (
 )
 
 logger = logging.getLogger(__name__)
+
+EXIT_INTERNAL = 3
 
 
 def _window(text: str) -> TimeWindow:
@@ -175,8 +183,11 @@ def _load(args) -> tuple:
         else FieldTaxonomy.default()
     )
     strictness = STRICT if getattr(args, "strict", False) else LENIENT
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "rb") as fh:
         corpus, report = parse_corpus(fh, taxonomy, strictness=strictness)
+    # Only validate has something to say about a corpus without records.
+    if len(corpus) == 0 and args.command != "validate":
+        raise AnalysisError("corpus has no parsed records, nothing to analyze")
     return corpus, report, taxonomy
 
 
@@ -395,9 +406,17 @@ def main(argv: list[str] | None = None) -> int:
         _emit(report, args)
         return 0
     except (CitefieldsError, OSError, ValueError) as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(record), file=sys.stderr)
+        _error_record(exc)
         return 1
+    except Exception as exc:  # last resort: a JSON record, never a traceback
+        logger.debug("internal error", exc_info=True)
+        _error_record(exc)
+        return EXIT_INTERNAL
+
+
+def _error_record(exc: Exception) -> None:
+    record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    print(json.dumps(record), file=sys.stderr)
 
 
 if __name__ == "__main__":

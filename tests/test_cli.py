@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import citefields
+from citefields import cli
 from citefields.cli import main
 from conftest import GOLDEN_RECORD
 
@@ -73,6 +74,57 @@ def test_unreadable_input_error_record(capsys):
     assert main(["stats", "/nonexistent/corpus.txt"]) == 1
     record = json.loads(capsys.readouterr().err)
     assert "error" in record
+
+
+def test_undecodable_line_keeps_other_records(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"#*First\n#t2000\n#fDatabases\n#index1\n\n"
+                     b"#*Bad \xff title\n#t2001\n#fDatabases\n#index2\n")
+    assert main(["validate", str(path)]) == 0
+    meta, _header, rows = _read_csv(capsys.readouterr().out)
+    assert (meta["parsed"], meta["skipped"]) == ("1", "1")
+    assert [row[:4] for row in rows] == [["6", "2", "error", "encoding"]]
+    assert main(["validate", "--strict", str(path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ParseError"
+    assert record["error"]["message"].startswith("line 6, record 2:")
+
+
+_ANALYSES = [
+    ["stats"],
+    ["rank", "--metric", "rdi", "--window", "1970:1980"],
+    ["impact"],
+    ["buckets", "--metric", "kdi"],
+    ["reciprocity"],
+    ["acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1980"],
+    ["trajectory", "--field", "AI"],
+    ["evidence"],
+    ["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1980"],
+]
+
+
+@pytest.mark.parametrize("text", ["", "#*No index\n#t2000\n#fAI\n"])
+@pytest.mark.parametrize("argv", _ANALYSES, ids=[a[0] for a in _ANALYSES])
+def test_corpus_without_records_fails_every_analysis(argv, text, tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text(text, encoding="utf-8")
+    command, *flags = argv
+    assert main([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "AnalysisError"
+    assert main(["validate", str(path)]) == 0
+
+
+def test_unexpected_exception_becomes_error_record(golden_file, capsys, monkeypatch):
+    def broken(_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", broken)
+    assert main(["stats", str(golden_file)]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": {"type": "RuntimeError", "message": "boom"}}
 
 
 def test_unknown_flag_rejected_before_work(golden_file):

@@ -253,3 +253,55 @@ def test_round_trip_property(records):
     assert report.parsed == len(records)
     assert reparsed == corpus
     assert serialize_corpus(reparsed) == text
+
+
+# Record 2's title (line 6) holds byte 0xff, which is not UTF-8.
+UNDECODABLE = (b"#*First\n#t2000\n#fDatabases\n#index1\n\n"
+               b"#*Bad \xff title\n#t2001\n#fDatabases\n#index2\n")
+
+
+@pytest.mark.parametrize("source", [UNDECODABLE, io.BytesIO(UNDECODABLE)])
+def test_undecodable_line_lenient_skips_only_its_record(source):
+    corpus, report = parse_corpus(source)
+    assert list(corpus) == [1]
+    assert (report.blocks, report.parsed, report.skipped) == (2, 1, 1)
+    [d] = report.diagnostics
+    assert (d.line, d.record, d.severity, d.code) == (6, 2, "error", "encoding")
+
+
+def test_undecodable_line_strict_aborts():
+    with pytest.raises(ParseError) as exc_info:
+        parse_corpus(UNDECODABLE, strictness=STRICT)
+    d = exc_info.value.diagnostic
+    assert (d.line, d.record, d.code) == (6, 2, "encoding")
+
+
+@st.composite
+def _fuzz_input(draw) -> bytes:
+    """Arbitrary bytes, or a valid corpus truncated, line-shuffled or spliced with bytes."""
+    kind = draw(st.sampled_from(("bytes", "truncated", "shuffled", "spliced")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=400))
+    text = serialize_corpus(corpus_of(*draw(_records()))).encode("utf-8")
+    cut = draw(st.integers(0, len(text)))
+    if kind == "truncated":
+        return text[:cut]
+    if kind == "shuffled":
+        return b"\n".join(draw(st.permutations(text.split(b"\n"))))
+    return text[:cut] + draw(st.binary(min_size=1, max_size=20)) + text[cut:]
+
+
+@given(_fuzz_input())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_input_gives_diagnostics_not_crashes(data):
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    _corpus, report = parse_corpus(data)
+    assert report.parsed + report.skipped == report.blocks
+    assert all(1 <= d.line <= lines for d in report.diagnostics)
+    try:
+        _corpus, strict = parse_corpus(data, strictness=STRICT)
+    except ParseError as exc:
+        assert 1 <= exc.diagnostic.line <= lines
+    else:
+        assert strict.skipped == 0
+        assert strict.parsed == strict.blocks
