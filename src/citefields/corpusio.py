@@ -130,7 +130,7 @@ def parse_corpus(
     # Repeated values are computed and stored once per parse.
     normalized: dict[str, str] = {}  # raw keyword -> normalized keyword
     shared: dict[str, str] = {}  # author names and venues
-    field_of: dict[str, int] = {}  # field label -> taxonomy index
+    field_of: dict[str, int | None] = {}  # field label -> taxonomy index
     fieldsets: dict[tuple[int, ...], frozenset[int]] = {}
     ordinal = 0
     in_block = False
@@ -154,7 +154,8 @@ def parse_corpus(
             if pid < 0:
                 raise ValueError
         except ValueError:
-            emit(index_line, ERROR, "malformed-index", f"bad paper id {index_raw!r}")
+            emit(index_line, ERROR, "malformed-index",
+                 f"bad paper id {index_raw!r}")
             return None
         if pid in seen_ids:
             emit(index_line, ERROR, "duplicate-id", f"paper id {pid} already seen")
@@ -177,16 +178,15 @@ def parse_corpus(
         for lineno, label in field_labels:
             idx = field_of.get(label)
             if idx is None:
-                idx = taxonomy.get(label)
-                if idx is not None:
-                    field_of[label] = idx
+                idx = field_of[label] = taxonomy.get(label)
             if idx is None:
                 severity = ERROR if strict else WARNING
                 emit(lineno, severity, "unknown-field",
                      f"field label {label!r} not in taxonomy, dropped")
                 unknown = True
             elif idx in field_indices:
-                emit(lineno, WARNING, "duplicate-field-label", f"field {label!r} tagged twice")
+                emit(lineno, WARNING, "duplicate-field-label",
+                     f"field {label!r} tagged twice")
             else:
                 field_indices.append(idx)
         if not field_indices:
@@ -206,10 +206,12 @@ def parse_corpus(
                 if rid < 0:
                     raise ValueError
             except ValueError:
-                emit(lineno, WARNING, "malformed-reference", f"bad reference id {raw!r}, dropped")
+                emit(lineno, WARNING, "malformed-reference",
+                     f"bad reference id {raw!r}, dropped")
                 continue
             if rid == pid:
-                emit(lineno, WARNING, "self-reference", f"paper {pid} references itself, dropped")
+                emit(lineno, WARNING, "self-reference",
+                     f"paper {pid} references itself, dropped")
                 continue
             if rid in ref_seen:
                 emit(lineno, WARNING, "duplicate-reference",
