@@ -3,10 +3,10 @@
 Each snapshot under ``tests/golden/seed<N>/`` is the report one CLI
 invocation writes for a small generated planted-lifecycle corpus; those
 under ``tests/golden/defects/`` are the ``validate`` and ``stats`` reports
-on a hand-built corpus that triggers every parser diagnostic. A snapshot may change only
-when CHANGES.md explains why (for example a proven last-ulp summation
-change), never to make a diff disappear. To rewrite them from the current
-code, run ``python tests/test_golden.py`` with ``src`` importable.
+on a hand-built corpus with parser defects. A snapshot may change only when
+CHANGES.md explains why (for example a proven last-ulp summation change),
+never to make a diff disappear. To rewrite them from the current code, run
+``python tests/test_golden.py`` with ``src`` importable.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ INVOCATIONS = {
 }
 
 
-# Every diagnostic the parser reports, a ``%%`` comment inside a record,
+# Every diagnostic code but ``encoding`` (non-UTF-8 input, tested in
+# test_parser and test_cli), a ``%%`` comment inside a record,
 # whitespace-only separators and CRLF line endings on some records. Each
 # block is preceded by the separator paired with it.
 DEFECT_BLOCKS = (
@@ -129,25 +130,23 @@ def test_defect_report_matches_golden(label, tmp_path, monkeypatch):
     assert render(label, DEFECT_INVOCATIONS) == defect_golden_path(label).read_bytes()
 
 
-if __name__ == "__main__":
-    for seed in SEEDS:
-        golden_path(seed, "x").parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory() as work:
-            home = os.getcwd()
-            os.chdir(work)
-            try:
-                Path(INPUT_NAME).write_text(generate(corpus_spec(seed)), encoding="utf-8")
-                for label in sorted(INVOCATIONS):
-                    golden_path(seed, label).write_bytes(render(label))
-            finally:
-                os.chdir(home)
-    defect_golden_path("stats").parent.mkdir(parents=True, exist_ok=True)
+def write_goldens(corpus: bytes, invocations: dict, path_of) -> None:
+    """Render every invocation on ``corpus`` and write it to ``path_of(label)``."""
     with tempfile.TemporaryDirectory() as work:
         home = os.getcwd()
         os.chdir(work)
         try:
-            Path(INPUT_NAME).write_bytes(defect_corpus())
-            for label in sorted(DEFECT_INVOCATIONS):
-                defect_golden_path(label).write_bytes(render(label, DEFECT_INVOCATIONS))
+            Path(INPUT_NAME).write_bytes(corpus)
+            for label in sorted(invocations):
+                target = path_of(label)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(render(label, invocations))
         finally:
             os.chdir(home)
+
+
+if __name__ == "__main__":
+    for seed in SEEDS:
+        write_goldens(generate(corpus_spec(seed)).encode("utf-8"), INVOCATIONS,
+                      lambda label, seed=seed: golden_path(seed, label))
+    write_goldens(defect_corpus(), DEFECT_INVOCATIONS, defect_golden_path)
