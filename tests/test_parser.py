@@ -276,6 +276,20 @@ def test_undecodable_line_strict_aborts():
     assert (d.line, d.record, d.code) == (6, 2, "encoding")
 
 
+# Latin-1 comment lines (not UTF-8): before record 1, between the records
+# and inside record 2.
+LATIN1_COMMENTS = (b"%% caf\xe9\n#*First\n#t2000\n#fDatabases\n#index1\n\n%% r\xe9sum\xe9\n\n"
+                   b"#*Second\n%% na\xefve\n#t2001\n#fDatabases\n#index2\n")
+
+
+@pytest.mark.parametrize("strictness", [LENIENT, STRICT])
+def test_undecodable_comment_lines_are_skipped(strictness):
+    corpus, report = parse_corpus(LATIN1_COMMENTS, strictness=strictness)
+    assert list(corpus) == [1, 2]
+    assert (report.blocks, report.parsed, report.skipped) == (2, 2, 0)
+    assert not report.diagnostics
+
+
 @st.composite
 def _fuzz_input(draw) -> bytes:
     """Arbitrary bytes, or a valid corpus truncated, line-shuffled or spliced with bytes."""
