@@ -21,23 +21,32 @@ from citefields.cli import main
 from citefields.synth import GeneratorSpec, PlantedLifecycle, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-SEEDS = (3, 8)
+SEEDS = (3, 5, 8)
 # Reports echo the input path in their config line, so every run reads the
 # corpus under this name from its working directory.
 INPUT_NAME = "corpus.txt"
 
 _WINDOWS = ("--window", "1970:1979", "--window", "1990:1999")
+_DECADES = ("--window", "1970:1979", "--window", "1980:1989",
+            "--window", "1990:1999", "--window", "2000:2009")
 INVOCATIONS = {
     "rank-rdi": ("rank", "--metric", "rdi", *_WINDOWS),
     "rank-kdi": ("rank", "--metric", "kdi", *_WINDOWS),
     "rank-rdi-fractional": ("rank", "--metric", "rdi", *_WINDOWS,
                             "--multiplicity", "fractional"),
     "impact": ("impact",),
+    "impact-top-share": ("impact", "--top-share"),
+    "buckets-rdi": ("buckets", "--metric", "rdi"),
+    "reciprocity": ("reciprocity",),
     "reciprocity-matrix": ("reciprocity", "--matrix", "--window", "1980:1989"),
+    "reciprocity-matrix-fractional": ("reciprocity", "--matrix",
+                                      "--multiplicity", "fractional"),
     "acp": ("acp", "--focal", "AI", "--target", "Algo", "--window", "1980:1989"),
     "trajectory-phases": ("trajectory", "--field", "NETW", "--phases"),
     "evidence": ("evidence",),
     "evidence-1975-1990": ("evidence", "--years", "1975:1990"),
+    # Every decade holds multi-tagged NETW papers on every seed.
+    "cotag": ("cotag", "--field-a", "NETW", "--field-b", "AI", *_DECADES),
 }
 
 
