@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .corpusio import (
     Diagnostic, LENIENT, ParseReport, STRICT,
-    parse_corpus, serialize_corpus, serialize_record, write_corpus,
+    parse_corpus, serialize_corpus, serialize_record,
 )
 from .diversity import (
     CORPUS_GLOBAL, FieldKeywordSets, KDI, RDI, WINDOW_LOCAL,
@@ -19,7 +19,7 @@ from .diversity import (
 from .errors import AnalysisError, CitefieldsError, ParseError
 from .graph import (
     CitationGraph, FRACTIONAL, FULL_COUNT,
-    build_graph, citations_received, edge_list_report, field_flow_report,
+    build_graph, citations_received, edge_list_report, field_flow, field_flow_report,
     per_paper_field_refs,
 )
 from .impact import (
@@ -31,7 +31,7 @@ from .reciprocity import (
     acp, acp_bucket_test, citation_fraction_matrix, default_field_groups,
     matrix_report, pearson, pearson_report, reciprocity_pearson,
 )
-from .records import Corpus, PaperRecord, TimeWindow, corpus_stats, filter_window
+from .records import Corpus, PaperRecord, TimeWindow, corpus_stats
 from .report import MetricReport
 from .synth import (
     GeneratorSpec, PlantedLifecycle,

@@ -8,7 +8,8 @@ environment variable honored is CITEFIELDS_LOG (logging verbosity).
 
 Exit codes: 0 success; 1 bad input or an undefined analysis (unreadable
 file, strict-mode parse error, a corpus with no parsed records for any
-subcommand but ``validate``); 2 usage error; 3 internal error (any other
+subcommand but ``validate``, a ``--window`` or ``--years`` span holding no
+paper); 2 usage error; 3 internal error (any other
 exception, reported as the same JSON record; its traceback is logged at
 DEBUG level).
 """
@@ -95,18 +96,24 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", "-o", help="output file (default: stdout)")
 
+    # Shared by every subcommand that counts references per field.
+    counting = argparse.ArgumentParser(add_help=False)
+    counting.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL),
+                          default=FULL_COUNT,
+                          help="how a reference to a k-field paper counts per field")
+
     p = sub.add_parser("validate", help="parse the corpus and report diagnostics")
     add_common(p)
 
     p = sub.add_parser("stats", help="per-field paper counts and corpus totals")
     add_common(p)
 
-    p = sub.add_parser("rank", help="rank fields by a diversity metric per window")
+    p = sub.add_parser("rank", parents=[counting],
+                       help="rank fields by a diversity metric per window")
     add_common(p)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--window", type=_window, action="append", required=True,
                    metavar="START:END")
-    p.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), default=FULL_COUNT)
     p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL),
                    default=WINDOW_LOCAL)
     p.add_argument("--normalized-kdi", action="store_true",
@@ -123,31 +130,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hit-rate", action="store_true",
                    help="with --top-share: fraction of each field's papers in the top set")
 
-    p = sub.add_parser("buckets", help="impact means per equal-width diversity bucket")
+    p = sub.add_parser("buckets", parents=[counting],
+                       help="impact means per equal-width diversity bucket")
     add_common(p)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--buckets", type=_int_at_least(1), default=5)
     p.add_argument("--window", type=_window, metavar="START:END")
     p.add_argument("--horizon", type=_int_at_least(1), default=5)
-    p.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), default=FULL_COUNT)
     p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL),
                    default=WINDOW_LOCAL)
 
-    p = sub.add_parser("reciprocity", help="citation-fraction matrix and reciprocity correlations")
+    p = sub.add_parser("reciprocity", parents=[counting],
+                       help="citation-fraction matrix and reciprocity correlations")
     add_common(p)
     p.add_argument("--window", type=_window, metavar="START:END")
     p.add_argument("--matrix", action="store_true",
                    help="emit the citation-fraction matrix instead of correlations")
     p.add_argument("--exclude-diagonal", action="store_true")
-    p.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), default=FULL_COUNT)
 
-    p = sub.add_parser("acp", help="return-citation bucket test for a focal/target field pair")
+    p = sub.add_parser("acp", parents=[counting],
+                       help="return-citation bucket test for a focal/target field pair")
     add_common(p)
     p.add_argument("--focal", required=True, metavar="FIELD")
     p.add_argument("--target", required=True, metavar="FIELD")
     p.add_argument("--window", type=_window, required=True, metavar="START:END")
     p.add_argument("--threshold", type=_fraction, default=0.5)
-    p.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), default=FULL_COUNT)
 
     p = sub.add_parser("trajectory", help="per-year tau/zeta series for a field (or its phases)")
     add_common(p)
@@ -188,6 +195,11 @@ def _load(args) -> tuple:
     # Only validate has something to say about a corpus without records.
     if len(corpus) == 0 and args.command != "validate":
         raise AnalysisError("corpus has no parsed records, nothing to analyze")
+    # Every --window and --years span must select at least one paper.
+    spans = getattr(args, "window", None) or getattr(args, "years", None) or []
+    for span in spans if isinstance(spans, list) else [spans]:
+        if not any(span.contains(year) for year in corpus.by_year):
+            raise AnalysisError(f"no papers in the window {span}")
     return corpus, report, taxonomy
 
 

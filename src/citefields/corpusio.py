@@ -44,7 +44,6 @@ import io
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import ParseError
@@ -352,7 +351,3 @@ def serialize_corpus(corpus: Corpus) -> str:
     """Records ascending by id, blank-line separated. Re-parses to an equal Corpus."""
     chunks = [serialize_record(corpus[pid], corpus.taxonomy) for pid in corpus]
     return "\n".join(chunks)
-
-
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(serialize_corpus(corpus), encoding="utf-8")

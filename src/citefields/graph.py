@@ -5,6 +5,11 @@ any number of concurrent readers. Reference ids that do not resolve against
 the corpus (papers outside the crawl) are counted per paper and excluded
 from edges and from all field-flow totals.
 
+``build_graph`` only resolves adjacency. The field-to-field flow matrix is
+folded on demand by ``field_flow(graph, corpus, window)``, and every
+per-field count of a set of papers goes through ``field_ref_counts``, the
+one place the multiplicity rule is applied.
+
 Multi-field cited papers are counted under a configurable multiplicity rule:
 
 * ``full``        a reference to a k-field paper increments each of the k
@@ -17,13 +22,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import AnalysisError
-from .records import Corpus
+from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata
-from .taxonomy import FieldTaxonomy
 
 logger = logging.getLogger(__name__)
 
@@ -36,30 +41,25 @@ class CitationGraph:
     out_edges: dict[int, tuple[int, ...]]
     in_edges: dict[int, tuple[int, ...]]
     unresolved: dict[int, int]
-    field_flow: np.ndarray
     multiplicity: str
 
     @property
     def total_edges(self) -> int:
         return sum(len(v) for v in self.out_edges.values())
 
-    def references_of(self, pid: int) -> tuple[int, ...]:
-        return self.out_edges.get(pid, ())
-
-    def citers_of(self, pid: int) -> tuple[int, ...]:
-        return self.in_edges.get(pid, ())
-
 
 def field_ref_counts(
-    corpus: Corpus, cited_ids: tuple[int, ...], multiplicity: str
+    corpus: Corpus, paper_ids: Iterable[int], multiplicity: str
 ) -> dict[int, float]:
-    """Per-field counts of the given resolved cited ids under the multiplicity rule.
+    """Per-field counts of the given paper ids under the multiplicity rule.
 
-    Accumulation order is fixed (cited ids as given, fields ascending) so
+    The ids are usually cited papers, but any sequence works (partner
+    rankings pass citing papers). Ids that do not resolve are skipped.
+    Accumulation order is fixed (ids as given, fields ascending) so
     repeated runs are bit-identical even in fractional mode.
     """
     counts: dict[int, float] = {}
-    for rid in cited_ids:
+    for rid in paper_ids:
         rec = corpus.resolve(rid)
         if rec is None:
             continue
@@ -79,11 +79,9 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
     """
     if multiplicity not in (FULL_COUNT, FRACTIONAL):
         raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
-    n_fields = len(corpus.taxonomy)
     out_edges: dict[int, tuple[int, ...]] = {}
     in_lists: dict[int, list[int]] = {}
     unresolved: dict[int, int] = {}
-    flow = np.zeros((n_fields, n_fields), dtype=np.float64)
 
     for pid in corpus:
         rec = corpus[pid]
@@ -99,14 +97,9 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
         unresolved[pid] = dangling
         for rid in resolved:
             in_lists.setdefault(rid, []).append(pid)
-        if resolved:
-            counts = field_ref_counts(corpus, tuple(resolved), multiplicity)
-            for i in sorted(rec.fields):
-                for j in sorted(counts):
-                    flow[i, j] += counts[j]
 
     in_edges = {pid: tuple(sorted(citers)) for pid, citers in sorted(in_lists.items())}
-    graph = CitationGraph(out_edges, in_edges, unresolved, flow, multiplicity)
+    graph = CitationGraph(out_edges, in_edges, unresolved, multiplicity)
     logger.debug(
         "build_graph: %d papers, %d edges, %d dangling",
         len(out_edges), graph.total_edges, sum(unresolved.values()),
@@ -114,22 +107,41 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
     return graph
 
 
+def field_flow(
+    graph: CitationGraph, corpus: Corpus, window: TimeWindow | None = None
+) -> np.ndarray:
+    """Field-to-field resolved reference counts under the graph's multiplicity rule.
+
+    flow[i, j] sums, over the citing papers in field i (published inside
+    the window, if one is given), their per-field reference counts into
+    field j. Citing ids ascend and fields ascend, so the float sums are
+    bit-identical across runs.
+    """
+    n = len(corpus.taxonomy)
+    flow = np.zeros((n, n), dtype=np.float64)
+    for pid in corpus.papers_in(window=window):
+        cited = graph.out_edges.get(pid, ())
+        if not cited:
+            continue
+        counts = field_ref_counts(corpus, cited, graph.multiplicity)
+        for i in sorted(corpus[pid].fields):
+            for j in sorted(counts):
+                flow[i, j] += counts[j]
+    return flow
+
+
 def per_paper_field_refs(
-    graph: CitationGraph,
-    corpus: Corpus,
-    pid: int,
-    multiplicity: str | None = None,
+    graph: CitationGraph, corpus: Corpus, pid: int
 ) -> tuple[dict[int, float], int]:
     """Per-field resolved reference counts of one paper, plus its resolved total.
 
-    Only fields with nonzero counts appear. Defaults to the rule the graph
-    was built with so flow-matrix cross-checks line up exactly.
+    Only fields with nonzero counts appear; counts follow the graph's
+    multiplicity rule.
     """
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
-    rule = multiplicity or graph.multiplicity
     cited = graph.out_edges.get(pid, ())
-    return field_ref_counts(corpus, cited, rule), len(cited)
+    return field_ref_counts(corpus, cited, graph.multiplicity), len(cited)
 
 
 def citations_received(
@@ -176,8 +188,10 @@ def edge_list_report(graph: CitationGraph) -> MetricReport:
     return report
 
 
-def field_flow_report(graph: CitationGraph, taxonomy: FieldTaxonomy) -> MetricReport:
+def field_flow_report(graph: CitationGraph, corpus: Corpus) -> MetricReport:
     """Field-to-field resolved reference counts with abbreviation headers."""
+    taxonomy = corpus.taxonomy
+    flow = field_flow(graph, corpus)
     abbrs = [taxonomy.abbr(i) for i in taxonomy.indices]
     report = MetricReport(
         name="field-flow",
@@ -185,5 +199,5 @@ def field_flow_report(graph: CitationGraph, taxonomy: FieldTaxonomy) -> MetricRe
         metadata=base_metadata("field-flow", multiplicity=graph.multiplicity),
     )
     for i in taxonomy.indices:
-        report.add_row(abbrs[i], *(float(graph.field_flow[i, j]) for j in taxonomy.indices))
+        report.add_row(abbrs[i], *(float(flow[i, j]) for j in taxonomy.indices))
     return report

@@ -18,7 +18,9 @@ impact per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import ceil, fsum
+from typing import Callable
 
 from .errors import AnalysisError
 from .graph import CitationGraph, citations_received
@@ -42,9 +44,6 @@ class ImpactScores:
     horizon: int | None
     window: TimeWindow | None
 
-    def population(self) -> list[int]:
-        return list(self.per_paper)
-
 
 def cp(graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON) -> int:
     """Self-excluded citation count within the horizon (None = lifetime)."""
@@ -57,62 +56,42 @@ def cp(graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEF
     )
 
 
+def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], float | None]:
+    """Two-year impact factor of any (venue, year), from one pass over the corpus.
+
+    Tallies papers per (venue, year) and, per (venue, citing year), the
+    citations made in that year to the venue's papers of the two years
+    before. Papers without a venue are left out.
+    """
+    papers: dict[tuple[str, int], int] = {}
+    cites: dict[tuple[str, int], int] = {}
+    for pid in corpus:
+        rec = corpus[pid]
+        if not rec.venue:
+            continue
+        key = (rec.venue, rec.year)
+        papers[key] = papers.get(key, 0) + 1
+        for q in graph.in_edges.get(pid, ()):
+            citer = corpus.resolve(q)
+            if citer is not None and citer.year - rec.year in (1, 2):
+                cited_in = (rec.venue, citer.year)
+                cites[cited_in] = cites.get(cited_in, 0) + 1
+
+    @cache  # one shared value per (venue, year), not one float per paper
+    def lookup(venue: str, year: int) -> float | None:
+        denom = papers.get((venue, year - 1), 0) + papers.get((venue, year - 2), 0)
+        return cites.get((venue, year), 0) / denom if denom else None
+
+    return lookup
+
+
 def jif(corpus: Corpus, graph: CitationGraph, venue: str, year: int) -> float | None:
     """Corpus-derived two-year impact factor of a venue at a given year.
 
     None when the venue published nothing in the two prior years (the ratio
     is undefined, not zero).
     """
-    venue = venue.strip()
-    prior = {year - 1, year - 2}
-    venue_papers = [
-        pid for pid in corpus
-        if corpus[pid].venue == venue and corpus[pid].year in prior
-    ]
-    if not venue_papers:
-        return None
-    cites = 0
-    for pid in venue_papers:
-        for q in graph.in_edges.get(pid, ()):
-            citer = corpus.resolve(q)
-            if citer is not None and citer.year == year:
-                cites += 1
-    return cites / len(venue_papers)
-
-
-def _jif_index(corpus: Corpus, graph: CitationGraph) -> dict[tuple[str, int], float | None]:
-    """Batch jif values for every (venue, year) pair present in the corpus."""
-    by_venue_year: dict[tuple[str, int], int] = {}
-    for pid in corpus:
-        rec = corpus[pid]
-        if rec.venue:
-            key = (rec.venue, rec.year)
-            by_venue_year[key] = by_venue_year.get(key, 0) + 1
-    cites: dict[tuple[str, int], int] = {}
-    for pid in corpus:
-        rec = corpus[pid]
-        if not rec.venue:
-            continue
-        for q in graph.in_edges.get(pid, ()):
-            citer = corpus.resolve(q)
-            if citer is None:
-                continue
-            if citer.year - rec.year in (1, 2):
-                key = (rec.venue, citer.year)
-                cites[key] = cites.get(key, 0) + 1
-    out: dict[tuple[str, int], float | None] = {}
-    for pid in corpus:
-        rec = corpus[pid]
-        if not rec.venue:
-            continue
-        key = (rec.venue, rec.year)
-        if key in out:
-            continue
-        denom = by_venue_year.get((rec.venue, rec.year - 1), 0) + by_venue_year.get(
-            (rec.venue, rec.year - 2), 0
-        )
-        out[key] = cites.get(key, 0) / denom if denom else None
-    return out
+    return _jif_lookup(corpus, graph)(venue.strip(), year)
 
 
 def compute_impact_scores(
@@ -125,7 +104,7 @@ def compute_impact_scores(
     population = corpus.papers_in(window=window)
     if not population:
         raise AnalysisError("no papers in the analyzed window")
-    jifs = _jif_index(corpus, graph)
+    jif_of = _jif_lookup(corpus, graph)
     cps = {pid: cp(graph, corpus, pid, horizon) for pid in population}
     k = ceil(TOP_SHARE * len(population))
     by_cp = sorted(population, key=lambda p: (-cps[p], p))
@@ -134,7 +113,7 @@ def compute_impact_scores(
     per_paper = {}
     for pid in population:
         rec = corpus[pid]
-        j = jifs.get((rec.venue, rec.year)) if rec.venue else None
+        j = jif_of(rec.venue, rec.year) if rec.venue else None
         per_paper[pid] = PaperImpact(cp=cps[pid], jif=j, top_cited=pid in top)
     return ImpactScores(per_paper=per_paper, horizon=horizon, window=window)
 

@@ -20,7 +20,7 @@ from math import fsum, sqrt
 import numpy as np
 
 from .errors import AnalysisError
-from .graph import CitationGraph, field_ref_counts
+from .graph import CitationGraph, field_flow, field_ref_counts
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
@@ -70,18 +70,7 @@ def citation_fraction_matrix(
     papers published inside it are counted.
     """
     n = len(corpus.taxonomy)
-    if window is None:
-        flow = graph.field_flow.copy()
-    else:
-        flow = np.zeros((n, n), dtype=np.float64)
-        for pid in corpus.papers_in(window=window):
-            cited = graph.out_edges.get(pid, ())
-            if not cited:
-                continue
-            counts = field_ref_counts(corpus, cited, graph.multiplicity)
-            for i in sorted(corpus[pid].fields):
-                for j in sorted(counts):
-                    flow[i, j] += counts[j]
+    flow = field_flow(graph, corpus, window)
     totals = flow.sum(axis=1)
     matrix = np.full((n, n), np.nan)
     for i in range(n):

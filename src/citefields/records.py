@@ -165,10 +165,6 @@ class Corpus:
         return f"Corpus({len(self.records)} records, {kind})"
 
 
-def filter_window(corpus: Corpus, window: TimeWindow) -> Corpus:
-    return corpus.filter_window(window)
-
-
 def corpus_stats(corpus: Corpus) -> MetricReport:
     """Per-field paper counts plus corpus-wide totals.
 

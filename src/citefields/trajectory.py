@@ -30,10 +30,11 @@ fitted segment means (raw scale) ride along so callers can judge the fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum, log
 
 from .errors import AnalysisError
-from .graph import CitationGraph
+from .graph import CitationGraph, field_ref_counts
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata
 
@@ -78,9 +79,6 @@ class FieldTrajectory:
     years: tuple[int, ...]
     tau: tuple[float | None, ...]
     zeta: tuple[float | None, ...]
-    top_referred: tuple[tuple[int, float], ...] = ()
-    top_citing: tuple[tuple[int, float], ...] = ()
-    phases: tuple[Phase, ...] = ()
 
 
 def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[int, int]:
@@ -176,23 +174,19 @@ def top_partner_fields(
     """
     if direction not in ("referred", "citing"):
         raise ValueError(f"unknown direction {direction!r}")
-    volume: dict[int, float] = {}
-
-    def bump(fields: frozenset[int]) -> None:
-        inc = 1.0 if graph.multiplicity == "full" else 1.0 / len(fields)
-        for f in sorted(fields):
-            volume[f] = volume.get(f, 0.0) + inc
-
     if direction == "referred":
-        for pid in corpus.papers_in(field=focal, window=window):
-            for rid in graph.out_edges.get(pid, ()):
-                bump(corpus.resolve(rid).fields)
+        partners = chain.from_iterable(
+            graph.out_edges.get(pid, ())
+            for pid in corpus.papers_in(field=focal, window=window)
+        )
     else:
-        for pid in sorted(corpus.field_papers(focal)):
-            for q in graph.in_edges.get(pid, ()):
-                citer = corpus.resolve(q)
-                if window is None or window.contains(citer.year):
-                    bump(citer.fields)
+        partners = (
+            q
+            for pid in sorted(corpus.field_papers(focal))
+            for q in graph.in_edges.get(pid, ())
+            if window is None or window.contains(corpus.resolve(q).year)
+        )
+    volume = field_ref_counts(corpus, partners, graph.multiplicity)
     volume.pop(focal, None)
     ranked = sorted(volume, key=lambda f: (-volume[f], f))
     return [(f, volume[f]) for f in ranked[:k]]
@@ -203,7 +197,7 @@ class CotagPoint:
     window: TimeWindow
     count: int
     base: int
-    probability: float
+    probability: float | None
 
 
 def cotag_series(
@@ -212,7 +206,10 @@ def cotag_series(
     field_b: int,
     windows: list[TimeWindow],
 ) -> list[CotagPoint]:
-    """Per-window co-tagging volume and P(tagged B | multi-tagged and tagged A)."""
+    """Per-window co-tagging volume and P(tagged B | multi-tagged and tagged A).
+
+    The probability is None for a window with no multi-tagged A papers.
+    """
     points = []
     for window in windows:
         count = base = 0
@@ -223,7 +220,7 @@ def cotag_series(
             base += 1
             if field_b in rec.fields:
                 count += 1
-        points.append(CotagPoint(window, count, base, count / base if base else 0.0))
+        points.append(CotagPoint(window, count, base, count / base if base else None))
     return points
 
 

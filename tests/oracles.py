@@ -83,6 +83,44 @@ def cp_direct(corpus: Corpus, pid: int, horizon: int | None = 5) -> int:
     return len(citations_direct(corpus, pid, horizon=horizon, exclude_self=True))
 
 
+def jif_direct(corpus: Corpus, venue: str, year: int) -> float | None:
+    """Two-year impact factor by scanning every corpus paper's reference list."""
+    prior = {
+        pid for pid in corpus
+        if corpus[pid].venue == venue and corpus[pid].year in (year - 1, year - 2)
+    }
+    if not prior:
+        return None
+    cites = 0
+    for qid in corpus:
+        q = corpus[qid]
+        if q.year == year:
+            cites += sum(1 for rid in q.references if rid in prior)
+    return cites / len(prior)
+
+
+def citing_field_counts_direct(
+    corpus: Corpus,
+    focal: int,
+    window: TimeWindow | None = None,
+    multiplicity: str = "full",
+) -> dict[int, float]:
+    """Per-field counts of the citations into a field's papers, by citing paper fields."""
+    counts: dict[int, float] = {}
+    for qid in corpus:
+        q = corpus[qid]
+        if window is not None and not window.contains(q.year):
+            continue
+        share = 1.0 if multiplicity == "full" else 1.0 / len(q.fields)
+        for rid in q.references:
+            cited = corpus.resolve(rid)
+            if cited is None or focal not in cited.fields:
+                continue
+            for f in q.fields:
+                counts[f] = counts.get(f, 0.0) + share
+    return counts
+
+
 def acp_direct(corpus: Corpus, source_field: int, targets: set[int]) -> float:
     total = 0
     for qid in corpus:

@@ -116,6 +116,30 @@ def test_corpus_without_records_fails_every_analysis(argv, text, tmp_path, capsy
     assert main(["validate", str(path)]) == 0
 
 
+_EMPTY_SPANS = [
+    ["rank", "--metric", "rdi", "--window", "2007:2007", "--window", "1970:1980"],
+    ["impact", "--window", "1970:1980"],
+    ["buckets", "--metric", "rdi", "--window", "1970:1980"],
+    ["reciprocity", "--window", "1970:1980"],
+    ["acp", "--focal", "ARC", "--target", "AI", "--window", "1970:1980"],
+    ["trajectory", "--field", "ARC", "--years", "1970:1980"],
+    ["evidence", "--years", "1970:1972"],
+    ["cotag", "--field-a", "AI", "--field-b", "ARC", "--window", "1970:1980"],
+]
+
+
+@pytest.mark.parametrize("argv", _EMPTY_SPANS, ids=[a[0] for a in _EMPTY_SPANS])
+def test_window_without_papers_fails_every_analysis(argv, golden_file, capsys):
+    # The golden record is the corpus's only paper, published in 2007.
+    command, *flags = argv
+    assert main([command, str(golden_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "AnalysisError"
+    assert "1970:19" in error["message"]
+
+
 def test_unexpected_exception_becomes_error_record(golden_file, capsys, monkeypatch):
     def broken(_args):
         raise RuntimeError("boom")

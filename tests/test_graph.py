@@ -5,7 +5,7 @@ import pytest
 
 from citefields import (
     AnalysisError, FRACTIONAL, FULL_COUNT, GeneratorSpec, TimeWindow,
-    build_graph, citations_received, edge_list_report, field_flow_report,
+    build_graph, citations_received, edge_list_report, field_flow, field_flow_report,
     generate_corpus, parse_corpus, per_paper_field_refs,
 )
 from conftest import GOLDEN_RECORD, corpus_of, rec
@@ -17,8 +17,8 @@ def test_single_edge_same_field():
     graph = build_graph(corpus)
     assert graph.out_edges[1] == (2,)
     assert graph.in_edges[2] == (1,)
-    assert graph.field_flow[0, 0] == 1.0
-    assert graph.field_flow.sum() == 1.0
+    assert field_flow(graph, corpus)[0, 0] == 1.0
+    assert field_flow(graph, corpus).sum() == 1.0
 
 
 def test_dangling_reference_counted_not_edged():
@@ -34,7 +34,7 @@ def test_golden_record_alone_fully_dangling(golden_text, taxonomy):
     graph = build_graph(corpus)
     assert graph.unresolved[134672] == 9
     assert graph.total_edges == 0
-    assert graph.field_flow.sum() == 0.0
+    assert field_flow(graph, corpus).sum() == 0.0
 
 
 def test_handshake_and_reference_accounting():
@@ -107,7 +107,7 @@ def test_field_flow_matches_per_paper_sums_exactly():
             for i in sorted(corpus[pid].fields):
                 for j in sorted(counts):
                     rebuilt[i, j] += counts[j]
-        assert np.array_equal(rebuilt, graph.field_flow)
+        assert np.array_equal(rebuilt, field_flow(graph, corpus))
 
 
 def test_citations_received_horizon_boundaries():
@@ -153,7 +153,7 @@ def test_graph_on_full_range_view_equals_base():
     g2 = build_graph(view)
     assert g1.out_edges == g2.out_edges
     assert g1.in_edges == g2.in_edges
-    assert np.array_equal(g1.field_flow, g2.field_flow)
+    assert np.array_equal(field_flow(g1, corpus), field_flow(g2, view))
 
 
 def test_view_graph_keeps_cross_window_edges():
@@ -165,7 +165,7 @@ def test_view_graph_keeps_cross_window_edges():
     graph = build_graph(view)
     assert graph.out_edges[1] == (2,)
     assert graph.unresolved[1] == 0
-    assert graph.field_flow[0, 1] == 1.0
+    assert field_flow(graph, view)[0, 1] == 1.0
 
 
 def test_exports_shape():
@@ -174,7 +174,7 @@ def test_exports_shape():
     edges = edge_list_report(graph)
     assert edges.columns == ("citing_id", "cited_id")
     assert edges.rows == [(1, 2)]
-    flow = field_flow_report(graph, corpus.taxonomy)
+    flow = field_flow_report(graph, corpus)
     assert flow.columns[0] == "field"
     assert flow.rows[0][0] == "AI"
     assert flow.rows[0][2] == 1.0  # AI row, Algo column

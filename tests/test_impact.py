@@ -10,7 +10,7 @@ from citefields import (
 )
 from citefields.impact import bucket_assignment
 from conftest import corpus_of, rec
-from oracles import cp_direct
+from oracles import cp_direct, jif_direct
 
 
 def test_cp_no_citations_is_zero():
@@ -86,6 +86,19 @@ def test_impact_scores_jif_matches_single_call():
     for pid, s in scores.per_paper.items():
         rec_ = corpus[pid]
         assert s.jif == jif(corpus, graph, rec_.venue, rec_.year)
+
+
+def test_jif_matches_direct_scan():
+    corpus = generate_corpus(GeneratorSpec(seed=21, field_count=4, years_span=8))
+    graph = build_graph(corpus)
+    scores = compute_impact_scores(graph, corpus)
+    keys = {(corpus[pid].venue, corpus[pid].year) for pid in corpus}
+    want = {key: jif_direct(corpus, *key) for key in keys}
+    assert any(value for value in want.values())
+    for venue, year in keys:
+        assert jif(corpus, graph, venue, year) == want[venue, year]
+    for pid, s in scores.per_paper.items():
+        assert s.jif == want[corpus[pid].venue, corpus[pid].year]
 
 
 def test_top_cited_flags_and_share():

@@ -7,7 +7,7 @@ import pytest
 
 from citefields import (
     AnalysisError, GeneratorSpec, PlantedLifecycle, STRICT,
-    build_graph, generate, generate_corpus, load_generator_spec,
+    build_graph, field_flow, generate, generate_corpus, load_generator_spec,
     parse_corpus, propensity_identity, propensity_mixed, propensity_uniform,
     rdi_paper, tau_series,
 )
@@ -92,7 +92,7 @@ def test_flow_fractions_converge_to_propensity():
     )
     corpus = generate_corpus(spec)
     graph = build_graph(corpus)
-    flow = graph.field_flow
+    flow = field_flow(graph, corpus)
     assert flow.sum() > 10_000
     for i in range(k):
         total = flow[i].sum()

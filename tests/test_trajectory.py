@@ -3,14 +3,16 @@
 import pytest
 
 from citefields import (
-    AnalysisError, FieldTrajectory, GeneratorSpec, PhaseParams, TimeWindow,
+    FRACTIONAL, AnalysisError, FieldTrajectory, GeneratorSpec, PhaseParams, TimeWindow,
     build_graph, cotag_series, detect_phases, evidence_series,
     field_trajectory, generate_corpus, tau_series, top_partner_fields,
     zeta_series,
 )
 from citefields.trajectory import CITED_YEAR, PER_PAPER, _two_segment_split
 from conftest import corpus_of, rec
-from oracles import author_breadth_direct, tau_direct
+from oracles import (
+    author_breadth_direct, citing_field_counts_direct, field_counts_direct, tau_direct,
+)
 
 
 def test_tau_all_in_field_is_zero():
@@ -161,6 +163,29 @@ def test_top_partner_excludes_focal_field():
     assert partners == [(1, 1.0)]
 
 
+@pytest.mark.parametrize("window", [None, TimeWindow(1972, 1976)])
+@pytest.mark.parametrize("direction", ["referred", "citing"])
+def test_top_partner_fields_fractional_matches_direct_counts(direction, window):
+    spec = GeneratorSpec(seed=13, field_count=5, years_span=10, multi_tag_probability=0.4)
+    corpus = generate_corpus(spec)
+    graph = build_graph(corpus, FRACTIONAL)
+    focal = 1
+    if direction == "referred":
+        want: dict[int, float] = {}
+        for pid in corpus.papers_in(field=focal, window=window):
+            for f, v in field_counts_direct(corpus, pid, FRACTIONAL).items():
+                want[f] = want.get(f, 0.0) + v
+    else:
+        want = citing_field_counts_direct(corpus, focal, window, FRACTIONAL)
+    want.pop(focal, None)
+    assert any(v != int(v) for v in want.values())  # fractions are in play
+    partners = top_partner_fields(
+        graph, corpus, focal, window=window, direction=direction, k=len(corpus.taxonomy)
+    )
+    assert partners == sorted(partners, key=lambda p: (-p[1], p[0]))
+    assert dict(partners) == pytest.approx(want, rel=1e-12)
+
+
 def test_cotag_counts_and_probability():
     records = []
     pid = 1
@@ -181,7 +206,7 @@ def test_cotag_counts_and_probability():
 def test_cotag_no_cotagged_papers():
     corpus = corpus_of(rec(1, fields=(0,)))
     [point] = cotag_series(corpus, 0, 1, [TimeWindow(1900, 2100)])
-    assert point.count == 0 and point.probability == 0.0
+    assert point.count == 0 and point.probability is None
 
 
 def test_cotag_report_percentage_change():
