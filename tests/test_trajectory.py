@@ -172,9 +172,11 @@ def test_top_partner_fields_fractional_matches_direct_counts(direction, window):
     focal = 1
     if direction == "referred":
         want: dict[int, float] = {}
-        for pid in corpus.papers_in(field=focal, window=window):
-            for f, v in field_counts_direct(corpus, pid, FRACTIONAL).items():
-                want[f] = want.get(f, 0.0) + v
+        for pid in corpus:
+            p = corpus[pid]
+            if focal in p.fields and (window is None or window.contains(p.year)):
+                for f, v in field_counts_direct(corpus, pid, FRACTIONAL).items():
+                    want[f] = want.get(f, 0.0) + v
     else:
         want = citing_field_counts_direct(corpus, focal, window, FRACTIONAL)
     want.pop(focal, None)
