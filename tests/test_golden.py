@@ -36,12 +36,19 @@ INVOCATIONS = {
                             "--multiplicity", "fractional"),
     "impact": ("impact",),
     "impact-top-share": ("impact", "--top-share"),
+    "impact-top-share-hit-rate": ("impact", "--top-share", "--hit-rate"),
+    "impact-lifetime": ("impact", "--lifetime"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
+    "buckets-kdi": ("buckets", "--metric", "kdi"),
     "reciprocity": ("reciprocity",),
+    "reciprocity-exclude-diagonal": ("reciprocity", "--exclude-diagonal"),
     "reciprocity-matrix": ("reciprocity", "--matrix", "--window", "1980:1989"),
     "reciprocity-matrix-fractional": ("reciprocity", "--matrix",
                                       "--multiplicity", "fractional"),
     "acp": ("acp", "--focal", "AI", "--target", "Algo", "--window", "1980:1989"),
+    "acp-fractional": ("acp", "--focal", "AI", "--target", "Algo",
+                       "--window", "1980:1989", "--multiplicity", "fractional"),
+    "trajectory": ("trajectory", "--field", "NETW"),
     "trajectory-phases": ("trajectory", "--field", "NETW", "--phases"),
     "evidence": ("evidence",),
     "evidence-1975-1990": ("evidence", "--years", "1975:1990"),
