@@ -19,8 +19,7 @@ from .diversity import (
 from .errors import AnalysisError, CitefieldsError, ParseError
 from .graph import (
     CitationGraph, FRACTIONAL, FULL_COUNT,
-    build_graph, citations_received, edge_list_report, field_flow, field_flow_report,
-    per_paper_field_refs,
+    build_graph, citations_received, field_flow, per_paper_field_refs,
 )
 from .impact import (
     ImpactScores, PaperImpact,
@@ -40,7 +39,7 @@ from .synth import (
 )
 from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 from .trajectory import (
-    CotagPoint, FieldTrajectory, Phase, PhaseDetection, PhaseParams,
+    CotagPoint, FieldTrajectory, Phase, PhaseDetection,
     cotag_report, cotag_series, detect_phases, evidence_series,
     field_trajectory, phases_report, tau_series, top_partner_fields,
     trajectory_report, zeta_series,

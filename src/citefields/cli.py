@@ -41,7 +41,7 @@ from .synth import GeneratorSpec, generate, load_generator_spec
 from .taxonomy import FieldTaxonomy
 from .trajectory import (
     cotag_report, detect_phases, evidence_series, field_trajectory,
-    phases_report, trajectory_report, PhaseParams,
+    phases_report, trajectory_report,
 )
 
 logger = logging.getLogger(__name__)
@@ -357,7 +357,7 @@ def _cmd_trajectory(args) -> MetricReport:
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
     trajectory = field_trajectory(graph, corpus, focal, years)
     if args.phases:
-        detection = detect_phases(trajectory, PhaseParams(min_years=args.min_years))
+        detection = detect_phases(trajectory, min_years=args.min_years)
         return phases_report(trajectory, detection, taxonomy)
     return trajectory_report(trajectory, taxonomy)
 
@@ -410,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("CITEFIELDS_LOG", "WARNING").upper())
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "hit_rate", False) and not args.top_share:
+        parser.error("--hit-rate requires --top-share")
     try:
         if args.command == "generate":
             _cmd_generate(args)

@@ -39,8 +39,6 @@ class FieldKeywordSets:
     """Per-field keyword pools: the union of keywords of each field's papers."""
 
     per_field: tuple[frozenset[str], ...]
-    window: TimeWindow | None
-    scope: str
 
     def pool(self, field: int) -> frozenset[str]:
         return self.per_field[field]
@@ -67,11 +65,7 @@ def build_keyword_sets(
             continue
         for f in rec.fields:
             pools[f].update(rec.keywords)
-    return FieldKeywordSets(
-        per_field=tuple(frozenset(p) for p in pools),
-        window=window,
-        scope=scope,
-    )
+    return FieldKeywordSets(tuple(frozenset(p) for p in pools))
 
 
 def _entropy_sum(fractions) -> float:

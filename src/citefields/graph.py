@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import AnalysisError
 from .records import Corpus, TimeWindow
-from .report import MetricReport, base_metadata
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +59,7 @@ def field_ref_counts(
     """
     counts: dict[int, float] = {}
     for rid in paper_ids:
-        rec = corpus.resolve(rid)
+        rec = corpus.records.get(rid)
         if rec is None:
             continue
         fields = sorted(rec.fields)
@@ -74,8 +73,8 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
     """Resolve reference ids into a citation graph over the corpus's papers.
 
     Adjacency is deterministic: both out- and in-edge lists are ascending by
-    id. For window views, cited papers outside the view still resolve through
-    the view's base corpus.
+    id. Every edge endpoint is a corpus id, so analyses index the corpus
+    with it directly.
     """
     if multiplicity not in (FULL_COUNT, FRACTIONAL):
         raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
@@ -88,7 +87,7 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
         resolved: list[int] = []
         dangling = 0
         for rid in rec.references:
-            if corpus.resolve(rid) is not None:
+            if rid in corpus:
                 resolved.append(rid)
             else:
                 dangling += 1
@@ -157,47 +156,20 @@ def citations_received(
     the h-1 following years. The self filter drops citers whose first author
     equals the cited paper's first author (trimmed, case-insensitive).
     """
-    rec = corpus.resolve(pid)
+    rec = corpus.records.get(pid)
     if rec is None:
         raise AnalysisError(f"unknown paper id {pid}")
     citers = graph.in_edges.get(pid, ())
     if horizon_years is not None:
         citers = tuple(
             q for q in citers
-            if 0 <= corpus.resolve(q).year - rec.year <= horizon_years - 1
+            if 0 <= corpus[q].year - rec.year <= horizon_years - 1
         )
     if exclude_first_author_self:
         key = rec.first_author_key()
         if key is not None:
             citers = tuple(
-                q for q in citers if corpus.resolve(q).first_author_key() != key
+                q for q in citers if corpus[q].first_author_key() != key
             )
     return citers
 
-
-def edge_list_report(graph: CitationGraph) -> MetricReport:
-    """Resolved edges as `citing_id,cited_id` rows (ascending citing, then cited)."""
-    report = MetricReport(
-        name="edges",
-        columns=("citing_id", "cited_id"),
-        metadata=base_metadata("edges", edges=graph.total_edges),
-    )
-    for pid in sorted(graph.out_edges):
-        for rid in graph.out_edges[pid]:
-            report.add_row(pid, rid)
-    return report
-
-
-def field_flow_report(graph: CitationGraph, corpus: Corpus) -> MetricReport:
-    """Field-to-field resolved reference counts with abbreviation headers."""
-    taxonomy = corpus.taxonomy
-    flow = field_flow(graph, corpus)
-    abbrs = [taxonomy.abbr(i) for i in taxonomy.indices]
-    report = MetricReport(
-        name="field-flow",
-        columns=tuple(["field"] + abbrs),
-        metadata=base_metadata("field-flow", multiplicity=graph.multiplicity),
-    )
-    for i in taxonomy.indices:
-        report.add_row(abbrs[i], *(float(flow[i, j]) for j in taxonomy.indices))
-    return report

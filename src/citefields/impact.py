@@ -41,7 +41,6 @@ class PaperImpact:
 @dataclass
 class ImpactScores:
     per_paper: dict[int, PaperImpact]
-    horizon: int | None
     window: TimeWindow | None
 
 
@@ -72,9 +71,9 @@ def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], fl
         key = (rec.venue, rec.year)
         papers[key] = papers.get(key, 0) + 1
         for q in graph.in_edges.get(pid, ()):
-            citer = corpus.resolve(q)
-            if citer is not None and citer.year - rec.year in (1, 2):
-                cited_in = (rec.venue, citer.year)
+            citing_year = corpus[q].year
+            if citing_year - rec.year in (1, 2):
+                cited_in = (rec.venue, citing_year)
                 cites[cited_in] = cites.get(cited_in, 0) + 1
 
     @cache  # one shared value per (venue, year), not one float per paper
@@ -115,7 +114,7 @@ def compute_impact_scores(
         rec = corpus[pid]
         j = jif_of(rec.venue, rec.year) if rec.venue else None
         per_paper[pid] = PaperImpact(cp=cps[pid], jif=j, top_cited=pid in top)
-    return ImpactScores(per_paper=per_paper, horizon=horizon, window=window)
+    return ImpactScores(per_paper=per_paper, window=window)
 
 
 def top_cited_share(

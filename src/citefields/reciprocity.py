@@ -133,8 +133,7 @@ def acp(
     total = 0
     for pid in sorted(target_papers):
         for q in graph.in_edges.get(pid, ()):
-            citer = corpus.resolve(q)
-            if citer is not None and source_field in citer.fields:
+            if source_field in corpus[q].fields:
                 total += 1
     return total / len(target_papers)
 
@@ -219,13 +218,11 @@ def matrix_report(matrix: np.ndarray, taxonomy: FieldTaxonomy, window: TimeWindo
 def pearson_report(
     matrix: np.ndarray,
     taxonomy: FieldTaxonomy,
-    groups: tuple[FieldGroup, ...] | None = None,
     include_diagonal: bool = True,
     window: TimeWindow | None = None,
 ) -> MetricReport:
-    """Overall and per-group reciprocity correlations; undefined groups get empty cells."""
-    if groups is None:
-        groups = default_field_groups(taxonomy)
+    """Overall and built-in per-group reciprocity correlations; undefined groups
+    get empty cells."""
     report = MetricReport(
         name="reciprocity",
         columns=("group", "pearson_r", "points"),
@@ -236,7 +233,7 @@ def pearson_report(
         ),
     )
     candidates: list[tuple[str, FieldGroup | None]] = [("all", None)]
-    candidates.extend((g.name, g) for g in groups)
+    candidates.extend((g.name, g) for g in default_field_groups(taxonomy))
     for name, group in candidates:
         try:
             r, points = reciprocity_pearson(matrix, group, include_diagonal)

@@ -2,9 +2,10 @@
 
 A ``Corpus`` is built once (by the parser or programmatically) and is then
 read-only; every analysis in the package treats it as shared immutable state,
-so concurrent readers need no locking. Window filtering produces a view that
-restricts the paper population while keeping the parent corpus visible for
-reference resolution (citations may legitimately cross window boundaries).
+so concurrent readers need no locking. A time window is an argument of the
+analysis, not a corpus: the analysis selects the window's papers with
+``papers_in`` and resolves their references in the whole corpus (citations
+may legitimately cross window boundaries).
 """
 
 from __future__ import annotations
@@ -69,19 +70,17 @@ class PaperRecord:
 class Corpus:
     """Id-indexed record collection with per-field and per-year partitions."""
 
-    __slots__ = ("records", "taxonomy", "by_field", "by_year", "base")
+    __slots__ = ("records", "taxonomy", "by_field", "by_year")
 
     def __init__(
         self,
         records: Iterable[PaperRecord],
         taxonomy: FieldTaxonomy,
-        base: "Corpus | None" = None,
         _validate: bool = True,
     ):
         ordered = sorted(records, key=lambda r: r.id)
         self.records: dict[int, PaperRecord] = {}
         self.taxonomy = taxonomy
-        self.base = base
         n_fields = len(taxonomy)
         by_field: dict[int, set[int]] = {}
         by_year: dict[int, set[int]] = {}
@@ -121,18 +120,6 @@ class Corpus:
         """Paper ids in ascending order."""
         return iter(self.records)
 
-    def resolve(self, pid: int) -> PaperRecord | None:
-        """Look a cited id up in the resolution pool (the base corpus for views)."""
-        pool = self.base if self.base is not None else self
-        return pool.records.get(pid)
-
-    @property
-    def is_view(self) -> bool:
-        return self.base is not None
-
-    def field_papers(self, field: int) -> frozenset[int]:
-        return self.by_field.get(field, frozenset())
-
     def papers_in(self, field: int | None = None, window: TimeWindow | None = None) -> list[int]:
         """Ascending ids filtered by field membership and/or publication window."""
         if field is not None:
@@ -147,12 +134,6 @@ class Corpus:
     def years(self) -> list[int]:
         return sorted(self.by_year)
 
-    def filter_window(self, window: TimeWindow) -> "Corpus":
-        """Read-only view restricted to papers published inside the window."""
-        kept = (rec for rec in self.records.values() if window.contains(rec.year))
-        return Corpus(kept, self.taxonomy, base=self.base if self.base is not None else self,
-                      _validate=False)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Corpus)
@@ -161,8 +142,7 @@ class Corpus:
         )
 
     def __repr__(self) -> str:
-        kind = "view" if self.is_view else "corpus"
-        return f"Corpus({len(self.records)} records, {kind})"
+        return f"Corpus({len(self.records)} records)"
 
 
 def corpus_stats(corpus: Corpus) -> MetricReport:

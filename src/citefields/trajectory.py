@@ -9,12 +9,11 @@ Two ratio series drive the phase labeling:
   when the cited paper shares at least one field tag with the citing paper.
 * zeta: cross-field over same-field citations received by a field's papers,
   indexed by the citing paper's publication year (citations from outside
-  arrive over time); cited-year indexing is available behind a flag. Here
-  same-field means the citing paper carries the focal field tag.
+  arrive over time). Here same-field means the citing paper carries the
+  focal field tag.
 
 Both are pooled ratios (sum over the year's papers / sum), which avoids
-division by zero on individual papers; a per-paper-mean variant of tau
-exists for comparison.
+division by zero on individual papers.
 
 Phase labeling fits two-segment piecewise-constant models to each series:
 a level drop in tau ends the growing phase; a later level rise in zeta
@@ -38,15 +37,13 @@ from .graph import CitationGraph, field_ref_counts
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata
 
-POOLED = "pooled"
-PER_PAPER = "per-paper"
-
-CITING_YEAR = "citing"
-CITED_YEAR = "cited"
-
 GROWING = "growing"
 MATURED = "matured"
 INTERDISCIPLINARY = "interdisciplinary"
+
+# Fraction of the flat fit's squared error (log scale) a split must remove
+# to count as a real level change.
+MIN_GAIN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,6 @@ class Phase:
     start: int
     end: int
     segment_mean: float
-
-
-@dataclass(frozen=True)
-class PhaseParams:
-    min_years: int = 10
-    # Fraction of the flat fit's squared error (log scale) a split must
-    # remove to count as a real level change.
-    min_gain_fraction: float = 0.5
 
 
 @dataclass
@@ -89,7 +78,7 @@ def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[in
     """
     fields = corpus[pid].fields
     refs = graph.out_edges.get(pid, ())
-    same = sum(1 for rid in refs if corpus.resolve(rid).fields & fields)
+    same = sum(1 for rid in refs if corpus[rid].fields & fields)
     return len(refs) - same, same
 
 
@@ -98,30 +87,21 @@ def tau_series(
     corpus: Corpus,
     focal: int,
     years: list[int] | None = None,
-    mode: str = POOLED,
 ) -> dict[int, float | None]:
     """Per-year cross/same reference ratio of a field's papers.
 
     None for years where the denominator (same-field references) is zero.
     """
-    if mode not in (POOLED, PER_PAPER):
-        raise ValueError(f"unknown tau mode {mode!r}")
     years = years if years is not None else corpus.years()
-    field_ids = corpus.field_papers(focal)
+    field_ids = corpus.by_field.get(focal, frozenset())
     out: dict[int, float | None] = {}
     for y in years:
-        pooled_cross = pooled_same = 0
-        ratios: list[float] = []
+        cross = same = 0
         for pid in sorted(corpus.by_year.get(y, frozenset()) & field_ids):
-            cross, same = _reference_split(graph, corpus, pid)
-            pooled_cross += cross
-            pooled_same += same
-            if same:
-                ratios.append(cross / same)
-        if mode == POOLED:
-            out[y] = pooled_cross / pooled_same if pooled_same else None
-        else:
-            out[y] = fsum(ratios) / len(ratios) if ratios else None
+            pcross, psame = _reference_split(graph, corpus, pid)
+            cross += pcross
+            same += psame
+        out[y] = cross / same if same else None
     return out
 
 
@@ -130,25 +110,20 @@ def zeta_series(
     corpus: Corpus,
     focal: int,
     years: list[int] | None = None,
-    index_by: str = CITING_YEAR,
 ) -> dict[int, float | None]:
-    """Per-year cross/same citation ratio into a field's papers.
+    """Per-year cross/same citation ratio into a field's papers, by citing year.
 
     Same-field citations come from papers carrying the focal tag; the rest
     are cross-field. None where no same-field citations land in the year.
     """
-    if index_by not in (CITING_YEAR, CITED_YEAR):
-        raise ValueError(f"unknown zeta indexing {index_by!r}")
     years = years if years is not None else corpus.years()
-    wanted = set(years)
     cross: dict[int, int] = {y: 0 for y in years}
     same: dict[int, int] = {y: 0 for y in years}
-    for pid in sorted(corpus.field_papers(focal)):
-        cited = corpus[pid]
+    for pid in sorted(corpus.by_field.get(focal, frozenset())):
         for q in graph.in_edges.get(pid, ()):
-            citer = corpus.resolve(q)
-            y = citer.year if index_by == CITING_YEAR else cited.year
-            if y not in wanted:
+            citer = corpus[q]
+            y = citer.year
+            if y not in cross:
                 continue
             if focal in citer.fields:
                 same[y] += 1
@@ -182,9 +157,9 @@ def top_partner_fields(
     else:
         partners = (
             q
-            for pid in sorted(corpus.field_papers(focal))
+            for pid in sorted(corpus.by_field.get(focal, frozenset()))
             for q in graph.in_edges.get(pid, ())
-            if window is None or window.contains(corpus.resolve(q).year)
+            if window is None or window.contains(corpus[q].year)
         )
     volume = field_ref_counts(corpus, partners, graph.multiplicity)
     volume.pop(focal, None)
@@ -320,7 +295,7 @@ def evidence_series(
             refs = graph.out_edges.get(pid, ())
             cited_fields: set[int] = set()
             for rid in refs:
-                cited_fields |= corpus.resolve(rid).fields
+                cited_fields |= corpus[rid].fields
             if refs:
                 fields_cited.append(len(cited_fields))
             pcross, psame = _reference_split(graph, corpus, pid)
@@ -353,12 +328,14 @@ def field_trajectory(
 
     Default year span: from the field's first paper to the corpus's last
     year (incoming citations keep arriving after the field's last paper).
+    A field without papers has no trajectory, whatever the span.
     """
+    members = corpus.by_field.get(focal)
+    if not members:
+        raise AnalysisError("field has no papers")
     if years is None:
-        member_years = [corpus[pid].year for pid in corpus.field_papers(focal)]
-        if not member_years:
-            raise AnalysisError("field has no papers")
-        years = list(range(min(member_years), corpus.years()[-1] + 1))
+        first = min(corpus[pid].year for pid in members)
+        years = list(range(first, corpus.years()[-1] + 1))
     tau = tau_series(graph, corpus, focal, years)
     zeta = zeta_series(graph, corpus, focal, years)
     return FieldTrajectory(
@@ -443,10 +420,7 @@ def _ratio_level_split(
     return cp_year, fsum(left) / len(left), fsum(right) / len(right)
 
 
-def detect_phases(
-    trajectory: FieldTrajectory,
-    params: PhaseParams | None = None,
-) -> PhaseDetection:
+def detect_phases(trajectory: FieldTrajectory, min_years: int = 10) -> PhaseDetection:
     """Label the growing / matured / interdisciplinary spans of a trajectory.
 
     Growing runs from the series start through tau's drop change-point;
@@ -454,15 +428,15 @@ def detect_phases(
     which must come after tau's (otherwise it is not emitted, with a
     diagnostic); matured covers whatever remains. Flat series produce a
     single matured phase. Uniform positive scaling of either series leaves
-    the labeling unchanged.
+    the labeling unchanged. At least ``min_years`` years of the trajectory
+    need a defined tau.
     """
-    params = params or PhaseParams()
     tau_points = [
         (y, v) for y, v in zip(trajectory.years, trajectory.tau) if v is not None
     ]
-    if len(tau_points) < params.min_years:
+    if len(tau_points) < min_years:
         raise AnalysisError(
-            f"need at least {params.min_years} years with a defined reference "
+            f"need at least {min_years} years with a defined reference "
             f"ratio, got {len(tau_points)}"
         )
     zeta_points = [
@@ -473,8 +447,8 @@ def detect_phases(
     diagnostics: list[str] = []
     phases: list[Phase] = []
 
-    tau_fit = _ratio_level_split(tau_points, "drop", params.min_gain_fraction)
-    zeta_fit = _ratio_level_split(zeta_points, "rise", params.min_gain_fraction)
+    tau_fit = _ratio_level_split(tau_points, "drop", MIN_GAIN_FRACTION)
+    zeta_fit = _ratio_level_split(zeta_points, "rise", MIN_GAIN_FRACTION)
 
     tau_cp = zeta_cp = None
     if tau_fit is None:

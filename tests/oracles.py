@@ -24,7 +24,7 @@ def entropy_direct(fractions) -> float:
 def field_counts_direct(corpus: Corpus, pid: int, multiplicity: str = "full") -> dict[int, float]:
     counts: dict[int, float] = {}
     for rid in corpus[pid].references:
-        cited = corpus.resolve(rid)
+        cited = corpus.records.get(rid)
         if cited is None:
             continue
         share = 1.0 if multiplicity == "full" else 1.0 / len(cited.fields)
@@ -34,7 +34,7 @@ def field_counts_direct(corpus: Corpus, pid: int, multiplicity: str = "full") ->
 
 
 def resolved_count_direct(corpus: Corpus, pid: int) -> int:
-    return sum(1 for rid in corpus[pid].references if corpus.resolve(rid) is not None)
+    return sum(1 for rid in corpus[pid].references if corpus.records.get(rid) is not None)
 
 
 def rdi_direct(corpus: Corpus, pid: int, multiplicity: str = "full") -> float | None:
@@ -113,7 +113,7 @@ def citing_field_counts_direct(
             continue
         share = 1.0 if multiplicity == "full" else 1.0 / len(q.fields)
         for rid in q.references:
-            cited = corpus.resolve(rid)
+            cited = corpus.records.get(rid)
             if cited is None or focal not in cited.fields:
                 continue
             for f in q.fields:
@@ -128,7 +128,7 @@ def acp_direct(corpus: Corpus, source_field: int, targets: set[int]) -> float:
         if source_field not in q.fields:
             continue
         for rid in q.references:
-            if rid in targets and corpus.resolve(rid) is not None:
+            if rid in targets and corpus.records.get(rid) is not None:
                 total += 1
     return total / len(targets)
 
@@ -198,7 +198,7 @@ def tau_direct(corpus: Corpus, focal: int, year: int) -> float | None:
         if p.year != year or focal not in p.fields:
             continue
         for rid in p.references:
-            cited = corpus.resolve(rid)
+            cited = corpus.records.get(rid)
             if cited is None:
                 continue
             if cited.fields & p.fields:

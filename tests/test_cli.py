@@ -140,6 +140,16 @@ def test_window_without_papers_fails_every_analysis(argv, golden_file, capsys):
     assert "1970:19" in error["message"]
 
 
+@pytest.mark.parametrize("years", [[], ["--years", "2007:2007"]], ids=["all", "years"])
+def test_trajectory_of_field_without_papers_fails(years, golden_file, capsys):
+    # The golden record is an ARC paper; no paper is tagged AI.
+    assert main(["trajectory", str(golden_file), "--field", "AI", *years]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "AnalysisError", "message": "field has no papers"}
+
+
 def test_unexpected_exception_becomes_error_record(golden_file, capsys, monkeypatch):
     def broken(_args):
         raise RuntimeError("boom")
@@ -176,6 +186,16 @@ def test_out_of_range_numeric_flag_is_usage_error(argv, synth_file, capsys):
     assert "usage:" in err
     assert "Traceback" not in err
     assert flags[-2] in err  # names the offending flag
+
+
+def test_hit_rate_without_top_share_is_usage_error(synth_file, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["impact", str(synth_file), "--hit-rate"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "--hit-rate requires --top-share" in captured.err
 
 
 def test_stats_output(synth_file, capsys):

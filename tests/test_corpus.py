@@ -1,9 +1,9 @@
-"""Corpus model: partitions, window views, stats."""
+"""Corpus model: partitions, windows, stats."""
 
 import pytest
 
-from citefields import AnalysisError, Corpus, FieldTaxonomy, TimeWindow, corpus_stats, parse_corpus
-from conftest import GOLDEN_RECORD, corpus_of, rec
+from citefields import AnalysisError, TimeWindow, corpus_stats
+from conftest import corpus_of, rec
 
 
 def test_window_validation_and_parse():
@@ -39,42 +39,6 @@ def test_constructor_rejects_invariant_violations():
         corpus_of(rec(1, refs=(1,)))
     with pytest.raises(ValueError):
         corpus_of(rec(1, fields=(99,)))
-
-
-def test_filter_window_single_year(golden_text, taxonomy):
-    corpus, _ = parse_corpus(golden_text, taxonomy)
-    view = corpus.filter_window(TimeWindow(2007, 2007))
-    assert len(view) == 1
-    assert view.is_view
-
-
-def test_filter_window_full_range_is_identical_population():
-    corpus = corpus_of(rec(1, year=1950), rec(2, year=2050))
-    view = corpus.filter_window(TimeWindow(1900, 2100))
-    assert set(view.records) == set(corpus.records)
-    assert view.by_field == corpus.by_field
-    assert view.by_year == corpus.by_year
-
-
-def test_filter_window_disjoint_range_is_empty():
-    corpus = corpus_of(rec(1, year=1950), rec(2, year=2050))
-    view = corpus.filter_window(TimeWindow(1800, 1801))
-    assert len(view) == 0
-
-
-def test_view_resolves_references_outside_the_window():
-    corpus = corpus_of(rec(1, year=1990, refs=(2,)), rec(2, year=1950))
-    view = corpus.filter_window(TimeWindow(1980, 2000))
-    assert 2 not in view
-    assert view.resolve(2) is not None
-    assert view.resolve(2).year == 1950
-
-
-def test_view_of_view_resolves_against_original():
-    corpus = corpus_of(rec(1, year=1990), rec(2, year=1950), rec(3, year=1970))
-    inner = corpus.filter_window(TimeWindow(1960, 2000)).filter_window(TimeWindow(1980, 2000))
-    assert set(inner.records) == {1}
-    assert inner.resolve(2) is not None
 
 
 def test_corpus_stats_counts_and_fraction():

@@ -25,40 +25,42 @@ def synth():
 
 
 def test_full_range_view_matches_corpus_on_every_metric(synth):
+    # A window or year span covering the whole corpus equals no window.
     corpus, graph = synth
-    view = corpus.filter_window(FULL_RANGE)
-    view_graph = build_graph(view)
+    sets = build_keyword_sets(corpus)
+    sets_full = build_keyword_sets(corpus, FULL_RANGE)
+    assert sets_full == sets
 
     for f in range(5):
-        assert rdi_field(graph, corpus, f) == rdi_field(view_graph, view, f)
-        sets_c = build_keyword_sets(corpus)
-        sets_v = build_keyword_sets(view)
-        assert kdi_field(corpus, sets_c, f) == kdi_field(view, sets_v, f)
+        assert rdi_field(graph, corpus, f, FULL_RANGE) == rdi_field(graph, corpus, f)
+        assert kdi_field(corpus, sets_full, f, FULL_RANGE) == kdi_field(corpus, sets, f)
+
+    for metric, value_of in (
+        ("rdi", lambda f: rdi_field(graph, corpus, f)[0]),
+        ("kdi", lambda f: kdi_field(corpus, sets, f)[0]),
+    ):
+        rows = rank_fields(graph, corpus, metric, [FULL_RANGE]).rows
+        assert [row[4] for row in rows[:5]] == [value_of(f) for f in range(5)]
 
     assert np.array_equal(
+        citation_fraction_matrix(graph, corpus, FULL_RANGE),
         citation_fraction_matrix(graph, corpus),
-        citation_fraction_matrix(view_graph, view),
         equal_nan=True,
     )
 
-    window = TimeWindow(1982, 1986)
-    r1 = acp_bucket_test(graph, corpus, 0, 1, window)
-    r2 = acp_bucket_test(view_graph, view, 0, 1, window)
+    years = corpus.years()
+    span = TimeWindow(years[0], years[-1])
+    r1 = acp_bucket_test(graph, corpus, 0, 1, FULL_RANGE)
+    r2 = acp_bucket_test(graph, corpus, 0, 1, span)
     assert r1.rows == r2.rows
 
-    years = corpus.years()
-    assert tau_series(graph, corpus, 0, years) == tau_series(view_graph, view, 0, years)
-    assert zeta_series(graph, corpus, 0, years) == zeta_series(view_graph, view, 0, years)
+    assert tau_series(graph, corpus, 0, years) == tau_series(graph, corpus, 0)
+    assert zeta_series(graph, corpus, 0, years) == zeta_series(graph, corpus, 0)
+    assert evidence_series(graph, corpus, years).rows == evidence_series(graph, corpus).rows
 
-    assert evidence_series(graph, corpus).rows == evidence_series(view_graph, view).rows
-
-    s1 = compute_impact_scores(graph, corpus)
-    s2 = compute_impact_scores(view_graph, view)
+    s1 = compute_impact_scores(graph, corpus, window=FULL_RANGE)
+    s2 = compute_impact_scores(graph, corpus)
     assert s1.per_paper == s2.per_paper
-
-    rank1 = rank_fields(graph, corpus, "rdi", [FULL_RANGE])
-    rank2 = rank_fields(view_graph, view, "rdi", [FULL_RANGE])
-    assert rank1.rows == rank2.rows
 
 
 def test_rdi_bounded_by_log_field_count_with_single_field_targets():
@@ -86,7 +88,7 @@ def test_evidence_pooled_tau_matches_brute_force(synth):
             if p.year != year:
                 continue
             for rid in p.references:
-                cited = corpus.resolve(rid)
+                cited = corpus.records.get(rid)
                 if cited is None:
                     continue
                 if cited.fields & p.fields:

@@ -3,12 +3,12 @@
 import pytest
 
 from citefields import (
-    FRACTIONAL, AnalysisError, FieldTrajectory, GeneratorSpec, PhaseParams, TimeWindow,
+    FRACTIONAL, AnalysisError, Corpus, FieldTrajectory, GeneratorSpec, TimeWindow,
     build_graph, cotag_series, detect_phases, evidence_series,
     field_trajectory, generate_corpus, tau_series, top_partner_fields,
     zeta_series,
 )
-from citefields.trajectory import CITED_YEAR, PER_PAPER, _two_segment_split
+from citefields.trajectory import _two_segment_split
 from conftest import corpus_of, rec
 from oracles import (
     author_breadth_direct, citing_field_counts_direct, field_counts_direct, tau_direct,
@@ -63,8 +63,8 @@ def test_tau_per_paper_mode():
         rec(7, year=1999, fields=(2,)),
     )
     graph = build_graph(corpus)
-    # per-paper mean: (0/2 + 2/1) / 2 = 1.0; pooled: 2 cross / 3 same
-    assert tau_series(graph, corpus, 0, [2000], mode=PER_PAPER)[2000] == pytest.approx(1.0)
+    # Pooled over the year's papers: 2 cross / 3 same, not the per-paper
+    # mean (0/2 + 2/1) / 2 = 1.0.
     assert tau_series(graph, corpus, 0, [2000])[2000] == pytest.approx(2 / 3)
 
 
@@ -114,9 +114,6 @@ def test_zeta_indexed_by_citing_year_by_default():
     by_citing = zeta_series(graph, corpus, 0, [2000, 2005])
     assert by_citing[2000] is None
     assert by_citing[2005] == 1.0
-    by_cited = zeta_series(graph, corpus, 0, [2000, 2005], index_by=CITED_YEAR)
-    assert by_cited[2000] == 1.0
-    assert by_cited[2005] is None
 
 
 def test_top_partner_fields_referred_and_ties():
@@ -291,8 +288,10 @@ def test_evidence_author_breadth_matches_direct_oracle(seed):
         seed=seed, field_count=8, years_span=12, papers_per_year=(15, 25),
         author_pool_size=120, multi_tag_probability=0.3,
     ))
-    view = corpus.filter_window(TimeWindow(1974, 1979))
-    for c in (corpus, view):
+    # Also a corpus of the 1974-1979 papers alone, whose references dangle.
+    part = Corpus((corpus[p] for p in corpus.papers_in(window=TimeWindow(1974, 1979))),
+                  corpus.taxonomy)
+    for c in (corpus, part):
         report = evidence_series(build_graph(c), c, years=list(range(1968, 1983)))
         for row in report.rows:
             assert row[6] == author_breadth_direct(c, row[0])
@@ -371,7 +370,7 @@ def test_single_field_in_field_corpus_collapses_to_matured():
     defined_tau = [v for v in trajectory.tau if v is not None]
     defined_zeta = [v for v in trajectory.zeta if v is not None]
     assert set(defined_tau) == {0.0} and set(defined_zeta) == {0.0}
-    detection = detect_phases(trajectory, PhaseParams(min_years=10))
+    detection = detect_phases(trajectory, min_years=10)
     assert [p.label for p in detection.phases] == ["matured"]
 
 
