@@ -32,11 +32,6 @@ from .reciprocity import (
 )
 from .records import Corpus, PaperRecord, TimeWindow, corpus_stats
 from .report import MetricReport
-from .synth import (
-    GeneratorSpec, PlantedLifecycle,
-    generate, generate_corpus, load_generator_spec,
-    propensity_identity, propensity_mixed, propensity_uniform,
-)
 from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 from .trajectory import (
     CotagPoint, FieldTrajectory, Phase, PhaseDetection,
@@ -45,4 +40,24 @@ from .trajectory import (
     trajectory_report, zeta_series,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The generator is the one module that needs numpy at import time. It and its
+# names are looked up on first use, so ``import citefields`` and the CLI's
+# subcommands other than ``generate`` start without numpy.
+_SYNTH_NAMES = (
+    "GeneratorSpec", "PlantedLifecycle",
+    "generate", "generate_corpus", "load_generator_spec",
+    "propensity_identity", "propensity_mixed", "propensity_uniform",
+)
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["synth", *_SYNTH_NAMES]
+)
+
+
+def __getattr__(name: str):
+    if name == "synth" or name in _SYNTH_NAMES:
+        from importlib import import_module
+
+        synth = import_module(f"{__name__}.synth")
+        return synth if name == "synth" else getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix, matrix_report, pearson_report,
 )
 from .report import MetricReport, base_metadata
-from .synth import GeneratorSpec, generate, load_generator_spec
 from .taxonomy import FieldTaxonomy
 from .trajectory import (
     cotag_report, detect_phases, evidence_series, field_trajectory,
@@ -214,7 +213,7 @@ def _config_echo(args) -> str:
     parts = [
         f"{key}={_fmt_flag(value)}"
         for key, value in sorted(vars(args).items())
-        if key not in skip and value not in (None, False)
+        if key not in skip and value is not None and value is not False
     ]
     return " ".join(parts)
 
@@ -380,6 +379,9 @@ def _cmd_cotag(args) -> MetricReport:
 
 
 def _cmd_generate(args) -> None:
+    # The generator needs numpy; no other subcommand imports it at start-up.
+    from .synth import GeneratorSpec, generate, load_generator_spec
+
     spec = load_generator_spec(args.spec) if args.spec else GeneratorSpec()
     if args.seed is not None:
         from dataclasses import replace

@@ -27,10 +27,14 @@ in local variables and validated when a blank or whitespace-only line ends
 the block. Field label lookups and field-index sets, both bounded by the
 taxonomy, are memoized per parse. Author names, venues and keywords are not
 interned: what that saves depends on how often the input repeats them, and
-on mostly distinct values it costs memory. The cost is O(lines) time. On a
-2-vCPU Xeon VM the 100k-record C9 corpus (19 MB) parses in about 3.4 s to a
-208 MiB process peak, against 5.0 s and 230 MiB for the previous block
-scanner.
+on mostly distinct values it costs memory. The cyclic garbage collector is
+paused for the parse and its previous state restored afterwards: each
+collection pass would rescan every record built so far, while the parse
+leaves no cycle that must be freed before it returns. The cost is O(lines)
+time. On a 2-vCPU Xeon VM the 100k-record C9 corpus (19 MB) parses in about
+3.4 s to a 208 MiB process peak, against 5.0 s and 230 MiB for the previous
+block scanner (both with the collector running); pausing it took a 50k-record
+parse from 1.69 to 1.45 s (medians of 4 alternating runs in one process).
 
 Diagnostics carry line numbers and the 1-based record ordinal. In strict
 mode the first error-severity diagnostic aborts via ``ParseError``; in
@@ -40,6 +44,7 @@ dropped) and counted.
 
 from __future__ import annotations
 
+import gc
 import io
 import logging
 from dataclasses import dataclass, field
@@ -122,11 +127,28 @@ def parse_corpus(
     field label) skip the record in lenient mode and raise ``ParseError`` in
     strict mode. Repairable problems (duplicate or self references, unknown
     lines, repeated single-value tags) are warnings in both modes.
+
+    The cyclic garbage collector is paused while the parse runs; its
+    previous state is restored however the parse ends.
     """
     if strictness not in (STRICT, LENIENT):
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")
     taxonomy = taxonomy or FieldTaxonomy.default()
-    strict = strictness == STRICT
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(source, taxonomy, strictness == STRICT, year_range)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(
+    source: str | bytes | IO,
+    taxonomy: FieldTaxonomy,
+    strict: bool,
+    year_range: tuple[int, int],
+) -> tuple[Corpus, ParseReport]:
     report = ParseReport()
     records: list[PaperRecord] = []
     seen_ids: set[int] = set()

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import AnalysisError
 from .records import Corpus, TimeWindow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -116,6 +117,9 @@ def field_flow(
     field j. Citing ids ascend and fields ascend, so the float sums are
     bit-identical across runs.
     """
+    # Imported here so that subcommands which never fold a flow start without numpy.
+    import numpy as np
+
     n = len(corpus.taxonomy)
     flow = np.zeros((n, n), dtype=np.float64)
     for pid in corpus.papers_in(window=window):

@@ -15,15 +15,17 @@ field than papers that do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, sqrt
-
-import numpy as np
+from math import fsum, isnan, sqrt
+from typing import TYPE_CHECKING
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_flow, field_ref_counts
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ def citation_fraction_matrix(
     Rows with no outflow are NaN. With a window, only references emitted by
     papers published inside it are counted.
     """
+    import numpy as np  # see graph.field_flow
+
     n = len(corpus.taxonomy)
     flow = field_flow(graph, corpus, window)
     totals = flow.sum(axis=1)
@@ -114,7 +118,7 @@ def reciprocity_pearson(
                 continue
             x = matrix[i, j]
             y = matrix[j, i]
-            if np.isnan(x) or np.isnan(y):
+            if isnan(x) or isnan(y):
                 continue
             xs.append(float(x))
             ys.append(float(y))
@@ -210,7 +214,7 @@ def matrix_report(matrix: np.ndarray, taxonomy: FieldTaxonomy, window: TimeWindo
         metadata=base_metadata("citation-fractions", window=window_label(window)),
     )
     for i in taxonomy.indices:
-        row = [None if np.isnan(matrix[i, j]) else float(matrix[i, j]) for j in taxonomy.indices]
+        row = [None if isnan(matrix[i, j]) else float(matrix[i, j]) for j in taxonomy.indices]
         report.add_row(abbrs[i], *row)
     return report
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
-from citefields import Corpus, FieldTaxonomy, PaperRecord
+import citefields
+from citefields import Corpus, FieldTaxonomy, GeneratorSpec, PaperRecord, generate
 
 # A production-shape record (conference paper with authors, keywords, nine
 # references, abstract). Used for golden parsing and round-trip checks.
@@ -65,3 +69,24 @@ def golden_text() -> str:
 @pytest.fixture
 def taxonomy() -> FieldTaxonomy:
     return FieldTaxonomy.default()
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that must import the package under test.
+
+    The package may be on ``sys.path`` only (pytest's pythonpath setting)
+    rather than installed.
+    """
+    src = str(Path(citefields.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
+@pytest.fixture(scope="session")
+def tiny_corpus(tmp_path_factory):
+    """A generated corpus file of 36 papers in 3 fields (AI, Algo, NETW), 1970-1975."""
+    path = tmp_path_factory.mktemp("tiny") / "corpus.txt"
+    spec = GeneratorSpec(seed=2, field_count=3, years_span=6, papers_per_year=(6, 6))
+    path.write_text(generate(spec), encoding="utf-8")
+    return path

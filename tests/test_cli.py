@@ -3,17 +3,14 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import citefields
 from citefields import cli
 from citefields.cli import main
-from conftest import GOLDEN_RECORD
+from conftest import GOLDEN_RECORD, child_env
 
 
 @pytest.fixture
@@ -262,6 +259,15 @@ def test_acp_subcommand(synth_file, capsys):
     assert [row[2] for row in rows] == ["bucket-1", "bucket-2"]
 
 
+def test_config_echo_keeps_zero_valued_flags(synth_file, capsys):
+    assert main([
+        "acp", str(synth_file), "--focal", "AI", "--target", "Algo",
+        "--window", "1975:1985", "--threshold", "0",
+    ]) == 0
+    meta, _header, _rows = _read_csv(capsys.readouterr().out)
+    assert "threshold=0.0" in meta["config"].split()
+
+
 def test_trajectory_series_and_phases(synth_file, capsys):
     assert main(["trajectory", str(synth_file), "--field", "AI"]) == 0
     _meta, header, rows = _read_csv(capsys.readouterr().out)
@@ -360,15 +366,61 @@ def test_taxonomy_sidecar_flag(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
-    # The child must import the package under test, which may be on sys.path
-    # only (pytest's pythonpath setting) rather than installed.
-    src = str(Path(citefields.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     proc = subprocess.run(
         [sys.executable, "-m", "citefields.cli", "--version"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "citefields" in proc.stdout
+
+
+# Runs one subcommand in a fresh interpreter, then prints whether numpy was loaded.
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from citefields.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules)\n"
+    "sys.exit(code)\n"
+)
+
+_NUMPY_USE = [
+    (["validate"], False),
+    (["stats"], False),
+    (["rank", "--metric", "kdi", "--window", "1970:1974"], False),
+    (["impact"], False),
+    (["buckets", "--metric", "rdi"], False),
+    (["acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"], False),
+    (["trajectory", "--field", "AI", "--phases", "--min-years", "2"], False),
+    (["evidence"], False),
+    (["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"], False),
+    (["reciprocity"], True),
+]
+
+
+@pytest.mark.parametrize("argv, loads_numpy", _NUMPY_USE, ids=[a[0] for a, _ in _NUMPY_USE])
+def test_only_array_subcommands_import_numpy(argv, loads_numpy, tiny_corpus, tmp_path):
+    command, *flags = argv
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, command, str(tiny_corpus), *flags,
+         "-o", str(tmp_path / "report.csv")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads_numpy)
+
+
+def test_package_imports_without_numpy_and_serves_generator_names():
+    probe = (
+        "import sys\n"
+        "import citefields\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert citefields.synth.generate is citefields.generate\n"
+        "names = {}\n"
+        "exec('from citefields import *', names)\n"
+        "missing = [n for n in citefields.__all__ if n not in names]\n"
+        "assert not missing, missing\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Reader/writer tests: golden parse, diagnostics, strict/lenient, round-trip."""
 
+import contextlib
+import gc
 import io
 
 import pytest
@@ -190,6 +192,31 @@ def test_parse_from_binary_and_text_streams(golden_text):
     c2, _ = parse_corpus(io.StringIO(golden_text))
     assert c1 == c2
     assert len(c1) == 1
+
+
+@pytest.mark.parametrize("enabled, text", [
+    (True, GOLDEN_RECORD),
+    (True, "#*No index\n#t2000\n#fDatabases\n"),
+    (False, GOLDEN_RECORD),
+], ids=["enabled-return", "enabled-parse-error", "disabled"])
+def test_parse_pauses_gc_and_restores_its_state(enabled, text):
+    seen = []  # collector state as each line is read
+
+    def lines():
+        for line in text.splitlines(keepends=True):
+            seen.append(gc.isenabled())
+            yield line
+
+    before = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        error = "#index" not in text
+        with pytest.raises(ParseError) if error else contextlib.nullcontext():
+            parse_corpus(lines(), strictness=STRICT)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if before else gc.disable()
+    assert seen and not any(seen)
 
 
 def test_round_trip_golden_is_byte_stable(golden_text, taxonomy):
