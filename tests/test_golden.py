@@ -34,12 +34,17 @@ INVOCATIONS = {
     "rank-kdi": ("rank", "--metric", "kdi", *_WINDOWS),
     "rank-rdi-fractional": ("rank", "--metric", "rdi", *_WINDOWS,
                             "--multiplicity", "fractional"),
+    "rank-kdi-normalized-global": ("rank", "--metric", "kdi", *_WINDOWS, "--normalized-kdi",
+                                   "--keyword-scope", "corpus-global"),
     "impact": ("impact",),
     "impact-top-share": ("impact", "--top-share"),
     "impact-top-share-hit-rate": ("impact", "--top-share", "--hit-rate"),
     "impact-lifetime": ("impact", "--lifetime"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
     "buckets-kdi": ("buckets", "--metric", "kdi"),
+    "buckets-rdi-1980-1989": ("buckets", "--metric", "rdi", "--window", "1980:1989"),
+    "buckets-kdi-1980-1989-global": ("buckets", "--metric", "kdi", "--window", "1980:1989",
+                                     "--keyword-scope", "corpus-global"),
     "reciprocity": ("reciprocity",),
     "reciprocity-exclude-diagonal": ("reciprocity", "--exclude-diagonal"),
     "reciprocity-matrix": ("reciprocity", "--matrix", "--window", "1980:1989"),
@@ -50,6 +55,7 @@ INVOCATIONS = {
                        "--window", "1980:1989", "--multiplicity", "fractional"),
     "trajectory": ("trajectory", "--field", "NETW"),
     "trajectory-phases": ("trajectory", "--field", "NETW", "--phases"),
+    "trajectory-1975-1995": ("trajectory", "--field", "NETW", "--years", "1975:1995"),
     "evidence": ("evidence",),
     "evidence-1975-1990": ("evidence", "--years", "1975:1990"),
     # Every decade holds multi-tagged NETW papers on every seed.
