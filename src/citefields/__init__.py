@@ -14,7 +14,7 @@ from .corpusio import (
 )
 from .diversity import (
     CORPUS_GLOBAL, FieldKeywordSets, KDI, RDI, WINDOW_LOCAL,
-    build_keyword_sets, kdi_field, kdi_paper, rank_fields, rdi_field, rdi_paper,
+    build_keyword_sets, kdi_paper, paper_diversity, rank_fields, rdi_paper,
 )
 from .errors import AnalysisError, CitefieldsError, ParseError
 from .graph import (

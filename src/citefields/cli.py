@@ -17,6 +17,7 @@ DEBUG level).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -25,10 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpusio import LENIENT, STRICT, parse_corpus
-from .diversity import (
-    CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL,
-    build_keyword_sets, kdi_paper, rank_fields, rdi_paper,
-)
+from .diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL, paper_diversity, rank_fields
 from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
 from .impact import bucket_impact, compute_impact_scores, top_cited_share
@@ -189,8 +187,15 @@ def _load(args) -> tuple:
         else FieldTaxonomy.default()
     )
     strictness = STRICT if getattr(args, "strict", False) else LENIENT
-    with open(args.input, "rb") as fh:
-        corpus, report = parse_corpus(fh, taxonomy, strictness=strictness)
+    # The process ends after one report, so what the parse built lives to the
+    # end: freeze it, and the collector never scans it again.
+    gc.disable()
+    try:
+        with open(args.input, "rb") as fh:
+            corpus, report = parse_corpus(fh, taxonomy, strictness=strictness)
+    finally:
+        gc.freeze()
+        gc.enable()
     # Only validate has something to say about a corpus without records.
     if len(corpus) == 0 and args.command != "validate":
         raise AnalysisError("corpus has no parsed records, nothing to analyze")
@@ -199,7 +204,7 @@ def _load(args) -> tuple:
     for span in spans if isinstance(spans, list) else [spans]:
         if not any(span.contains(year) for year in corpus.by_year):
             raise AnalysisError(f"no papers in the window {span}")
-    return corpus, report, taxonomy
+    return corpus, report
 
 
 def _fmt_flag(value) -> str:
@@ -235,7 +240,7 @@ def _field_index(taxonomy: FieldTaxonomy, label: str) -> int:
 
 
 def _cmd_validate(args) -> MetricReport:
-    _corpus, parse_report, _taxonomy = _load(args)
+    _corpus, parse_report = _load(args)
     report = MetricReport(
         name="validate",
         columns=("line", "record", "severity", "code", "message"),
@@ -254,22 +259,20 @@ def _cmd_validate(args) -> MetricReport:
 def _cmd_stats(args) -> MetricReport:
     from .records import corpus_stats
 
-    corpus, _pr, _tax = _load(args)
+    corpus, _pr = _load(args)
     return corpus_stats(corpus)
 
 
 def _cmd_rank(args) -> MetricReport:
-    corpus, _pr, _tax = _load(args)
+    corpus, _pr = _load(args)
     graph = build_graph(corpus, args.multiplicity)
-    return rank_fields(
-        graph, corpus, args.metric, args.window,
-        keyword_scope=args.keyword_scope,
-        normalized_kdi=args.normalized_kdi,
-    )
+    return rank_fields(graph, corpus, args.metric, args.window,
+                       keyword_scope=args.keyword_scope, normalized_kdi=args.normalized_kdi)
 
 
 def _cmd_impact(args) -> MetricReport:
-    corpus, _pr, taxonomy = _load(args)
+    corpus, _pr = _load(args)
+    taxonomy = corpus.taxonomy
     graph = build_graph(corpus)
     horizon = None if args.lifetime else args.horizon
     scores = compute_impact_scores(graph, corpus, window=args.window, horizon=horizon)
@@ -286,9 +289,7 @@ def _cmd_impact(args) -> MetricReport:
         )
         for f in taxonomy.indices:
             try:
-                share, num, den = top_cited_share(
-                    scores, corpus, f, window=args.window, hit_rate=args.hit_rate
-                )
+                share, num, den = top_cited_share(scores, corpus, f, hit_rate=args.hit_rate)
             except CitefieldsError:
                 report.add_row(taxonomy.abbr(f), None, 0, 0)
                 continue
@@ -306,74 +307,63 @@ def _cmd_impact(args) -> MetricReport:
 
 
 def _cmd_buckets(args) -> MetricReport:
-    corpus, _pr, _tax = _load(args)
+    corpus, _pr = _load(args)
     graph = build_graph(corpus, args.multiplicity)
     scores = compute_impact_scores(graph, corpus, window=args.window, horizon=args.horizon)
-    values: dict[int, float] = {}
-    if args.metric == RDI:
-        for pid in scores.per_paper:
-            v = rdi_paper(graph, corpus, pid)
-            if v is not None:
-                values[pid] = v
-    else:
-        sets = build_keyword_sets(corpus, args.window, args.keyword_scope)
-        for pid in scores.per_paper:
-            v = kdi_paper(corpus, sets, pid)
-            if v is not None:
-                values[pid] = v
+    values = paper_diversity(graph, corpus, args.metric, args.window, args.keyword_scope)
     return bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
 
 
 def _cmd_reciprocity(args) -> MetricReport:
-    corpus, _pr, taxonomy = _load(args)
+    corpus, _pr = _load(args)
     graph = build_graph(corpus, args.multiplicity)
     matrix = citation_fraction_matrix(graph, corpus, window=args.window)
     if args.matrix:
-        return matrix_report(matrix, taxonomy, window=args.window)
+        return matrix_report(matrix, corpus.taxonomy, window=args.window)
     return pearson_report(
-        matrix, taxonomy,
+        matrix, corpus.taxonomy,
         include_diagonal=not args.exclude_diagonal,
         window=args.window,
     )
 
 
 def _cmd_acp(args) -> MetricReport:
-    corpus, _pr, taxonomy = _load(args)
+    corpus, _pr = _load(args)
     graph = build_graph(corpus, args.multiplicity)
     return acp_bucket_test(
         graph, corpus,
-        _field_index(taxonomy, args.focal),
-        _field_index(taxonomy, args.target),
+        _field_index(corpus.taxonomy, args.focal),
+        _field_index(corpus.taxonomy, args.target),
         args.window,
         threshold=args.threshold,
     )
 
 
 def _cmd_trajectory(args) -> MetricReport:
-    corpus, _pr, taxonomy = _load(args)
+    corpus, _pr = _load(args)
     graph = build_graph(corpus)
-    focal = _field_index(taxonomy, args.field)
+    focal = _field_index(corpus.taxonomy, args.field)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
     trajectory = field_trajectory(graph, corpus, focal, years)
     if args.phases:
         detection = detect_phases(trajectory, min_years=args.min_years)
-        return phases_report(trajectory, detection, taxonomy)
-    return trajectory_report(trajectory, taxonomy)
+        return phases_report(trajectory, detection, corpus.taxonomy)
+    return trajectory_report(trajectory, corpus.taxonomy)
 
 
 def _cmd_evidence(args) -> MetricReport:
-    corpus, _pr, _tax = _load(args)
+    corpus, _pr = _load(args)
     graph = build_graph(corpus)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
     return evidence_series(graph, corpus, years)
 
 
 def _cmd_cotag(args) -> MetricReport:
-    corpus, _pr, taxonomy = _load(args)
+    corpus, _pr = _load(args)
     return cotag_report(
         corpus,
-        _field_index(taxonomy, args.field_a),
-        _field_index(taxonomy, args.field_b),
+        _field_index(corpus.taxonomy, args.field_a),
+        _field_index(corpus.taxonomy, args.field_b),
         args.window,
     )
 

@@ -11,9 +11,12 @@ Two per-paper scores, each averaged over a field's papers inside a window:
   a flag.
 
 Logs are natural; the base only rescales values and never changes field
-rankings, and is recorded in report metadata. Papers for which a score is
-undefined (no resolved references, or no keywords) are excluded from field
-means and reported through the coverage count.
+rankings, and is recorded in report metadata. ``paper_diversity`` scores
+each paper in the window once, whatever number of fields it carries; a
+field's mean is the ``fsum`` of its papers' scores over their count, so
+the order of the scores cannot change a bit of it. Papers for which a
+score is undefined (no resolved references, or no keywords) are excluded
+from field means and reported through the coverage count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .errors import AnalysisError
 from .graph import CitationGraph, per_paper_field_refs
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata
-from .taxonomy import FieldTaxonomy
 
 WINDOW_LOCAL = "window-local"
 CORPUS_GLOBAL = "corpus-global"
@@ -105,45 +107,31 @@ def kdi_paper(
     return _entropy_sum(x for x in overlaps if x > 0.0)
 
 
-def _field_mean(values: list[float], field: int, what: str) -> tuple[float, int]:
-    if not values:
-        raise AnalysisError(f"no papers with defined {what} for field {field}")
-    return fsum(values) / len(values), len(values)
-
-
-def rdi_field(
+def paper_diversity(
     graph: CitationGraph,
     corpus: Corpus,
-    field: int,
+    metric: str,
     window: TimeWindow | None = None,
-) -> tuple[float, int]:
-    """Mean per-paper reference diversity over a field's papers in the window.
+    keyword_scope: str = WINDOW_LOCAL,
+    normalized_kdi: bool = False,
+) -> dict[int, float]:
+    """One metric's score of every paper published in the window, by ascending id.
 
-    Returns (mean, coverage); coverage counts the papers with at least one
-    resolved reference. Raises when no paper qualifies.
+    Papers whose score is undefined are left out. For ``kdi`` the field
+    keyword pools are built for the window under ``keyword_scope``.
     """
-    values = []
-    for pid in corpus.papers_in(field=field, window=window):
-        v = rdi_paper(graph, corpus, pid)
+    if metric not in (RDI, KDI):
+        raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
+    sets = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
+    values = {}
+    for pid in corpus.papers_in(window=window):
+        if metric == RDI:
+            v = rdi_paper(graph, corpus, pid)
+        else:
+            v = kdi_paper(corpus, sets, pid, normalized=normalized_kdi)
         if v is not None:
-            values.append(v)
-    return _field_mean(values, field, "reference diversity")
-
-
-def kdi_field(
-    corpus: Corpus,
-    keyword_sets: FieldKeywordSets,
-    field: int,
-    window: TimeWindow | None = None,
-    normalized: bool = False,
-) -> tuple[float, int]:
-    """Mean per-paper keyword diversity over a field's papers in the window."""
-    values = []
-    for pid in corpus.papers_in(field=field, window=window):
-        v = kdi_paper(corpus, keyword_sets, pid, normalized=normalized)
-        if v is not None:
-            values.append(v)
-    return _field_mean(values, field, "keyword diversity")
+            values[pid] = v
+    return values
 
 
 def rank_order(values: dict[int, float]) -> list[int]:
@@ -161,11 +149,11 @@ def rank_fields(
 ) -> MetricReport:
     """Per-window field ranking by one diversity metric.
 
-    Fields where the metric is undefined appear with empty value/rank cells
-    rather than aborting the report.
+    A field's value is the mean score of its papers in the window that have
+    one, and its coverage is their count. Fields without such a paper
+    appear with empty value/rank cells and coverage 0 rather than aborting
+    the report.
     """
-    if metric not in (RDI, KDI):
-        raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
     if not windows:
         raise ValueError("at least one window is required")
     mode_flags = f"log=natural;multiplicity={graph.multiplicity}"
@@ -181,27 +169,18 @@ def rank_fields(
         ),
         metadata=base_metadata("rank", metric=metric, mode_flags=mode_flags),
     )
-    taxonomy: FieldTaxonomy = corpus.taxonomy
+    taxonomy = corpus.taxonomy
     for window in windows:
-        sets = None
-        if metric == KDI:
-            sets = build_keyword_sets(corpus, window, keyword_scope)
-        values: dict[int, float] = {}
-        coverage: dict[int, int] = {}
-        for f in taxonomy.indices:
-            try:
-                if metric == RDI:
-                    v, c = rdi_field(graph, corpus, f, window)
-                else:
-                    v, c = kdi_field(corpus, sets, f, window, normalized=normalized_kdi)
-            except AnalysisError:
-                continue
-            values[f] = v
-            coverage[f] = c
+        scores = paper_diversity(graph, corpus, metric, window, keyword_scope, normalized_kdi)
+        per_field: dict[int, list[float]] = {}
+        for pid, v in scores.items():
+            for f in corpus[pid].fields:
+                per_field.setdefault(f, []).append(v)
+        values = {f: fsum(vs) / len(vs) for f, vs in per_field.items()}
         ranks = {f: i + 1 for i, f in enumerate(rank_order(values))}
         for f in taxonomy.indices:
             report.add_row(
                 window.start, window.end, taxonomy.abbr(f), metric,
-                values.get(f), coverage.get(f, 0), mode_flags, ranks.get(f),
+                values.get(f), len(per_field.get(f, ())), mode_flags, ranks.get(f),
             )
     return report

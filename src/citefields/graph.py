@@ -74,8 +74,9 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
     """Resolve reference ids into a citation graph over the corpus's papers.
 
     Adjacency is deterministic: both out- and in-edge lists are ascending by
-    id. Every edge endpoint is a corpus id, so analyses index the corpus
-    with it directly.
+    id (citing papers are visited in ascending id, so each in-edge list is
+    filled in order). Every edge endpoint is a corpus id, so analyses index
+    the corpus with it directly.
     """
     if multiplicity not in (FULL_COUNT, FRACTIONAL):
         raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
@@ -83,22 +84,15 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
     in_lists: dict[int, list[int]] = {}
     unresolved: dict[int, int] = {}
 
-    for pid in corpus:
-        rec = corpus[pid]
-        resolved: list[int] = []
-        dangling = 0
-        for rid in rec.references:
-            if rid in corpus:
-                resolved.append(rid)
-            else:
-                dangling += 1
-        resolved.sort()
-        out_edges[pid] = tuple(resolved)
-        unresolved[pid] = dangling
+    records = corpus.records
+    for pid, rec in records.items():
+        resolved = tuple(sorted(rid for rid in rec.references if rid in records))
+        out_edges[pid] = resolved
+        unresolved[pid] = len(rec.references) - len(resolved)
         for rid in resolved:
             in_lists.setdefault(rid, []).append(pid)
 
-    in_edges = {pid: tuple(sorted(citers)) for pid, citers in sorted(in_lists.items())}
+    in_edges = {pid: tuple(citers) for pid, citers in in_lists.items()}
     graph = CitationGraph(out_edges, in_edges, unresolved, multiplicity)
     logger.debug(
         "build_graph: %d papers, %d edges, %d dangling",

@@ -121,23 +121,18 @@ def top_cited_share(
     scores: ImpactScores,
     corpus: Corpus,
     field: int,
-    window: TimeWindow | None = None,
     hit_rate: bool = False,
 ) -> tuple[float, int, int]:
-    """Field share of the top-cited set.
+    """Field share of the top-cited set, over the papers the scores cover.
 
     Default: fraction of the top set carrying the field. ``hit_rate``
     instead reports the fraction of the field's papers that made the top
     set. Returns (fraction, numerator, denominator).
     """
-    window = window or scores.window
-    population = [
-        pid for pid in scores.per_paper
-        if window is None or window.contains(corpus[pid].year)
-    ]
+    population = scores.per_paper
     if not population:
         raise AnalysisError("empty window for top-cited share")
-    top = [pid for pid in population if scores.per_paper[pid].top_cited]
+    top = [pid for pid, s in population.items() if s.top_cited]
     in_field_top = sum(1 for pid in top if field in corpus[pid].fields)
     if hit_rate:
         field_pop = [pid for pid in population if field in corpus[pid].fields]

@@ -2,10 +2,12 @@
 
 A ``Corpus`` is built once (by the parser or programmatically) and is then
 read-only; every analysis in the package treats it as shared immutable state,
-so concurrent readers need no locking. A time window is an argument of the
-analysis, not a corpus: the analysis selects the window's papers with
-``papers_in`` and resolves their references in the whole corpus (citations
-may legitimately cross window boundaries).
+so concurrent readers need no locking. Its field and year partitions are
+tuples of paper ids in ascending order, so analyses iterate them without
+sorting. A time window is an argument of the analysis, not a corpus: the
+analysis selects the window's papers with ``papers_in`` and resolves their
+references in the whole corpus (citations may legitimately cross window
+boundaries).
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ class PaperRecord:
 
 
 class Corpus:
-    """Id-indexed record collection with per-field and per-year partitions."""
+    """Id-indexed record collection with per-field and per-year partitions.
+
+    ``records`` iterates in ascending id order, and ``by_field[f]`` and
+    ``by_year[y]`` are ascending id tuples, all filled in one pass over the
+    records sorted by id.
+    """
 
     __slots__ = ("records", "taxonomy", "by_field", "by_year")
 
@@ -82,8 +89,8 @@ class Corpus:
         self.records: dict[int, PaperRecord] = {}
         self.taxonomy = taxonomy
         n_fields = len(taxonomy)
-        by_field: dict[int, set[int]] = {}
-        by_year: dict[int, set[int]] = {}
+        by_field: dict[int, list[int]] = {}
+        by_year: dict[int, list[int]] = {}
         for rec in ordered:
             if _validate:
                 if rec.id < 0:
@@ -100,10 +107,10 @@ class Corpus:
                     raise ValueError(f"paper {rec.id} references itself")
             self.records[rec.id] = rec
             for f in rec.fields:
-                by_field.setdefault(f, set()).add(rec.id)
-            by_year.setdefault(rec.year, set()).add(rec.id)
-        self.by_field = {f: frozenset(ids) for f, ids in by_field.items()}
-        self.by_year = {y: frozenset(ids) for y, ids in by_year.items()}
+                by_field.setdefault(f, []).append(rec.id)
+            by_year.setdefault(rec.year, []).append(rec.id)
+        self.by_field = {f: tuple(ids) for f, ids in by_field.items()}
+        self.by_year = {y: tuple(ids) for y, ids in by_year.items()}
 
     # -- lookups ---------------------------------------------------------
 
@@ -122,11 +129,7 @@ class Corpus:
 
     def papers_in(self, field: int | None = None, window: TimeWindow | None = None) -> list[int]:
         """Ascending ids filtered by field membership and/or publication window."""
-        if field is not None:
-            members = self.by_field.get(field, frozenset())
-            ids: Iterable[int] = sorted(members)
-        else:
-            ids = self.records
+        ids = self.records if field is None else self.by_field.get(field, ())
         if window is None:
             return list(ids)
         return [pid for pid in ids if window.contains(self.records[pid].year)]
@@ -171,6 +174,6 @@ def corpus_stats(corpus: Corpus) -> MetricReport:
         ),
     )
     for f in corpus.taxonomy.indices:
-        count = len(corpus.by_field.get(f, frozenset()))
+        count = len(corpus.by_field.get(f, ()))
         report.add_row(corpus.taxonomy.abbr(f), count, count / n)
     return report

@@ -93,16 +93,16 @@ def tau_series(
     None for years where the denominator (same-field references) is zero.
     """
     years = years if years is not None else corpus.years()
-    field_ids = corpus.by_field.get(focal, frozenset())
-    out: dict[int, float | None] = {}
-    for y in years:
-        cross = same = 0
-        for pid in sorted(corpus.by_year.get(y, frozenset()) & field_ids):
-            pcross, psame = _reference_split(graph, corpus, pid)
-            cross += pcross
-            same += psame
-        out[y] = cross / same if same else None
-    return out
+    cross: dict[int, int] = {y: 0 for y in years}
+    same: dict[int, int] = {y: 0 for y in years}
+    for pid in corpus.papers_in(field=focal):
+        y = corpus[pid].year
+        if y not in cross:
+            continue
+        pcross, psame = _reference_split(graph, corpus, pid)
+        cross[y] += pcross
+        same[y] += psame
+    return {y: (cross[y] / same[y] if same[y] else None) for y in years}
 
 
 def zeta_series(
@@ -119,7 +119,7 @@ def zeta_series(
     years = years if years is not None else corpus.years()
     cross: dict[int, int] = {y: 0 for y in years}
     same: dict[int, int] = {y: 0 for y in years}
-    for pid in sorted(corpus.by_field.get(focal, frozenset())):
+    for pid in corpus.by_field.get(focal, ()):
         for q in graph.in_edges.get(pid, ()):
             citer = corpus[q]
             y = citer.year
@@ -157,7 +157,7 @@ def top_partner_fields(
     else:
         partners = (
             q
-            for pid in sorted(corpus.by_field.get(focal, frozenset()))
+            for pid in corpus.by_field.get(focal, ())
             for q in graph.in_edges.get(pid, ())
             if window is None or window.contains(corpus[q].year)
         )
@@ -278,7 +278,7 @@ def evidence_series(
         metadata=base_metadata("evidence"),
     )
     for y in years:
-        ids = sorted(corpus.by_year.get(y, frozenset()))
+        ids = corpus.by_year.get(y, ())
         if not ids:
             report.add_row(y, 0, None, None, None, None, None)
             continue

@@ -45,7 +45,9 @@ def rdi_direct(corpus: Corpus, pid: int, multiplicity: str = "full") -> float | 
     return entropy_direct(counts[f] / total for f in sorted(counts))
 
 
-def kdi_direct(corpus: Corpus, pools: dict[int, set[str]], pid: int) -> float | None:
+def kdi_direct(
+    corpus: Corpus, pools: dict[int, set[str]], pid: int, normalized: bool = False
+) -> float | None:
     kp = corpus[pid].keywords
     if not kp:
         return None
@@ -54,7 +56,50 @@ def kdi_direct(corpus: Corpus, pools: dict[int, set[str]], pid: int) -> float | 
         overlap = len(pools[f] & kp)
         if overlap:
             fractions.append(overlap / len(kp))
+    if normalized:
+        total = sum(fractions)
+        fractions = [x / total for x in fractions]
     return entropy_direct(fractions)
+
+
+def keyword_pools_direct(corpus: Corpus, window: TimeWindow | None = None) -> dict[int, set[str]]:
+    """Each taxonomy field's keywords over the papers published in the window."""
+    pools: dict[int, set[str]] = {f: set() for f in range(len(corpus.taxonomy))}
+    for pid in corpus:
+        p = corpus[pid]
+        if window is None or window.contains(p.year):
+            for f in p.fields:
+                pools[f] |= p.keywords
+    return pools
+
+
+def field_diversity_direct(
+    corpus: Corpus,
+    field: int,
+    window: TimeWindow,
+    metric: str,
+    multiplicity: str = "full",
+    keyword_scope: str = "window-local",
+    normalized: bool = False,
+) -> tuple[float | None, int]:
+    """(mean, coverage) of a field's per-paper diversity in a window, by a corpus scan.
+
+    The mean is None and the coverage 0 when no paper of the field in the
+    window has a defined score.
+    """
+    pools = keyword_pools_direct(corpus, window if keyword_scope == "window-local" else None)
+    values = []
+    for pid in corpus:
+        p = corpus[pid]
+        if field not in p.fields or not window.contains(p.year):
+            continue
+        if metric == "rdi":
+            v = rdi_direct(corpus, pid, multiplicity)
+        else:
+            v = kdi_direct(corpus, pools, pid, normalized)
+        if v is not None:
+            values.append(v)
+    return (sum(values) / len(values) if values else None), len(values)
 
 
 def citations_direct(

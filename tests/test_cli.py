@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from citefields import cli
+from citefields import cli, parse_corpus
 from citefields.cli import main
 from conftest import GOLDEN_RECORD, child_env
 
@@ -424,3 +424,26 @@ def test_package_imports_without_numpy_and_serves_generator_names():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_load_freezes_what_the_parse_built(tiny_corpus, tmp_path):
+    # A frozen object is never scanned by the collector again, so the first
+    # collection after the parse does not walk every parsed record.
+    probe = (
+        "import gc, sys\n"
+        "from citefields.cli import main\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "code = main(['stats', *sys.argv[1:]])\n"
+        "print(gc.get_freeze_count(), gc.isenabled())\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tiny_corpus), "-o", str(tmp_path / "stats.csv")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled = proc.stdout.split()
+    with open(tiny_corpus, "rb") as fh:
+        records = len(parse_corpus(fh)[0])
+    assert records == 36
+    assert int(frozen) >= records and enabled == "True"

@@ -1,5 +1,7 @@
 """Corpus model: partitions, windows, stats."""
 
+import random
+
 import pytest
 
 from citefields import AnalysisError, TimeWindow, corpus_stats
@@ -18,8 +20,8 @@ def test_window_validation_and_parse():
 
 def test_multi_field_paper_appears_in_each_partition():
     corpus = corpus_of(rec(1, fields=(0, 3)), rec(2, fields=(3,)))
-    assert corpus.by_field[0] == frozenset({1})
-    assert corpus.by_field[3] == frozenset({1, 2})
+    assert corpus.by_field[0] == (1,)
+    assert corpus.by_field[3] == (1, 2)
 
 
 def test_by_year_union_covers_all_ids():
@@ -73,3 +75,23 @@ def test_papers_in_filters_by_field_and_window():
     assert corpus.papers_in(field=0) == [1, 2]
     assert corpus.papers_in(field=0, window=TimeWindow(1994, 1996)) == [2]
     assert corpus.papers_in(window=TimeWindow(1995, 1995)) == [2, 3]
+
+
+def test_partitions_are_ascending_tuples_whatever_the_record_order():
+    rng = random.Random(7)
+    records = [
+        rec(pid, year=rng.randint(1990, 1995), fields=rng.sample(range(4), rng.randint(1, 2)))
+        for pid in rng.sample(range(1, 500), 80)
+    ]
+    corpus = corpus_of(*records)
+    for partition in (corpus.by_field, corpus.by_year):
+        for ids in partition.values():
+            assert type(ids) is tuple and list(ids) == sorted(ids)
+    window = TimeWindow(1991, 1993)
+    for field in (None, 0, 1, 2, 3, 7):
+        for w in (None, window):
+            want = sorted(
+                r.id for r in records
+                if (field is None or field in r.fields) and (w is None or w.contains(r.year))
+            )
+            assert corpus.papers_in(field=field, window=w) == want

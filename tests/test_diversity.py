@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citefields import (
-    AnalysisError, CORPUS_GLOBAL, GeneratorSpec, TimeWindow, WINDOW_LOCAL,
+    CORPUS_GLOBAL, GeneratorSpec, TimeWindow, WINDOW_LOCAL,
     build_graph, build_keyword_sets, generate_corpus,
-    kdi_field, kdi_paper, rank_fields, rdi_field, rdi_paper,
+    kdi_paper, paper_diversity, rank_fields, rdi_paper,
 )
 from citefields.diversity import rank_order
 from conftest import corpus_of, rec
-from oracles import kdi_direct, rdi_direct
+from oracles import field_diversity_direct, kdi_direct, rdi_direct
 
 LN2 = math.log(2)
 
@@ -69,18 +69,21 @@ def test_rdi_field_mean_and_coverage():
     ]
     corpus = corpus_of(*records)
     graph = build_graph(corpus)
-    value, coverage = rdi_field(graph, corpus, 0)
-    assert coverage == 2
-    assert abs(value - LN2 / 2) < 1e-12
+    assert paper_diversity(graph, corpus, "rdi") == {1: 0.0, 2: pytest.approx(LN2, abs=1e-15)}
+    row = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)]).rows[0]
+    assert row[5] == 2  # coverage
+    assert abs(row[4] - LN2 / 2) < 1e-12
 
 
-def test_rdi_field_empty_errors():
+def test_rdi_field_without_defined_paper_is_blank():
+    # Field 0 has only a refless paper, field 5 has no paper at all.
     corpus = corpus_of(rec(1, fields=(0,)))
     graph = build_graph(corpus)
-    with pytest.raises(AnalysisError):
-        rdi_field(graph, corpus, 0)
-    with pytest.raises(AnalysisError):
-        rdi_field(graph, corpus, 5)
+    assert paper_diversity(graph, corpus, "rdi") == {}
+    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
+    for f in (0, 5):
+        _start, _end, _abbr, _metric, value, coverage, _flags, rank = report.rows[f]
+        assert (value, coverage, rank) == (None, 0, None)
 
 
 def _kdi_corpus():
@@ -136,9 +139,13 @@ def test_kdi_field_mean():
     sets = build_keyword_sets(corpus)
     v1 = kdi_paper(corpus, sets, 1)
     v2 = kdi_paper(corpus, sets, 2)
-    value, coverage = kdi_field(corpus, sets, 0)
+    v3 = kdi_paper(corpus, sets, 3)
+    graph = build_graph(corpus)
+    assert paper_diversity(graph, corpus, "kdi") == {1: v1, 2: v2, 3: v3}
+    report = rank_fields(graph, corpus, "kdi", [TimeWindow(1900, 2100)])
+    _start, _end, _abbr, _metric, value, coverage, _flags, _rank = report.rows[0]
     assert coverage == 1 and abs(value - v1) < 1e-15
-    value, coverage = kdi_field(corpus, sets, 1)
+    _start, _end, _abbr, _metric, value, coverage, _flags, _rank = report.rows[1]
     assert coverage == 1 and abs(value - v2) < 1e-15
 
 
@@ -206,6 +213,36 @@ def test_kdi_matches_direct_oracle_randomized():
         got = kdi_paper(corpus, sets, 1)
         want = kdi_direct(corpus, pools, 1)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def multi_tagged():
+    spec = GeneratorSpec(seed=17, field_count=24, years_span=10,
+                         papers_per_year=(30, 30), multi_tag_probability=0.3)
+    return generate_corpus(spec)
+
+
+@pytest.mark.parametrize("metric, multiplicity, scope, normalized", [
+    ("rdi", "full", WINDOW_LOCAL, False),
+    ("rdi", "fractional", WINDOW_LOCAL, False),
+    ("kdi", "full", WINDOW_LOCAL, False),
+    ("kdi", "full", CORPUS_GLOBAL, True),
+])
+def test_rank_fields_match_direct_field_means(multi_tagged, metric, multiplicity, scope,
+                                              normalized):
+    corpus = multi_tagged
+    assert sum(len(corpus[pid].fields) > 1 for pid in corpus) > 0.2 * len(corpus)
+    graph = build_graph(corpus, multiplicity)
+    windows = [TimeWindow(1970, 1979), TimeWindow(1972, 1975)]
+    report = rank_fields(graph, corpus, metric, windows,
+                         keyword_scope=scope, normalized_kdi=normalized)
+    assert len(report.rows) == 24 * len(windows)
+    for i, row in enumerate(report.rows):
+        window, f = windows[i // 24], i % 24
+        mean, coverage = field_diversity_direct(corpus, f, window, metric, multiplicity,
+                                                scope, normalized)
+        assert row[5] == coverage
+        assert row[4] == (None if mean is None else pytest.approx(mean, rel=1e-12))
 
 
 def test_rank_fields_planted_ordering():

@@ -118,11 +118,11 @@ def test_top_cited_flags_and_share():
     scores = compute_impact_scores(graph, corpus, window=window)
     top = {pid for pid, s in scores.per_paper.items() if s.top_cited}
     assert top == {1, 2, 3, 4, 5}
-    share, num, den = top_cited_share(scores, corpus, 1, window=window)
+    share, num, den = top_cited_share(scores, corpus, 1)
     assert (share, num, den) == (1.0, 5, 5)
-    share, num, den = top_cited_share(scores, corpus, 0, window=window)
+    share, num, den = top_cited_share(scores, corpus, 0)
     assert share == 0.0
-    share, num, den = top_cited_share(scores, corpus, 1, window=window, hit_rate=True)
+    share, num, den = top_cited_share(scores, corpus, 1, hit_rate=True)
     assert (share, num, den) == (1.0, 5, 5)
 
 

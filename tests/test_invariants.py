@@ -1,6 +1,7 @@
 """Cross-module invariants that hold over whole analyses."""
 
 import math
+from math import fsum
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from citefields import (
     GeneratorSpec, TimeWindow,
     acp_bucket_test, build_graph, build_keyword_sets, citation_fraction_matrix,
-    compute_impact_scores, evidence_series, field_flow, generate_corpus, kdi_field,
-    propensity_identity, propensity_uniform, rank_fields, rdi_field, rdi_paper,
+    compute_impact_scores, evidence_series, field_flow, generate_corpus, paper_diversity,
+    propensity_identity, propensity_uniform, rank_fields, rdi_paper,
     tau_series, zeta_series,
 )
 
@@ -31,16 +32,14 @@ def test_full_range_view_matches_corpus_on_every_metric(synth):
     sets_full = build_keyword_sets(corpus, FULL_RANGE)
     assert sets_full == sets
 
-    for f in range(5):
-        assert rdi_field(graph, corpus, f, FULL_RANGE) == rdi_field(graph, corpus, f)
-        assert kdi_field(corpus, sets_full, f, FULL_RANGE) == kdi_field(corpus, sets, f)
-
-    for metric, value_of in (
-        ("rdi", lambda f: rdi_field(graph, corpus, f)[0]),
-        ("kdi", lambda f: kdi_field(corpus, sets, f)[0]),
-    ):
+    for metric in ("rdi", "kdi"):
+        scores = paper_diversity(graph, corpus, metric)
+        assert paper_diversity(graph, corpus, metric, FULL_RANGE) == scores
+        members = [[v for pid, v in scores.items() if f in corpus[pid].fields] for f in range(5)]
         rows = rank_fields(graph, corpus, metric, [FULL_RANGE]).rows
-        assert [row[4] for row in rows[:5]] == [value_of(f) for f in range(5)]
+        assert [(row[4], row[5]) for row in rows[:5]] == [
+            (fsum(vs) / len(vs), len(vs)) for vs in members
+        ]
 
     assert np.array_equal(
         citation_fraction_matrix(graph, corpus, FULL_RANGE),

@@ -23,7 +23,10 @@ INVOCATIONS = {
     "validate": ("validate", "--format", "json"),
     "stats": ("stats",),
     "rank": ("rank", "--metric", "rdi", "--window", "1970:1974"),
+    "rank-kdi": ("rank", "--metric", "kdi", "--window", "1970:1974"),
     "impact": ("impact",),
+    "buckets-rdi": ("buckets", "--metric", "rdi"),
+    "buckets-kdi": ("buckets", "--metric", "kdi"),
     "reciprocity": ("reciprocity",),
     "acp": ("acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"),
     "trajectory": ("trajectory", "--field", "AI"),
@@ -46,3 +49,5 @@ def test_traced_runner_completes(label, tiny_corpus):
     layers = {"cli.import", "cli.main", "corpusio.parse", "records.corpus_init", "report.write"}
     assert layers <= names
     assert ("graph.build" in names) is (label not in PARSE_ONLY)
+    if label == "rank-kdi":
+        assert {"diversity.rank_fields", "diversity.build_keyword_sets"} <= names
