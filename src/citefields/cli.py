@@ -266,8 +266,11 @@ def _cmd_stats(args) -> MetricReport:
 def _cmd_rank(args) -> MetricReport:
     corpus, _pr = _load(args)
     graph = build_graph(corpus, args.multiplicity)
-    return rank_fields(graph, corpus, args.metric, args.window,
-                       keyword_scope=args.keyword_scope, normalized_kdi=args.normalized_kdi)
+    return rank_fields(
+        graph, corpus, args.metric, args.window,
+        keyword_scope=args.keyword_scope,
+        normalized_kdi=args.normalized_kdi,
+    )
 
 
 def _cmd_impact(args) -> MetricReport:
