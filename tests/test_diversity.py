@@ -82,8 +82,8 @@ def test_rdi_field_without_defined_paper_is_blank():
     assert paper_diversity(graph, corpus, "rdi") == {}
     report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
     for f in (0, 5):
-        _start, _end, _abbr, _metric, value, coverage, _flags, rank = report.rows[f]
-        assert (value, coverage, rank) == (None, 0, None)
+        row = report.rows[f]
+        assert (row[4], row[5], row[7]) == (None, 0, None)  # value, coverage, rank
 
 
 def _kdi_corpus():
@@ -143,10 +143,8 @@ def test_kdi_field_mean():
     graph = build_graph(corpus)
     assert paper_diversity(graph, corpus, "kdi") == {1: v1, 2: v2, 3: v3}
     report = rank_fields(graph, corpus, "kdi", [TimeWindow(1900, 2100)])
-    _start, _end, _abbr, _metric, value, coverage, _flags, _rank = report.rows[0]
-    assert coverage == 1 and abs(value - v1) < 1e-15
-    _start, _end, _abbr, _metric, value, coverage, _flags, _rank = report.rows[1]
-    assert coverage == 1 and abs(value - v2) < 1e-15
+    for row, v in zip(report.rows, (v1, v2)):
+        assert row[5] == 1 and abs(row[4] - v) < 1e-15
 
 
 def test_kdi_normalized_variant_renormalizes():
