@@ -40,6 +40,7 @@ INVOCATIONS = {
     "impact-top-share": ("impact", "--top-share"),
     "impact-top-share-hit-rate": ("impact", "--top-share", "--hit-rate"),
     "impact-lifetime": ("impact", "--lifetime"),
+    "impact-1980-1989": ("impact", "--window", "1980:1989"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
     "buckets-kdi": ("buckets", "--metric", "kdi"),
     "buckets-rdi-1980-1989": ("buckets", "--metric", "rdi", "--window", "1980:1989"),
@@ -47,6 +48,7 @@ INVOCATIONS = {
                                      "--keyword-scope", "corpus-global"),
     "reciprocity": ("reciprocity",),
     "reciprocity-exclude-diagonal": ("reciprocity", "--exclude-diagonal"),
+    "reciprocity-1980-1989": ("reciprocity", "--window", "1980:1989"),
     "reciprocity-matrix": ("reciprocity", "--matrix", "--window", "1980:1989"),
     "reciprocity-matrix-fractional": ("reciprocity", "--matrix",
                                       "--multiplicity", "fractional"),
