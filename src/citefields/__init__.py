@@ -13,29 +13,28 @@ from .corpusio import (
     parse_corpus, serialize_corpus, serialize_record,
 )
 from .diversity import (
-    CORPUS_GLOBAL, FieldKeywordSets, KDI, RDI, WINDOW_LOCAL,
+    CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL,
     build_keyword_sets, kdi_paper, paper_diversity, rank_fields, rdi_paper,
 )
 from .errors import AnalysisError, CitefieldsError, ParseError
 from .graph import (
     CitationGraph, FRACTIONAL, FULL_COUNT,
-    build_graph, citations_received, field_flow, per_paper_field_refs,
+    build_graph, citations_received, field_flow,
 )
 from .impact import (
     ImpactScores, PaperImpact,
-    bucket_impact, compute_impact_scores, cp, jif, top_cited_share,
+    bucket_impact, compute_impact_scores, cp, top_cited_share,
 )
 from .reciprocity import (
-    FieldGroup,
-    acp, acp_bucket_test, citation_fraction_matrix, default_field_groups,
+    acp, acp_bucket_test, citation_fraction_matrix,
     matrix_report, pearson, pearson_report, reciprocity_pearson,
 )
 from .records import Corpus, PaperRecord, TimeWindow, corpus_stats
 from .report import MetricReport
 from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 from .trajectory import (
-    CotagPoint, FieldTrajectory, Phase, PhaseDetection,
-    cotag_report, cotag_series, detect_phases, evidence_series,
+    FieldTrajectory, Phase, PhaseDetection,
+    cotag_report, detect_phases, evidence_series,
     field_trajectory, phases_report, tau_series, top_partner_fields,
     trajectory_report, zeta_series,
 )

@@ -34,7 +34,7 @@ from .records import TimeWindow
 from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix, matrix_report, pearson_report,
 )
-from .report import MetricReport, base_metadata
+from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
 from .trajectory import (
     cotag_report, detect_phases, evidence_series, field_trajectory,
@@ -282,7 +282,7 @@ def _cmd_impact(args) -> MetricReport:
     meta = base_metadata(
         "impact",
         horizon="lifetime" if horizon is None else horizon,
-        window=str(args.window) if args.window else "all",
+        window=window_label(args.window),
     )
     if args.top_share:
         report = MetricReport(
@@ -303,8 +303,7 @@ def _cmd_impact(args) -> MetricReport:
         columns=("paper_id", "cp", "jif", "top_cited"),
         metadata=meta,
     )
-    for pid in sorted(scores.per_paper):
-        s = scores.per_paper[pid]
+    for pid, s in scores.per_paper.items():
         report.add_row(pid, s.cp, s.jif, int(s.top_cited))
     return report
 

@@ -8,7 +8,8 @@ Two per-paper scores, each averaged over a field's papers inside a window:
   the fraction of the paper's keywords shared with that field's keyword
   pool. The x values are overlaps, not a probability distribution, and are
   deliberately not renormalized; a normalized variant is available behind
-  a flag.
+  a flag. ``build_keyword_sets`` returns the pools as one tuple of
+  frozensets indexed by field.
 
 Logs are natural; the base only rescales values and never changes field
 rankings, and is recorded in report metadata. ``paper_diversity`` scores
@@ -21,11 +22,10 @@ from field means and reported through the coverage count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, log
 
 from .errors import AnalysisError
-from .graph import CitationGraph, per_paper_field_refs
+from .graph import CitationGraph, field_ref_counts
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata
 
@@ -36,22 +36,13 @@ RDI = "rdi"
 KDI = "kdi"
 
 
-@dataclass(frozen=True)
-class FieldKeywordSets:
-    """Per-field keyword pools: the union of keywords of each field's papers."""
-
-    per_field: tuple[frozenset[str], ...]
-
-    def pool(self, field: int) -> frozenset[str]:
-        return self.per_field[field]
-
-
 def build_keyword_sets(
     corpus: Corpus,
     window: TimeWindow | None = None,
     scope: str = WINDOW_LOCAL,
-) -> FieldKeywordSets:
-    """Collect each field's keyword pool from its papers.
+) -> tuple[frozenset[str], ...]:
+    """Collect each field's keyword pool, indexed by field: the union of the
+    keywords of its papers.
 
     ``window-local`` restricts pool building to papers inside the window
     (decade-against-decade comparisons stay self-contained);
@@ -67,7 +58,7 @@ def build_keyword_sets(
             continue
         for f in rec.fields:
             pools[f].update(rec.keywords)
-    return FieldKeywordSets(tuple(frozenset(p) for p in pools))
+    return tuple(frozenset(p) for p in pools)
 
 
 def _entropy_sum(fractions) -> float:
@@ -77,26 +68,30 @@ def _entropy_sum(fractions) -> float:
 
 def rdi_paper(graph: CitationGraph, corpus: Corpus, pid: int) -> float | None:
     """Entropy of one paper's per-field reference fractions; None if no resolved refs."""
-    counts, total = per_paper_field_refs(graph, corpus, pid)
-    if total == 0:
+    if pid not in corpus:
+        raise AnalysisError(f"unknown paper id {pid}")
+    cited = graph.out_edges.get(pid, ())
+    if not cited:
         return None
-    return _entropy_sum(counts[f] / total for f in sorted(counts))
+    counts = field_ref_counts(corpus, cited, graph.multiplicity)
+    return _entropy_sum(counts[f] / len(cited) for f in sorted(counts))
 
 
 def kdi_paper(
     corpus: Corpus,
-    keyword_sets: FieldKeywordSets,
+    pools: tuple[frozenset[str], ...],
     pid: int,
     normalized: bool = False,
 ) -> float | None:
-    """Keyword-overlap diversity of one paper; None if it has no keywords."""
+    """Keyword-overlap diversity of one paper against the per-field keyword
+    pools of ``build_keyword_sets``; None if it has no keywords."""
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
     kp = corpus[pid].keywords
     if not kp:
         return None
     overlaps = [
-        len(keyword_sets.pool(f) & kp) / len(kp)
+        len(pools[f] & kp) / len(kp)
         for f in corpus.taxonomy.indices
     ]
     if normalized:
@@ -122,13 +117,13 @@ def paper_diversity(
     """
     if metric not in (RDI, KDI):
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
-    sets = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
+    pools = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
     values = {}
     for pid in corpus.papers_in(window=window):
         if metric == RDI:
             v = rdi_paper(graph, corpus, pid)
         else:
-            v = kdi_paper(corpus, sets, pid, normalized=normalized_kdi)
+            v = kdi_paper(corpus, pools, pid, normalized=normalized_kdi)
         if v is not None:
             values[pid] = v
     return values

@@ -55,17 +55,18 @@ def field_ref_counts(
 
     The ids are usually cited papers, but any sequence works (partner
     rankings pass citing papers). Ids that do not resolve are skipped.
-    Accumulation order is fixed (ids as given, fields ascending) so
-    repeated runs are bit-identical even in fractional mode.
+    Each field has its own accumulator, filled in the order the ids are
+    given, so repeated runs are bit-identical even in fractional mode;
+    the key order of the result is unspecified.
     """
+    records = corpus.records
     counts: dict[int, float] = {}
     for rid in paper_ids:
-        rec = corpus.records.get(rid)
+        rec = records.get(rid)
         if rec is None:
             continue
-        fields = sorted(rec.fields)
-        inc = 1.0 if multiplicity == FULL_COUNT else 1.0 / len(fields)
-        for f in fields:
+        inc = 1.0 if multiplicity == FULL_COUNT else 1.0 / len(rec.fields)
+        for f in rec.fields:
             counts[f] = counts.get(f, 0.0) + inc
     return counts
 
@@ -125,20 +126,6 @@ def field_flow(
             for j in sorted(counts):
                 flow[i, j] += counts[j]
     return flow
-
-
-def per_paper_field_refs(
-    graph: CitationGraph, corpus: Corpus, pid: int
-) -> tuple[dict[int, float], int]:
-    """Per-field resolved reference counts of one paper, plus its resolved total.
-
-    Only fields with nonzero counts appear; counts follow the graph's
-    multiplicity rule.
-    """
-    if pid not in corpus:
-        raise AnalysisError(f"unknown paper id {pid}")
-    cited = graph.out_edges.get(pid, ())
-    return field_ref_counts(corpus, cited, graph.multiplicity), len(cited)
 
 
 def citations_received(

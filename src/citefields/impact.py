@@ -60,7 +60,9 @@ def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], fl
 
     Tallies papers per (venue, year) and, per (venue, citing year), the
     citations made in that year to the venue's papers of the two years
-    before. Papers without a venue are left out.
+    before. Papers without a venue are left out. The lookup is None when
+    the venue published nothing in the two prior years (the ratio is
+    undefined, not zero).
     """
     papers: dict[tuple[str, int], int] = {}
     cites: dict[tuple[str, int], int] = {}
@@ -84,15 +86,6 @@ def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], fl
     return lookup
 
 
-def jif(corpus: Corpus, graph: CitationGraph, venue: str, year: int) -> float | None:
-    """Corpus-derived two-year impact factor of a venue at a given year.
-
-    None when the venue published nothing in the two prior years (the ratio
-    is undefined, not zero).
-    """
-    return _jif_lookup(corpus, graph)(venue.strip(), year)
-
-
 def compute_impact_scores(
     graph: CitationGraph,
     corpus: Corpus,
@@ -106,8 +99,7 @@ def compute_impact_scores(
     jif_of = _jif_lookup(corpus, graph)
     cps = {pid: cp(graph, corpus, pid, horizon) for pid in population}
     k = ceil(TOP_SHARE * len(population))
-    by_cp = sorted(population, key=lambda p: (-cps[p], p))
-    cutoff = cps[by_cp[k - 1]]
+    cutoff = sorted(cps.values(), reverse=True)[k - 1]
     top = {pid for pid in population if cps[pid] >= cutoff}
     per_paper = {}
     for pid in population:
@@ -202,8 +194,8 @@ def bucket_impact(
         ),
     )
     members: dict[int, list[int]] = {b: [] for b in range(effective)}
-    for pid in sorted(assignment):
-        members[assignment[pid]].append(pid)
+    for pid, bucket in assignment.items():
+        members[bucket].append(pid)
     for b in range(effective):
         ids = members[b]
         b_lo = lo + b * width

@@ -5,7 +5,9 @@ The citation-fraction matrix row-normalizes field-level reference flow;
 reciprocity is the Pearson correlation over the point set {(M[i][j],
 M[j][i])} for all ordered field pairs, diagonal included by default (the
 full grid), with an exclusion flag since self-pairs sit exactly on y = x
-and inflate the correlation.
+and inflate the correlation. ``pearson_report`` adds the same correlation
+within each built-in group of related fields, resolved against the
+taxonomy by abbreviation.
 
 The bucket test asks whether papers that lean heavily on a target field
 (more than half of their references) earn more return citations from that
@@ -14,9 +16,8 @@ field than papers that do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, isnan, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_flow, field_ref_counts
@@ -28,37 +29,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class FieldGroup:
-    name: str
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError(f"field group {self.name!r} is empty")
-
-
 # Related-field groupings used for per-group reciprocity. Groups overlap
 # conceptually with one another; that is fine for separate correlations.
+# A group whose members are not all in the taxonomy (custom taxonomies)
+# gets no row.
 _DEFAULT_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("Data Science", ("DB", "DM", "IR", "NLP", "ML")),
     ("Theoretical CS", ("Algo", "PL", "SE")),
     ("Visualization", ("GRP", "CV", "HCI", "MUL")),
     ("Computer Networks", ("NETW", "SEC", "DIST", "WWW")),
 )
-
-
-def default_field_groups(taxonomy: FieldTaxonomy) -> tuple[FieldGroup, ...]:
-    """Built-in related-field groups, resolved against the given taxonomy.
-
-    Groups whose members are not all present (custom taxonomies) are dropped.
-    """
-    groups = []
-    for name, abbrs in _DEFAULT_GROUPS:
-        members = [taxonomy.get(a) for a in abbrs]
-        if all(m is not None for m in members):
-            groups.append(FieldGroup(name, frozenset(members)))
-    return tuple(groups)
 
 
 def citation_fraction_matrix(
@@ -100,16 +80,16 @@ def pearson(xs: list[float], ys: list[float]) -> float:
 
 def reciprocity_pearson(
     matrix: np.ndarray,
-    group: FieldGroup | None = None,
+    members: Iterable[int] | None = None,
     include_diagonal: bool = True,
 ) -> tuple[float, int]:
     """Correlation between forward and return citation fractions.
 
-    Point set: (M[i][j], M[j][i]) for every ordered pair in the group (or
-    all fields); pairs with a missing coordinate are dropped. Returns
-    (r, points used).
+    Point set: (M[i][j], M[j][i]) for every ordered pair of the member
+    field indices (or of all fields); pairs with a missing coordinate are
+    dropped. Returns (r, points used).
     """
-    indices = sorted(group.members) if group is not None else list(range(matrix.shape[0]))
+    indices = sorted(members) if members is not None else range(matrix.shape[0])
     xs: list[float] = []
     ys: list[float] = []
     for i in indices:
@@ -129,13 +109,13 @@ def acp(
     graph: CitationGraph,
     corpus: Corpus,
     source_field: int,
-    target_papers: set[int],
+    target_papers: Collection[int],
 ) -> float:
     """Citations from a field's papers into a target set, per target paper."""
     if not target_papers:
         raise AnalysisError("empty target set")
     total = 0
-    for pid in sorted(target_papers):
+    for pid in target_papers:
         for q in graph.in_edges.get(pid, ()):
             if source_field in corpus[q].fields:
                 total += 1
@@ -174,7 +154,7 @@ def acp_bucket_test(
 
     acps: list[float | None] = []
     for members in buckets:
-        acps.append(acp(graph, corpus, target_field, set(members)) if members else None)
+        acps.append(acp(graph, corpus, target_field, members) if members else None)
     diff_pct = None
     if acps[0] is not None and acps[1] is not None and acps[1] > 0:
         diff_pct = (acps[0] - acps[1]) / acps[1] * 100.0
@@ -236,11 +216,14 @@ def pearson_report(
             window=window_label(window),
         ),
     )
-    candidates: list[tuple[str, FieldGroup | None]] = [("all", None)]
-    candidates.extend((g.name, g) for g in default_field_groups(taxonomy))
-    for name, group in candidates:
+    candidates: list[tuple[str, list[int] | None]] = [("all", None)]
+    for name, abbrs in _DEFAULT_GROUPS:
+        members = [taxonomy.get(a) for a in abbrs]
+        if None not in members:
+            candidates.append((name, members))
+    for name, members in candidates:
         try:
-            r, points = reciprocity_pearson(matrix, group, include_diagonal)
+            r, points = reciprocity_pearson(matrix, members, include_diagonal)
         except AnalysisError:
             report.add_row(name, None, 0)
             continue

@@ -167,45 +167,17 @@ def top_partner_fields(
     return [(f, volume[f]) for f in ranked[:k]]
 
 
-@dataclass(frozen=True)
-class CotagPoint:
-    window: TimeWindow
-    count: int
-    base: int
-    probability: float | None
-
-
-def cotag_series(
-    corpus: Corpus,
-    field_a: int,
-    field_b: int,
-    windows: list[TimeWindow],
-) -> list[CotagPoint]:
-    """Per-window co-tagging volume and P(tagged B | multi-tagged and tagged A).
-
-    The probability is None for a window with no multi-tagged A papers.
-    """
-    points = []
-    for window in windows:
-        count = base = 0
-        for pid in corpus.papers_in(field=field_a, window=window):
-            rec = corpus[pid]
-            if len(rec.fields) < 2:
-                continue
-            base += 1
-            if field_b in rec.fields:
-                count += 1
-        points.append(CotagPoint(window, count, base, count / base if base else None))
-    return points
-
-
 def cotag_report(
     corpus: Corpus,
     field_a: int,
     field_b: int,
     windows: list[TimeWindow],
 ) -> MetricReport:
-    """Co-tagging series with window-over-window percentage change of the count."""
+    """Per-window co-tagging volume, P(tagged B | multi-tagged and tagged A)
+    and the window-over-window percentage change of the volume.
+
+    The probability is None for a window with no multi-tagged A papers.
+    """
     taxonomy = corpus.taxonomy
     report = MetricReport(
         name="cotag",
@@ -218,16 +190,16 @@ def cotag_report(
         ),
     )
     prev: int | None = None
-    for point in cotag_series(corpus, field_a, field_b, windows):
-        change = None
-        if prev is not None and prev > 0:
-            change = (point.count - prev) / prev * 100.0
+    for window in windows:
+        tags = (corpus[pid].fields for pid in corpus.papers_in(field=field_a, window=window))
+        multi = [fields for fields in tags if len(fields) > 1]
+        count, base = sum(field_b in fields for fields in multi), len(multi)
+        change = (count - prev) / prev * 100.0 if prev else None
         report.add_row(
-            point.window.start, point.window.end,
-            taxonomy.abbr(field_a), taxonomy.abbr(field_b),
-            point.count, point.base, point.probability, change,
+            window.start, window.end, taxonomy.abbr(field_a), taxonomy.abbr(field_b),
+            count, base, count / base if base else None, change,
         )
-        prev = point.count
+        prev = count
     return report
 
 
@@ -346,21 +318,18 @@ def field_trajectory(
     )
 
 
-def _two_segment_split(
-    points: list[tuple[int, float]], direction: str, min_gain_fraction: float
-) -> tuple[int, float, float] | None:
+def _two_segment_split(values: list[float], direction: str) -> int | None:
     """Best two-segment piecewise-constant least-squares fit with a
     directional level change.
 
-    Returns (year of last point in the first segment, left mean, right mean)
-    or None when no split with the required direction removes enough of the
-    flat fit's squared error. Both segments must be non-empty; SSE ties go
-    to the earliest split.
+    Returns the length of the first segment, or None when no split with the
+    required direction removes at least ``MIN_GAIN_FRACTION`` of the flat
+    fit's squared error. Both segments must be non-empty; SSE ties go to
+    the earliest split.
     """
-    n = len(points)
+    n = len(values)
     if n < 2:
         return None
-    values = [v for _, v in points]
     prefix = [0.0]
     prefix_sq = [0.0]
     for v in values:
@@ -387,21 +356,21 @@ def _two_segment_split(
             best = (total, k)
     if best is None:
         return None
-    if flat <= 0.0 or (flat - best[0]) < min_gain_fraction * flat:
+    if flat <= 0.0 or (flat - best[0]) < MIN_GAIN_FRACTION * flat:
         return None
-    k = best[1]
-    return points[k - 1][0], prefix[k] / k, (prefix[n] - prefix[k]) / (n - k)
+    return best[1]
 
 
 def _ratio_level_split(
-    points: list[tuple[int, float]], direction: str, min_gain_fraction: float
+    points: list[tuple[int, float]], direction: str
 ) -> tuple[int, float, float] | None:
     """Two-segment fit for non-negative ratio series, selected on log scale.
 
     Ratios vary multiplicatively and spike when yearly counts are small, so
     the split is chosen on log(value) with zeros floored at max/1000 (the
     floor scales with the series, keeping the selection invariant to uniform
-    positive scaling). Reported segment means are on the raw scale.
+    positive scaling). Returns (year of the last point in the first
+    segment, left mean, right mean), the means on the raw scale.
     """
     if len(points) < 2:
         return None
@@ -409,15 +378,12 @@ def _ratio_level_split(
     if top <= 0.0:
         return None  # constant-zero series has no level change
     floor = top * 1e-3
-    transformed = [(y, log(max(v, floor))) for y, v in points]
-    split = _two_segment_split(transformed, direction, min_gain_fraction)
-    if split is None:
+    k = _two_segment_split([log(max(v, floor)) for _, v in points], direction)
+    if k is None:
         return None
-    cp_year = split[0]
-    k = next(i for i, (y, _) in enumerate(points) if y == cp_year) + 1
     left = [v for _, v in points[:k]]
     right = [v for _, v in points[k:]]
-    return cp_year, fsum(left) / len(left), fsum(right) / len(right)
+    return points[k - 1][0], fsum(left) / len(left), fsum(right) / len(right)
 
 
 def detect_phases(trajectory: FieldTrajectory, min_years: int = 10) -> PhaseDetection:
@@ -447,8 +413,8 @@ def detect_phases(trajectory: FieldTrajectory, min_years: int = 10) -> PhaseDete
     diagnostics: list[str] = []
     phases: list[Phase] = []
 
-    tau_fit = _ratio_level_split(tau_points, "drop", MIN_GAIN_FRACTION)
-    zeta_fit = _ratio_level_split(zeta_points, "rise", MIN_GAIN_FRACTION)
+    tau_fit = _ratio_level_split(tau_points, "drop")
+    zeta_fit = _ratio_level_split(zeta_points, "rise")
 
     tau_cp = zeta_cp = None
     if tau_fit is None:

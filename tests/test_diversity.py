@@ -164,8 +164,8 @@ def test_keyword_scope_window_local_vs_global():
     w = TimeWindow(1985, 1995)
     local = build_keyword_sets(corpus, w, WINDOW_LOCAL)
     both = build_keyword_sets(corpus, w, CORPUS_GLOBAL)
-    assert local.pool(1) == frozenset()
-    assert both.pool(1) == frozenset({"k1"})
+    assert local[1] == frozenset()
+    assert both[1] == frozenset({"k1"})
     # window-local: only its own field intersects -> 0; global: field 1 matches too
     assert kdi_paper(corpus, local, 1) == 0.0
     assert kdi_paper(corpus, both, 1) > 0.0
@@ -207,7 +207,7 @@ def test_kdi_matches_direct_oracle_randomized():
         records.append(rec(1, fields=(0,), keywords=tuple(kp)))
         corpus = corpus_of(*records)
         sets = build_keyword_sets(corpus)
-        pools = {f: set(sets.pool(f)) for f in range(len(corpus.taxonomy))}
+        pools = {f: set(sets[f]) for f in range(len(corpus.taxonomy))}
         got = kdi_paper(corpus, sets, 1)
         want = kdi_direct(corpus, pools, 1)
         assert got == pytest.approx(want, rel=1e-12)

@@ -6,8 +6,9 @@ import pytest
 from citefields import (
     AnalysisError, FRACTIONAL, FULL_COUNT, GeneratorSpec, TimeWindow,
     build_graph, citations_received, field_flow, generate_corpus, parse_corpus,
-    per_paper_field_refs,
+    rdi_paper,
 )
+from citefields.graph import field_ref_counts
 from conftest import GOLDEN_RECORD, corpus_of, rec
 from oracles import citations_direct, field_counts_direct
 
@@ -61,6 +62,12 @@ def test_adjacency_is_ascending():
     assert graph.in_edges[3] == (1, 4)
 
 
+def paper_field_refs(graph, corpus, pid):
+    """Per-field counts of one paper's resolved references, plus their number."""
+    cited = graph.out_edges[pid]
+    return field_ref_counts(corpus, cited, graph.multiplicity), len(cited)
+
+
 def test_per_paper_field_refs_single_field_targets():
     corpus = corpus_of(
         rec(1, fields=(0,), refs=(2, 3, 4, 5)),
@@ -68,7 +75,7 @@ def test_per_paper_field_refs_single_field_targets():
         rec(4, fields=(2,)), rec(5, fields=(2,)),
     )
     graph = build_graph(corpus)
-    counts, total = per_paper_field_refs(graph, corpus, 1)
+    counts, total = paper_field_refs(graph, corpus, 1)
     assert counts == {1: 2.0, 2: 2.0}
     assert total == 4
 
@@ -76,12 +83,12 @@ def test_per_paper_field_refs_single_field_targets():
 def test_per_paper_field_refs_multiplicity_rules():
     corpus = corpus_of(rec(1, fields=(0,), refs=(2,)), rec(2, fields=(1, 2)))
     graph_full = build_graph(corpus, FULL_COUNT)
-    counts, total = per_paper_field_refs(graph_full, corpus, 1)
+    counts, total = paper_field_refs(graph_full, corpus, 1)
     assert counts == {1: 1.0, 2: 1.0}
     assert total == 1
     assert sum(counts.values()) > total  # full-count over-counts by design
     graph_frac = build_graph(corpus, FRACTIONAL)
-    counts, total = per_paper_field_refs(graph_frac, corpus, 1)
+    counts, total = paper_field_refs(graph_frac, corpus, 1)
     assert counts == {1: 0.5, 2: 0.5}
     assert total == 1
 
@@ -90,7 +97,7 @@ def test_unknown_id_raises():
     corpus = corpus_of(rec(1))
     graph = build_graph(corpus)
     with pytest.raises(AnalysisError):
-        per_paper_field_refs(graph, corpus, 42)
+        rdi_paper(graph, corpus, 42)
     with pytest.raises(AnalysisError):
         citations_received(graph, corpus, 42)
 
@@ -103,7 +110,7 @@ def test_field_flow_matches_per_paper_sums_exactly():
         n = len(corpus.taxonomy)
         rebuilt = np.zeros((n, n))
         for pid in corpus:
-            counts, _total = per_paper_field_refs(graph, corpus, pid)
+            counts, _total = paper_field_refs(graph, corpus, pid)
             for i in sorted(corpus[pid].fields):
                 for j in sorted(counts):
                     rebuilt[i, j] += counts[j]

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from citefields import (
     AnalysisError, GeneratorSpec, TimeWindow,
     bucket_impact, build_graph, compute_impact_scores, cp, generate_corpus,
-    jif, rdi_paper, top_cited_share,
+    rdi_paper, top_cited_share,
 )
-from citefields.impact import bucket_assignment
+from citefields.impact import _jif_lookup, bucket_assignment
 from conftest import corpus_of, rec
 from oracles import cp_direct, jif_direct
 
@@ -63,29 +63,31 @@ def _jif_corpus():
 def test_jif_direct_formula():
     corpus = _jif_corpus()
     graph = build_graph(corpus)
-    assert jif(corpus, graph, "V", 2005) == 3.0
+    assert _jif_lookup(corpus, graph)("V", 2005) == 3.0
 
 
 def test_jif_missing_when_no_prior_papers():
     corpus = _jif_corpus()
     graph = build_graph(corpus)
-    assert jif(corpus, graph, "V", 2002) is None
-    assert jif(corpus, graph, "NOWHERE", 2005) is None
+    jif_of = _jif_lookup(corpus, graph)
+    assert jif_of("V", 2002) is None
+    assert jif_of("NOWHERE", 2005) is None
 
 
 def test_jif_zero_citations_nonzero_papers():
     corpus = _jif_corpus()
     graph = build_graph(corpus)
-    assert jif(corpus, graph, "W", 2005) == 0.0
+    assert _jif_lookup(corpus, graph)("W", 2005) == 0.0
 
 
 def test_impact_scores_jif_matches_single_call():
     corpus = _jif_corpus()
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus)
+    jif_of = _jif_lookup(corpus, graph)
     for pid, s in scores.per_paper.items():
         rec_ = corpus[pid]
-        assert s.jif == jif(corpus, graph, rec_.venue, rec_.year)
+        assert s.jif == jif_of(rec_.venue, rec_.year)
 
 
 def test_jif_matches_direct_scan():
@@ -95,8 +97,9 @@ def test_jif_matches_direct_scan():
     keys = {(corpus[pid].venue, corpus[pid].year) for pid in corpus}
     want = {key: jif_direct(corpus, *key) for key in keys}
     assert any(value for value in want.values())
+    jif_of = _jif_lookup(corpus, graph)
     for venue, year in keys:
-        assert jif(corpus, graph, venue, year) == want[venue, year]
+        assert jif_of(venue, year) == want[venue, year]
     for pid, s in scores.per_paper.items():
         assert s.jif == want[corpus[pid].venue, corpus[pid].year]
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from citefields import (
-    AnalysisError, FieldGroup, GeneratorSpec, TimeWindow,
+    AnalysisError, DEFAULT_FIELDS, FieldTaxonomy, GeneratorSpec, TimeWindow,
     acp, acp_bucket_test, build_graph, citation_fraction_matrix,
-    default_field_groups, generate_corpus, pearson, reciprocity_pearson,
+    generate_corpus, pearson, pearson_report, reciprocity_pearson,
 )
 from conftest import corpus_of, rec
 from oracles import acp_direct, bucket_split_direct, fraction_matrix_direct, pearson_raw_moments
@@ -102,8 +102,7 @@ def test_pearson_point_construction_symmetric():
 def test_pearson_group_restriction_and_nan_dropping():
     m = np.full((4, 4), np.nan)
     m[0, 0], m[0, 1], m[1, 0], m[1, 1] = 0.6, 0.4, 0.3, 0.7
-    group = FieldGroup("pair", frozenset({0, 1}))
-    r, points = reciprocity_pearson(m, group)
+    r, points = reciprocity_pearson(m, {0, 1})
     assert points == 4
     r_all, points_all = reciprocity_pearson(m)
     assert points_all == 4  # the NaN cells drop out pairwise
@@ -118,14 +117,32 @@ def test_pearson_degenerate_variance_errors():
 
 
 def test_default_groups_resolve():
-    from citefields import FieldTaxonomy
-
-    groups = default_field_groups(FieldTaxonomy.default())
-    names = [g.name for g in groups]
-    assert names == ["Data Science", "Theoretical CS", "Visualization", "Computer Networks"]
     tax = FieldTaxonomy.default()
-    ds = next(g for g in groups if g.name == "Data Science")
-    assert ds.members == frozenset(tax.index_of(a) for a in ("DB", "DM", "IR", "NLP", "ML"))
+    rng = random.Random(9)
+    m = np.array([[rng.random() for _ in range(24)] for _ in range(24)])
+    rows = pearson_report(m, tax).rows
+    assert [row[0] for row in rows] == [
+        "all", "Data Science", "Theoretical CS", "Visualization", "Computer Networks",
+    ]
+    assert rows[0][1:] == reciprocity_pearson(m)
+    groups = {
+        "Data Science": ("DB", "DM", "IR", "NLP", "ML"),
+        "Theoretical CS": ("Algo", "PL", "SE"),
+        "Visualization": ("GRP", "CV", "HCI", "MUL"),
+        "Computer Networks": ("NETW", "SEC", "DIST", "WWW"),
+    }
+    for name, r, points in rows[1:]:
+        members = [tax.index_of(a) for a in groups[name]]
+        assert (r, points) == reciprocity_pearson(m, members)
+
+
+def test_pearson_report_drops_groups_missing_a_member():
+    # AI..ML: every built-in group lacks at least one of its fields.
+    tax = FieldTaxonomy(DEFAULT_FIELDS[:8])
+    rng = random.Random(10)
+    m = np.array([[rng.random() for _ in range(8)] for _ in range(8)])
+    rows = pearson_report(m, tax, include_diagonal=False).rows
+    assert rows == [("all", *reciprocity_pearson(m, include_diagonal=False))]
 
 
 def test_acp_no_citations_zero_and_direct_division():

@@ -25,14 +25,22 @@ INVOCATIONS = {
     "rank": ("rank", "--metric", "rdi", "--window", "1970:1974"),
     "rank-kdi": ("rank", "--metric", "kdi", "--window", "1970:1974"),
     "impact": ("impact",),
+    "impact-top-share": ("impact", "--top-share"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
     "buckets-kdi": ("buckets", "--metric", "kdi"),
     "reciprocity": ("reciprocity",),
     "acp": ("acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"),
     "trajectory": ("trajectory", "--field", "AI"),
     "evidence": ("evidence",),
+    "cotag": ("cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"),
 }
-PARSE_ONLY = {"validate", "stats"}
+NO_GRAPH = {"validate", "stats", "cotag"}
+
+
+def test_every_subcommand_has_a_traced_run():
+    from citefields.cli import _COMMANDS
+
+    assert {args[0] for args in INVOCATIONS.values()} == set(_COMMANDS)
 
 
 @pytest.mark.parametrize("label", sorted(INVOCATIONS))
@@ -48,6 +56,6 @@ def test_traced_runner_completes(label, tiny_corpus):
     names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
     layers = {"cli.import", "cli.main", "corpusio.parse", "records.corpus_init", "report.write"}
     assert layers <= names
-    assert ("graph.build" in names) is (label not in PARSE_ONLY)
+    assert ("graph.build" in names) is (label not in NO_GRAPH)
     if label == "rank-kdi":
         assert {"diversity.rank_fields", "diversity.build_keyword_sets"} <= names

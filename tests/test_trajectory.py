@@ -4,11 +4,11 @@ import pytest
 
 from citefields import (
     FRACTIONAL, AnalysisError, Corpus, FieldTrajectory, GeneratorSpec, TimeWindow,
-    build_graph, cotag_series, detect_phases, evidence_series,
+    build_graph, cotag_report, detect_phases, evidence_series,
     field_trajectory, generate_corpus, tau_series, top_partner_fields,
     zeta_series,
 )
-from citefields.trajectory import _two_segment_split
+from citefields.trajectory import _ratio_level_split, _two_segment_split
 from conftest import corpus_of, rec
 from oracles import (
     author_breadth_direct, citing_field_counts_direct, field_counts_direct, tau_direct,
@@ -196,16 +196,17 @@ def test_cotag_counts_and_probability():
         pid += 1
     records.append(rec(pid, year=1992, fields=(0,)))  # single-tag, not in base
     corpus = corpus_of(*records)
-    [point] = cotag_series(corpus, 0, 1, [TimeWindow(1990, 1995)])
-    assert point.count == 4
-    assert point.base == 9
-    assert point.probability == pytest.approx(4 / 9)
+    [row] = cotag_report(corpus, 0, 1, [TimeWindow(1990, 1995)]).rows
+    count, base, probability = row[4:7]
+    assert count == 4
+    assert base == 9
+    assert probability == pytest.approx(4 / 9)
 
 
 def test_cotag_no_cotagged_papers():
     corpus = corpus_of(rec(1, fields=(0,)))
-    [point] = cotag_series(corpus, 0, 1, [TimeWindow(1900, 2100)])
-    assert point.count == 0 and point.probability is None
+    [row] = cotag_report(corpus, 0, 1, [TimeWindow(1900, 2100)]).rows
+    assert row[4] == 0 and row[6] is None
 
 
 def test_cotag_report_percentage_change():
@@ -218,8 +219,6 @@ def test_cotag_report_percentage_change():
         records.append(rec(pid, year=1992, fields=(0, 1)))
         pid += 1
     corpus = corpus_of(*records)
-    from citefields import cotag_report
-
     report = cotag_report(corpus, 0, 1, [TimeWindow(1984, 1989), TimeWindow(1990, 1995)])
     assert report.rows[0][7] is None
     assert report.rows[1][7] == pytest.approx(60.0)
@@ -315,10 +314,11 @@ def _trajectory(years, tau, zeta):
 
 
 def test_two_segment_split_exact():
-    points = [(2000 + i, 3.0 if i < 6 else 0.5) for i in range(12)]
-    split = _two_segment_split(points, "drop", 0.5)
-    assert split == (2005, 3.0, 0.5)
-    assert _two_segment_split(points, "rise", 0.5) is None
+    values = [3.0 if i < 6 else 0.5 for i in range(12)]
+    assert _two_segment_split(values, "drop") == 6
+    assert _two_segment_split(values, "rise") is None
+    points = list(zip(range(2000, 2012), values))
+    assert _ratio_level_split(points, "drop") == (2005, 3.0, 0.5)
 
 
 def test_detect_phases_exact_drop_flat_zeta():
