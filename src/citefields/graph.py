@@ -56,8 +56,7 @@ def field_ref_counts(
     The ids are usually cited papers, but any sequence works (partner
     rankings pass citing papers). Ids that do not resolve are skipped.
     Each field has its own accumulator, filled in the order the ids are
-    given, so repeated runs are bit-identical even in fractional mode;
-    the key order of the result is unspecified.
+    given, so repeated runs are bit-identical even in fractional mode.
     """
     records = corpus.records
     counts: dict[int, float] = {}

@@ -100,12 +100,11 @@ def compute_impact_scores(
     cps = {pid: cp(graph, corpus, pid, horizon) for pid in population}
     k = ceil(TOP_SHARE * len(population))
     cutoff = sorted(cps.values(), reverse=True)[k - 1]
-    top = {pid for pid in population if cps[pid] >= cutoff}
     per_paper = {}
     for pid in population:
         rec = corpus[pid]
         j = jif_of(rec.venue, rec.year) if rec.venue else None
-        per_paper[pid] = PaperImpact(cp=cps[pid], jif=j, top_cited=pid in top)
+        per_paper[pid] = PaperImpact(cp=cps[pid], jif=j, top_cited=cps[pid] >= cutoff)
     return ImpactScores(per_paper=per_paper, window=window)
 
 

@@ -193,7 +193,8 @@ def cotag_report(
     for window in windows:
         tags = (corpus[pid].fields for pid in corpus.papers_in(field=field_a, window=window))
         multi = [fields for fields in tags if len(fields) > 1]
-        count, base = sum(field_b in fields for fields in multi), len(multi)
+        base = len(multi)
+        count = sum(field_b in fields for fields in multi)
         change = (count - prev) / prev * 100.0 if prev else None
         report.add_row(
             window.start, window.end, taxonomy.abbr(field_a), taxonomy.abbr(field_b),

@@ -3,7 +3,8 @@
 ``perfbench/traced.py`` replaces public names of the package with timing
 wrappers before it calls the CLI. A renamed or deleted name makes it fail
 with ``AttributeError``; this test runs it on a tiny corpus so such a
-change fails here rather than in a benchmark run.
+change fails here rather than in a benchmark run. Every subcommand of the
+CLI gets one traced run, so a new subcommand needs one here too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from citefields.cli import _COMMANDS
 from conftest import child_env
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -38,8 +40,6 @@ NO_GRAPH = {"validate", "stats", "cotag"}
 
 
 def test_every_subcommand_has_a_traced_run():
-    from citefields.cli import _COMMANDS
-
     assert {args[0] for args in INVOCATIONS.values()} == set(_COMMANDS)
 
 
