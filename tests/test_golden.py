@@ -41,9 +41,11 @@ INVOCATIONS = {
     "impact-top-share-hit-rate": ("impact", "--top-share", "--hit-rate"),
     "impact-lifetime": ("impact", "--lifetime"),
     "impact-1980-1989": ("impact", "--window", "1980:1989"),
+    "impact-horizon-3": ("impact", "--horizon", "3"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
     "buckets-kdi": ("buckets", "--metric", "kdi"),
     "buckets-rdi-1980-1989": ("buckets", "--metric", "rdi", "--window", "1980:1989"),
+    "buckets-rdi-horizon-3": ("buckets", "--metric", "rdi", "--horizon", "3"),
     "buckets-kdi-1980-1989-global": ("buckets", "--metric", "kdi", "--window", "1980:1989",
                                      "--keyword-scope", "corpus-global"),
     "reciprocity": ("reciprocity",),
