@@ -17,19 +17,16 @@ from .diversity import (
     build_keyword_sets, kdi_paper, paper_diversity, rank_fields, rdi_paper,
 )
 from .errors import AnalysisError, CitefieldsError, ParseError
-from .graph import (
-    CitationGraph, FRACTIONAL, FULL_COUNT,
-    build_graph, citations_received, field_flow,
-)
+from .graph import CitationGraph, FRACTIONAL, FULL_COUNT, build_graph, field_flow
 from .impact import (
     ImpactScores, PaperImpact,
-    bucket_impact, compute_impact_scores, cp, top_cited_share,
+    bucket_impact, citations_received, compute_impact_scores, top_cited_counts,
 )
 from .reciprocity import (
     acp, acp_bucket_test, citation_fraction_matrix,
     matrix_report, pearson, pearson_report, reciprocity_pearson,
 )
-from .records import Corpus, PaperRecord, TimeWindow, corpus_stats
+from .records import Corpus, PaperRecord, TimeWindow, author_key, corpus_stats
 from .report import MetricReport
 from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 from .trajectory import (

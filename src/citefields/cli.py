@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -29,8 +30,8 @@ from .corpusio import LENIENT, STRICT, parse_corpus
 from .diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL, paper_diversity, rank_fields
 from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
-from .impact import bucket_impact, compute_impact_scores, top_cited_share
-from .records import TimeWindow
+from .impact import DEFAULT_HORIZON, bucket_impact, compute_impact_scores, top_cited_counts
+from .records import TimeWindow, corpus_stats
 from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix, matrix_report, pearson_report,
 )
@@ -98,6 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     counting.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL),
                           default=FULL_COUNT,
                           help="how a reference to a k-field paper counts per field")
+    # Shared by every subcommand that scores impact.
+    horizon = argparse.ArgumentParser(add_help=False)
+    horizon.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON,
+                         help=f"citation horizon in years (default {DEFAULT_HORIZON})")
 
     p = sub.add_parser("validate", help="parse the corpus and report diagnostics")
     add_common(p)
@@ -116,24 +121,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized-kdi", action="store_true",
                    help="renormalize keyword overlaps before the entropy sum")
 
-    p = sub.add_parser("impact", help="per-paper impact scores (or per-field top-cited shares)")
+    p = sub.add_parser("impact", parents=[horizon],
+                       help="per-paper impact scores (or per-field top-cited shares)")
     add_common(p)
     p.add_argument("--window", type=_window, metavar="START:END")
-    p.add_argument("--horizon", type=_int_at_least(1), default=5,
-                   help="citation horizon in years (default 5)")
     p.add_argument("--lifetime", action="store_true", help="count citations without a horizon")
     p.add_argument("--top-share", action="store_true",
                    help="emit per-field shares of the top-cited set instead")
     p.add_argument("--hit-rate", action="store_true",
                    help="with --top-share: fraction of each field's papers in the top set")
 
-    p = sub.add_parser("buckets", parents=[counting],
+    p = sub.add_parser("buckets", parents=[counting, horizon],
                        help="impact means per equal-width diversity bucket")
     add_common(p)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--buckets", type=_int_at_least(1), default=5)
     p.add_argument("--window", type=_window, metavar="START:END")
-    p.add_argument("--horizon", type=_int_at_least(1), default=5)
     p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL),
                    default=WINDOW_LOCAL)
 
@@ -257,8 +260,6 @@ def _cmd_validate(args) -> MetricReport:
 
 
 def _cmd_stats(args) -> MetricReport:
-    from .records import corpus_stats
-
     corpus, _pr = _load(args)
     return corpus_stats(corpus)
 
@@ -290,13 +291,10 @@ def _cmd_impact(args) -> MetricReport:
             columns=("field_abbr", "share", "numerator", "denominator"),
             metadata=meta,
         )
+        counts = top_cited_counts(scores, corpus, hit_rate=args.hit_rate)
         for f in taxonomy.indices:
-            try:
-                share, num, den = top_cited_share(scores, corpus, f, hit_rate=args.hit_rate)
-            except CitefieldsError:
-                report.add_row(taxonomy.abbr(f), None, 0, 0)
-                continue
-            report.add_row(taxonomy.abbr(f), share, num, den)
+            num, den = counts[f]
+            report.add_row(taxonomy.abbr(f), num / den if den else None, num, den)
         return report
     report = MetricReport(
         name="impact",
@@ -372,12 +370,12 @@ def _cmd_cotag(args) -> MetricReport:
 
 def _cmd_generate(args) -> None:
     # The generator needs numpy; no other subcommand imports it at start-up.
-    from .synth import GeneratorSpec, generate, load_generator_spec
+    from .synth import generate, load_generator_spec
 
-    spec = load_generator_spec(args.spec) if args.spec else GeneratorSpec()
+    # An empty spec is the default spec.
+    spec_text = Path(args.spec).read_text(encoding="utf-8") if args.spec else ""
+    spec = load_generator_spec(spec_text)
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
     text = generate(spec)
     if args.output:

@@ -118,7 +118,6 @@ def parse_corpus(
     source: str | bytes | IO,
     taxonomy: FieldTaxonomy | None = None,
     strictness: str = LENIENT,
-    year_range: tuple[int, int] = _SANE_YEARS,
 ) -> tuple[Corpus, ParseReport]:
     """Parse the tagged record format into a validated Corpus.
 
@@ -137,7 +136,7 @@ def parse_corpus(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse(source, taxonomy, strictness == STRICT, year_range)
+        return _parse(source, taxonomy, strictness == STRICT)
     finally:
         if enabled:
             gc.enable()
@@ -147,7 +146,6 @@ def _parse(
     source: str | bytes | IO,
     taxonomy: FieldTaxonomy,
     strict: bool,
-    year_range: tuple[int, int],
 ) -> tuple[Corpus, ParseReport]:
     report = ParseReport()
     records: list[PaperRecord] = []
@@ -188,7 +186,7 @@ def _parse(
             year = int(year_raw) if year_raw is not None else None
         except ValueError:
             year = None
-        if year is None or not (year_range[0] <= year <= year_range[1]):
+        if year is None or not (_SANE_YEARS[0] <= year <= _SANE_YEARS[1]):
             emit(year_line or first_line, ERROR, "malformed-year",
                  f"missing or out-of-range year {year_raw!r}")
             return None

@@ -8,7 +8,8 @@ from edges and from all field-flow totals.
 ``build_graph`` only resolves adjacency. The field-to-field flow matrix is
 folded on demand by ``field_flow(graph, corpus, window)``, and every
 per-field count of a set of papers goes through ``field_ref_counts``, the
-one place the multiplicity rule is applied.
+one place the multiplicity rule is applied. Which citations count toward
+impact (the horizon, first-author self-citations) is decided in ``impact``.
 
 Multi-field cited papers are counted under a configurable multiplicity rule:
 
@@ -24,7 +25,6 @@ import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import AnalysisError
 from .records import Corpus, TimeWindow
 
 if TYPE_CHECKING:
@@ -125,35 +125,4 @@ def field_flow(
             for j in sorted(counts):
                 flow[i, j] += counts[j]
     return flow
-
-
-def citations_received(
-    graph: CitationGraph,
-    corpus: Corpus,
-    pid: int,
-    horizon_years: int | None = None,
-    exclude_first_author_self: bool = False,
-) -> tuple[int, ...]:
-    """Citing ids of a paper, optionally horizon-limited and self-filtered.
-
-    A horizon of h keeps citing papers published in the publication year or
-    the h-1 following years. The self filter drops citers whose first author
-    equals the cited paper's first author (trimmed, case-insensitive).
-    """
-    rec = corpus.records.get(pid)
-    if rec is None:
-        raise AnalysisError(f"unknown paper id {pid}")
-    citers = graph.in_edges.get(pid, ())
-    if horizon_years is not None:
-        citers = tuple(
-            q for q in citers
-            if 0 <= corpus[q].year - rec.year <= horizon_years - 1
-        )
-    if exclude_first_author_self:
-        key = rec.first_author_key()
-        if key is not None:
-            citers = tuple(
-                q for q in citers if corpus[q].first_author_key() != key
-            )
-    return citers
 

@@ -3,12 +3,12 @@
 Three per-paper indicators:
 
 * cp: citations received within the first five calendar years (publication
-  year plus four), first-author self-citations excluded;
+  year plus four), first-author self-citations excluded (``citations_received``);
 * jif: two-year impact factor of the paper's venue at publication time,
   derived from the corpus itself (citations made in year y to the venue's
   papers of y-1 and y-2, over the venue's paper count in those years);
 * top-cited flag: membership in the top 5% of the analyzed population by
-  cp, with ties at the cutoff all included.
+  cp, with ties at the cutoff all included (per field: ``top_cited_counts``).
 
 The bucket analysis splits the observed range of any per-paper metric into
 equal-width buckets (left-closed, last one closed) and reports the mean
@@ -23,7 +23,7 @@ from math import ceil, fsum
 from typing import Callable
 
 from .errors import AnalysisError
-from .graph import CitationGraph, citations_received
+from .graph import CitationGraph
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 
@@ -44,14 +44,23 @@ class ImpactScores:
     window: TimeWindow | None
 
 
-def cp(graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON) -> int:
-    """Self-excluded citation count within the horizon (None = lifetime)."""
-    return len(
-        citations_received(
-            graph, corpus, pid,
-            horizon_years=horizon,
-            exclude_first_author_self=True,
-        )
+def citations_received(
+    graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON
+) -> tuple[int, ...]:
+    """Ascending ids of the papers whose citation of ``pid`` counts toward its cp.
+
+    A horizon of h keeps citing papers published in the publication year or
+    the h-1 following years (None keeps all). Citers that share the cited
+    paper's first author (``records.author_key``) are dropped.
+    """
+    rec = corpus.records.get(pid)
+    if rec is None:
+        raise AnalysisError(f"unknown paper id {pid}")
+    key = rec.first_author_key()
+    return tuple(
+        q for q in graph.in_edges.get(pid, ())
+        if (horizon is None or 0 <= corpus[q].year - rec.year <= horizon - 1)
+        and (key is None or corpus[q].first_author_key() != key)
     )
 
 
@@ -97,7 +106,7 @@ def compute_impact_scores(
     if not population:
         raise AnalysisError("no papers in the analyzed window")
     jif_of = _jif_lookup(corpus, graph)
-    cps = {pid: cp(graph, corpus, pid, horizon) for pid in population}
+    cps = {pid: len(citations_received(graph, corpus, pid, horizon)) for pid in population}
     k = ceil(TOP_SHARE * len(population))
     cutoff = sorted(cps.values(), reverse=True)[k - 1]
     per_paper = {}
@@ -108,29 +117,24 @@ def compute_impact_scores(
     return ImpactScores(per_paper=per_paper, window=window)
 
 
-def top_cited_share(
-    scores: ImpactScores,
-    corpus: Corpus,
-    field: int,
-    hit_rate: bool = False,
-) -> tuple[float, int, int]:
-    """Field share of the top-cited set, over the papers the scores cover.
+def top_cited_counts(
+    scores: ImpactScores, corpus: Corpus, hit_rate: bool = False
+) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each field's top-cited share, indexed by field.
 
-    Default: fraction of the top set carrying the field. ``hit_rate``
-    instead reports the fraction of the field's papers that made the top
-    set. Returns (fraction, numerator, denominator).
+    The numerator counts the field's papers in the top-cited set. Its
+    denominator is the size of the top set or, with ``hit_rate``, the
+    field's papers among those the scores cover (0 for a field without any).
     """
-    population = scores.per_paper
-    if not population:
-        raise AnalysisError("empty window for top-cited share")
-    top = [pid for pid, s in population.items() if s.top_cited]
-    in_field_top = sum(1 for pid in top if field in corpus[pid].fields)
-    if hit_rate:
-        field_pop = [pid for pid in population if field in corpus[pid].fields]
-        if not field_pop:
-            raise AnalysisError("field has no papers in the analyzed window")
-        return in_field_top / len(field_pop), in_field_top, len(field_pop)
-    return in_field_top / len(top), in_field_top, len(top)
+    n = len(corpus.taxonomy)
+    in_top = [0] * n
+    in_population = [0] * n
+    for pid, s in scores.per_paper.items():
+        for f in corpus[pid].fields:
+            in_population[f] += 1
+            in_top[f] += s.top_cited
+    top_size = sum(s.top_cited for s in scores.per_paper.values())
+    return [(in_top[f], in_population[f] if hit_rate else top_size) for f in range(n)]
 
 
 def bucket_assignment(values: dict[int, float], n_buckets: int) -> tuple[dict[int, int], float, float, bool]:

@@ -48,6 +48,11 @@ class TimeWindow:
         return f"{self.start}:{self.end}"
 
 
+def author_key(name: str) -> str:
+    """Author identity for matching names: trimmed, case-insensitive."""
+    return name.strip().casefold()
+
+
 @dataclass(frozen=True, slots=True)
 class PaperRecord:
     """One publication. Field membership is stored as taxonomy indices."""
@@ -63,10 +68,8 @@ class PaperRecord:
     abstract: str | None
 
     def first_author_key(self) -> str | None:
-        """Normalized first-author identity (trimmed, case-insensitive)."""
-        if not self.authors:
-            return None
-        return self.authors[0].strip().casefold()
+        """``author_key`` of the first author; None without authors."""
+        return author_key(self.authors[0]) if self.authors else None
 
 
 class Corpus:

@@ -85,4 +85,4 @@ def base_metadata(report_name: str, **extra: Any) -> dict[str, Any]:
 
 
 def window_label(window) -> str:
-    return f"{window.start}:{window.end}" if window is not None else "all"
+    return str(window) if window is not None else "all"

@@ -5,7 +5,8 @@ construction: reference targets are drawn from prior-year papers according
 to a per-field propensity matrix, keywords come from per-field pools with a
 configurable shared fraction, and an optional planted lifecycle switches a
 focal field from cross-field-heavy referencing to self-heavy referencing at
-a given year and ramps up inbound cross-field citations after a later year.
+a given year and ramps up inbound cross-field citations after a later year,
+at the fixed shares of the module's lifecycle constants.
 
 Determinism is taken seriously: all sampling goes through ``random.Random``
 using only its ``random()`` method, the one stream Python guarantees stable
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -51,9 +51,18 @@ def propensity_mixed(k: int, self_weight: float = 0.6) -> np.ndarray:
     return m
 
 
+# Planted lifecycle shape: the focal field's cross-field reference share up to
+# tau_drop_year and self share after it; other fields' chance of citing it up to
+# zeta_rise_year and after it.
+GROWING_CROSS_FRACTION = 0.75
+SETTLED_SELF_FRACTION = 0.85
+INBOUND_LOW = 0.01
+INBOUND_HIGH = 0.6
+
+
 @dataclass(frozen=True)
 class PlantedLifecycle:
-    """Ground-truth lifecycle shape planted into one focal field.
+    """Ground-truth lifecycle planted into one focal field, at fixed shares.
 
     ``tau_drop_year``: last year the focal field references mostly other
     fields; from the next year on it references mostly itself.
@@ -64,10 +73,6 @@ class PlantedLifecycle:
     focal_field: int
     tau_drop_year: int
     zeta_rise_year: int
-    growing_cross_fraction: float = 0.75
-    settled_self_fraction: float = 0.85
-    inbound_low: float = 0.01
-    inbound_high: float = 0.6
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,9 @@ def generate(spec: GeneratorSpec) -> str:
 
     def lifecycle_row(year: int) -> list[float]:
         if year <= lc.tau_drop_year:
-            self_w = 1.0 - lc.growing_cross_fraction
+            self_w = 1.0 - GROWING_CROSS_FRACTION
         else:
-            self_w = lc.settled_self_fraction
+            self_w = SETTLED_SELF_FRACTION
         row = [(1.0 - self_w) / (k - 1)] * k if k > 1 else [1.0]
         row[lc.focal_field] = self_w if k > 1 else 1.0
         return _cumulative(row)
@@ -248,7 +253,7 @@ def generate(spec: GeneratorSpec) -> str:
                 cumrow = lifecycle_row(year) if focal_paper else base_rows[primary]
                 inbound = None
                 if lc is not None and not focal_paper:
-                    inbound = lc.inbound_low if year <= lc.zeta_rise_year else lc.inbound_high
+                    inbound = INBOUND_LOW if year <= lc.zeta_rise_year else INBOUND_HIGH
                 for _ in range(n_refs):
                     if inbound is not None and rng.random() < inbound:
                         target_field = lc.focal_field
@@ -307,16 +312,15 @@ def _parse_range(value: str) -> tuple[int, int]:
     return v, v
 
 
-def load_generator_spec(source: str | Path) -> GeneratorSpec:
-    """Read a spec from flat ``key = value`` text (path or literal text).
+def load_generator_spec(text: str) -> GeneratorSpec:
+    """Read a spec from flat ``key = value`` text.
 
     Ranges accept ``lo:hi`` or a single integer. The propensity matrix is
     selected by preset: ``identity``, ``uniform``, or ``mixed:<self_weight>``
     (full matrices are API-only). A lifecycle is spelled
-    ``lifecycle = FIELD_INDEX:TAU_DROP_YEAR:ZETA_RISE_YEAR``.
+    ``lifecycle = FIELD_INDEX:TAU_DROP_YEAR:ZETA_RISE_YEAR``. A bad line,
+    key or value raises ``AnalysisError`` naming the line.
     """
-    path = Path(source)
-    text = path.read_text(encoding="utf-8") if path.exists() else str(source)
     kwargs: dict = {}
     propensity_preset: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -328,21 +332,24 @@ def load_generator_spec(source: str | Path) -> GeneratorSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in ("seed", "field_count", "start_year", "years_span",
-                   "keyword_pool_size", "author_pool_size", "venue_count"):
-            kwargs[key] = int(value)
-        elif key in ("papers_per_year", "references", "keywords_per_paper",
-                     "authors_per_paper"):
-            kwargs[key] = _parse_range(value)
-        elif key in ("multi_tag_probability", "keyword_overlap_fraction"):
-            kwargs[key] = float(value)
-        elif key == "propensity":
-            propensity_preset = value
-        elif key == "lifecycle":
-            focal, drop, rise = value.split(":")
-            kwargs["lifecycle"] = PlantedLifecycle(int(focal), int(drop), int(rise))
-        else:
-            raise AnalysisError(f"spec line {lineno}: unknown key {key!r}")
+        try:
+            if key in ("seed", "field_count", "start_year", "years_span",
+                       "keyword_pool_size", "author_pool_size", "venue_count"):
+                kwargs[key] = int(value)
+            elif key in ("papers_per_year", "references", "keywords_per_paper",
+                         "authors_per_paper"):
+                kwargs[key] = _parse_range(value)
+            elif key in ("multi_tag_probability", "keyword_overlap_fraction"):
+                kwargs[key] = float(value)
+            elif key == "propensity":
+                propensity_preset = value
+            elif key == "lifecycle":
+                focal, drop, rise = value.split(":")
+                kwargs["lifecycle"] = PlantedLifecycle(int(focal), int(drop), int(rise))
+            else:
+                raise AnalysisError(f"spec line {lineno}: unknown key {key!r}")
+        except ValueError:
+            raise AnalysisError(f"spec line {lineno}: bad {key} value {value!r}") from None
     if propensity_preset is not None:
         k = kwargs.get("field_count", GeneratorSpec.field_count)
         if propensity_preset == "identity":

@@ -34,7 +34,7 @@ from math import fsum, log
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_ref_counts
-from .records import Corpus, TimeWindow
+from .records import Corpus, TimeWindow, author_key
 from .report import MetricReport, base_metadata
 
 GROWING = "growing"
@@ -234,7 +234,7 @@ def evidence_series(
         for pid in corpus.by_year[y]:
             rec = corpus[pid]
             for author in rec.authors:
-                key = author.strip().casefold()
+                key = author_key(author)
                 seen = known.get(key, frozenset())
                 if not rec.fields <= seen:
                     known[key] = seen | rec.fields
@@ -276,7 +276,7 @@ def evidence_series(
             same += psame
             team_fields: set[int] = set()
             for author in rec.authors:
-                team_fields |= expertise[author.strip().casefold()][y]
+                team_fields |= expertise[author_key(author)][y]
             if rec.authors:
                 breadths.append(len(team_fields))
         report.add_row(

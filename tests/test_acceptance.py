@@ -17,7 +17,7 @@ import pytest
 from citefields import (
     FieldTaxonomy, GeneratorSpec, PlantedLifecycle, STRICT, TimeWindow,
     acp, acp_bucket_test, build_graph, build_keyword_sets, citation_fraction_matrix,
-    cp, detect_phases, field_trajectory, generate, generate_corpus,
+    citations_received, detect_phases, field_trajectory, generate, generate_corpus,
     kdi_paper, parse_corpus, rank_fields, rdi_paper, reciprocity_pearson,
     serialize_corpus,
 )
@@ -125,7 +125,8 @@ def test_c3_citation_oracles_on_50_seeds():
             rng = random.Random(seed)
 
             for pid in corpus:
-                assert cp(graph, corpus, pid) == cp_direct(corpus, pid), (seed, pid)
+                got = len(citations_received(graph, corpus, pid))
+                assert got == cp_direct(corpus, pid), (seed, pid)
 
             ids = list(corpus)
             for f in range(4):

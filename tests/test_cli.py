@@ -355,6 +355,25 @@ def test_generate_deterministic_and_spec_file(tmp_path):
     assert main(["validate", str(out1), "--strict"]) == 0
 
 
+def test_generate_missing_spec_file_is_a_file_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-spec.txt"
+    assert main(["generate", "--spec", str(missing)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("line", [
+    "seed = abc", "lifecycle = 1:2", "papers_per_year = 1:2:3",
+])
+def test_generate_bad_spec_value_names_its_line(line, tmp_path, capsys):
+    spec = tmp_path / "gen.txt"
+    spec.write_text(f"# generator settings\n{line}\n", encoding="utf-8")
+    assert main(["generate", "--spec", str(spec)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "AnalysisError"
+    assert error["message"].startswith("spec line 2: ")
+
+
 def test_taxonomy_sidecar_flag(tmp_path, capsys):
     taxonomy = tmp_path / "fields.tsv"
     taxonomy.write_text("Alpha Studies\tALS\nBeta Studies\tBES\n", encoding="utf-8")

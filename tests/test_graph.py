@@ -1,16 +1,15 @@
-"""Citation graph: resolution, adjacency invariants, field flow, horizon queries."""
+"""Citation graph: resolution, adjacency invariants, field counts and flow."""
 
 import numpy as np
 import pytest
 
 from citefields import (
     AnalysisError, FRACTIONAL, FULL_COUNT, GeneratorSpec, TimeWindow,
-    build_graph, citations_received, field_flow, generate_corpus, parse_corpus,
-    rdi_paper,
+    build_graph, field_flow, generate_corpus, parse_corpus, rdi_paper,
 )
 from citefields.graph import field_ref_counts
 from conftest import GOLDEN_RECORD, corpus_of, rec
-from oracles import citations_direct, field_counts_direct
+from oracles import field_counts_direct
 
 
 def test_single_edge_same_field():
@@ -98,8 +97,6 @@ def test_unknown_id_raises():
     graph = build_graph(corpus)
     with pytest.raises(AnalysisError):
         rdi_paper(graph, corpus, 42)
-    with pytest.raises(AnalysisError):
-        citations_received(graph, corpus, 42)
 
 
 def test_field_flow_matches_per_paper_sums_exactly():
@@ -115,42 +112,6 @@ def test_field_flow_matches_per_paper_sums_exactly():
                 for j in sorted(counts):
                     rebuilt[i, j] += counts[j]
         assert np.array_equal(rebuilt, field_flow(graph, corpus))
-
-
-def test_citations_received_horizon_boundaries():
-    corpus = corpus_of(
-        rec(1, year=2000, authors=("A. Smith",)),
-        rec(2, year=2004, refs=(1,), authors=("B. Jones",)),
-        rec(3, year=2005, refs=(1,), authors=("C. Brown",)),
-        rec(4, year=1999, refs=(1,), authors=("D. White",)),
-    )
-    graph = build_graph(corpus)
-    assert citations_received(graph, corpus, 1, horizon_years=5) == (2,)
-    assert citations_received(graph, corpus, 1, horizon_years=6) == (2, 3)
-    assert citations_received(graph, corpus, 1) == (2, 3, 4)
-
-
-def test_first_author_self_exclusion():
-    corpus = corpus_of(
-        rec(1, year=2000, authors=("A. Smith", "B. Jones")),
-        rec(2, year=2001, refs=(1,), authors=(" a. smith ", "C. Brown")),
-        rec(3, year=2001, refs=(1,), authors=("B. Jones",)),
-    )
-    graph = build_graph(corpus)
-    assert citations_received(graph, corpus, 1, exclude_first_author_self=True) == (3,)
-    assert citations_received(graph, corpus, 1) == (2, 3)
-
-
-def test_citations_received_matches_brute_force_all_settings():
-    corpus = generate_corpus(GeneratorSpec(seed=3, field_count=3, years_span=10,
-                                           papers_per_year=(8, 12)))
-    graph = build_graph(corpus)
-    for pid in corpus:
-        for horizon in (None, 1, 5):
-            for flag in (False, True):
-                got = citations_received(graph, corpus, pid, horizon, flag)
-                want = citations_direct(corpus, pid, horizon, flag)
-                assert list(got) == want, (pid, horizon, flag)
 
 
 def test_graph_on_full_range_view_equals_base():

@@ -1,22 +1,22 @@
-"""Impact indicators: cp oracle, jif formula, top-cited ties, bucket analysis."""
+"""Impact indicators: the cp citation rule, jif formula, top-cited ties, bucket analysis."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from citefields import (
     AnalysisError, GeneratorSpec, TimeWindow,
-    bucket_impact, build_graph, compute_impact_scores, cp, generate_corpus,
-    rdi_paper, top_cited_share,
+    bucket_impact, build_graph, citations_received, compute_impact_scores, generate_corpus,
+    rdi_paper, top_cited_counts,
 )
 from citefields.impact import _jif_lookup, bucket_assignment
 from conftest import corpus_of, rec
-from oracles import cp_direct, jif_direct
+from oracles import citations_direct, cp_direct, jif_direct
 
 
 def test_cp_no_citations_is_zero():
     corpus = corpus_of(rec(1, year=2000))
     graph = build_graph(corpus)
-    assert cp(graph, corpus, 1) == 0
+    assert len(citations_received(graph, corpus, 1)) == 0
 
 
 def test_cp_excludes_first_author_and_horizon():
@@ -28,15 +28,16 @@ def test_cp_excludes_first_author_and_horizon():
         rec(5, year=2005, refs=(1,), authors=("D. White",)),   # outside horizon
     )
     graph = build_graph(corpus)
-    assert cp(graph, corpus, 1) == 2
-    assert cp(graph, corpus, 1, horizon=None) == 3
+    assert len(citations_received(graph, corpus, 1)) == 2
+    assert len(citations_received(graph, corpus, 1, horizon=None)) == 3
 
 
 def test_cp_monotone_in_horizon():
     corpus = generate_corpus(GeneratorSpec(seed=21, years_span=8))
     graph = build_graph(corpus)
     for pid in corpus:
-        values = [cp(graph, corpus, pid, horizon=h) for h in (1, 3, 5, 8, None)]
+        values = [len(citations_received(graph, corpus, pid, horizon=h))
+                  for h in (1, 3, 5, 8, None)]
         assert values == sorted(values)
 
 
@@ -44,7 +45,47 @@ def test_cp_matches_brute_force():
     corpus = generate_corpus(GeneratorSpec(seed=4, years_span=9, papers_per_year=(6, 14)))
     graph = build_graph(corpus)
     for pid in corpus:
-        assert cp(graph, corpus, pid) == cp_direct(corpus, pid)
+        assert len(citations_received(graph, corpus, pid)) == cp_direct(corpus, pid)
+
+
+def test_citations_received_unknown_id_raises():
+    corpus = corpus_of(rec(1))
+    with pytest.raises(AnalysisError):
+        citations_received(build_graph(corpus), corpus, 42)
+
+
+def test_citations_received_horizon_boundaries():
+    corpus = corpus_of(
+        rec(1, year=2000, authors=("A. Smith",)),
+        rec(2, year=2004, refs=(1,), authors=("B. Jones",)),
+        rec(3, year=2005, refs=(1,), authors=("C. Brown",)),
+        rec(4, year=1999, refs=(1,), authors=("D. White",)),
+    )
+    graph = build_graph(corpus)
+    assert citations_received(graph, corpus, 1, horizon=5) == (2,)
+    assert citations_received(graph, corpus, 1, horizon=6) == (2, 3)
+    assert citations_received(graph, corpus, 1, horizon=None) == (2, 3, 4)
+
+
+def test_first_author_self_exclusion():
+    corpus = corpus_of(
+        rec(1, year=2000, authors=("A. Smith", "B. Jones")),
+        rec(2, year=2001, refs=(1,), authors=(" a. smith ", "C. Brown")),
+        rec(3, year=2001, refs=(1,), authors=("B. Jones",)),
+    )
+    graph = build_graph(corpus)
+    assert citations_received(graph, corpus, 1) == (3,)
+
+
+def test_citations_received_matches_brute_force_all_horizons():
+    corpus = generate_corpus(GeneratorSpec(seed=3, field_count=3, years_span=10,
+                                           papers_per_year=(8, 12)))
+    graph = build_graph(corpus)
+    for pid in corpus:
+        for horizon in (None, 1, 5):
+            got = citations_received(graph, corpus, pid, horizon)
+            want = citations_direct(corpus, pid, horizon, exclude_self=True)
+            assert list(got) == want, (pid, horizon)
 
 
 def _jif_corpus():
@@ -121,12 +162,13 @@ def test_top_cited_flags_and_share():
     scores = compute_impact_scores(graph, corpus, window=window)
     top = {pid for pid, s in scores.per_paper.items() if s.top_cited}
     assert top == {1, 2, 3, 4, 5}
-    share, num, den = top_cited_share(scores, corpus, 1)
-    assert (share, num, den) == (1.0, 5, 5)
-    share, num, den = top_cited_share(scores, corpus, 0)
-    assert share == 0.0
-    share, num, den = top_cited_share(scores, corpus, 1, hit_rate=True)
-    assert (share, num, den) == (1.0, 5, 5)
+    counts = top_cited_counts(scores, corpus)
+    assert counts[1] == (5, 5)
+    assert counts[0] == (0, 5)
+    hits = top_cited_counts(scores, corpus, hit_rate=True)
+    assert hits[1] == (5, 5)
+    assert hits[0] == (0, 95)
+    assert hits[2] == (0, 0)  # field 2 only cites; it has no paper in the window
 
 
 def test_top_cited_tie_at_cutoff_extends_set():

@@ -83,6 +83,8 @@ def test_parsed_plus_skipped_equals_blocks():
     [
         ("#t20x7", "malformed-year"),
         ("#t1776", "malformed-year"),
+        ("#t1899", "malformed-year"),
+        ("#t2101", "malformed-year"),
         ("", "malformed-year"),  # no #t line at all
     ],
 )
@@ -95,10 +97,11 @@ def test_year_problems(mutation, code):
     assert report.errors()[0].code == code
 
 
-def test_custom_year_range():
-    text = "#*T\n#t1776\n#fDatabases\n#index5\n"
-    corpus, _ = parse_corpus(text, year_range=(1700, 2100))
-    assert corpus[5].year == 1776
+def test_sane_year_bounds_are_inclusive():
+    text = "#*T\n#t1900\n#fDatabases\n#index5\n\n#*U\n#t2100\n#fDatabases\n#index6\n"
+    corpus, report = parse_corpus(text)
+    assert (corpus[5].year, corpus[6].year) == (1900, 2100)
+    assert report.diagnostics == []
 
 
 def test_duplicate_id_skips_later_record():

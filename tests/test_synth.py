@@ -160,7 +160,7 @@ lifecycle = 1:1986:1991
 """
     path = tmp_path / "gen.txt"
     path.write_text(text)
-    spec = load_generator_spec(path)
+    spec = load_generator_spec(path.read_text())
     assert spec.seed == 42
     assert spec.field_count == 6
     assert spec.papers_per_year == (8, 12)

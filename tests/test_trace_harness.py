@@ -59,3 +59,8 @@ def test_traced_runner_completes(label, tiny_corpus):
     assert ("graph.build" in names) is (label not in NO_GRAPH)
     if label == "rank-kdi":
         assert {"diversity.rank_fields", "diversity.build_keyword_sets"} <= names
+    if label == "impact":
+        # One counted cp rule call per scored paper, that is per report row.
+        counts = json.loads(spans.read_text())["counts"]
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert counts["graph.citations_received_calls"] == len(rows) - 1
