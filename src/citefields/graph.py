@@ -125,4 +125,3 @@ def field_flow(
             for j in sorted(counts):
                 flow[i, j] += counts[j]
     return flow
-
