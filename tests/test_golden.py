@@ -3,7 +3,9 @@
 Each snapshot under ``tests/golden/seed<N>/`` is the report one CLI
 invocation writes for a small generated planted-lifecycle corpus; those
 under ``tests/golden/defects/`` are the ``validate`` and ``stats`` reports
-on a hand-built corpus with parser defects. A snapshot may change only when
+on a hand-built corpus with parser defects, and those under
+``tests/golden/edges/`` the ``validate``, ``stats`` and ``rank --metric kdi``
+reports on a hand-built corpus of parser edge cases. A snapshot may change only when
 CHANGES.md explains why (for example a proven last-ulp summation change),
 never to make a diff disappear. To rewrite them from the current code, run
 ``python tests/test_golden.py`` with ``src`` importable.
@@ -101,6 +103,47 @@ DEFECT_INVOCATIONS = {
     "stats": ("stats",),
 }
 
+# Parser edge cases on records that mostly parse: keyword lines with tabs,
+# doubled spaces, U+00A0, U+3000 and U+001C (all whitespace to ``str.split``),
+# " , " separators, empty items and case-fold expansions (sharp s, the fi
+# ligature, dotted capital I, final sigma); the reference spellings ``+5``,
+# `` 7 ``, ``1_0`` and U+001C around an id (all accepted by ``int``), ``-3``
+# and ``x7`` (dropped), a self reference and a duplicate; CRLF lines; a
+# non-UTF-8 title, keyword line and comment line. Keywords overlap across
+# fields so ``rank --metric kdi`` has values to rank.
+EDGE_CORPUS = (
+    "%% parser edge cases\n\n"
+    "#*Whitespace and case\n#@Ann Lee\n#t2000\n#fAI\n"
+    "#kDeep\tLearning , deep  learning,Stra\u00dfe,STRASSE,\ufb01le System,File system, ,,"
+    "Graph\u00a0Search\u3000Methods\u001cX\n"
+    "#k  \u0130stanbul ,\u03a3\u039f\u03a6\u039f\u03a3\t, Deep learning \n"
+    "#index1\n#%+5\n#% 7 \n#%1_0\n#%-3\n#%x7\n#%1\n#%5\n#%\u001c12\u001c\n#!Abstract one.\n"
+    "\n"
+    "#*Second\n#@Bo Kim,Ann Lee\n#t2000\n#fAlgorithm\n"
+    "#kgraph search methods x, deep learning,strasse\n#index5\n#%1\n"
+    "\n"
+    "#*CRLF record\r\n#@Cy Ray\r\n#t2001\r\n#fAI,Algo\r\n"
+    "#kFILE SYSTEM , \u03c3\u03bf\u03c6\u03bf\u03c3,,\r\n#k\r\n#index7\r\n#%5\r\n#%+1\r\n"
+    "\r\n"
+    "#*Network paper\n#t2001\n#fNETW\n#k , \t,\n#kROUTING,Routing ,i\u0307stanbul\n"
+    "#index10\n#%7\n#%007\n"
+    "\n"
+    "#*Empty keyword line\n#t2002\n#fDB\n#k\n#index12\n#%10\n"
+    "\n"
+).encode("utf-8") + (
+    b"#*Bad \xe9 title\n#t2002\n#fDB\n#kdata\n#index13\n"
+    b"\n"
+    b"%% caf\xe9 comment\n"
+    b"#*Bad keyword\n#t2003\n#fAI\n#kcaf\xe9\n#index14\n"
+    b"\n"
+    b"#*Last\n#t2003\n#fAI\n#kRouting\xc2\xa0\n#index15\n#%12"
+)
+EDGE_INVOCATIONS = {
+    "validate": ("validate", "--format", "json"),
+    "stats": ("stats",),
+    "rank-kdi": ("rank", "--metric", "kdi", "--window", "2000:2001", "--window", "2000:2003"),
+}
+
 
 def defect_corpus() -> bytes:
     return "".join(sep + block for sep, block in DEFECT_BLOCKS).encode("utf-8")
@@ -118,9 +161,13 @@ def golden_path(seed: int, label: str) -> Path:
     return GOLDEN_DIR / f"seed{seed}" / f"{label}.csv"
 
 
-def defect_golden_path(label: str) -> Path:
-    suffix = ".json" if "json" in DEFECT_INVOCATIONS[label] else ".csv"
-    return GOLDEN_DIR / "defects" / f"{label}{suffix}"
+def defect_golden_path(label: str, name: str = "defects", invocations=DEFECT_INVOCATIONS) -> Path:
+    suffix = ".json" if "json" in invocations[label] else ".csv"
+    return GOLDEN_DIR / name / f"{label}{suffix}"
+
+
+def edge_golden_path(label: str) -> Path:
+    return defect_golden_path(label, "edges", EDGE_INVOCATIONS)
 
 
 def render(label: str, invocations=INVOCATIONS) -> bytes:
@@ -156,6 +203,13 @@ def test_defect_report_matches_golden(label, tmp_path, monkeypatch):
     assert render(label, DEFECT_INVOCATIONS) == defect_golden_path(label).read_bytes()
 
 
+@pytest.mark.parametrize("label", sorted(EDGE_INVOCATIONS))
+def test_edge_report_matches_golden(label, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path(INPUT_NAME).write_bytes(EDGE_CORPUS)
+    assert render(label, EDGE_INVOCATIONS) == edge_golden_path(label).read_bytes()
+
+
 def write_goldens(corpus: bytes, invocations: dict, path_of) -> None:
     """Render every invocation on ``corpus`` and write it to ``path_of(label)``."""
     with tempfile.TemporaryDirectory() as work:
@@ -176,3 +230,4 @@ if __name__ == "__main__":
         write_goldens(generate(corpus_spec(seed)).encode("utf-8"), INVOCATIONS,
                       lambda label, seed=seed: golden_path(seed, label))
     write_goldens(defect_corpus(), DEFECT_INVOCATIONS, defect_golden_path)
+    write_goldens(EDGE_CORPUS, EDGE_INVOCATIONS, edge_golden_path)
