@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
 from random import Random
+from typing import Callable
 
 import numpy as np
 
@@ -312,6 +314,18 @@ def _parse_range(value: str) -> tuple[int, int]:
     return v, v
 
 
+def _propensity_preset(value: str) -> Callable[[int], np.ndarray]:
+    """The matrix builder a ``propensity`` value names; ValueError if none."""
+    if value == "identity":
+        return propensity_identity
+    if value == "uniform":
+        return propensity_uniform
+    name, _, self_weight = value.partition(":")
+    if name != "mixed":
+        raise ValueError(f"unknown propensity preset {value!r}")
+    return partial(propensity_mixed, self_weight=float(self_weight))
+
+
 def load_generator_spec(text: str) -> GeneratorSpec:
     """Read a spec from flat ``key = value`` text.
 
@@ -322,7 +336,7 @@ def load_generator_spec(text: str) -> GeneratorSpec:
     key or value raises ``AnalysisError`` naming the line.
     """
     kwargs: dict = {}
-    propensity_preset: str | None = None
+    propensity: Callable[[int], np.ndarray] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -342,7 +356,7 @@ def load_generator_spec(text: str) -> GeneratorSpec:
             elif key in ("multi_tag_probability", "keyword_overlap_fraction"):
                 kwargs[key] = float(value)
             elif key == "propensity":
-                propensity_preset = value
+                propensity = _propensity_preset(value)
             elif key == "lifecycle":
                 focal, drop, rise = value.split(":")
                 kwargs["lifecycle"] = PlantedLifecycle(int(focal), int(drop), int(rise))
@@ -350,15 +364,7 @@ def load_generator_spec(text: str) -> GeneratorSpec:
                 raise AnalysisError(f"spec line {lineno}: unknown key {key!r}")
         except ValueError:
             raise AnalysisError(f"spec line {lineno}: bad {key} value {value!r}") from None
-    if propensity_preset is not None:
+    if propensity is not None:  # the matrix size may come from a later line
         k = kwargs.get("field_count", GeneratorSpec.field_count)
-        if propensity_preset == "identity":
-            matrix = propensity_identity(k)
-        elif propensity_preset == "uniform":
-            matrix = propensity_uniform(k)
-        elif propensity_preset.startswith("mixed:"):
-            matrix = propensity_mixed(k, float(propensity_preset.split(":")[1]))
-        else:
-            raise AnalysisError(f"unknown propensity preset {propensity_preset!r}")
-        kwargs["propensity"] = tuple(tuple(row) for row in matrix)
+        kwargs["propensity"] = tuple(tuple(row) for row in propensity(k))
     return GeneratorSpec(**kwargs)

@@ -364,6 +364,7 @@ def test_generate_missing_spec_file_is_a_file_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "seed = abc", "lifecycle = 1:2", "papers_per_year = 1:2:3",
+    "propensity = mixed:abc", "propensity = bogus",
 ])
 def test_generate_bad_spec_value_names_its_line(line, tmp_path, capsys):
     spec = tmp_path / "gen.txt"
@@ -371,7 +372,8 @@ def test_generate_bad_spec_value_names_its_line(line, tmp_path, capsys):
     assert main(["generate", "--spec", str(spec)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "AnalysisError"
-    assert error["message"].startswith("spec line 2: ")
+    key, _, value = line.partition(" = ")
+    assert error["message"] == f"spec line 2: bad {key} value {value!r}"
 
 
 def test_taxonomy_sidecar_flag(tmp_path, capsys):
