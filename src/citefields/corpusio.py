@@ -16,25 +16,32 @@ Lines starting with ``%%`` are treated as file comments and skipped (the
 synthetic generator uses them to pin its RNG version in the output header).
 
 The reader makes one streaming pass: it never holds more than one block of
-input, so memory scales with the parsed records rather than the file size.
-For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line; a
-text stream keeps its own newline handling. Binary input (what the CLI
-passes) is decoded one line at a time, so a line that is not UTF-8 becomes
-an ``encoding`` error diagnostic instead of aborting the whole parse; a
-``%%`` comment line is skipped whatever bytes it holds. Each line is
-dispatched on the tag's second character; the current block's tags are kept
-in local variables and validated when a blank or whitespace-only line ends
-the block. Field label lookups and field-index sets, both bounded by the
-taxonomy, are memoized per parse. Author names, venues and keywords are not
-interned: what that saves depends on how often the input repeats them, and
-on mostly distinct values it costs memory. The cyclic garbage collector is
-paused for the parse and its previous state restored afterwards: each
-collection pass would rescan every record built so far, while the parse
-leaves no cycle that must be freed before it returns. The cost is O(lines)
-time. On a 2-vCPU Xeon VM the 100k-record C9 corpus (19 MB) parses in about
-3.4 s to a 208 MiB process peak, against 5.0 s and 230 MiB for the previous
-block scanner (both with the collector running); pausing it took a 50k-record
-parse from 1.69 to 1.45 s (medians of 4 alternating runs in one process).
+input and one chunk of text, so memory scales with the parsed records rather
+than the file size. For ``bytes``, binary streams and ``str`` sources only
+``\n`` ends a line; a text stream keeps its own newline handling. Binary
+input (what the CLI passes) is decoded ``CHUNK_SIZE`` bytes at a time, cut
+after the chunk's last ``\n``. A chunk that is not all UTF-8 is decoded
+again line by line, so each line that is not UTF-8 becomes an ``encoding``
+error diagnostic with its own line and byte offset instead of aborting the
+whole parse; a ``%%`` comment line is skipped whatever bytes it holds. Each
+line is dispatched on the tag's second character; the current block's tags
+are kept in local variables and validated when a blank or whitespace-only
+line ends the block. A ``#k`` line is normalized as a whole and its
+keywords are kept as a tuple of distinct values in ascending order (a tuple
+takes 40 + 8n bytes, a frozenset of up to 4 items 216). The references of
+a block are converted in one ``map(int, ...)``; they are checked line by
+line only when that fails or finds a negative, self or repeated id. Field
+label lookups and field-index sets, both bounded by the taxonomy, are
+memoized per parse. Author names, venues and keywords are not interned:
+what that saves depends on how often the input repeats them, and on mostly
+distinct values it costs memory. The cyclic garbage collector is paused for
+the parse and its previous state restored afterwards: each collection pass
+would rescan every record built so far, while the parse leaves no cycle
+that must be freed before it returns. The cost is O(lines) time. On a
+2-vCPU Xeon VM the 100k-record C9 corpus (19 MB, read from a binary file)
+parses in about 2.3 s to a 146 MiB process peak, against 2.9 s and 182 MiB
+with per-line decoding, frozenset keywords and a frozen-dataclass record
+(3 alternating fresh-process runs each).
 
 Diagnostics carry line numbers and the 1-based record ordinal. In strict
 mode the first error-severity diagnostic aborts via ``ParseError``; in
@@ -48,8 +55,8 @@ import gc
 import io
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import IO, Iterable
+from itertools import chain, islice
+from typing import IO, Iterator
 
 from .errors import ParseError
 from .records import Corpus, PaperRecord
@@ -66,6 +73,8 @@ WARNING = "warning"
 COMMENT_PREFIX = "%%"
 
 _SANE_YEARS = (1900, 2100)
+
+CHUNK_SIZE = 1 << 16  # bytes of binary input decoded at a time
 
 
 @dataclass(frozen=True)
@@ -100,18 +109,62 @@ class ParseReport:
         )
 
 
-def normalize_keyword(raw: str) -> str:
-    """Trim, collapse internal whitespace, case-fold for set membership."""
-    return " ".join(raw.split()).casefold()
+def _decoded(raw: bytes) -> str | UnicodeDecodeError:
+    """``raw`` decoded as UTF-8, or the error that decoding it raised."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
 
 
-def _as_lines(source: str | bytes | IO) -> Iterable[str | bytes]:
-    """Lines of ``source``: ``bytes`` for bytes and binary streams, ``str`` otherwise."""
+def _split(data: bytes) -> list[str | UnicodeDecodeError]:
+    """The lines of ``data``, which ends with ``\n`` or holds none.
+
+    ``data`` is decoded as a whole when it is all UTF-8, and otherwise line
+    by line with each line's ``\n``, so an error names the same byte and
+    reason as it would for the line read on its own.
+    """
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return [_decoded(raw) for raw in io.BytesIO(data)]
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _line_batches(source: str | bytes | IO) -> Iterator[list[str | UnicodeDecodeError]]:
+    """The lines of ``source`` in order, a batch at a time.
+
+    Binary input is read ``CHUNK_SIZE`` bytes at a time and cut after the
+    last ``\n`` read; its lines end at ``\n`` only and lose it. ``\n`` is
+    never part of a multi-byte UTF-8 sequence, so a cut chunk decodes as a
+    whole exactly when each of its lines does. Any other iterable of lines
+    (a text stream keeps its own newline handling) gives them as they come,
+    a bytes line decoded on its own. A line that is not UTF-8 is given as
+    its ``UnicodeDecodeError``.
+    """
     if isinstance(source, bytes):
-        return io.BytesIO(source)
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source  # a file object or any other iterable of lines
+        source = io.BytesIO(source)
+    elif isinstance(source, str):
+        source = io.StringIO(source)
+    if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        lines = iter(source)
+        while batch := list(islice(lines, 1024)):
+            yield [_decoded(line) if type(line) is bytes else line for line in batch]
+        return
+    head = []  # the pieces of a line that has not ended yet
+    for block in iter(lambda: source.read(CHUNK_SIZE), b""):
+        cut = block.rfind(b"\n")
+        if cut < 0:
+            head.append(block)
+            continue
+        head.append(block[:cut + 1])
+        yield _split(b"".join(head))
+        head = [block[cut + 1:]]
+    tail = b"".join(head)
+    if tail:
+        yield _split(tail)
 
 
 def parse_corpus(
@@ -219,46 +272,50 @@ def _parse(
         if fields is None:
             fields = fieldsets[key] = frozenset(key)
 
-        refs: list[int] = []
-        ref_seen: set[int] = set()
-        for lineno, raw in ref_lines:
-            try:
-                rid = int(raw)
-                if rid < 0:
-                    raise ValueError
-            except ValueError:
-                emit(lineno, WARNING, "malformed-reference",
-                     f"bad reference id {raw!r}, dropped")
-                continue
-            if rid == pid:
-                emit(lineno, WARNING, "self-reference",
-                     f"paper {pid} references itself, dropped")
-                continue
-            if rid in ref_seen:
-                emit(lineno, WARNING, "duplicate-reference",
-                     f"reference {rid} repeated, deduplicated")
-                continue
-            ref_seen.add(rid)
-            refs.append(rid)
+        # All references at once; line by line only to say what is wrong.
+        try:
+            refs = tuple(map(int, ref_raws))
+            clean = not refs or (min(refs) >= 0 and pid not in refs
+                                 and len(set(refs)) == len(refs))
+        except ValueError:
+            clean = False
+        if not clean:
+            kept: dict[int, None] = {}
+            for lineno, raw in zip(ref_lines, ref_raws):
+                try:
+                    rid = int(raw)
+                    if rid < 0:
+                        raise ValueError
+                except ValueError:
+                    emit(lineno, WARNING, "malformed-reference",
+                         f"bad reference id {raw!r}, dropped")
+                    continue
+                if rid == pid:
+                    emit(lineno, WARNING, "self-reference",
+                         f"paper {pid} references itself, dropped")
+                    continue
+                if rid in kept:
+                    emit(lineno, WARNING, "duplicate-reference",
+                         f"reference {rid} repeated, deduplicated")
+                    continue
+                kept[rid] = None
+            refs = tuple(kept)
 
         seen_ids.add(pid)
+        keywords.discard("")
         return PaperRecord(
             pid, title or "", authors or (), year, venue or None, fields,
-            frozenset(keywords), tuple(refs), abstract or None,
+            tuple(sorted(keywords)), refs, abstract or None,
         )
 
     # One pass over the lines; a blank line appended at the end finishes the
-    # last block. Lines keep their line break: every value is stripped anyway.
-    for lineno, line in enumerate(chain(_as_lines(source), ("",)), start=1):
-        if type(line) is bytes:
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                if line.startswith(COMMENT_PREFIX.encode()):  # skipped whatever they hold
-                    continue
-                line, decode_error = None, exc
-        if line is None:
-            tag = None
+    # last block. A line may keep its line break: every value is stripped.
+    lines = chain.from_iterable(_line_batches(source))
+    for lineno, line in enumerate(chain(lines, ("",)), start=1):
+        if type(line) is UnicodeDecodeError:  # the line is not UTF-8
+            if line.object.startswith(COMMENT_PREFIX.encode()):  # skipped whatever it holds
+                continue
+            tag, decode_error = None, line
         elif line[:1] == "#":
             tag = line[1:2]
         elif not line.strip():  # a blank or whitespace-only line ends the block
@@ -284,16 +341,18 @@ def _parse(
             title = authors = year_raw = venue = index_raw = abstract = field_labels = None
             year_line = index_line = 0
             keywords: set[str] = set()
-            ref_lines: list[tuple[int, str]] = []
+            ref_lines: list[int] = []
+            ref_raws: list[str] = []
             undecodable = False
 
         if tag == "%":
-            ref_lines.append((lineno, line[2:].strip()))
+            ref_lines.append(lineno)
+            ref_raws.append(line[2:].strip())
         elif tag == "k":
-            for kw in line[2:].split(","):
-                norm = normalize_keyword(kw)
-                if norm:
-                    keywords.add(norm)
+            # Collapse whitespace runs and case-fold the whole line at once:
+            # no whitespace run holds a comma, so each trimmed comma-separated
+            # piece equals that keyword normalized on its own.
+            keywords.update(map(str.strip, " ".join(line[2:].split()).casefold().split(",")))
         elif tag == "i" and line.startswith("#index"):
             if index_raw is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #index ignored")
@@ -349,7 +408,8 @@ def _parse(
 
 def serialize_record(rec: PaperRecord, taxonomy: FieldTaxonomy) -> str:
     """Canonical serialized form: field labels ordered by taxonomy index,
-    keywords sorted, optional empty tags omitted, reference order preserved."""
+    keywords in their (ascending) order, optional empty tags omitted,
+    reference order preserved."""
     lines = [f"#*{rec.title}"]
     if rec.authors:
         lines.append("#@" + ",".join(rec.authors))
@@ -358,7 +418,7 @@ def serialize_record(rec: PaperRecord, taxonomy: FieldTaxonomy) -> str:
         lines.append(f"#c{rec.venue}")
     lines.append("#f" + ",".join(taxonomy.name(f) for f in sorted(rec.fields)))
     if rec.keywords:
-        lines.append("#k" + ",".join(sorted(rec.keywords)))
+        lines.append("#k" + ",".join(rec.keywords))
     lines.append(f"#index{rec.id}")
     for rid in rec.references:
         lines.append(f"#%{rid}")

@@ -84,14 +84,17 @@ def kdi_paper(
     normalized: bool = False,
 ) -> float | None:
     """Keyword-overlap diversity of one paper against the per-field keyword
-    pools of ``build_keyword_sets``; None if it has no keywords."""
+    pools of ``build_keyword_sets``; None if it has no keywords.
+
+    A paper's keywords are distinct, so the overlap with a pool is the size
+    of the pool's intersection with them."""
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
     kp = corpus[pid].keywords
     if not kp:
         return None
     overlaps = [
-        len(pools[f] & kp) / len(kp)
+        len(pools[f].intersection(kp)) / len(kp)
         for f in corpus.taxonomy.indices
     ]
     if normalized:

@@ -51,7 +51,7 @@ def rec(
         year=year,
         venue=venue,
         fields=frozenset(fields),
-        keywords=frozenset(keywords),
+        keywords=tuple(sorted(set(keywords))),
         references=tuple(refs),
         abstract=abstract,
     )

@@ -13,6 +13,12 @@ import math
 from citefields import Corpus, TimeWindow
 
 
+def normalize_keyword(raw: str) -> str:
+    """One keyword as the parser stores it: trimmed, whitespace runs
+    collapsed to one space, case-folded."""
+    return " ".join(raw.split()).casefold()
+
+
 def entropy_direct(fractions) -> float:
     total = 0.0
     for x in fractions:
@@ -48,7 +54,7 @@ def rdi_direct(corpus: Corpus, pid: int, multiplicity: str = "full") -> float | 
 def kdi_direct(
     corpus: Corpus, pools: dict[int, set[str]], pid: int, normalized: bool = False
 ) -> float | None:
-    kp = corpus[pid].keywords
+    kp = set(corpus[pid].keywords)
     if not kp:
         return None
     fractions = []
@@ -69,7 +75,7 @@ def keyword_pools_direct(corpus: Corpus, window: TimeWindow | None = None) -> di
         p = corpus[pid]
         if window is None or window.contains(p.year):
             for f in p.fields:
-                pools[f] |= p.keywords
+                pools[f].update(p.keywords)
     return pools
 
 

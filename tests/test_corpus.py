@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from citefields import AnalysisError, TimeWindow, corpus_stats
+from citefields import AnalysisError, PaperRecord, TimeWindow, corpus_stats
 from conftest import corpus_of, rec
 
 
@@ -95,3 +95,26 @@ def test_partitions_are_ascending_tuples_whatever_the_record_order():
                 if (field is None or field in r.fields) and (w is None or w.contains(r.year))
             )
             assert corpus.papers_in(field=field, window=w) == want
+
+
+@pytest.mark.parametrize("keywords", [
+    ("b", "a"), ("a", "a"), ("a", "b", "b"), frozenset({"a"}), ["a", "b"],
+], ids=["unsorted", "repeated", "repeated-last", "frozenset", "list"])
+def test_corpus_rejects_keywords_that_are_not_an_ascending_tuple(keywords):
+    bad = rec(2)._replace(keywords=keywords)
+    with pytest.raises(ValueError, match="paper 2 keywords"):
+        corpus_of(rec(1, keywords=("a", "b")), bad)
+
+
+def test_paper_record_is_immutable_and_compares_by_value():
+    a = rec(1, keywords=("x", "y"), refs=(3, 4))
+    b = rec(1, keywords=("y", "x"), refs=(3, 4))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != rec(1, keywords=("x",), refs=(3, 4))
+    with pytest.raises(AttributeError):
+        a.year = 1999
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert isinstance(a, PaperRecord) and a.keywords == ("x", "y")

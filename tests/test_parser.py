@@ -11,7 +11,9 @@ from citefields import (
     Corpus, FieldTaxonomy, LENIENT, ParseError, STRICT,
     parse_corpus, serialize_corpus,
 )
+from citefields import corpusio
 from conftest import GOLDEN_RECORD, corpus_of, rec
+from oracles import normalize_keyword
 
 
 def test_golden_record_parses_to_exact_values(golden_text, taxonomy):
@@ -173,7 +175,7 @@ def test_author_list_trimmed_and_empties_dropped():
 def test_keyword_normalization_casefolds_and_collapses_whitespace():
     text = "#*A\n#t2000\n#fDatabases\n#kData   Mining, data mining , QUERY\n#index7\n"
     corpus, _ = parse_corpus(text)
-    assert corpus[7].keywords == frozenset({"data mining", "query"})
+    assert corpus[7].keywords == ("data mining", "query")
 
 
 def test_unrecognized_line_warned_and_ignored():
@@ -258,7 +260,7 @@ def _records(draw):
             st.integers(0, 10_000).filter(lambda r, p=pid: r != p),
             max_size=5, unique=True,
         ))
-        keywords = draw(st.sets(_name.map(str.casefold), max_size=5))
+        keywords = tuple(sorted(draw(st.sets(_name.map(str.casefold), max_size=5))))
         authors = tuple(draw(st.lists(_name, max_size=3)))
         records.append(rec(
             pid,
@@ -349,3 +351,41 @@ def test_fuzzed_input_gives_diagnostics_not_crashes(data):
     else:
         assert strict.skipped == 0
         assert strict.parsed == strict.blocks
+
+
+@given(_fuzz_input(), st.sampled_from((1, 7, 64)))
+@settings(max_examples=200, deadline=None)
+def test_chunk_size_does_not_change_the_parse(data, chunk_size):
+    """Chunks cut anywhere (inside a line, a CRLF or a UTF-8 sequence) give
+    the same corpus and diagnostics as the default chunk and as lines
+    decoded one at a time."""
+    want = parse_corpus(data)
+    assert parse_corpus(list(io.BytesIO(data))) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpusio, "CHUNK_SIZE", chunk_size)
+        assert parse_corpus(data) == want
+        assert parse_corpus(io.BytesIO(data)) == want
+
+
+# Whitespace of categories Zs and Cc (a #k line cannot hold "\n"), commas,
+# and letters whose case folding expands (sharp s, the fi ligature, dotted
+# capital I) or depends on nothing around it (final sigma).
+_keyword_text = st.text(
+    alphabet=st.one_of(
+        st.characters(whitelist_categories=("Zs", "Cc")).filter(
+            lambda c: c.isspace() and c != "\n"),
+        st.sampled_from(",,,abAB\u00df\u1e9e\ufb01\u0130\u03a3\u03c3\u03c2"),
+    ),
+    max_size=40,
+)
+
+
+@given(_keyword_text)
+@settings(max_examples=300, deadline=None)
+def test_keyword_line_matches_per_keyword_oracle(text):
+    want = tuple(sorted({normalize_keyword(kw) for kw in text.split(",")} - {""}))
+    record = f"#*T\n#t2000\n#fAI\n#k{text}\n#index1\n"
+    for source in (record, record.encode("utf-8")):
+        corpus, report = parse_corpus(source, strictness=STRICT)
+        assert corpus[1].keywords == want
+        assert not report.diagnostics
