@@ -14,17 +14,14 @@ from .corpusio import (
 )
 from .diversity import (
     CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL,
-    build_keyword_sets, kdi_paper, paper_diversity, rank_fields, rdi_paper,
+    build_keyword_sets, paper_diversity, rank_fields,
 )
 from .errors import AnalysisError, CitefieldsError, ParseError
 from .graph import CitationGraph, FRACTIONAL, FULL_COUNT, build_graph, field_flow
-from .impact import (
-    ImpactScores, PaperImpact,
-    bucket_impact, citations_received, compute_impact_scores, top_cited_counts,
-)
+from .impact import bucket_impact, compute_impact_scores, top_cited_counts
 from .reciprocity import (
-    acp, acp_bucket_test, citation_fraction_matrix,
-    matrix_report, pearson, pearson_report, reciprocity_pearson,
+    acp_bucket_test, citation_fraction_matrix,
+    matrix_report, pearson_report, reciprocity_pearson,
 )
 from .records import Corpus, PaperRecord, TimeWindow, author_key, corpus_stats
 from .report import MetricReport
@@ -32,12 +29,11 @@ from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 from .trajectory import (
     FieldTrajectory, Phase, PhaseDetection,
     cotag_report, detect_phases, evidence_series,
-    field_trajectory, phases_report, tau_series, top_partner_fields,
-    trajectory_report, zeta_series,
+    field_trajectory, phases_report, trajectory_report,
 )
 
-# The generator is the one module that needs numpy at import time. It and its
-# names are looked up on first use, so ``import citefields`` and the CLI's
+# The generator is the one module that needs numpy at import time. Its names
+# are looked up on first use, so ``import citefields`` and the CLI's
 # subcommands other than ``generate`` start without numpy.
 _SYNTH_NAMES = (
     "GeneratorSpec", "PlantedLifecycle",
@@ -45,9 +41,21 @@ _SYNTH_NAMES = (
     "propensity_identity", "propensity_mixed", "propensity_uniform",
 )
 
-__all__ = sorted(
-    [name for name in dir() if not name.startswith("_")] + ["synth", *_SYNTH_NAMES]
-)
+__all__ = [
+    "AnalysisError", "CORPUS_GLOBAL", "CitationGraph", "CitefieldsError",
+    "Corpus", "DEFAULT_FIELDS", "Diagnostic", "FRACTIONAL", "FULL_COUNT",
+    "FieldTaxonomy", "FieldTrajectory", "KDI", "LENIENT", "MetricReport",
+    "PaperRecord", "ParseError", "ParseReport", "Phase", "PhaseDetection",
+    "RDI", "STRICT", "TimeWindow", "WINDOW_LOCAL",
+    "acp_bucket_test", "author_key", "bucket_impact", "build_graph",
+    "build_keyword_sets", "citation_fraction_matrix", "compute_impact_scores",
+    "corpus_stats", "cotag_report", "detect_phases", "evidence_series",
+    "field_flow", "field_trajectory", "matrix_report", "paper_diversity",
+    "parse_corpus", "pearson_report", "phases_report", "rank_fields",
+    "reciprocity_pearson", "serialize_corpus", "serialize_record",
+    "top_cited_counts", "trajectory_report",
+    *_SYNTH_NAMES,
+]
 
 
 def __getattr__(name: str):

@@ -53,8 +53,8 @@ def field_ref_counts(
 ) -> dict[int, float]:
     """Per-field counts of the given paper ids under the multiplicity rule.
 
-    The ids are usually cited papers, but any sequence works (partner
-    rankings pass citing papers). Ids that do not resolve are skipped.
+    The callers pass the papers one paper cites. Ids that do not resolve
+    are skipped.
     Each field has its own accumulator, filled in the order the ids are
     given, so repeated runs are bit-identical even in fractional mode.
     """

@@ -17,7 +17,7 @@ field than papers that do not.
 from __future__ import annotations
 
 from math import fsum, isnan, sqrt
-from typing import TYPE_CHECKING, Collection, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_flow, field_ref_counts
@@ -63,21 +63,6 @@ def citation_fraction_matrix(
     return matrix
 
 
-def pearson(xs: list[float], ys: list[float]) -> float:
-    """Plain centered-moment Pearson correlation; raises on degenerate variance."""
-    n = len(xs)
-    if n < 2:
-        raise AnalysisError(f"need at least 2 points for a correlation, got {n}")
-    mx = fsum(xs) / n
-    my = fsum(ys) / n
-    sxy = fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = fsum((x - mx) ** 2 for x in xs)
-    syy = fsum((y - my) ** 2 for y in ys)
-    if sxx <= 0.0 or syy <= 0.0:
-        raise AnalysisError("degenerate variance: correlation undefined")
-    return sxy / sqrt(sxx * syy)
-
-
 def reciprocity_pearson(
     matrix: np.ndarray,
     members: Iterable[int] | None = None,
@@ -87,7 +72,9 @@ def reciprocity_pearson(
 
     Point set: (M[i][j], M[j][i]) for every ordered pair of the member
     field indices (or of all fields); pairs with a missing coordinate are
-    dropped. Returns (r, points used).
+    dropped. Returns (r, points used) with r the centered-moment Pearson
+    correlation; fewer than two points or a zero variance raise
+    ``AnalysisError``.
     """
     indices = sorted(members) if members is not None else range(matrix.shape[0])
     xs: list[float] = []
@@ -102,24 +89,17 @@ def reciprocity_pearson(
                 continue
             xs.append(float(x))
             ys.append(float(y))
-    return pearson(xs, ys), len(xs)
-
-
-def acp(
-    graph: CitationGraph,
-    corpus: Corpus,
-    source_field: int,
-    target_papers: Collection[int],
-) -> float:
-    """Citations from a field's papers into a target set, per target paper."""
-    if not target_papers:
-        raise AnalysisError("empty target set")
-    total = 0
-    for pid in target_papers:
-        for q in graph.in_edges.get(pid, ()):
-            if source_field in corpus[q].fields:
-                total += 1
-    return total / len(target_papers)
+    n = len(xs)
+    if n < 2:
+        raise AnalysisError(f"need at least 2 points for a correlation, got {n}")
+    mx = fsum(xs) / n
+    my = fsum(ys) / n
+    sxy = fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = fsum((x - mx) ** 2 for x in xs)
+    syy = fsum((y - my) ** 2 for y in ys)
+    if sxx <= 0.0 or syy <= 0.0:
+        raise AnalysisError("degenerate variance: correlation undefined")
+    return sxy / sqrt(sxx * syy), n
 
 
 def acp_bucket_test(
@@ -152,9 +132,15 @@ def acp_bucket_test(
     if classified == 0:
         raise AnalysisError("no focal papers with resolved references in the window")
 
+    # ACP: citations from target-field papers into a bucket, per bucket paper.
     acps: list[float | None] = []
     for members in buckets:
-        acps.append(acp(graph, corpus, target_field, members) if members else None)
+        returns = sum(
+            target_field in corpus[q].fields
+            for pid in members
+            for q in graph.in_edges.get(pid, ())
+        )
+        acps.append(returns / len(members) if members else None)
     diff_pct = None
     if acps[0] is not None and acps[1] is not None and acps[1] > 0:
         diff_pct = (acps[0] - acps[1]) / acps[1] * 100.0

@@ -1,6 +1,5 @@
 """Field life-trajectory indicators: per-year cross/same citation ratios,
-partner-field rankings, co-tagging growth, evidence series, and heuristic
-three-phase labeling.
+co-tagging growth, evidence series, and heuristic three-phase labeling.
 
 Two ratio series drive the phase labeling:
 
@@ -29,11 +28,10 @@ fitted segment means (raw scale) ride along so callers can judge the fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import fsum, log
 
 from .errors import AnalysisError
-from .graph import CitationGraph, field_ref_counts
+from .graph import CitationGraph
 from .records import Corpus, TimeWindow, author_key
 from .report import MetricReport, base_metadata
 
@@ -80,91 +78,6 @@ def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[in
     refs = graph.out_edges.get(pid, ())
     same = sum(1 for rid in refs if corpus[rid].fields & fields)
     return len(refs) - same, same
-
-
-def tau_series(
-    graph: CitationGraph,
-    corpus: Corpus,
-    focal: int,
-    years: list[int] | None = None,
-) -> dict[int, float | None]:
-    """Per-year cross/same reference ratio of a field's papers.
-
-    None for years where the denominator (same-field references) is zero.
-    """
-    years = years if years is not None else corpus.years()
-    cross: dict[int, int] = {y: 0 for y in years}
-    same: dict[int, int] = {y: 0 for y in years}
-    for pid in corpus.papers_in(field=focal):
-        y = corpus[pid].year
-        if y not in cross:
-            continue
-        pcross, psame = _reference_split(graph, corpus, pid)
-        cross[y] += pcross
-        same[y] += psame
-    return {y: (cross[y] / same[y] if same[y] else None) for y in years}
-
-
-def zeta_series(
-    graph: CitationGraph,
-    corpus: Corpus,
-    focal: int,
-    years: list[int] | None = None,
-) -> dict[int, float | None]:
-    """Per-year cross/same citation ratio into a field's papers, by citing year.
-
-    Same-field citations come from papers carrying the focal tag; the rest
-    are cross-field. None where no same-field citations land in the year.
-    """
-    years = years if years is not None else corpus.years()
-    cross: dict[int, int] = {y: 0 for y in years}
-    same: dict[int, int] = {y: 0 for y in years}
-    for pid in corpus.by_field.get(focal, ()):
-        for q in graph.in_edges.get(pid, ()):
-            citer = corpus[q]
-            y = citer.year
-            if y not in cross:
-                continue
-            if focal in citer.fields:
-                same[y] += 1
-            else:
-                cross[y] += 1
-    return {y: (cross[y] / same[y] if same[y] else None) for y in years}
-
-
-def top_partner_fields(
-    graph: CitationGraph,
-    corpus: Corpus,
-    focal: int,
-    window: TimeWindow | None = None,
-    direction: str = "referred",
-    k: int = 5,
-) -> list[tuple[int, float]]:
-    """Fields the focal field most cites (``referred``) or is cited by (``citing``).
-
-    For ``referred`` the window selects the focal papers by publication
-    year; for ``citing`` it selects the citing papers. The focal field
-    itself is excluded; ties rank by field index; fewer than k partners
-    yields a shorter list. Counts follow the graph's multiplicity rule.
-    """
-    if direction not in ("referred", "citing"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if direction == "referred":
-        partners = chain.from_iterable(
-            graph.out_edges.get(pid, ())
-            for pid in corpus.papers_in(field=focal, window=window)
-        )
-    else:
-        partners = (
-            q
-            for pid in corpus.by_field.get(focal, ())
-            for q in graph.in_edges.get(pid, ())
-            if window is None or window.contains(corpus[q].year)
-        )
-    volume = field_ref_counts(corpus, partners, graph.multiplicity)
-    volume.pop(focal, None)
-    ranked = sorted(volume, key=lambda f: (-volume[f], f))
-    return [(f, volume[f]) for f in ranked[:k]]
 
 
 def cotag_report(
@@ -297,7 +210,7 @@ def field_trajectory(
     focal: int,
     years: list[int] | None = None,
 ) -> FieldTrajectory:
-    """Assemble the tau/zeta series for one field.
+    """The tau/zeta series of one field, None in a year without same-field counts.
 
     Default year span: from the field's first paper to the corpus's last
     year (incoming citations keep arriving after the field's last paper).
@@ -309,13 +222,26 @@ def field_trajectory(
     if years is None:
         first = min(corpus[pid].year for pid in members)
         years = list(range(first, corpus.years()[-1] + 1))
-    tau = tau_series(graph, corpus, focal, years)
-    zeta = zeta_series(graph, corpus, focal, years)
+    # [cross, same] per year: tau counts the references the field's papers
+    # emit in their own year, zeta the citations they receive by citing year.
+    tau = {y: [0, 0] for y in years}
+    zeta = {y: [0, 0] for y in years}
+    for pid in members:
+        counts = tau.get(corpus[pid].year)
+        if counts is not None:
+            pcross, psame = _reference_split(graph, corpus, pid)
+            counts[0] += pcross
+            counts[1] += psame
+        for q in graph.in_edges.get(pid, ()):
+            citer = corpus[q]
+            counts = zeta.get(citer.year)
+            if counts is not None:
+                counts[1 if focal in citer.fields else 0] += 1
     return FieldTrajectory(
         field=focal,
         years=tuple(years),
-        tau=tuple(tau[y] for y in years),
-        zeta=tuple(zeta[y] for y in years),
+        tau=tuple(cross / same if same else None for cross, same in map(tau.get, years)),
+        zeta=tuple(cross / same if same else None for cross, same in map(zeta.get, years)),
     )
 
 

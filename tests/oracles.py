@@ -150,28 +150,6 @@ def jif_direct(corpus: Corpus, venue: str, year: int) -> float | None:
     return cites / len(prior)
 
 
-def citing_field_counts_direct(
-    corpus: Corpus,
-    focal: int,
-    window: TimeWindow | None = None,
-    multiplicity: str = "full",
-) -> dict[int, float]:
-    """Per-field counts of the citations into a field's papers, by citing paper fields."""
-    counts: dict[int, float] = {}
-    for qid in corpus:
-        q = corpus[qid]
-        if window is not None and not window.contains(q.year):
-            continue
-        share = 1.0 if multiplicity == "full" else 1.0 / len(q.fields)
-        for rid in q.references:
-            cited = corpus.records.get(rid)
-            if cited is None or focal not in cited.fields:
-                continue
-            for f in q.fields:
-                counts[f] = counts.get(f, 0.0) + share
-    return counts
-
-
 def acp_direct(corpus: Corpus, source_field: int, targets: set[int]) -> float:
     total = 0
     for qid in corpus:
@@ -253,6 +231,27 @@ def tau_direct(corpus: Corpus, focal: int, year: int) -> float | None:
             if cited is None:
                 continue
             if cited.fields & p.fields:
+                same += 1
+            else:
+                cross += 1
+    return cross / same if same else None
+
+
+def zeta_direct(corpus: Corpus, focal: int, year: int) -> float | None:
+    """Cross/same citations made in the year into the focal field's papers.
+
+    A citation is same-field when the citing paper carries the focal tag.
+    """
+    cross = same = 0
+    for qid in corpus:
+        q = corpus[qid]
+        if q.year != year:
+            continue
+        for rid in q.references:
+            cited = corpus.records.get(rid)
+            if cited is None or focal not in cited.fields:
+                continue
+            if focal in q.fields:
                 same += 1
             else:
                 cross += 1

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from citefields import (
     CORPUS_GLOBAL, GeneratorSpec, TimeWindow, WINDOW_LOCAL,
     build_graph, build_keyword_sets, generate_corpus,
-    kdi_paper, paper_diversity, rank_fields, rdi_paper,
+    paper_diversity, rank_fields,
 )
-from citefields.diversity import rank_order
+from citefields.diversity import kdi_paper, rank_order, rdi_paper
 from conftest import corpus_of, rec
 from oracles import field_diversity_direct, kdi_direct, rdi_direct
 

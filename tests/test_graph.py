@@ -5,8 +5,9 @@ import pytest
 
 from citefields import (
     AnalysisError, FRACTIONAL, FULL_COUNT, GeneratorSpec, TimeWindow,
-    build_graph, field_flow, generate_corpus, parse_corpus, rdi_paper,
+    build_graph, field_flow, generate_corpus, parse_corpus,
 )
+from citefields.diversity import rdi_paper
 from citefields.graph import field_ref_counts
 from conftest import GOLDEN_RECORD, corpus_of, rec
 from oracles import field_counts_direct

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import (
     AnalysisError, GeneratorSpec, TimeWindow,
-    bucket_impact, build_graph, citations_received, compute_impact_scores, generate_corpus,
-    rdi_paper, top_cited_counts,
+    bucket_impact, build_graph, compute_impact_scores, generate_corpus, top_cited_counts,
 )
-from citefields.impact import _jif_lookup, bucket_assignment
+from citefields.diversity import rdi_paper
+from citefields.impact import _jif_lookup, bucket_assignment, citations_received
 from conftest import corpus_of, rec
 from oracles import citations_direct, cp_direct, jif_direct
 

@@ -10,9 +10,9 @@ from citefields import (
     GeneratorSpec, TimeWindow,
     acp_bucket_test, build_graph, build_keyword_sets, citation_fraction_matrix,
     compute_impact_scores, evidence_series, field_flow, generate_corpus, paper_diversity,
-    propensity_identity, propensity_uniform, rank_fields, rdi_paper,
-    tau_series, zeta_series,
+    field_trajectory, propensity_identity, propensity_uniform, rank_fields,
 )
+from citefields.diversity import rdi_paper
 
 FULL_RANGE = TimeWindow(1900, 2100)
 
@@ -53,8 +53,10 @@ def test_full_range_view_matches_corpus_on_every_metric(synth):
     r2 = acp_bucket_test(graph, corpus, 0, 1, span)
     assert r1.rows == r2.rows
 
-    assert tau_series(graph, corpus, 0, years) == tau_series(graph, corpus, 0)
-    assert zeta_series(graph, corpus, 0, years) == zeta_series(graph, corpus, 0)
+    default = field_trajectory(graph, corpus, 0)
+    wide = field_trajectory(graph, corpus, 0, list(range(FULL_RANGE.start, FULL_RANGE.end + 1)))
+    shared = slice(wide.years.index(default.years[0]), wide.years.index(default.years[-1]) + 1)
+    assert (wide.tau[shared], wide.zeta[shared]) == (default.tau, default.zeta)
     assert evidence_series(graph, corpus, years).rows == evidence_series(graph, corpus).rows
 
     s1 = compute_impact_scores(graph, corpus, window=FULL_RANGE)

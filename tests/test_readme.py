@@ -1,8 +1,11 @@
 """README's Library example runs as written against the current API."""
 
 import re
+from importlib import import_module
 from pathlib import Path
+from types import ModuleType
 
+import citefields
 from citefields import GeneratorSpec, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,3 +26,15 @@ def test_library_example_runs(tmp_path, monkeypatch):
     exec(compile(library_block(), str(README), "exec"), namespace)
     assert namespace["flow"].shape == (24, 24)
     assert (tmp_path / "rankings.csv").read_text(encoding="utf-8").startswith("#")
+
+
+def test_package_exports_the_readme_names_and_no_modules():
+    exported = set(citefields.__all__)
+    imported = re.search(r"from citefields import \((.*?)\)", library_block(), re.DOTALL).group(1)
+    assert {name.strip() for name in imported.split(",") if name.strip()} <= exported
+    assert not [name for name in exported if isinstance(getattr(citefields, name), ModuleType)]
+    # Per-paper kernels stay in their modules, outside the package namespace.
+    for name, module in (("rdi_paper", "diversity"), ("kdi_paper", "diversity"),
+                         ("citations_received", "impact")):
+        assert name not in exported and not hasattr(citefields, name)
+        assert callable(getattr(import_module(f"citefields.{module}"), name))

@@ -8,8 +8,8 @@ import pytest
 
 from citefields import (
     AnalysisError, DEFAULT_FIELDS, FieldTaxonomy, GeneratorSpec, TimeWindow,
-    acp, acp_bucket_test, build_graph, citation_fraction_matrix,
-    generate_corpus, pearson, pearson_report, reciprocity_pearson,
+    acp_bucket_test, build_graph, citation_fraction_matrix,
+    generate_corpus, pearson_report, reciprocity_pearson,
 )
 from conftest import corpus_of, rec
 from oracles import acp_direct, bucket_split_direct, fraction_matrix_direct, pearson_raw_moments
@@ -111,9 +111,9 @@ def test_pearson_group_restriction_and_nan_dropping():
 
 def test_pearson_degenerate_variance_errors():
     with pytest.raises(AnalysisError):
-        pearson([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        reciprocity_pearson(np.full((3, 3), 0.5))
     with pytest.raises(AnalysisError):
-        pearson([1.0], [1.0])
+        reciprocity_pearson(np.array([[1.0]]))
 
 
 def test_default_groups_resolve():
@@ -145,41 +145,56 @@ def test_pearson_report_drops_groups_missing_a_member():
     assert rows == [("all", *reciprocity_pearson(m, include_diagonal=False))]
 
 
+def _bucket_acps(graph, corpus, focal, target, window):
+    rows = acp_bucket_test(graph, corpus, focal, target, window).rows
+    return {row[2]: row[4] for row in rows}
+
+
 def test_acp_no_citations_zero_and_direct_division():
+    # Focal papers 1 and 2 cite only field 1, so they form bucket 1 against
+    # target field 1 and bucket 2 against target field 2. Paper 3 (field 1)
+    # cites paper 1: one return citation over two bucket papers.
     corpus = corpus_of(
-        rec(1, fields=(0,)), rec(2, fields=(0,)),
-        rec(3, fields=(1,), refs=(1,)),
+        rec(1, year=1990, fields=(0,), refs=(4,)),
+        rec(2, year=1990, fields=(0,), refs=(4,)),
+        rec(3, year=1995, fields=(1,), refs=(1,)),
+        rec(4, year=1985, fields=(1,)),
     )
     graph = build_graph(corpus)
-    assert acp(graph, corpus, 2, {1, 2}) == 0.0
-    assert acp(graph, corpus, 1, {1, 2}) == 0.5
-    with pytest.raises(AnalysisError):
-        acp(graph, corpus, 0, set())
+    window = TimeWindow(1990, 1990)
+    assert _bucket_acps(graph, corpus, 0, 1, window) == {"bucket-1": 0.5, "bucket-2": None}
+    assert _bucket_acps(graph, corpus, 0, 2, window) == {"bucket-1": None, "bucket-2": 0.0}
 
 
 def test_acp_ten_citations_into_four_papers():
-    targets = [rec(i, fields=(0,)) for i in range(1, 5)]
+    targets = [rec(i, year=2000, fields=(0,), refs=(50,)) for i in range(1, 5)]
     citers = []
     cid = 100
     for t in (1, 1, 1, 2, 2, 3, 3, 3, 3, 4):
         citers.append(rec(cid, fields=(1,), refs=(t,), year=2001))
         cid += 1
-    corpus = corpus_of(*(targets + citers))
+    corpus = corpus_of(rec(50, year=1999, fields=(1,)), *(targets + citers))
     graph = build_graph(corpus)
-    assert acp(graph, corpus, 1, {1, 2, 3, 4}) == 2.5
+    acps = _bucket_acps(graph, corpus, 0, 1, TimeWindow(2000, 2000))
+    assert acps["bucket-1"] == 2.5
 
 
 def test_acp_matches_brute_force():
-    corpus = generate_corpus(GeneratorSpec(seed=44, field_count=4, years_span=10))
+    corpus = generate_corpus(GeneratorSpec(seed=44, field_count=4, years_span=10,
+                                           multi_tag_probability=0.2))
     graph = build_graph(corpus)
-    rng = random.Random(0)
-    ids = list(corpus)
-    for _ in range(10):
-        targets = set(rng.sample(ids, rng.randint(1, 20)))
-        for f in range(4):
-            assert acp(graph, corpus, f, targets) == pytest.approx(
-                acp_direct(corpus, f, targets), rel=1e-12
-            )
+    window = TimeWindow(1972, 1977)
+    for focal in range(4):
+        for target in range(4):
+            acps = _bucket_acps(graph, corpus, focal, target, window)
+            for label, members in zip(("bucket-1", "bucket-2"),
+                                      bucket_split_direct(corpus, focal, target, window)):
+                if members:
+                    assert acps[label] == pytest.approx(
+                        acp_direct(corpus, target, members), rel=1e-12
+                    )
+                else:
+                    assert acps[label] is None
 
 
 def _reciprocation_corpus():

@@ -7,10 +7,11 @@ import pytest
 
 from citefields import (
     AnalysisError, GeneratorSpec, PlantedLifecycle, STRICT,
-    build_graph, field_flow, generate, generate_corpus, load_generator_spec,
-    parse_corpus, propensity_identity, propensity_mixed, propensity_uniform,
-    rdi_paper, tau_series,
+    build_graph, field_flow, field_trajectory, generate, generate_corpus,
+    load_generator_spec, parse_corpus, propensity_identity, propensity_mixed,
+    propensity_uniform,
 )
+from citefields.diversity import rdi_paper
 
 
 def test_same_seed_identical_bytes():
@@ -56,7 +57,7 @@ def test_identity_propensity_gives_zero_tau():
     corpus = generate_corpus(spec)
     graph = build_graph(corpus)
     for f in range(k):
-        for value in tau_series(graph, corpus, f).values():
+        for value in field_trajectory(graph, corpus, f).tau:
             assert value in (None, 0.0)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from citefields import TimeWindow, parse_corpus
 from citefields.cli import _COMMANDS
 from conftest import child_env
 
@@ -59,8 +60,15 @@ def test_traced_runner_completes(label, tiny_corpus):
     assert ("graph.build" in names) is (label not in NO_GRAPH)
     if label == "rank-kdi":
         assert {"diversity.rank_fields", "diversity.build_keyword_sets"} <= names
+    counts = json.loads(spans.read_text())["counts"]
+    if label in ("rank", "rank-kdi"):
+        # One counted per-paper score for each paper of the ranked window.
+        with open(tiny_corpus, "rb") as fh:
+            corpus, _report = parse_corpus(fh)
+        papers = len(corpus.papers_in(window=TimeWindow(1970, 1974)))
+        metric = "rdi" if label == "rank" else "kdi"
+        assert counts[f"diversity.{metric}_paper_calls"] == papers
     if label == "impact":
         # One counted cp rule call per scored paper, that is per report row.
-        counts = json.loads(spans.read_text())["counts"]
         rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert counts["graph.citations_received_calls"] == len(rows) - 1

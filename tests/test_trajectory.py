@@ -1,18 +1,25 @@
-"""Trajectory indicators: tau/zeta series, partners, cotag, evidence, phases."""
+"""Trajectory indicators: tau/zeta series, cotag, evidence, phases."""
 
 import pytest
 
 from citefields import (
-    FRACTIONAL, AnalysisError, Corpus, FieldTrajectory, GeneratorSpec, TimeWindow,
+    AnalysisError, Corpus, FieldTrajectory, GeneratorSpec, TimeWindow,
     build_graph, cotag_report, detect_phases, evidence_series,
-    field_trajectory, generate_corpus, tau_series, top_partner_fields,
-    zeta_series,
+    field_trajectory, generate_corpus,
 )
 from citefields.trajectory import _ratio_level_split, _two_segment_split
 from conftest import corpus_of, rec
-from oracles import (
-    author_breadth_direct, citing_field_counts_direct, field_counts_direct, tau_direct,
-)
+from oracles import author_breadth_direct, tau_direct, zeta_direct
+
+
+def tau_by_year(graph, corpus, focal, years):
+    trajectory = field_trajectory(graph, corpus, focal, years)
+    return dict(zip(trajectory.years, trajectory.tau))
+
+
+def zeta_by_year(graph, corpus, focal, years):
+    trajectory = field_trajectory(graph, corpus, focal, years)
+    return dict(zip(trajectory.years, trajectory.zeta))
 
 
 def test_tau_all_in_field_is_zero():
@@ -21,7 +28,7 @@ def test_tau_all_in_field_is_zero():
         rec(2, year=1999, fields=(0,)), rec(3, year=1999, fields=(0,)),
     )
     graph = build_graph(corpus)
-    assert tau_series(graph, corpus, 0, [2000])[2000] == 0.0
+    assert tau_by_year(graph, corpus, 0, [2000])[2000] == 0.0
 
 
 def test_tau_pooled_two_cross_one_same():
@@ -32,7 +39,7 @@ def test_tau_pooled_two_cross_one_same():
         rec(5, year=1999, fields=(0,)),
     )
     graph = build_graph(corpus)
-    assert tau_series(graph, corpus, 0, [2000])[2000] == 2.0
+    assert tau_by_year(graph, corpus, 0, [2000])[2000] == 2.0
 
 
 def test_tau_shared_field_rule_with_multi_tagged_cited():
@@ -42,7 +49,7 @@ def test_tau_shared_field_rule_with_multi_tagged_cited():
         rec(3, year=1999, fields=(1,)),    # cross
     )
     graph = build_graph(corpus)
-    assert tau_series(graph, corpus, 0, [2000])[2000] == 1.0
+    assert tau_by_year(graph, corpus, 0, [2000])[2000] == 1.0
 
 
 def test_tau_missing_when_no_same_field_refs():
@@ -51,7 +58,7 @@ def test_tau_missing_when_no_same_field_refs():
         rec(2, year=1999, fields=(1,)),
     )
     graph = build_graph(corpus)
-    assert tau_series(graph, corpus, 0, [2000, 2001]) == {2000: None, 2001: None}
+    assert tau_by_year(graph, corpus, 0, [2000, 2001]) == {2000: None, 2001: None}
 
 
 def test_tau_per_paper_mode():
@@ -65,7 +72,7 @@ def test_tau_per_paper_mode():
     graph = build_graph(corpus)
     # Pooled over the year's papers: 2 cross / 3 same, not the per-paper
     # mean (0/2 + 2/1) / 2 = 1.0.
-    assert tau_series(graph, corpus, 0, [2000])[2000] == pytest.approx(2 / 3)
+    assert tau_by_year(graph, corpus, 0, [2000])[2000] == pytest.approx(2 / 3)
 
 
 def test_tau_matches_direct_oracle():
@@ -73,8 +80,22 @@ def test_tau_matches_direct_oracle():
                                            multi_tag_probability=0.25))
     graph = build_graph(corpus)
     for y in corpus.years():
-        got = tau_series(graph, corpus, 0, [y])[y]
+        got = tau_by_year(graph, corpus, 0, [y])[y]
         want = tau_direct(corpus, 0, y)
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_zeta_matches_direct_oracle():
+    corpus = generate_corpus(GeneratorSpec(seed=31, field_count=4, years_span=10,
+                                           multi_tag_probability=0.25))
+    graph = build_graph(corpus)
+    trajectory = field_trajectory(graph, corpus, 0)
+    assert trajectory.years[-1] == corpus.years()[-1]
+    for y, got in zip(trajectory.years, trajectory.zeta):
+        want = zeta_direct(corpus, 0, y)
         if want is None:
             assert got is None
         else:
@@ -87,7 +108,7 @@ def test_zeta_only_self_citations_zero():
         rec(2, year=2001, fields=(0,), refs=(1,)),
     )
     graph = build_graph(corpus)
-    assert zeta_series(graph, corpus, 0, [2001])[2001] == 0.0
+    assert zeta_by_year(graph, corpus, 0, [2001])[2001] == 0.0
 
 
 def test_zeta_three_external_two_internal():
@@ -101,7 +122,7 @@ def test_zeta_three_external_two_internal():
         cid += 1
     corpus = corpus_of(*records)
     graph = build_graph(corpus)
-    assert zeta_series(graph, corpus, 0, [2003])[2003] == 1.5
+    assert zeta_by_year(graph, corpus, 0, [2003])[2003] == 1.5
 
 
 def test_zeta_indexed_by_citing_year_by_default():
@@ -111,78 +132,9 @@ def test_zeta_indexed_by_citing_year_by_default():
         rec(3, year=2005, fields=(0,), refs=(1,)),
     )
     graph = build_graph(corpus)
-    by_citing = zeta_series(graph, corpus, 0, [2000, 2005])
+    by_citing = zeta_by_year(graph, corpus, 0, [2000, 2005])
     assert by_citing[2000] is None
     assert by_citing[2005] == 1.0
-
-
-def test_top_partner_fields_referred_and_ties():
-    records = [
-        rec(1, year=2000, fields=(0,), refs=(10, 11, 12, 13)),
-        rec(10, year=1999, fields=(1,)), rec(11, year=1999, fields=(1,)),
-        rec(12, year=1999, fields=(2,)), rec(13, year=1999, fields=(3,)),
-    ]
-    corpus = corpus_of(*records)
-    graph = build_graph(corpus)
-    partners = top_partner_fields(graph, corpus, 0, direction="referred")
-    assert partners == [(1, 2.0), (2, 1.0), (3, 1.0)]  # tie 2 vs 3 by index
-    assert top_partner_fields(graph, corpus, 0, direction="referred", k=1) == [(1, 2.0)]
-
-
-def test_top_partner_fields_single_partner():
-    corpus = corpus_of(
-        rec(1, year=2000, fields=(0,), refs=(2,)), rec(2, year=1999, fields=(1,)),
-    )
-    graph = build_graph(corpus)
-    assert top_partner_fields(graph, corpus, 0, direction="referred") == [(1, 1.0)]
-
-
-def test_top_partner_fields_citing_window_on_citers():
-    corpus = corpus_of(
-        rec(1, year=2000, fields=(0,)),
-        rec(2, year=2001, fields=(1,), refs=(1,)),
-        rec(3, year=2010, fields=(2,), refs=(1,)),
-    )
-    graph = build_graph(corpus)
-    partners = top_partner_fields(
-        graph, corpus, 0, window=TimeWindow(2000, 2005), direction="citing"
-    )
-    assert partners == [(1, 1.0)]
-
-
-def test_top_partner_excludes_focal_field():
-    corpus = corpus_of(
-        rec(1, year=2000, fields=(0,), refs=(2, 3)),
-        rec(2, year=1999, fields=(0,)), rec(3, year=1999, fields=(1,)),
-    )
-    graph = build_graph(corpus)
-    partners = top_partner_fields(graph, corpus, 0, direction="referred")
-    assert partners == [(1, 1.0)]
-
-
-@pytest.mark.parametrize("window", [None, TimeWindow(1972, 1976)])
-@pytest.mark.parametrize("direction", ["referred", "citing"])
-def test_top_partner_fields_fractional_matches_direct_counts(direction, window):
-    spec = GeneratorSpec(seed=13, field_count=5, years_span=10, multi_tag_probability=0.4)
-    corpus = generate_corpus(spec)
-    graph = build_graph(corpus, FRACTIONAL)
-    focal = 1
-    if direction == "referred":
-        want: dict[int, float] = {}
-        for pid in corpus:
-            p = corpus[pid]
-            if focal in p.fields and (window is None or window.contains(p.year)):
-                for f, v in field_counts_direct(corpus, pid, FRACTIONAL).items():
-                    want[f] = want.get(f, 0.0) + v
-    else:
-        want = citing_field_counts_direct(corpus, focal, window, FRACTIONAL)
-    want.pop(focal, None)
-    assert any(v != int(v) for v in want.values())  # fractions are in play
-    partners = top_partner_fields(
-        graph, corpus, focal, window=window, direction=direction, k=len(corpus.taxonomy)
-    )
-    assert partners == sorted(partners, key=lambda p: (-p[1], p[0]))
-    assert dict(partners) == pytest.approx(want, rel=1e-12)
 
 
 def test_cotag_counts_and_probability():
