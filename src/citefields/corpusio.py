@@ -28,9 +28,12 @@ line is dispatched on the tag's second character; the current block's tags
 are kept in local variables and validated when a blank or whitespace-only
 line ends the block. A ``#k`` line is normalized as a whole and its
 keywords are kept as a tuple of distinct values in ascending order (a tuple
-takes 40 + 8n bytes, a frozenset of up to 4 items 216). The references of
-a block are converted in one ``map(int, ...)``; they are checked line by
-line only when that fails or finds a negative, self or repeated id. Field
+takes 40 + 8n bytes, a frozenset of up to 4 items 216). An id, year or
+reference is ASCII digits only: ``int()`` alone would also take a sign, an
+underscore or another script's digits. The references of a block are
+checked with one ASCII-digit test over their joined values and converted in
+one ``map(int, ...)``; they are checked line by line only when that fails
+or finds a self or repeated id. Field
 label lookups and field-index sets, both bounded by the taxonomy, are
 memoized per parse. Author names, venues and keywords are not interned:
 what that saves depends on how often the input repeats them, and on mostly
@@ -223,22 +226,18 @@ def _parse(
         if index_raw is None:
             emit(first_line, ERROR, "missing-index", "record has no #index line")
             return None
-        try:
-            pid = int(index_raw)
-            if pid < 0:
-                raise ValueError
-        except ValueError:
+        if not (index_raw.isascii() and index_raw.isdigit()):
             emit(index_line, ERROR, "malformed-index",
                  f"bad paper id {index_raw!r}")
             return None
+        pid = int(index_raw)
         if pid in seen_ids:
             emit(index_line, ERROR, "duplicate-id", f"paper id {pid} already seen")
             return None
 
-        try:
-            year = int(year_raw) if year_raw is not None else None
-        except ValueError:
-            year = None
+        year = None
+        if year_raw is not None and year_raw.isascii() and year_raw.isdigit():
+            year = int(year_raw)
         if year is None or not (_SANE_YEARS[0] <= year <= _SANE_YEARS[1]):
             emit(year_line or first_line, ERROR, "malformed-year",
                  f"missing or out-of-range year {year_raw!r}")
@@ -273,23 +272,22 @@ def _parse(
             fields = fieldsets[key] = frozenset(key)
 
         # All references at once; line by line only to say what is wrong.
+        # An empty value adds no character to the joined check; int() refuses it.
+        digits = "".join(ref_raws)
         try:
             refs = tuple(map(int, ref_raws))
-            clean = not refs or (min(refs) >= 0 and pid not in refs
-                                 and len(set(refs)) == len(refs))
+            clean = not refs or (digits.isascii() and digits.isdigit()
+                                 and pid not in refs and len(set(refs)) == len(refs))
         except ValueError:
             clean = False
         if not clean:
             kept: dict[int, None] = {}
             for lineno, raw in zip(ref_lines, ref_raws):
-                try:
-                    rid = int(raw)
-                    if rid < 0:
-                        raise ValueError
-                except ValueError:
+                if not (raw.isascii() and raw.isdigit()):
                     emit(lineno, WARNING, "malformed-reference",
                          f"bad reference id {raw!r}, dropped")
                     continue
+                rid = int(raw)
                 if rid == pid:
                     emit(lineno, WARNING, "self-reference",
                          f"paper {pid} references itself, dropped")

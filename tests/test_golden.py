@@ -106,9 +106,10 @@ DEFECT_INVOCATIONS = {
 # Parser edge cases on records that mostly parse: keyword lines with tabs,
 # doubled spaces, U+00A0, U+3000 and U+001C (all whitespace to ``str.split``),
 # " , " separators, empty items and case-fold expansions (sharp s, the fi
-# ligature, dotted capital I, final sigma); the reference spellings ``+5``,
-# `` 7 ``, ``1_0`` and U+001C around an id (all accepted by ``int``), ``-3``
-# and ``x7`` (dropped), a self reference and a duplicate; CRLF lines; a
+# ligature, dotted capital I, final sigma); the reference spellings `` 7 ``,
+# ``007`` and U+001C around an id (all kept), ``+5``, ``1_0``, ``-3`` and
+# ``x7`` (dropped: ``int`` takes the first two, the parser only ASCII
+# digits), a self reference and a duplicate; CRLF lines; a
 # non-UTF-8 title, keyword line and comment line. Keywords overlap across
 # fields so ``rank --metric kdi`` has values to rank.
 EDGE_CORPUS = (

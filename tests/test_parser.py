@@ -88,6 +88,10 @@ def test_parsed_plus_skipped_equals_blocks():
         ("#t1899", "malformed-year"),
         ("#t2101", "malformed-year"),
         ("", "malformed-year"),  # no #t line at all
+        # int() takes these spellings; a year is ASCII digits only.
+        ("#t2_000", "malformed-year"),
+        ("#t+2000", "malformed-year"),
+        ("#t\u0662\u0660\u0660\u0660", "malformed-year"),
     ],
 )
 def test_year_problems(mutation, code):
@@ -97,6 +101,26 @@ def test_year_problems(mutation, code):
     corpus, report = parse_corpus("\n".join(lines))
     assert len(corpus) == 0
     assert report.errors()[0].code == code
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "+5", "\u0663", "-4", "5 5"])
+def test_index_spellings_other_than_ascii_digits_are_malformed(spelling):
+    text = f"#*A\n#t2000\n#fDatabases\n#index{spelling}\n"
+    corpus, report = parse_corpus(text)
+    assert len(corpus) == 0
+    [error] = report.errors()
+    assert (error.code, error.message) == ("malformed-index", f"bad paper id {spelling!r}")
+    with pytest.raises(ParseError):
+        parse_corpus(text, strictness=STRICT)
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "+5", "\u0663", "-3", ""])
+def test_reference_spellings_other_than_ascii_digits_are_dropped(spelling):
+    text = f"#*A\n#t2000\n#fDatabases\n#index7\n#%4\n#%{spelling}\n#%008\n"
+    corpus, report = parse_corpus(text, strictness=STRICT)
+    assert corpus[7].references == (4, 8)
+    [warning] = report.diagnostics
+    assert (warning.line, warning.code) == (6, "malformed-reference")
 
 
 def test_sane_year_bounds_are_inclusive():
