@@ -84,7 +84,10 @@ class Corpus:
 
     ``records`` iterates in ascending id order, and ``by_field[f]`` and
     ``by_year[y]`` are ascending id tuples, all filled in one pass over the
-    records sorted by id.
+    records sorted by id. Unless the parser built them, the records are
+    validated, keywords included: each must be as the parser stores it
+    (non-empty, trimmed, single-spaced, case-folded, without a comma), so
+    ``serialize_corpus`` round-trips every corpus.
     """
 
     __slots__ = ("records", "taxonomy", "by_field", "by_year")
@@ -118,6 +121,10 @@ class Corpus:
                 kw = rec.keywords
                 if type(kw) is not tuple or any(a >= b for a, b in zip(kw, kw[1:])):
                     raise ValueError(f"paper {rec.id} keywords are not a strictly ascending tuple")
+                # As the parser stores them, so that a serialized corpus re-parses equal.
+                for k in kw:
+                    if not k or "," in k or " ".join(k.split()).casefold() != k:
+                        raise ValueError(f"paper {rec.id} keyword {k!r} is not normalized")
             self.records[rec.id] = rec
             for f in rec.fields:
                 by_field.setdefault(f, []).append(rec.id)

@@ -1,6 +1,7 @@
 """Corpus model: partitions, windows, stats."""
 
 import random
+import re
 
 import pytest
 
@@ -104,6 +105,17 @@ def test_corpus_rejects_keywords_that_are_not_an_ascending_tuple(keywords):
     bad = rec(2)._replace(keywords=keywords)
     with pytest.raises(ValueError, match="paper 2 keywords"):
         corpus_of(rec(1, keywords=("a", "b")), bad)
+
+
+@pytest.mark.parametrize("keyword", [
+    "Data,Mining", "Data", " data", "data ", "data  mining", "data\tmining", "stra\u00dfe", "",
+])
+def test_corpus_rejects_keywords_the_parser_would_not_store(keyword):
+    # serialize_corpus writes "#kData,Mining", which re-parses as ("data",
+    # "mining"): only normalized keywords round-trip.
+    bad = rec(2)._replace(keywords=(keyword,))
+    with pytest.raises(ValueError, match=re.escape(f"paper 2 keyword {keyword!r} is not normalized")):
+        corpus_of(rec(1, keywords=("data mining", "strasse")), bad)
 
 
 def test_paper_record_is_immutable_and_compares_by_value():
