@@ -32,8 +32,8 @@ from .trajectory import (
     field_trajectory, phases_report, trajectory_report,
 )
 
-# The generator is the one module that needs numpy at import time. Its names
-# are looked up on first use, so ``import citefields`` and the CLI's
+# The generator is the one module that needs numpy at import time. It and its
+# names are looked up on first use, so ``import citefields`` and the CLI's
 # subcommands other than ``generate`` start without numpy.
 _SYNTH_NAMES = (
     "GeneratorSpec", "PlantedLifecycle",

@@ -33,14 +33,14 @@ reference is ASCII digits only: ``int()`` alone would also take a sign, an
 underscore or another script's digits. The references of a block are
 checked with one ASCII-digit test over their joined values and converted in
 one ``map(int, ...)``; they are checked line by line only when that fails
-or finds a self or repeated id. Field
-label lookups and field-index sets, both bounded by the taxonomy, are
-memoized per parse. Author names, venues and keywords are not interned:
-what that saves depends on how often the input repeats them, and on mostly
-distinct values it costs memory. The cyclic garbage collector is paused for
-the parse and its previous state restored afterwards: each collection pass
-would rescan every record built so far, while the parse leaves no cycle
-that must be freed before it returns. The cost is O(lines) time. On a
+or finds a self or repeated id. Field label lookups and field-index sets,
+both bounded by the taxonomy, are memoized per parse. Author names, venues
+and keywords are not interned: what that saves depends on how often the
+input repeats them, and on mostly distinct values it costs memory. The
+cyclic garbage collector is paused for the parse and its previous state
+restored afterwards: each collection pass would rescan every record built
+so far, while the parse leaves no cycle that must be freed before it
+returns. The cost is O(lines) time. On a
 2-vCPU Xeon VM the 100k-record C9 corpus (19 MB, read from a binary file)
 parses in about 2.3 s to a 146 MiB process peak, against 2.9 s and 182 MiB
 with per-line decoding, frozenset keywords and a frozen-dataclass record

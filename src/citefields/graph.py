@@ -53,10 +53,10 @@ def field_ref_counts(
 ) -> dict[int, float]:
     """Per-field counts of the given paper ids under the multiplicity rule.
 
-    The callers pass the papers one paper cites. Ids that do not resolve
-    are skipped.
-    Each field has its own accumulator, filled in the order the ids are
-    given, so repeated runs are bit-identical even in fractional mode.
+    The callers pass the papers one paper cites; ids that do not resolve
+    are skipped. Each field has its own accumulator, filled in the order
+    the ids are given, so repeated runs are bit-identical even in
+    fractional mode.
     """
     records = corpus.records
     counts: dict[int, float] = {}

@@ -87,7 +87,7 @@ class Corpus:
     records sorted by id. Unless the parser built them, the records are
     validated, keywords included: each must be as the parser stores it
     (non-empty, trimmed, single-spaced, case-folded, without a comma), so
-    ``serialize_corpus`` round-trips every corpus.
+    ``serialize_corpus`` writes keywords that re-parse equal.
     """
 
     __slots__ = ("records", "taxonomy", "by_field", "by_year")
