@@ -32,9 +32,9 @@ from .trajectory import (
     field_trajectory, phases_report, trajectory_report,
 )
 
-# The generator is the one module that needs numpy at import time. It and its
-# names are looked up on first use, so ``import citefields`` and the CLI's
-# subcommands other than ``generate`` start without numpy.
+# The generator is the one module that uses numpy. It and its names are
+# looked up on first use, so ``import citefields``, every analysis and the
+# CLI's subcommands other than ``generate`` run without numpy.
 _SYNTH_NAMES = (
     "GeneratorSpec", "PlantedLifecycle",
     "generate", "generate_corpus", "load_generator_spec",

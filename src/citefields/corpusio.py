@@ -62,7 +62,7 @@ from itertools import chain, islice
 from typing import IO, Iterator
 
 from .errors import ParseError
-from .records import Corpus, PaperRecord
+from .records import YEAR_RANGE, Corpus, PaperRecord
 from .taxonomy import FieldTaxonomy
 
 logger = logging.getLogger(__name__)
@@ -74,8 +74,6 @@ ERROR = "error"
 WARNING = "warning"
 
 COMMENT_PREFIX = "%%"
-
-_SANE_YEARS = (1900, 2100)
 
 CHUNK_SIZE = 1 << 16  # bytes of binary input decoded at a time
 
@@ -238,7 +236,7 @@ def _parse(
         year = None
         if year_raw is not None and year_raw.isascii() and year_raw.isdigit():
             year = int(year_raw)
-        if year is None or not (_SANE_YEARS[0] <= year <= _SANE_YEARS[1]):
+        if year is None or not (YEAR_RANGE[0] <= year <= YEAR_RANGE[1]):
             emit(year_line or first_line, ERROR, "malformed-year",
                  f"missing or out-of-range year {year_raw!r}")
             return None

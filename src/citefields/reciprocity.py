@@ -1,13 +1,16 @@
 """Field-to-field citation fractions, reciprocity correlation, and the
 return-citation bucket test.
 
-The citation-fraction matrix row-normalizes field-level reference flow;
-reciprocity is the Pearson correlation over the point set {(M[i][j],
-M[j][i])} for all ordered field pairs, diagonal included by default (the
-full grid), with an exclusion flag since self-pairs sit exactly on y = x
-and inflate the correlation. ``pearson_report`` adds the same correlation
-within each built-in group of related fields, resolved against the
-taxonomy by abbreviation.
+The citation-fraction matrix row-normalizes field-level reference flow
+into a list of rows of Python floats, without numpy. ``_row_total`` adds
+each row in the order of numpy's pairwise ``sum(axis=1)``, which the
+reports were first written with, so every fraction keeps its last bit and
+every report its bytes. Reciprocity is the Pearson correlation over the
+point set {(M[i][j], M[j][i])} for all ordered field pairs, diagonal
+included by default (the full grid), with an exclusion flag since
+self-pairs sit exactly on y = x and inflate the correlation.
+``pearson_report`` adds the same correlation within each built-in group of
+related fields, resolved against the taxonomy by abbreviation.
 
 The bucket test asks whether papers that lean heavily on a target field
 (more than half of their references) earn more return citations from that
@@ -16,17 +19,14 @@ field than papers that do not.
 
 from __future__ import annotations
 
-from math import fsum, isnan, sqrt
-from typing import TYPE_CHECKING, Iterable
+from math import fsum, isnan, nan, sqrt
+from typing import Iterable, Sequence
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_flow, field_ref_counts
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # Related-field groupings used for per-group reciprocity. Groups overlap
@@ -41,50 +41,78 @@ _DEFAULT_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
+def _row_total(row: Sequence[float]) -> float:
+    """Sum of ``row`` added in the order of numpy's pairwise ``sum(axis=1)``.
+
+    Fewer than 8 values are added in order. Up to 128 values go into 8
+    interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    and the tail past the last multiple of 8 is added in order. A longer row
+    is split in half, rounded down to a multiple of 8, and each half summed
+    the same way. Float addition is not associative, so any other order could
+    move a fraction, and a report, by the last bit.
+    """
+    n = len(row)
+    if n < 8:
+        total = 0.0
+        for x in row:
+            total += x
+        return total
+    if n <= 128:
+        cut = n - n % 8
+        r = list(row[:8])
+        for start in range(8, cut, 8):
+            for k in range(8):
+                r[k] += row[start + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in row[cut:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _row_total(row[:half]) + _row_total(row[half:])
+
+
 def citation_fraction_matrix(
     graph: CitationGraph,
     corpus: Corpus,
     window: TimeWindow | None = None,
-) -> np.ndarray:
+) -> list[list[float]]:
     """M[i][j] = fraction of field i's resolved references that point to field j.
 
-    Rows with no outflow are NaN. With a window, only references emitted by
-    papers published inside it are counted.
+    One row per taxonomy field. Rows with no outflow are all NaN. With a
+    window, only references emitted by papers published inside it are
+    counted.
     """
-    import numpy as np  # see graph.field_flow
-
-    n = len(corpus.taxonomy)
-    flow = field_flow(graph, corpus, window)
-    totals = flow.sum(axis=1)
-    matrix = np.full((n, n), np.nan)
-    for i in range(n):
-        if totals[i] > 0:
-            matrix[i] = flow[i] / totals[i]
+    matrix = []
+    for row in field_flow(graph, corpus, window):
+        total = _row_total(row)
+        matrix.append([x / total for x in row] if total > 0 else [nan] * len(row))
     return matrix
 
 
 def reciprocity_pearson(
-    matrix: np.ndarray,
+    matrix: Sequence[Sequence[float]],
     members: Iterable[int] | None = None,
     include_diagonal: bool = True,
 ) -> tuple[float, int]:
     """Correlation between forward and return citation fractions.
 
     Point set: (M[i][j], M[j][i]) for every ordered pair of the member
-    field indices (or of all fields); pairs with a missing coordinate are
-    dropped. Returns (r, points used) with r the centered-moment Pearson
-    correlation; fewer than two points or a zero variance raise
-    ``AnalysisError``.
+    field indices (or of all fields); pairs with a missing (NaN) coordinate
+    are dropped. ``matrix`` is read as ``matrix[i][j]``, so a list of rows
+    and a 2-D array both serve. Returns (r, points used) with r the
+    centered-moment Pearson correlation; fewer than two points or a zero
+    variance raise ``AnalysisError``.
     """
-    indices = sorted(members) if members is not None else range(matrix.shape[0])
+    indices = sorted(members) if members is not None else range(len(matrix))
     xs: list[float] = []
     ys: list[float] = []
     for i in indices:
         for j in indices:
             if i == j and not include_diagonal:
                 continue
-            x = matrix[i, j]
-            y = matrix[j, i]
+            x = matrix[i][j]
+            y = matrix[j][i]
             if isnan(x) or isnan(y):
                 continue
             xs.append(float(x))
@@ -171,7 +199,7 @@ def acp_bucket_test(
     return report
 
 
-def matrix_report(matrix: np.ndarray, taxonomy: FieldTaxonomy, window: TimeWindow | None = None) -> MetricReport:
+def matrix_report(matrix: Sequence[Sequence[float]], taxonomy: FieldTaxonomy, window: TimeWindow | None = None) -> MetricReport:
     """Citation-fraction matrix as CSV-able rows with abbreviation headers."""
     abbrs = [taxonomy.abbr(i) for i in taxonomy.indices]
     report = MetricReport(
@@ -180,13 +208,13 @@ def matrix_report(matrix: np.ndarray, taxonomy: FieldTaxonomy, window: TimeWindo
         metadata=base_metadata("citation-fractions", window=window_label(window)),
     )
     for i in taxonomy.indices:
-        row = [None if isnan(matrix[i, j]) else float(matrix[i, j]) for j in taxonomy.indices]
+        row = [None if isnan(matrix[i][j]) else float(matrix[i][j]) for j in taxonomy.indices]
         report.add_row(abbrs[i], *row)
     return report
 
 
 def pearson_report(
-    matrix: np.ndarray,
+    matrix: Sequence[Sequence[float]],
     taxonomy: FieldTaxonomy,
     include_diagonal: bool = True,
     window: TimeWindow | None = None,

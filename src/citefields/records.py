@@ -20,6 +20,8 @@ from .errors import AnalysisError
 from .report import MetricReport, base_metadata
 from .taxonomy import FieldTaxonomy
 
+YEAR_RANGE = (1900, 2100)  # inclusive; the parser skips a record dated outside it
+
 
 @dataclass(frozen=True, slots=True)
 class TimeWindow:
@@ -37,15 +39,26 @@ class TimeWindow:
 
     @classmethod
     def parse(cls, text: str) -> "TimeWindow":
-        """Parse the CLI form ``START:END``."""
-        try:
-            start_s, end_s = text.split(":")
-            return cls(int(start_s), int(end_s))
-        except ValueError as exc:
-            raise ValueError(f"bad window {text!r}, expected START:END") from exc
+        """Parse the CLI form ``START:END``, each year ASCII digits only.
+
+        ``int()`` alone would also take a sign, an underscore, surrounding
+        whitespace or another script's digits, all of which the parser
+        refuses in ``#t``.
+        """
+        start_s, sep, end_s = text.partition(":")
+        if not (sep and start_s.isascii() and start_s.isdigit()
+                and end_s.isascii() and end_s.isdigit()):
+            raise ValueError(f"bad window {text!r}, expected START:END")
+        return cls(int(start_s), int(end_s))
 
     def __str__(self) -> str:
         return f"{self.start}:{self.end}"
+
+
+def _one_trimmed_line(text: str) -> bool:
+    """True when ``text`` holds no line break and has no edge whitespace,
+    which the parser would strip."""
+    return "\n" not in text and text.strip() == text
 
 
 def author_key(name: str) -> str:
@@ -85,9 +98,17 @@ class Corpus:
     ``records`` iterates in ascending id order, and ``by_field[f]`` and
     ``by_year[y]`` are ascending id tuples, all filled in one pass over the
     records sorted by id. Unless the parser built them, the records are
-    validated, keywords included: each must be as the parser stores it
-    (non-empty, trimmed, single-spaced, case-folded, without a comma), so
-    ``serialize_corpus`` writes keywords that re-parse equal.
+    validated, so that ``serialize_corpus`` writes every accepted corpus in a
+    form that re-parses equal. Each value must be as the parser stores it:
+
+    * authors and references tuples, and fields a frozenset;
+    * the year within ``YEAR_RANGE`` and every reference id non-negative;
+    * each keyword non-empty, trimmed, single-spaced, case-folded and
+      without a comma;
+    * each author name non-empty, trimmed and without a comma or line break;
+    * the title trimmed and without a line break;
+    * the venue and the abstract None, or non-empty, trimmed and without a
+      line break.
     """
 
     __slots__ = ("records", "taxonomy", "by_field", "by_year")
@@ -110,10 +131,19 @@ class Corpus:
                     raise ValueError(f"paper id {rec.id} is negative")
                 if rec.id in self.records:
                     raise ValueError(f"duplicate paper id {rec.id}")
+                if not (type(rec.authors) is type(rec.references) is tuple
+                        and type(rec.fields) is frozenset):
+                    raise ValueError(
+                        f"paper {rec.id} authors and references must be tuples, fields a frozenset"
+                    )
                 if not rec.fields:
                     raise ValueError(f"paper {rec.id} has no fields")
                 if any(f < 0 or f >= n_fields for f in rec.fields):
                     raise ValueError(f"paper {rec.id} has field index outside taxonomy")
+                if not YEAR_RANGE[0] <= rec.year <= YEAR_RANGE[1]:
+                    raise ValueError(f"paper {rec.id} year {rec.year} is outside {YEAR_RANGE}")
+                if any(rid < 0 for rid in rec.references):
+                    raise ValueError(f"paper {rec.id} has a negative reference id")
                 if len(set(rec.references)) != len(rec.references):
                     raise ValueError(f"paper {rec.id} has duplicate references")
                 if rec.id in rec.references:
@@ -121,10 +151,19 @@ class Corpus:
                 kw = rec.keywords
                 if type(kw) is not tuple or any(a >= b for a, b in zip(kw, kw[1:])):
                     raise ValueError(f"paper {rec.id} keywords are not a strictly ascending tuple")
-                # As the parser stores them, so that a serialized corpus re-parses equal.
                 for k in kw:
                     if not k or "," in k or " ".join(k.split()).casefold() != k:
                         raise ValueError(f"paper {rec.id} keyword {k!r} is not normalized")
+                for name in rec.authors:
+                    if not name or "," in name or not _one_trimmed_line(name):
+                        raise ValueError(f"paper {rec.id} author {name!r} is not a trimmed name")
+                if not _one_trimmed_line(rec.title):
+                    raise ValueError(f"paper {rec.id} title {rec.title!r} is not one trimmed line")
+                for tag, text in (("venue", rec.venue), ("abstract", rec.abstract)):
+                    if text is not None and not (text and _one_trimmed_line(text)):
+                        raise ValueError(
+                            f"paper {rec.id} {tag} {text!r} is neither None nor one trimmed line"
+                        )
             self.records[rec.id] = rec
             for f in rec.fields:
                 by_field.setdefault(f, []).append(rec.id)

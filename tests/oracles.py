@@ -3,12 +3,15 @@
 Everything here recomputes results directly from raw PaperRecord data with
 straight-line code (quadratic scans, raw-moment formulas), deliberately
 avoiding the library's graph/index structures so a bug cannot cancel out
-on both sides of a comparison.
+on both sides of a comparison. numpy serves here as a reference only; the
+library does not load it for any analysis.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from citefields import Corpus, TimeWindow
 
@@ -205,6 +208,11 @@ def bucket_split_direct(
         fraction = counts.get(target, 0.0) / resolved
         (bucket1 if fraction > threshold else bucket2).add(pid)
     return bucket1, bucket2
+
+
+def row_totals_numpy(rows) -> list[float]:
+    """Each row's total as numpy's ``sum(axis=1)`` adds it over a 2-D float64 array."""
+    return [float(total) for total in np.asarray(rows, dtype=np.float64).sum(axis=1)]
 
 
 def pearson_raw_moments(xs, ys) -> float:

@@ -132,9 +132,9 @@ def test_c3_citation_oracles_on_50_seeds():
             for i in range(len(want)):
                 for j in range(len(want)):
                     if want[i][j] is None:
-                        assert np.isnan(got[i, j]), (seed, i, j)
+                        assert math.isnan(got[i][j]), (seed, i, j)
                     else:
-                        assert got[i, j] == pytest.approx(want[i][j], rel=1e-12)
+                        assert got[i][j] == pytest.approx(want[i][j], rel=1e-12)
 
             for target in range(1, 4):
                 b1, b2 = bucket_split_direct(corpus, 0, target, window)

@@ -173,6 +173,10 @@ def test_unknown_flag_rejected_before_work(golden_file):
      "--threshold", "2"],
     ["acp", "--focal", "AI", "--target", "Algo", "--window", "1975:1985",
      "--threshold", "nan"],
+    # A year is ASCII digits only, as in #t: int() would take each of these.
+    ["rank", "--metric", "rdi", "--window", "1_970:1980"],
+    ["evidence", "--years", "+1970:1980"],
+    ["reciprocity", "--window", "\u0661\u0669\u0667\u0660:1980"],
 ])
 def test_out_of_range_numeric_flag_is_usage_error(argv, synth_file, capsys):
     command, *flags = argv
@@ -404,21 +408,23 @@ _NUMPY_PROBE = (
     "sys.exit(code)\n"
 )
 
-_NUMPY_USE = [
-    (["validate"], False),
-    (["stats"], False),
-    (["rank", "--metric", "kdi", "--window", "1970:1974"], False),
-    (["impact"], False),
-    (["buckets", "--metric", "rdi"], False),
-    (["acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"], False),
-    (["trajectory", "--field", "AI", "--phases", "--min-years", "2"], False),
-    (["evidence"], False),
-    (["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"], False),
-    (["reciprocity"], True),
-]
+# Keyed by test id. Only ``generate`` builds arrays, so no analysis loads numpy.
+_NUMPY_USE = {
+    "validate": (["validate"], False),
+    "stats": (["stats"], False),
+    "rank": (["rank", "--metric", "kdi", "--window", "1970:1974"], False),
+    "impact": (["impact"], False),
+    "buckets": (["buckets", "--metric", "rdi"], False),
+    "acp": (["acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"], False),
+    "trajectory": (["trajectory", "--field", "AI", "--phases", "--min-years", "2"], False),
+    "evidence": (["evidence"], False),
+    "cotag": (["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"], False),
+    "reciprocity": (["reciprocity"], False),
+    "reciprocity-matrix": (["reciprocity", "--matrix", "--multiplicity", "fractional"], False),
+}
 
 
-@pytest.mark.parametrize("argv, loads_numpy", _NUMPY_USE, ids=[a[0] for a, _ in _NUMPY_USE])
+@pytest.mark.parametrize("argv, loads_numpy", _NUMPY_USE.values(), ids=_NUMPY_USE)
 def test_only_array_subcommands_import_numpy(argv, loads_numpy, tiny_corpus, tmp_path):
     command, *flags = argv
     proc = subprocess.run(
@@ -434,6 +440,11 @@ def test_package_imports_without_numpy_and_serves_generator_names():
     probe = (
         "import sys\n"
         "import citefields\n"
+        "assert 'numpy' not in sys.modules\n"
+        "corpus, _ = citefields.parse_corpus('#t2000\\n#fAI\\n#index1\\n#%2\\n\\n#t2000\\n#fAlgo\\n#index2')\n"
+        "graph = citefields.build_graph(corpus)\n"
+        "assert citefields.field_flow(graph, corpus)[0][1] == 1.0\n"
+        "assert citefields.citation_fraction_matrix(graph, corpus)[0][1] == 1.0\n"
         "assert 'numpy' not in sys.modules\n"
         "assert citefields.synth.generate is citefields.generate\n"
         "names = {}\n"

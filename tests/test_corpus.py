@@ -4,8 +4,11 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from citefields import AnalysisError, PaperRecord, TimeWindow, corpus_stats
+from citefields import (
+    STRICT, AnalysisError, PaperRecord, TimeWindow, corpus_stats, parse_corpus, serialize_corpus,
+)
 from conftest import corpus_of, rec
 
 
@@ -17,6 +20,15 @@ def test_window_validation_and_parse():
         TimeWindow(2000, 1999)
     with pytest.raises(ValueError):
         TimeWindow.parse("1990-1995")
+
+
+@pytest.mark.parametrize("text", [
+    "1_970:1980", "+1970:1980", "1970:-1980", " 1970:1980", "1970:198\u0660",
+    "1970:1980:1990", ":1980", "1970",
+])
+def test_window_years_are_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="bad window"):
+        TimeWindow.parse(text)
 
 
 def test_multi_field_paper_appears_in_each_partition():
@@ -116,6 +128,73 @@ def test_corpus_rejects_keywords_the_parser_would_not_store(keyword):
     bad = rec(2)._replace(keywords=(keyword,))
     with pytest.raises(ValueError, match=re.escape(f"paper 2 keyword {keyword!r} is not normalized")):
         corpus_of(rec(1, keywords=("data mining", "strasse")), bad)
+
+
+@pytest.mark.parametrize("change, message", [
+    # Each would re-parse unequal: split at the comma, trimmed, lost, cut at
+    # the blank line (which ends the record), skipped, dropped, or rebuilt
+    # as the parser's tuple or frozenset.
+    ({"authors": ("Smith, J",)}, "author 'Smith, J'"),
+    ({"authors": ("",)}, "author ''"),
+    ({"authors": (" Smith",)}, "author ' Smith'"),
+    ({"title": " T "}, "title ' T '"),
+    ({"title": "T\nU"}, "title 'T\\nU'"),
+    ({"venue": " V"}, "venue ' V'"),
+    ({"venue": ""}, "venue ''"),
+    ({"abstract": "a\n\nb"}, "abstract 'a\\n\\nb'"),
+    ({"abstract": ""}, "abstract ''"),
+    ({"year": 1899}, "year 1899"),
+    ({"references": (-1,)}, "has a negative reference"),
+    ({"authors": ["A"]}, "authors and references must be tuples"),
+    ({"references": [1]}, "authors and references must be tuples"),
+    ({"fields": (0,)}, "authors and references must be tuples, fields a frozenset"),
+], ids=["comma-author", "empty-author", "untrimmed-author", "untrimmed-title",
+        "two-line-title", "untrimmed-venue", "empty-venue", "blank-line-abstract",
+        "empty-abstract", "year", "negative-reference", "author-list", "reference-list",
+        "field-tuple"])
+def test_corpus_rejects_values_the_parser_would_not_store(change, message):
+    bad = rec(2)._replace(**change)
+    with pytest.raises(ValueError, match=re.escape(f"paper 2 {message}")):
+        corpus_of(rec(1), bad)
+
+
+# Characters the parser splits on or trims, mixed with plain ones.
+_edgy_text = st.text(st.sampled_from("ab, \t\n\r\x85\xa0\u2028#%"), max_size=4)
+
+# One value per record is drawn from the edge cases and the rest stay plain,
+# so that about a quarter of the examples pass validation and round-trip.
+_EDGY_VALUES = {
+    "title": _edgy_text,
+    "authors": st.lists(_edgy_text, max_size=3).map(tuple),
+    "year": st.integers(1899, 2101),
+    "venue": st.none() | _edgy_text,
+    "keywords": st.sets(_edgy_text, max_size=3).map(lambda kws: tuple(sorted(kws))),
+    "references": st.lists(st.integers(-1, 2), max_size=2, unique=True).map(tuple),
+    "abstract": st.none() | _edgy_text,
+}
+
+
+@st.composite
+def _edgy_records(draw):
+    records = []
+    for pid in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(_EDGY_VALUES)))
+        records.append(rec(pid)._replace(**{name: draw(_EDGY_VALUES[name])}))
+    return records
+
+
+@given(_edgy_records())
+@settings(max_examples=400, deadline=None)
+def test_every_corpus_the_constructor_accepts_round_trips(records):
+    try:
+        corpus = corpus_of(*records)
+    except ValueError:
+        return
+    text = serialize_corpus(corpus)
+    for source in (text, text.encode("utf-8")):
+        reparsed, report = parse_corpus(source, corpus.taxonomy, strictness=STRICT)
+        assert not report.diagnostics
+        assert reparsed == corpus
 
 
 def test_paper_record_is_immutable_and_compares_by_value():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import (
     AnalysisError, GeneratorSpec, TimeWindow,
-    bucket_impact, build_graph, compute_impact_scores, generate_corpus, top_cited_counts,
+    author_key, bucket_impact, build_graph, compute_impact_scores, generate_corpus, top_cited_counts,
 )
 from citefields.diversity import rdi_paper
 from citefields.impact import _jif_lookup, bucket_assignment, citations_received
@@ -70,11 +70,13 @@ def test_citations_received_horizon_boundaries():
 def test_first_author_self_exclusion():
     corpus = corpus_of(
         rec(1, year=2000, authors=("A. Smith", "B. Jones")),
-        rec(2, year=2001, refs=(1,), authors=(" a. smith ", "C. Brown")),
+        rec(2, year=2001, refs=(1,), authors=("a. smith", "C. Brown")),
         rec(3, year=2001, refs=(1,), authors=("B. Jones",)),
     )
     graph = build_graph(corpus)
     assert citations_received(graph, corpus, 1) == (3,)
+    # A validated corpus holds trimmed names; author_key trims any other.
+    assert author_key(" a. smith ") == author_key("A. Smith")
 
 
 def test_citations_received_matches_brute_force_all_horizons():

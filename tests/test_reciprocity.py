@@ -11,17 +11,21 @@ from citefields import (
     acp_bucket_test, build_graph, citation_fraction_matrix,
     generate_corpus, pearson_report, reciprocity_pearson,
 )
+from citefields.reciprocity import _row_total
 from conftest import corpus_of, rec
-from oracles import acp_direct, bucket_split_direct, fraction_matrix_direct, pearson_raw_moments
+from oracles import (
+    acp_direct, bucket_split_direct, fraction_matrix_direct, pearson_raw_moments,
+    row_totals_numpy,
+)
 
 
 def test_matrix_self_citing_field_row():
     corpus = corpus_of(rec(1, fields=(0,), refs=(2,)), rec(2, fields=(0,)))
     graph = build_graph(corpus)
     m = citation_fraction_matrix(graph, corpus)
-    assert m[0, 0] == 1.0
-    assert m[0, 1] == 0.0
-    assert np.isnan(m[1]).all()  # no outflow row
+    assert m[0][0] == 1.0
+    assert m[0][1] == 0.0
+    assert all(math.isnan(x) for x in m[1])  # no outflow row
 
 
 def test_matrix_planted_fractions():
@@ -33,16 +37,16 @@ def test_matrix_planted_fractions():
     )
     graph = build_graph(corpus)
     m = citation_fraction_matrix(graph, corpus)
-    assert m[0, 0] == 0.5 and m[0, 1] == 0.25 and m[0, 2] == 0.25
+    assert m[0][0] == 0.5 and m[0][1] == 0.25 and m[0][2] == 0.25
 
 
 def test_matrix_rows_sum_to_one():
     corpus = generate_corpus(GeneratorSpec(seed=13, field_count=6, years_span=10))
     graph = build_graph(corpus)
     m = citation_fraction_matrix(graph, corpus)
-    for i in range(m.shape[0]):
-        if not np.isnan(m[i, 0]):
-            assert abs(m[i].sum() - 1.0) <= 1e-12
+    for i in range(len(m)):
+        if not math.isnan(m[i][0]):
+            assert abs(math.fsum(m[i]) - 1.0) <= 1e-12
 
 
 def test_matrix_matches_direct_oracle_with_window():
@@ -55,9 +59,29 @@ def test_matrix_matches_direct_oracle_with_window():
     for i in range(len(want)):
         for j in range(len(want)):
             if want[i][j] is None:
-                assert np.isnan(got[i, j])
+                assert math.isnan(got[i][j])
             else:
-                assert got[i, j] == pytest.approx(want[i][j], rel=1e-12)
+                assert got[i][j] == pytest.approx(want[i][j], rel=1e-12)
+
+
+# Around each branch of numpy's pairwise sum: in order below 8 values, 8
+# accumulators up to 128, halves above (a custom taxonomy may be that wide).
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 23, 24, 25, 128, 129, 200, 300])
+def test_row_total_adds_in_numpy_order(width):
+    rng = random.Random(width)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0.0
+        if kind == 1:
+            return 1.0 / rng.randint(1, 12)
+        if kind == 2:
+            return rng.randint(1, 9) / rng.randint(1, 9)
+        return 10.0 ** rng.uniform(-3.0, 3.0)
+
+    rows = [[value() for _ in range(width)] for _ in range(40)] + [[0.0] * width]
+    assert [_row_total(row) for row in rows] == row_totals_numpy(rows)
 
 
 def test_pearson_symmetric_matrix_exactly_one():

@@ -94,15 +94,15 @@ def test_flow_fractions_converge_to_propensity():
     corpus = generate_corpus(spec)
     graph = build_graph(corpus)
     flow = field_flow(graph, corpus)
-    assert flow.sum() > 10_000
+    assert math.fsum(map(math.fsum, flow)) > 10_000
     for i in range(k):
-        total = flow[i].sum()
+        total = math.fsum(flow[i])
         for j in range(k):
             p = matrix[i, j]
             se = math.sqrt(p * (1 - p) / total)
             # First-year papers have no choice of field (they cite whatever
             # exists), so allow 3 standard errors plus a small bias term.
-            assert abs(flow[i, j] / total - p) < 3 * se + 0.01, (i, j)
+            assert abs(flow[i][j] / total - p) < 3 * se + 0.01, (i, j)
 
 
 def test_multi_tag_probability_reflected():

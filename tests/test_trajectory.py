@@ -219,7 +219,7 @@ def test_evidence_author_expertise_is_cumulative():
 def test_evidence_author_breadth_collapses_names_and_same_year_papers():
     corpus = corpus_of(
         rec(1, year=1999, fields=(0,), authors=("Jo Coder",)),
-        rec(2, year=1999, fields=(1,), authors=(" jo coder ",)),
+        rec(2, year=1999, fields=(1,), authors=("jo coder",)),
         rec(3, year=1999, fields=(2,), authors=("Other One",)),
         rec(4, year=2000, fields=(3,), authors=("JO CODER", "Other One")),
         rec(5, year=2001, fields=(4,), authors=("Other One",)),
