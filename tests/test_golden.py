@@ -66,6 +66,9 @@ INVOCATIONS = {
     "evidence-1975-1990": ("evidence", "--years", "1975:1990"),
     # Every decade holds multi-tagged NETW papers on every seed.
     "cotag": ("cotag", "--field-a", "NETW", "--field-b", "AI", *_DECADES),
+    "stats": ("stats",),
+    "stats-json": ("stats", "--format", "json"),
+    "validate": ("validate", "--format", "json"),
 }
 
 
@@ -158,13 +161,16 @@ def corpus_spec(seed: int) -> GeneratorSpec:
     )
 
 
+def _suffix(args: tuple[str, ...]) -> str:
+    return ".json" if "json" in args else ".csv"
+
+
 def golden_path(seed: int, label: str) -> Path:
-    return GOLDEN_DIR / f"seed{seed}" / f"{label}.csv"
+    return GOLDEN_DIR / f"seed{seed}" / f"{label}{_suffix(INVOCATIONS[label])}"
 
 
 def defect_golden_path(label: str, name: str = "defects", invocations=DEFECT_INVOCATIONS) -> Path:
-    suffix = ".json" if "json" in invocations[label] else ".csv"
-    return GOLDEN_DIR / name / f"{label}{suffix}"
+    return GOLDEN_DIR / name / f"{label}{_suffix(invocations[label])}"
 
 
 def edge_golden_path(label: str) -> Path:
