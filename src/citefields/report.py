@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO
@@ -46,13 +47,17 @@ class MetricReport:
         byte-stable for identical inputs.
         """
         out = io.StringIO()
+        self._write_csv(out)
+        return out.getvalue()
+
+    def _write_csv(self, out: IO[str]) -> None:
+        """Write ``to_csv_text`` to ``out`` a line at a time."""
         for key in sorted(self.metadata):
             value = self.metadata[key]
             out.write(f"# {key}: {'' if value is None else value}\n")
         out.write(",".join(self.columns) + "\n")
         for row in self.rows:
             out.write(",".join(format_cell(v) for v in row) + "\n")
-        return out.getvalue()
 
     def to_json_text(self) -> str:
         payload = {
@@ -64,11 +69,17 @@ class MetricReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
     def write(self, target: str | Path | IO[str], fmt: str = "csv") -> None:
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
+        """Write the report to a path or a text stream.
+
+        CSV goes to the target a line at a time, so no copy of the whole
+        text is held; JSON is rendered whole first.
+        """
+        stream = hasattr(target, "write")
+        with nullcontext(target) if stream else open(target, "w", encoding="utf-8") as out:
+            if fmt == "csv":
+                self._write_csv(out)
+            else:
+                out.write(self.to_json_text())
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
