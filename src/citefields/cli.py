@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL, paper_diversity, r
 from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
 from .impact import DEFAULT_HORIZON, bucket_impact, compute_impact_scores, top_cited_counts
-from .records import TimeWindow, corpus_stats
+from .records import TimeWindow, _stats_fold
 from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix, matrix_report, pearson_report,
 )
@@ -45,6 +46,8 @@ from .trajectory import (
 logger = logging.getLogger(__name__)
 
 EXIT_INTERNAL = 3
+
+NO_RECORDS = "corpus has no parsed records, nothing to analyze"
 
 
 def _window(text: str) -> TimeWindow:
@@ -183,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple:
+def _parse_input(args, into=None) -> tuple:
+    """``parse_corpus`` of ``args.input``, with ``into`` as there."""
     taxonomy = (
         FieldTaxonomy.from_file(args.taxonomy)
         if getattr(args, "taxonomy", None)
@@ -195,13 +199,16 @@ def _load(args) -> tuple:
     gc.disable()
     try:
         with open(args.input, "rb") as fh:
-            corpus, report = parse_corpus(fh, taxonomy, strictness=strictness)
+            return parse_corpus(fh, taxonomy, strictness=strictness, into=into)
     finally:
         gc.freeze()
         gc.enable()
-    # Only validate has something to say about a corpus without records.
-    if len(corpus) == 0 and args.command != "validate":
-        raise AnalysisError("corpus has no parsed records, nothing to analyze")
+
+
+def _load(args) -> tuple:
+    corpus, report = _parse_input(args)
+    if len(corpus) == 0:
+        raise AnalysisError(NO_RECORDS)
     # Every --window and --years span must select at least one paper.
     spans = getattr(args, "window", None) or getattr(args, "years", None) or []
     for span in spans if isinstance(spans, list) else [spans]:
@@ -242,8 +249,13 @@ def _field_index(taxonomy: FieldTaxonomy, label: str) -> int:
     return idx
 
 
+def _drain(records, _taxonomy) -> None:
+    deque(records, maxlen=0)
+
+
 def _cmd_validate(args) -> MetricReport:
-    _corpus, parse_report = _load(args)
+    # Only the parse report is written, so no record is kept.
+    _none, parse_report = _parse_input(args, into=_drain)
     report = MetricReport(
         name="validate",
         columns=("line", "record", "severity", "code", "message"),
@@ -260,8 +272,10 @@ def _cmd_validate(args) -> MetricReport:
 
 
 def _cmd_stats(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    return corpus_stats(corpus)
+    report, _pr = _parse_input(args, into=_stats_fold)
+    if report is None:
+        raise AnalysisError(NO_RECORDS)
+    return report
 
 
 def _cmd_rank(args) -> MetricReport:

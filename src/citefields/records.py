@@ -13,7 +13,7 @@ boundaries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import inf
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AnalysisError
@@ -212,13 +212,38 @@ def corpus_stats(corpus: Corpus) -> MetricReport:
 
     Raises on an empty corpus: there is nothing to report.
     """
-    if len(corpus) == 0:
+    report = _stats_fold(corpus.records.values(), corpus.taxonomy)
+    if report is None:
         raise AnalysisError("corpus is empty, no stats to report")
-    n = len(corpus)
-    multi = sum(1 for rec in corpus.records.values() if len(rec.fields) > 1)
-    years = corpus.years()
-    mean_refs = fsum(len(rec.references) for rec in corpus.records.values()) / n
-    mean_kw = fsum(len(rec.keywords) for rec in corpus.records.values()) / n
+    return report
+
+
+def _stats_fold(records: Iterable[PaperRecord], taxonomy: FieldTaxonomy) -> MetricReport | None:
+    """``corpus_stats`` of ``records`` in one pass that keeps no record; None
+    when there is none.
+
+    The reference and keyword totals are ints, so each mean is the one
+    ``fsum`` of the per-record lengths gives (exact below 2**53).
+    """
+    n = multi = n_refs = n_kw = 0
+    year_min, year_max = inf, -inf
+    counts = [0] * len(taxonomy)
+    for rec in records:
+        n += 1
+        fields = rec.fields
+        if len(fields) > 1:
+            multi += 1
+        for f in fields:
+            counts[f] += 1
+        n_refs += len(rec.references)
+        n_kw += len(rec.keywords)
+        year = rec.year
+        if year < year_min:
+            year_min = year
+        if year > year_max:
+            year_max = year
+    if n == 0:
+        return None
     report = MetricReport(
         name="corpus-stats",
         columns=("field_abbr", "papers", "share"),
@@ -226,13 +251,12 @@ def corpus_stats(corpus: Corpus) -> MetricReport:
             "corpus-stats",
             records=n,
             multi_field_fraction=multi / n,
-            year_min=years[0],
-            year_max=years[-1],
-            mean_references=mean_refs,
-            mean_keywords=mean_kw,
+            year_min=year_min,
+            year_max=year_max,
+            mean_references=n_refs / n,
+            mean_keywords=n_kw / n,
         ),
     )
-    for f in corpus.taxonomy.indices:
-        count = len(corpus.by_field.get(f, ()))
-        report.add_row(corpus.taxonomy.abbr(f), count, count / n)
+    for f in taxonomy.indices:
+        report.add_row(taxonomy.abbr(f), counts[f], counts[f] / n)
     return report

@@ -10,10 +10,12 @@ library does not load it for any analysis.
 from __future__ import annotations
 
 import math
+from math import fsum
 
 import numpy as np
 
-from citefields import Corpus, TimeWindow
+from citefields import Corpus, MetricReport, TimeWindow
+from citefields.report import base_metadata
 
 
 def normalize_keyword(raw: str) -> str:
@@ -289,3 +291,30 @@ def author_breadth_direct(corpus: Corpus, year: int) -> float | None:
                 fields |= q.fields
         breadths.append(len(fields))
     return sum(breadths) / len(breadths) if breadths else None
+
+
+def corpus_stats_direct(corpus: Corpus) -> MetricReport:
+    """``corpus_stats`` from a built corpus: counts from its partitions, means
+    by ``fsum`` over its records in id order."""
+    n = len(corpus)
+    multi = sum(1 for rec in corpus.records.values() if len(rec.fields) > 1)
+    years = corpus.years()
+    mean_refs = fsum(len(rec.references) for rec in corpus.records.values()) / n
+    mean_kw = fsum(len(rec.keywords) for rec in corpus.records.values()) / n
+    report = MetricReport(
+        name="corpus-stats",
+        columns=("field_abbr", "papers", "share"),
+        metadata=base_metadata(
+            "corpus-stats",
+            records=n,
+            multi_field_fraction=multi / n,
+            year_min=years[0],
+            year_max=years[-1],
+            mean_references=mean_refs,
+            mean_keywords=mean_kw,
+        ),
+    )
+    for f in corpus.taxonomy.indices:
+        count = len(corpus.by_field.get(f, ()))
+        report.add_row(corpus.taxonomy.abbr(f), count, count / n)
+    return report

@@ -5,12 +5,16 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from citefields import cli, parse_corpus
+from citefields import GeneratorSpec, cli, corpusio, generate, parse_corpus, serialize_record
 from citefields.cli import main
-from conftest import GOLDEN_RECORD, child_env
+from citefields.records import YEAR_RANGE
+from conftest import GOLDEN_RECORD, child_env, corpus_of, rec
+from oracles import corpus_stats_direct
 
 
 @pytest.fixture
@@ -465,12 +469,13 @@ def test_cli_load_freezes_what_the_parse_built(tiny_corpus, tmp_path):
         "import gc, sys\n"
         "from citefields.cli import main\n"
         "assert gc.get_freeze_count() == 0\n"
-        "code = main(['stats', *sys.argv[1:]])\n"
+        "code = main(['cotag', *sys.argv[1:]])\n"
         "print(gc.get_freeze_count(), gc.isenabled())\n"
         "sys.exit(code)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe, str(tiny_corpus), "-o", str(tmp_path / "stats.csv")],
+        [sys.executable, "-c", probe, str(tiny_corpus), "--field-a", "AI", "--field-b", "Algo",
+         "--window", "1970:1975", "-o", str(tmp_path / "cotag.csv")],
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
@@ -479,3 +484,118 @@ def test_cli_load_freezes_what_the_parse_built(tiny_corpus, tmp_path):
         records = len(parse_corpus(fh)[0])
     assert records == 36
     assert int(frozen) >= records and enabled == "True"
+
+
+_KEYWORDS = ("data mining", "graphs", "routing", "vision", "x")
+_MAX_ID = 10**6
+
+
+@st.composite
+def _files_of_random_corpora(draw):
+    """A random valid corpus, and its records in the order a file lists them."""
+    ids = draw(st.lists(st.integers(0, _MAX_ID), min_size=1, max_size=30, unique=True))
+    records = [
+        rec(
+            pid,
+            year=draw(st.integers(*YEAR_RANGE)),
+            fields=draw(st.sets(st.integers(0, 23), min_size=1, max_size=4)),
+            refs=draw(st.lists(st.integers(0, _MAX_ID).filter(lambda r, pid=pid: r != pid),
+                               max_size=8, unique=True)),
+            keywords=draw(st.sets(st.sampled_from(_KEYWORDS), max_size=4)),
+        )
+        for pid in ids
+    ]
+    return corpus_of(*records), draw(st.permutations(records))
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stream")
+
+
+@given(_files_of_random_corpora())
+@settings(max_examples=60, deadline=None)
+def test_streamed_stats_equals_the_corpus_oracle(stream_dir, drawn):
+    # stats folds the records as the file lists them; the oracle reads the
+    # built corpus in id order.
+    corpus, order = drawn
+    path = stream_dir / "corpus.txt"
+    path.write_text("\n".join(serialize_record(r, corpus.taxonomy) for r in order),
+                    encoding="utf-8")
+    want = corpus_stats_direct(corpus)
+    want.metadata.update(command="stats", config=f"input={path}")
+    for fmt, text in (("csv", want.to_csv_text()), ("json", want.to_json_text())):
+        out = stream_dir / f"stats.{fmt}"
+        assert main(["stats", str(path), "--format", fmt, "-o", str(out)]) == 0
+        assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_validate_and_stats_build_no_corpus(synth_file, tmp_path, monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a Corpus was built")
+
+    monkeypatch.setattr(corpusio, "Corpus", refuse)
+    for command in ("validate", "stats"):
+        assert main([command, str(synth_file), "-o", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().err == ""
+    # A subcommand that analyzes a corpus reaches the patched name.
+    assert main(["cotag", str(synth_file), "--field-a", "AI", "--field-b", "Algo",
+                 "--window", "1970:1980"]) == cli.EXIT_INTERNAL
+    assert "a Corpus was built" in capsys.readouterr().err
+
+
+def test_stats_and_the_analyses_refuse_an_empty_corpus_alike(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("#*No index\n#t2000\n#fAI\n", encoding="utf-8")
+    for command in ("stats", "evidence"):
+        assert main([command, str(path)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": {
+            "type": "AnalysisError", "message": "corpus has no parsed records, nothing to analyze",
+        }}
+
+
+@pytest.mark.parametrize("command", ["stats", "validate"])
+def test_strict_error_mid_stream_writes_no_report(command, tmp_path, capsys):
+    # Records 1-3 take lines 1-15; record 4's bad #index is on line 19.
+    good = "".join(f"#*P{i}\n#t2000\n#fAI\n#index{i}\n\n" for i in (1, 2, 3))
+    bad = "#*Bad\n#t2000\n#fAI\n#indexabc\n\n"
+    path = tmp_path / "corpus.txt"
+    path.write_text(good + bad + good.replace("#index", "#index1"), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert main([command, "--strict", str(path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("line 19, record 4: [error] malformed-index")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def file_20k(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "corpus.txt"
+    spec = GeneratorSpec(seed=4, field_count=8, years_span=20, papers_per_year=(1000, 1000))
+    path.write_text(generate(spec), encoding="utf-8")
+    return path
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validate_and_stats_keep_no_record(file_20k, tmp_path):
+    def parse():
+        with open(file_20k, "rb") as fh:
+            corpus, _report = parse_corpus(fh)
+        assert len(corpus) == 20_000
+
+    parse_peak = _peak_bytes(parse)
+    for command in ("validate", "stats"):
+        out = tmp_path / command
+        peak = _peak_bytes(lambda: main([command, str(file_20k), "-o", str(out)]))
+        assert peak < parse_peak / 4, (command, peak, parse_peak)
