@@ -54,6 +54,11 @@ class FieldTaxonomy:
         for idx, (name, abbr) in enumerate(self.entries):
             if not name or not abbr:
                 raise ValueError(f"field {idx}: empty name or abbreviation")
+            # A #f line splits its labels at commas, so such a label could
+            # never be read back.
+            for label in (name, abbr):
+                if "," in label:
+                    raise ValueError(f"field {idx} ({name!r}): label {label!r} contains ','")
             for key in (name.casefold(), abbr.casefold()):
                 if key in lookup:
                     raise ValueError(f"duplicate field label {key!r}")

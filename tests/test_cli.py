@@ -394,6 +394,20 @@ def test_taxonomy_sidecar_flag(tmp_path, capsys):
     assert [row[0] for row in rows] == ["ALS", "BES"]
 
 
+def test_taxonomy_label_with_comma_is_an_error_record(tmp_path, capsys):
+    taxonomy = tmp_path / "fields.tsv"
+    taxonomy.write_text("Security, Privacy\tSEC\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("#*A\n#t2000\n#fSEC\n#index1\n", encoding="utf-8")
+    assert main(["stats", str(corpus), "--taxonomy", str(taxonomy)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "type": "ValueError",
+        "message": "field 0 ('Security, Privacy'): label 'Security, Privacy' contains ','",
+    }}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "citefields.cli", "--version"],

@@ -53,3 +53,10 @@ def test_all_default_entries_match_source_table():
     assert DEFAULT_FIELDS[1] == ("Algorithm", "Algo")
     abbrs = {abbr for _, abbr in DEFAULT_FIELDS}
     assert {"AI", "WWW", "DM", "NLP", "IR", "ML", "DB", "SEC", "DIST", "NETW"} <= abbrs
+
+
+@pytest.mark.parametrize("entry", [("Security, Privacy", "SEC"), ("Security", "SEC,P")])
+def test_label_with_comma_rejected(entry):
+    # A #f line splits its labels at commas, so such a label could never match.
+    with pytest.raises(ValueError, match="field 1 .* contains ','"):
+        FieldTaxonomy([("Databases", "DB"), entry])
