@@ -15,40 +15,70 @@ One record per blank-line-separated block. Line tags:
 Lines starting with ``%%`` are treated as file comments and skipped (the
 synthetic generator uses them to pin its RNG version in the output header).
 
-The reader makes one streaming pass: it never holds more than one block of
-input and one chunk of text, and it yields each accepted record as its block
-ends. ``parse_corpus`` collects them into a ``Corpus`` unless its ``into``
-consumes them otherwise, so memory scales with the parsed records rather
-than the file size; the CLI's ``validate`` and ``stats`` keep no record, and
-their memory is the set of ids seen so far (for the duplicate-id check) plus
-the diagnostics. For ``bytes``, binary streams and ``str`` sources only
-``\n`` ends a line; a text stream keeps its own newline handling. Binary
-input (what the CLI passes) is decoded ``CHUNK_SIZE`` bytes at a time, cut
-after the chunk's last ``\n``. A chunk that is not all UTF-8 is decoded
-again line by line, so each line that is not UTF-8 becomes an ``encoding``
-error diagnostic with its own line and byte offset instead of aborting the
-whole parse; a ``%%`` comment line is skipped whatever bytes it holds. Each
-line is dispatched on the tag's second character; the current block's tags
-are kept in local variables and validated when a blank or whitespace-only
-line ends the block. A ``#k`` line is normalized as a whole and its
-keywords are kept as a tuple of distinct values in ascending order (a tuple
-takes 40 + 8n bytes, a frozenset of up to 4 items 216). An id, year or
-reference is ASCII digits only: ``int()`` alone would also take a sign, an
+The reader makes one streaming pass: it never holds more than one chunk of
+text and one block, and it yields each accepted record as its block ends.
+``parse_corpus`` collects them into a ``Corpus`` unless its ``into``
+consumes them otherwise; the CLI's ``validate`` and ``stats`` keep no
+record, and their memory is the accepted ids plus the diagnostics. An
+accepted id is a bit in a ``bytearray`` when it is below ``SEEN_ID_BITS``
+times the count of ids accepted so far (the array grows by doubling), and
+an entry in a set otherwise: dense ids cost about a bit each, and an id
+far beyond the others costs no array.
+
+For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line;
+a text stream keeps its own newline handling. Binary input (what the CLI
+passes) is decoded ``CHUNK_SIZE`` bytes at a time, cut after the chunk's
+last ``\n``; a ``str`` is one chunk. A chunk that is not all UTF-8 is
+decoded again line by line, so each line that is not UTF-8 becomes an
+``encoding`` error diagnostic with its own line and byte offset instead of
+aborting the whole parse; a ``%%`` comment line is skipped whatever bytes
+it holds.
+
+Blocks are read two ways. Where a block starts after an empty line, a
+comment line or nothing, in a decoded chunk, one compiled pattern tries to
+match it whole in the order ``serialize_record`` and ``synth.generate``
+write: ``#*``, optional ``#@``, ``#t``, optional ``#c``, ``#f``, optional
+``#k``, ``#index``, any number of ``#%`` lines of ASCII digits, optional
+``#!``, then an empty line. The pattern captures every value in C, and
+the line numbers follow from the block's first line and the lines present.
+A block cut by the chunk's end is carried into the next chunk if it is no
+longer than ``CHUNK_SIZE``. Every other block goes through the line loop:
+another tag order, a repeated or unknown tag, a ``%%`` line inside it, a
+whitespace-only line inside, before or after it (a CRLF file's blank lines
+hold ``\r``), a reference that is not ASCII digits, a chunk that is not
+all UTF-8, a text stream or other iterable of lines, or a block longer
+than a chunk. The line loop dispatches each line
+on the tag's second character and keeps the block's tags in local
+variables until a blank or whitespace-only line ends it. Both hand the
+block's values to one ``finish()``, so every diagnostic, ordinal and
+strict-mode ``ParseError`` comes from one validator.
+
+A ``#k`` line is normalized as a whole and its keywords are kept as a
+tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
+a frozenset of up to 4 items 216). A matched ``#k`` value in printable
+ASCII with no capital letter, no space run and no space at either end of a
+keyword is already normalized and is only split. An id, year or reference
+is ASCII digits only: ``int()`` alone would also take a sign, an
 underscore or another script's digits. The references of a block are
-checked with one ASCII-digit test over their joined values and converted in
-one ``map(int, ...)``; they are checked line by line only when that fails
-or finds a self or repeated id. Field label lookups and field-index sets,
-both bounded by the taxonomy, are memoized per parse. Author names, venues
-and keywords are not interned: what that saves depends on how often the
-input repeats them, and on mostly distinct values it costs memory. The
-cyclic garbage collector is paused for the parse and its consumer, and its
-previous state restored afterwards: each collection pass would rescan every
-record built so far, while the parse leaves no cycle that must be freed
-before it returns. The cost is O(lines) time. On a
-2-vCPU Xeon VM the 100k-record C9 corpus (19 MB, read from a binary file)
-parses in about 2.3 s to a 146 MiB process peak, against 2.9 s and 182 MiB
-with per-line decoding, frozenset keywords and a frozen-dataclass record
-(3 alternating fresh-process runs each).
+checked with one ASCII-digit test over their joined values and converted
+in one ``map(int, ...)``; they are checked line by line only when that
+fails or finds a self or repeated id. Field label lookups, field-index sets
+and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts that resolve
+without a diagnostic are memoized per parse. Author names, venues and
+keywords are not interned: what that saves depends on how often the input
+repeats them, and on mostly distinct values it costs memory. The cyclic
+garbage collector is paused for the parse and its consumer, and its
+previous state restored afterwards: each collection pass would rescan
+every record built so far, while the parse leaves no cycle that must be
+freed before it returns. The cost is O(input) time: a match that fails
+backs off over each line of the block at most once.
+
+On a 2-vCPU Xeon VM, in one process with the collector paused and 11
+alternating runs against the line loop alone, the seed-5 ``ingest-50k``
+benchmark file (50k records, 9.4 MB) parses in 0.76 s median against
+0.95 s, and ``session-10k`` (10k records, 1.9 MB) in 0.137 s against
+0.193 s. The pattern takes every block of ``session-10k`` and all but the
+0.85% of ``ingest-50k`` blocks that hold an unknown line.
 
 Diagnostics carry line numbers and the 1-based record ordinal. In strict
 mode the first error-severity diagnostic aborts via ``ParseError``; in
@@ -61,6 +91,7 @@ from __future__ import annotations
 import gc
 import io
 import logging
+import re
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import IO, Callable, Iterator, TypeVar
@@ -82,6 +113,14 @@ WARNING = "warning"
 COMMENT_PREFIX = "%%"
 
 CHUNK_SIZE = 1 << 16  # bytes of binary input decoded at a time
+
+# Bits of the accepted-id bitmap allowed per accepted id; a larger id is
+# kept in a set.
+SEEN_ID_BITS = 64
+
+# #f texts whose fields a parse remembers; distinct spellings are few in
+# practice, but nothing else bounds them.
+FIELD_TEXT_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -124,37 +163,36 @@ def _decoded(raw: bytes) -> str | UnicodeDecodeError:
         return exc
 
 
-def _split(data: bytes) -> list[str | UnicodeDecodeError]:
-    """The lines of ``data``, which ends with ``\n`` or holds none.
-
-    ``data`` is decoded as a whole when it is all UTF-8, and otherwise line
-    by line with each line's ``\n``, so an error names the same byte and
-    reason as it would for the line read on its own.
-    """
+def _text(data: bytes) -> str | list[str | UnicodeDecodeError]:
+    """``data``, which ends with ``\n`` or holds none, decoded as a whole
+    when it is all UTF-8, and otherwise as a list of its lines, each with
+    its ``\n`` and decoded on its own, so an error names the same byte and
+    reason as it would for the line read on its own."""
     try:
-        lines = data.decode("utf-8").split("\n")
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         return [_decoded(raw) for raw in io.BytesIO(data)]
-    if not lines[-1]:
-        lines.pop()
-    return lines
 
 
-def _line_batches(source: str | bytes | IO) -> Iterator[list[str | UnicodeDecodeError]]:
-    """The lines of ``source`` in order, a batch at a time.
+def _pieces(source: str | bytes | IO) -> Iterator[str | list[str | UnicodeDecodeError]]:
+    """The text of ``source`` in order, a piece at a time.
 
-    Binary input is read ``CHUNK_SIZE`` bytes at a time and cut after the
-    last ``\n`` read; its lines end at ``\n`` only and lose it. ``\n`` is
-    never part of a multi-byte UTF-8 sequence, so a cut chunk decodes as a
-    whole exactly when each of its lines does. Any other iterable of lines
-    (a text stream keeps its own newline handling) gives them as they come,
-    a bytes line decoded on its own. A line that is not UTF-8 is given as
-    its ``UnicodeDecodeError``.
+    A ``str`` piece holds whole lines, each ended by ``\n``; the last line
+    of the input gets one if it has none, which leaves the lines as they
+    are. A ``str`` source is one piece. Binary input is read ``CHUNK_SIZE``
+    bytes at a time and cut after the last ``\n`` read; ``\n`` is never
+    part of a multi-byte UTF-8 sequence, so a cut chunk decodes as a whole
+    exactly when each of its lines does. A chunk that does not, and any
+    other iterable of lines (a text stream keeps its own newline handling),
+    is given as a list of its lines; a bytes line is decoded on its own,
+    and a line that is not UTF-8 is given as its ``UnicodeDecodeError``.
     """
+    if isinstance(source, str):
+        if source:
+            yield source if source.endswith("\n") else source + "\n"
+        return
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    elif isinstance(source, str):
-        source = io.StringIO(source)
     if not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         lines = iter(source)
         while batch := list(islice(lines, 1024)):
@@ -167,11 +205,89 @@ def _line_batches(source: str | bytes | IO) -> Iterator[list[str | UnicodeDecode
             head.append(block)
             continue
         head.append(block[:cut + 1])
-        yield _split(b"".join(head))
+        yield _text(b"".join(head))
         head = [block[cut + 1:]]
-    tail = b"".join(head)
+    tail = b"".join(head)  # the last line, if it has no "\n"
     if tail:
-        yield _split(tail)
+        text = _text(tail)
+        yield text if type(text) is list else text + "\n"
+
+
+# A block with its tags in the order serialize_record and synth.generate
+# write them, ended by an empty line. Each group is the rest of its line,
+# as the line loop reads it (``.`` takes no "\n"), except that references
+# are ASCII digits only and stand as one group of whole lines, and that a
+# #k value in printable ASCII without capital letters fills the first #k
+# group.
+_CANONICAL = re.compile(
+    r"#\*(.*)\n"
+    r"(?:#@(.*)\n)?"
+    r"#t(.*)\n"
+    r"(?:#c(.*)\n)?"
+    r"#f(.*)\n"
+    r"(?:#k(?:([ -@\[-~]*)\n|(.*)\n))?"
+    r"#index(.*)\n"
+    r"((?:#%[0-9]+\n)*)"
+    r"(?:#!(.*)\n)?"
+    r"\n"
+)
+
+
+def _items(source: str | bytes | IO) -> Iterator[str | UnicodeDecodeError | re.Match]:
+    """The lines of ``source`` in order and then one blank line, except
+    that a canonical block starting where no block is open is given whole,
+    as its ``_CANONICAL`` match.
+
+    The pattern is tried only after an empty or comment line, a matched
+    block or nothing. A block that a ``str`` piece cuts short is carried
+    into the next piece, if it is no longer than ``CHUNK_SIZE``.
+    """
+    between = True  # no block is open
+    rest = ""  # the start of a block carried into the next piece
+    for piece in chain(_pieces(source), ("\n",)):  # the blank line ends the last block
+        if type(piece) is list:
+            if rest:
+                yield from rest.split("\n")[:-1]
+                rest = ""
+            yield from piece
+            between = False
+            continue
+        if rest:
+            piece = rest + piece
+            rest = ""
+        pos = 0
+        end = len(piece)
+        while pos < end:
+            if between and piece.startswith("#*", pos):
+                match = _CANONICAL.match(piece, pos)
+                if match is not None:
+                    yield match
+                    pos = match.end()
+                    continue
+                if piece.find("\n\n", pos) < 0 and end - pos <= CHUNK_SIZE:
+                    rest = piece[pos:]
+                    break
+            cut = piece.index("\n", pos)
+            line = piece[pos:cut]
+            pos = cut + 1
+            yield line
+            if not line:
+                between = True
+            elif not line.startswith(COMMENT_PREFIX):
+                between = False
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """The names of a #@ line's value, trimmed, without empty ones."""
+    return tuple(filter(None, map(str.strip, text.split(","))))
+
+
+def _keywords(text: str) -> Iterator[str]:
+    """The keywords of a #k line's value, normalized: whitespace runs
+    collapsed and the whole line case-folded at once. No whitespace run
+    holds a comma, so each trimmed comma-separated piece equals that keyword
+    normalized on its own. An empty piece gives ``""``."""
+    return map(str.strip, " ".join(text.split()).casefold().split(","))
 
 
 def parse_corpus(
@@ -226,12 +342,17 @@ def _parse(
 ) -> Iterator[PaperRecord]:
     """The accepted records of ``source`` in file order; ``report`` is
     filled as they are read."""
-    seen_ids: set[int] = set()
-    # Memos bounded by the taxonomy: label lookups and field-index sets.
+    # Accepted ids: bit pid of seen_bits, or an entry of seen_far when pid
+    # was past the bitmap and past SEEN_ID_BITS per id accepted before it.
+    seen_bits = bytearray()
+    seen_far: set[int] = set()
+    # Memos: label lookups, field-index sets and the fields of each #f text
+    # that resolved without a diagnostic.
     field_of: dict[str, int | None] = {}  # field label -> taxonomy index, None if unknown
     fieldsets: dict[tuple[int, ...], frozenset[int]] = {}
+    fields_of_line: dict[str, frozenset[int]] = {}
+    year_min, year_max = YEAR_RANGE
     ordinal = 0
-    in_block = False
 
     def emit(lineno: int, severity: str, code: str, message: str) -> None:
         d = Diagnostic(lineno, ordinal, severity, code, message)
@@ -239,10 +360,14 @@ def _parse(
         if strict and severity == ERROR:
             raise ParseError(d)
 
-    def finish() -> PaperRecord | None:
-        """Validate the block that just ended; None when it is skipped."""
-        if undecodable:
-            return None
+    def finish(first_line, title, authors, year_raw, year_line, venue, field_lines,
+               keywords, index_raw, index_line, ref_lines, ref_raws, abstract) -> PaperRecord | None:
+        """Validate the block that just ended; None when it is skipped.
+
+        Values are stripped, except each ``field_lines`` text that follows
+        ``#f`` on its line; ``authors`` is a tuple without empty names and
+        ``keywords`` a set of normalized keywords.
+        """
         # Identity first: later diagnostics hang off the record's own lines.
         if index_raw is None:
             emit(first_line, ERROR, "missing-index", "record has no #index line")
@@ -252,45 +377,57 @@ def _parse(
                  f"bad paper id {index_raw!r}")
             return None
         pid = int(index_raw)
-        if pid in seen_ids:
+        byte = pid >> 3
+        bit = 1 << (pid & 7)
+        if (byte < len(seen_bits) and seen_bits[byte] & bit) or pid in seen_far:
             emit(index_line, ERROR, "duplicate-id", f"paper id {pid} already seen")
             return None
 
         year = None
         if year_raw is not None and year_raw.isascii() and year_raw.isdigit():
             year = int(year_raw)
-        if year is None or not (YEAR_RANGE[0] <= year <= YEAR_RANGE[1]):
+        if year is None or not (year_min <= year <= year_max):
             emit(year_line or first_line, ERROR, "malformed-year",
                  f"missing or out-of-range year {year_raw!r}")
             return None
 
-        if field_labels is None:
+        if field_lines is None:
             emit(first_line, ERROR, "missing-fields", "record has no #f line")
             return None
-        field_indices: list[int] = []
-        unknown = False
-        for lineno, label in field_labels:
-            idx = field_of.get(label, -1)
-            if idx == -1:
-                idx = field_of[label] = taxonomy.get(label)
-            if idx is None:
-                severity = ERROR if strict else WARNING
-                emit(lineno, severity, "unknown-field",
-                     f"field label {label!r} not in taxonomy, dropped")
-                unknown = True
-            elif idx in field_indices:
-                emit(lineno, WARNING, "duplicate-field-label",
-                     f"field {label!r} tagged twice")
-            else:
-                field_indices.append(idx)
-        if not field_indices:
-            code = "no-valid-fields" if unknown else "missing-fields"
-            emit(first_line, ERROR, code, "record has no usable field label")
-            return None
-        key = tuple(field_indices)
-        fields = fieldsets.get(key)
+        fields = fields_of_line.get(field_lines[0][1]) if len(field_lines) == 1 else None
         if fields is None:
-            fields = fieldsets[key] = frozenset(key)
+            field_indices: list[int] = []
+            unknown = repeated = False
+            for lineno, text in field_lines:
+                for label in text.split(","):
+                    label = label.strip()
+                    if not label:
+                        continue
+                    idx = field_of.get(label, -1)
+                    if idx == -1:
+                        idx = field_of[label] = taxonomy.get(label)
+                    if idx is None:
+                        severity = ERROR if strict else WARNING
+                        emit(lineno, severity, "unknown-field",
+                             f"field label {label!r} not in taxonomy, dropped")
+                        unknown = True
+                    elif idx in field_indices:
+                        emit(lineno, WARNING, "duplicate-field-label",
+                             f"field {label!r} tagged twice")
+                        repeated = True
+                    else:
+                        field_indices.append(idx)
+            if not field_indices:
+                code = "no-valid-fields" if unknown else "missing-fields"
+                emit(first_line, ERROR, code, "record has no usable field label")
+                return None
+            key = tuple(field_indices)
+            fields = fieldsets.get(key)
+            if fields is None:
+                fields = fieldsets[key] = frozenset(key)
+            if (len(field_lines) == 1 and not (unknown or repeated)
+                    and len(fields_of_line) < FIELD_TEXT_MEMO):
+                fields_of_line[field_lines[0][1]] = fields
 
         # All references at once; line by line only to say what is wrong.
         # An empty value adds no character to the joined check; int() refuses it.
@@ -320,17 +457,64 @@ def _parse(
                 kept[rid] = None
             refs = tuple(kept)
 
-        seen_ids.add(pid)
+        if byte < len(seen_bits):
+            seen_bits[byte] |= bit
+        elif pid < SEEN_ID_BITS * (report.parsed + 1):
+            seen_bits.extend(bytes(max(byte + 1, 2 * len(seen_bits)) - len(seen_bits)))
+            seen_bits[byte] = bit
+        else:
+            seen_far.add(pid)
         keywords.discard("")
         return PaperRecord(
             pid, title or "", authors or (), year, venue or None, fields,
             tuple(sorted(keywords)), refs, abstract or None,
         )
 
-    # One pass over the lines; a blank line appended at the end finishes the
-    # last block. A line may keep its line break: every value is stripped.
-    lines = chain.from_iterable(_line_batches(source))
-    for lineno, line in enumerate(chain(lines, ("",)), start=1):
+    lineno = 0
+    in_block = False
+    for line in _items(source):
+        lineno += 1
+        if type(line) is re.Match:
+            # A canonical block: the pattern found each line, so the line
+            # numbers follow from the lines present.
+            ordinal += 1
+            report.blocks += 1
+            (title, authors, year_raw, venue, field_text, plain_keywords, keyword_text,
+             index_raw, refs, abstract) = line.groups()
+            year_line = lineno + 1 + (authors is not None)
+            field_line = year_line + 1 + (venue is not None)
+            if plain_keywords is not None:
+                keyword_text = plain_keywords
+                # Case folding leaves this text as it is and " " is its only
+                # whitespace: without a space run or a space at either end
+                # of a keyword, each keyword is already normalized.
+                if not ("  " in keyword_text or ", " in keyword_text or " ," in keyword_text
+                        or keyword_text[:1] == " " or keyword_text[-1:] == " "):
+                    keywords = set(keyword_text.split(","))
+                else:
+                    keywords = set(_keywords(keyword_text))
+            else:
+                keywords = set() if keyword_text is None else set(_keywords(keyword_text))
+            index_line = field_line + 1 + (keyword_text is not None)
+            ref_raws = refs[2:-1].split("\n#%") if refs else []
+            if authors is not None:
+                authors = _names(authors)
+            record = finish(
+                lineno, title.strip(), authors, year_raw.strip(), year_line,
+                venue and venue.strip(), [(field_line, field_text)], keywords,
+                index_raw.strip(), index_line,
+                range(index_line + 1, index_line + 1 + len(ref_raws)), ref_raws,
+                abstract and abstract.strip(),
+            )
+            lineno = index_line + len(ref_raws) + (abstract is not None) + 1
+            if record is None:
+                report.skipped += 1
+            else:
+                report.parsed += 1
+                yield record
+            continue
+
+        # The line loop. A line may keep its line break: every value is stripped.
         if type(line) is UnicodeDecodeError:  # the line is not UTF-8
             if line.object.startswith(COMMENT_PREFIX.encode()):  # skipped whatever it holds
                 continue
@@ -340,7 +524,10 @@ def _parse(
         elif not line.strip():  # a blank or whitespace-only line ends the block
             if in_block:
                 in_block = False
-                record = finish()
+                record = None if undecodable else finish(
+                    first_line, title, authors, year_raw, year_line, venue, field_lines,
+                    keywords, index_raw, index_line, ref_lines, ref_raws, abstract,
+                )
                 if record is None:
                     report.skipped += 1
                 else:
@@ -357,7 +544,7 @@ def _parse(
             ordinal += 1
             report.blocks += 1
             first_line = lineno
-            title = authors = year_raw = venue = index_raw = abstract = field_labels = None
+            title = authors = year_raw = venue = index_raw = abstract = field_lines = None
             year_line = index_line = 0
             keywords: set[str] = set()
             ref_lines: list[int] = []
@@ -368,10 +555,7 @@ def _parse(
             ref_lines.append(lineno)
             ref_raws.append(line[2:].strip())
         elif tag == "k":
-            # Collapse whitespace runs and case-fold the whole line at once:
-            # no whitespace run holds a comma, so each trimmed comma-separated
-            # piece equals that keyword normalized on its own.
-            keywords.update(map(str.strip, " ".join(line[2:].split()).casefold().split(",")))
+            keywords.update(_keywords(line[2:]))
         elif tag == "i" and line.startswith("#index"):
             if index_raw is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #index ignored")
@@ -387,8 +571,7 @@ def _parse(
             if authors is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #@ ignored")
             else:
-                names = map(str.strip, line[2:].split(","))
-                authors = tuple([n for n in names if n])
+                authors = _names(line[2:])
         elif tag == "t":
             if year_raw is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #t ignored")
@@ -401,12 +584,9 @@ def _parse(
             else:
                 venue = line[2:].strip()
         elif tag == "f":
-            if field_labels is None:
-                field_labels = []
-            for label in line[2:].split(","):
-                label = label.strip()
-                if label:
-                    field_labels.append((lineno, label))
+            if field_lines is None:
+                field_lines = []
+            field_lines.append((lineno, line[2:]))
         elif tag == "!":
             if abstract is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #! ignored")

@@ -9,12 +9,18 @@ library does not load it for any analysis.
 
 from __future__ import annotations
 
+import io
 import math
+from itertools import chain
 from math import fsum
+from typing import Iterator
 
 import numpy as np
 
-from citefields import Corpus, MetricReport, TimeWindow
+from citefields import Corpus, FieldTaxonomy, MetricReport, PaperRecord, TimeWindow
+from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, ParseReport
+from citefields.errors import ParseError
+from citefields.records import YEAR_RANGE
 from citefields.report import base_metadata
 
 
@@ -318,3 +324,218 @@ def corpus_stats_direct(corpus: Corpus) -> MetricReport:
         count = len(corpus.by_field.get(f, ()))
         report.add_row(corpus.taxonomy.abbr(f), count, count / n)
     return report
+
+def _decoded_line(raw: bytes) -> str | UnicodeDecodeError:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+
+
+def parse_lines_direct(
+    data: bytes,
+    taxonomy: FieldTaxonomy,
+    strict: bool,
+    report: ParseReport,
+) -> Iterator[PaperRecord]:
+    """The accepted records of ``data`` in file order, read by one state
+    machine over its lines; ``report`` is filled as they are read.
+
+    The parser's line loop as it stood before canonical blocks were
+    matched whole: each line of ``data`` is decoded on its own, with its
+    ``\n``, and one tag dispatch reads it. The parser must give the same
+    records, counts and diagnostics, and raise the same ``ParseError``.
+    """
+    seen_ids: set[int] = set()
+    # Memos bounded by the taxonomy: label lookups and field-index sets.
+    field_of: dict[str, int | None] = {}  # field label -> taxonomy index, None if unknown
+    fieldsets: dict[tuple[int, ...], frozenset[int]] = {}
+    ordinal = 0
+    in_block = False
+
+    def emit(lineno: int, severity: str, code: str, message: str) -> None:
+        d = Diagnostic(lineno, ordinal, severity, code, message)
+        report.diagnostics.append(d)
+        if strict and severity == ERROR:
+            raise ParseError(d)
+
+    def finish() -> PaperRecord | None:
+        """Validate the block that just ended; None when it is skipped."""
+        if undecodable:
+            return None
+        # Identity first: later diagnostics hang off the record's own lines.
+        if index_raw is None:
+            emit(first_line, ERROR, "missing-index", "record has no #index line")
+            return None
+        if not (index_raw.isascii() and index_raw.isdigit()):
+            emit(index_line, ERROR, "malformed-index",
+                 f"bad paper id {index_raw!r}")
+            return None
+        pid = int(index_raw)
+        if pid in seen_ids:
+            emit(index_line, ERROR, "duplicate-id", f"paper id {pid} already seen")
+            return None
+
+        year = None
+        if year_raw is not None and year_raw.isascii() and year_raw.isdigit():
+            year = int(year_raw)
+        if year is None or not (YEAR_RANGE[0] <= year <= YEAR_RANGE[1]):
+            emit(year_line or first_line, ERROR, "malformed-year",
+                 f"missing or out-of-range year {year_raw!r}")
+            return None
+
+        if field_labels is None:
+            emit(first_line, ERROR, "missing-fields", "record has no #f line")
+            return None
+        field_indices: list[int] = []
+        unknown = False
+        for lineno, label in field_labels:
+            idx = field_of.get(label, -1)
+            if idx == -1:
+                idx = field_of[label] = taxonomy.get(label)
+            if idx is None:
+                severity = ERROR if strict else WARNING
+                emit(lineno, severity, "unknown-field",
+                     f"field label {label!r} not in taxonomy, dropped")
+                unknown = True
+            elif idx in field_indices:
+                emit(lineno, WARNING, "duplicate-field-label",
+                     f"field {label!r} tagged twice")
+            else:
+                field_indices.append(idx)
+        if not field_indices:
+            code = "no-valid-fields" if unknown else "missing-fields"
+            emit(first_line, ERROR, code, "record has no usable field label")
+            return None
+        key = tuple(field_indices)
+        fields = fieldsets.get(key)
+        if fields is None:
+            fields = fieldsets[key] = frozenset(key)
+
+        # All references at once; line by line only to say what is wrong.
+        # An empty value adds no character to the joined check; int() refuses it.
+        digits = "".join(ref_raws)
+        try:
+            refs = tuple(map(int, ref_raws))
+            clean = not refs or (digits.isascii() and digits.isdigit()
+                                 and pid not in refs and len(set(refs)) == len(refs))
+        except ValueError:
+            clean = False
+        if not clean:
+            kept: dict[int, None] = {}
+            for lineno, raw in zip(ref_lines, ref_raws):
+                if not (raw.isascii() and raw.isdigit()):
+                    emit(lineno, WARNING, "malformed-reference",
+                         f"bad reference id {raw!r}, dropped")
+                    continue
+                rid = int(raw)
+                if rid == pid:
+                    emit(lineno, WARNING, "self-reference",
+                         f"paper {pid} references itself, dropped")
+                    continue
+                if rid in kept:
+                    emit(lineno, WARNING, "duplicate-reference",
+                         f"reference {rid} repeated, deduplicated")
+                    continue
+                kept[rid] = None
+            refs = tuple(kept)
+
+        seen_ids.add(pid)
+        keywords.discard("")
+        return PaperRecord(
+            pid, title or "", authors or (), year, venue or None, fields,
+            tuple(sorted(keywords)), refs, abstract or None,
+        )
+
+    # One pass over the lines; a blank line appended at the end finishes the
+    # last block. A line may keep its line break: every value is stripped.
+    lines = [_decoded_line(raw) for raw in io.BytesIO(data)]
+    for lineno, line in enumerate(chain(lines, ("",)), start=1):
+        if type(line) is UnicodeDecodeError:  # the line is not UTF-8
+            if line.object.startswith(COMMENT_PREFIX.encode()):  # skipped whatever it holds
+                continue
+            tag, decode_error = None, line
+        elif line[:1] == "#":
+            tag = line[1:2]
+        elif not line.strip():  # a blank or whitespace-only line ends the block
+            if in_block:
+                in_block = False
+                record = finish()
+                if record is None:
+                    report.skipped += 1
+                else:
+                    report.parsed += 1
+                    yield record
+            continue
+        elif line.startswith(COMMENT_PREFIX):
+            continue
+        else:
+            tag = ""
+        if not in_block:
+            # The ordinal moves when a block starts, so its scan warnings carry it.
+            in_block = True
+            ordinal += 1
+            report.blocks += 1
+            first_line = lineno
+            title = authors = year_raw = venue = index_raw = abstract = field_labels = None
+            year_line = index_line = 0
+            keywords: set[str] = set()
+            ref_lines: list[int] = []
+            ref_raws: list[str] = []
+            undecodable = False
+
+        if tag == "%":
+            ref_lines.append(lineno)
+            ref_raws.append(line[2:].strip())
+        elif tag == "k":
+            # Collapse whitespace runs and case-fold the whole line at once:
+            # no whitespace run holds a comma, so each trimmed comma-separated
+            # piece equals that keyword normalized on its own.
+            keywords.update(map(str.strip, " ".join(line[2:].split()).casefold().split(",")))
+        elif tag == "i" and line.startswith("#index"):
+            if index_raw is not None:
+                emit(lineno, WARNING, "duplicate-tag", "extra #index ignored")
+            else:
+                index_raw = line[6:].strip()
+                index_line = lineno
+        elif tag == "*":
+            if title is not None:
+                emit(lineno, WARNING, "duplicate-tag", "extra #* ignored")
+            else:
+                title = line[2:].strip()
+        elif tag == "@":
+            if authors is not None:
+                emit(lineno, WARNING, "duplicate-tag", "extra #@ ignored")
+            else:
+                names = map(str.strip, line[2:].split(","))
+                authors = tuple([n for n in names if n])
+        elif tag == "t":
+            if year_raw is not None:
+                emit(lineno, WARNING, "duplicate-tag", "extra #t ignored")
+            else:
+                year_raw = line[2:].strip()
+                year_line = lineno
+        elif tag == "c":
+            if venue is not None:
+                emit(lineno, WARNING, "duplicate-tag", "extra #c ignored")
+            else:
+                venue = line[2:].strip()
+        elif tag == "f":
+            if field_labels is None:
+                field_labels = []
+            for label in line[2:].split(","):
+                label = label.strip()
+                if label:
+                    field_labels.append((lineno, label))
+        elif tag == "!":
+            if abstract is not None:
+                emit(lineno, WARNING, "duplicate-tag", "extra #! ignored")
+            else:
+                abstract = line[2:].strip()
+        elif tag is None:
+            undecodable = True
+            emit(lineno, ERROR, "encoding",
+                 f"line is not valid UTF-8 ({decode_error.reason} at byte {decode_error.start})")
+        else:
+            line = line.rstrip("\n").rstrip("\r")
+            emit(lineno, WARNING, "unknown-line", f"unrecognized line ignored: {line[:40]!r}")

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citefields import (
-    Corpus, FieldTaxonomy, LENIENT, ParseError, STRICT,
-    parse_corpus, serialize_corpus,
+    Corpus, FieldTaxonomy, GeneratorSpec, LENIENT, ParseError, ParseReport, STRICT,
+    generate, parse_corpus, serialize_corpus,
 )
 from citefields import corpusio
 from conftest import GOLDEN_RECORD, corpus_of, rec
-from oracles import normalize_keyword
+from oracles import normalize_keyword, parse_lines_direct
 
 
 def test_golden_record_parses_to_exact_values(golden_text, taxonomy):
@@ -136,6 +136,17 @@ def test_duplicate_id_skips_later_record():
     assert len(corpus) == 1
     assert corpus[7].title == "A"
     assert report.errors()[0].code == "duplicate-id"
+
+
+def test_duplicate_id_found_near_or_far_from_the_ids_seen():
+    # 1000 is far beyond the first ids seen, 99999999999999 always is; the
+    # ids in between grow the range past 1000 before its copy comes.
+    ids = [1000, 99999999999999, *range(1, 21), 1001, 1000, 99999999999999, 7]
+    text = "\n".join(f"#*P\n#t2000\n#fAI\n#index{pid}\n" for pid in ids)
+    corpus, report = parse_corpus(text)
+    assert sorted(corpus) == sorted(set(ids))
+    assert [(d.record, d.code) for d in report.diagnostics] == [
+        (24, "duplicate-id"), (25, "duplicate-id"), (26, "duplicate-id")]
 
 
 def test_missing_field_line_lenient_skips_strict_aborts():
@@ -389,6 +400,128 @@ def test_chunk_size_does_not_change_the_parse(data, chunk_size):
         mp.setattr(corpusio, "CHUNK_SIZE", chunk_size)
         assert parse_corpus(data) == want
         assert parse_corpus(io.BytesIO(data)) == want
+
+
+# One change to one block of a canonical corpus, each a reason for the
+# block to leave the pattern's path or to give a diagnostic on it.
+_MUTATIONS = ("drop", "double", "move", "crlf", "blank", "comment", "pad",
+              "bad-index", "bad-year", "bad-reference", "no-final-newline",
+              "keywords", "repeated-id")
+
+
+@st.composite
+def _mutated_canonical(draw) -> bytes:
+    """A serialized corpus with one mutation in one of its blocks."""
+    text = serialize_corpus(corpus_of(*draw(_records())))
+    blocks = [block.split("\n") for block in text.rstrip("\n").split("\n\n")]
+    lines = draw(st.sampled_from(blocks))
+    kind = draw(st.sampled_from(_MUTATIONS))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[at]
+    elif kind == "double":
+        lines.insert(at, lines[at])
+    elif kind == "move":
+        lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(at))
+    elif kind == "blank":
+        lines.insert(at, draw(st.sampled_from([" ", "\t", "\r", "\x0b"])))
+    elif kind == "comment":
+        lines.insert(at, "%% note")
+    elif kind == "pad":
+        tag = 6 if lines[at].startswith("#index") else 2
+        lines[at] = f"{lines[at][:tag]} {lines[at][tag:]}\t"
+    elif kind == "keywords":
+        value = "#k" + draw(st.text(alphabet=" ,,abA-\t", max_size=12))
+        where = [i for i, line in enumerate(lines) if line.startswith(("#k", "#index"))]
+        lines[where[0]:where[0] + lines[where[0]].startswith("#k")] = [value]
+    elif kind == "repeated-id":
+        copy = next(line for line in draw(st.sampled_from(blocks)) if line.startswith("#index"))
+        lines[next(i for i, line in enumerate(lines) if line.startswith("#index"))] = copy
+    else:
+        bad = {"bad-index": ("#index", ["1_0", "+5", "x", "", "\u0663"]),
+               "bad-year": ("#t", ["19x0", "", "99999", "\u0662000"]),
+               "bad-reference": ("#%", ["+5", "x", "", "1_0", "\u0663"])}.get(kind)
+        if bad is not None:
+            prefix, values = bad
+            value = prefix + draw(st.sampled_from(values))
+            where = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+            if where and prefix != "#%":
+                lines[where[0]] = value
+            else:
+                lines.insert(at, value)
+    text = "\n\n".join("\n".join(block) for block in blocks) + "\n"
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "no-final-newline":
+        text = text.rstrip("\n")
+    return text.encode("utf-8")
+
+
+def _outcome(parse, strict: bool) -> tuple:
+    """The records a parse gives, its block counts and diagnostics, and the
+    diagnostic of the ParseError that ended it, if one did."""
+    report = ParseReport()
+    records = []
+    error = None
+    try:
+        records.extend(parse(FieldTaxonomy.default(), strict, report))
+    except ParseError as exc:
+        error = exc.diagnostic
+    return records, (report.blocks, report.parsed, report.skipped), report.diagnostics, error
+
+
+@given(st.one_of(_fuzz_input(), _mutated_canonical()), st.sampled_from((1, 7, 64, None)))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_line_loop_oracle(data, chunk_size):
+    """Blocks matched whole and blocks read line by line give what the line
+    loop alone gives, with chunks cut anywhere (None: the default size)."""
+    sources = [io.BytesIO(data)]
+    with contextlib.suppress(UnicodeDecodeError):
+        sources.append(data.decode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_size is not None:
+            mp.setattr(corpusio, "CHUNK_SIZE", chunk_size)
+        for strict in (False, True):
+            want = _outcome(lambda *args: parse_lines_direct(data, *args), strict)
+            for source in sources:
+                if hasattr(source, "seek"):
+                    source.seek(0)
+                got = _outcome(lambda *args: corpusio._parse(source, *args), strict)
+                assert got == want
+                # The public entry point: the same records, report or error.
+                kept = []
+                strictness = STRICT if strict else LENIENT
+                if hasattr(source, "seek"):
+                    source.seek(0)
+                try:
+                    _none, report = parse_corpus(source, strictness=strictness,
+                                                 into=lambda records, _tax: kept.extend(records))
+                except ParseError as exc:
+                    assert exc.diagnostic == want[3]
+                else:
+                    assert want[3] is None
+                    assert (report.blocks, report.parsed, report.skipped) == want[1]
+                    assert report.diagnostics == want[2]
+                assert kept == want[0]
+
+
+def test_generated_corpus_reaches_no_line_loop(monkeypatch):
+    """Every block the generator writes is matched whole: the only lines
+    the line loop would read are its header comment and the empty lines."""
+    items = corpusio._items
+
+    def matched_blocks_only(source):
+        for item in items(source):
+            if type(item) is str and item and not item.startswith(corpusio.COMMENT_PREFIX):
+                raise AssertionError(f"the line loop read {item!r}")
+            yield item
+
+    monkeypatch.setattr(corpusio, "_items", matched_blocks_only)
+    text = generate(GeneratorSpec(seed=4, field_count=4, years_span=5, papers_per_year=(40, 40)))
+    for source in (text, text.encode("utf-8")):
+        corpus, report = parse_corpus(source, strictness=STRICT)
+        assert len(corpus) == report.parsed == report.blocks == 200
+        assert not report.diagnostics
 
 
 # Whitespace of categories Zs and Cc (a #k line cannot hold "\n"), commas,
