@@ -47,11 +47,11 @@ another tag order, a repeated or unknown tag, a ``%%`` line inside it, a
 whitespace-only line inside, before or after it (a CRLF file's blank lines
 hold ``\r``), a reference that is not ASCII digits, a chunk that is not
 all UTF-8, a text stream or other iterable of lines, or a block longer
-than a chunk. The line loop dispatches each line
-on the tag's second character and keeps the block's tags in local
-variables until a blank or whitespace-only line ends it. Both hand the
-block's values to one ``finish()``, so every diagnostic, ordinal and
-strict-mode ``ParseError`` comes from one validator.
+than a chunk. The line loop dispatches each line on the tag's second
+character and keeps the block's tags in local variables until a blank or
+whitespace-only line ends it. Both hand the block's values to one
+``finish()``, so every diagnostic, ordinal and strict-mode ``ParseError``
+comes from one validator.
 
 A ``#k`` line is normalized as a whole and its keywords are kept as a
 tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
