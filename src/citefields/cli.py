@@ -4,7 +4,11 @@ One subcommand per analysis. Reports go to stdout unless --output is given,
 embed the tool version and a config echo, and are byte-identical for
 identical inputs and flags (no timestamps anywhere). Errors print a
 machine-readable JSON record to stderr and exit nonzero. The only
-environment variable honored is CITEFIELDS_LOG (logging verbosity).
+environment variable honored is CITEFIELDS_LOG: one of the level names
+DEBUG, INFO, WARNING (the default), ERROR and CRITICAL, in any case. At
+DEBUG an internal error's traceback is logged to stderr before its JSON
+record; the other levels log nothing. Any other value is a usage error,
+reported before any input is read.
 
 Exit codes: 0 success; 1 bad input or an undefined analysis (unreadable
 file, strict-mode parse error, a corpus with no parsed records for any
@@ -12,18 +16,21 @@ subcommand but ``validate``, a ``--window`` or ``--years`` span holding no
 paper); 2 usage error; 3 internal error (any other
 exception, reported as the same JSON record; its traceback is logged at
 DEBUG level).
+
+Start-up is part of every invocation, so the import loads no more than the
+work needs: ``json`` is imported for a JSON report or an error record,
+``logging`` for an internal error at DEBUG, and numpy (with ``synth``) only
+by ``generate``.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
-import logging
 import os
 import sys
 from collections import deque
-from dataclasses import replace
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -43,9 +50,10 @@ from .trajectory import (
     phases_report, trajectory_report,
 )
 
-logger = logging.getLogger(__name__)
-
+EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 NO_RECORDS = "corpus has no parsed records, nothing to analyze"
 
@@ -384,18 +392,25 @@ def _cmd_cotag(args) -> MetricReport:
 
 def _cmd_generate(args) -> None:
     # The generator needs numpy; no other subcommand imports it at start-up.
-    from .synth import generate, load_generator_spec
+    from dataclasses import replace
+
+    from .synth import generate_chunks, load_generator_spec
 
     # An empty spec is the default spec.
     spec_text = Path(args.spec).read_text(encoding="utf-8") if args.spec else ""
     spec = load_generator_spec(spec_text)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    text = generate(spec)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    chunks = generate_chunks(spec)
+    # The first chunk comes after the spec is validated, so a bad spec opens
+    # no output file.
+    header = next(chunks)
+    # A chunk at a time, so no copy of the whole text is held.
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as out:
+        out.write(header)
+        for chunk in chunks:
+            out.write(chunk)
 
 
 _COMMANDS = {
@@ -413,7 +428,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("CITEFIELDS_LOG", "WARNING").upper())
+    log_level = os.environ.get("CITEFIELDS_LOG", "WARNING")
+    if log_level.upper() not in LOG_LEVELS:
+        _error_record(ValueError(
+            f"CITEFIELDS_LOG must be one of {', '.join(LOG_LEVELS)}, got {log_level!r}"
+        ))
+        return EXIT_USAGE
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "hit_rate", False) and not args.top_share:
@@ -429,12 +449,18 @@ def main(argv: list[str] | None = None) -> int:
         _error_record(exc)
         return 1
     except Exception as exc:  # last resort: a JSON record, never a traceback
-        logger.debug("internal error", exc_info=True)
+        if log_level.upper() == "DEBUG":
+            import logging
+
+            logging.basicConfig(level=logging.DEBUG)
+            logging.getLogger(__name__).debug("internal error", exc_info=True)
         _error_record(exc)
         return EXIT_INTERNAL
 
 
 def _error_record(exc: Exception) -> None:
+    import json
+
     record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(record), file=sys.stderr)
 

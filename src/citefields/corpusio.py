@@ -90,17 +90,14 @@ from __future__ import annotations
 
 import gc
 import io
-import logging
 import re
-from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import IO, Callable, Iterator, TypeVar
+from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import ParseError
 from .records import YEAR_RANGE, Corpus, PaperRecord
+from .slotted import Slotted
 from .taxonomy import FieldTaxonomy
-
-logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -123,8 +120,7 @@ SEEN_ID_BITS = 64
 FIELD_TEXT_MEMO = 4096
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     record: int
     severity: str
@@ -135,12 +131,20 @@ class Diagnostic:
         return f"line {self.line}, record {self.record}: [{self.severity}] {self.code}: {self.message}"
 
 
-@dataclass
-class ParseReport:
-    blocks: int = 0
-    parsed: int = 0
-    skipped: int = 0
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class ParseReport(Slotted):
+    __slots__ = ("blocks", "parsed", "skipped", "diagnostics")
+
+    def __init__(
+        self,
+        blocks: int = 0,
+        parsed: int = 0,
+        skipped: int = 0,
+        diagnostics: list[Diagnostic] | None = None,
+    ):
+        self.blocks = blocks
+        self.parsed = parsed
+        self.skipped = skipped
+        self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == ERROR]
@@ -330,7 +334,6 @@ def parse_corpus(
     finally:
         if enabled:
             gc.enable()
-    logger.debug("parse_corpus: %s", report.summary())
     return result, report
 
 

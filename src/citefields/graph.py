@@ -23,24 +23,29 @@ Multi-field cited papers are counted under a configurable multiplicity rule:
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Iterable
 
 from .records import Corpus, TimeWindow
-
-logger = logging.getLogger(__name__)
+from .slotted import Slotted
 
 FULL_COUNT = "full"
 FRACTIONAL = "fractional"
 
 
-@dataclass
-class CitationGraph:
-    out_edges: dict[int, tuple[int, ...]]
-    in_edges: dict[int, tuple[int, ...]]
-    unresolved: dict[int, int]
-    multiplicity: str
+class CitationGraph(Slotted):
+    __slots__ = ("out_edges", "in_edges", "unresolved", "multiplicity")
+
+    def __init__(
+        self,
+        out_edges: dict[int, tuple[int, ...]],
+        in_edges: dict[int, tuple[int, ...]],
+        unresolved: dict[int, int],
+        multiplicity: str,
+    ):
+        self.out_edges = out_edges
+        self.in_edges = in_edges
+        self.unresolved = unresolved
+        self.multiplicity = multiplicity
 
     @property
     def total_edges(self) -> int:
@@ -92,12 +97,7 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
             in_lists.setdefault(rid, []).append(pid)
 
     in_edges = {pid: tuple(citers) for pid, citers in in_lists.items()}
-    graph = CitationGraph(out_edges, in_edges, unresolved, multiplicity)
-    logger.debug(
-        "build_graph: %d papers, %d edges, %d dangling",
-        len(out_edges), graph.total_edges, sum(unresolved.values()),
-    )
-    return graph
+    return CitationGraph(out_edges, in_edges, unresolved, multiplicity)
 
 
 def field_flow(

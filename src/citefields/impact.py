@@ -17,31 +17,32 @@ impact per bucket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import ceil, fsum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import AnalysisError
 from .graph import CitationGraph
 from .records import Corpus, TimeWindow
 from .report import MetricReport, base_metadata, window_label
+from .slotted import Slotted
 
 DEFAULT_HORIZON = 5
 TOP_SHARE = 0.05
 
 
-@dataclass(frozen=True)
-class PaperImpact:
+class PaperImpact(NamedTuple):
     cp: int
     jif: float | None
     top_cited: bool
 
 
-@dataclass
-class ImpactScores:
-    per_paper: dict[int, PaperImpact]
-    window: TimeWindow | None
+class ImpactScores(Slotted):
+    __slots__ = ("per_paper", "window")
+
+    def __init__(self, per_paper: dict[int, PaperImpact], window: TimeWindow | None):
+        self.per_paper = per_paper
+        self.window = window
 
 
 def citations_received(

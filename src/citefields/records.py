@@ -12,27 +12,40 @@ boundaries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AnalysisError
 from .report import MetricReport, base_metadata
+from .slotted import Slotted
 from .taxonomy import FieldTaxonomy
 
 YEAR_RANGE = (1900, 2100)  # inclusive; the parser skips a record dated outside it
 
 
-@dataclass(frozen=True, slots=True)
-class TimeWindow:
-    """Inclusive [start, end] range of publication years."""
+class TimeWindow(Slotted):
+    """Inclusive [start, end] range of publication years.
 
-    start: int
-    end: int
+    Immutable and hashable: assigning or deleting a field raises
+    ``AttributeError``.
+    """
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"window start {self.start} > end {self.end}")
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        if start > end:
+            raise ValueError(f"window start {start} > end {end}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
 
     def contains(self, year: int) -> bool:
         return self.start <= year <= self.end

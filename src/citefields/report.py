@@ -10,11 +10,11 @@ round-trip at full precision.
 from __future__ import annotations
 
 import io
-import json
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO
+
+from .slotted import Slotted
 
 
 def format_cell(value: Any) -> str:
@@ -26,12 +26,20 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
-@dataclass
-class MetricReport:
-    name: str
-    columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
-    metadata: dict[str, Any] = field(default_factory=dict)
+class MetricReport(Slotted):
+    __slots__ = ("name", "columns", "rows", "metadata")
+
+    def __init__(
+        self,
+        name: str,
+        columns: tuple[str, ...],
+        rows: list[tuple] | None = None,
+        metadata: dict[str, Any] | None = None,
+    ):
+        self.name = name
+        self.columns = columns
+        self.rows: list[tuple] = [] if rows is None else rows
+        self.metadata: dict[str, Any] = {} if metadata is None else metadata
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -60,6 +68,8 @@ class MetricReport:
             out.write(",".join(format_cell(v) for v in row) + "\n")
 
     def to_json_text(self) -> str:
+        import json  # loaded here, so a CSV report never imports it
+
         payload = {
             "report": self.name,
             "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},

@@ -25,7 +25,7 @@ import bisect
 from dataclasses import dataclass
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -188,6 +188,15 @@ def generate(spec: GeneratorSpec) -> str:
     First-year papers have no references (there is nothing earlier to
     cite); reference targets never repeat within a paper.
     """
+    return "".join(generate_chunks(spec))
+
+
+def generate_chunks(spec: GeneratorSpec) -> Iterator[str]:
+    """``generate(spec)`` in pieces: the ``%%`` header line, then the records
+    of each year, so a writer holds one year of text at a time.
+
+    The spec is validated before the first piece is returned.
+    """
     spec.validate()
     rng = Random(spec.seed)
     k = spec.field_count
@@ -215,10 +224,10 @@ def generate(spec: GeneratorSpec) -> str:
     authors = [f"Author {i:03d}" for i in range(spec.author_pool_size)]
     venues = [f"VENUE-{i}" for i in range(spec.venue_count)]
 
-    lines: list[str] = [
+    yield (
         f"%% synthetic corpus: rng={RNG_PIN} seed={spec.seed} "
-        f"fields={k} years={spec.start_year}+{spec.years_span}",
-    ]
+        f"fields={k} years={spec.start_year}+{spec.years_span}\n"
+    )
     by_field_prior: list[list[int]] = [[] for _ in range(k)]  # ids of papers from closed years
     all_prior: list[int] = []
     next_id = 1
@@ -235,6 +244,7 @@ def generate(spec: GeneratorSpec) -> str:
     for year in range(spec.start_year, spec.start_year + spec.years_span):
         year_records: list[tuple[int, int]] = []  # (id, field) per tag
         year_pids: list[int] = []
+        lines: list[str] = []
         n_papers = _rand_int(rng, *spec.papers_per_year)
         for _ in range(n_papers):
             pid = next_id
@@ -291,7 +301,8 @@ def generate(spec: GeneratorSpec) -> str:
         for pid, f in year_records:
             by_field_prior[f].append(pid)
         all_prior.extend(year_pids)
-    return "\n".join(lines) + "\n"
+        if lines:
+            yield "\n".join(lines) + "\n"
 
 
 def generate_corpus(spec: GeneratorSpec, taxonomy: FieldTaxonomy | None = None) -> Corpus:

@@ -27,13 +27,14 @@ fitted segment means (raw scale) ride along so callers can judge the fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import fsum, log
+from typing import NamedTuple
 
 from .errors import AnalysisError
 from .graph import CitationGraph
 from .records import Corpus, TimeWindow, author_key
 from .report import MetricReport, base_metadata
+from .slotted import Slotted
 
 GROWING = "growing"
 MATURED = "matured"
@@ -44,28 +45,43 @@ INTERDISCIPLINARY = "interdisciplinary"
 MIN_GAIN_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     label: str
     start: int
     end: int
     segment_mean: float
 
 
-@dataclass
-class PhaseDetection:
-    phases: list[Phase]
-    tau_change_year: int | None
-    zeta_change_year: int | None
-    diagnostics: list[str] = field(default_factory=list)
+class PhaseDetection(Slotted):
+    __slots__ = ("phases", "tau_change_year", "zeta_change_year", "diagnostics")
+
+    def __init__(
+        self,
+        phases: list[Phase],
+        tau_change_year: int | None,
+        zeta_change_year: int | None,
+        diagnostics: list[str] | None = None,
+    ):
+        self.phases = phases
+        self.tau_change_year = tau_change_year
+        self.zeta_change_year = zeta_change_year
+        self.diagnostics: list[str] = [] if diagnostics is None else diagnostics
 
 
-@dataclass
-class FieldTrajectory:
-    field: int
-    years: tuple[int, ...]
-    tau: tuple[float | None, ...]
-    zeta: tuple[float | None, ...]
+class FieldTrajectory(Slotted):
+    __slots__ = ("field", "years", "tau", "zeta")
+
+    def __init__(
+        self,
+        field: int,
+        years: tuple[int, ...],
+        tau: tuple[float | None, ...],
+        zeta: tuple[float | None, ...],
+    ):
+        self.field = field
+        self.years = years
+        self.tau = tau
+        self.zeta = zeta
 
 
 def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[int, int]:

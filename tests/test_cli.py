@@ -10,7 +10,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citefields import GeneratorSpec, cli, corpusio, generate, parse_corpus, serialize_record
+from citefields import (
+    GeneratorSpec, PlantedLifecycle, cli, corpusio, generate, parse_corpus, serialize_record,
+)
 from citefields.cli import main
 from citefields.records import YEAR_RANGE
 from conftest import GOLDEN_RECORD, child_env, corpus_of, rec
@@ -160,6 +162,62 @@ def test_unexpected_exception_becomes_error_record(golden_file, capsys, monkeypa
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err) == {"error": {"type": "RuntimeError", "message": "boom"}}
+
+
+# Runs ``main`` in a fresh interpreter with ``stats`` raising an internal error.
+_BROKEN_STATS = (
+    "import sys\n"
+    "from citefields import cli\n"
+    "def broken(_args):\n"
+    "    raise RuntimeError('boom')\n"
+    "cli._COMMANDS['stats'] = broken\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("level, traceback", [
+    ("DEBUG", True), ("debug", True), ("WARNING", False), (None, False),
+])
+def test_internal_error_traceback_only_at_debug(level, traceback, golden_file):
+    env = child_env()
+    env.pop("CITEFIELDS_LOG", None)
+    if level is not None:
+        env["CITEFIELDS_LOG"] = level
+    proc = subprocess.run(
+        [sys.executable, "-c", _BROKEN_STATS, "stats", str(golden_file)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert proc.stdout == ""
+    *logged, record = proc.stderr.splitlines()
+    assert json.loads(record) == {"error": {"type": "RuntimeError", "message": "boom"}}
+    if traceback:
+        assert logged[0] == "DEBUG:citefields.cli:internal error"
+        assert logged[1] == "Traceback (most recent call last):"
+        assert logged[-1] == "RuntimeError: boom"
+    else:
+        assert logged == []
+
+
+@pytest.mark.parametrize("level", ["verbose", "", "10", "WARN", "debug "])
+def test_unknown_log_level_is_a_usage_error(level, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CITEFIELDS_LOG", level)
+    # The input does not exist: the level is refused before any input is read.
+    assert main(["stats", str(tmp_path / "missing.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "type": "ValueError",
+        "message": "CITEFIELDS_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, "
+                   f"got {level!r}",
+    }}
+
+
+@pytest.mark.parametrize("level", ["Debug", "info", "warning", "ERROR", "critical"])
+def test_standard_log_levels_in_any_case_are_accepted(level, golden_file, capsys, monkeypatch):
+    monkeypatch.setenv("CITEFIELDS_LOG", level)
+    assert main(["stats", str(golden_file)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_flag_rejected_before_work(golden_file):
@@ -363,6 +421,35 @@ def test_generate_deterministic_and_spec_file(tmp_path):
     assert main(["validate", str(out1), "--strict"]) == 0
 
 
+@pytest.mark.parametrize("spec_text, spec", [
+    ("", GeneratorSpec()),
+    ("seed = 4\nfield_count = 3\nyears_span = 12\npapers_per_year = 0:9\n"
+     "lifecycle = 1:1973:1977\n",
+     GeneratorSpec(seed=4, field_count=3, years_span=12, papers_per_year=(0, 9),
+                   lifecycle=PlantedLifecycle(1, 1973, 1977))),
+], ids=["default", "lifecycle"])
+def test_generate_writes_the_text_of_generate(spec_text, spec, tmp_path, capsys):
+    spec_file = tmp_path / "gen.txt"
+    spec_file.write_text(spec_text, encoding="utf-8")
+    out = tmp_path / "corpus.txt"
+    assert main(["generate", "--spec", str(spec_file), "-o", str(out)]) == 0
+    expected = generate(spec).encode("utf-8")
+    assert out.read_bytes() == expected
+    assert main(["generate", "--spec", str(spec_file)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_generate_invalid_spec_writes_no_output(tmp_path, capsys):
+    spec = tmp_path / "gen.txt"
+    spec.write_text("years_span = 0\n", encoding="utf-8")
+    out = tmp_path / "corpus.txt"
+    assert main(["generate", "--spec", str(spec), "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "AnalysisError", "message": "years_span must be positive",
+    }}
+    assert not out.exists()
+
+
 def test_generate_missing_spec_file_is_a_file_error(tmp_path, capsys):
     missing = tmp_path / "no-such-spec.txt"
     assert main(["generate", "--spec", str(missing)]) == 1
@@ -417,33 +504,40 @@ def test_console_entry_point_runs():
     assert "citefields" in proc.stdout
 
 
-# Runs one subcommand in a fresh interpreter, then prints whether numpy was loaded.
+# Modules that an analysis needs only for some of its work, or not at all.
+_OPTIONAL_MODULES = ("numpy", "dataclasses", "inspect", "ast", "logging", "json")
+
+# Runs one subcommand in a fresh interpreter, then prints which of
+# ``_OPTIONAL_MODULES`` were loaded.
 _NUMPY_PROBE = (
     "import sys\n"
     "from citefields.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy' in sys.modules)\n"
+    f"print(' '.join(m for m in {_OPTIONAL_MODULES!r} if m in sys.modules))\n"
     "sys.exit(code)\n"
 )
 
-# Keyed by test id. Only ``generate`` builds arrays, so no analysis loads numpy.
+# Keyed by test id. Only ``generate`` builds arrays, so no analysis loads
+# numpy; ``json`` is loaded for a JSON report alone.
 _NUMPY_USE = {
-    "validate": (["validate"], False),
-    "stats": (["stats"], False),
-    "rank": (["rank", "--metric", "kdi", "--window", "1970:1974"], False),
-    "impact": (["impact"], False),
-    "buckets": (["buckets", "--metric", "rdi"], False),
-    "acp": (["acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"], False),
-    "trajectory": (["trajectory", "--field", "AI", "--phases", "--min-years", "2"], False),
-    "evidence": (["evidence"], False),
-    "cotag": (["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"], False),
-    "reciprocity": (["reciprocity"], False),
-    "reciprocity-matrix": (["reciprocity", "--matrix", "--multiplicity", "fractional"], False),
+    "validate": (["validate"], ""),
+    "validate-json": (["validate", "--format", "json"], "json"),
+    "stats": (["stats"], ""),
+    "rank": (["rank", "--metric", "kdi", "--window", "1970:1974"], ""),
+    "impact": (["impact"], ""),
+    "buckets": (["buckets", "--metric", "rdi"], ""),
+    "acp": (["acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"], ""),
+    "trajectory": (["trajectory", "--field", "AI", "--phases", "--min-years", "2"], ""),
+    "evidence": (["evidence"], ""),
+    "evidence-json": (["evidence", "--format", "json"], "json"),
+    "cotag": (["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"], ""),
+    "reciprocity": (["reciprocity"], ""),
+    "reciprocity-matrix": (["reciprocity", "--matrix", "--multiplicity", "fractional"], ""),
 }
 
 
-@pytest.mark.parametrize("argv, loads_numpy", _NUMPY_USE.values(), ids=_NUMPY_USE)
-def test_only_array_subcommands_import_numpy(argv, loads_numpy, tiny_corpus, tmp_path):
+@pytest.mark.parametrize("argv, loaded", _NUMPY_USE.values(), ids=_NUMPY_USE)
+def test_only_array_subcommands_import_numpy(argv, loaded, tiny_corpus, tmp_path):
     command, *flags = argv
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, command, str(tiny_corpus), *flags,
@@ -451,7 +545,7 @@ def test_only_array_subcommands_import_numpy(argv, loads_numpy, tiny_corpus, tmp
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(loads_numpy)
+    assert proc.stdout.strip() == loaded
 
 
 def test_package_imports_without_numpy_and_serves_generator_names():
@@ -463,7 +557,8 @@ def test_package_imports_without_numpy_and_serves_generator_names():
         "graph = citefields.build_graph(corpus)\n"
         "assert citefields.field_flow(graph, corpus)[0][1] == 1.0\n"
         "assert citefields.citation_fraction_matrix(graph, corpus)[0][1] == 1.0\n"
-        "assert 'numpy' not in sys.modules\n"
+        f"loaded = [m for m in {_OPTIONAL_MODULES!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         "assert citefields.synth.generate is citefields.generate\n"
         "names = {}\n"
         "exec('from citefields import *', names)\n"
