@@ -32,9 +32,9 @@ from .trajectory import (
     field_trajectory, phases_report, trajectory_report,
 )
 
-# The generator is the one module that uses numpy. It and its names are
-# looked up on first use, so ``import citefields``, every analysis and the
-# CLI's subcommands other than ``generate`` run without numpy.
+# ``synth`` and its names are looked up on first use: its specs are
+# dataclasses, and ``dataclasses`` loads ``inspect`` and ``ast``, which no
+# analysis and no CLI subcommand but ``generate`` needs.
 _SYNTH_NAMES = (
     "GeneratorSpec", "PlantedLifecycle",
     "generate", "generate_corpus", "load_generator_spec",

@@ -19,8 +19,8 @@ DEBUG level).
 
 Start-up is part of every invocation, so the import loads no more than the
 work needs: ``json`` is imported for a JSON report or an error record,
-``logging`` for an internal error at DEBUG, and numpy (with ``synth``) only
-by ``generate``.
+``logging`` for an internal error at DEBUG, and ``synth`` with its spec
+dataclasses only by ``generate``.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a deterministic synthetic corpus")
     add_common(p, corpus=False)
     p.add_argument("--spec", help="flat key-value generator spec file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     return parser
 
 
@@ -391,7 +391,7 @@ def _cmd_cotag(args) -> MetricReport:
 
 
 def _cmd_generate(args) -> None:
-    # The generator needs numpy; no other subcommand imports it at start-up.
+    # The generator's spec is a dataclass; no other subcommand loads one.
     from dataclasses import replace
 
     from .synth import generate_chunks, load_generator_spec

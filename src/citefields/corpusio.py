@@ -152,12 +152,6 @@ class ParseReport(Slotted):
     def warnings(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == WARNING]
 
-    def summary(self) -> str:
-        return (
-            f"{self.parsed} parsed, {self.skipped} skipped of {self.blocks} blocks; "
-            f"{len(self.errors())} errors, {len(self.warnings())} warnings"
-        )
-
 
 def _decoded(raw: bytes) -> str | UnicodeDecodeError:
     """``raw`` decoded as UTF-8, or the error that decoding it raised."""

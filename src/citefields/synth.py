@@ -27,30 +27,28 @@ from functools import partial
 from random import Random
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .errors import AnalysisError
-from .records import Corpus
+from .reciprocity import _row_total
+from .records import YEAR_RANGE, Corpus
 from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 
 RNG_PIN = "python-random-mt19937-random()"
 
 
-def propensity_identity(k: int) -> np.ndarray:
-    return np.eye(k)
+def propensity_identity(k: int) -> list[list[float]]:
+    return [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k)]
 
 
-def propensity_uniform(k: int) -> np.ndarray:
-    return np.full((k, k), 1.0 / k)
+def propensity_uniform(k: int) -> list[list[float]]:
+    return [[1.0 / k] * k for _ in range(k)]
 
 
-def propensity_mixed(k: int, self_weight: float = 0.6) -> np.ndarray:
+def propensity_mixed(k: int, self_weight: float = 0.6) -> list[list[float]]:
     """self_weight on the diagonal, the rest spread evenly off-diagonal."""
     if k == 1:
-        return np.eye(1)
-    m = np.full((k, k), (1.0 - self_weight) / (k - 1))
-    np.fill_diagonal(m, self_weight)
-    return m
+        return [[1.0]]
+    off = (1.0 - self_weight) / (k - 1)
+    return [[float(self_weight) if j == i else off for j in range(k)] for i in range(k)]
 
 
 # Planted lifecycle shape: the focal field's cross-field reference share up to
@@ -96,12 +94,18 @@ class GeneratorSpec:
     lifecycle: PlantedLifecycle | None = None
 
     def validate(self) -> None:
+        if self.seed < 0:
+            # Random(seed) seeds by |seed|, so -5 would repeat the records of 5.
+            raise AnalysisError(f"seed must be non-negative, got {self.seed}")
         if self.field_count < 1 or self.field_count > len(DEFAULT_FIELDS):
             raise AnalysisError(
                 f"field_count must be 1..{len(DEFAULT_FIELDS)}, got {self.field_count}"
             )
         if self.years_span < 1:
             raise AnalysisError("years_span must be positive")
+        end = self.start_year + self.years_span - 1
+        if not (YEAR_RANGE[0] <= self.start_year and end <= YEAR_RANGE[1]):
+            raise AnalysisError(f"years {self.start_year}..{end} fall outside {YEAR_RANGE}")
         for name in ("papers_per_year", "references", "keywords_per_paper", "authors_per_paper"):
             lo, hi = getattr(self, name)
             if lo < 0 or lo > hi:
@@ -115,15 +119,16 @@ class GeneratorSpec:
         if self.author_pool_size < 1 or self.venue_count < 1:
             raise AnalysisError("author_pool_size and venue_count must be positive")
         matrix = self.propensity_matrix()
-        if matrix.shape != (self.field_count, self.field_count):
+        if len(matrix) != self.field_count or any(len(row) != len(matrix) for row in matrix):
             raise AnalysisError("propensity matrix shape does not match field_count")
-        if (matrix < 0).any() or not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
-            raise AnalysisError("propensity rows must be non-negative and sum to 1")
+        for row in matrix:
+            # np.allclose(atol=1e-9)'s tolerance; a NaN or inf total fails it.
+            if any(x < 0 for x in row) or not abs(_row_total(row) - 1.0) <= 1e-9 + 1e-5:
+                raise AnalysisError("propensity rows must be non-negative and sum to 1")
         lc = self.lifecycle
         if lc is not None:
             if self.field_count < 2:
                 raise AnalysisError("a planted lifecycle needs at least 2 fields")
-            end = self.start_year + self.years_span - 1
             if not 0 <= lc.focal_field < self.field_count:
                 raise AnalysisError("lifecycle focal_field outside the generated fields")
             if not (self.start_year <= lc.tau_drop_year < lc.zeta_rise_year <= end):
@@ -131,10 +136,10 @@ class GeneratorSpec:
                     "lifecycle years must satisfy start <= tau_drop < zeta_rise <= end"
                 )
 
-    def propensity_matrix(self) -> np.ndarray:
+    def propensity_matrix(self) -> list[list[float]]:
         if self.propensity is None:
             return propensity_mixed(self.field_count)
-        return np.asarray(self.propensity, dtype=np.float64)
+        return [[float(x) for x in row] for row in self.propensity]
 
 
 # -- stable sampling helpers (only rng.random() is ever consumed) ---------
@@ -154,7 +159,7 @@ def _cumulative(weights) -> list[float]:
     out = []
     total = 0.0
     for w in weights:
-        total += float(w)
+        total += w
         out.append(total)
     return out
 
@@ -182,6 +187,25 @@ def _keyword_pools(spec: GeneratorSpec, abbrs: list[str]) -> list[list[str]]:
     ]
 
 
+def _sampling_matrix(spec: GeneratorSpec) -> list[list[float]]:
+    """Propensity rows to draw from. A planted lifecycle's inbound redirect is
+    the only channel into the focal field: every other row's focal entry is
+    zeroed and the row renormalized, so the baseline does not wash out the rise."""
+    matrix = spec.propensity_matrix()
+    lc = spec.lifecycle
+    if lc is not None:
+        for i, row in enumerate(matrix):
+            if i == lc.focal_field:
+                continue
+            row[lc.focal_field] = 0.0
+            total = _row_total(row)
+            if total <= 0.0:
+                matrix[i] = [1.0 if j == i else 0.0 for j in range(len(row))]
+            else:
+                matrix[i] = [x / total for x in row]
+    return matrix
+
+
 def generate(spec: GeneratorSpec) -> str:
     """Produce a corpus in the record format honoring the generator settings.
 
@@ -203,23 +227,7 @@ def generate_chunks(spec: GeneratorSpec) -> Iterator[str]:
     abbrs = [DEFAULT_FIELDS[i][1] for i in range(k)]
     names = [DEFAULT_FIELDS[i][0] for i in range(k)]
     lc = spec.lifecycle
-    matrix = spec.propensity_matrix()
-    if lc is not None:
-        # With a planted lifecycle the inbound redirect is the only channel
-        # into the focal field: zero the focal column of every other row so
-        # the planted rise is not washed out by baseline propensity.
-        matrix = matrix.copy()
-        for i in range(k):
-            if i == lc.focal_field:
-                continue
-            matrix[i, lc.focal_field] = 0.0
-            total = matrix[i].sum()
-            if total <= 0.0:
-                matrix[i] = 0.0
-                matrix[i, i] = 1.0
-            else:
-                matrix[i] /= total
-    base_rows = [_cumulative(row) for row in matrix]
+    base_rows = [_cumulative(row) for row in _sampling_matrix(spec)]
     pools = _keyword_pools(spec, abbrs)
     authors = [f"Author {i:03d}" for i in range(spec.author_pool_size)]
     venues = [f"VENUE-{i}" for i in range(spec.venue_count)]
@@ -325,7 +333,7 @@ def _parse_range(value: str) -> tuple[int, int]:
     return v, v
 
 
-def _propensity_preset(value: str) -> Callable[[int], np.ndarray]:
+def _propensity_preset(value: str) -> Callable[[int], list[list[float]]]:
     """The matrix builder a ``propensity`` value names; ValueError if none."""
     if value == "identity":
         return propensity_identity
@@ -347,7 +355,7 @@ def load_generator_spec(text: str) -> GeneratorSpec:
     key or value raises ``AnalysisError`` naming the line.
     """
     kwargs: dict = {}
-    propensity: Callable[[int], np.ndarray] | None = None
+    propensity: Callable[[int], list[list[float]]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -19,7 +19,7 @@ import numpy as np
 
 from citefields import Corpus, FieldTaxonomy, MetricReport, PaperRecord, TimeWindow
 from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, ParseReport
-from citefields.errors import ParseError
+from citefields.errors import AnalysisError, ParseError
 from citefields.records import YEAR_RANGE
 from citefields.report import base_metadata
 
@@ -221,6 +221,67 @@ def bucket_split_direct(
 def row_totals_numpy(rows) -> list[float]:
     """Each row's total as numpy's ``sum(axis=1)`` adds it over a 2-D float64 array."""
     return [float(total) for total in np.asarray(rows, dtype=np.float64).sum(axis=1)]
+
+
+# -- the generator's propensity code as written with numpy ---------------
+# Copied verbatim from ``citefields.synth`` before it dropped numpy; the
+# generator must draw from the same float64 values, bit for bit.
+
+def propensity_identity_numpy(k: int) -> np.ndarray:
+    return np.eye(k)
+
+
+def propensity_uniform_numpy(k: int) -> np.ndarray:
+    return np.full((k, k), 1.0 / k)
+
+
+def propensity_mixed_numpy(k: int, self_weight: float = 0.6) -> np.ndarray:
+    """self_weight on the diagonal, the rest spread evenly off-diagonal."""
+    if k == 1:
+        return np.eye(1)
+    m = np.full((k, k), (1.0 - self_weight) / (k - 1))
+    np.fill_diagonal(m, self_weight)
+    return m
+
+
+def propensity_matrix_numpy(spec) -> np.ndarray:
+    """``GeneratorSpec.propensity_matrix``."""
+    if spec.propensity is None:
+        return propensity_mixed_numpy(spec.field_count)
+    return np.asarray(spec.propensity, dtype=np.float64)
+
+
+def validate_propensity_numpy(spec) -> None:
+    """The propensity checks of ``GeneratorSpec.validate``."""
+    matrix = propensity_matrix_numpy(spec)
+    if matrix.shape != (spec.field_count, spec.field_count):
+        raise AnalysisError("propensity matrix shape does not match field_count")
+    if (matrix < 0).any() or not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
+        raise AnalysisError("propensity rows must be non-negative and sum to 1")
+
+
+def sampling_matrix_numpy(spec) -> np.ndarray:
+    """The matrix the generator draws reference fields from: the planted
+    lifecycle's renormalization of ``propensity_matrix_numpy(spec)``."""
+    k = spec.field_count
+    lc = spec.lifecycle
+    matrix = propensity_matrix_numpy(spec)
+    if lc is not None:
+        # With a planted lifecycle the inbound redirect is the only channel
+        # into the focal field: zero the focal column of every other row so
+        # the planted rise is not washed out by baseline propensity.
+        matrix = matrix.copy()
+        for i in range(k):
+            if i == lc.focal_field:
+                continue
+            matrix[i, lc.focal_field] = 0.0
+            total = matrix[i].sum()
+            if total <= 0.0:
+                matrix[i] = 0.0
+                matrix[i, i] = 1.0
+            else:
+                matrix[i] /= total
+    return matrix
 
 
 def pearson_raw_moments(xs, ys) -> float:

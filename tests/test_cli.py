@@ -450,6 +450,26 @@ def test_generate_invalid_spec_writes_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "corpus.txt"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["generate", "--seed", "-5", "-o", str(out)])
+    assert exc_info.value.code == 2
+    assert "must be at least 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_negative_seed_in_spec_file_rejected(tmp_path, capsys):
+    spec = tmp_path / "gen.txt"
+    spec.write_text("seed = -5\n", encoding="utf-8")
+    out = tmp_path / "corpus.txt"
+    assert main(["generate", "--spec", str(spec), "-o", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "type": "AnalysisError", "message": "seed must be non-negative, got -5",
+    }}
+    assert not out.exists()
+
+
 def test_generate_missing_spec_file_is_a_file_error(tmp_path, capsys):
     missing = tmp_path / "no-such-spec.txt"
     assert main(["generate", "--spec", str(missing)]) == 1
@@ -517,8 +537,9 @@ _NUMPY_PROBE = (
     "sys.exit(code)\n"
 )
 
-# Keyed by test id. Only ``generate`` builds arrays, so no analysis loads
-# numpy; ``json`` is loaded for a JSON report alone.
+# Keyed by test id. No subcommand loads numpy. ``json`` is loaded for a JSON
+# report alone, and ``dataclasses`` (with ``inspect`` and ``ast``) for the
+# generator's spec alone.
 _NUMPY_USE = {
     "validate": (["validate"], ""),
     "validate-json": (["validate", "--format", "json"], "json"),
@@ -533,14 +554,16 @@ _NUMPY_USE = {
     "cotag": (["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"], ""),
     "reciprocity": (["reciprocity"], ""),
     "reciprocity-matrix": (["reciprocity", "--matrix", "--multiplicity", "fractional"], ""),
+    "generate": (["generate", "--seed", "1"], "dataclasses inspect ast"),
 }
 
 
 @pytest.mark.parametrize("argv, loaded", _NUMPY_USE.values(), ids=_NUMPY_USE)
 def test_only_array_subcommands_import_numpy(argv, loaded, tiny_corpus, tmp_path):
     command, *flags = argv
+    corpus = [] if command == "generate" else [str(tiny_corpus)]
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, command, str(tiny_corpus), *flags,
+        [sys.executable, "-c", _NUMPY_PROBE, command, *corpus, *flags,
          "-o", str(tmp_path / "report.csv")],
         capture_output=True, text=True, env=child_env(),
     )
