@@ -196,12 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_input(args, into=None) -> tuple:
     """``parse_corpus`` of ``args.input``, with ``into`` as there."""
-    taxonomy = (
-        FieldTaxonomy.from_file(args.taxonomy)
-        if getattr(args, "taxonomy", None)
-        else FieldTaxonomy.default()
-    )
-    strictness = STRICT if getattr(args, "strict", False) else LENIENT
+    taxonomy = FieldTaxonomy.from_file(args.taxonomy) if args.taxonomy else FieldTaxonomy.default()
+    strictness = STRICT if args.strict else LENIENT
     # The process ends after one report, so what the parse built lives to the
     # end: freeze it, and the collector never scans it again.
     gc.disable()
@@ -438,6 +434,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "hit_rate", False) and not args.top_share:
         parser.error("--hit-rate requires --top-share")
+    if getattr(args, "exclude_diagonal", False) and args.matrix:
+        parser.error("--exclude-diagonal applies to the correlations, not to --matrix")
+    if getattr(args, "normalized_kdi", False) and args.metric == RDI:
+        parser.error("--normalized-kdi requires --metric kdi")
     try:
         if args.command == "generate":
             _cmd_generate(args)

@@ -15,6 +15,11 @@ One record per blank-line-separated block. Line tags:
 Lines starting with ``%%`` are treated as file comments and skipped (the
 synthetic generator uses them to pin its RNG version in the output header).
 
+This module owns the format. ``serialize_corpus`` writes a corpus that
+parses back to the same ids with equal records; ``Corpus(...)`` checks this
+with ``check_round_trip`` for records built outside the parser, so the
+parser alone says which values a record may hold.
+
 The reader makes one streaming pass: it never holds more than one chunk of
 text and one block, and it yields each accepted record as its block ends.
 ``parse_corpus`` collects them into a ``Corpus`` unless its ``into``
@@ -623,3 +628,31 @@ def serialize_corpus(corpus: Corpus) -> str:
     """Records ascending by id, blank-line separated. Re-parses to an equal Corpus."""
     chunks = [serialize_record(corpus[pid], corpus.taxonomy) for pid in corpus]
     return "\n".join(chunks)
+
+
+def check_round_trip(corpus: Corpus) -> None:
+    """Raise ``ValueError`` unless ``serialize_corpus(corpus)`` parses back
+    to the same ids with equal records.
+
+    The message names the first paper, in id order, whose record does not
+    re-parse equal on its own: the first field whose value differs, or the
+    diagnostic that would skip it. Each record is re-parsed alone, and only
+    once the whole corpus has failed: a value that holds a blank line splits
+    its record in two, which shifts the ordinal of every later record.
+    """
+    taxonomy = corpus.taxonomy
+    read, _report = parse_corpus(serialize_corpus(corpus), taxonomy)
+    if read.records == corpus.records:
+        return
+    for rec in corpus.records.values():
+        report = ParseReport()
+        read = list(_parse(serialize_record(rec, taxonomy), taxonomy, False, report))
+        errors = report.errors()
+        if errors and errors[0].record == 1:  # the first block is skipped
+            raise ValueError(
+                f"paper {rec.id} would be skipped on re-parse: {errors[0].code}: {errors[0].message}"
+            )
+        for name, given, got in zip(PaperRecord._fields, rec, read[0]):
+            if given != got:
+                raise ValueError(f"paper {rec.id} {name} {given!r} re-parses as {got!r}")
+    raise ValueError(f"the corpus of {len(corpus)} records does not re-parse equal")

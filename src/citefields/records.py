@@ -68,12 +68,6 @@ class TimeWindow(Slotted):
         return f"{self.start}:{self.end}"
 
 
-def _one_trimmed_line(text: str) -> bool:
-    """True when ``text`` holds no line break and has no edge whitespace,
-    which the parser would strip."""
-    return "\n" not in text and text.strip() == text
-
-
 def author_key(name: str) -> str:
     """Author identity for matching names: trimmed, case-insensitive."""
     return name.strip().casefold()
@@ -111,17 +105,11 @@ class Corpus:
     ``records`` iterates in ascending id order, and ``by_field[f]`` and
     ``by_year[y]`` are ascending id tuples, all filled in one pass over the
     records sorted by id. Unless the parser built them, the records are
-    validated, so that ``serialize_corpus`` writes every accepted corpus in a
-    form that re-parses equal. Each value must be as the parser stores it:
-
-    * authors and references tuples, and fields a frozenset;
-    * the year within ``YEAR_RANGE`` and every reference id non-negative;
-    * each keyword non-empty, trimmed, single-spaced, case-folded and
-      without a comma;
-    * each author name non-empty, trimmed and without a comma or line break;
-    * the title trimmed and without a line break;
-    * the venue and the abstract None, or non-empty, trimmed and without a
-      line break.
+    validated: ``serialize_corpus`` must write them in a form that re-parses
+    to the same ids with equal records (``corpusio.check_round_trip``), so
+    the parser alone decides which values a record may hold. Before anything
+    is written, ids must be distinct, authors and references tuples, fields a
+    frozenset and every field index within the taxonomy.
     """
 
     __slots__ = ("records", "taxonomy", "by_field", "by_year")
@@ -140,8 +128,6 @@ class Corpus:
         by_year: dict[int, list[int]] = {}
         for rec in ordered:
             if _validate:
-                if rec.id < 0:
-                    raise ValueError(f"paper id {rec.id} is negative")
                 if rec.id in self.records:
                     raise ValueError(f"duplicate paper id {rec.id}")
                 if not (type(rec.authors) is type(rec.references) is tuple
@@ -149,40 +135,18 @@ class Corpus:
                     raise ValueError(
                         f"paper {rec.id} authors and references must be tuples, fields a frozenset"
                     )
-                if not rec.fields:
-                    raise ValueError(f"paper {rec.id} has no fields")
                 if any(f < 0 or f >= n_fields for f in rec.fields):
                     raise ValueError(f"paper {rec.id} has field index outside taxonomy")
-                if not YEAR_RANGE[0] <= rec.year <= YEAR_RANGE[1]:
-                    raise ValueError(f"paper {rec.id} year {rec.year} is outside {YEAR_RANGE}")
-                if any(rid < 0 for rid in rec.references):
-                    raise ValueError(f"paper {rec.id} has a negative reference id")
-                if len(set(rec.references)) != len(rec.references):
-                    raise ValueError(f"paper {rec.id} has duplicate references")
-                if rec.id in rec.references:
-                    raise ValueError(f"paper {rec.id} references itself")
-                kw = rec.keywords
-                if type(kw) is not tuple or any(a >= b for a, b in zip(kw, kw[1:])):
-                    raise ValueError(f"paper {rec.id} keywords are not a strictly ascending tuple")
-                for k in kw:
-                    if not k or "," in k or " ".join(k.split()).casefold() != k:
-                        raise ValueError(f"paper {rec.id} keyword {k!r} is not normalized")
-                for name in rec.authors:
-                    if not name or "," in name or not _one_trimmed_line(name):
-                        raise ValueError(f"paper {rec.id} author {name!r} is not a trimmed name")
-                if not _one_trimmed_line(rec.title):
-                    raise ValueError(f"paper {rec.id} title {rec.title!r} is not one trimmed line")
-                for tag, text in (("venue", rec.venue), ("abstract", rec.abstract)):
-                    if text is not None and not (text and _one_trimmed_line(text)):
-                        raise ValueError(
-                            f"paper {rec.id} {tag} {text!r} is neither None nor one trimmed line"
-                        )
             self.records[rec.id] = rec
             for f in rec.fields:
                 by_field.setdefault(f, []).append(rec.id)
             by_year.setdefault(rec.year, []).append(rec.id)
         self.by_field = {f: tuple(ids) for f, ids in by_field.items()}
         self.by_year = {y: tuple(ids) for y, ids in by_year.items()}
+        if _validate:
+            from .corpusio import check_round_trip  # corpusio imports this module
+
+            check_round_trip(self)
 
     # -- lookups ---------------------------------------------------------
 

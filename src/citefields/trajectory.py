@@ -148,41 +148,23 @@ def evidence_series(
     published up to and including y.
 
     Cost: O(N) in N = papers x authors. One pass over the corpus years in
-    order folds each author's papers into the cumulative field union at
-    every year they published in; a paper looks up its authors' unions at
-    its own year.
+    ascending order folds each year's authors into their cumulative field
+    unions, then scores that year's papers if the year was requested.
     """
     years = years if years is not None else corpus.years()
-    # expertise[author][y] for each year y the author published in. Saturated
-    # unions are shared, not copied, so memory stays near one entry per
-    # author-year.
-    expertise: dict[str, dict[int, frozenset[int]]] = {}
+    wanted = set(years)
+    rows: dict[int, tuple] = {}
     known: dict[str, frozenset[int]] = {}
     for y in corpus.years():
-        published: set[str] = set()
-        for pid in corpus.by_year[y]:
+        ids = corpus.by_year[y]
+        for pid in ids:
             rec = corpus[pid]
             for author in rec.authors:
                 key = author_key(author)
                 seen = known.get(key, frozenset())
                 if not rec.fields <= seen:
                     known[key] = seen | rec.fields
-                published.add(key)
-        for key in published:
-            expertise.setdefault(key, {})[y] = known[key]
-
-    report = MetricReport(
-        name="evidence",
-        columns=(
-            "year", "papers", "multi_field_fraction", "mean_fields_cited",
-            "tau", "mean_team_size", "mean_author_field_breadth",
-        ),
-        metadata=base_metadata("evidence"),
-    )
-    for y in years:
-        ids = corpus.by_year.get(y, ())
-        if not ids:
-            report.add_row(y, 0, None, None, None, None, None)
+        if y not in wanted:
             continue
         multi = 0
         fields_cited: list[int] = []
@@ -205,11 +187,10 @@ def evidence_series(
             same += psame
             team_fields: set[int] = set()
             for author in rec.authors:
-                team_fields |= expertise[author_key(author)][y]
+                team_fields |= known[author_key(author)]
             if rec.authors:
                 breadths.append(len(team_fields))
-        report.add_row(
-            y,
+        rows[y] = (
             len(ids),
             multi / len(ids),
             fsum(fields_cited) / len(fields_cited) if fields_cited else None,
@@ -217,6 +198,17 @@ def evidence_series(
             fsum(team_sizes) / len(team_sizes),
             fsum(breadths) / len(breadths) if breadths else None,
         )
+
+    report = MetricReport(
+        name="evidence",
+        columns=(
+            "year", "papers", "multi_field_fraction", "mean_fields_cited",
+            "tau", "mean_team_size", "mean_author_field_breadth",
+        ),
+        metadata=base_metadata("evidence"),
+    )
+    for y in years:
+        report.add_row(y, *rows.get(y, (0, None, None, None, None, None)))
     return report
 
 

@@ -261,6 +261,23 @@ def test_hit_rate_without_top_share_is_usage_error(synth_file, capsys):
     assert "--hit-rate requires --top-share" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reciprocity", "--matrix", "--exclude-diagonal"],
+     "--exclude-diagonal applies to the correlations, not to --matrix"),
+    (["rank", "--metric", "rdi", "--window", "1970:1975", "--normalized-kdi"],
+     "--normalized-kdi requires --metric kdi"),
+], ids=["matrix-exclude-diagonal", "rdi-normalized-kdi"])
+def test_flag_the_mode_does_not_read_is_usage_error(synth_file, capsys, argv, message):
+    # Each flag used to be echoed in the config line and change no data row.
+    with pytest.raises(SystemExit) as exc_info:
+        main([argv[0], str(synth_file), *argv[1:]])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert message in captured.err
+
+
 def test_stats_output(synth_file, capsys):
     assert main(["stats", str(synth_file)]) == 0
     meta, header, rows = _read_csv(capsys.readouterr().out)

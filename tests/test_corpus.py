@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citefields import (
-    STRICT, AnalysisError, PaperRecord, TimeWindow, corpus_stats, parse_corpus, serialize_corpus,
+    STRICT, AnalysisError, FieldTaxonomy, PaperRecord, TimeWindow, corpus_stats, parse_corpus,
+    serialize_corpus, serialize_record,
 )
 from conftest import corpus_of, rec
 
@@ -126,7 +127,7 @@ def test_corpus_rejects_keywords_the_parser_would_not_store(keyword):
     # serialize_corpus writes "#kData,Mining", which re-parses as ("data",
     # "mining"): only normalized keywords round-trip.
     bad = rec(2)._replace(keywords=(keyword,))
-    with pytest.raises(ValueError, match=re.escape(f"paper 2 keyword {keyword!r} is not normalized")):
+    with pytest.raises(ValueError, match=re.escape(f"paper 2 keywords {(keyword,)!r} re-parses as ")):
         corpus_of(rec(1, keywords=("data mining", "strasse")), bad)
 
 
@@ -134,17 +135,17 @@ def test_corpus_rejects_keywords_the_parser_would_not_store(keyword):
     # Each would re-parse unequal: split at the comma, trimmed, lost, cut at
     # the blank line (which ends the record), skipped, dropped, or rebuilt
     # as the parser's tuple or frozenset.
-    ({"authors": ("Smith, J",)}, "author 'Smith, J'"),
-    ({"authors": ("",)}, "author ''"),
-    ({"authors": (" Smith",)}, "author ' Smith'"),
+    ({"authors": ("Smith, J",)}, "authors ('Smith, J',) re-parses as ('Smith', 'J')"),
+    ({"authors": ("",)}, "authors ('',) re-parses as ()"),
+    ({"authors": (" Smith",)}, "authors (' Smith',) re-parses as ('Smith',)"),
     ({"title": " T "}, "title ' T '"),
     ({"title": "T\nU"}, "title 'T\\nU'"),
     ({"venue": " V"}, "venue ' V'"),
     ({"venue": ""}, "venue ''"),
     ({"abstract": "a\n\nb"}, "abstract 'a\\n\\nb'"),
     ({"abstract": ""}, "abstract ''"),
-    ({"year": 1899}, "year 1899"),
-    ({"references": (-1,)}, "has a negative reference"),
+    ({"year": 1899}, "would be skipped on re-parse: malformed-year: missing or out-of-range year '1899'"),
+    ({"references": (-1,)}, "references (-1,) re-parses as ()"),
     ({"authors": ["A"]}, "authors and references must be tuples"),
     ({"references": [1]}, "authors and references must be tuples"),
     ({"fields": (0,)}, "authors and references must be tuples, fields a frozenset"),
@@ -195,6 +196,76 @@ def test_every_corpus_the_constructor_accepts_round_trips(records):
         reparsed, report = parse_corpus(source, corpus.taxonomy, strictness=STRICT)
         assert not report.diagnostics
         assert reparsed == corpus
+
+
+@pytest.mark.parametrize("records, message", [
+    ([rec(1, refs=(2.0,)), rec(2)], "paper 1 references (2.0,) re-parses as ()"),
+    ([rec(1, refs=("2",)), rec(2)], "paper 1 references ('2',) re-parses as (2,)"),
+    ([rec(1), rec(2)._replace(id=5.0)],
+     "paper 5.0 would be skipped on re-parse: malformed-index: bad paper id '5.0'"),
+    ([rec(2), rec(3)._replace(id=True)],
+     "paper True would be skipped on re-parse: malformed-index: bad paper id 'True'"),
+    ([rec(1), rec(2, year=2000.0)],
+     "paper 2 would be skipped on re-parse: malformed-year: missing or out-of-range year '2000.0'"),
+    # The blank line makes "b" a block of its own, second in the file: the
+    # message still names paper 1.
+    ([rec(1, abstract="a\n\nb"), rec(2)], "paper 1 abstract 'a\\n\\nb' re-parses as 'a'"),
+], ids=["float-reference", "string-reference", "float-id", "bool-id", "float-year",
+        "blank-line-first"])
+def test_corpus_rejects_ids_years_and_references_that_do_not_re_parse(records, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus_of(*records)
+
+
+def _in_file_order(records, _taxonomy):
+    return list(records)
+
+
+def _round_trips(records) -> bool:
+    """True when the ids are distinct and each record, written on its own,
+    reads back as that record and nothing else."""
+    taxonomy = FieldTaxonomy.default()
+    if len({r.id for r in records}) != len(records):
+        return False
+    return all(
+        parse_corpus(serialize_record(r, taxonomy), taxonomy, into=_in_file_order)[0] == [r]
+        for r in records
+    )
+
+
+_some_ids = st.integers(-1, 2) | st.integers(0, 2).map(float) | st.booleans()
+
+# _EDGY_VALUES plus ids, years and references of the wrong type that equal
+# an int or print like one.
+_WIDE_VALUES = {
+    **_EDGY_VALUES,
+    "id": _some_ids | st.floats(-1, 3),
+    "year": _EDGY_VALUES["year"] | st.integers(1899, 2101).map(float),
+    "references": st.lists(
+        _some_ids | st.floats(-1, 3) | st.integers(-1, 2).map(str), max_size=2, unique=True,
+    ).map(tuple),
+}
+
+
+@st.composite
+def _wide_records(draw):
+    records = []
+    for pid in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(_WIDE_VALUES)))
+        records.append(rec(pid)._replace(**{name: draw(_WIDE_VALUES[name])}))
+    return records
+
+
+@given(_wide_records())
+@settings(max_examples=400, deadline=None)
+def test_the_constructor_accepts_exactly_the_records_that_round_trip(records):
+    try:
+        corpus_of(*records)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == _round_trips(records)
 
 
 def test_paper_record_is_immutable_and_compares_by_value():

@@ -60,3 +60,12 @@ def test_label_with_comma_rejected(entry):
     # A #f line splits its labels at commas, so such a label could never match.
     with pytest.raises(ValueError, match="field 1 .* contains ','"):
         FieldTaxonomy([("Databases", "DB"), entry])
+
+
+@pytest.mark.parametrize("entry", [("Alpha\nBeta", "AB"), ("Alpha", "A\nB")],
+                         ids=["name", "abbreviation"])
+def test_label_with_line_break_rejected(entry):
+    # serialize_record would write "#fAlpha\nBeta", which re-parses as the
+    # unknown label "Alpha" and a stray line.
+    with pytest.raises(ValueError, match=r"field 0 .* contains '\\n'"):
+        FieldTaxonomy([entry, ("Gamma", "G")])
