@@ -29,12 +29,11 @@ import argparse
 import gc
 import os
 import sys
-from collections import deque
 from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .corpusio import LENIENT, STRICT, parse_corpus
+from .corpusio import LENIENT, STRICT, discard_records, parse_corpus
 from .diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL, paper_diversity, rank_fields
 from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
@@ -253,13 +252,9 @@ def _field_index(taxonomy: FieldTaxonomy, label: str) -> int:
     return idx
 
 
-def _drain(records, _taxonomy) -> None:
-    deque(records, maxlen=0)
-
-
 def _cmd_validate(args) -> MetricReport:
-    # Only the parse report is written, so no record is kept.
-    _none, parse_report = _parse_input(args, into=_drain)
+    # Only the parse report is written, so no record is built.
+    _none, parse_report = _parse_input(args, into=discard_records)
     report = MetricReport(
         name="validate",
         columns=("line", "record", "severity", "code", "message"),

@@ -30,6 +30,13 @@ times the count of ids accepted so far (the array grows by doubling), and
 an entry in a set otherwise: dense ids cost about a bit each, and an id
 far beyond the others costs no array.
 
+With ``into=discard_records`` (``validate``) no record is built at all. A
+block gets the same checks in the same order, its id is marked seen and
+its references are converted, and then its title, authors, venue,
+keywords and abstract are left as read: no diagnostic reads them. So the
+report and any strict-mode ``ParseError`` are those of a parse that builds
+every record.
+
 For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line;
 a text stream keeps its own newline handling. Binary input (what the CLI
 passes) is decoded ``CHUNK_SIZE`` bytes at a time, cut after the chunk's
@@ -54,11 +61,12 @@ hold ``\r``), a reference that is not ASCII digits, a chunk that is not
 all UTF-8, a text stream or other iterable of lines, or a block longer
 than a chunk. The line loop dispatches each line on the tag's second
 character and keeps the block's tags in local variables until a blank or
-whitespace-only line ends it. Both hand the block's values to one
-``finish()``, so every diagnostic, ordinal and strict-mode ``ParseError``
-comes from one validator.
+whitespace-only line ends it. Both hand the block's values, as they
+follow their tags, to one ``finish()``, so every diagnostic, ordinal and
+strict-mode ``ParseError`` comes from one validator, and the values a
+record holds are stripped, split and normalized in one place.
 
-A ``#k`` line is normalized as a whole and its keywords are kept as a
+A block's ``#k`` text is normalized as a whole and its keywords are kept as a
 tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
 a frozenset of up to 4 items 216). A matched ``#k`` value in printable
 ASCII with no capital letter, no space run and no space at either end of a
@@ -83,7 +91,10 @@ alternating runs against the line loop alone, the seed-5 ``ingest-50k``
 benchmark file (50k records, 9.4 MB) parses in 0.76 s median against
 0.95 s, and ``session-10k`` (10k records, 1.9 MB) in 0.137 s against
 0.193 s. The pattern takes every block of ``session-10k`` and all but the
-0.85% of ``ingest-50k`` blocks that hold an unknown line.
+0.85% of ``ingest-50k`` blocks that hold an unknown line. Building no
+record (``discard_records``), the seed-41 ``ingest-50k`` file takes 5.0 µs
+a block against 8.6 µs (same host, one process, median of 9 alternating
+runs).
 
 Diagnostics carry line numbers and the 1-based record ordinal. In strict
 mode the first error-severity diagnostic aborts via ``ParseError``; in
@@ -96,6 +107,7 @@ from __future__ import annotations
 import gc
 import io
 import re
+from collections import deque
 from itertools import chain, islice
 from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
@@ -293,6 +305,12 @@ def _keywords(text: str) -> Iterator[str]:
     return map(str.strip, " ".join(text.split()).casefold().split(","))
 
 
+def discard_records(records: Iterator, _taxonomy: FieldTaxonomy) -> None:
+    """The ``into`` of ``parse_corpus`` that keeps nothing: the parse then
+    builds no record, and only its report is left."""
+    deque(records, maxlen=0)
+
+
 def parse_corpus(
     source: str | bytes | IO,
     taxonomy: FieldTaxonomy | None = None,
@@ -311,7 +329,10 @@ def parse_corpus(
     ``into(records, taxonomy)``, when given, consumes the accepted records
     in file order in place of the Corpus, and its result is returned in the
     corpus's place. It must exhaust ``records``: the report is complete only
-    then, and a strict-mode ``ParseError`` is raised from inside it.
+    then, and a strict-mode ``ParseError`` is raised from inside it. When
+    ``into`` is ``discard_records`` no record is built: each block is
+    checked as for a record, and the report and any ``ParseError`` are the
+    same, because no diagnostic reads a value that only a record holds.
 
     The cyclic garbage collector is paused while the parse and ``into``
     run; its previous state is restored however the parse ends.
@@ -320,7 +341,8 @@ def parse_corpus(
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")
     taxonomy = taxonomy or FieldTaxonomy.default()
     report = ParseReport()
-    records = _parse(source, taxonomy, strictness == STRICT, report)
+    records = _parse(source, taxonomy, strictness == STRICT, report,
+                     build=into is not discard_records)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -341,9 +363,10 @@ def _parse(
     taxonomy: FieldTaxonomy,
     strict: bool,
     report: ParseReport,
-) -> Iterator[PaperRecord]:
-    """The accepted records of ``source`` in file order; ``report`` is
-    filled as they are read."""
+    build: bool = True,
+) -> Iterator[PaperRecord | int]:
+    """The accepted records of ``source`` in file order, or with ``build``
+    false their ids; ``report`` is filled as they are read."""
     # Accepted ids: bit pid of seen_bits, or an entry of seen_far when pid
     # was past the bitmap and past SEEN_ID_BITS per id accepted before it.
     seen_bits = bytearray()
@@ -363,12 +386,18 @@ def _parse(
             raise ParseError(d)
 
     def finish(first_line, title, authors, year_raw, year_line, venue, field_lines,
-               keywords, index_raw, index_line, ref_lines, ref_raws, abstract) -> PaperRecord | None:
-        """Validate the block that just ended; None when it is skipped.
+               keywords, plain, index_raw, index_line, ref_lines, ref_raws, abstract):
+        """Validate the block that just ended: its record, or with ``build``
+        false its id; None when it is skipped.
 
-        Values are stripped, except each ``field_lines`` text that follows
-        ``#f`` on its line; ``authors`` is a tuple without empty names and
-        ``keywords`` a set of normalized keywords.
+        ``year_raw``, ``index_raw`` and each of ``ref_raws`` are stripped;
+        each ``field_lines`` text is as it follows ``#f``. ``title``,
+        ``authors``, ``venue``, ``abstract`` and ``keywords`` are as they
+        follow their tags, ``keywords`` being the block's ``#k`` values
+        joined by ``,`` (the same keywords as each value alone). No
+        diagnostic reads these five, so with ``build`` false nothing
+        prepares them. ``plain`` says that ``keywords`` is printable ASCII
+        without capital letters.
         """
         # Identity first: later diagnostics hang off the record's own lines.
         if index_raw is None:
@@ -466,10 +495,24 @@ def _parse(
             seen_bits[byte] = bit
         else:
             seen_far.add(pid)
-        keywords.discard("")
+        if not build:
+            return pid
+
+        if keywords is not None:
+            # Case folding leaves a plain text as it is and " " is its only
+            # whitespace: without a space run or a space at either end of a
+            # keyword, each keyword is already normalized.
+            if plain and not ("  " in keywords or ", " in keywords or " ," in keywords
+                              or keywords[:1] == " " or keywords[-1:] == " "):
+                kept = set(keywords.split(","))
+            else:
+                kept = set(_keywords(keywords))
+            kept.discard("")
+            keywords = tuple(sorted(kept))
         return PaperRecord(
-            pid, title or "", authors or (), year, venue or None, fields,
-            tuple(sorted(keywords)), refs, abstract or None,
+            pid, title.strip() if title else "", _names(authors) if authors else (), year,
+            venue and venue.strip() or None, fields, keywords or (), refs,
+            abstract and abstract.strip() or None,
         )
 
     lineno = 0
@@ -485,28 +528,15 @@ def _parse(
              index_raw, refs, abstract) = line.groups()
             year_line = lineno + 1 + (authors is not None)
             field_line = year_line + 1 + (venue is not None)
-            if plain_keywords is not None:
+            plain = plain_keywords is not None
+            if plain:
                 keyword_text = plain_keywords
-                # Case folding leaves this text as it is and " " is its only
-                # whitespace: without a space run or a space at either end
-                # of a keyword, each keyword is already normalized.
-                if not ("  " in keyword_text or ", " in keyword_text or " ," in keyword_text
-                        or keyword_text[:1] == " " or keyword_text[-1:] == " "):
-                    keywords = set(keyword_text.split(","))
-                else:
-                    keywords = set(_keywords(keyword_text))
-            else:
-                keywords = set() if keyword_text is None else set(_keywords(keyword_text))
             index_line = field_line + 1 + (keyword_text is not None)
             ref_raws = refs[2:-1].split("\n#%") if refs else []
-            if authors is not None:
-                authors = _names(authors)
             record = finish(
-                lineno, title.strip(), authors, year_raw.strip(), year_line,
-                venue and venue.strip(), [(field_line, field_text)], keywords,
-                index_raw.strip(), index_line,
-                range(index_line + 1, index_line + 1 + len(ref_raws)), ref_raws,
-                abstract and abstract.strip(),
+                lineno, title, authors, year_raw.strip(), year_line, venue,
+                [(field_line, field_text)], keyword_text, plain, index_raw.strip(), index_line,
+                range(index_line + 1, index_line + 1 + len(ref_raws)), ref_raws, abstract,
             )
             lineno = index_line + len(ref_raws) + (abstract is not None) + 1
             if record is None:
@@ -516,7 +546,7 @@ def _parse(
                 yield record
             continue
 
-        # The line loop. A line may keep its line break: every value is stripped.
+        # The line loop. A line may keep its line break: finish() strips every value.
         if type(line) is UnicodeDecodeError:  # the line is not UTF-8
             if line.object.startswith(COMMENT_PREFIX.encode()):  # skipped whatever it holds
                 continue
@@ -528,7 +558,8 @@ def _parse(
                 in_block = False
                 record = None if undecodable else finish(
                     first_line, title, authors, year_raw, year_line, venue, field_lines,
-                    keywords, index_raw, index_line, ref_lines, ref_raws, abstract,
+                    ",".join(keywords) if keywords else None, False,
+                    index_raw, index_line, ref_lines, ref_raws, abstract,
                 )
                 if record is None:
                     report.skipped += 1
@@ -548,7 +579,7 @@ def _parse(
             first_line = lineno
             title = authors = year_raw = venue = index_raw = abstract = field_lines = None
             year_line = index_line = 0
-            keywords: set[str] = set()
+            keywords: list[str] = []
             ref_lines: list[int] = []
             ref_raws: list[str] = []
             undecodable = False
@@ -557,7 +588,7 @@ def _parse(
             ref_lines.append(lineno)
             ref_raws.append(line[2:].strip())
         elif tag == "k":
-            keywords.update(_keywords(line[2:]))
+            keywords.append(line[2:])
         elif tag == "i" and line.startswith("#index"):
             if index_raw is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #index ignored")
@@ -568,12 +599,12 @@ def _parse(
             if title is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #* ignored")
             else:
-                title = line[2:].strip()
+                title = line[2:]
         elif tag == "@":
             if authors is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #@ ignored")
             else:
-                authors = _names(line[2:])
+                authors = line[2:]
         elif tag == "t":
             if year_raw is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #t ignored")
@@ -584,7 +615,7 @@ def _parse(
             if venue is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #c ignored")
             else:
-                venue = line[2:].strip()
+                venue = line[2:]
         elif tag == "f":
             if field_lines is None:
                 field_lines = []
@@ -593,7 +624,7 @@ def _parse(
             if abstract is not None:
                 emit(lineno, WARNING, "duplicate-tag", "extra #! ignored")
             else:
-                abstract = line[2:].strip()
+                abstract = line[2:]
         elif tag is None:
             undecodable = True
             emit(lineno, ERROR, "encoding",

@@ -108,8 +108,10 @@ class Corpus:
     validated: ``serialize_corpus`` must write them in a form that re-parses
     to the same ids with equal records (``corpusio.check_round_trip``), so
     the parser alone decides which values a record may hold. Before anything
-    is written, ids must be distinct, authors and references tuples, fields a
-    frozenset and every field index within the taxonomy.
+    is written, ids must sort and be distinct, authors and references must
+    be tuples, fields a frozenset of int indices within the taxonomy, and
+    every author and keyword a ``str``: what the writer cannot write raises
+    ``ValueError``, as what it cannot re-read does.
     """
 
     __slots__ = ("records", "taxonomy", "by_field", "by_year")
@@ -120,7 +122,12 @@ class Corpus:
         taxonomy: FieldTaxonomy,
         _validate: bool = True,
     ):
-        ordered = sorted(records, key=lambda r: r.id)
+        ordered = list(records)
+        try:
+            ordered.sort(key=lambda r: r.id)
+        except TypeError:  # ints always compare, so some id is not one
+            bad = next(r.id for r in ordered if type(r.id) is not int)
+            raise ValueError(f"paper id {bad!r} is not an int and does not sort") from None
         self.records: dict[int, PaperRecord] = {}
         self.taxonomy = taxonomy
         n_fields = len(taxonomy)
@@ -135,8 +142,15 @@ class Corpus:
                     raise ValueError(
                         f"paper {rec.id} authors and references must be tuples, fields a frozenset"
                     )
-                if any(f < 0 or f >= n_fields for f in rec.fields):
-                    raise ValueError(f"paper {rec.id} has field index outside taxonomy")
+                for f in rec.fields:
+                    if not isinstance(f, int):
+                        raise ValueError(f"paper {rec.id} field {f!r} is not an int index")
+                    if f < 0 or f >= n_fields:
+                        raise ValueError(f"paper {rec.id} has field index outside taxonomy")
+                for name, texts in (("author", rec.authors), ("keyword", rec.keywords)):
+                    for text in texts:
+                        if not isinstance(text, str):
+                            raise ValueError(f"paper {rec.id} {name} {text!r} is not a str")
             self.records[rec.id] = rec
             for f in rec.fields:
                 by_field.setdefault(f, []).append(rec.id)

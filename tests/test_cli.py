@@ -693,6 +693,32 @@ def test_validate_and_stats_build_no_corpus(synth_file, tmp_path, monkeypatch, c
     assert "a Corpus was built" in capsys.readouterr().err
 
 
+def test_validate_builds_no_record(synth_file, tmp_path, monkeypatch, capsys):
+    # A repeated id and a self reference give the report rows.
+    path = tmp_path / "corpus.txt"
+    path.write_text(synth_file.read_text(encoding="utf-8")
+                    + "\n#*Again\n#t2000\n#fAI\n#index1\n\n#*Self\n#t2000\n#fAI\n"
+                      "#index999999\n#%999999\n", encoding="utf-8")
+    usual = {}
+    for fmt in ("csv", "json"):
+        assert main(["validate", str(path), "--format", fmt, "-o", str(tmp_path / fmt)]) == 0
+        usual[fmt] = (tmp_path / fmt).read_bytes()
+    assert b"duplicate-id" in usual["csv"] and b"self-reference" in usual["csv"]
+
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a PaperRecord was built")
+
+    monkeypatch.setattr(corpusio, "PaperRecord", refuse)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"patched.{fmt}"
+        assert main(["validate", str(path), "--format", fmt, "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == usual[fmt]
+    # stats reads the records, so it reaches the patched name.
+    assert main(["stats", str(path)]) == cli.EXIT_INTERNAL
+    assert "a PaperRecord was built" in capsys.readouterr().err
+
+
 def test_stats_and_the_analyses_refuse_an_empty_corpus_alike(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("#*No index\n#t2000\n#fAI\n", encoding="utf-8")

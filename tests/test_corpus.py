@@ -210,8 +210,13 @@ def test_every_corpus_the_constructor_accepts_round_trips(records):
     # The blank line makes "b" a block of its own, second in the file: the
     # message still names paper 1.
     ([rec(1, abstract="a\n\nb"), rec(2)], "paper 1 abstract 'a\\n\\nb' re-parses as 'a'"),
+    # Values the writer cannot write at all.
+    ([rec(1), rec(2)._replace(id="x")], "paper id 'x' is not an int and does not sort"),
+    ([rec(1, authors=(5,))], "paper 1 author 5 is not a str"),
+    ([rec(1, keywords=(5,))], "paper 1 keyword 5 is not a str"),
+    ([rec(1, fields=("a",))], "paper 1 field 'a' is not an int index"),
 ], ids=["float-reference", "string-reference", "float-id", "bool-id", "float-year",
-        "blank-line-first"])
+        "blank-line-first", "string-id", "int-author", "int-keyword", "string-field"])
 def test_corpus_rejects_ids_years_and_references_that_do_not_re_parse(records, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         corpus_of(*records)

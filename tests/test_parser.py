@@ -488,20 +488,29 @@ def test_parse_matches_the_line_loop_oracle(data, chunk_size):
                     source.seek(0)
                 got = _outcome(lambda *args: corpusio._parse(source, *args), strict)
                 assert got == want
-                # The public entry point: the same records, report or error.
-                kept = []
-                strictness = STRICT if strict else LENIENT
+                # Without records: the ids of the same records, the same report or error.
                 if hasattr(source, "seek"):
                     source.seek(0)
-                try:
-                    _none, report = parse_corpus(source, strictness=strictness,
-                                                 into=lambda records, _tax: kept.extend(records))
-                except ParseError as exc:
-                    assert exc.diagnostic == want[3]
-                else:
-                    assert want[3] is None
-                    assert (report.blocks, report.parsed, report.skipped) == want[1]
-                    assert report.diagnostics == want[2]
+                ids, *rest = _outcome(lambda *args: corpusio._parse(source, *args, build=False),
+                                      strict)
+                assert ids == [r.id for r in want[0]]
+                assert rest == list(want[1:])
+                # The public entry point: the same records, report or error,
+                # also with the consumer that builds no record.
+                kept = []
+                strictness = STRICT if strict else LENIENT
+                for into in (lambda records, _tax: kept.extend(records),
+                             corpusio.discard_records):
+                    if hasattr(source, "seek"):
+                        source.seek(0)
+                    try:
+                        _none, report = parse_corpus(source, strictness=strictness, into=into)
+                    except ParseError as exc:
+                        assert exc.diagnostic == want[3]
+                    else:
+                        assert want[3] is None
+                        assert (report.blocks, report.parsed, report.skipped) == want[1]
+                        assert report.diagnostics == want[2]
                 assert kept == want[0]
 
 

@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from citefields import TimeWindow, parse_corpus
-from citefields.cli import _COMMANDS
+from citefields.cli import _COMMANDS, main
 from conftest import child_env
+from test_golden import defect_corpus
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -75,3 +76,25 @@ def test_traced_runner_completes(label, tiny_corpus):
         # One counted cp rule call per scored paper, that is per report row.
         rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert counts["graph.citations_received_calls"] == len(rows) - 1
+
+
+def test_traced_validate_sizes_match_the_report(tmp_path):
+    """The parse span of a traced ``validate`` on planted defects counts the
+    blocks, skipped records and diagnostics its report gives untraced: the
+    sizes the benchmark checks in every traced ``ingest-50k`` run."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(defect_corpus())
+    untraced = tmp_path / "untraced.json"
+    assert main(["validate", str(corpus), "--format", "json", "-o", str(untraced)]) == 0
+    report = json.loads(untraced.read_text())
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(spans), "validate", "--",
+         *INVOCATIONS["validate"], str(corpus), "-o", str(tmp_path / "traced.json")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    [parse] = [s for s in json.loads(spans.read_text())["spans"] if s["name"] == "corpusio.parse"]
+    counters = parse["counters"]
+    assert (counters["blocks"], counters["skipped"], counters["diagnostics"]) == (
+        report["metadata"]["blocks"], report["metadata"]["skipped"], len(report["rows"]))
