@@ -52,29 +52,42 @@ match it whole in the order ``serialize_record`` and ``synth.generate``
 write: ``#*``, optional ``#@``, ``#t``, optional ``#c``, ``#f``, optional
 ``#k``, ``#index``, any number of ``#%`` lines of ASCII digits, optional
 ``#!``, then an empty line. The pattern captures every value in C, and
-the line numbers follow from the block's first line and the lines present.
-A block cut by the chunk's end is carried into the next chunk if it is no
-longer than ``CHUNK_SIZE``. Every other block goes through the line loop:
-another tag order, a repeated or unknown tag, a ``%%`` line inside it, a
+up to ``RUN_BLOCKS`` consecutive matched blocks form a run. A block cut by
+the chunk's end is carried into the next chunk if it is no longer than
+``CHUNK_SIZE``. Every other block goes through the line loop: another tag
+order, a repeated or unknown tag, a ``%%`` line inside it, a
 whitespace-only line inside, before or after it (a CRLF file's blank lines
 hold ``\r``), a reference that is not ASCII digits, a chunk that is not
 all UTF-8, a text stream or other iterable of lines, or a block longer
-than a chunk. The line loop dispatches each line on the tag's second
-character and keeps the block's tags in local variables until a blank or
-whitespace-only line ends it. Both hand the block's values, as they
-follow their tags, to one ``finish()``, so every diagnostic, ordinal and
-strict-mode ``ParseError`` comes from one validator, and the values a
-record holds are stripped, split and normalized in one place.
+than a chunk. The line loop
+dispatches each line on the tag's second character and keeps the block's
+tags in local variables until a blank or whitespace-only line ends it.
+
+A run is screened a column at a time, with ``map``, ``zip`` and
+``accumulate`` over its match groups. A block passes when its year is one
+of ``YEAR_RANGE`` as ``#t`` writes it, its ``#f`` text is one whose fields
+are memoized, its id is ASCII digits above every id before it, and its
+references hold neither its own id nor a repeat: nothing in it can give a
+diagnostic. The blocks that pass are built a column at a time by
+``_records`` (with ``build`` false only their ids are kept). Every other
+block of the run, and every block of the line loop, goes to one
+``finish()``, its line numbers following from the block's first line and
+the lines present. So every diagnostic, ordinal and strict-mode
+``ParseError`` comes from one validator, and ``_records`` strips, splits
+and normalizes the values of every record, those ``finish()`` accepts
+included.
 
 A block's ``#k`` text is normalized as a whole and its keywords are kept as a
 tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
-a frozenset of up to 4 items 216). A matched ``#k`` value in printable
-ASCII with no capital letter, no space run and no space at either end of a
-keyword is already normalized and is only split. An id, year or reference
-is ASCII digits only: ``int()`` alone would also take a sign, an
-underscore or another script's digits. The references of a block are
-checked with one ASCII-digit test over their joined values and converted
-in one ``map(int, ...)``; they are checked line by line only when that
+a frozenset of up to 4 items 216). ``_records`` joins a column's ``#@``
+texts, and its ``#k`` texts, and checks each joined text once: when no
+name needs trimming or is empty, and every ``#k`` text is printable ASCII
+with no capital letter, no space run, no empty keyword and no space at
+either end of a keyword, each text is only split. An id, year or
+reference is ASCII digits only: ``int()`` alone would also take a sign, an
+underscore or another script's digits. ``finish()`` checks a block's
+references with one ASCII-digit test over their joined values and converts
+them in one ``map(int, ...)``; they are checked line by line only when that
 fails or finds a self or repeated id. Field label lookups, field-index sets
 and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts that resolve
 without a diagnostic are memoized per parse. Author names, venues and
@@ -86,15 +99,20 @@ every record built so far, while the parse leaves no cycle that must be
 freed before it returns. The cost is O(input) time: a match that fails
 backs off over each line of the block at most once.
 
-On a 2-vCPU Xeon VM, in one process with the collector paused and 11
-alternating runs against the line loop alone, the seed-5 ``ingest-50k``
-benchmark file (50k records, 9.4 MB) parses in 0.76 s median against
-0.95 s, and ``session-10k`` (10k records, 1.9 MB) in 0.137 s against
-0.193 s. The pattern takes every block of ``session-10k`` and all but the
-0.85% of ``ingest-50k`` blocks that hold an unknown line. Building no
-record (``discard_records``), the seed-41 ``ingest-50k`` file takes 5.0 µs
-a block against 8.6 µs (same host, one process, median of 9 alternating
-runs).
+On a 2-vCPU Xeon VM, in one process with the collector paused (median of
+7 to 9 fresh processes, alternating with a parse that handed every
+matched block to ``finish()``), the seed-7 ``session-10k`` benchmark file
+(10k records, 1.9 MB) parses in 4.9 µs a block against 6.2 µs, and in
+2.9 µs against 3.8 µs building no record (``discard_records``). The
+seed-7 ``ingest-50k`` file (50k records, 9.4 MB, runs cut by the blocks
+with an unknown line about every 94 blocks, and 4.2% of blocks screened
+out) takes 5.7 µs against 6.3 µs, and 3.0 µs against 3.6 µs building no
+record. The screen passes every ``session-10k`` block but the first with
+each of its 36 ``#f`` texts. Without ``RUN_BLOCKS`` a run could hold a
+whole chunk of blocks (about 340): capping it at 128 cost about 3% of the
+``session-10k`` parse and took about two thirds off the parse's added
+``tracemalloc`` peak on ``ingest-50k`` (1348 KiB at the per-block parse,
+1635 KiB uncapped, 1454 KiB capped, building no record).
 
 Diagnostics carry line numbers and the 1-based record ordinal. In strict
 mode the first error-severity diagnostic aborts via ``ParseError``; in
@@ -108,7 +126,8 @@ import gc
 import io
 import re
 from collections import deque
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import gt, not_
 from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import ParseError
@@ -127,6 +146,10 @@ WARNING = "warning"
 COMMENT_PREFIX = "%%"
 
 CHUNK_SIZE = 1 << 16  # bytes of binary input decoded at a time
+
+# Matched blocks handed on as one run at most: a run holds each block's
+# match and values until it is built.
+RUN_BLOCKS = 128
 
 # Bits of the accepted-id bitmap allowed per accepted id; a larger id is
 # kept in a set.
@@ -234,6 +257,9 @@ def _pieces(source: str | bytes | IO) -> Iterator[str | list[str | UnicodeDecode
 # are ASCII digits only and stand as one group of whole lines, and that a
 # #k value in printable ASCII without capital letters fills the first #k
 # group.
+# Each year of YEAR_RANGE as ``#t`` writes it.
+_YEARS = {str(year): year for year in range(YEAR_RANGE[0], YEAR_RANGE[1] + 1)}
+
 _CANONICAL = re.compile(
     r"#\*(.*)\n"
     r"(?:#@(.*)\n)?"
@@ -248,10 +274,11 @@ _CANONICAL = re.compile(
 )
 
 
-def _items(source: str | bytes | IO) -> Iterator[str | UnicodeDecodeError | re.Match]:
+def _items(source: str | bytes | IO) -> Iterator[str | UnicodeDecodeError | list[re.Match]]:
     """The lines of ``source`` in order and then one blank line, except
-    that a canonical block starting where no block is open is given whole,
-    as its ``_CANONICAL`` match.
+    that a run of up to ``RUN_BLOCKS`` canonical blocks starting where no
+    block is open is given whole, as the list of their ``_CANONICAL``
+    matches.
 
     The pattern is tried only after an empty or comment line, a matched
     block or nothing. A block that a ``str`` piece cuts short is carried
@@ -274,11 +301,14 @@ def _items(source: str | bytes | IO) -> Iterator[str | UnicodeDecodeError | re.M
         end = len(piece)
         while pos < end:
             if between and piece.startswith("#*", pos):
-                match = _CANONICAL.match(piece, pos)
-                if match is not None:
-                    yield match
+                run = []
+                while len(run) < RUN_BLOCKS and (match := _CANONICAL.match(piece, pos)):
+                    run.append(match)
                     pos = match.end()
-                    continue
+                if run:
+                    yield run
+                    if len(run) == RUN_BLOCKS or not piece.startswith("#*", pos):
+                        continue
                 if piece.find("\n\n", pos) < 0 and end - pos <= CHUNK_SIZE:
                     rest = piece[pos:]
                     break
@@ -297,12 +327,65 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(filter(None, map(str.strip, text.split(","))))
 
 
-def _keywords(text: str) -> Iterator[str]:
-    """The keywords of a #k line's value, normalized: whitespace runs
-    collapsed and the whole line case-folded at once. No whitespace run
-    holds a comma, so each trimmed comma-separated piece equals that keyword
-    normalized on its own. An empty piece gives ``""``."""
-    return map(str.strip, " ".join(text.split()).casefold().split(","))
+def _keywords(text: str) -> tuple[str, ...]:
+    """The distinct keywords of a #k line's value in ascending order,
+    normalized: whitespace runs collapsed and the whole line case-folded at
+    once. No whitespace run holds a comma, so each trimmed comma-separated
+    piece equals that keyword normalized on its own. Empty pieces are
+    dropped."""
+    return tuple(sorted(set(map(str.strip, " ".join(text.split()).casefold().split(","))) - {""}))
+
+
+def _records(ids, titles, authors, years, venues, fields, plain_keywords, keywords,
+             references, abstracts) -> list[PaperRecord]:
+    """The records of checked blocks, built a column at a time.
+
+    ``ids``, ``years``, ``fields`` and ``references`` hold the checked
+    values. The other columns hold each text as it follows its tag:
+    ``titles`` a ``str``, ``authors``, ``venues`` and ``abstracts`` a
+    ``str`` or None. A block's ``#k`` text is in ``plain_keywords`` when it
+    is printable ASCII without capital letters and in ``keywords``
+    otherwise, with None in the other column and in both without one.
+    Every value a record holds is stripped, split and normalized here.
+    """
+    # Names and keywords that need nothing but a split, found once for the
+    # whole column: joined with ",", its pieces are those of each text.
+    names = ",".join(filter(None, authors))
+    if names != ",".join(filter(None, map(str.strip, names.split(",")))):
+        authors = [_names(text) if text else () for text in authors]
+    else:
+        authors = [tuple(text.split(",")) if text else () for text in authors]
+    # Case folding leaves a plain text as it is and " " is its only
+    # whitespace: without a space run, a space at either end of a keyword
+    # or an empty keyword, each keyword is already normalized.
+    words = ",".join(filter(None, plain_keywords))
+    if (any(keywords) or "  " in words or ", " in words or " ," in words or ",," in words
+            or words[:1] in (" ", ",") or words[-1:] in (" ", ",")):
+        keywords = [_keywords(plain if text is None else text) if plain or text else ()
+                    for plain, text in zip(plain_keywords, keywords)]
+    else:
+        keywords = [tuple(dict.fromkeys(sorted(text.split(",")))) if text else ()
+                    for text in plain_keywords]
+    return list(map(
+        PaperRecord, ids, map(str.strip, titles), authors, years,
+        [text and text.strip() or None for text in venues], fields, keywords, references,
+        [text and text.strip() or None for text in abstracts],
+    ))
+
+
+def _finish_args(match: re.Match, first_line: int) -> tuple:
+    """The arguments of ``_parse``'s ``finish()`` for the canonical block of
+    ``match``, which starts on ``first_line``: the pattern found each line,
+    so the line numbers follow from the lines present."""
+    (title, authors, year_raw, venue, field_text, plain_keywords, keywords,
+     index_raw, refs, abstract) = match.groups()
+    year_line = first_line + 1 + (authors is not None)
+    field_line = year_line + 1 + (venue is not None)
+    index_line = field_line + 1 + (plain_keywords is not None or keywords is not None)
+    ref_raws = refs[2:-1].split("\n#%") if refs else []
+    return (first_line, title, authors, year_raw.strip(), year_line, venue,
+            [(field_line, field_text)], plain_keywords, keywords, index_raw.strip(), index_line,
+            range(index_line + 1, index_line + 1 + len(ref_raws)), ref_raws, abstract)
 
 
 def discard_records(records: Iterator, _taxonomy: FieldTaxonomy) -> None:
@@ -369,8 +452,10 @@ def _parse(
     false their ids; ``report`` is filled as they are read."""
     # Accepted ids: bit pid of seen_bits, or an entry of seen_far when pid
     # was past the bitmap and past SEEN_ID_BITS per id accepted before it.
+    # No accepted id is above top.
     seen_bits = bytearray()
     seen_far: set[int] = set()
+    top = -1
     # Memos: label lookups, field-index sets and the fields of each #f text
     # that resolved without a diagnostic.
     field_of: dict[str, int | None] = {}  # field label -> taxonomy index, None if unknown
@@ -385,19 +470,32 @@ def _parse(
         if strict and severity == ERROR:
             raise ParseError(d)
 
+    def mark(pid: int) -> None:
+        """Mark ``pid`` accepted; ``report.parsed`` counts the ids before it."""
+        nonlocal top
+        byte = pid >> 3
+        if byte < len(seen_bits):
+            seen_bits[byte] |= 1 << (pid & 7)
+        elif pid < SEEN_ID_BITS * (report.parsed + 1):
+            seen_bits.extend(bytes(max(byte + 1, 2 * len(seen_bits)) - len(seen_bits)))
+            seen_bits[byte] = 1 << (pid & 7)
+        else:
+            seen_far.add(pid)
+        if pid > top:
+            top = pid
+
     def finish(first_line, title, authors, year_raw, year_line, venue, field_lines,
-               keywords, plain, index_raw, index_line, ref_lines, ref_raws, abstract):
+               plain_keywords, keywords, index_raw, index_line, ref_lines, ref_raws, abstract):
         """Validate the block that just ended: its record, or with ``build``
         false its id; None when it is skipped.
 
         ``year_raw``, ``index_raw`` and each of ``ref_raws`` are stripped;
         each ``field_lines`` text is as it follows ``#f``. ``title``,
-        ``authors``, ``venue``, ``abstract`` and ``keywords`` are as they
-        follow their tags, ``keywords`` being the block's ``#k`` values
+        ``authors``, ``venue``, ``abstract`` and the ``#k`` text are as
+        ``_records`` takes them, the text being the block's ``#k`` values
         joined by ``,`` (the same keywords as each value alone). No
-        diagnostic reads these five, so with ``build`` false nothing
-        prepares them. ``plain`` says that ``keywords`` is printable ASCII
-        without capital letters.
+        diagnostic reads these, so with ``build`` false nothing prepares
+        them.
         """
         # Identity first: later diagnostics hang off the record's own lines.
         if index_raw is None:
@@ -409,8 +507,7 @@ def _parse(
             return None
         pid = int(index_raw)
         byte = pid >> 3
-        bit = 1 << (pid & 7)
-        if (byte < len(seen_bits) and seen_bits[byte] & bit) or pid in seen_far:
+        if (byte < len(seen_bits) and seen_bits[byte] & 1 << (pid & 7)) or pid in seen_far:
             emit(index_line, ERROR, "duplicate-id", f"paper id {pid} already seen")
             return None
 
@@ -488,62 +585,76 @@ def _parse(
                 kept[rid] = None
             refs = tuple(kept)
 
-        if byte < len(seen_bits):
-            seen_bits[byte] |= bit
-        elif pid < SEEN_ID_BITS * (report.parsed + 1):
-            seen_bits.extend(bytes(max(byte + 1, 2 * len(seen_bits)) - len(seen_bits)))
-            seen_bits[byte] = bit
-        else:
-            seen_far.add(pid)
+        mark(pid)
         if not build:
             return pid
-
-        if keywords is not None:
-            # Case folding leaves a plain text as it is and " " is its only
-            # whitespace: without a space run or a space at either end of a
-            # keyword, each keyword is already normalized.
-            if plain and not ("  " in keywords or ", " in keywords or " ," in keywords
-                              or keywords[:1] == " " or keywords[-1:] == " "):
-                kept = set(keywords.split(","))
-            else:
-                kept = set(_keywords(keywords))
-            kept.discard("")
-            keywords = tuple(sorted(kept))
-        return PaperRecord(
-            pid, title.strip() if title else "", _names(authors) if authors else (), year,
-            venue and venue.strip() or None, fields, keywords or (), refs,
-            abstract and abstract.strip() or None,
-        )
+        return _records((pid,), (title or "",), (authors,), (year,), (venue,), (fields,),
+                        (plain_keywords,), (keywords,), (refs,), (abstract,))[0]
 
     lineno = 0
     in_block = False
     for line in _items(source):
         lineno += 1
-        if type(line) is re.Match:
-            # A canonical block: the pattern found each line, so the line
-            # numbers follow from the lines present.
-            ordinal += 1
-            report.blocks += 1
-            (title, authors, year_raw, venue, field_text, plain_keywords, keyword_text,
-             index_raw, refs, abstract) = line.groups()
-            year_line = lineno + 1 + (authors is not None)
-            field_line = year_line + 1 + (venue is not None)
-            plain = plain_keywords is not None
-            if plain:
-                keyword_text = plain_keywords
-            index_line = field_line + 1 + (keyword_text is not None)
-            ref_raws = refs[2:-1].split("\n#%") if refs else []
-            record = finish(
-                lineno, title, authors, year_raw.strip(), year_line, venue,
-                [(field_line, field_text)], keyword_text, plain, index_raw.strip(), index_line,
-                range(index_line + 1, index_line + 1 + len(ref_raws)), ref_raws, abstract,
-            )
-            lineno = index_line + len(ref_raws) + (abstract is not None) + 1
-            if record is None:
-                report.skipped += 1
+        if type(line) is list:
+            # A run of canonical blocks. A block whose year is in _YEARS,
+            # whose #f text is in fields_of_line, whose id is ASCII digits
+            # above every id before it and whose references hold neither
+            # itself nor a repeat can give no diagnostic: it is built with
+            # the run's columns. finish() takes every other block.
+            run = line
+            piece = run[0].string
+            at = run[0].start()  # the text before at starts on line lineno
+            if build:
+                columns = tuple(zip(*map(re.Match.groups, run)))
+                year_raws, field_texts, index_raws, ref_texts = (
+                    columns[2], columns[4], columns[7], columns[8])
             else:
-                report.parsed += 1
-                yield record
+                year_raws, field_texts, index_raws, ref_texts = zip(
+                    *map(re.Match.group, run, repeat(3), repeat(5), repeat(8), repeat(9)))
+            years = list(map(_YEARS.get, year_raws))
+            digits = "".join(index_raws)
+            if "" not in index_raws and digits.isascii() and digits.isdigit():
+                ids = list(map(int, index_raws))
+            else:
+                ids = [int(raw) if raw.isascii() and raw.isdigit() else -1 for raw in index_raws]
+            refs = [tuple(map(int, raw[2:-1].split("\n#%"))) if raw else () for raw in ref_texts]
+            # Lazy: a #f text is looked up once finish() has taken the blocks
+            # before it, so only the first block with a new text misses.
+            checked = map(all, zip(
+                years, map(fields_of_line.get, field_texts),
+                map(gt, ids, accumulate(ids, max, initial=top)),
+                [pid not in r and len(set(r)) == len(r) for pid, r in zip(ids, refs)],
+            ))
+            n = len(run)
+            done = 0  # blocks of the run handled so far
+            for i in chain(compress(range(n), map(not_, checked)), (n,)):
+                if done < i:  # the checked blocks done .. i - 1
+                    ordinal += i - done
+                    report.blocks += i - done
+                    for pid in islice(ids, done, i):
+                        mark(pid)
+                        report.parsed += 1
+                    if build:
+                        part = [column[done:i] for column in columns]
+                        yield from _records(
+                            ids[done:i], part[0], part[1], years[done:i], part[3],
+                            list(map(fields_of_line.get, part[4])), part[5], part[6],
+                            refs[done:i], part[9])
+                    else:
+                        yield from islice(ids, done, i)
+                if i < n:
+                    ordinal += 1
+                    report.blocks += 1
+                    lineno += piece.count("\n", at, run[i].start())
+                    at = run[i].start()
+                    record = finish(*_finish_args(run[i], lineno))
+                    if record is None:
+                        report.skipped += 1
+                    else:
+                        report.parsed += 1
+                        yield record
+                done = i + 1
+            lineno += piece.count("\n", at, run[-1].end()) - 1
             continue
 
         # The line loop. A line may keep its line break: finish() strips every value.
@@ -558,7 +669,7 @@ def _parse(
                 in_block = False
                 record = None if undecodable else finish(
                     first_line, title, authors, year_raw, year_line, venue, field_lines,
-                    ",".join(keywords) if keywords else None, False,
+                    None, ",".join(keywords) if keywords else None,
                     index_raw, index_line, ref_lines, ref_raws, abstract,
                 )
                 if record is None:

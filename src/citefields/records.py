@@ -147,6 +147,12 @@ class Corpus:
                         raise ValueError(f"paper {rec.id} field {f!r} is not an int index")
                     if f < 0 or f >= n_fields:
                         raise ValueError(f"paper {rec.id} has field index outside taxonomy")
+                try:
+                    iter(rec.keywords)
+                except TypeError:
+                    raise ValueError(
+                        f"paper {rec.id} keywords {rec.keywords!r} is not a tuple of str"
+                    ) from None
                 for name, texts in (("author", rec.authors), ("keyword", rec.keywords)):
                     for text in texts:
                         if not isinstance(text, str):

@@ -18,12 +18,19 @@ from .slotted import Slotted
 
 
 def format_cell(value: Any) -> str:
-    """Render one cell for CSV output; None becomes an empty cell."""
+    """Render one cell for CSV output; None becomes an empty cell.
+
+    A cell holding a comma, a double quote, CR or LF is quoted as RFC 4180
+    has it: in double quotes, each inner double quote doubled.
+    """
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 class MetricReport(Slotted):

@@ -215,8 +215,15 @@ def test_every_corpus_the_constructor_accepts_round_trips(records):
     ([rec(1, authors=(5,))], "paper 1 author 5 is not a str"),
     ([rec(1, keywords=(5,))], "paper 1 keyword 5 is not a str"),
     ([rec(1, fields=("a",))], "paper 1 field 'a' is not an int index"),
+    ([rec(1)._replace(keywords=5)], "paper 1 keywords 5 is not a tuple of str"),
+    ([rec(1)._replace(keywords=None)], "paper 1 keywords None is not a tuple of str"),
+    # Keywords the writer can write but that do not read back as a tuple.
+    ([rec(1)._replace(keywords=["a"])], "paper 1 keywords ['a'] re-parses as ('a',)"),
+    ([rec(1)._replace(keywords=frozenset({"a"}))],
+     "paper 1 keywords frozenset({'a'}) re-parses as ('a',)"),
 ], ids=["float-reference", "string-reference", "float-id", "bool-id", "float-year",
-        "blank-line-first", "string-id", "int-author", "int-keyword", "string-field"])
+        "blank-line-first", "string-id", "int-author", "int-keyword", "string-field",
+        "int-keywords", "none-keywords", "list-keywords", "frozenset-keywords"])
 def test_corpus_rejects_ids_years_and_references_that_do_not_re_parse(records, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         corpus_of(*records)

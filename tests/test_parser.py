@@ -409,13 +409,12 @@ _MUTATIONS = ("drop", "double", "move", "crlf", "blank", "comment", "pad",
               "keywords", "repeated-id")
 
 
-@st.composite
-def _mutated_canonical(draw) -> bytes:
-    """A serialized corpus with one mutation in one of its blocks."""
-    text = serialize_corpus(corpus_of(*draw(_records())))
-    blocks = [block.split("\n") for block in text.rstrip("\n").split("\n\n")]
-    lines = draw(st.sampled_from(blocks))
-    kind = draw(st.sampled_from(_MUTATIONS))
+def _mutate(draw, blocks: list[list[str]], lines: list[str], kind: str) -> None:
+    """Apply the mutation ``kind`` to ``lines``, one of ``blocks``. The
+    mutations of the whole text, "crlf" and "no-final-newline", are
+    ``_joined``'s."""
+    if not lines:  # earlier mutations dropped every line
+        return
     at = draw(st.integers(0, len(lines) - 1))
     if kind == "drop":
         del lines[at]
@@ -433,10 +432,13 @@ def _mutated_canonical(draw) -> bytes:
     elif kind == "keywords":
         value = "#k" + draw(st.text(alphabet=" ,,abA-\t", max_size=12))
         where = [i for i, line in enumerate(lines) if line.startswith(("#k", "#index"))]
-        lines[where[0]:where[0] + lines[where[0]].startswith("#k")] = [value]
+        if where:
+            lines[where[0]:where[0] + lines[where[0]].startswith("#k")] = [value]
     elif kind == "repeated-id":
-        copy = next(line for line in draw(st.sampled_from(blocks)) if line.startswith("#index"))
-        lines[next(i for i, line in enumerate(lines) if line.startswith("#index"))] = copy
+        copy = [line for line in draw(st.sampled_from(blocks)) if line.startswith("#index")]
+        where = [i for i, line in enumerate(lines) if line.startswith("#index")]
+        if copy and where:
+            lines[where[0]] = copy[0]
     else:
         bad = {"bad-index": ("#index", ["1_0", "+5", "x", "", "\u0663"]),
                "bad-year": ("#t", ["19x0", "", "99999", "\u0662000"]),
@@ -449,12 +451,65 @@ def _mutated_canonical(draw) -> bytes:
                 lines[where[0]] = value
             else:
                 lines.insert(at, value)
+
+
+def _joined(blocks: list[list[str]], kinds: list[str]) -> bytes:
     text = "\n\n".join("\n".join(block) for block in blocks) + "\n"
-    if kind == "crlf":
+    if "crlf" in kinds:
         text = text.replace("\n", "\r\n")
-    elif kind == "no-final-newline":
+    elif "no-final-newline" in kinds:
         text = text.rstrip("\n")
     return text.encode("utf-8")
+
+
+def _blocks(draw) -> list[list[str]]:
+    """The lines of each block of a serialized corpus, most of them with the
+    #f line of the first: a block whose #f text is new is finish()'s, so
+    only a repeated text lets a block pass the screen."""
+    text = serialize_corpus(corpus_of(*draw(_records())))
+    blocks = [block.split("\n") for block in text.rstrip("\n").split("\n\n")]
+    shared = next(line for line in blocks[0] if line.startswith("#f"))
+    for block in blocks[1:]:
+        if not draw(st.booleans()):
+            block[:] = [shared if line.startswith("#f") else line for line in block]
+    return blocks
+
+
+@st.composite
+def _mutated_canonical(draw) -> bytes:
+    """A serialized corpus with one mutation in one of its blocks."""
+    blocks = _blocks(draw)
+    kind = draw(st.sampled_from(_MUTATIONS))
+    _mutate(draw, blocks, draw(st.sampled_from(blocks)), kind)
+    return _joined(blocks, [kind])
+
+
+@st.composite
+def _runs_cut_in_many_places(draw) -> bytes:
+    """The blocks of two serialized corpora in shuffled order, with 2 to 4
+    mutations in any blocks and one block given the id of an earlier one
+    (of the same run unless a mutation cuts it): runs of matched blocks are
+    cut in several places and sit next to blocks that finish() takes.
+
+    The k-th block's id is redrawn from 2k to 2k + 3, so that ids mostly
+    ascend but some repeat or fall, and the seen-id bitmap holds them; half
+    the references are redrawn below 16, so that some name their own block
+    or repeat."""
+    small = st.integers(0, 15)
+    blocks = [
+        [f"#index{draw(st.integers(2 * k, 2 * k + 3))}" if line.startswith("#index")
+         else f"#%{draw(small)}" if line.startswith("#%") and draw(st.booleans()) else line
+         for line in block]
+        for k, block in enumerate(draw(st.permutations(_blocks(draw) + _blocks(draw))))
+    ]
+    at = draw(st.integers(1, len(blocks) - 1))
+    earlier = blocks[draw(st.integers(0, at - 1))]
+    index = next(i for i, line in enumerate(blocks[at]) if line.startswith("#index"))
+    blocks[at][index] = next(line for line in earlier if line.startswith("#index"))
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=2, max_size=4))
+    for kind in kinds:
+        _mutate(draw, blocks, draw(st.sampled_from(blocks)), kind)
+    return _joined(blocks, kinds)
 
 
 def _outcome(parse, strict: bool) -> tuple:
@@ -475,12 +530,31 @@ def _outcome(parse, strict: bool) -> tuple:
 def test_parse_matches_the_line_loop_oracle(data, chunk_size):
     """Blocks matched whole and blocks read line by line give what the line
     loop alone gives, with chunks cut anywhere (None: the default size)."""
+    _check_against_the_oracle(data, chunk_size)
+
+
+@given(_runs_cut_in_many_places())
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_the_oracle_with_runs_cut_in_many_places(data):
+    for chunk_size in (1, 7, 64, None):
+        _check_against_the_oracle(data, chunk_size)
+    for run_blocks in (1, 2, 3):
+        _check_against_the_oracle(data, None, run_blocks)
+
+
+def _check_against_the_oracle(data: bytes, chunk_size: int | None,
+                              run_blocks: int | None = None) -> None:
+    """The records, report and ParseError of every parse of ``data`` equal
+    the line loop oracle's, in both strictness modes (None: the default
+    chunk size and run length)."""
     sources = [io.BytesIO(data)]
     with contextlib.suppress(UnicodeDecodeError):
         sources.append(data.decode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
         if chunk_size is not None:
             mp.setattr(corpusio, "CHUNK_SIZE", chunk_size)
+        if run_blocks is not None:
+            mp.setattr(corpusio, "RUN_BLOCKS", run_blocks)
         for strict in (False, True):
             want = _outcome(lambda *args: parse_lines_direct(data, *args), strict)
             for source in sources:
@@ -512,6 +586,30 @@ def test_parse_matches_the_line_loop_oracle(data, chunk_size):
                         assert (report.blocks, report.parsed, report.skipped) == want[1]
                         assert report.diagnostics == want[2]
                 assert kept == want[0]
+
+
+def test_generated_corpus_is_built_a_run_at_a_time(monkeypatch):
+    """finish() takes only the first block with each #f text, which fills
+    its memo; every other block passes the screen and is built with its
+    run's columns."""
+    finished = []
+    finish_args = corpusio._finish_args
+
+    def counted(match, first_line):
+        finished.append(match.group(5))
+        return finish_args(match, first_line)
+
+    monkeypatch.setattr(corpusio, "_finish_args", counted)
+    text = generate(GeneratorSpec(seed=4, field_count=4, years_span=5, papers_per_year=(40, 40),
+                                  multi_tag_probability=0.3))
+    texts = [line[2:] for line in text.splitlines() if line.startswith("#f")]
+    want = list(dict.fromkeys(texts))
+    assert 4 < len(want) < len(texts) == 200
+    for build in (True, False):
+        finished.clear()
+        records = list(corpusio._parse(text, FieldTaxonomy.default(), True, ParseReport(), build))
+        assert len(records) == 200
+        assert finished == want
 
 
 def test_generated_corpus_reaches_no_line_loop(monkeypatch):
@@ -555,3 +653,28 @@ def test_keyword_line_matches_per_keyword_oracle(text):
         corpus, report = parse_corpus(source, strictness=STRICT)
         assert corpus[1].keywords == want
         assert not report.diagnostics
+
+
+@given(st.lists(
+    st.tuples(st.one_of(st.none(), _keyword_text, st.text(alphabet="ab ,", max_size=10)),
+              st.one_of(st.none(), st.text(alphabet="ab ,\t", max_size=8))),
+    min_size=2, max_size=5,
+))
+@settings(max_examples=300, deadline=None)
+def test_keyword_and_author_columns_match_each_block_alone(values):
+    """Blocks built with their run's columns get the keywords and authors
+    their own texts give, whether or not another text of the column needs
+    more than a split."""
+    text = "".join(
+        "#*T\n" + ("" if authors is None else f"#@{authors}\n") + "#t2000\n#fAI\n"
+        + ("" if keywords is None else f"#k{keywords}\n") + f"#index{pid}\n\n"
+        for pid, (keywords, authors) in enumerate(values)
+    )
+    corpus, report = parse_corpus(text, strictness=STRICT)
+    assert not report.diagnostics
+    for pid, (keywords, authors) in enumerate(values):
+        want = () if keywords is None else tuple(
+            sorted({normalize_keyword(kw) for kw in keywords.split(",")} - {""}))
+        assert corpus[pid].keywords == want
+        assert corpus[pid].authors == (
+            () if authors is None else tuple(filter(None, map(str.strip, authors.split(",")))))

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citefields import MetricReport
+from citefields.cli import main
 from citefields.report import format_cell
 
 
@@ -18,6 +22,53 @@ def test_format_cell_rules():
     assert format_cell(1 / 3) == repr(1 / 3)
     assert format_cell(7) == "7"
     assert format_cell("abc") == "abc"
+
+
+@pytest.mark.parametrize("value, cell", [
+    ("a,b", '"a,b"'),
+    ('say "hi"', '"say ""hi"""'),
+    ('"', '""""'),
+    ("two\nlines", '"two\nlines"'),
+    ("cr\r", '"cr\r"'),
+    ("label 'Quantum Basketry' not in taxonomy, dropped",
+     "\"label 'Quantum Basketry' not in taxonomy, dropped\""),
+    ("# hash, comma", '"# hash, comma"'),
+    ("plain 'quotes' and #", "plain 'quotes' and #"),
+])
+def test_format_cell_quotes_commas_quotes_and_line_breaks(value, cell):
+    assert format_cell(value) == cell
+
+
+def _table(text: str) -> list[list[str]]:
+    """The rows after the leading ``#`` metadata lines, as ``csv.reader`` reads them."""
+    lines = text.splitlines(keepends=True)
+    while lines and lines[0].startswith("#"):
+        lines.pop(0)
+    return list(csv.reader(io.StringIO("".join(lines), newline="")))
+
+
+@given(st.lists(st.tuples(st.text(max_size=8), st.one_of(st.none(), st.integers(), st.text())),
+                max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_csv_rows_read_back_at_the_header_width(rows):
+    r = MetricReport("demo", ("name", "value"))
+    for row in rows:
+        r.add_row(*row)
+    table = _table(r.to_csv_text())
+    assert table[0] == ["name", "value"]
+    assert table[1:] == [["" if v is None else str(v) for v in row] for row in rows]
+
+
+def test_validate_csv_rows_keep_the_header_width(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("#*T\n#t2000\n#fAI,Quantum Basketry\n#index3\n\n"
+                    '#*U\n#t2000\n#fAI\n#q say "#1", twice\n#index4\n', encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert main(["validate", str(path), "-o", str(out)]) == 0
+    table = _table(out.read_text(encoding="utf-8"))
+    assert [len(row) for row in table] == [5, 5, 5]
+    assert table[1][4] == "field label 'Quantum Basketry' not in taxonomy, dropped"
+    assert table[2][4] == "unrecognized line ignored: '#q say \"#1\", twice'"
 
 
 def test_row_width_checked():
