@@ -46,50 +46,48 @@ decoded again line by line, so each line that is not UTF-8 becomes an
 aborting the whole parse; a ``%%`` comment line is skipped whatever bytes
 it holds.
 
-Blocks are read two ways. Where a block starts after an empty line, a
-comment line or nothing, in a decoded chunk, one compiled pattern tries to
-match it whole in the order ``serialize_record`` and ``synth.generate``
-write: ``#*``, optional ``#@``, ``#t``, optional ``#c``, ``#f``, optional
-``#k``, ``#index``, any number of ``#%`` lines of ASCII digits, optional
-``#!``, then an empty line. The pattern captures every value in C, and
-up to ``RUN_BLOCKS`` consecutive matched blocks form a run. A block cut by
-the chunk's end is carried into the next chunk if it is no longer than
-``CHUNK_SIZE``. Every other block goes through the line loop: another tag
-order, a repeated or unknown tag, a ``%%`` line inside it, a
-whitespace-only line inside, before or after it (a CRLF file's blank lines
-hold ``\r``), a reference that is not ASCII digits, a chunk that is not
-all UTF-8, a text stream or other iterable of lines, or a block longer
-than a chunk. The line loop
-dispatches each line on the tag's second character and keeps the block's
-tags in local variables until a blank or whitespace-only line ends it.
+Blocks reach one reader, ``finish()``, which takes the lines of one block,
+by two routes. Where a block starts after an empty line, a comment line or
+nothing, in a decoded chunk, one compiled pattern tries to match it whole
+in the order ``serialize_record`` and ``synth.generate`` write: ``#*``,
+optional ``#@``, ``#t``, optional ``#c``, ``#f``, optional ``#k``,
+``#index``, any number of ``#%`` lines of ASCII digits, optional ``#!``,
+then an empty line. The pattern captures every value in C, and up to
+``RUN_BLOCKS`` consecutive matched blocks form a run. A block cut by the
+chunk's end is carried into the next chunk if it is no longer than
+``CHUNK_SIZE``. Every other block is collected line by line up to the
+blank or whitespace-only line that ends it, comment lines inside it
+included: another tag order, a repeated or unknown tag, a ``%%`` line
+inside it, a whitespace-only line inside, before or after it (a CRLF
+file's blank lines hold ``\r``), a reference that is not ASCII digits, a
+chunk that is not all UTF-8, a text stream or other iterable of lines, or
+a block longer than a chunk.
 
 A run is screened a column at a time, with ``map``, ``zip`` and
-``accumulate`` over its match groups. A block passes when its year is one
-of ``YEAR_RANGE`` as ``#t`` writes it, its ``#f`` text is one whose fields
-are memoized, its id is ASCII digits above every id before it, and its
-references hold neither its own id nor a repeat: nothing in it can give a
-diagnostic. The blocks that pass are built a column at a time by
+``accumulate`` over its match groups; this screen is the parser's only
+fast path. A block passes when its year is one of ``YEAR_RANGE`` as ``#t``
+writes it, its ``#f`` text is one whose fields ``finish()`` has memoized,
+its id, read as ``finish()`` reads it, is above every id before it, and
+its references hold neither its own id nor a repeat: nothing in it can
+give a diagnostic. The blocks that pass are built a column at a time by
 ``_records`` (with ``build`` false only their ids are kept). Every other
-block of the run, and every block of the line loop, goes to one
-``finish()``, its line numbers following from the block's first line and
-the lines present. So every diagnostic, ordinal and strict-mode
-``ParseError`` comes from one validator, and ``_records`` strips, splits
-and normalizes the values of every record, those ``finish()`` accepts
-included.
+block of the run goes to ``finish()`` as its match's lines. ``finish()``
+dispatches each line on the tag's second character, numbers it by its
+place in the block and then validates the block. So every diagnostic,
+ordinal and strict-mode ``ParseError`` comes from one reader, and
+``_records`` strips, splits and normalizes the values of every record,
+those ``finish()`` accepts included.
 
 A block's ``#k`` text is normalized as a whole and its keywords are kept as a
 tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
 a frozenset of up to 4 items 216). ``_records`` joins a column's ``#@``
 texts, and its ``#k`` texts, and checks each joined text once: when no
-name needs trimming or is empty, and every ``#k`` text is printable ASCII
-with no capital letter, no space run, no empty keyword and no space at
-either end of a keyword, each text is only split. An id, year or
+name needs trimming or is empty, and the joined ``#k`` text is printable
+ASCII with no capital letter, no space run, no empty keyword and no space
+at either end of a keyword, each text is only split. An id, year or
 reference is ASCII digits only: ``int()`` alone would also take a sign, an
-underscore or another script's digits. ``finish()`` checks a block's
-references with one ASCII-digit test over their joined values and converts
-them in one ``map(int, ...)``; they are checked line by line only when that
-fails or finds a self or repeated id. Field label lookups, field-index sets
-and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts that resolve
+underscore or another script's digits. Field label lookups, field-index
+sets and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts that resolve
 without a diagnostic are memoized per parse. Author names, venues and
 keywords are not interned: what that saves depends on how often the input
 repeats them, and on mostly distinct values it costs memory. The cyclic
@@ -99,20 +97,12 @@ every record built so far, while the parse leaves no cycle that must be
 freed before it returns. The cost is O(input) time: a match that fails
 backs off over each line of the block at most once.
 
-On a 2-vCPU Xeon VM, in one process with the collector paused (median of
-7 to 9 fresh processes, alternating with a parse that handed every
-matched block to ``finish()``), the seed-7 ``session-10k`` benchmark file
-(10k records, 1.9 MB) parses in 4.9 µs a block against 6.2 µs, and in
-2.9 µs against 3.8 µs building no record (``discard_records``). The
-seed-7 ``ingest-50k`` file (50k records, 9.4 MB, runs cut by the blocks
-with an unknown line about every 94 blocks, and 4.2% of blocks screened
-out) takes 5.7 µs against 6.3 µs, and 3.0 µs against 3.6 µs building no
-record. The screen passes every ``session-10k`` block but the first with
-each of its 36 ``#f`` texts. Without ``RUN_BLOCKS`` a run could hold a
-whole chunk of blocks (about 340): capping it at 128 cost about 3% of the
-``session-10k`` parse and took about two thirds off the parse's added
-``tracemalloc`` peak on ``ingest-50k`` (1348 KiB at the per-block parse,
-1635 KiB uncapped, 1454 KiB capped, building no record).
+``RUN_BLOCKS`` bounds the columns a run holds at once; without it a run
+could hold a whole chunk of blocks (about 340 of the benchmark's). On a
+2-vCPU Xeon VM, capping it at 128 cost about 2% of the seed-7
+``session-10k`` parse (0.0523 against 0.0514 s, median of 6 fresh
+processes) and cut the parse's added ``tracemalloc`` peak on the seed-7
+``ingest-50k`` file from 1580 to 1402 KiB, building no record.
 
 Diagnostics carry line numbers and the 1-based record ordinal. In strict
 mode the first error-severity diagnostic aborts via ``ParseError``; in
@@ -252,11 +242,9 @@ def _pieces(source: str | bytes | IO) -> Iterator[str | list[str | UnicodeDecode
 
 
 # A block with its tags in the order serialize_record and synth.generate
-# write them, ended by an empty line. Each group is the rest of its line,
-# as the line loop reads it (``.`` takes no "\n"), except that references
-# are ASCII digits only and stand as one group of whole lines, and that a
-# #k value in printable ASCII without capital letters fills the first #k
-# group.
+# write them, ended by an empty line. Each group is the rest of its line
+# (``.`` takes no "\n"), except that references are ASCII digits only and
+# stand as one group of whole lines.
 # Each year of YEAR_RANGE as ``#t`` writes it.
 _YEARS = {str(year): year for year in range(YEAR_RANGE[0], YEAR_RANGE[1] + 1)}
 
@@ -266,7 +254,7 @@ _CANONICAL = re.compile(
     r"#t(.*)\n"
     r"(?:#c(.*)\n)?"
     r"#f(.*)\n"
-    r"(?:#k(?:([ -@\[-~]*)\n|(.*)\n))?"
+    r"(?:#k(.*)\n)?"
     r"#index(.*)\n"
     r"((?:#%[0-9]+\n)*)"
     r"(?:#!(.*)\n)?"
@@ -336,17 +324,15 @@ def _keywords(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(map(str.strip, " ".join(text.split()).casefold().split(","))) - {""}))
 
 
-def _records(ids, titles, authors, years, venues, fields, plain_keywords, keywords,
+def _records(ids, titles, authors, years, venues, fields, keywords,
              references, abstracts) -> list[PaperRecord]:
     """The records of checked blocks, built a column at a time.
 
     ``ids``, ``years``, ``fields`` and ``references`` hold the checked
     values. The other columns hold each text as it follows its tag:
-    ``titles`` a ``str``, ``authors``, ``venues`` and ``abstracts`` a
-    ``str`` or None. A block's ``#k`` text is in ``plain_keywords`` when it
-    is printable ASCII without capital letters and in ``keywords``
-    otherwise, with None in the other column and in both without one.
-    Every value a record holds is stripped, split and normalized here.
+    ``titles`` a ``str``, ``authors``, ``venues``, ``keywords`` and
+    ``abstracts`` a ``str`` or None. Every value a record holds is
+    stripped, split and normalized here.
     """
     # Names and keywords that need nothing but a split, found once for the
     # whole column: joined with ",", its pieces are those of each text.
@@ -355,17 +341,18 @@ def _records(ids, titles, authors, years, venues, fields, plain_keywords, keywor
         authors = [_names(text) if text else () for text in authors]
     else:
         authors = [tuple(text.split(",")) if text else () for text in authors]
-    # Case folding leaves a plain text as it is and " " is its only
-    # whitespace: without a space run, a space at either end of a keyword
-    # or an empty keyword, each keyword is already normalized.
-    words = ",".join(filter(None, plain_keywords))
-    if (any(keywords) or "  " in words or ", " in words or " ," in words or ",," in words
+    # Case folding leaves printable ASCII without capital letters as it is,
+    # and " " is its only whitespace: without a space run, a space at either
+    # end of a keyword or an empty keyword, each keyword is already
+    # normalized.
+    words = ",".join(filter(None, keywords))
+    if (not (words.isascii() and words.isprintable()) or words != words.lower()
+            or "  " in words or ", " in words or " ," in words or ",," in words
             or words[:1] in (" ", ",") or words[-1:] in (" ", ",")):
-        keywords = [_keywords(plain if text is None else text) if plain or text else ()
-                    for plain, text in zip(plain_keywords, keywords)]
+        keywords = [_keywords(text) if text else () for text in keywords]
     else:
         keywords = [tuple(dict.fromkeys(sorted(text.split(",")))) if text else ()
-                    for text in plain_keywords]
+                    for text in keywords]
     return list(map(
         PaperRecord, ids, map(str.strip, titles), authors, years,
         [text and text.strip() or None for text in venues], fields, keywords, references,
@@ -373,19 +360,10 @@ def _records(ids, titles, authors, years, venues, fields, plain_keywords, keywor
     ))
 
 
-def _finish_args(match: re.Match, first_line: int) -> tuple:
-    """The arguments of ``_parse``'s ``finish()`` for the canonical block of
-    ``match``, which starts on ``first_line``: the pattern found each line,
-    so the line numbers follow from the lines present."""
-    (title, authors, year_raw, venue, field_text, plain_keywords, keywords,
-     index_raw, refs, abstract) = match.groups()
-    year_line = first_line + 1 + (authors is not None)
-    field_line = year_line + 1 + (venue is not None)
-    index_line = field_line + 1 + (plain_keywords is not None or keywords is not None)
-    ref_raws = refs[2:-1].split("\n#%") if refs else []
-    return (first_line, title, authors, year_raw.strip(), year_line, venue,
-            [(field_line, field_text)], plain_keywords, keywords, index_raw.strip(), index_line,
-            range(index_line + 1, index_line + 1 + len(ref_raws)), ref_raws, abstract)
+def _lines(match: re.Match) -> list[str]:
+    """The lines of the canonical block of ``match``, without the empty
+    line that ends it."""
+    return match[0].split("\n")[:-2]
 
 
 def discard_records(records: Iterator, _taxonomy: FieldTaxonomy) -> None:
@@ -484,19 +462,80 @@ def _parse(
         if pid > top:
             top = pid
 
-    def finish(first_line, title, authors, year_raw, year_line, venue, field_lines,
-               plain_keywords, keywords, index_raw, index_line, ref_lines, ref_raws, abstract):
-        """Validate the block that just ended: its record, or with ``build``
-        false its id; None when it is skipped.
+    def finish(first_line: int, lines: list[str | UnicodeDecodeError]) -> PaperRecord | int | None:
+        """Read and validate the block of ``lines``, the first of them on
+        line ``first_line``: its record, or with ``build`` false its id;
+        None when it is skipped.
 
-        ``year_raw``, ``index_raw`` and each of ``ref_raws`` are stripped;
-        each ``field_lines`` text is as it follows ``#f``. ``title``,
-        ``authors``, ``venue``, ``abstract`` and the ``#k`` text are as
-        ``_records`` takes them, the text being the block's ``#k`` values
-        joined by ``,`` (the same keywords as each value alone). No
-        diagnostic reads these, so with ``build`` false nothing prepares
-        them.
+        A line is a ``str``, which may keep its line break, or the
+        ``UnicodeDecodeError`` of a line that is not UTF-8; ``%%`` lines
+        are skipped. The tags are read in order, each diagnostic of a line
+        given as it is read, and then the block is checked as a whole. No
+        check reads a title, author, venue, keyword or abstract, so with
+        ``build`` false nothing prepares them.
         """
+        nonlocal ordinal
+        ordinal += 1
+        report.blocks += 1
+        title = authors = year_raw = venue = index_raw = abstract = field_lines = None
+        year_line = index_line = 0
+        keywords: list[str] = []
+        ref_lines: list[tuple[int, str]] = []
+        undecodable = False
+        for lineno, line in enumerate(lines, first_line):
+            if type(line) is UnicodeDecodeError:
+                if not line.object.startswith(COMMENT_PREFIX.encode()):  # skipped whatever it holds
+                    undecodable = True
+                    emit(lineno, ERROR, "encoding",
+                         f"line is not valid UTF-8 ({line.reason} at byte {line.start})")
+                continue
+            tag = line[1:2] if line[:1] == "#" else ""
+            if tag == "%":
+                ref_lines.append((lineno, line[2:].strip()))
+            elif tag == "k":
+                keywords.append(line[2:])
+            elif tag == "i" and line.startswith("#index"):
+                if index_raw is not None:
+                    emit(lineno, WARNING, "duplicate-tag", "extra #index ignored")
+                else:
+                    index_raw = line[6:].strip()
+                    index_line = lineno
+            elif tag == "*":
+                if title is not None:
+                    emit(lineno, WARNING, "duplicate-tag", "extra #* ignored")
+                else:
+                    title = line[2:]
+            elif tag == "@":
+                if authors is not None:
+                    emit(lineno, WARNING, "duplicate-tag", "extra #@ ignored")
+                else:
+                    authors = line[2:]
+            elif tag == "t":
+                if year_raw is not None:
+                    emit(lineno, WARNING, "duplicate-tag", "extra #t ignored")
+                else:
+                    year_raw = line[2:].strip()
+                    year_line = lineno
+            elif tag == "c":
+                if venue is not None:
+                    emit(lineno, WARNING, "duplicate-tag", "extra #c ignored")
+                else:
+                    venue = line[2:]
+            elif tag == "f":
+                if field_lines is None:
+                    field_lines = []
+                field_lines.append((lineno, line[2:]))
+            elif tag == "!":
+                if abstract is not None:
+                    emit(lineno, WARNING, "duplicate-tag", "extra #! ignored")
+                else:
+                    abstract = line[2:]
+            elif not line.startswith(COMMENT_PREFIX):
+                line = line.rstrip("\n").rstrip("\r")
+                emit(lineno, WARNING, "unknown-line", f"unrecognized line ignored: {line[:40]!r}")
+        if undecodable:
+            return None
+
         # Identity first: later diagnostics hang off the record's own lines.
         if index_raw is None:
             emit(first_line, ERROR, "missing-index", "record has no #index line")
@@ -522,77 +561,64 @@ def _parse(
         if field_lines is None:
             emit(first_line, ERROR, "missing-fields", "record has no #f line")
             return None
-        fields = fields_of_line.get(field_lines[0][1]) if len(field_lines) == 1 else None
+        field_indices: list[int] = []
+        unknown = repeated = False
+        for lineno, text in field_lines:
+            for label in text.split(","):
+                label = label.strip()
+                if not label:
+                    continue
+                idx = field_of.get(label, -1)
+                if idx == -1:
+                    idx = field_of[label] = taxonomy.get(label)
+                if idx is None:
+                    severity = ERROR if strict else WARNING
+                    emit(lineno, severity, "unknown-field",
+                         f"field label {label!r} not in taxonomy, dropped")
+                    unknown = True
+                elif idx in field_indices:
+                    emit(lineno, WARNING, "duplicate-field-label",
+                         f"field {label!r} tagged twice")
+                    repeated = True
+                else:
+                    field_indices.append(idx)
+        if not field_indices:
+            code = "no-valid-fields" if unknown else "missing-fields"
+            emit(first_line, ERROR, code, "record has no usable field label")
+            return None
+        key = tuple(field_indices)
+        fields = fieldsets.get(key)
         if fields is None:
-            field_indices: list[int] = []
-            unknown = repeated = False
-            for lineno, text in field_lines:
-                for label in text.split(","):
-                    label = label.strip()
-                    if not label:
-                        continue
-                    idx = field_of.get(label, -1)
-                    if idx == -1:
-                        idx = field_of[label] = taxonomy.get(label)
-                    if idx is None:
-                        severity = ERROR if strict else WARNING
-                        emit(lineno, severity, "unknown-field",
-                             f"field label {label!r} not in taxonomy, dropped")
-                        unknown = True
-                    elif idx in field_indices:
-                        emit(lineno, WARNING, "duplicate-field-label",
-                             f"field {label!r} tagged twice")
-                        repeated = True
-                    else:
-                        field_indices.append(idx)
-            if not field_indices:
-                code = "no-valid-fields" if unknown else "missing-fields"
-                emit(first_line, ERROR, code, "record has no usable field label")
-                return None
-            key = tuple(field_indices)
-            fields = fieldsets.get(key)
-            if fields is None:
-                fields = fieldsets[key] = frozenset(key)
-            if (len(field_lines) == 1 and not (unknown or repeated)
-                    and len(fields_of_line) < FIELD_TEXT_MEMO):
-                fields_of_line[field_lines[0][1]] = fields
+            fields = fieldsets[key] = frozenset(key)
+        if (len(field_lines) == 1 and not (unknown or repeated)
+                and len(fields_of_line) < FIELD_TEXT_MEMO):
+            fields_of_line[field_lines[0][1]] = fields
 
-        # All references at once; line by line only to say what is wrong.
-        # An empty value adds no character to the joined check; int() refuses it.
-        digits = "".join(ref_raws)
-        try:
-            refs = tuple(map(int, ref_raws))
-            clean = not refs or (digits.isascii() and digits.isdigit()
-                                 and pid not in refs and len(set(refs)) == len(refs))
-        except ValueError:
-            clean = False
-        if not clean:
-            kept: dict[int, None] = {}
-            for lineno, raw in zip(ref_lines, ref_raws):
-                if not (raw.isascii() and raw.isdigit()):
-                    emit(lineno, WARNING, "malformed-reference",
-                         f"bad reference id {raw!r}, dropped")
-                    continue
-                rid = int(raw)
-                if rid == pid:
-                    emit(lineno, WARNING, "self-reference",
-                         f"paper {pid} references itself, dropped")
-                    continue
-                if rid in kept:
-                    emit(lineno, WARNING, "duplicate-reference",
-                         f"reference {rid} repeated, deduplicated")
-                    continue
-                kept[rid] = None
-            refs = tuple(kept)
+        kept: dict[int, None] = {}
+        for lineno, raw in ref_lines:
+            if not (raw.isascii() and raw.isdigit()):
+                emit(lineno, WARNING, "malformed-reference",
+                     f"bad reference id {raw!r}, dropped")
+                continue
+            rid = int(raw)
+            if rid == pid:
+                emit(lineno, WARNING, "self-reference",
+                     f"paper {pid} references itself, dropped")
+                continue
+            if rid in kept:
+                emit(lineno, WARNING, "duplicate-reference",
+                     f"reference {rid} repeated, deduplicated")
+                continue
+            kept[rid] = None
 
         mark(pid)
         if not build:
             return pid
         return _records((pid,), (title or "",), (authors,), (year,), (venue,), (fields,),
-                        (plain_keywords,), (keywords,), (refs,), (abstract,))[0]
+                        (",".join(keywords) if keywords else None,), (tuple(kept),), (abstract,))[0]
 
     lineno = 0
-    in_block = False
+    block = None  # the lines of the open block, the first of them on line first_line
     for line in _items(source):
         lineno += 1
         if type(line) is list:
@@ -600,25 +626,26 @@ def _parse(
             # whose #f text is in fields_of_line, whose id is ASCII digits
             # above every id before it and whose references hold neither
             # itself nor a repeat can give no diagnostic: it is built with
-            # the run's columns. finish() takes every other block.
+            # the run's columns. finish() reads every other block.
             run = line
             piece = run[0].string
             at = run[0].start()  # the text before at starts on line lineno
             if build:
                 columns = tuple(zip(*map(re.Match.groups, run)))
                 year_raws, field_texts, index_raws, ref_texts = (
-                    columns[2], columns[4], columns[7], columns[8])
+                    columns[2], columns[4], columns[6], columns[7])
             else:
                 year_raws, field_texts, index_raws, ref_texts = zip(
-                    *map(re.Match.group, run, repeat(3), repeat(5), repeat(8), repeat(9)))
+                    *map(re.Match.group, run, repeat(3), repeat(5), repeat(7), repeat(8)))
             years = list(map(_YEARS.get, year_raws))
             digits = "".join(index_raws)
             if "" not in index_raws and digits.isascii() and digits.isdigit():
                 ids = list(map(int, index_raws))
-            else:
-                ids = [int(raw) if raw.isascii() and raw.isdigit() else -1 for raw in index_raws]
+            else:  # each id as finish() reads it, -1 where it is not an id
+                ids = [int(raw) if raw.isascii() and raw.isdigit() else -1
+                       for raw in map(str.strip, index_raws)]
             refs = [tuple(map(int, raw[2:-1].split("\n#%"))) if raw else () for raw in ref_texts]
-            # Lazy: a #f text is looked up once finish() has taken the blocks
+            # Lazy: a #f text is looked up once finish() has read the blocks
             # before it, so only the first block with a new text misses.
             checked = map(all, zip(
                 years, map(fields_of_line.get, field_texts),
@@ -638,16 +665,14 @@ def _parse(
                         part = [column[done:i] for column in columns]
                         yield from _records(
                             ids[done:i], part[0], part[1], years[done:i], part[3],
-                            list(map(fields_of_line.get, part[4])), part[5], part[6],
-                            refs[done:i], part[9])
+                            list(map(fields_of_line.get, part[4])), part[5],
+                            refs[done:i], part[8])
                     else:
                         yield from islice(ids, done, i)
                 if i < n:
-                    ordinal += 1
-                    report.blocks += 1
                     lineno += piece.count("\n", at, run[i].start())
                     at = run[i].start()
-                    record = finish(*_finish_args(run[i], lineno))
+                    record = finish(lineno, _lines(run[i]))
                     if record is None:
                         report.skipped += 1
                     else:
@@ -655,94 +680,23 @@ def _parse(
                         yield record
                 done = i + 1
             lineno += piece.count("\n", at, run[-1].end()) - 1
-            continue
-
-        # The line loop. A line may keep its line break: finish() strips every value.
-        if type(line) is UnicodeDecodeError:  # the line is not UTF-8
-            if line.object.startswith(COMMENT_PREFIX.encode()):  # skipped whatever it holds
-                continue
-            tag, decode_error = None, line
-        elif line[:1] == "#":
-            tag = line[1:2]
-        elif not line.strip():  # a blank or whitespace-only line ends the block
-            if in_block:
-                in_block = False
-                record = None if undecodable else finish(
-                    first_line, title, authors, year_raw, year_line, venue, field_lines,
-                    None, ",".join(keywords) if keywords else None,
-                    index_raw, index_line, ref_lines, ref_raws, abstract,
-                )
+        elif type(line) is str and not line.strip():
+            # A blank or whitespace-only line ends the open block.
+            if block is not None:
+                record = finish(first_line, block)
+                block = None
                 if record is None:
                     report.skipped += 1
                 else:
                     report.parsed += 1
                     yield record
-            continue
-        elif line.startswith(COMMENT_PREFIX):
-            continue
-        else:
-            tag = ""
-        if not in_block:
-            # The ordinal moves when a block starts, so its scan warnings carry it.
-            in_block = True
-            ordinal += 1
-            report.blocks += 1
+        elif block is not None:
+            block.append(line)
+        elif not (line.startswith(COMMENT_PREFIX) if type(line) is str
+                  else line.object.startswith(COMMENT_PREFIX.encode())):
+            # A comment line, whatever bytes it holds, starts no block.
             first_line = lineno
-            title = authors = year_raw = venue = index_raw = abstract = field_lines = None
-            year_line = index_line = 0
-            keywords: list[str] = []
-            ref_lines: list[int] = []
-            ref_raws: list[str] = []
-            undecodable = False
-
-        if tag == "%":
-            ref_lines.append(lineno)
-            ref_raws.append(line[2:].strip())
-        elif tag == "k":
-            keywords.append(line[2:])
-        elif tag == "i" and line.startswith("#index"):
-            if index_raw is not None:
-                emit(lineno, WARNING, "duplicate-tag", "extra #index ignored")
-            else:
-                index_raw = line[6:].strip()
-                index_line = lineno
-        elif tag == "*":
-            if title is not None:
-                emit(lineno, WARNING, "duplicate-tag", "extra #* ignored")
-            else:
-                title = line[2:]
-        elif tag == "@":
-            if authors is not None:
-                emit(lineno, WARNING, "duplicate-tag", "extra #@ ignored")
-            else:
-                authors = line[2:]
-        elif tag == "t":
-            if year_raw is not None:
-                emit(lineno, WARNING, "duplicate-tag", "extra #t ignored")
-            else:
-                year_raw = line[2:].strip()
-                year_line = lineno
-        elif tag == "c":
-            if venue is not None:
-                emit(lineno, WARNING, "duplicate-tag", "extra #c ignored")
-            else:
-                venue = line[2:]
-        elif tag == "f":
-            if field_lines is None:
-                field_lines = []
-            field_lines.append((lineno, line[2:]))
-        elif tag == "!":
-            if abstract is not None:
-                emit(lineno, WARNING, "duplicate-tag", "extra #! ignored")
-            else:
-                abstract = line[2:]
-        elif tag is None:
-            undecodable = True
-            emit(lineno, ERROR, "encoding",
-                 f"line is not valid UTF-8 ({decode_error.reason} at byte {decode_error.start})")
-        else:
-            line = line.rstrip("\n").rstrip("\r")
-            emit(lineno, WARNING, "unknown-line", f"unrecognized line ignored: {line[:40]!r}")
+            block = [line]
 
 
 def serialize_record(rec: PaperRecord, taxonomy: FieldTaxonomy) -> str:

@@ -59,7 +59,8 @@ class MetricReport(Slotted):
         """CSV with a mandatory header row; metadata as leading '#' comment lines.
 
         Comment lines are `# key: value`, sorted by key, so output is
-        byte-stable for identical inputs.
+        byte-stable for identical inputs. In a comment line ``\\`` is
+        written ``\\\\``, CR ``\\r`` and LF ``\\n``, so each entry stays one line.
         """
         out = io.StringIO()
         self._write_csv(out)
@@ -69,7 +70,9 @@ class MetricReport(Slotted):
         """Write ``to_csv_text`` to ``out`` a line at a time."""
         for key in sorted(self.metadata):
             value = self.metadata[key]
-            out.write(f"# {key}: {'' if value is None else value}\n")
+            text = f"{key}: {'' if value is None else value}"
+            text = text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
+            out.write(f"# {text}\n")
         out.write(",".join(self.columns) + "\n")
         for row in self.rows:
             out.write(",".join(format_cell(v) for v in row) + "\n")

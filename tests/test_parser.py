@@ -5,7 +5,7 @@ import gc
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citefields import (
     Corpus, FieldTaxonomy, GeneratorSpec, LENIENT, ParseError, ParseReport, STRICT,
@@ -147,6 +147,29 @@ def test_duplicate_id_found_near_or_far_from_the_ids_seen():
     assert sorted(corpus) == sorted(set(ids))
     assert [(d.record, d.code) for d in report.diagnostics] == [
         (24, "duplicate-id"), (25, "duplicate-id"), (26, "duplicate-id")]
+
+
+# One run of three blocks (the empty line after the last ends it within
+# the run): the second pads its id, which the third repeats.
+PADDED_ID_REPEATED = (b"#*A\n#t2000\n#fAI\n#index1\n\n#*B\n#t2000\n#fAI\n#index 2\t\n\n"
+                      b"#*C\n#t2001\n#fAI\n#index2\n\n")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("build", [True, False])
+def test_padded_id_repeated_in_its_run_is_a_duplicate(build, strict):
+    """The run screen reads an id as finish() does, stripped, so the copy
+    of a padded id later in the same run is a duplicate."""
+    records, counts, diagnostics, error = _outcome(
+        lambda *args: corpusio._parse(PADDED_ID_REPEATED, *args, build=build), strict)
+    duplicate = corpusio.Diagnostic(14, 3, "error", "duplicate-id", "paper id 2 already seen")
+    if build:
+        assert [(r.id, r.title) for r in records] == [(1, "A"), (2, "B")]
+    else:
+        assert records == [1, 2]
+    assert counts == ((3, 2, 0) if strict else (3, 2, 1))
+    assert diagnostics == [duplicate]
+    assert error == (duplicate if strict else None)
 
 
 def test_missing_field_line_lenient_skips_strict_aborts():
@@ -357,6 +380,29 @@ def test_undecodable_comment_lines_are_skipped(strictness):
     assert not report.diagnostics
 
 
+# Comment lines before the first block and inside both blocks, before and
+# between their tags, each inside one followed by a line that gives a
+# diagnostic: record 1's unknown lines (4 and 7) and record 2's bad year
+# (13). The Latin-1 comments are not UTF-8; the second input spells them
+# in UTF-8.
+COMMENTS_INSIDE_BLOCKS = (b"%% caf\xe9\n#*First\n%% note\nstray line\n#t2000\n%% r\xe9sum\xe9\n"
+                          b"#bogus\n#fDatabases\n#index1\n\n#*Second\n%% na\xefve\n#t19x0\n"
+                          b"%% later\n#fDatabases\n#index2\n")
+
+
+@pytest.mark.parametrize("data", [
+    COMMENTS_INSIDE_BLOCKS, COMMENTS_INSIDE_BLOCKS.decode("latin-1").encode("utf-8")])
+def test_comment_lines_inside_a_block_keep_its_line_numbers(data):
+    for strict in (False, True):
+        _records, _counts, diagnostics, error = _outcome(
+            lambda *args: corpusio._parse(data, *args), strict)
+        assert [(d.line, d.record, d.code) for d in diagnostics] == [
+            (4, 1, "unknown-line"), (7, 1, "unknown-line"), (13, 2, "malformed-year")]
+        assert error == (diagnostics[-1] if strict else None)
+    for chunk_size in (None, 1, 7):
+        _check_against_the_oracle(data, chunk_size)
+
+
 @st.composite
 def _fuzz_input(draw) -> bytes:
     """Arbitrary bytes, or a valid corpus truncated, line-shuffled or spliced with bytes."""
@@ -535,6 +581,19 @@ def test_parse_matches_the_line_loop_oracle(data, chunk_size):
 
 @given(_runs_cut_in_many_places())
 @settings(max_examples=150, deadline=None)
+# Found by this property: record 8 pads id 16, which record 9 repeats in
+# the same run; a screen that read the padded id as no id accepted both.
+@example(
+    data=b"#t1950\n#fArtificial Intelligence\n#index0\n\n#*0\n#t1950\n#fArtificial Intelligence\n"
+         b"#index0\n#%0\n#%2\n#%3\n#%4\n#%5\n\n#*0\n#t1950\n#fArtificial Intelligence\n#index4\n\n"
+         b"#*0\n#t1950\n#fArtificial Intelligence\n#index8\n#%0\n\n#*0\n#t2050\n"
+         b"#fArtificial Intelligence\n#index8\n#%0\n#%1\n#%2\n#%1226\n\n#*0\n#t1950\n"
+         b"#fArtificial Intelligence\n#index10\n#%0\n#%1\n\n#*0\n#t1952\n"
+         b"#fArtificial Intelligence\n#index12\n#%0\n#%1\n#%2\n#%3\n\n#*0\n#@0\n#t1950\n"
+         b"#fArtificial Intelligence\n#index 16\t\n#%1\n#%2\n\n#*0\n#t1950\n"
+         b"#fArtificial Intelligence\n#index16\n\n#*0\n#t1950\n#fArtificial Intelligence\n"
+         b"#index18\n",
+)
 def test_parse_matches_the_oracle_with_runs_cut_in_many_places(data):
     for chunk_size in (1, 7, 64, None):
         _check_against_the_oracle(data, chunk_size)
@@ -589,17 +648,17 @@ def _check_against_the_oracle(data: bytes, chunk_size: int | None,
 
 
 def test_generated_corpus_is_built_a_run_at_a_time(monkeypatch):
-    """finish() takes only the first block with each #f text, which fills
+    """finish() reads only the first block with each #f text, which fills
     its memo; every other block passes the screen and is built with its
     run's columns."""
     finished = []
-    finish_args = corpusio._finish_args
+    lines = corpusio._lines
 
-    def counted(match, first_line):
+    def counted(match):
         finished.append(match.group(5))
-        return finish_args(match, first_line)
+        return lines(match)
 
-    monkeypatch.setattr(corpusio, "_finish_args", counted)
+    monkeypatch.setattr(corpusio, "_lines", counted)
     text = generate(GeneratorSpec(seed=4, field_count=4, years_span=5, papers_per_year=(40, 40),
                                   multi_tag_probability=0.3))
     texts = [line[2:] for line in text.splitlines() if line.startswith("#f")]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,22 @@ def test_validate_csv_rows_keep_the_header_width(tmp_path):
     assert [len(row) for row in table] == [5, 5, 5]
     assert table[1][4] == "field label 'Quantum Basketry' not in taxonomy, dropped"
     assert table[2][4] == "unrecognized line ignored: '#q say \"#1\", twice'"
+
+
+def test_metadata_line_breaks_are_escaped(tmp_path):
+    """A file name holding LF, CR and a backslash stays inside its
+    ``# config:`` line, and the line unescapes to it."""
+    path = tmp_path / "a\nb\\c\rd.txt"
+    path.write_text("#*T\n#t2000\n#fAI\n#index3\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert main(["stats", str(path), "-o", str(out)]) == 0
+    text = out.read_bytes().decode("utf-8")
+    lines = text.split("\n")[:-1]
+    table = list(csv.reader([line for line in lines if not line.startswith("#")]))
+    assert len(table) > 1 and all(len(row) == len(table[0]) for row in table)
+    [config] = [line for line in lines if line.startswith("# config: ")]
+    echo = re.sub(r"\\(.)", lambda m: {"\\": "\\", "r": "\r", "n": "\n"}[m[1]], config)
+    assert f" input={path}" in echo
 
 
 def test_row_width_checked():
