@@ -45,7 +45,7 @@ from .reciprocity import (
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
 from .trajectory import (
-    cotag_report, detect_phases, evidence_series, field_trajectory,
+    _cotag_fold, _cotag_rows, detect_phases, evidence_series, field_trajectory,
     phases_report, trajectory_report,
 )
 
@@ -210,14 +210,19 @@ def _parse_input(args, into=None) -> tuple:
 
 def _load(args) -> tuple:
     corpus, report = _parse_input(args)
-    if len(corpus) == 0:
+    _require_papers(args, len(corpus), corpus.by_year)
+    return corpus, report
+
+
+def _require_papers(args, papers: int, years) -> None:
+    """Raise unless there are ``papers`` and every --window and --years span
+    holds one of ``years``, the years they were published in."""
+    if papers == 0:
         raise AnalysisError(NO_RECORDS)
-    # Every --window and --years span must select at least one paper.
     spans = getattr(args, "window", None) or getattr(args, "years", None) or []
     for span in spans if isinstance(spans, list) else [spans]:
-        if not any(span.contains(year) for year in corpus.by_year):
+        if not any(span.contains(year) for year in years):
             raise AnalysisError(f"no papers in the window {span}")
-    return corpus, report
 
 
 def _fmt_flag(value) -> str:
@@ -226,10 +231,19 @@ def _fmt_flag(value) -> str:
     return str(value)
 
 
+def _echo_value(text: str) -> str:
+    """``text`` as one ``key=value`` value of the config echo: in double
+    quotes, with ``\\`` and ``"`` escaped by a backslash, when it holds
+    whitespace, ``=``, ``"`` or ``\\``, so that no value reads as more pairs."""
+    if any(c.isspace() or c in '="\\' for c in text):
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return text
+
+
 def _config_echo(args) -> str:
     skip = {"command", "output", "format"}
     parts = [
-        f"{key}={_fmt_flag(value)}"
+        f"{key}={_echo_value(_fmt_flag(value))}"
         for key, value in sorted(vars(args).items())
         if key not in skip and value is not None and value is not False
     ]
@@ -271,6 +285,7 @@ def _cmd_validate(args) -> MetricReport:
 
 
 def _cmd_stats(args) -> MetricReport:
+    # The fold reads four columns, so no record is built.
     report, _pr = _parse_input(args, into=_stats_fold)
     if report is None:
         raise AnalysisError(NO_RECORDS)
@@ -372,11 +387,13 @@ def _cmd_evidence(args) -> MetricReport:
 
 
 def _cmd_cotag(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    return cotag_report(
-        corpus,
-        _field_index(corpus.taxonomy, args.field_a),
-        _field_index(corpus.taxonomy, args.field_b),
+    # Years and field sets are all it reads, so no record is built.
+    (tally, taxonomy), _pr = _parse_input(args, into=_cotag_fold)
+    _require_papers(args, sum(tally.values()), {year for year, _fields in tally})
+    return _cotag_rows(
+        tally, taxonomy,
+        _field_index(taxonomy, args.field_a),
+        _field_index(taxonomy, args.field_b),
         args.window,
     )
 

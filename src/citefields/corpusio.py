@@ -21,21 +21,25 @@ with ``check_round_trip`` for records built outside the parser, so the
 parser alone says which values a record may hold.
 
 The reader makes one streaming pass: it never holds more than one chunk of
-text and one block, and it yields each accepted record as its block ends.
-``parse_corpus`` collects them into a ``Corpus`` unless its ``into``
-consumes them otherwise; the CLI's ``validate`` and ``stats`` keep no
-record, and their memory is the accepted ids plus the diagnostics. An
-accepted id is a bit in a ``bytearray`` when it is below ``SEEN_ID_BITS``
-times the count of ids accepted so far (the array grows by doubling), and
-an entry in a set otherwise: dense ids cost about a bit each, and an id
-far beyond the others costs no array.
+text and one run of blocks. It hands the accepted blocks on in file order
+as batches of columns, each batch the checked blocks of a run or the one
+block ``finish()`` read, and each consumer names the columns it reads (the
+``columns`` of ``parse_corpus``'s ``into``): ``validate`` none, ``stats``
+the year, fields, references and keyword count, ``cotag`` the year and
+fields, and a ``Corpus`` a record's nine. Only the ``Corpus`` consumer, or
+an ``into`` that takes records, calls ``_records``, which builds them. A
+block gets the same checks in the same order whatever the columns: its id
+is marked seen and its references are converted, while its title,
+authors, venue and abstract are left as read, since no diagnostic reads
+them. So the report and any strict-mode ``ParseError`` are those of a
+parse that builds every record.
 
-With ``into=discard_records`` (``validate``) no record is built at all. A
-block gets the same checks in the same order, its id is marked seen and
-its references are converted, and then its title, authors, venue,
-keywords and abstract are left as read: no diagnostic reads them. So the
-report and any strict-mode ``ParseError`` are those of a parse that builds
-every record.
+The CLI's ``validate``, ``stats`` and ``cotag`` build no record, and their
+memory is the accepted ids plus the diagnostics. An accepted id is a bit in
+a ``bytearray`` when it is below ``SEEN_ID_BITS`` times the count of ids
+accepted so far (the array grows by doubling), and an entry in a set
+otherwise: dense ids cost about a bit each, and an id far beyond the
+others costs no array.
 
 For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line;
 a text stream keeps its own newline handling. Binary input (what the CLI
@@ -69,14 +73,14 @@ fast path. A block passes when its year is one of ``YEAR_RANGE`` as ``#t``
 writes it, its ``#f`` text is one whose fields ``finish()`` has memoized,
 its id, read as ``finish()`` reads it, is above every id before it, and
 its references hold neither its own id nor a repeat: nothing in it can
-give a diagnostic. The blocks that pass are built a column at a time by
-``_records`` (with ``build`` false only their ids are kept). Every other
-block of the run goes to ``finish()`` as its match's lines. ``finish()``
-dispatches each line on the tag's second character, numbers it by its
-place in the block and then validates the block. So every diagnostic,
-ordinal and strict-mode ``ParseError`` comes from one reader, and
-``_records`` strips, splits and normalizes the values of every record,
-those ``finish()`` accepts included.
+give a diagnostic. The blocks that pass are handed on a column at a time,
+in the columns the consumer reads. Every other block of the run goes to
+``finish()`` as its match's lines. ``finish()`` dispatches each line on
+the tag's second character, numbers it by its place in the block and then
+validates the block. So every diagnostic, ordinal and strict-mode
+``ParseError`` comes from one reader, and ``_records`` strips, splits and
+normalizes the values of every record, those ``finish()`` accepts
+included.
 
 A block's ``#k`` text is normalized as a whole and its keywords are kept as a
 tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
@@ -84,13 +88,15 @@ a frozenset of up to 4 items 216). ``_records`` joins a column's ``#@``
 texts, and its ``#k`` texts, and checks each joined text once: when no
 name needs trimming or is empty, and the joined ``#k`` text is printable
 ASCII with no capital letter, no space run, no empty keyword and no space
-at either end of a keyword, each text is only split. An id, year or
-reference is ASCII digits only: ``int()`` alone would also take a sign, an
-underscore or another script's digits. Field label lookups, field-index
-sets and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts that resolve
-without a diagnostic are memoized per parse. Author names, venues and
-keywords are not interned: what that saves depends on how often the input
-repeats them, and on mostly distinct values it costs memory. The cyclic
+at either end of a keyword, each text is only split. ``KEYWORD_COUNT``
+counts each text's distinct keywords after the same check and builds no
+tuple. An id, year or reference is ASCII digits only: ``int()`` alone
+would also take a sign, an underscore or another script's digits. Field
+label lookups, field-index sets and the fields of up to
+``FIELD_TEXT_MEMO`` ``#f`` texts that resolve without a diagnostic are
+memoized per parse. Author names, venues and keywords are not interned:
+what that saves depends on how often the input repeats them, and on
+mostly distinct values it costs memory. The cyclic
 garbage collector is paused for the parse and its consumer, and its
 previous state restored afterwards: each collection pass would rescan
 every record built so far, while the parse leaves no cycle that must be
@@ -116,7 +122,7 @@ import gc
 import io
 import re
 from collections import deque
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import gt, not_
 from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
@@ -324,6 +330,30 @@ def _keywords(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(map(str.strip, " ".join(text.split()).casefold().split(","))) - {""}))
 
 
+def _split_only(texts) -> bool:
+    """Whether each #k text of the column ``texts`` (a ``str`` or None) is
+    already normalized, so that splitting it at "," gives its keywords.
+
+    Found once for the whole column: joined with ",", its pieces are those
+    of each text. Case folding leaves printable ASCII without capital
+    letters as it is, and " " is its only whitespace: without a space run,
+    a space at either end of a keyword or an empty keyword, each keyword is
+    already normalized.
+    """
+    words = ",".join(filter(None, texts))
+    return (words.isascii() and words.isprintable() and words == words.lower()
+            and not ("  " in words or ", " in words or " ," in words or ",," in words
+                     or words[:1] in (" ", ",") or words[-1:] in (" ", ",")))
+
+
+def _keyword_counts(texts) -> list[int]:
+    """The count of distinct keywords of each #k text of the column
+    ``texts``: the length of the tuple ``_records`` would keep."""
+    if _split_only(texts):
+        return [len(set(text.split(","))) if text else 0 for text in texts]
+    return [len(_keywords(text)) if text else 0 for text in texts]
+
+
 def _records(ids, titles, authors, years, venues, fields, keywords,
              references, abstracts) -> list[PaperRecord]:
     """The records of checked blocks, built a column at a time.
@@ -334,30 +364,35 @@ def _records(ids, titles, authors, years, venues, fields, keywords,
     ``abstracts`` a ``str`` or None. Every value a record holds is
     stripped, split and normalized here.
     """
-    # Names and keywords that need nothing but a split, found once for the
-    # whole column: joined with ",", its pieces are those of each text.
+    # Names that need nothing but a split, found once for the whole column
+    # as for keywords.
     names = ",".join(filter(None, authors))
     if names != ",".join(filter(None, map(str.strip, names.split(",")))):
         authors = [_names(text) if text else () for text in authors]
     else:
         authors = [tuple(text.split(",")) if text else () for text in authors]
-    # Case folding leaves printable ASCII without capital letters as it is,
-    # and " " is its only whitespace: without a space run, a space at either
-    # end of a keyword or an empty keyword, each keyword is already
-    # normalized.
-    words = ",".join(filter(None, keywords))
-    if (not (words.isascii() and words.isprintable()) or words != words.lower()
-            or "  " in words or ", " in words or " ," in words or ",," in words
-            or words[:1] in (" ", ",") or words[-1:] in (" ", ",")):
-        keywords = [_keywords(text) if text else () for text in keywords]
-    else:
+    if _split_only(keywords):
         keywords = [tuple(dict.fromkeys(sorted(text.split(",")))) if text else ()
                     for text in keywords]
+    else:
+        keywords = [_keywords(text) if text else () for text in keywords]
     return list(map(
         PaperRecord, ids, map(str.strip, titles), authors, years,
         [text and text.strip() or None for text in venues], fields, keywords, references,
         [text and text.strip() or None for text in abstracts],
     ))
+
+
+# The columns a parse can hand over: a record's nine, each as _records
+# takes it, and each block's count of distinct keywords.
+_RECORD_COLUMNS = PaperRecord._fields
+KEYWORD_COUNT = "keyword_count"
+
+# The text of each _CANONICAL group, named by the record column it gives.
+_GROUPS = ("title", "authors", "year", "venue", "fields", "keywords", "id", "references",
+           "abstract")
+# The groups the run screen reads.
+_SCREENED = ("year", "fields", "id", "references")
 
 
 def _lines(match: re.Match) -> list[str]:
@@ -366,10 +401,13 @@ def _lines(match: re.Match) -> list[str]:
     return match[0].split("\n")[:-2]
 
 
-def discard_records(records: Iterator, _taxonomy: FieldTaxonomy) -> None:
-    """The ``into`` of ``parse_corpus`` that keeps nothing: the parse then
+def discard_records(batches: Iterator[tuple], _taxonomy: FieldTaxonomy) -> None:
+    """The ``into`` of ``parse_corpus`` that reads no column: the parse then
     builds no record, and only its report is left."""
-    deque(records, maxlen=0)
+    deque(batches, maxlen=0)
+
+
+discard_records.columns = ()
 
 
 def parse_corpus(
@@ -377,7 +415,7 @@ def parse_corpus(
     taxonomy: FieldTaxonomy | None = None,
     strictness: str = LENIENT,
     *,
-    into: Callable[[Iterator[PaperRecord], FieldTaxonomy], T] | None = None,
+    into: Callable[[Iterator, FieldTaxonomy], T] | None = None,
 ) -> tuple[Corpus | T, ParseReport]:
     """Parse the tagged record format into a validated Corpus.
 
@@ -390,10 +428,18 @@ def parse_corpus(
     ``into(records, taxonomy)``, when given, consumes the accepted records
     in file order in place of the Corpus, and its result is returned in the
     corpus's place. It must exhaust ``records``: the report is complete only
-    then, and a strict-mode ``ParseError`` is raised from inside it. When
-    ``into`` is ``discard_records`` no record is built: each block is
-    checked as for a record, and the report and any ``ParseError`` are the
-    same, because no diagnostic reads a value that only a record holds.
+    then, and a strict-mode ``ParseError`` is raised from inside it.
+
+    An ``into`` with a ``columns`` attribute, a tuple of names from
+    ``PaperRecord._fields`` and ``KEYWORD_COUNT``, is given batches in
+    place of records and no record is built: each batch is a tuple of
+    those columns of consecutive accepted blocks, one value a block, in
+    file order. A record column holds its values as ``_records`` takes them
+    (the checked id, year, fields and references, each text as it follows
+    its tag), and ``KEYWORD_COUNT`` the length of each block's keyword
+    tuple. Each block is checked as for a record, so the report and any
+    ``ParseError`` are the same whatever the columns: no diagnostic reads a
+    value that only a record holds.
 
     The cyclic garbage collector is paused while the parse and ``into``
     run; its previous state is restored however the parse ends.
@@ -402,17 +448,20 @@ def parse_corpus(
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")
     taxonomy = taxonomy or FieldTaxonomy.default()
     report = ParseReport()
-    records = _parse(source, taxonomy, strictness == STRICT, report,
-                     build=into is not discard_records)
+    columns = getattr(into, "columns", None)
+    if columns is None:
+        read = _parse(source, taxonomy, strictness == STRICT, report)
+    else:
+        read = _batches(source, taxonomy, strictness == STRICT, report, columns)
     enabled = gc.isenabled()
     gc.disable()
     try:
         if into is None:
             # Read to a list first, so that a span around the constructor
             # times the construction alone and the parse stays the parse's.
-            result = Corpus(list(records), taxonomy, _validate=False)
+            result = Corpus(list(read), taxonomy, _validate=False)
         else:
-            result = into(records, taxonomy)
+            result = into(read, taxonomy)
     finally:
         if enabled:
             gc.enable()
@@ -424,10 +473,24 @@ def _parse(
     taxonomy: FieldTaxonomy,
     strict: bool,
     report: ParseReport,
-    build: bool = True,
-) -> Iterator[PaperRecord | int]:
-    """The accepted records of ``source`` in file order, or with ``build``
-    false their ids; ``report`` is filled as they are read."""
+) -> Iterator[PaperRecord]:
+    """The accepted records of ``source`` in file order; ``report`` is
+    filled as they are read."""
+    return chain.from_iterable(starmap(
+        _records, _batches(source, taxonomy, strict, report, _RECORD_COLUMNS)))
+
+
+def _batches(
+    source: str | bytes | IO,
+    taxonomy: FieldTaxonomy,
+    strict: bool,
+    report: ParseReport,
+    columns: tuple[str, ...],
+) -> Iterator[tuple]:
+    """The ``columns`` of the accepted blocks of ``source`` in file order,
+    as ``parse_corpus`` gives them to an ``into`` that names them, in
+    batches of one run's checked blocks or of one block ``finish()`` read;
+    ``report`` is filled as they are read."""
     # Accepted ids: bit pid of seen_bits, or an entry of seen_far when pid
     # was past the bitmap and past SEEN_ID_BITS per id accepted before it.
     # No accepted id is above top.
@@ -462,17 +525,17 @@ def _parse(
         if pid > top:
             top = pid
 
-    def finish(first_line: int, lines: list[str | UnicodeDecodeError]) -> PaperRecord | int | None:
+    def finish(first_line: int, lines: list[str | UnicodeDecodeError]) -> tuple | None:
         """Read and validate the block of ``lines``, the first of them on
-        line ``first_line``: its record, or with ``build`` false its id;
-        None when it is skipped.
+        line ``first_line``: the one-row batch of its ``columns``, or None
+        when it is skipped.
 
         A line is a ``str``, which may keep its line break, or the
         ``UnicodeDecodeError`` of a line that is not UTF-8; ``%%`` lines
         are skipped. The tags are read in order, each diagnostic of a line
         given as it is read, and then the block is checked as a whole. No
-        check reads a title, author, venue, keyword or abstract, so with
-        ``build`` false nothing prepares them.
+        check reads a title, author, venue, keyword or abstract, and only
+        ``_records`` prepares them.
         """
         nonlocal ordinal
         ordinal += 1
@@ -612,11 +675,20 @@ def _parse(
             kept[rid] = None
 
         mark(pid)
-        if not build:
-            return pid
-        return _records((pid,), (title or "",), (authors,), (year,), (venue,), (fields,),
-                        (",".join(keywords) if keywords else None,), (tuple(kept),), (abstract,))[0]
+        if not columns:  # validate: no row to build, about 1% of its parse
+            return ()
+        row = (pid, title or "", authors, year, venue, fields,
+               ",".join(keywords) if keywords else None, tuple(kept), abstract)
+        return tuple(_keyword_counts((row[at],)) if name == KEYWORD_COUNT else (row[at],)
+                     for name, at in zip(columns, places))
 
+    # Each column of columns as its place among a record's nine; the count
+    # of keywords reads the keywords' place.
+    places = [_RECORD_COLUMNS.index("keywords" if name == KEYWORD_COUNT else name)
+              for name in columns]
+    # A run's groups are read all at once, the faster call, when columns
+    # reads a text; otherwise only those the screen reads.
+    screened_only = set(columns) <= set(_SCREENED)
     lineno = 0
     block = None  # the lines of the open block, the first of them on line first_line
     for line in _items(source):
@@ -625,18 +697,17 @@ def _parse(
             # A run of canonical blocks. A block whose year is in _YEARS,
             # whose #f text is in fields_of_line, whose id is ASCII digits
             # above every id before it and whose references hold neither
-            # itself nor a repeat can give no diagnostic: it is built with
-            # the run's columns. finish() reads every other block.
+            # itself nor a repeat can give no diagnostic: its columns are
+            # handed over with the run's. finish() reads every other block.
             run = line
             piece = run[0].string
             at = run[0].start()  # the text before at starts on line lineno
-            if build:
-                columns = tuple(zip(*map(re.Match.groups, run)))
-                year_raws, field_texts, index_raws, ref_texts = (
-                    columns[2], columns[4], columns[6], columns[7])
+            if screened_only:
+                values = dict(zip(_SCREENED, zip(*map(
+                    re.Match.group, run, repeat(3), repeat(5), repeat(7), repeat(8)))))
             else:
-                year_raws, field_texts, index_raws, ref_texts = zip(
-                    *map(re.Match.group, run, repeat(3), repeat(5), repeat(7), repeat(8)))
+                values = dict(zip(_GROUPS, zip(*map(re.Match.groups, run))))
+            year_raws, field_texts, index_raws, ref_texts = map(values.get, _SCREENED)
             years = list(map(_YEARS.get, year_raws))
             digits = "".join(index_raws)
             if "" not in index_raws and digits.isascii() and digits.isdigit():
@@ -652,6 +723,7 @@ def _parse(
                 map(gt, ids, accumulate(ids, max, initial=top)),
                 [pid not in r and len(set(r)) == len(r) for pid, r in zip(ids, refs)],
             ))
+            values.update(id=ids, year=years, references=refs)
             n = len(run)
             done = 0  # blocks of the run handled so far
             for i in chain(compress(range(n), map(not_, checked)), (n,)):
@@ -661,35 +733,32 @@ def _parse(
                     for pid in islice(ids, done, i):
                         mark(pid)
                         report.parsed += 1
-                    if build:
-                        part = [column[done:i] for column in columns]
-                        yield from _records(
-                            ids[done:i], part[0], part[1], years[done:i], part[3],
-                            list(map(fields_of_line.get, part[4])), part[5],
-                            refs[done:i], part[8])
-                    else:
-                        yield from islice(ids, done, i)
+                    yield tuple(
+                        list(map(fields_of_line.get, field_texts[done:i])) if name == "fields"
+                        else _keyword_counts(values["keywords"][done:i]) if name == KEYWORD_COUNT
+                        else values[name][done:i]
+                        for name in columns)
                 if i < n:
                     lineno += piece.count("\n", at, run[i].start())
                     at = run[i].start()
-                    record = finish(lineno, _lines(run[i]))
-                    if record is None:
+                    batch = finish(lineno, _lines(run[i]))
+                    if batch is None:
                         report.skipped += 1
                     else:
                         report.parsed += 1
-                        yield record
+                        yield batch
                 done = i + 1
             lineno += piece.count("\n", at, run[-1].end()) - 1
         elif type(line) is str and not line.strip():
             # A blank or whitespace-only line ends the open block.
             if block is not None:
-                record = finish(first_line, block)
+                batch = finish(first_line, block)
                 block = None
-                if record is None:
+                if batch is None:
                     report.skipped += 1
                 else:
                     report.parsed += 1
-                    yield record
+                    yield batch
         elif block is not None:
             block.append(line)
         elif not (line.startswith(COMMENT_PREFIX) if type(line) is str

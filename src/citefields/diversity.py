@@ -87,7 +87,9 @@ def kdi_paper(
     pools of ``build_keyword_sets``; None if it has no keywords.
 
     The paper's keyword tuple is made a frozenset once per paper: a
-    set-with-set intersection takes about half the time of one with a tuple."""
+    set-with-set intersection takes about half the time of one with a tuple.
+    A field with an empty pool is skipped: its zero overlap adds nothing to
+    either sum."""
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
     kp = frozenset(corpus[pid].keywords)
@@ -95,7 +97,7 @@ def kdi_paper(
         return None
     overlaps = [
         len(pools[f] & kp) / len(kp)
-        for f in corpus.taxonomy.indices
+        for f in corpus.taxonomy.indices if pools[f]
     ]
     if normalized:
         total = fsum(overlaps)

@@ -12,6 +12,7 @@ boundaries).
 
 from __future__ import annotations
 
+from collections import Counter
 from math import inf
 from typing import Iterable, Iterator, NamedTuple
 
@@ -209,38 +210,40 @@ def corpus_stats(corpus: Corpus) -> MetricReport:
 
     Raises on an empty corpus: there is nothing to report.
     """
-    report = _stats_fold(corpus.records.values(), corpus.taxonomy)
-    if report is None:
+    if not corpus.records:
         raise AnalysisError("corpus is empty, no stats to report")
-    return report
+    _ids, _titles, _authors, years, _venues, fields, keywords, references, _abstracts = zip(
+        *corpus.records.values())
+    return _stats_fold([(years, fields, references, list(map(len, keywords)))], corpus.taxonomy)
 
 
-def _stats_fold(records: Iterable[PaperRecord], taxonomy: FieldTaxonomy) -> MetricReport | None:
-    """``corpus_stats`` of ``records`` in one pass that keeps no record; None
-    when there is none.
+def _stats_fold(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> MetricReport | None:
+    """``corpus_stats`` of ``batches`` of the columns ``_stats_fold.columns``
+    names, in one pass that keeps no paper; None when they hold none.
 
-    The reference and keyword totals are ints, so each mean is the one
-    ``fsum`` of the per-record lengths gives (exact below 2**53).
+    Papers are tallied by their field set, which the parser shares between
+    papers. Every total is an int, so each mean and share is the one a
+    per-paper loop gives (exact below 2**53).
     """
-    n = multi = n_refs = n_kw = 0
+    n = n_refs = n_kw = 0
     year_min, year_max = inf, -inf
-    counts = [0] * len(taxonomy)
-    for rec in records:
-        n += 1
-        fields = rec.fields
-        if len(fields) > 1:
-            multi += 1
-        for f in fields:
-            counts[f] += 1
-        n_refs += len(rec.references)
-        n_kw += len(rec.keywords)
-        year = rec.year
-        if year < year_min:
-            year_min = year
-        if year > year_max:
-            year_max = year
+    tags: Counter = Counter()  # field set -> papers
+    for years, fields, references, keyword_counts in batches:
+        n += len(years)
+        tags.update(fields)
+        n_refs += sum(map(len, references))
+        n_kw += sum(keyword_counts)
+        year_min = min(year_min, min(years))
+        year_max = max(year_max, max(years))
     if n == 0:
         return None
+    multi = 0
+    counts = [0] * len(taxonomy)
+    for fields, papers in tags.items():
+        if len(fields) > 1:
+            multi += papers
+        for f in fields:
+            counts[f] += papers
     report = MetricReport(
         name="corpus-stats",
         columns=("field_abbr", "papers", "share"),
@@ -257,3 +260,7 @@ def _stats_fold(records: Iterable[PaperRecord], taxonomy: FieldTaxonomy) -> Metr
     for f in taxonomy.indices:
         report.add_row(taxonomy.abbr(f), counts[f], counts[f] / n)
     return report
+
+
+# The columns of a parse it reads (see corpusio.parse_corpus).
+_stats_fold.columns = ("year", "fields", "references", "keyword_count")

@@ -78,6 +78,12 @@ class MetricReport(Slotted):
             out.write(",".join(format_cell(v) for v in row) + "\n")
 
     def to_json_text(self) -> str:
+        out = io.StringIO()
+        self._write_json(out)
+        return out.getvalue()
+
+    def _write_json(self, out: IO[str]) -> None:
+        """Write ``to_json_text`` to ``out`` a piece at a time."""
         import json  # loaded here, so a CSV report never imports it
 
         payload = {
@@ -86,20 +92,21 @@ class MetricReport(Slotted):
             "columns": list(self.columns),
             "rows": [list(row) for row in self.rows],
         }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        json.dump(payload, out, indent=2)
+        out.write("\n")
 
     def write(self, target: str | Path | IO[str], fmt: str = "csv") -> None:
         """Write the report to a path or a text stream.
 
-        CSV goes to the target a line at a time, so no copy of the whole
-        text is held; JSON is rendered whole first.
+        CSV goes to the target a line at a time and JSON a piece at a time,
+        so no copy of the whole text is held.
         """
         stream = hasattr(target, "write")
         with nullcontext(target) if stream else open(target, "w", encoding="utf-8") as out:
             if fmt == "csv":
                 self._write_csv(out)
             else:
-                out.write(self.to_json_text())
+                self._write_json(out)
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)

@@ -27,14 +27,16 @@ fitted segment means (raw scale) ride along so callers can judge the fit.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import fsum, log
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import AnalysisError
 from .graph import CitationGraph
 from .records import Corpus, TimeWindow, author_key
 from .report import MetricReport, base_metadata
 from .slotted import Slotted
+from .taxonomy import FieldTaxonomy
 
 GROWING = "growing"
 MATURED = "matured"
@@ -96,6 +98,22 @@ def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[in
     return len(refs) - same, same
 
 
+def _cotag_fold(
+    batches: Iterable[tuple], taxonomy: FieldTaxonomy,
+) -> tuple[Counter, FieldTaxonomy]:
+    """The papers of ``batches`` of year and field-set columns, counted by
+    (year, field set), with ``taxonomy``: what ``cotag_report`` reads of a
+    corpus, in one pass that keeps no paper."""
+    tally: Counter = Counter()
+    for years, fields in batches:
+        tally.update(zip(years, fields))
+    return tally, taxonomy
+
+
+# The columns of a parse it reads (see corpusio.parse_corpus).
+_cotag_fold.columns = ("year", "fields")
+
+
 def cotag_report(
     corpus: Corpus,
     field_a: int,
@@ -107,7 +125,20 @@ def cotag_report(
 
     The probability is None for a window with no multi-tagged A papers.
     """
-    taxonomy = corpus.taxonomy
+    records = corpus.records.values()
+    tally, taxonomy = _cotag_fold(
+        [([r.year for r in records], [r.fields for r in records])], corpus.taxonomy)
+    return _cotag_rows(tally, taxonomy, field_a, field_b, windows)
+
+
+def _cotag_rows(
+    tally: Counter,
+    taxonomy: FieldTaxonomy,
+    field_a: int,
+    field_b: int,
+    windows: list[TimeWindow],
+) -> MetricReport:
+    """``cotag_report`` of the papers ``_cotag_fold`` counted in ``tally``."""
     report = MetricReport(
         name="cotag",
         columns=(
@@ -118,12 +149,18 @@ def cotag_report(
             "cotag", field_a=taxonomy.abbr(field_a), field_b=taxonomy.abbr(field_b)
         ),
     )
+    # Multi-tagged A papers by year and field set; counts are ints, so any
+    # order of adding them gives the same totals.
+    multi = [(year, fields, papers) for (year, fields), papers in tally.items()
+             if len(fields) > 1 and field_a in fields]
     prev: int | None = None
     for window in windows:
-        tags = (corpus[pid].fields for pid in corpus.papers_in(field=field_a, window=window))
-        multi = [fields for fields in tags if len(fields) > 1]
-        base = len(multi)
-        count = sum(field_b in fields for fields in multi)
+        base = count = 0
+        for year, fields, papers in multi:
+            if window.contains(year):
+                base += papers
+                if field_b in fields:
+                    count += papers
         change = (count - prev) / prev * 100.0 if prev else None
         report.add_row(
             window.start, window.end, taxonomy.abbr(field_a), taxonomy.abbr(field_b),

@@ -600,3 +600,88 @@ def parse_lines_direct(
         else:
             line = line.rstrip("\n").rstrip("\r")
             emit(lineno, WARNING, "unknown-line", f"unrecognized line ignored: {line[:40]!r}")
+
+
+# Verbatim copies of the record-based stats fold and cotag_report that the
+# column folds replaced; the fold tests compare reports with them byte for
+# byte.
+
+def stats_fold_records(records, taxonomy: FieldTaxonomy) -> MetricReport | None:
+    """``corpus_stats`` of ``records`` in one pass that keeps no record; None
+    when there is none.
+
+    The reference and keyword totals are ints, so each mean is the one
+    ``fsum`` of the per-record lengths gives (exact below 2**53).
+    """
+    n = multi = n_refs = n_kw = 0
+    year_min, year_max = math.inf, -math.inf
+    counts = [0] * len(taxonomy)
+    for rec in records:
+        n += 1
+        fields = rec.fields
+        if len(fields) > 1:
+            multi += 1
+        for f in fields:
+            counts[f] += 1
+        n_refs += len(rec.references)
+        n_kw += len(rec.keywords)
+        year = rec.year
+        if year < year_min:
+            year_min = year
+        if year > year_max:
+            year_max = year
+    if n == 0:
+        return None
+    report = MetricReport(
+        name="corpus-stats",
+        columns=("field_abbr", "papers", "share"),
+        metadata=base_metadata(
+            "corpus-stats",
+            records=n,
+            multi_field_fraction=multi / n,
+            year_min=year_min,
+            year_max=year_max,
+            mean_references=n_refs / n,
+            mean_keywords=n_kw / n,
+        ),
+    )
+    for f in taxonomy.indices:
+        report.add_row(taxonomy.abbr(f), counts[f], counts[f] / n)
+    return report
+
+
+def cotag_report_records(
+    corpus: Corpus,
+    field_a: int,
+    field_b: int,
+    windows: list[TimeWindow],
+) -> MetricReport:
+    """Per-window co-tagging volume, P(tagged B | multi-tagged and tagged A)
+    and the window-over-window percentage change of the volume.
+
+    The probability is None for a window with no multi-tagged A papers.
+    """
+    taxonomy = corpus.taxonomy
+    report = MetricReport(
+        name="cotag",
+        columns=(
+            "window_start", "window_end", "field_a", "field_b",
+            "cotag_count", "multi_tagged_a", "probability", "count_change_pct",
+        ),
+        metadata=base_metadata(
+            "cotag", field_a=taxonomy.abbr(field_a), field_b=taxonomy.abbr(field_b)
+        ),
+    )
+    prev: int | None = None
+    for window in windows:
+        tags = (corpus[pid].fields for pid in corpus.papers_in(field=field_a, window=window))
+        multi = [fields for fields in tags if len(fields) > 1]
+        base = len(multi)
+        count = sum(field_b in fields for fields in multi)
+        change = (count - prev) / prev * 100.0 if prev else None
+        report.add_row(
+            window.start, window.end, taxonomy.abbr(field_a), taxonomy.abbr(field_b),
+            count, base, count / base if base else None, change,
+        )
+        prev = count
+    return report

@@ -351,6 +351,23 @@ def test_config_echo_keeps_zero_valued_flags(synth_file, capsys):
     assert "threshold=0.0" in meta["config"].split()
 
 
+@pytest.mark.parametrize("name, echoed", [
+    ("x strict=True.txt", '"{dir}/x strict=True.txt"'),
+    ('a"b\\c.txt', '"{dir}/a\\"b\\\\c.txt"'),
+    ("tab\there.txt", '"{dir}/tab\there.txt"'),
+    ("plain.txt", "{dir}/plain.txt"),
+])
+def test_config_echo_quotes_a_value_that_would_read_as_more_pairs(synth_file, tmp_path,
+                                                                   name, echoed):
+    # The temporary directory's own name needs no quoting.
+    path = tmp_path / name
+    path.write_bytes(synth_file.read_bytes())
+    out = tmp_path / "stats.json"
+    assert main(["stats", str(path), "--strict", "--format", "json", "-o", str(out)]) == 0
+    config = json.loads(out.read_text(encoding="utf-8"))["metadata"]["config"]
+    assert config == "input=" + echoed.format(dir=tmp_path) + " strict=True"
+
+
 def test_trajectory_series_and_phases(synth_file, capsys):
     assert main(["trajectory", str(synth_file), "--field", "AI"]) == 0
     _meta, header, rows = _read_csv(capsys.readouterr().out)
@@ -688,8 +705,7 @@ def test_validate_and_stats_build_no_corpus(synth_file, tmp_path, monkeypatch, c
         assert main([command, str(synth_file), "-o", str(tmp_path / command)]) == 0
         assert capsys.readouterr().err == ""
     # A subcommand that analyzes a corpus reaches the patched name.
-    assert main(["cotag", str(synth_file), "--field-a", "AI", "--field-b", "Algo",
-                 "--window", "1970:1980"]) == cli.EXIT_INTERNAL
+    assert main(["evidence", str(synth_file)]) == cli.EXIT_INTERNAL
     assert "a Corpus was built" in capsys.readouterr().err
 
 
@@ -714,9 +730,50 @@ def test_validate_builds_no_record(synth_file, tmp_path, monkeypatch, capsys):
         assert main(["validate", str(path), "--format", fmt, "-o", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert out.read_bytes() == usual[fmt]
-    # stats reads the records, so it reaches the patched name.
-    assert main(["stats", str(path)]) == cli.EXIT_INTERNAL
+    # A subcommand that reads the records reaches the patched name.
+    assert main(["evidence", str(path)]) == cli.EXIT_INTERNAL
     assert "a PaperRecord was built" in capsys.readouterr().err
+
+
+def test_stats_and_cotag_build_no_record_and_no_corpus(synth_file, tmp_path, monkeypatch,
+                                                       capsys):
+    # A repeated id and a bad year are read by finish(), the other blocks by
+    # the run screen.
+    path = tmp_path / "corpus.txt"
+    path.write_text(synth_file.read_text(encoding="utf-8")
+                    + "\n#*Again\n#t2000\n#fAI,Algo\n#index1\n\n#*Late\n#t19x0\n#fAI\n"
+                      "#index999999\n", encoding="utf-8")
+    cotag = ["--field-a", "AI", "--field-b", "Algo"]
+    invocations = [
+        ["stats"], ["stats", "--format", "json"],
+        ["cotag", *cotag, "--window", "1970:1975", "--window", "1976:1985"],
+        ["cotag", *cotag, "--window", "1970:1975", "--format", "json"],
+        # Errors: no paper in a window, an unknown label.
+        ["cotag", *cotag, "--window", "1900:1901"],
+        ["cotag", "--field-a", "AI", "--field-b", "Nope", "--window", "1970:1975"],
+    ]
+
+    def run():
+        outcome = []
+        for argv in invocations:
+            code = main([argv[0], str(path), *argv[1:]])
+            out = capsys.readouterr()
+            outcome.append((code, out.out, out.err))
+        return outcome
+
+    usual = run()
+    assert [code for code, _out, _err in usual] == [0, 0, 0, 0, 1, 1]
+
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("a PaperRecord or a Corpus was built")
+
+    monkeypatch.setattr(corpusio, "_records", refuse)
+    monkeypatch.setattr(corpusio.PaperRecord, "__new__", refuse)
+    monkeypatch.setattr(corpusio.Corpus, "__init__", refuse)
+    assert run() == usual
+    # A subcommand that analyzes a corpus reaches the patched names.
+    assert main(["evidence", str(path)]) == cli.EXIT_INTERNAL
+    assert "was built" in capsys.readouterr().err
 
 
 def test_stats_and_the_analyses_refuse_an_empty_corpus_alike(tmp_path, capsys):

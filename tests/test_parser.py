@@ -3,6 +3,8 @@
 import contextlib
 import gc
 import io
+from collections import deque
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +14,8 @@ from citefields import (
     generate, parse_corpus, serialize_corpus,
 )
 from citefields import corpusio
+from citefields.records import _stats_fold
+from citefields.trajectory import _cotag_fold
 from conftest import GOLDEN_RECORD, corpus_of, rec
 from oracles import normalize_keyword, parse_lines_direct
 
@@ -161,7 +165,7 @@ def test_padded_id_repeated_in_its_run_is_a_duplicate(build, strict):
     """The run screen reads an id as finish() does, stripped, so the copy
     of a padded id later in the same run is a duplicate."""
     records, counts, diagnostics, error = _outcome(
-        lambda *args: corpusio._parse(PADDED_ID_REPEATED, *args, build=build), strict)
+        lambda *args: (corpusio._parse if build else _ids)(PADDED_ID_REPEATED, *args), strict)
     duplicate = corpusio.Diagnostic(14, 3, "error", "duplicate-id", "paper id 2 already seen")
     if build:
         assert [(r.id, r.title) for r in records] == [(1, "A"), (2, "B")]
@@ -558,6 +562,23 @@ def _runs_cut_in_many_places(draw) -> bytes:
     return _joined(blocks, kinds)
 
 
+# The columns each consumer of a parse reads, apart from a Corpus's nine:
+# validate's, stats', cotag's and the ids alone.
+CONSUMER_COLUMNS = (corpusio.discard_records.columns, _stats_fold.columns,
+                    _cotag_fold.columns, ("id",))
+
+
+def _ids(source, *args):
+    """The ids of the accepted blocks of ``source``, read as the one column
+    of a parse."""
+    return chain.from_iterable(ids for ids, in corpusio._batches(source, *args, ("id",)))
+
+
+def _column(record, name: str):
+    """The value a parse gives in the column ``name`` for the block of ``record``."""
+    return len(record.keywords) if name == corpusio.KEYWORD_COUNT else getattr(record, name)
+
+
 def _outcome(parse, strict: bool) -> tuple:
     """The records a parse gives, its block counts and diagnostics, and the
     diagnostic of the ParseError that ended it, if one did."""
@@ -605,7 +626,7 @@ def _check_against_the_oracle(data: bytes, chunk_size: int | None,
                               run_blocks: int | None = None) -> None:
     """The records, report and ParseError of every parse of ``data`` equal
     the line loop oracle's, in both strictness modes (None: the default
-    chunk size and run length)."""
+    chunk size and run length), and so do the columns each consumer reads."""
     sources = [io.BytesIO(data)]
     with contextlib.suppress(UnicodeDecodeError):
         sources.append(data.decode("utf-8"))
@@ -621,13 +642,19 @@ def _check_against_the_oracle(data: bytes, chunk_size: int | None,
                     source.seek(0)
                 got = _outcome(lambda *args: corpusio._parse(source, *args), strict)
                 assert got == want
-                # Without records: the ids of the same records, the same report or error.
-                if hasattr(source, "seek"):
-                    source.seek(0)
-                ids, *rest = _outcome(lambda *args: corpusio._parse(source, *args, build=False),
-                                      strict)
-                assert ids == [r.id for r in want[0]]
-                assert rest == list(want[1:])
+                # Without records: each consumer's columns hold the values of
+                # the same records, with the same report or error.
+                for columns in CONSUMER_COLUMNS:
+                    if hasattr(source, "seek"):
+                        source.seek(0)
+                    batches, *rest = _outcome(
+                        lambda *args: corpusio._batches(source, *args, columns), strict)
+                    assert rest == list(want[1:])
+                    assert all(len(batch) == len(columns) for batch in batches)
+                    assert all(len({*map(len, batch)}) == 1 for batch in batches if columns)
+                    if columns:
+                        assert [row for batch in batches for row in zip(*batch)] == [
+                            tuple(_column(r, name) for name in columns) for r in want[0]]
                 # The public entry point: the same records, report or error,
                 # also with the consumer that builds no record.
                 kept = []
@@ -664,10 +691,13 @@ def test_generated_corpus_is_built_a_run_at_a_time(monkeypatch):
     texts = [line[2:] for line in text.splitlines() if line.startswith("#f")]
     want = list(dict.fromkeys(texts))
     assert 4 < len(want) < len(texts) == 200
-    for build in (True, False):
+    for columns in (None, *CONSUMER_COLUMNS):
         finished.clear()
-        records = list(corpusio._parse(text, FieldTaxonomy.default(), True, ParseReport(), build))
-        assert len(records) == 200
+        report = ParseReport()
+        args = (text, FieldTaxonomy.default(), True, report)
+        deque(corpusio._parse(*args) if columns is None else corpusio._batches(*args, columns),
+              maxlen=0)
+        assert report.parsed == 200
         assert finished == want
 
 

@@ -74,7 +74,7 @@ def test_validate_csv_rows_keep_the_header_width(tmp_path):
 
 def test_metadata_line_breaks_are_escaped(tmp_path):
     """A file name holding LF, CR and a backslash stays inside its
-    ``# config:`` line, and the line unescapes to it."""
+    ``# config:`` line, and the line unescapes to its quoted echo."""
     path = tmp_path / "a\nb\\c\rd.txt"
     path.write_text("#*T\n#t2000\n#fAI\n#index3\n", encoding="utf-8")
     out = tmp_path / "report.csv"
@@ -85,7 +85,8 @@ def test_metadata_line_breaks_are_escaped(tmp_path):
     assert len(table) > 1 and all(len(row) == len(table[0]) for row in table)
     [config] = [line for line in lines if line.startswith("# config: ")]
     echo = re.sub(r"\\(.)", lambda m: {"\\": "\\", "r": "\r", "n": "\n"}[m[1]], config)
-    assert f" input={path}" in echo
+    quoted = str(path).replace("\\", "\\\\").replace('"', '\\"')
+    assert f' input="{quoted}"' in echo
 
 
 def test_row_width_checked():

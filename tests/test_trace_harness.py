@@ -39,8 +39,8 @@ INVOCATIONS = {
     "cotag": ("cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"),
 }
 NO_GRAPH = {"validate", "stats", "cotag"}
-# These read the parsed records as a stream and keep none of them.
-NO_CORPUS = {"validate", "stats"}
+# These fold the columns they read as the parse gives them and build no Corpus.
+NO_CORPUS = {"validate", "stats", "cotag"}
 
 
 def test_every_subcommand_has_a_traced_run():
