@@ -11,17 +11,26 @@ from __future__ import annotations
 
 import io
 import math
+from functools import cache
 from itertools import chain
-from math import fsum
-from typing import Iterator
+from math import ceil, fsum, log
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from citefields import Corpus, FieldTaxonomy, MetricReport, PaperRecord, TimeWindow
+from citefields import (
+    Corpus, FieldTaxonomy, FieldTrajectory, MetricReport, PaperRecord, TimeWindow,
+    bucket_impact, detect_phases, matrix_report, pearson_report, phases_report,
+    trajectory_report,
+)
 from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, ParseReport
+from citefields.diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL
 from citefields.errors import AnalysisError, ParseError
-from citefields.records import YEAR_RANGE
-from citefields.report import base_metadata
+from citefields.graph import FRACTIONAL, FULL_COUNT, CitationGraph
+from citefields.impact import DEFAULT_HORIZON, TOP_SHARE, ImpactScores, PaperImpact
+from citefields.reciprocity import _row_total
+from citefields.records import YEAR_RANGE, author_key
+from citefields.report import base_metadata, window_label
 
 
 def normalize_keyword(raw: str) -> str:
@@ -685,3 +694,560 @@ def cotag_report_records(
         )
         prev = count
     return report
+
+
+# Verbatim copies of the record-based kernels that the column kernels
+# replaced, and of the CLI commands that ran them on a built Corpus. Each
+# kernel body is the one it replaces, except that ``first_author_key`` is a
+# function here rather than a ``PaperRecord`` method. The reference test
+# (``test_kernels.py``) compares their reports with the package's byte for
+# byte; the commands take the kernels as a namespace, so the same commands
+# also run the package's kernels on a Corpus.
+
+
+def first_author_key(rec: PaperRecord) -> str | None:
+    """``author_key`` of the first author; None without authors."""
+    return author_key(rec.authors[0]) if rec.authors else None
+
+
+def field_ref_counts(
+    corpus: Corpus, paper_ids: Iterable[int], multiplicity: str
+) -> dict[int, float]:
+    records = corpus.records
+    counts: dict[int, float] = {}
+    for rid in paper_ids:
+        rec = records.get(rid)
+        if rec is None:
+            continue
+        inc = 1.0 if multiplicity == FULL_COUNT else 1.0 / len(rec.fields)
+        for f in rec.fields:
+            counts[f] = counts.get(f, 0.0) + inc
+    return counts
+
+
+def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph:
+    if multiplicity not in (FULL_COUNT, FRACTIONAL):
+        raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
+    out_edges: dict[int, tuple[int, ...]] = {}
+    in_lists: dict[int, list[int]] = {}
+    unresolved: dict[int, int] = {}
+
+    records = corpus.records
+    for pid, rec in records.items():
+        resolved = tuple(sorted(rid for rid in rec.references if rid in records))
+        out_edges[pid] = resolved
+        unresolved[pid] = len(rec.references) - len(resolved)
+        for rid in resolved:
+            in_lists.setdefault(rid, []).append(pid)
+
+    in_edges = {pid: tuple(citers) for pid, citers in in_lists.items()}
+    return CitationGraph(out_edges, in_edges, unresolved, multiplicity)
+
+
+def field_flow(
+    graph: CitationGraph, corpus: Corpus, window: TimeWindow | None = None
+) -> list[list[float]]:
+    n = len(corpus.taxonomy)
+    flow = [[0.0] * n for _ in range(n)]
+    for pid in corpus.papers_in(window=window):
+        cited = graph.out_edges.get(pid, ())
+        if not cited:
+            continue
+        counts = field_ref_counts(corpus, cited, graph.multiplicity)
+        for i in sorted(corpus[pid].fields):
+            for j in sorted(counts):
+                flow[i][j] += counts[j]
+    return flow
+
+
+def build_keyword_sets(
+    corpus: Corpus,
+    window: TimeWindow | None = None,
+    scope: str = WINDOW_LOCAL,
+) -> tuple[frozenset[str], ...]:
+    if scope not in (WINDOW_LOCAL, CORPUS_GLOBAL):
+        raise ValueError(f"unknown keyword scope {scope!r}")
+    effective = None if scope == CORPUS_GLOBAL else window
+    pools: list[set[str]] = [set() for _ in corpus.taxonomy.indices]
+    for pid in corpus:
+        rec = corpus[pid]
+        if effective is not None and not effective.contains(rec.year):
+            continue
+        for f in rec.fields:
+            pools[f].update(rec.keywords)
+    return tuple(frozenset(p) for p in pools)
+
+
+def _entropy_sum(fractions) -> float:
+    # 0 log 0 := 0 and x=1 contributes 0; "+ 0.0" normalizes -0.0 away.
+    return fsum(-x * log(x) for x in fractions if x > 0.0) + 0.0
+
+
+def rdi_paper(graph: CitationGraph, corpus: Corpus, pid: int) -> float | None:
+    if pid not in corpus:
+        raise AnalysisError(f"unknown paper id {pid}")
+    cited = graph.out_edges.get(pid, ())
+    if not cited:
+        return None
+    counts = field_ref_counts(corpus, cited, graph.multiplicity)
+    return _entropy_sum(counts[f] / len(cited) for f in sorted(counts))
+
+
+def kdi_paper(
+    corpus: Corpus,
+    pools: tuple[frozenset[str], ...],
+    pid: int,
+    normalized: bool = False,
+) -> float | None:
+    if pid not in corpus:
+        raise AnalysisError(f"unknown paper id {pid}")
+    kp = frozenset(corpus[pid].keywords)
+    if not kp:
+        return None
+    overlaps = [
+        len(pools[f] & kp) / len(kp)
+        for f in corpus.taxonomy.indices if pools[f]
+    ]
+    if normalized:
+        total = fsum(overlaps)
+        if total <= 0.0:
+            return 0.0
+        overlaps = [x / total for x in overlaps]
+    return _entropy_sum(x for x in overlaps if x > 0.0)
+
+
+def paper_diversity(
+    graph: CitationGraph,
+    corpus: Corpus,
+    metric: str,
+    window: TimeWindow | None = None,
+    keyword_scope: str = WINDOW_LOCAL,
+    normalized_kdi: bool = False,
+) -> dict[int, float]:
+    if metric not in (RDI, KDI):
+        raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
+    pools = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
+    values = {}
+    for pid in corpus.papers_in(window=window):
+        if metric == RDI:
+            v = rdi_paper(graph, corpus, pid)
+        else:
+            v = kdi_paper(corpus, pools, pid, normalized=normalized_kdi)
+        if v is not None:
+            values[pid] = v
+    return values
+
+
+def rank_order(values: dict[int, float]) -> list[int]:
+    return sorted(values, key=lambda f: (-values[f], f))
+
+
+def rank_fields(
+    graph: CitationGraph,
+    corpus: Corpus,
+    metric: str,
+    windows: list[TimeWindow],
+    keyword_scope: str = WINDOW_LOCAL,
+    normalized_kdi: bool = False,
+) -> MetricReport:
+    if not windows:
+        raise ValueError("at least one window is required")
+    mode_flags = f"log=natural;multiplicity={graph.multiplicity}"
+    if metric == KDI:
+        mode_flags += f";keywords={keyword_scope}"
+        if normalized_kdi:
+            mode_flags += ";normalized"
+    report = MetricReport(
+        name="rank",
+        columns=(
+            "window_start", "window_end", "field_abbr", "metric",
+            "value", "coverage", "mode_flags", "rank",
+        ),
+        metadata=base_metadata("rank", metric=metric, mode_flags=mode_flags),
+    )
+    taxonomy = corpus.taxonomy
+    for window in windows:
+        scores = paper_diversity(graph, corpus, metric, window, keyword_scope, normalized_kdi)
+        per_field: dict[int, list[float]] = {}
+        for pid, v in scores.items():
+            for f in corpus[pid].fields:
+                per_field.setdefault(f, []).append(v)
+        values = {f: fsum(vs) / len(vs) for f, vs in per_field.items()}
+        ranks = {f: i + 1 for i, f in enumerate(rank_order(values))}
+        for f in taxonomy.indices:
+            report.add_row(
+                window.start, window.end, taxonomy.abbr(f), metric,
+                values.get(f), len(per_field.get(f, ())), mode_flags, ranks.get(f),
+            )
+    return report
+
+
+def citations_received(
+    graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON
+) -> tuple[int, ...]:
+    rec = corpus.records.get(pid)
+    if rec is None:
+        raise AnalysisError(f"unknown paper id {pid}")
+    key = first_author_key(rec)
+    return tuple(
+        q for q in graph.in_edges.get(pid, ())
+        if (horizon is None or 0 <= corpus[q].year - rec.year <= horizon - 1)
+        and (key is None or first_author_key(corpus[q]) != key)
+    )
+
+
+def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], float | None]:
+    papers: dict[tuple[str, int], int] = {}
+    cites: dict[tuple[str, int], int] = {}
+    for pid in corpus:
+        rec = corpus[pid]
+        if not rec.venue:
+            continue
+        key = (rec.venue, rec.year)
+        papers[key] = papers.get(key, 0) + 1
+        for q in graph.in_edges.get(pid, ()):
+            citing_year = corpus[q].year
+            if citing_year - rec.year in (1, 2):
+                cited_in = (rec.venue, citing_year)
+                cites[cited_in] = cites.get(cited_in, 0) + 1
+
+    @cache  # one shared value per (venue, year), not one float per paper
+    def lookup(venue: str, year: int) -> float | None:
+        denom = papers.get((venue, year - 1), 0) + papers.get((venue, year - 2), 0)
+        return cites.get((venue, year), 0) / denom if denom else None
+
+    return lookup
+
+
+def compute_impact_scores(
+    graph: CitationGraph,
+    corpus: Corpus,
+    window: TimeWindow | None = None,
+    horizon: int | None = DEFAULT_HORIZON,
+) -> ImpactScores:
+    population = corpus.papers_in(window=window)
+    if not population:
+        raise AnalysisError("no papers in the analyzed window")
+    jif_of = _jif_lookup(corpus, graph)
+    cps = {pid: len(citations_received(graph, corpus, pid, horizon)) for pid in population}
+    k = ceil(TOP_SHARE * len(population))
+    cutoff = sorted(cps.values(), reverse=True)[k - 1]
+    per_paper = {}
+    for pid in population:
+        rec = corpus[pid]
+        j = jif_of(rec.venue, rec.year) if rec.venue else None
+        per_paper[pid] = PaperImpact(cp=cps[pid], jif=j, top_cited=cps[pid] >= cutoff)
+    return ImpactScores(per_paper=per_paper, window=window)
+
+
+def top_cited_counts(
+    scores: ImpactScores, corpus: Corpus, hit_rate: bool = False
+) -> list[tuple[int, int]]:
+    n = len(corpus.taxonomy)
+    in_top = [0] * n
+    in_population = [0] * n
+    for pid, s in scores.per_paper.items():
+        for f in corpus[pid].fields:
+            in_population[f] += 1
+            in_top[f] += s.top_cited
+    top_size = sum(s.top_cited for s in scores.per_paper.values())
+    return [(in_top[f], in_population[f] if hit_rate else top_size) for f in range(n)]
+
+
+def citation_fraction_matrix(
+    graph: CitationGraph,
+    corpus: Corpus,
+    window: TimeWindow | None = None,
+) -> list[list[float]]:
+    matrix = []
+    for row in field_flow(graph, corpus, window):
+        total = _row_total(row)
+        matrix.append([x / total for x in row] if total > 0 else [math.nan] * len(row))
+    return matrix
+
+
+def acp_bucket_test(
+    graph: CitationGraph,
+    corpus: Corpus,
+    focal_field: int,
+    target_field: int,
+    focal_window: TimeWindow,
+    threshold: float = 0.5,
+) -> MetricReport:
+    taxonomy = corpus.taxonomy
+    buckets: tuple[list[int], list[int]] = ([], [])
+    for pid in corpus.papers_in(field=focal_field, window=focal_window):
+        cited = graph.out_edges.get(pid, ())
+        if not cited:
+            continue
+        counts = field_ref_counts(corpus, cited, graph.multiplicity)
+        fraction = counts.get(target_field, 0.0) / len(cited)
+        buckets[0 if fraction > threshold else 1].append(pid)
+    classified = len(buckets[0]) + len(buckets[1])
+    if classified == 0:
+        raise AnalysisError("no focal papers with resolved references in the window")
+
+    # ACP: citations from target-field papers into a bucket, per bucket paper.
+    acps: list[float | None] = []
+    for members in buckets:
+        returns = sum(
+            target_field in corpus[q].fields
+            for pid in members
+            for q in graph.in_edges.get(pid, ())
+        )
+        acps.append(returns / len(members) if members else None)
+    diff_pct = None
+    if acps[0] is not None and acps[1] is not None and acps[1] > 0:
+        diff_pct = (acps[0] - acps[1]) / acps[1] * 100.0
+
+    report = MetricReport(
+        name="acp-buckets",
+        columns=("focal", "target", "bucket", "size_pct", "acp"),
+        metadata=base_metadata(
+            "acp-buckets",
+            focal=taxonomy.abbr(focal_field),
+            target=taxonomy.abbr(target_field),
+            window=window_label(focal_window),
+            threshold=threshold,
+            classified_papers=classified,
+            multiplicity=graph.multiplicity,
+            citing_scope="all-years",
+            acp_diff_pct=diff_pct,
+        ),
+    )
+    for label, members, value in zip(("bucket-1", "bucket-2"), buckets, acps):
+        report.add_row(
+            taxonomy.abbr(focal_field),
+            taxonomy.abbr(target_field),
+            label,
+            100.0 * len(members) / classified,
+            value,
+        )
+    return report
+
+
+def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[int, int]:
+    fields = corpus[pid].fields
+    refs = graph.out_edges.get(pid, ())
+    same = sum(1 for rid in refs if corpus[rid].fields & fields)
+    return len(refs) - same, same
+
+
+def evidence_series(
+    graph: CitationGraph,
+    corpus: Corpus,
+    years: list[int] | None = None,
+) -> MetricReport:
+    years = years if years is not None else corpus.years()
+    wanted = set(years)
+    rows: dict[int, tuple] = {}
+    known: dict[str, frozenset[int]] = {}
+    for y in corpus.years():
+        ids = corpus.by_year[y]
+        for pid in ids:
+            rec = corpus[pid]
+            for author in rec.authors:
+                key = author_key(author)
+                seen = known.get(key, frozenset())
+                if not rec.fields <= seen:
+                    known[key] = seen | rec.fields
+        if y not in wanted:
+            continue
+        multi = 0
+        fields_cited: list[int] = []
+        cross = same = 0
+        team_sizes: list[int] = []
+        breadths: list[int] = []
+        for pid in ids:
+            rec = corpus[pid]
+            if len(rec.fields) > 1:
+                multi += 1
+            team_sizes.append(len(rec.authors))
+            refs = graph.out_edges.get(pid, ())
+            cited_fields: set[int] = set()
+            for rid in refs:
+                cited_fields |= corpus[rid].fields
+            if refs:
+                fields_cited.append(len(cited_fields))
+            pcross, psame = _reference_split(graph, corpus, pid)
+            cross += pcross
+            same += psame
+            team_fields: set[int] = set()
+            for author in rec.authors:
+                team_fields |= known[author_key(author)]
+            if rec.authors:
+                breadths.append(len(team_fields))
+        rows[y] = (
+            len(ids),
+            multi / len(ids),
+            fsum(fields_cited) / len(fields_cited) if fields_cited else None,
+            cross / same if same else None,
+            fsum(team_sizes) / len(team_sizes),
+            fsum(breadths) / len(breadths) if breadths else None,
+        )
+
+    report = MetricReport(
+        name="evidence",
+        columns=(
+            "year", "papers", "multi_field_fraction", "mean_fields_cited",
+            "tau", "mean_team_size", "mean_author_field_breadth",
+        ),
+        metadata=base_metadata("evidence"),
+    )
+    for y in years:
+        report.add_row(y, *rows.get(y, (0, None, None, None, None, None)))
+    return report
+
+
+def field_trajectory(
+    graph: CitationGraph,
+    corpus: Corpus,
+    focal: int,
+    years: list[int] | None = None,
+) -> FieldTrajectory:
+    members = corpus.by_field.get(focal)
+    if not members:
+        raise AnalysisError("field has no papers")
+    if years is None:
+        first = min(corpus[pid].year for pid in members)
+        years = list(range(first, corpus.years()[-1] + 1))
+    # [cross, same] per year: tau counts the references the field's papers
+    # emit in their own year, zeta the citations they receive by citing year.
+    tau = {y: [0, 0] for y in years}
+    zeta = {y: [0, 0] for y in years}
+    for pid in members:
+        counts = tau.get(corpus[pid].year)
+        if counts is not None:
+            pcross, psame = _reference_split(graph, corpus, pid)
+            counts[0] += pcross
+            counts[1] += psame
+        for q in graph.in_edges.get(pid, ()):
+            citer = corpus[q]
+            counts = zeta.get(citer.year)
+            if counts is not None:
+                counts[1 if focal in citer.fields else 0] += 1
+    return FieldTrajectory(
+        field=focal,
+        years=tuple(years),
+        tau=tuple(cross / same if same else None for cross, same in map(tau.get, years)),
+        zeta=tuple(cross / same if same else None for cross, same in map(zeta.get, years)),
+    )
+
+
+def _load(args) -> tuple:
+    from citefields.cli import _parse_input, _require_papers
+
+    corpus, report = _parse_input(args)
+    _require_papers(args, len(corpus), corpus.by_year)
+    return corpus, report
+
+
+def _cmd_rank(k, args) -> MetricReport:
+    corpus, _pr = _load(args)
+    graph = k.build_graph(corpus, args.multiplicity)
+    return k.rank_fields(
+        graph, corpus, args.metric, args.window,
+        keyword_scope=args.keyword_scope,
+        normalized_kdi=args.normalized_kdi,
+    )
+
+
+def _cmd_impact(k, args) -> MetricReport:
+    corpus, _pr = _load(args)
+    taxonomy = corpus.taxonomy
+    graph = k.build_graph(corpus)
+    horizon = None if args.lifetime else args.horizon
+    scores = k.compute_impact_scores(graph, corpus, window=args.window, horizon=horizon)
+    meta = base_metadata(
+        "impact",
+        horizon="lifetime" if horizon is None else horizon,
+        window=window_label(args.window),
+    )
+    if args.top_share:
+        report = MetricReport(
+            name="impact-top-share",
+            columns=("field_abbr", "share", "numerator", "denominator"),
+            metadata=meta,
+        )
+        counts = k.top_cited_counts(scores, corpus, hit_rate=args.hit_rate)
+        for f in taxonomy.indices:
+            num, den = counts[f]
+            report.add_row(taxonomy.abbr(f), num / den if den else None, num, den)
+        return report
+    report = MetricReport(
+        name="impact",
+        columns=("paper_id", "cp", "jif", "top_cited"),
+        metadata=meta,
+    )
+    for pid, s in scores.per_paper.items():
+        report.add_row(pid, s.cp, s.jif, int(s.top_cited))
+    return report
+
+
+def _cmd_buckets(k, args) -> MetricReport:
+    corpus, _pr = _load(args)
+    graph = k.build_graph(corpus, args.multiplicity)
+    scores = k.compute_impact_scores(graph, corpus, window=args.window, horizon=args.horizon)
+    values = k.paper_diversity(graph, corpus, args.metric, args.window, args.keyword_scope)
+    return bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
+
+
+def _cmd_reciprocity(k, args) -> MetricReport:
+    corpus, _pr = _load(args)
+    graph = k.build_graph(corpus, args.multiplicity)
+    matrix = k.citation_fraction_matrix(graph, corpus, window=args.window)
+    if args.matrix:
+        return matrix_report(matrix, corpus.taxonomy, window=args.window)
+    return pearson_report(
+        matrix, corpus.taxonomy,
+        include_diagonal=not args.exclude_diagonal,
+        window=args.window,
+    )
+
+
+def _cmd_acp(k, args) -> MetricReport:
+    from citefields.cli import _field_index
+
+    corpus, _pr = _load(args)
+    graph = k.build_graph(corpus, args.multiplicity)
+    return k.acp_bucket_test(
+        graph, corpus,
+        _field_index(corpus.taxonomy, args.focal),
+        _field_index(corpus.taxonomy, args.target),
+        args.window,
+        threshold=args.threshold,
+    )
+
+
+def _cmd_trajectory(k, args) -> MetricReport:
+    from citefields.cli import _field_index
+
+    corpus, _pr = _load(args)
+    graph = k.build_graph(corpus)
+    focal = _field_index(corpus.taxonomy, args.field)
+    years = list(range(args.years.start, args.years.end + 1)) if args.years else None
+    trajectory = k.field_trajectory(graph, corpus, focal, years)
+    if args.phases:
+        detection = detect_phases(trajectory, min_years=args.min_years)
+        return phases_report(trajectory, detection, corpus.taxonomy)
+    return trajectory_report(trajectory, corpus.taxonomy)
+
+
+def _cmd_evidence(k, args) -> MetricReport:
+    corpus, _pr = _load(args)
+    graph = k.build_graph(corpus)
+    years = list(range(args.years.start, args.years.end + 1)) if args.years else None
+    return k.evidence_series(graph, corpus, years)
+
+
+# The record-based CLI commands of the analyses, by subcommand. Each takes
+# the kernels' namespace first: this module, or the ``citefields`` package.
+RECORD_COMMANDS = {
+    "rank": _cmd_rank,
+    "impact": _cmd_impact,
+    "buckets": _cmd_buckets,
+    "reciprocity": _cmd_reciprocity,
+    "acp": _cmd_acp,
+    "trajectory": _cmd_trajectory,
+    "evidence": _cmd_evidence,
+}

@@ -4,8 +4,9 @@ Each snapshot under ``tests/golden/seed<N>/`` is the report one CLI
 invocation writes for a small generated planted-lifecycle corpus; those
 under ``tests/golden/defects/`` are the ``validate`` and ``stats`` reports
 on a hand-built corpus with parser defects, and those under
-``tests/golden/edges/`` the ``validate``, ``stats`` and ``rank --metric kdi``
-reports on a hand-built corpus of parser edge cases. A snapshot may change only when
+``tests/golden/edges/`` the ``validate``, ``stats``, ``rank``, ``impact`` and
+``evidence`` reports on a hand-built corpus of parser edge cases. A snapshot
+may change only when
 CHANGES.md explains why (for example a proven last-ulp summation change),
 never to make a diff disappear. To rewrite them from the current code, run
 ``python tests/test_golden.py`` with ``src`` importable.
@@ -146,6 +147,10 @@ EDGE_INVOCATIONS = {
     "validate": ("validate", "--format", "json"),
     "stats": ("stats",),
     "rank-kdi": ("rank", "--metric", "kdi", "--window", "2000:2001", "--window", "2000:2003"),
+    "rank-rdi-fractional": ("rank", "--metric", "rdi", "--window", "2000:2001",
+                            "--window", "2000:2003", "--multiplicity", "fractional"),
+    "impact": ("impact",),
+    "evidence": ("evidence",),
 }
 
 
