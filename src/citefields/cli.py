@@ -1,26 +1,21 @@
-"""Command-line front end: parse -> graph -> analysis -> CSV/JSON report.
+"""Command-line front end: parse -> column table -> graph -> analysis -> report.
 
 One subcommand per analysis. Reports go to stdout unless --output is given,
-embed the tool version and a config echo, and are byte-identical for
-identical inputs and flags (no timestamps anywhere). Errors print a
-machine-readable JSON record to stderr and exit nonzero. The only
-environment variable honored is CITEFIELDS_LOG: one of the level names
-DEBUG, INFO, WARNING (the default), ERROR and CRITICAL, in any case. At
-DEBUG an internal error's traceback is logged to stderr before its JSON
-record; the other levels log nothing. Any other value is a usage error,
-reported before any input is read.
+carry the tool version and a config echo, and are byte-identical for
+identical inputs and flags. Errors print a JSON record to stderr and exit
+nonzero. The only environment variable honored is CITEFIELDS_LOG, a level
+name (DEBUG, INFO, WARNING, the default, ERROR or CRITICAL) in any case: at
+DEBUG an internal error's traceback is logged before its record, and any
+other value is a usage error, reported before any input is read.
 
 Exit codes: 0 success; 1 bad input or an undefined analysis (unreadable
-file, strict-mode parse error, a corpus with no parsed records for any
-subcommand but ``validate``, a ``--window`` or ``--years`` span holding no
-paper); 2 usage error; 3 internal error (any other
-exception, reported as the same JSON record; its traceback is logged at
-DEBUG level).
+file, strict-mode parse error, no parsed record for any subcommand but
+``validate``, a ``--window`` or ``--years`` span holding no paper); 2 usage
+error; 3 internal error (any other exception, as the same JSON record).
 
-Start-up is part of every invocation, so the import loads no more than the
-work needs: ``json`` is imported for a JSON report or an error record,
-``logging`` for an internal error at DEBUG, and ``synth`` with its spec
-dataclasses only by ``generate``.
+The import loads no more than the work needs: ``json`` for a JSON report or
+an error record, ``logging`` for an internal error at DEBUG, and ``synth``
+only for ``generate``.
 """
 
 from __future__ import annotations
@@ -33,12 +28,12 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .corpusio import LENIENT, STRICT, discard_records, parse_corpus
+from .corpusio import LENIENT, STRICT, discard_records, parse_corpus, table_reader
 from .diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL, paper_diversity, rank_fields
 from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
 from .impact import DEFAULT_HORIZON, bucket_impact, compute_impact_scores, top_cited_counts
-from .records import TimeWindow, _stats_fold
+from .records import PaperTable, TimeWindow, _stats_fold
 from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix, matrix_report, pearson_report,
 )
@@ -208,10 +203,12 @@ def _parse_input(args, into=None) -> tuple:
         gc.enable()
 
 
-def _load(args) -> tuple:
-    corpus, report = _parse_input(args)
-    _require_papers(args, len(corpus), corpus.by_year)
-    return corpus, report
+def _table(args, *columns: str) -> PaperTable:
+    """The ``PaperTable`` of ``args.input`` with the optional ``columns``
+    its analysis reads, once ``_require_papers`` has checked it."""
+    papers, _pr = _parse_input(args, into=table_reader(*columns))
+    _require_papers(args, len(papers), set(papers.year.values()))
+    return papers
 
 
 def _require_papers(args, papers: int, years) -> None:
@@ -293,21 +290,21 @@ def _cmd_stats(args) -> MetricReport:
 
 
 def _cmd_rank(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    graph = build_graph(corpus, args.multiplicity)
+    papers = _table(args, *(("keywords",) if args.metric == KDI else ()))
+    graph = build_graph(papers, args.multiplicity)
     return rank_fields(
-        graph, corpus, args.metric, args.window,
+        graph, papers, args.metric, args.window,
         keyword_scope=args.keyword_scope,
         normalized_kdi=args.normalized_kdi,
     )
 
 
 def _cmd_impact(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    taxonomy = corpus.taxonomy
-    graph = build_graph(corpus)
+    papers = _table(args, "venue", "first_author")
+    taxonomy = papers.taxonomy
+    graph = build_graph(papers)
     horizon = None if args.lifetime else args.horizon
-    scores = compute_impact_scores(graph, corpus, window=args.window, horizon=horizon)
+    scores = compute_impact_scores(graph, papers, window=args.window, horizon=horizon)
     meta = base_metadata(
         "impact",
         horizon="lifetime" if horizon is None else horizon,
@@ -319,7 +316,7 @@ def _cmd_impact(args) -> MetricReport:
             columns=("field_abbr", "share", "numerator", "denominator"),
             metadata=meta,
         )
-        counts = top_cited_counts(scores, corpus, hit_rate=args.hit_rate)
+        counts = top_cited_counts(scores, papers, hit_rate=args.hit_rate)
         for f in taxonomy.indices:
             num, den = counts[f]
             report.add_row(taxonomy.abbr(f), num / den if den else None, num, den)
@@ -335,55 +332,55 @@ def _cmd_impact(args) -> MetricReport:
 
 
 def _cmd_buckets(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    graph = build_graph(corpus, args.multiplicity)
-    scores = compute_impact_scores(graph, corpus, window=args.window, horizon=args.horizon)
-    values = paper_diversity(graph, corpus, args.metric, args.window, args.keyword_scope)
+    papers = _table(args, "venue", "first_author", *(("keywords",) if args.metric == KDI else ()))
+    graph = build_graph(papers, args.multiplicity)
+    scores = compute_impact_scores(graph, papers, window=args.window, horizon=args.horizon)
+    values = paper_diversity(graph, papers, args.metric, args.window, args.keyword_scope)
     return bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
 
 
 def _cmd_reciprocity(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    graph = build_graph(corpus, args.multiplicity)
-    matrix = citation_fraction_matrix(graph, corpus, window=args.window)
+    papers = _table(args)
+    graph = build_graph(papers, args.multiplicity)
+    matrix = citation_fraction_matrix(graph, papers, window=args.window)
     if args.matrix:
-        return matrix_report(matrix, corpus.taxonomy, window=args.window)
+        return matrix_report(matrix, papers.taxonomy, window=args.window)
     return pearson_report(
-        matrix, corpus.taxonomy,
+        matrix, papers.taxonomy,
         include_diagonal=not args.exclude_diagonal,
         window=args.window,
     )
 
 
 def _cmd_acp(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    graph = build_graph(corpus, args.multiplicity)
+    papers = _table(args)
+    graph = build_graph(papers, args.multiplicity)
     return acp_bucket_test(
-        graph, corpus,
-        _field_index(corpus.taxonomy, args.focal),
-        _field_index(corpus.taxonomy, args.target),
+        graph, papers,
+        _field_index(papers.taxonomy, args.focal),
+        _field_index(papers.taxonomy, args.target),
         args.window,
         threshold=args.threshold,
     )
 
 
 def _cmd_trajectory(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    graph = build_graph(corpus)
-    focal = _field_index(corpus.taxonomy, args.field)
+    papers = _table(args)
+    graph = build_graph(papers)
+    focal = _field_index(papers.taxonomy, args.field)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
-    trajectory = field_trajectory(graph, corpus, focal, years)
+    trajectory = field_trajectory(graph, papers, focal, years)
     if args.phases:
         detection = detect_phases(trajectory, min_years=args.min_years)
-        return phases_report(trajectory, detection, corpus.taxonomy)
-    return trajectory_report(trajectory, corpus.taxonomy)
+        return phases_report(trajectory, detection, papers.taxonomy)
+    return trajectory_report(trajectory, papers.taxonomy)
 
 
 def _cmd_evidence(args) -> MetricReport:
-    corpus, _pr = _load(args)
-    graph = build_graph(corpus)
+    papers = _table(args, "authors")
+    graph = build_graph(papers)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
-    return evidence_series(graph, corpus, years)
+    return evidence_series(graph, papers, years)
 
 
 def _cmd_cotag(args) -> MetricReport:

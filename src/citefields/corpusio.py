@@ -20,99 +20,45 @@ parses back to the same ids with equal records; ``Corpus(...)`` checks this
 with ``check_round_trip`` for records built outside the parser, so the
 parser alone says which values a record may hold.
 
-The reader makes one streaming pass: it never holds more than one chunk of
-text and one run of blocks. It hands the accepted blocks on in file order
-as batches of columns, each batch the checked blocks of a run or the one
-block ``finish()`` read, and each consumer names the columns it reads (the
-``columns`` of ``parse_corpus``'s ``into``): ``validate`` none, ``stats``
-the year, fields, references and keyword count, ``cotag`` the year and
-fields, and a ``Corpus`` a record's nine. Only the ``Corpus`` consumer, or
-an ``into`` that takes records, calls ``_records``, which builds them. A
-block gets the same checks in the same order whatever the columns: its id
-is marked seen and its references are converted, while its title,
-authors, venue and abstract are left as read, since no diagnostic reads
-them. So the report and any strict-mode ``ParseError`` are those of a
-parse that builds every record.
+The reader makes one streaming pass, holding one chunk of text and one run
+of blocks at most. It hands the accepted blocks on in file order as
+batches of the columns its consumer names (the ``columns`` of
+``parse_corpus``'s ``into``): none for ``validate``, the year, fields,
+references and keyword count for ``stats``, the year and fields for
+``cotag``, and for every other subcommand the ``PaperTable`` columns of
+``table_reader``. No CLI subcommand builds a record, a title or an
+abstract: only the ``Corpus`` consumer calls ``_records``. Every block gets
+the same checks whatever the columns, so the report and any strict-mode
+``ParseError`` are those of a parse that builds every record. An accepted
+id is a bit in a ``bytearray`` while ids stay below ``SEEN_ID_BITS`` per
+id accepted, and an entry in a set otherwise.
 
-The CLI's ``validate``, ``stats`` and ``cotag`` build no record, and their
-memory is the accepted ids plus the diagnostics. An accepted id is a bit in
-a ``bytearray`` when it is below ``SEEN_ID_BITS`` times the count of ids
-accepted so far (the array grows by doubling), and an entry in a set
-otherwise: dense ids cost about a bit each, and an id far beyond the
-others costs no array.
+For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line.
+Each line that is not UTF-8 becomes an ``encoding`` diagnostic with its own
+line and byte offset; a ``%%`` comment line is skipped whatever it holds.
 
-For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line;
-a text stream keeps its own newline handling. Binary input (what the CLI
-passes) is decoded ``CHUNK_SIZE`` bytes at a time, cut after the chunk's
-last ``\n``; a ``str`` is one chunk. A chunk that is not all UTF-8 is
-decoded again line by line, so each line that is not UTF-8 becomes an
-``encoding`` error diagnostic with its own line and byte offset instead of
-aborting the whole parse; a ``%%`` comment line is skipped whatever bytes
-it holds.
+Blocks reach one reader, ``finish()``, by two routes. A block that starts
+where no block is open, in a decoded chunk, is tried whole against one
+pattern of the tag order ``serialize_record`` and ``synth.generate`` write,
+and up to ``RUN_BLOCKS`` consecutive matches form a run. The run is
+screened a column at a time: a block whose year is in ``YEAR_RANGE``,
+whose ``#f`` text ``finish()`` has memoized, whose id is above every id
+before it and whose references hold neither its id nor a repeat can give
+no diagnostic, and goes on with the run's columns. ``finish()`` reads every
+other block from its lines: the refused blocks of a run, and blocks of any
+other shape (another tag order, a repeated or unknown tag, a
+whitespace-only line as in CRLF files, a chunk that is not all UTF-8, a
+text stream, a block longer than a chunk), collected line by line. So every
+diagnostic and ordinal comes from one reader, in O(input) time.
 
-Blocks reach one reader, ``finish()``, which takes the lines of one block,
-by two routes. Where a block starts after an empty line, a comment line or
-nothing, in a decoded chunk, one compiled pattern tries to match it whole
-in the order ``serialize_record`` and ``synth.generate`` write: ``#*``,
-optional ``#@``, ``#t``, optional ``#c``, ``#f``, optional ``#k``,
-``#index``, any number of ``#%`` lines of ASCII digits, optional ``#!``,
-then an empty line. The pattern captures every value in C, and up to
-``RUN_BLOCKS`` consecutive matched blocks form a run. A block cut by the
-chunk's end is carried into the next chunk if it is no longer than
-``CHUNK_SIZE``. Every other block is collected line by line up to the
-blank or whitespace-only line that ends it, comment lines inside it
-included: another tag order, a repeated or unknown tag, a ``%%`` line
-inside it, a whitespace-only line inside, before or after it (a CRLF
-file's blank lines hold ``\r``), a reference that is not ASCII digits, a
-chunk that is not all UTF-8, a text stream or other iterable of lines, or
-a block longer than a chunk.
-
-A run is screened a column at a time, with ``map``, ``zip`` and
-``accumulate`` over its match groups; this screen is the parser's only
-fast path. A block passes when its year is one of ``YEAR_RANGE`` as ``#t``
-writes it, its ``#f`` text is one whose fields ``finish()`` has memoized,
-its id, read as ``finish()`` reads it, is above every id before it, and
-its references hold neither its own id nor a repeat: nothing in it can
-give a diagnostic. The blocks that pass are handed on a column at a time,
-in the columns the consumer reads. Every other block of the run goes to
-``finish()`` as its match's lines. ``finish()`` dispatches each line on
-the tag's second character, numbers it by its place in the block and then
-validates the block. So every diagnostic, ordinal and strict-mode
-``ParseError`` comes from one reader, and ``_records`` strips, splits and
-normalizes the values of every record, those ``finish()`` accepts
-included.
-
-A block's ``#k`` text is normalized as a whole and its keywords are kept as a
-tuple of distinct values in ascending order (a tuple takes 40 + 8n bytes,
-a frozenset of up to 4 items 216). ``_records`` joins a column's ``#@``
-texts, and its ``#k`` texts, and checks each joined text once: when no
-name needs trimming or is empty, and the joined ``#k`` text is printable
-ASCII with no capital letter, no space run, no empty keyword and no space
-at either end of a keyword, each text is only split. ``KEYWORD_COUNT``
-counts each text's distinct keywords after the same check and builds no
-tuple. An id, year or reference is ASCII digits only: ``int()`` alone
-would also take a sign, an underscore or another script's digits. Field
-label lookups, field-index sets and the fields of up to
-``FIELD_TEXT_MEMO`` ``#f`` texts that resolve without a diagnostic are
-memoized per parse. Author names, venues and keywords are not interned:
-what that saves depends on how often the input repeats them, and on
-mostly distinct values it costs memory. The cyclic
-garbage collector is paused for the parse and its consumer, and its
-previous state restored afterwards: each collection pass would rescan
-every record built so far, while the parse leaves no cycle that must be
-freed before it returns. The cost is O(input) time: a match that fails
-backs off over each line of the block at most once.
-
-``RUN_BLOCKS`` bounds the columns a run holds at once; without it a run
-could hold a whole chunk of blocks (about 340 of the benchmark's). On a
-2-vCPU Xeon VM, capping it at 128 cost about 2% of the seed-7
-``session-10k`` parse (0.0523 against 0.0514 s, median of 6 fresh
-processes) and cut the parse's added ``tracemalloc`` peak on the seed-7
-``ingest-50k`` file from 1580 to 1402 KiB, building no record.
-
-Diagnostics carry line numbers and the 1-based record ordinal. In strict
-mode the first error-severity diagnostic aborts via ``ParseError``; in
-lenient mode the offending record is skipped (or the offending label
+An id, year or reference is ASCII digits only: ``int()`` alone would also
+take a sign, an underscore or another script's digits. Label lookups,
+field-index sets and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts
+are memoized per parse; names, venues and keywords are not interned. The
+cyclic garbage collector is paused for the parse and its consumer, which
+leave no cycle. Diagnostics carry line numbers and the 1-based record
+ordinal. In strict mode the first error-severity diagnostic raises
+``ParseError``; in lenient mode the record is skipped (or the label
 dropped) and counted.
 """
 
@@ -127,7 +73,7 @@ from operator import gt, not_
 from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import ParseError
-from .records import YEAR_RANGE, Corpus, PaperRecord
+from .records import YEAR_RANGE, Corpus, PaperRecord, PaperTable, author_key
 from .slotted import Slotted
 from .taxonomy import FieldTaxonomy
 
@@ -144,7 +90,9 @@ COMMENT_PREFIX = "%%"
 CHUNK_SIZE = 1 << 16  # bytes of binary input decoded at a time
 
 # Matched blocks handed on as one run at most: a run holds each block's
-# match and values until it is built.
+# match and values until it is built. Capped at 128, the parse's tracemalloc
+# peak on the seed-7 ingest-50k file fell from 1580 to 1402 KiB, for about
+# 2% of its time.
 RUN_BLOCKS = 128
 
 # Bits of the accepted-id bitmap allowed per accepted id; a larger id is
@@ -209,17 +157,13 @@ def _text(data: bytes) -> str | list[str | UnicodeDecodeError]:
 
 
 def _pieces(source: str | bytes | IO) -> Iterator[str | list[str | UnicodeDecodeError]]:
-    """The text of ``source`` in order, a piece at a time.
-
-    A ``str`` piece holds whole lines, each ended by ``\n``; the last line
-    of the input gets one if it has none, which leaves the lines as they
-    are. A ``str`` source is one piece. Binary input is read ``CHUNK_SIZE``
-    bytes at a time and cut after the last ``\n`` read; ``\n`` is never
-    part of a multi-byte UTF-8 sequence, so a cut chunk decodes as a whole
-    exactly when each of its lines does. A chunk that does not, and any
-    other iterable of lines (a text stream keeps its own newline handling),
-    is given as a list of its lines; a bytes line is decoded on its own,
-    and a line that is not UTF-8 is given as its ``UnicodeDecodeError``.
+    """The text of ``source`` in order, a piece at a time: a ``str`` of
+    whole lines, each ended by ``\n`` (the last line gets one if it has
+    none), or a list of lines. A ``str`` source is one piece; binary input
+    is read ``CHUNK_SIZE`` bytes at a time, cut after the last ``\n``,
+    which is never part of a multi-byte UTF-8 sequence. A chunk that is not
+    all UTF-8, and any other iterable of lines, is given as a list of its
+    lines, a line that is not UTF-8 as its ``UnicodeDecodeError``.
     """
     if isinstance(source, str):
         if source:
@@ -270,13 +214,10 @@ _CANONICAL = re.compile(
 
 def _items(source: str | bytes | IO) -> Iterator[str | UnicodeDecodeError | list[re.Match]]:
     """The lines of ``source`` in order and then one blank line, except
-    that a run of up to ``RUN_BLOCKS`` canonical blocks starting where no
-    block is open is given whole, as the list of their ``_CANONICAL``
-    matches.
-
-    The pattern is tried only after an empty or comment line, a matched
-    block or nothing. A block that a ``str`` piece cuts short is carried
-    into the next piece, if it is no longer than ``CHUNK_SIZE``.
+    that a run of up to ``RUN_BLOCKS`` canonical blocks starting after an
+    empty or comment line, a matched block or nothing is given whole, as
+    the list of their ``_CANONICAL`` matches. A block that a ``str`` piece
+    cuts short is carried into the next, if no longer than ``CHUNK_SIZE``.
     """
     between = True  # no block is open
     rest = ""  # the start of a block carried into the next piece
@@ -321,29 +262,34 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(filter(None, map(str.strip, text.split(","))))
 
 
-def _keywords(text: str) -> tuple[str, ...]:
-    """The distinct keywords of a #k line's value in ascending order,
-    normalized: whitespace runs collapsed and the whole line case-folded at
-    once. No whitespace run holds a comma, so each trimmed comma-separated
-    piece equals that keyword normalized on its own. Empty pieces are
-    dropped."""
-    return tuple(sorted(set(map(str.strip, " ".join(text.split()).casefold().split(","))) - {""}))
+def _keyword_set(text: str) -> set[str]:
+    """The distinct keywords of a #k line's value, normalized: whitespace
+    runs collapsed and the whole line case-folded at once. No whitespace run
+    holds a comma, so each trimmed comma-separated piece equals that keyword
+    normalized on its own. Empty pieces are dropped."""
+    return set(map(str.strip, " ".join(text.split()).casefold().split(","))) - {""}
 
 
 def _split_only(texts) -> bool:
     """Whether each #k text of the column ``texts`` (a ``str`` or None) is
-    already normalized, so that splitting it at "," gives its keywords.
-
-    Found once for the whole column: joined with ",", its pieces are those
-    of each text. Case folding leaves printable ASCII without capital
-    letters as it is, and " " is its only whitespace: without a space run,
-    a space at either end of a keyword or an empty keyword, each keyword is
-    already normalized.
-    """
+    already normalized, so that splitting it at "," gives its keywords:
+    found once for the whole column, joined. Case folding leaves printable
+    ASCII without capitals as it is, and " " is its only whitespace, so the
+    joined text needs no space run, no empty keyword and no space at either
+    end of one."""
     words = ",".join(filter(None, texts))
     return (words.isascii() and words.isprintable() and words == words.lower()
             and not ("  " in words or ", " in words or " ," in words or ",," in words
                      or words[:1] in (" ", ",") or words[-1:] in (" ", ",")))
+
+
+def _keyword_tuples(texts) -> list[tuple[str, ...]]:
+    """The keywords of each #k text of the column ``texts``, for readers
+    that take them as a set: a repeat is kept. A tuple of n keywords takes
+    40 + 8n bytes, a frozenset of five to 19 of them 728."""
+    if _split_only(texts):
+        return [tuple(text.split(",")) if text else () for text in texts]
+    return [tuple(_keyword_set(text)) if text else () for text in texts]
 
 
 def _keyword_counts(texts) -> list[int]:
@@ -351,36 +297,79 @@ def _keyword_counts(texts) -> list[int]:
     ``texts``: the length of the tuple ``_records`` would keep."""
     if _split_only(texts):
         return [len(set(text.split(","))) if text else 0 for text in texts]
-    return [len(_keywords(text)) if text else 0 for text in texts]
+    return [len(_keyword_set(text)) if text else 0 for text in texts]
+
+
+def _author_names(texts) -> list[tuple[str, ...]]:
+    """The names of each #@ text of the column ``texts``. Where no name
+    needs trimming or is empty, found once for the whole column as for
+    keywords, each text is only split."""
+    names = ",".join(filter(None, texts))
+    if names != ",".join(filter(None, map(str.strip, names.split(",")))):
+        return [_names(text) if text else () for text in texts]
+    return [tuple(text.split(",")) if text else () for text in texts]
+
+
+def _author_keys(texts) -> list[tuple[str, ...]]:
+    """The ``author_key`` of each name of each #@ text of the column
+    ``texts``: the names of the text's case fold, since case folding maps
+    whitespace to itself and no other character to a comma, to whitespace
+    or to nothing."""
+    return _author_names([text and text.casefold() for text in texts])
+
+
+def _stripped(texts) -> list[str | None]:
+    """Each text of the column ``texts`` trimmed, None for none or a blank one."""
+    return [text and text.strip() or None for text in texts]
 
 
 def _records(ids, titles, authors, years, venues, fields, keywords,
              references, abstracts) -> list[PaperRecord]:
-    """The records of checked blocks, built a column at a time.
-
-    ``ids``, ``years``, ``fields`` and ``references`` hold the checked
-    values. The other columns hold each text as it follows its tag:
-    ``titles`` a ``str``, ``authors``, ``venues``, ``keywords`` and
-    ``abstracts`` a ``str`` or None. Every value a record holds is
-    stripped, split and normalized here.
+    """The records of checked blocks, built a column at a time from the
+    checked ids, years, fields and references and each other column's text
+    as it follows its tag (a ``str``, or None where the tag is optional),
+    which is stripped, split and normalized here.
     """
-    # Names that need nothing but a split, found once for the whole column
-    # as for keywords.
-    names = ",".join(filter(None, authors))
-    if names != ",".join(filter(None, map(str.strip, names.split(",")))):
-        authors = [_names(text) if text else () for text in authors]
-    else:
-        authors = [tuple(text.split(",")) if text else () for text in authors]
     if _split_only(keywords):
         keywords = [tuple(dict.fromkeys(sorted(text.split(",")))) if text else ()
                     for text in keywords]
     else:
-        keywords = [_keywords(text) if text else () for text in keywords]
+        keywords = [tuple(sorted(_keyword_set(text))) if text else () for text in keywords]
     return list(map(
-        PaperRecord, ids, map(str.strip, titles), authors, years,
-        [text and text.strip() or None for text in venues], fields, keywords, references,
-        [text and text.strip() or None for text in abstracts],
+        PaperRecord, ids, map(str.strip, titles), _author_names(authors), years,
+        _stripped(venues), fields, keywords, references, _stripped(abstracts),
     ))
+
+
+# Each optional PaperTable column: the parser column and its batch's maker.
+_TABLE_COLUMNS = {
+    "venue": ("venue", _stripped),
+    "first_author": ("authors", lambda texts: [
+        keys[0] if keys else None for keys in _author_keys(texts)]),
+    "authors": ("authors", _author_keys),
+    "keywords": ("keywords", _keyword_tuples),
+}
+
+
+def table_reader(*extra: str) -> Callable[[Iterator[tuple], FieldTaxonomy], PaperTable]:
+    """The ``into`` of ``parse_corpus`` that builds the ``PaperTable`` of
+    the accepted blocks, with the optional columns ``extra`` beside the
+    ids, years, fields and references. It keeps no title, abstract or
+    record, and no text but the columns it makes."""
+    names = ("year", "fields", "references", *extra)
+    makers = [list] * 3 + [_TABLE_COLUMNS[name][1] for name in extra]
+
+    def read(batches: Iterator[tuple], taxonomy: FieldTaxonomy) -> PaperTable:
+        ids, *columns = [[] for _ in range(len(names) + 1)]
+        for pids, *values in batches:
+            ids += pids
+            for column, make, batch in zip(columns, makers, values):
+                column += make(batch)
+        return PaperTable(taxonomy, ids, **dict(zip(names, columns)))
+
+    read.columns = ("id", "year", "fields", "references",
+                    *(_TABLE_COLUMNS[name][0] for name in extra))
+    return read
 
 
 # The columns a parse can hand over: a record's nine, each as _records
@@ -425,24 +414,16 @@ def parse_corpus(
     strict mode. Repairable problems (duplicate or self references, unknown
     lines, repeated single-value tags) are warnings in both modes.
 
-    ``into(records, taxonomy)``, when given, consumes the accepted records
-    in file order in place of the Corpus, and its result is returned in the
-    corpus's place. It must exhaust ``records``: the report is complete only
-    then, and a strict-mode ``ParseError`` is raised from inside it.
-
-    An ``into`` with a ``columns`` attribute, a tuple of names from
-    ``PaperRecord._fields`` and ``KEYWORD_COUNT``, is given batches in
-    place of records and no record is built: each batch is a tuple of
-    those columns of consecutive accepted blocks, one value a block, in
-    file order. A record column holds its values as ``_records`` takes them
-    (the checked id, year, fields and references, each text as it follows
-    its tag), and ``KEYWORD_COUNT`` the length of each block's keyword
-    tuple. Each block is checked as for a record, so the report and any
-    ``ParseError`` are the same whatever the columns: no diagnostic reads a
-    value that only a record holds.
-
-    The cyclic garbage collector is paused while the parse and ``into``
-    run; its previous state is restored however the parse ends.
+    ``into(records, taxonomy)``, when given, must consume the accepted
+    records, in file order, and its result is returned in the corpus's
+    place; a strict-mode ``ParseError`` is raised from inside it. An
+    ``into`` with a ``columns`` attribute (names from ``PaperRecord._fields``
+    and ``KEYWORD_COUNT``) gets batches instead, and no record is built:
+    each a tuple of those columns of consecutive accepted blocks, holding
+    the checked id, year, fields and references, each text as it follows
+    its tag, or each block's count of distinct keywords. The CLI's are
+    ``discard_records``, ``_stats_fold``, ``_cotag_fold`` and
+    ``table_reader``'s. The garbage collector is paused while they run.
     """
     if strictness not in (STRICT, LENIENT):
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")
@@ -526,16 +507,11 @@ def _batches(
             top = pid
 
     def finish(first_line: int, lines: list[str | UnicodeDecodeError]) -> tuple | None:
-        """Read and validate the block of ``lines``, the first of them on
+        """Read and validate the block of ``lines`` (each a ``str``, or the
+        ``UnicodeDecodeError`` of a line that is not UTF-8), the first on
         line ``first_line``: the one-row batch of its ``columns``, or None
-        when it is skipped.
-
-        A line is a ``str``, which may keep its line break, or the
-        ``UnicodeDecodeError`` of a line that is not UTF-8; ``%%`` lines
-        are skipped. The tags are read in order, each diagnostic of a line
-        given as it is read, and then the block is checked as a whole. No
-        check reads a title, author, venue, keyword or abstract, and only
-        ``_records`` prepares them.
+        when it is skipped. Each line's diagnostics come as it is read, then
+        the block's; none reads a title, author, venue, keyword or abstract.
         """
         nonlocal ordinal
         ordinal += 1
@@ -797,13 +773,11 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 def check_round_trip(corpus: Corpus) -> None:
     """Raise ``ValueError`` unless ``serialize_corpus(corpus)`` parses back
-    to the same ids with equal records.
-
-    The message names the first paper, in id order, whose record does not
-    re-parse equal on its own: the first field whose value differs, or the
-    diagnostic that would skip it. Each record is re-parsed alone, and only
-    once the whole corpus has failed: a value that holds a blank line splits
-    its record in two, which shifts the ordinal of every later record.
+    to the same ids with equal records, naming the first paper whose record
+    does not re-parse equal on its own and the first field that differs or
+    the diagnostic that would skip it. Records are re-parsed alone only once
+    the whole corpus has failed: a value holding a blank line splits its
+    record, which shifts the ordinal of every later one.
     """
     taxonomy = corpus.taxonomy
     read, _report = parse_corpus(serialize_corpus(corpus), taxonomy)

@@ -6,18 +6,14 @@ Two per-paper scores, each averaged over a field's papers inside a window:
   paper's resolved references;
 * keyword diversity: entropy-like sum over fields of -x log x, where x is
   the fraction of the paper's keywords shared with that field's keyword
-  pool. The x values are overlaps, not a probability distribution, and are
-  deliberately not renormalized; a normalized variant is available behind
-  a flag. ``build_keyword_sets`` returns the pools as one tuple of
-  frozensets indexed by field.
+  pool (``build_keyword_sets``, one frozenset per field). The x values are
+  overlaps, deliberately not renormalized unless a flag asks for it.
 
-Logs are natural; the base only rescales values and never changes field
-rankings, and is recorded in report metadata. ``paper_diversity`` scores
-each paper in the window once, whatever number of fields it carries; a
-field's mean is the ``fsum`` of its papers' scores over their count, so
-the order of the scores cannot change a bit of it. Papers for which a
-score is undefined (no resolved references, or no keywords) are excluded
-from field means and reported through the coverage count.
+Logs are natural, which only rescales values. ``paper_diversity`` scores
+each paper in the window once; a field's mean is the ``fsum`` of its
+papers' scores over their count, so their order cannot change a bit of it.
+Papers whose score is undefined (no resolved references, or no keywords)
+are left out of field means and of the coverage count.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from math import fsum, log
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_ref_counts
-from .records import Corpus, TimeWindow
+from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 
 WINDOW_LOCAL = "window-local"
@@ -37,27 +33,23 @@ KDI = "kdi"
 
 
 def build_keyword_sets(
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     window: TimeWindow | None = None,
     scope: str = WINDOW_LOCAL,
 ) -> tuple[frozenset[str], ...]:
-    """Collect each field's keyword pool, indexed by field: the union of the
-    keywords of its papers.
-
-    ``window-local`` restricts pool building to papers inside the window
-    (decade-against-decade comparisons stay self-contained);
-    ``corpus-global`` always pools over the whole corpus.
-    """
+    """Each field's keyword pool, indexed by field: the union of the keywords
+    of its papers inside the window under ``window-local`` (so decades are
+    compared self-contained), of all its papers under ``corpus-global``."""
     if scope not in (WINDOW_LOCAL, CORPUS_GLOBAL):
         raise ValueError(f"unknown keyword scope {scope!r}")
     effective = None if scope == CORPUS_GLOBAL else window
-    pools: list[set[str]] = [set() for _ in corpus.taxonomy.indices]
-    for pid in corpus:
-        rec = corpus[pid]
-        if effective is not None and not effective.contains(rec.year):
-            continue
-        for f in rec.fields:
-            pools[f].update(rec.keywords)
+    papers = corpus.table
+    pools: list[set[str]] = [set() for _ in papers.taxonomy.indices]
+    for year, fields, keywords in zip(
+            papers.year.values(), papers.fields.values(), papers.keywords.values()):
+        if keywords and (effective is None or effective.contains(year)):
+            for f in fields:
+                pools[f].update(keywords)
     return tuple(frozenset(p) for p in pools)
 
 
@@ -66,7 +58,7 @@ def _entropy_sum(fractions) -> float:
     return fsum(-x * log(x) for x in fractions if x > 0.0) + 0.0
 
 
-def rdi_paper(graph: CitationGraph, corpus: Corpus, pid: int) -> float | None:
+def rdi_paper(graph: CitationGraph, corpus: Corpus | PaperTable, pid: int) -> float | None:
     """Entropy of one paper's per-field reference fractions; None if no resolved refs."""
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
@@ -78,7 +70,7 @@ def rdi_paper(graph: CitationGraph, corpus: Corpus, pid: int) -> float | None:
 
 
 def kdi_paper(
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     pools: tuple[frozenset[str], ...],
     pid: int,
     normalized: bool = False,
@@ -92,7 +84,7 @@ def kdi_paper(
     either sum."""
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
-    kp = frozenset(corpus[pid].keywords)
+    kp = frozenset(corpus.table.keywords[pid])
     if not kp:
         return None
     overlaps = [
@@ -109,26 +101,25 @@ def kdi_paper(
 
 def paper_diversity(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     metric: str,
     window: TimeWindow | None = None,
     keyword_scope: str = WINDOW_LOCAL,
     normalized_kdi: bool = False,
 ) -> dict[int, float]:
-    """One metric's score of every paper published in the window, by ascending id.
-
-    Papers whose score is undefined are left out. For ``kdi`` the field
-    keyword pools are built for the window under ``keyword_scope``.
-    """
+    """One metric's score of every paper published in the window, by
+    ascending id, leaving out undefined scores. For ``kdi`` the keyword
+    pools are built for the window under ``keyword_scope``."""
     if metric not in (RDI, KDI):
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
-    pools = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
+    papers = corpus.table
+    pools = build_keyword_sets(papers, window, keyword_scope) if metric == KDI else None
     values = {}
-    for pid in corpus.papers_in(window=window):
+    for pid in papers.papers_in(window=window):
         if metric == RDI:
-            v = rdi_paper(graph, corpus, pid)
+            v = rdi_paper(graph, papers, pid)
         else:
-            v = kdi_paper(corpus, pools, pid, normalized=normalized_kdi)
+            v = kdi_paper(papers, pools, pid, normalized=normalized_kdi)
         if v is not None:
             values[pid] = v
     return values
@@ -141,7 +132,7 @@ def rank_order(values: dict[int, float]) -> list[int]:
 
 def rank_fields(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     metric: str,
     windows: list[TimeWindow],
     keyword_scope: str = WINDOW_LOCAL,
@@ -150,9 +141,8 @@ def rank_fields(
     """Per-window field ranking by one diversity metric.
 
     A field's value is the mean score of its papers in the window that have
-    one, and its coverage is their count. Fields without such a paper
-    appear with empty value/rank cells and coverage 0 rather than aborting
-    the report.
+    one, and its coverage is their count; a field without one gets empty
+    value and rank cells and coverage 0.
     """
     if not windows:
         raise ValueError("at least one window is required")
@@ -169,12 +159,13 @@ def rank_fields(
         ),
         metadata=base_metadata("rank", metric=metric, mode_flags=mode_flags),
     )
-    taxonomy = corpus.taxonomy
+    papers = corpus.table
+    taxonomy = papers.taxonomy
     for window in windows:
-        scores = paper_diversity(graph, corpus, metric, window, keyword_scope, normalized_kdi)
+        scores = paper_diversity(graph, papers, metric, window, keyword_scope, normalized_kdi)
         per_field: dict[int, list[float]] = {}
         for pid, v in scores.items():
-            for f in corpus[pid].fields:
+            for f in papers.fields[pid]:
                 per_field.setdefault(f, []).append(v)
         values = {f: fsum(vs) / len(vs) for f, vs in per_field.items()}
         ranks = {f: i + 1 for i, f in enumerate(rank_order(values))}

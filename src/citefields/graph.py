@@ -1,23 +1,15 @@
 """Directed citation graph with forward/inverted adjacency and field-level flow.
 
-Construction is a single pass; the finished graph is immutable and safe for
-any number of concurrent readers. Reference ids that do not resolve against
-the corpus (papers outside the crawl) are counted per paper and excluded
-from edges and from all field-flow totals.
+Construction is a single pass; the finished graph is immutable. Reference
+ids that do not resolve against the corpus (papers outside the crawl) are
+counted per paper and excluded from edges and from all field-flow totals.
+``field_flow`` folds the field-to-field flow on demand into rows of Python
+floats: 24 x 24 is too small for numpy to win back its import, about 0.12 s
+and 14 MiB a process. ``field_ref_counts`` is the one place the
+multiplicity rule for multi-field cited papers is applied:
 
-``build_graph`` only resolves adjacency. The field-to-field flow matrix is
-folded on demand by ``field_flow(graph, corpus, window)`` into a list of
-rows of Python floats. At 24 x 24 for the default taxonomy it is too small
-for numpy to win back its import, about 0.12 s and 14 MiB per process on a
-2-vCPU Xeon VM. Every per-field count of a set of papers goes through
-``field_ref_counts``, the one place the multiplicity rule is applied. Which citations count toward
-impact (the horizon, first-author self-citations) is decided in ``impact``.
-
-Multi-field cited papers are counted under a configurable multiplicity rule:
-
-* ``full``        a reference to a k-field paper increments each of the k
-                  fields by 1 (so per-field counts can sum past the number
-                  of references);
+* ``full``        a reference to a k-field paper adds 1 to each of the k
+                  fields (per-field counts can sum past the references);
 * ``fractional``  each of the k fields gets 1/k.
 """
 
@@ -25,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .records import Corpus, TimeWindow
+from .records import Corpus, PaperTable, TimeWindow
 from .slotted import Slotted
 
 FULL_COUNT = "full"
@@ -53,34 +45,30 @@ class CitationGraph(Slotted):
 
 
 def field_ref_counts(
-    corpus: Corpus, paper_ids: Iterable[int], multiplicity: str
+    corpus: Corpus | PaperTable, paper_ids: Iterable[int], multiplicity: str
 ) -> dict[int, float]:
-    """Per-field counts of the given paper ids under the multiplicity rule.
-
-    The callers pass the papers one paper cites; ids that do not resolve
-    are skipped. Each field has its own accumulator, filled in the order
-    the ids are given, so repeated runs are bit-identical even in
-    fractional mode.
-    """
-    records = corpus.records
+    """Per-field counts of the given paper ids (those one paper cites) under
+    the multiplicity rule; ids that do not resolve are skipped. Each field's
+    accumulator is filled in the order of the ids, so the float sums of
+    fractional mode are bit-identical across runs."""
+    fields_of = corpus.table.fields
     counts: dict[int, float] = {}
     for rid in paper_ids:
-        rec = records.get(rid)
-        if rec is None:
+        fields = fields_of.get(rid)
+        if fields is None:
             continue
-        inc = 1.0 if multiplicity == FULL_COUNT else 1.0 / len(rec.fields)
-        for f in rec.fields:
+        inc = 1.0 if multiplicity == FULL_COUNT else 1.0 / len(fields)
+        for f in fields:
             counts[f] = counts.get(f, 0.0) + inc
     return counts
 
 
-def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph:
+def build_graph(corpus: Corpus | PaperTable, multiplicity: str = FULL_COUNT) -> CitationGraph:
     """Resolve reference ids into a citation graph over the corpus's papers.
 
-    Adjacency is deterministic: both out- and in-edge lists are ascending by
-    id (citing papers are visited in ascending id, so each in-edge list is
-    filled in order). Every edge endpoint is a corpus id, so analyses index
-    the corpus with it directly.
+    Both out- and in-edge lists ascend by id (citing papers are visited in
+    ascending id), and every edge endpoint is a corpus id, so analyses index
+    the corpus's columns with it directly.
     """
     if multiplicity not in (FULL_COUNT, FRACTIONAL):
         raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
@@ -88,11 +76,12 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
     in_lists: dict[int, list[int]] = {}
     unresolved: dict[int, int] = {}
 
-    records = corpus.records
-    for pid, rec in records.items():
-        resolved = tuple(sorted(rid for rid in rec.references if rid in records))
+    papers = corpus.table
+    known = papers.year.__contains__
+    for pid, refs in papers.references.items():
+        resolved = tuple(sorted(filter(known, refs)))
         out_edges[pid] = resolved
-        unresolved[pid] = len(rec.references) - len(resolved)
+        unresolved[pid] = len(refs) - len(resolved)
         for rid in resolved:
             in_lists.setdefault(rid, []).append(pid)
 
@@ -101,23 +90,23 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
 
 
 def field_flow(
-    graph: CitationGraph, corpus: Corpus, window: TimeWindow | None = None
+    graph: CitationGraph, corpus: Corpus | PaperTable, window: TimeWindow | None = None
 ) -> list[list[float]]:
     """Field-to-field resolved reference counts under the graph's multiplicity rule.
 
-    A list of one row per taxonomy field: flow[i][j] sums, over the citing
-    papers in field i (published inside the window, if one is given), their
-    per-field reference counts into field j. Citing ids ascend and fields
-    ascend, so the float sums are bit-identical across runs.
+    One row per taxonomy field: flow[i][j] sums, over the citing papers in
+    field i (published inside the window, if given), their per-field
+    reference counts into field j, citing ids and fields ascending.
     """
-    n = len(corpus.taxonomy)
+    papers = corpus.table
+    n = len(papers.taxonomy)
     flow = [[0.0] * n for _ in range(n)]
-    for pid in corpus.papers_in(window=window):
+    for pid in papers.papers_in(window=window):
         cited = graph.out_edges.get(pid, ())
         if not cited:
             continue
-        counts = field_ref_counts(corpus, cited, graph.multiplicity)
-        for i in sorted(corpus[pid].fields):
+        counts = field_ref_counts(papers, cited, graph.multiplicity)
+        for i in sorted(papers.fields[pid]):
             for j in sorted(counts):
                 flow[i][j] += counts[j]
     return flow

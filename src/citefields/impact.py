@@ -1,18 +1,15 @@
 """Citation-based impact indicators and the diversity-vs-impact bucket analysis.
 
-Three per-paper indicators:
-
 * cp: citations received within the first five calendar years (publication
   year plus four), first-author self-citations excluded (``citations_received``);
 * jif: two-year impact factor of the paper's venue at publication time,
-  derived from the corpus itself (citations made in year y to the venue's
-  papers of y-1 and y-2, over the venue's paper count in those years);
-* top-cited flag: membership in the top 5% of the analyzed population by
-  cp, with ties at the cutoff all included (per field: ``top_cited_counts``).
+  from the corpus itself (citations made in year y to the venue's papers of
+  y-1 and y-2, over the venue's paper count in those years);
+* top-cited: in the top 5% of the analyzed population by cp, ties at the
+  cutoff included (per field: ``top_cited_counts``).
 
-The bucket analysis splits the observed range of any per-paper metric into
-equal-width buckets (left-closed, last one closed) and reports the mean
-impact per bucket.
+The bucket analysis reports the mean impact per equal-width bucket of any
+per-paper metric's observed range (left-closed, last one closed).
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .errors import AnalysisError
 from .graph import CitationGraph
-from .records import Corpus, TimeWindow
+from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .slotted import Slotted
 
@@ -46,46 +43,49 @@ class ImpactScores(Slotted):
 
 
 def citations_received(
-    graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON
+    graph: CitationGraph, corpus: Corpus | PaperTable, pid: int,
+    horizon: int | None = DEFAULT_HORIZON,
 ) -> tuple[int, ...]:
-    """Ascending ids of the papers whose citation of ``pid`` counts toward its cp.
-
-    A horizon of h keeps citing papers published in the publication year or
-    the h-1 following years (None keeps all). Citers that share the cited
-    paper's first author (``records.author_key``) are dropped.
-    """
-    rec = corpus.records.get(pid)
-    if rec is None:
+    """Ascending ids of the papers whose citation of ``pid`` counts toward
+    its cp: citers published in its year or the h-1 following years for a
+    horizon of h (None keeps all) that do not share its first author
+    (``records.author_key``)."""
+    papers = corpus.table
+    years, first_author = papers.year, papers.first_author
+    year = years.get(pid)
+    if year is None:
         raise AnalysisError(f"unknown paper id {pid}")
-    key = rec.first_author_key()
+    key = first_author[pid]
     return tuple(
         q for q in graph.in_edges.get(pid, ())
-        if (horizon is None or 0 <= corpus[q].year - rec.year <= horizon - 1)
-        and (key is None or corpus[q].first_author_key() != key)
+        if (horizon is None or 0 <= years[q] - year <= horizon - 1)
+        and (key is None or first_author[q] != key)
     )
 
 
-def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], float | None]:
+def _jif_lookup(
+    corpus: Corpus | PaperTable, graph: CitationGraph,
+) -> Callable[[str, int], float | None]:
     """Two-year impact factor of any (venue, year), from one pass over the corpus.
 
     Tallies papers per (venue, year) and, per (venue, citing year), the
-    citations made in that year to the venue's papers of the two years
-    before. Papers without a venue are left out. The lookup is None when
-    the venue published nothing in the two prior years (the ratio is
-    undefined, not zero).
+    citations made that year to the venue's papers of the two years before;
+    papers without a venue are left out. The lookup is None (undefined, not
+    zero) when the venue published nothing in the two prior years.
     """
+    years = corpus.table.year
     papers: dict[tuple[str, int], int] = {}
     cites: dict[tuple[str, int], int] = {}
-    for pid in corpus:
-        rec = corpus[pid]
-        if not rec.venue:
+    for pid, venue in corpus.table.venue.items():
+        if not venue:
             continue
-        key = (rec.venue, rec.year)
+        year = years[pid]
+        key = (venue, year)
         papers[key] = papers.get(key, 0) + 1
         for q in graph.in_edges.get(pid, ()):
-            citing_year = corpus[q].year
-            if citing_year - rec.year in (1, 2):
-                cited_in = (rec.venue, citing_year)
+            citing_year = years[q]
+            if citing_year - year in (1, 2):
+                cited_in = (venue, citing_year)
                 cites[cited_in] = cites.get(cited_in, 0) + 1
 
     @cache  # one shared value per (venue, year), not one float per paper
@@ -98,40 +98,40 @@ def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], fl
 
 def compute_impact_scores(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     window: TimeWindow | None = None,
     horizon: int | None = DEFAULT_HORIZON,
 ) -> ImpactScores:
     """Score every paper in the window; flag the top 5% by cp (ties included)."""
-    population = corpus.papers_in(window=window)
+    papers = corpus.table
+    population = papers.papers_in(window=window)
     if not population:
         raise AnalysisError("no papers in the analyzed window")
-    jif_of = _jif_lookup(corpus, graph)
-    cps = {pid: len(citations_received(graph, corpus, pid, horizon)) for pid in population}
+    jif_of = _jif_lookup(papers, graph)
+    cps = {pid: len(citations_received(graph, papers, pid, horizon)) for pid in population}
     k = ceil(TOP_SHARE * len(population))
     cutoff = sorted(cps.values(), reverse=True)[k - 1]
     per_paper = {}
+    venues, years = papers.venue, papers.year
     for pid in population:
-        rec = corpus[pid]
-        j = jif_of(rec.venue, rec.year) if rec.venue else None
+        venue = venues[pid]
+        j = jif_of(venue, years[pid]) if venue else None
         per_paper[pid] = PaperImpact(cp=cps[pid], jif=j, top_cited=cps[pid] >= cutoff)
     return ImpactScores(per_paper=per_paper, window=window)
 
 
 def top_cited_counts(
-    scores: ImpactScores, corpus: Corpus, hit_rate: bool = False
+    scores: ImpactScores, corpus: Corpus | PaperTable, hit_rate: bool = False
 ) -> list[tuple[int, int]]:
-    """(numerator, denominator) of each field's top-cited share, indexed by field.
-
-    The numerator counts the field's papers in the top-cited set. Its
-    denominator is the size of the top set or, with ``hit_rate``, the
-    field's papers among those the scores cover (0 for a field without any).
-    """
+    """(numerator, denominator) of each field's top-cited share, indexed by
+    field: its papers in the top-cited set over the size of the set or, with
+    ``hit_rate``, over its papers among those scored (0 for none)."""
+    fields_of = corpus.table.fields
     n = len(corpus.taxonomy)
     in_top = [0] * n
     in_population = [0] * n
     for pid, s in scores.per_paper.items():
-        for f in corpus[pid].fields:
+        for f in fields_of[pid]:
             in_population[f] += 1
             in_top[f] += s.top_cited
     top_size = sum(s.top_cited for s in scores.per_paper.values())

@@ -2,15 +2,12 @@
 return-citation bucket test.
 
 The citation-fraction matrix row-normalizes field-level reference flow
-into a list of rows of Python floats, without numpy. ``_row_total`` adds
-each row in the order of numpy's pairwise ``sum(axis=1)``, which the
-reports were first written with, so every fraction keeps its last bit and
-every report its bytes. Reciprocity is the Pearson correlation over the
-point set {(M[i][j], M[j][i])} for all ordered field pairs, diagonal
-included by default (the full grid), with an exclusion flag since
-self-pairs sit exactly on y = x and inflate the correlation.
-``pearson_report`` adds the same correlation within each built-in group of
-related fields, resolved against the taxonomy by abbreviation.
+into rows of Python floats; ``_row_total`` adds each row in the order of
+numpy's pairwise ``sum(axis=1)``, so every report keeps its bytes.
+Reciprocity is the Pearson correlation over {(M[i][j], M[j][i])} for all
+ordered field pairs, diagonal included by default (self-pairs sit on
+y = x and inflate it). ``pearson_report`` adds the correlation within each
+built-in group of related fields.
 
 The bucket test asks whether papers that lean heavily on a target field
 (more than half of their references) earn more return citations from that
@@ -24,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import AnalysisError
 from .graph import CitationGraph, field_flow, field_ref_counts
-from .records import Corpus, TimeWindow
+from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
 
@@ -74,7 +71,7 @@ def _row_total(row: Sequence[float]) -> float:
 
 def citation_fraction_matrix(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     window: TimeWindow | None = None,
 ) -> list[list[float]]:
     """M[i][j] = fraction of field i's resolved references that point to field j.
@@ -132,7 +129,7 @@ def reciprocity_pearson(
 
 def acp_bucket_test(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     focal_field: int,
     target_field: int,
     focal_window: TimeWindow,
@@ -141,19 +138,19 @@ def acp_bucket_test(
     """Split focal papers by how heavily they reference the target field, then
     compare the target field's return citations into each bucket.
 
-    Bucket 1: papers whose fraction of resolved references into the target
-    field strictly exceeds the threshold; bucket 2: the rest. Only papers
-    with at least one resolved reference can be classified. Return citations
-    are counted corpus-wide (not window-limited) and normalized per bucket
-    paper; the relative ACP difference lands in the report metadata.
+    Bucket 1: papers with a resolved reference whose fraction into the
+    target field exceeds the threshold; bucket 2: the rest of those. Return
+    citations are counted corpus-wide and normalized per bucket paper; the
+    relative ACP difference lands in the report metadata.
     """
-    taxonomy = corpus.taxonomy
+    papers = corpus.table
+    taxonomy = papers.taxonomy
     buckets: tuple[list[int], list[int]] = ([], [])
-    for pid in corpus.papers_in(field=focal_field, window=focal_window):
+    for pid in papers.papers_in(field=focal_field, window=focal_window):
         cited = graph.out_edges.get(pid, ())
         if not cited:
             continue
-        counts = field_ref_counts(corpus, cited, graph.multiplicity)
+        counts = field_ref_counts(papers, cited, graph.multiplicity)
         fraction = counts.get(target_field, 0.0) / len(cited)
         buckets[0 if fraction > threshold else 1].append(pid)
     classified = len(buckets[0]) + len(buckets[1])
@@ -164,7 +161,7 @@ def acp_bucket_test(
     acps: list[float | None] = []
     for members in buckets:
         returns = sum(
-            target_field in corpus[q].fields
+            target_field in papers.fields[q]
             for pid in members
             for q in graph.in_edges.get(pid, ())
         )

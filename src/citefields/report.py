@@ -9,12 +9,15 @@ round-trip at full precision.
 
 from __future__ import annotations
 
-import io
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
-from typing import Any, IO
+from typing import Any, IO, Iterator
 
 from .slotted import Slotted
+
+# CSV lines or ``json`` chunks handed to a stream per ``write`` call.
+WRITE_PIECES = 512
 
 
 def format_cell(value: Any) -> str:
@@ -62,51 +65,47 @@ class MetricReport(Slotted):
         byte-stable for identical inputs. In a comment line ``\\`` is
         written ``\\\\``, CR ``\\r`` and LF ``\\n``, so each entry stays one line.
         """
-        out = io.StringIO()
-        self._write_csv(out)
-        return out.getvalue()
+        return "".join(self._pieces("csv"))
 
-    def _write_csv(self, out: IO[str]) -> None:
-        """Write ``to_csv_text`` to ``out`` a line at a time."""
+    def to_json_text(self) -> str:
+        return "".join(self._pieces("json"))
+
+    def _pieces(self, fmt: str) -> Iterator[str]:
+        """The text of the report in ``fmt``: each CSV line, or each chunk
+        ``json`` encodes, in order."""
+        if fmt != "csv":
+            import json  # loaded here, so a CSV report never imports it
+
+            payload = {
+                "report": self.name,
+                "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
+                "columns": list(self.columns),
+                "rows": [list(row) for row in self.rows],
+            }
+            yield from json.JSONEncoder(indent=2).iterencode(payload)
+            yield "\n"
+            return
         for key in sorted(self.metadata):
             value = self.metadata[key]
             text = f"{key}: {'' if value is None else value}"
             text = text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
-            out.write(f"# {text}\n")
-        out.write(",".join(self.columns) + "\n")
+            yield f"# {text}\n"
+        yield ",".join(self.columns) + "\n"
         for row in self.rows:
-            out.write(",".join(format_cell(v) for v in row) + "\n")
-
-    def to_json_text(self) -> str:
-        out = io.StringIO()
-        self._write_json(out)
-        return out.getvalue()
-
-    def _write_json(self, out: IO[str]) -> None:
-        """Write ``to_json_text`` to ``out`` a piece at a time."""
-        import json  # loaded here, so a CSV report never imports it
-
-        payload = {
-            "report": self.name,
-            "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+            yield ",".join(map(format_cell, row)) + "\n"
 
     def write(self, target: str | Path | IO[str], fmt: str = "csv") -> None:
         """Write the report to a path or a text stream.
 
-        CSV goes to the target a line at a time and JSON a piece at a time,
-        so no copy of the whole text is held.
+        The stream gets up to ``WRITE_PIECES`` CSV lines or ``json`` chunks
+        per ``write`` call: few calls where it is unbuffered (stdout under
+        ``PYTHONUNBUFFERED``), and no copy of the whole text is held.
         """
         stream = hasattr(target, "write")
         with nullcontext(target) if stream else open(target, "w", encoding="utf-8") as out:
-            if fmt == "csv":
-                self._write_csv(out)
-            else:
-                self._write_json(out)
+            pieces = self._pieces(fmt)
+            while batch := list(islice(pieces, WRITE_PIECES)):
+                out.write("".join(batch))
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)

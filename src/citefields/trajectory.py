@@ -1,28 +1,22 @@
 """Field life-trajectory indicators: per-year cross/same citation ratios,
 co-tagging growth, evidence series, and heuristic three-phase labeling.
 
-Two ratio series drive the phase labeling:
+Two pooled ratio series (sum over the year's papers / sum) drive the
+phase labeling, both indexed by the citing paper's publication year:
 
-* tau: cross-field over same-field references emitted by a field's papers,
-  indexed by the citing paper's publication year. A reference is same-field
-  when the cited paper shares at least one field tag with the citing paper.
-* zeta: cross-field over same-field citations received by a field's papers,
-  indexed by the citing paper's publication year (citations from outside
-  arrive over time). Here same-field means the citing paper carries the
-  focal field tag.
-
-Both are pooled ratios (sum over the year's papers / sum), which avoids
-division by zero on individual papers.
+* tau: cross-field over same-field references emitted by a field's papers;
+  a reference is same-field when the cited paper shares a field tag with
+  the citing paper.
+* zeta: cross-field over same-field citations received by a field's papers;
+  here same-field means the citing paper carries the focal field tag.
 
 Phase labeling fits two-segment piecewise-constant models to each series:
-a level drop in tau ends the growing phase; a later level rise in zeta
-starts the interdisciplinary phase; matured spans the gap. Because the
-series are ratios (heavy-tailed when yearly counts are small), the split
-is selected on log-transformed values with a scale-relative floor; this
-keeps the fit robust to single-year spikes and makes the change-points
-invariant to uniform positive scaling. The change-point year is the last
-year of the preceding regime. This is a heuristic operationalization; the
-fitted segment means (raw scale) ride along so callers can judge the fit.
+a level drop in tau ends the growing phase, a later level rise in zeta
+starts the interdisciplinary phase, and matured spans the gap. The split
+is selected on log values with a scale-relative floor, which keeps it
+robust to single-year spikes and invariant to uniform positive scaling.
+The change-point year is the last year of the preceding regime. This is a
+heuristic; the fitted segment means (raw scale) ride along.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import AnalysisError
 from .graph import CitationGraph
-from .records import Corpus, TimeWindow, author_key
+from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 from .slotted import Slotted
 from .taxonomy import FieldTaxonomy
@@ -86,15 +80,15 @@ class FieldTrajectory(Slotted):
         self.zeta = zeta
 
 
-def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[int, int]:
-    """(cross, same) counts of a paper's resolved references.
-
-    A reference is same-field when the cited paper shares at least one
-    field tag with the citing paper.
-    """
-    fields = corpus[pid].fields
+def _reference_split(
+    graph: CitationGraph, fields_of: dict[int, frozenset[int]], pid: int,
+) -> tuple[int, int]:
+    """(cross, same) counts of a paper's resolved references, with
+    ``fields_of`` a table's ``fields``: a reference is same-field when the
+    cited paper shares a field tag with the citing paper."""
+    fields = fields_of[pid]
     refs = graph.out_edges.get(pid, ())
-    same = sum(1 for rid in refs if corpus[rid].fields & fields)
+    same = sum(1 for rid in refs if fields_of[rid] & fields)
     return len(refs) - same, same
 
 
@@ -172,7 +166,7 @@ def _cotag_rows(
 
 def evidence_series(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     years: list[int] | None = None,
 ) -> MetricReport:
     """Per-year corpus-wide indicators of cross-field activity.
@@ -182,25 +176,28 @@ def evidence_series(
     cross/same reference ratio over all papers; mean team size; mean
     breadth of the authors' cumulative publication fields. An author's
     expertise at year y is the set of fields of their corpus papers
-    published up to and including y.
-
-    Cost: O(N) in N = papers x authors. One pass over the corpus years in
-    ascending order folds each year's authors into their cumulative field
-    unions, then scores that year's papers if the year was requested.
+    published up to and including y: one pass over the years in ascending
+    order folds each year's authors in, then scores the year's papers, in
+    O(papers x authors).
     """
-    years = years if years is not None else corpus.years()
+    papers = corpus.table
+    fields_of, authors_of = papers.fields, papers.authors
+    by_year: dict[int, list[int]] = {}
+    for pid, y in papers.year.items():
+        by_year.setdefault(y, []).append(pid)
+    years = years if years is not None else sorted(by_year)
     wanted = set(years)
     rows: dict[int, tuple] = {}
-    known: dict[str, frozenset[int]] = {}
-    for y in corpus.years():
-        ids = corpus.by_year[y]
+    known: dict[str, frozenset[int]] = {}  # author key -> fields so far
+    nothing: frozenset[int] = frozenset()
+    for y in sorted(by_year):
+        ids = by_year[y]
         for pid in ids:
-            rec = corpus[pid]
-            for author in rec.authors:
-                key = author_key(author)
-                seen = known.get(key, frozenset())
-                if not rec.fields <= seen:
-                    known[key] = seen | rec.fields
+            fields = fields_of[pid]
+            for key in authors_of[pid]:
+                seen = known.get(key, nothing)
+                if not fields <= seen:
+                    known[key] = seen | fields
         if y not in wanted:
             continue
         multi = 0
@@ -209,23 +206,23 @@ def evidence_series(
         team_sizes: list[int] = []
         breadths: list[int] = []
         for pid in ids:
-            rec = corpus[pid]
-            if len(rec.fields) > 1:
+            authors = authors_of[pid]
+            if len(fields_of[pid]) > 1:
                 multi += 1
-            team_sizes.append(len(rec.authors))
+            team_sizes.append(len(authors))
             refs = graph.out_edges.get(pid, ())
             cited_fields: set[int] = set()
             for rid in refs:
-                cited_fields |= corpus[rid].fields
+                cited_fields |= fields_of[rid]
             if refs:
                 fields_cited.append(len(cited_fields))
-            pcross, psame = _reference_split(graph, corpus, pid)
+            pcross, psame = _reference_split(graph, fields_of, pid)
             cross += pcross
             same += psame
             team_fields: set[int] = set()
-            for author in rec.authors:
-                team_fields |= known[author_key(author)]
-            if rec.authors:
+            for key in authors:
+                team_fields |= known[key]
+            if authors:
                 breadths.append(len(team_fields))
         rows[y] = (
             len(ids),
@@ -251,7 +248,7 @@ def evidence_series(
 
 def field_trajectory(
     graph: CitationGraph,
-    corpus: Corpus,
+    corpus: Corpus | PaperTable,
     focal: int,
     years: list[int] | None = None,
 ) -> FieldTrajectory:
@@ -261,27 +258,28 @@ def field_trajectory(
     year (incoming citations keep arriving after the field's last paper).
     A field without papers has no trajectory, whatever the span.
     """
-    members = corpus.by_field.get(focal)
+    papers = corpus.table
+    year_of, fields_of = papers.year, papers.fields
+    members = papers.papers_in(field=focal)
     if not members:
         raise AnalysisError("field has no papers")
     if years is None:
-        first = min(corpus[pid].year for pid in members)
-        years = list(range(first, corpus.years()[-1] + 1))
+        first = min(year_of[pid] for pid in members)
+        years = list(range(first, max(year_of.values()) + 1))
     # [cross, same] per year: tau counts the references the field's papers
     # emit in their own year, zeta the citations they receive by citing year.
     tau = {y: [0, 0] for y in years}
     zeta = {y: [0, 0] for y in years}
     for pid in members:
-        counts = tau.get(corpus[pid].year)
+        counts = tau.get(year_of[pid])
         if counts is not None:
-            pcross, psame = _reference_split(graph, corpus, pid)
+            pcross, psame = _reference_split(graph, fields_of, pid)
             counts[0] += pcross
             counts[1] += psame
         for q in graph.in_edges.get(pid, ()):
-            citer = corpus[q]
-            counts = zeta.get(citer.year)
+            counts = zeta.get(year_of[q])
             if counts is not None:
-                counts[1 if focal in citer.fields else 0] += 1
+                counts[1 if focal in fields_of[q] else 0] += 1
     return FieldTrajectory(
         field=focal,
         years=tuple(years),

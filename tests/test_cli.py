@@ -17,6 +17,7 @@ from citefields.cli import main
 from citefields.records import YEAR_RANGE
 from conftest import GOLDEN_RECORD, child_env, corpus_of, rec
 from oracles import corpus_stats_direct
+from test_golden import INPUT_NAME, INVOCATIONS, corpus_spec, golden_path, render
 
 
 @pytest.fixture
@@ -704,9 +705,9 @@ def test_validate_and_stats_build_no_corpus(synth_file, tmp_path, monkeypatch, c
     for command in ("validate", "stats"):
         assert main([command, str(synth_file), "-o", str(tmp_path / command)]) == 0
         assert capsys.readouterr().err == ""
-    # A subcommand that analyzes a corpus reaches the patched name.
-    assert main(["evidence", str(synth_file)]) == cli.EXIT_INTERNAL
-    assert "a Corpus was built" in capsys.readouterr().err
+    # The library's parse builds a Corpus, and reaches the patched name.
+    with pytest.raises(RuntimeError, match="a Corpus was built"):
+        parse_corpus(synth_file.read_bytes())
 
 
 def test_validate_builds_no_record(synth_file, tmp_path, monkeypatch, capsys):
@@ -730,13 +731,15 @@ def test_validate_builds_no_record(synth_file, tmp_path, monkeypatch, capsys):
         assert main(["validate", str(path), "--format", fmt, "-o", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert out.read_bytes() == usual[fmt]
-    # A subcommand that reads the records reaches the patched name.
-    assert main(["evidence", str(path)]) == cli.EXIT_INTERNAL
-    assert "a PaperRecord was built" in capsys.readouterr().err
+    # The library's parse builds records, and reaches the patched name.
+    with pytest.raises(RuntimeError, match="a PaperRecord was built"):
+        parse_corpus(path.read_bytes())
 
 
-def test_stats_and_cotag_build_no_record_and_no_corpus(synth_file, tmp_path, monkeypatch,
-                                                       capsys):
+def test_analyses_build_no_record_and_no_corpus(synth_file, tmp_path, monkeypatch, capsys):
+    """With records and Corpus construction refused, ``stats`` and ``cotag``
+    give their usual reports and errors, and every golden invocation its
+    golden bytes: each subcommand reads the parser's columns."""
     # A repeated id and a bad year are read by finish(), the other blocks by
     # the run screen.
     path = tmp_path / "corpus.txt"
@@ -767,13 +770,19 @@ def test_stats_and_cotag_build_no_record_and_no_corpus(synth_file, tmp_path, mon
     def refuse(*_args, **_kwargs):
         raise RuntimeError("a PaperRecord or a Corpus was built")
 
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / INPUT_NAME).write_text(generate(corpus_spec(3)), encoding="utf-8")
     monkeypatch.setattr(corpusio, "_records", refuse)
     monkeypatch.setattr(corpusio.PaperRecord, "__new__", refuse)
     monkeypatch.setattr(corpusio.Corpus, "__init__", refuse)
     assert run() == usual
-    # A subcommand that analyzes a corpus reaches the patched names.
-    assert main(["evidence", str(path)]) == cli.EXIT_INTERNAL
-    assert "was built" in capsys.readouterr().err
+    monkeypatch.chdir(golden)
+    for label in INVOCATIONS:
+        assert render(label) == golden_path(3, label).read_bytes(), label
+    # The library's parse builds records, and reaches the patched names.
+    with pytest.raises(RuntimeError, match="was built"):
+        parse_corpus(path.read_bytes())
 
 
 def test_stats_and_the_analyses_refuse_an_empty_corpus_alike(tmp_path, capsys):

@@ -32,7 +32,7 @@ ANALYSES = {label: args for label, args in INVOCATIONS.items()
 FIELD_LABELS = ("AI", "Algo", "NETW", "Databases", "DIST", "ARC", "SE", "ML", "SC", "BIO")
 # Padded, differently cased and empty names; names that match once trimmed
 # and case-folded are the same author.
-AUTHORS = ("Ann Lee", " ann lee", "ANN LEE ", "Bo Kim", "bo kim", "Cy Ray", "", "  ")
+AUTHORS = ("Ann Lee", " ann lee", "ANN LEE ", "Bo Kim", "bo kim", "Jo Müller", "JO MÜLLER", "", "  ")
 # Keyword pieces that need trimming, collapsing or case folding, and empty ones.
 KEYWORDS = ("deep learning", "Deep  Learning", " graph", "GRAPH ", "Straße", "strasse", "x", "")
 # No venue, an empty or blank one, and venues that need trimming.
@@ -45,14 +45,16 @@ def _corpus_files(draw) -> bytes:
     ``#k``, ``#index``, ``#%`` order, its blocks in random id order: sparse
     ids, years around the invocations' windows, one to seven fields, and
     references that dangle, repeat or cite their own paper."""
-    ids = draw(st.lists(st.integers(1, 150), min_size=1, max_size=40, unique=True))
+    size = draw(st.integers(1, 40))  # lists alone are mostly short
+    ids = draw(st.lists(st.integers(1, 150), min_size=size, max_size=size, unique=True))
     blocks = []
     for pid in ids:
         lines = [f"#*Paper {pid}"]
         authors = draw(st.lists(st.sampled_from(AUTHORS), max_size=3))
         if authors:
             lines.append("#@" + ",".join(authors))
-        lines.append(f"#t{draw(st.integers(1968, 2001))}")
+        # Half the papers in four years, so that venues have impact factors.
+        lines.append(f"#t{draw(st.integers(1968, 2001) | st.integers(1980, 1983))}")
         venue = draw(st.sampled_from(VENUES))
         if venue is not None:
             lines.append("#c" + venue)

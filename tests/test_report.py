@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import MetricReport
 from citefields.cli import main
-from citefields.report import format_cell
+from citefields.report import WRITE_PIECES, format_cell
 
 
 def _report():
@@ -121,6 +121,37 @@ def test_write_to_path_and_handle(tmp_path):
     buf = io.StringIO()
     r.write(buf)
     assert path.read_text(encoding="utf-8") == buf.getvalue() == r.to_csv_text()
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    calls = 0
+
+    def write(self, text: str) -> int:
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_hands_the_stream_a_bounded_number_of_pieces(fmt):
+    r = MetricReport("big", ("paper_id", "cp", "jif"), metadata={"b": "x", "a": 1})
+    for i in range(10_000):
+        r.add_row(i, i % 7, None if i % 3 else i / 7)
+    out = _CountingStream()
+    r.write(out, fmt)
+    if fmt == "csv":
+        lines = ["# a: 1\n", "# b: x\n", "paper_id,cp,jif\n"]
+        lines += [",".join(format_cell(v) for v in row) + "\n" for row in r.rows]
+        assert out.getvalue() == r.to_csv_text() == "".join(lines)
+    else:
+        payload = {"report": "big", "metadata": {"a": 1, "b": "x"},
+                   "columns": ["paper_id", "cp", "jif"], "rows": [list(row) for row in r.rows]}
+        assert out.getvalue() == r.to_json_text() == json.dumps(payload, indent=2) + "\n"
+    # One call per WRITE_PIECES lines or json chunks, not one per line or chunk.
+    pieces = sum(1 for _piece in r._pieces(fmt))
+    assert pieces > 10_000
+    assert out.calls == -(-pieces // WRITE_PIECES)
 
 
 def test_column_accessor():

@@ -39,8 +39,9 @@ INVOCATIONS = {
     "cotag": ("cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"),
 }
 NO_GRAPH = {"validate", "stats", "cotag"}
-# These fold the columns they read as the parse gives them and build no Corpus.
-NO_CORPUS = {"validate", "stats", "cotag"}
+# Every subcommand folds or tables the columns it reads as the parse gives
+# them, and builds no Corpus.
+NO_CORPUS = set(INVOCATIONS)
 
 
 def test_every_subcommand_has_a_traced_run():
