@@ -23,7 +23,7 @@ from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix,
     matrix_report, pearson_report, reciprocity_pearson,
 )
-from .records import Corpus, PaperRecord, TimeWindow, author_key, corpus_stats
+from .records import Corpus, PaperRecord, PaperTable, TimeWindow, author_key, corpus_stats
 from .report import MetricReport
 from .taxonomy import DEFAULT_FIELDS, FieldTaxonomy
 from .trajectory import (
@@ -45,7 +45,7 @@ __all__ = [
     "AnalysisError", "CORPUS_GLOBAL", "CitationGraph", "CitefieldsError",
     "Corpus", "DEFAULT_FIELDS", "Diagnostic", "FRACTIONAL", "FULL_COUNT",
     "FieldTaxonomy", "FieldTrajectory", "KDI", "LENIENT", "MetricReport",
-    "PaperRecord", "ParseError", "ParseReport", "Phase", "PhaseDetection",
+    "PaperRecord", "PaperTable", "ParseError", "ParseReport", "Phase", "PhaseDetection",
     "RDI", "STRICT", "TimeWindow", "WINDOW_LOCAL",
     "acp_bucket_test", "author_key", "bucket_impact", "build_graph",
     "build_keyword_sets", "citation_fraction_matrix", "compute_impact_scores",

@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
-from .corpusio import LENIENT, STRICT, discard_records, parse_corpus, table_reader
+from .corpusio import LENIENT, STRICT, discard_records, parse_corpus
 from .diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL, paper_diversity, rank_fields
 from .errors import AnalysisError, CitefieldsError
 from .graph import FRACTIONAL, FULL_COUNT, build_graph
@@ -206,7 +206,7 @@ def _parse_input(args, into=None) -> tuple:
 def _table(args, *columns: str) -> PaperTable:
     """The ``PaperTable`` of ``args.input`` with the optional ``columns``
     its analysis reads, once ``_require_papers`` has checked it."""
-    papers, _pr = _parse_input(args, into=table_reader(*columns))
+    papers, _pr = _parse_input(args, into=PaperTable.reader(*columns))
     _require_papers(args, len(papers), set(papers.year.values()))
     return papers
 

@@ -26,7 +26,7 @@ batches of the columns its consumer names (the ``columns`` of
 ``parse_corpus``'s ``into``): none for ``validate``, the year, fields,
 references and keyword count for ``stats``, the year and fields for
 ``cotag``, and for every other subcommand the ``PaperTable`` columns of
-``table_reader``. No CLI subcommand builds a record, a title or an
+``PaperTable.reader``. No CLI subcommand builds a record, a title or an
 abstract: only the ``Corpus`` consumer calls ``_records``. Every block gets
 the same checks whatever the columns, so the report and any strict-mode
 ``ParseError`` are those of a parse that builds every record. An accepted
@@ -73,7 +73,7 @@ from operator import gt, not_
 from typing import IO, Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import ParseError
-from .records import YEAR_RANGE, Corpus, PaperRecord, PaperTable, author_key
+from .records import YEAR_RANGE, Corpus, PaperRecord
 from .slotted import Slotted
 from .taxonomy import FieldTaxonomy
 
@@ -341,37 +341,6 @@ def _records(ids, titles, authors, years, venues, fields, keywords,
     ))
 
 
-# Each optional PaperTable column: the parser column and its batch's maker.
-_TABLE_COLUMNS = {
-    "venue": ("venue", _stripped),
-    "first_author": ("authors", lambda texts: [
-        keys[0] if keys else None for keys in _author_keys(texts)]),
-    "authors": ("authors", _author_keys),
-    "keywords": ("keywords", _keyword_tuples),
-}
-
-
-def table_reader(*extra: str) -> Callable[[Iterator[tuple], FieldTaxonomy], PaperTable]:
-    """The ``into`` of ``parse_corpus`` that builds the ``PaperTable`` of
-    the accepted blocks, with the optional columns ``extra`` beside the
-    ids, years, fields and references. It keeps no title, abstract or
-    record, and no text but the columns it makes."""
-    names = ("year", "fields", "references", *extra)
-    makers = [list] * 3 + [_TABLE_COLUMNS[name][1] for name in extra]
-
-    def read(batches: Iterator[tuple], taxonomy: FieldTaxonomy) -> PaperTable:
-        ids, *columns = [[] for _ in range(len(names) + 1)]
-        for pids, *values in batches:
-            ids += pids
-            for column, make, batch in zip(columns, makers, values):
-                column += make(batch)
-        return PaperTable(taxonomy, ids, **dict(zip(names, columns)))
-
-    read.columns = ("id", "year", "fields", "references",
-                    *(_TABLE_COLUMNS[name][0] for name in extra))
-    return read
-
-
 # The columns a parse can hand over: a record's nine, each as _records
 # takes it, and each block's count of distinct keywords.
 _RECORD_COLUMNS = PaperRecord._fields
@@ -423,7 +392,7 @@ def parse_corpus(
     the checked id, year, fields and references, each text as it follows
     its tag, or each block's count of distinct keywords. The CLI's are
     ``discard_records``, ``_stats_fold``, ``_cotag_fold`` and
-    ``table_reader``'s. The garbage collector is paused while they run.
+    ``PaperTable.reader``'s. The garbage collector is paused while they run.
     """
     if strictness not in (STRICT, LENIENT):
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from math import inf
 from operator import gt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AnalysisError
 from .report import MetricReport, base_metadata
@@ -235,6 +235,34 @@ class PaperTable(Slotted):
         self.taxonomy = taxonomy
         for name in self.__slots__[1:]:
             setattr(self, name, dict(zip(ids, columns[name])) if name in columns else None)
+
+    @classmethod
+    def reader(cls, *extra: str) -> Callable[[Iterable[tuple], FieldTaxonomy], PaperTable]:
+        """The ``into`` of ``corpusio.parse_corpus`` that builds the table of
+        the accepted blocks, with the optional columns ``extra``, from the
+        parser's columns: no record, title or abstract is made."""
+        from .corpusio import _author_keys, _keyword_tuples, _stripped  # it imports this module
+
+        made = {  # each optional column: the parser column it is made of, and how
+            "venue": ("venue", _stripped),
+            "first_author": ("authors", lambda texts: [
+                keys[0] if keys else None for keys in _author_keys(texts)]),
+            "authors": ("authors", _author_keys),
+            "keywords": ("keywords", _keyword_tuples),
+        }
+        names = ("year", "fields", "references", *extra)
+        makers = [list] * 3 + [made[name][1] for name in extra]
+
+        def read(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> PaperTable:
+            ids, *columns = [[] for _ in range(len(names) + 1)]
+            for pids, *values in batches:
+                ids += pids
+                for column, make, batch in zip(columns, makers, values):
+                    column += make(batch)
+            return cls(taxonomy, ids, **dict(zip(names, columns)))
+
+        read.columns = ("id", *names[:3], *(made[name][0] for name in extra))
+        return read
 
     @property
     def table(self) -> PaperTable:

@@ -10,14 +10,14 @@ round-trip at full precision.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import islice
 from pathlib import Path
 from typing import Any, IO, Iterator
 
 from .slotted import Slotted
 
-# CSV lines or ``json`` chunks handed to a stream per ``write`` call.
-WRITE_PIECES = 512
+# Characters gathered for one ``write`` call: the default buffer size, so an
+# unbuffered stream gets about as few calls as a buffered file makes.
+WRITE_CHARS = 8192
 
 
 def format_cell(value: Any) -> str:
@@ -76,11 +76,11 @@ class MetricReport(Slotted):
         if fmt != "csv":
             import json  # loaded here, so a CSV report never imports it
 
-            payload = {
+            payload = {  # json writes a tuple as it writes a list
                 "report": self.name,
                 "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-                "columns": list(self.columns),
-                "rows": [list(row) for row in self.rows],
+                "columns": self.columns,
+                "rows": self.rows,
             }
             yield from json.JSONEncoder(indent=2).iterencode(payload)
             yield "\n"
@@ -95,16 +95,21 @@ class MetricReport(Slotted):
             yield ",".join(map(format_cell, row)) + "\n"
 
     def write(self, target: str | Path | IO[str], fmt: str = "csv") -> None:
-        """Write the report to a path or a text stream.
-
-        The stream gets up to ``WRITE_PIECES`` CSV lines or ``json`` chunks
-        per ``write`` call: few calls where it is unbuffered (stdout under
-        ``PYTHONUNBUFFERED``), and no copy of the whole text is held.
-        """
+        """Write the report to a path or a text stream, its CSV lines or
+        ``json`` chunks gathered into calls of ``WRITE_CHARS`` characters or a
+        piece more: few calls where the stream is unbuffered (stdout under
+        ``PYTHONUNBUFFERED``), and no copy of the whole text is held."""
         stream = hasattr(target, "write")
         with nullcontext(target) if stream else open(target, "w", encoding="utf-8") as out:
-            pieces = self._pieces(fmt)
-            while batch := list(islice(pieces, WRITE_PIECES)):
+            batch: list[str] = []
+            size = 0
+            for piece in self._pieces(fmt):
+                batch.append(piece)
+                size += len(piece)
+                if size >= WRITE_CHARS:
+                    out.write("".join(batch))
+                    batch, size = [], 0
+            if batch:
                 out.write("".join(batch))
 
     def column(self, name: str) -> list:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import MetricReport
 from citefields.cli import main
-from citefields.report import WRITE_PIECES, format_cell
+from citefields.report import WRITE_CHARS, format_cell
 
 
 def _report():
@@ -124,12 +124,14 @@ def test_write_to_path_and_handle(tmp_path):
 
 
 class _CountingStream(io.StringIO):
-    """A text stream that counts its ``write`` calls."""
+    """A text stream that keeps the length of each ``write`` call's text."""
 
-    calls = 0
+    def __init__(self):
+        super().__init__()
+        self.writes: list[int] = []
 
     def write(self, text: str) -> int:
-        self.calls += 1
+        self.writes.append(len(text))
         return super().write(text)
 
 
@@ -148,10 +150,12 @@ def test_write_hands_the_stream_a_bounded_number_of_pieces(fmt):
         payload = {"report": "big", "metadata": {"a": 1, "b": "x"},
                    "columns": ["paper_id", "cp", "jif"], "rows": [list(row) for row in r.rows]}
         assert out.getvalue() == r.to_json_text() == json.dumps(payload, indent=2) + "\n"
-    # One call per WRITE_PIECES lines or json chunks, not one per line or chunk.
-    pieces = sum(1 for _piece in r._pieces(fmt))
-    assert pieces > 10_000
-    assert out.calls == -(-pieces // WRITE_PIECES)
+    # One call per WRITE_CHARS characters or a line or chunk more, not one
+    # per line or chunk.
+    longest = max(map(len, r._pieces(fmt)))
+    assert sum(1 for _piece in r._pieces(fmt)) > 10_000
+    assert len(out.writes) <= -(-len(out.getvalue()) // WRITE_CHARS) < 100
+    assert all(WRITE_CHARS <= n < WRITE_CHARS + longest for n in out.writes[:-1])
 
 
 def test_column_accessor():
