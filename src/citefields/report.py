@@ -10,14 +10,16 @@ round-trip at full precision.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, IO, Iterator
 
 from .slotted import Slotted
 
-# Characters gathered for one ``write`` call: the default buffer size, so an
-# unbuffered stream gets about as few calls as a buffered file makes.
-WRITE_CHARS = 8192
+# CSV lines or ``json`` chunks handed to a stream per ``write`` call: few
+# calls where it is unbuffered, and a batch of validate's CSV lines holds
+# under 40 KiB.
+WRITE_PIECES = 128
 
 
 def format_cell(value: Any) -> str:
@@ -82,34 +84,25 @@ class MetricReport(Slotted):
                 "columns": self.columns,
                 "rows": self.rows,
             }
-            yield from json.JSONEncoder(indent=2).iterencode(payload)
-            yield "\n"
-            return
+            return chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",))
+        meta = []
         for key in sorted(self.metadata):
             value = self.metadata[key]
             text = f"{key}: {'' if value is None else value}"
             text = text.replace("\\", "\\\\").replace("\r", "\\r").replace("\n", "\\n")
-            yield f"# {text}\n"
-        yield ",".join(self.columns) + "\n"
-        for row in self.rows:
-            yield ",".join(map(format_cell, row)) + "\n"
+            meta.append(f"# {text}\n")
+        return chain(meta, (",".join(self.columns) + "\n",),
+                     (",".join(map(format_cell, row)) + "\n" for row in self.rows))
 
     def write(self, target: str | Path | IO[str], fmt: str = "csv") -> None:
-        """Write the report to a path or a text stream, its CSV lines or
-        ``json`` chunks gathered into calls of ``WRITE_CHARS`` characters or a
-        piece more: few calls where the stream is unbuffered (stdout under
-        ``PYTHONUNBUFFERED``), and no copy of the whole text is held."""
+        """Write the report to a path or a text stream, ``WRITE_PIECES`` CSV
+        lines or ``json`` chunks per call: few calls where the stream is
+        unbuffered (stdout under ``PYTHONUNBUFFERED``), and no copy of the
+        whole text is held."""
         stream = hasattr(target, "write")
         with nullcontext(target) if stream else open(target, "w", encoding="utf-8") as out:
-            batch: list[str] = []
-            size = 0
-            for piece in self._pieces(fmt):
-                batch.append(piece)
-                size += len(piece)
-                if size >= WRITE_CHARS:
-                    out.write("".join(batch))
-                    batch, size = [], 0
-            if batch:
+            pieces = self._pieces(fmt)
+            while batch := list(islice(pieces, WRITE_PIECES)):
                 out.write("".join(batch))
 
     def column(self, name: str) -> list:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import MetricReport
 from citefields.cli import main
-from citefields.report import WRITE_CHARS, format_cell
+from citefields.report import WRITE_PIECES, format_cell
 
 
 def _report():
@@ -150,12 +150,11 @@ def test_write_hands_the_stream_a_bounded_number_of_pieces(fmt):
         payload = {"report": "big", "metadata": {"a": 1, "b": "x"},
                    "columns": ["paper_id", "cp", "jif"], "rows": [list(row) for row in r.rows]}
         assert out.getvalue() == r.to_json_text() == json.dumps(payload, indent=2) + "\n"
-    # One call per WRITE_CHARS characters or a line or chunk more, not one
-    # per line or chunk.
-    longest = max(map(len, r._pieces(fmt)))
-    assert sum(1 for _piece in r._pieces(fmt)) > 10_000
-    assert len(out.writes) <= -(-len(out.getvalue()) // WRITE_CHARS) < 100
-    assert all(WRITE_CHARS <= n < WRITE_CHARS + longest for n in out.writes[:-1])
+    # One call per WRITE_PIECES lines or json chunks, not one per line or chunk.
+    pieces = list(r._pieces(fmt))
+    assert len(pieces) > 10_000
+    assert out.writes == [sum(map(len, pieces[at:at + WRITE_PIECES]))
+                          for at in range(0, len(pieces), WRITE_PIECES)]
 
 
 def test_column_accessor():
