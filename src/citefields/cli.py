@@ -8,6 +8,10 @@ name (DEBUG, INFO, WARNING, the default, ERROR or CRITICAL) in any case: at
 DEBUG an internal error's traceback is logged before its record, and any
 other value is a usage error, reported before any input is read.
 
+``_READ_WHEN`` says in which mode each conditional flag is read; given in
+another, even at its default, it is a usage error. One driver, ``_analyze``,
+runs each analysis of ``_ANALYSES`` on the columns and graph it reads.
+
 Exit codes: 0 success; 1 bad input or an undefined analysis (unreadable
 file, strict-mode parse error, no parsed record for any subcommand but
 ``validate``, a ``--window`` or ``--years`` span holding no paper); 2 usage
@@ -51,6 +55,20 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 NO_RECORDS = "corpus has no parsed records, nothing to analyze"
 
+# Each conditional flag: the mode flag and value it is read under (always, in
+# a subcommand without that mode flag), its default and its usage error.
+_READ_WHEN = {
+    "hit_rate": ("top_share", True, False, "--hit-rate requires --top-share"),
+    "horizon": ("lifetime", False, DEFAULT_HORIZON,
+                "--horizon applies to counts within a horizon, not to --lifetime"),
+    "exclude_diagonal": ("matrix", False, False,
+                         "--exclude-diagonal applies to the correlations, not to --matrix"),
+    "min_years": ("phases", True, 10, "--min-years requires --phases"),
+    "normalized_kdi": ("metric", KDI, False, "--normalized-kdi requires --metric kdi"),
+    "keyword_scope": ("metric", KDI, WINDOW_LOCAL, "--keyword-scope requires --metric kdi"),
+    "multiplicity": ("metric", RDI, FULL_COUNT, "--multiplicity requires --metric rdi"),
+}
+
 
 def _window(text: str) -> TimeWindow:
     return TimeWindow.parse(text)
@@ -90,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"citefields {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, corpus: bool = True) -> None:
+    def add(name: str, summary: str, *parents, corpus: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with ``parents``' flags, then its input and output flags."""
+        p = sub.add_parser(name, parents=list(parents), help=summary)
         if corpus:
             p.add_argument("input", help="corpus file in the tagged record format")
             p.add_argument("--taxonomy", help="taxonomy sidecar file (default: built-in 24 fields)")
@@ -98,37 +118,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="abort on any parse error instead of skipping records")
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", "-o", help="output file (default: stdout)")
+        return p
 
     # Shared by every subcommand that counts references per field.
     counting = argparse.ArgumentParser(add_help=False)
     counting.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL),
-                          default=FULL_COUNT,
                           help="how a reference to a k-field paper counts per field")
     # Shared by every subcommand that scores impact.
     horizon = argparse.ArgumentParser(add_help=False)
-    horizon.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON,
+    horizon.add_argument("--horizon", type=_int_at_least(1),
                          help=f"citation horizon in years (default {DEFAULT_HORIZON})")
 
-    p = sub.add_parser("validate", help="parse the corpus and report diagnostics")
-    add_common(p)
+    add("validate", "parse the corpus and report diagnostics")
 
-    p = sub.add_parser("stats", help="per-field paper counts and corpus totals")
-    add_common(p)
+    add("stats", "per-field paper counts and corpus totals")
 
-    p = sub.add_parser("rank", parents=[counting],
-                       help="rank fields by a diversity metric per window")
-    add_common(p)
+    p = add("rank", "rank fields by a diversity metric per window", counting)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--window", type=_window, action="append", required=True,
                    metavar="START:END")
-    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL),
-                   default=WINDOW_LOCAL)
+    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL))
     p.add_argument("--normalized-kdi", action="store_true",
                    help="renormalize keyword overlaps before the entropy sum")
 
-    p = sub.add_parser("impact", parents=[horizon],
-                       help="per-paper impact scores (or per-field top-cited shares)")
-    add_common(p)
+    p = add("impact", "per-paper impact scores (or per-field top-cited shares)", horizon)
     p.add_argument("--window", type=_window, metavar="START:END")
     p.add_argument("--lifetime", action="store_true", help="count citations without a horizon")
     p.add_argument("--top-share", action="store_true",
@@ -136,53 +149,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hit-rate", action="store_true",
                    help="with --top-share: fraction of each field's papers in the top set")
 
-    p = sub.add_parser("buckets", parents=[counting, horizon],
-                       help="impact means per equal-width diversity bucket")
-    add_common(p)
+    p = add("buckets", "impact means per equal-width diversity bucket", counting, horizon)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--buckets", type=_int_at_least(1), default=5)
     p.add_argument("--window", type=_window, metavar="START:END")
-    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL),
-                   default=WINDOW_LOCAL)
+    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL))
 
-    p = sub.add_parser("reciprocity", parents=[counting],
-                       help="citation-fraction matrix and reciprocity correlations")
-    add_common(p)
+    p = add("reciprocity", "citation-fraction matrix and reciprocity correlations", counting)
     p.add_argument("--window", type=_window, metavar="START:END")
     p.add_argument("--matrix", action="store_true",
                    help="emit the citation-fraction matrix instead of correlations")
     p.add_argument("--exclude-diagonal", action="store_true")
 
-    p = sub.add_parser("acp", parents=[counting],
-                       help="return-citation bucket test for a focal/target field pair")
-    add_common(p)
+    p = add("acp", "return-citation bucket test for a focal/target field pair", counting)
     p.add_argument("--focal", required=True, metavar="FIELD")
     p.add_argument("--target", required=True, metavar="FIELD")
     p.add_argument("--window", type=_window, required=True, metavar="START:END")
     p.add_argument("--threshold", type=_fraction, default=0.5)
 
-    p = sub.add_parser("trajectory", help="per-year tau/zeta series for a field (or its phases)")
-    add_common(p)
+    p = add("trajectory", "per-year tau/zeta series for a field (or its phases)")
     p.add_argument("--field", required=True, metavar="FIELD")
     p.add_argument("--years", type=_window, metavar="START:END",
                    help="year span (default: field's first paper to corpus end)")
     p.add_argument("--phases", action="store_true",
                    help="emit the detected phase labeling instead of the series")
-    p.add_argument("--min-years", type=_int_at_least(2), default=10)
+    p.add_argument("--min-years", type=_int_at_least(2))
 
-    p = sub.add_parser("evidence", help="per-year corpus-wide cross-field indicators")
-    add_common(p)
+    p = add("evidence", "per-year corpus-wide cross-field indicators")
     p.add_argument("--years", type=_window, metavar="START:END")
 
-    p = sub.add_parser("cotag", help="co-tagging counts and conditional probability per window")
-    add_common(p)
+    p = add("cotag", "co-tagging counts and conditional probability per window")
     p.add_argument("--field-a", required=True, metavar="FIELD")
     p.add_argument("--field-b", required=True, metavar="FIELD")
     p.add_argument("--window", type=_window, action="append", required=True,
                    metavar="START:END")
 
-    p = sub.add_parser("generate", help="emit a deterministic synthetic corpus")
-    add_common(p, corpus=False)
+    p = add("generate", "emit a deterministic synthetic corpus", corpus=False)
     p.add_argument("--spec", help="flat key-value generator spec file")
     p.add_argument("--seed", type=_int_at_least(0))
     return parser
@@ -201,14 +203,6 @@ def _parse_input(args, into=None) -> tuple:
     finally:
         gc.freeze()
         gc.enable()
-
-
-def _table(args, *columns: str) -> PaperTable:
-    """The ``PaperTable`` of ``args.input`` with the optional ``columns``
-    its analysis reads, once ``_require_papers`` has checked it."""
-    papers, _pr = _parse_input(args, into=PaperTable.reader(*columns))
-    _require_papers(args, len(papers), set(papers.year.values()))
-    return papers
 
 
 def _require_papers(args, papers: int, years) -> None:
@@ -250,10 +244,7 @@ def _config_echo(args) -> str:
 def _emit(report: MetricReport, args) -> None:
     report.metadata["command"] = args.command
     report.metadata["config"] = _config_echo(args)
-    if args.output:
-        report.write(args.output, args.format)
-    else:
-        report.write(sys.stdout, args.format)
+    report.write(args.output or sys.stdout, args.format)
 
 
 def _field_index(taxonomy: FieldTaxonomy, label: str) -> int:
@@ -289,9 +280,21 @@ def _cmd_stats(args) -> MetricReport:
     return report
 
 
-def _cmd_rank(args) -> MetricReport:
-    papers = _table(args, *(("keywords",) if args.metric == KDI else ()))
-    graph = build_graph(papers, args.multiplicity)
+def _analyze(args) -> MetricReport:
+    """Parse, check and run the table analysis of ``args.command``, with
+    the graph it needs. Of the metrics, kdi reads keywords and rdi a graph."""
+    columns, needs_graph, run = _ANALYSES[args.command]
+    metric = getattr(args, "metric", None)
+    if metric == KDI:
+        columns += ("keywords",)
+    papers, _pr = _parse_input(args, into=PaperTable.reader(*columns))
+    _require_papers(args, len(papers), set(papers.year.values()))
+    multiplicity = getattr(args, "multiplicity", FULL_COUNT)
+    graph = build_graph(papers, multiplicity) if needs_graph or metric == RDI else None
+    return run(args, papers, graph)
+
+
+def _run_rank(args, papers, graph) -> MetricReport:
     return rank_fields(
         graph, papers, args.metric, args.window,
         keyword_scope=args.keyword_scope,
@@ -299,10 +302,8 @@ def _cmd_rank(args) -> MetricReport:
     )
 
 
-def _cmd_impact(args) -> MetricReport:
-    papers = _table(args, "venue", "first_author")
+def _run_impact(args, papers, graph) -> MetricReport:
     taxonomy = papers.taxonomy
-    graph = build_graph(papers)
     horizon = None if args.lifetime else args.horizon
     scores = compute_impact_scores(graph, papers, window=args.window, horizon=horizon)
     meta = base_metadata(
@@ -331,17 +332,13 @@ def _cmd_impact(args) -> MetricReport:
     return report
 
 
-def _cmd_buckets(args) -> MetricReport:
-    papers = _table(args, "venue", "first_author", *(("keywords",) if args.metric == KDI else ()))
-    graph = build_graph(papers, args.multiplicity)
+def _run_buckets(args, papers, graph) -> MetricReport:
     scores = compute_impact_scores(graph, papers, window=args.window, horizon=args.horizon)
     values = paper_diversity(graph, papers, args.metric, args.window, args.keyword_scope)
     return bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
 
 
-def _cmd_reciprocity(args) -> MetricReport:
-    papers = _table(args)
-    graph = build_graph(papers, args.multiplicity)
+def _run_reciprocity(args, papers, graph) -> MetricReport:
     matrix = citation_fraction_matrix(graph, papers, window=args.window)
     if args.matrix:
         return matrix_report(matrix, papers.taxonomy, window=args.window)
@@ -352,9 +349,7 @@ def _cmd_reciprocity(args) -> MetricReport:
     )
 
 
-def _cmd_acp(args) -> MetricReport:
-    papers = _table(args)
-    graph = build_graph(papers, args.multiplicity)
+def _run_acp(args, papers, graph) -> MetricReport:
     return acp_bucket_test(
         graph, papers,
         _field_index(papers.taxonomy, args.focal),
@@ -364,9 +359,7 @@ def _cmd_acp(args) -> MetricReport:
     )
 
 
-def _cmd_trajectory(args) -> MetricReport:
-    papers = _table(args)
-    graph = build_graph(papers)
+def _run_trajectory(args, papers, graph) -> MetricReport:
     focal = _field_index(papers.taxonomy, args.field)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
     trajectory = field_trajectory(graph, papers, focal, years)
@@ -376,11 +369,23 @@ def _cmd_trajectory(args) -> MetricReport:
     return trajectory_report(trajectory, papers.taxonomy)
 
 
-def _cmd_evidence(args) -> MetricReport:
-    papers = _table(args, "authors")
-    graph = build_graph(papers)
+def _run_evidence(args, papers, graph) -> MetricReport:
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
     return evidence_series(graph, papers, years)
+
+
+# Each table analysis: its optional PaperTable columns beside its metric's,
+# whether it needs a graph whatever its metric, and its run, whose kernels
+# are looked up as this module's globals when it is called.
+_ANALYSES = {
+    "rank": ((), False, _run_rank),
+    "impact": (("venue", "first_author"), True, _run_impact),
+    "buckets": (("venue", "first_author"), True, _run_buckets),
+    "reciprocity": ((), True, _run_reciprocity),
+    "acp": ((), True, _run_acp),
+    "trajectory": ((), True, _run_trajectory),
+    "evidence": (("authors",), True, _run_evidence),
+}
 
 
 def _cmd_cotag(args) -> MetricReport:
@@ -421,13 +426,7 @@ def _cmd_generate(args) -> None:
 _COMMANDS = {
     "validate": _cmd_validate,
     "stats": _cmd_stats,
-    "rank": _cmd_rank,
-    "impact": _cmd_impact,
-    "buckets": _cmd_buckets,
-    "reciprocity": _cmd_reciprocity,
-    "acp": _cmd_acp,
-    "trajectory": _cmd_trajectory,
-    "evidence": _cmd_evidence,
+    **dict.fromkeys(_ANALYSES, _analyze),
     "cotag": _cmd_cotag,
 }
 
@@ -441,18 +440,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "hit_rate", False) and not args.top_share:
-        parser.error("--hit-rate requires --top-share")
-    if getattr(args, "exclude_diagonal", False) and args.matrix:
-        parser.error("--exclude-diagonal applies to the correlations, not to --matrix")
-    if getattr(args, "normalized_kdi", False) and args.metric == RDI:
-        parser.error("--normalized-kdi requires --metric kdi")
+    for flag, (mode, read_under, default, message) in _READ_WHEN.items():
+        given = getattr(args, flag, False)
+        if given is None:
+            setattr(args, flag, default)
+        elif given is not False and getattr(args, mode, read_under) != read_under:
+            parser.error(message)
     try:
         if args.command == "generate":
             _cmd_generate(args)
-            return 0
-        report = _COMMANDS[args.command](args)
-        _emit(report, args)
+        else:
+            _emit(_COMMANDS[args.command](args), args)
         return 0
     except (CitefieldsError, OSError, ValueError) as exc:
         _error_record(exc)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import fsum, log
 
 from .errors import AnalysisError
-from .graph import CitationGraph, field_ref_counts
+from .graph import FULL_COUNT, CitationGraph, field_ref_counts
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 
@@ -100,7 +100,7 @@ def kdi_paper(
 
 
 def paper_diversity(
-    graph: CitationGraph,
+    graph: CitationGraph | None,
     corpus: Corpus | PaperTable,
     metric: str,
     window: TimeWindow | None = None,
@@ -131,7 +131,7 @@ def rank_order(values: dict[int, float]) -> list[int]:
 
 
 def rank_fields(
-    graph: CitationGraph,
+    graph: CitationGraph | None,
     corpus: Corpus | PaperTable,
     metric: str,
     windows: list[TimeWindow],
@@ -142,11 +142,12 @@ def rank_fields(
 
     A field's value is the mean score of its papers in the window that have
     one, and its coverage is their count; a field without one gets empty
-    value and rank cells and coverage 0.
+    value and rank cells and coverage 0. Under ``kdi`` ``graph`` may be
+    None, and the mode flags then say ``multiplicity=full``.
     """
     if not windows:
         raise ValueError("at least one window is required")
-    mode_flags = f"log=natural;multiplicity={graph.multiplicity}"
+    mode_flags = f"log=natural;multiplicity={getattr(graph, 'multiplicity', FULL_COUNT)}"
     if metric == KDI:
         mode_flags += f";keywords={keyword_scope}"
         if normalized_kdi:

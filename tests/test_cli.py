@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from citefields.records import YEAR_RANGE
 from conftest import GOLDEN_RECORD, child_env, corpus_of, rec
 from oracles import corpus_stats_direct
 from test_golden import INPUT_NAME, INVOCATIONS, corpus_spec, golden_path, render
+from test_kernels import _corpus_files
 
 
 @pytest.fixture
@@ -262,21 +264,143 @@ def test_hit_rate_without_top_share_is_usage_error(synth_file, capsys):
     assert "--hit-rate requires --top-share" in captured.err
 
 
+_HORIZON = "--horizon applies to counts within a horizon, not to --lifetime"
+_KEYWORD_SCOPE = "--keyword-scope requires --metric kdi"
+_MULTIPLICITY = "--multiplicity requires --metric rdi"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["reciprocity", "--matrix", "--exclude-diagonal"],
      "--exclude-diagonal applies to the correlations, not to --matrix"),
     (["rank", "--metric", "rdi", "--window", "1970:1975", "--normalized-kdi"],
      "--normalized-kdi requires --metric kdi"),
-], ids=["matrix-exclude-diagonal", "rdi-normalized-kdi"])
-def test_flag_the_mode_does_not_read_is_usage_error(synth_file, capsys, argv, message):
-    # Each flag used to be echoed in the config line and change no data row.
+    (["trajectory", "--field", "AI", "--min-years", "5"], "--min-years requires --phases"),
+    (["impact", "--lifetime", "--horizon", "7"], _HORIZON),
+    (["impact", "--lifetime", "--horizon", "5"], _HORIZON),
+    (["rank", "--metric", "rdi", "--window", "1970:1975", "--keyword-scope", "corpus-global"],
+     _KEYWORD_SCOPE),
+    (["buckets", "--metric", "rdi", "--keyword-scope", "corpus-global"], _KEYWORD_SCOPE),
+    (["rank", "--metric", "kdi", "--window", "1970:1975", "--multiplicity", "fractional"],
+     _MULTIPLICITY),
+    (["rank", "--metric", "kdi", "--window", "1970:1975", "--multiplicity", "full"],
+     _MULTIPLICITY),
+    (["buckets", "--metric", "kdi", "--multiplicity", "fractional"], _MULTIPLICITY),
+], ids=["matrix-exclude-diagonal", "rdi-normalized-kdi", "series-min-years",
+        "lifetime-horizon-7", "lifetime-horizon-default", "rank-rdi-keyword-scope",
+        "buckets-rdi-keyword-scope", "rank-kdi-fractional", "rank-kdi-multiplicity-default",
+        "buckets-kdi-fractional"])
+def test_flag_the_mode_does_not_read_is_usage_error(synth_file, tmp_path, capsys, argv,
+                                                    message):
+    # Each flag used to be echoed in the config line and change no data row;
+    # given at its default it is refused alike.
+    out = tmp_path / "report.csv"
     with pytest.raises(SystemExit) as exc_info:
-        main([argv[0], str(synth_file), *argv[1:]])
+        main([argv[0], str(synth_file), *argv[1:], "-o", str(out)])
     assert exc_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
     assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["impact"], ["--horizon", "5"]),
+    (["rank", "--metric", "rdi", "--window", "1970:1975"], ["--multiplicity", "full"]),
+    (["rank", "--metric", "kdi", "--window", "1970:1975"], ["--keyword-scope", "window-local"]),
+    (["trajectory", "--field", "AI", "--phases"], ["--min-years", "10"]),
+    (["acp", "--focal", "AI", "--target", "Algo", "--window", "1975:1985"],
+     ["--multiplicity", "full"]),
+], ids=["impact-horizon", "rank-rdi-multiplicity", "rank-kdi-keyword-scope",
+        "phases-min-years", "acp-multiplicity"])
+def test_read_flag_at_its_default_writes_the_bytes_of_leaving_it_out(synth_file, tmp_path,
+                                                                     argv, flag):
+    reports = []
+    for extra in ([], flag):
+        out = tmp_path / f"report{len(reports)}.csv"
+        assert main([argv[0], str(synth_file), *argv[1:], *extra, "-o", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert f"{flag[0][2:].replace('-', '_')}={flag[1]}".encode() in reports[0]
+
+
+_SPAN = "1975:1990"
+# Every subcommand and mode, with its required flags.
+_MODES = {
+    "validate": ["validate"],
+    "stats": ["stats"],
+    "rank-rdi": ["rank", "--metric", "rdi", "--window", _SPAN],
+    "rank-kdi": ["rank", "--metric", "kdi", "--window", _SPAN],
+    "impact": ["impact"],
+    "impact-lifetime": ["impact", "--lifetime"],
+    "impact-top-share": ["impact", "--top-share"],
+    "buckets-rdi": ["buckets", "--metric", "rdi"],
+    "buckets-kdi": ["buckets", "--metric", "kdi"],
+    "reciprocity": ["reciprocity"],
+    "reciprocity-matrix": ["reciprocity", "--matrix"],
+    "acp": ["acp", "--focal", "AI", "--target", "Algo", "--window", _SPAN],
+    "trajectory": ["trajectory", "--field", "NETW"],
+    "trajectory-phases": ["trajectory", "--field", "NETW", "--phases"],
+    "evidence": ["evidence"],
+    "cotag": ["cotag", "--field-a", "AI", "--field-b", "Algo", "--window", _SPAN],
+}
+# The flags drawn for each subcommand: every conditional flag, whether or not
+# the mode reads it, and the other mode flags, each with the values it may
+# take (none for a switch).
+_DRAWN = {
+    "rank": [("--normalized-kdi",), ("--keyword-scope", "window-local", "corpus-global"),
+             ("--multiplicity", "full", "fractional")],
+    "impact": [("--lifetime",), ("--top-share",), ("--hit-rate",), ("--horizon", "1", "5"),
+               ("--window", "1980:1983")],
+    "buckets": [("--keyword-scope", "window-local", "corpus-global"),
+                ("--multiplicity", "full", "fractional"), ("--horizon", "1", "5"),
+                ("--buckets", "1", "3")],
+    "reciprocity": [("--exclude-diagonal",), ("--multiplicity", "full", "fractional"),
+                    ("--window", "1980:1983")],
+    "acp": [("--multiplicity", "full", "fractional"), ("--threshold", "0", "0.5", "1")],
+    "trajectory": [("--min-years", "2", "10"), ("--years", _SPAN)],
+    "evidence": [("--years", _SPAN)],
+}
+
+
+def test_every_subcommand_has_a_mode():
+    assert {argv[0] for argv in _MODES.values()} == set(cli._COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def outcome_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("outcomes")
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@given(data=_corpus_files(), picks=st.data())
+@settings(max_examples=8, deadline=None)
+def test_every_mode_ends_in_a_report_an_error_record_or_a_usage_error(outcome_dir, mode, data,
+                                                                      picks):
+    command, *flags = _MODES[mode]
+    for flag, *values in [*_DRAWN.get(command, ()), ("--strict",), ("--format", "csv", "json")]:
+        if picks.draw(st.sampled_from((False, False, True)), label=flag):
+            flags += [flag, *([picks.draw(st.sampled_from(values))] if values else [])]
+    corpus = outcome_dir / "corpus.txt"
+    corpus.write_bytes(data)
+    out = outcome_dir / "report.out"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main([command, str(corpus), *flags, "-o", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    assert stdout.getvalue() == ""
+    if code == 0:
+        assert out.exists() and err == ""
+    elif code == 1:
+        assert set(json.loads(err)) == {"error"}
+    else:
+        assert code == cli.EXIT_USAGE, (code, err)
+        assert "usage:" in err and not out.exists()
 
 
 def test_stats_output(synth_file, capsys):

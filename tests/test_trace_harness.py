@@ -35,10 +35,26 @@ INVOCATIONS = {
     "reciprocity": ("reciprocity",),
     "acp": ("acp", "--focal", "AI", "--target", "Algo", "--window", "1970:1974"),
     "trajectory": ("trajectory", "--field", "AI"),
+    "trajectory-phases": ("trajectory", "--field", "AI", "--phases", "--min-years", "2"),
     "evidence": ("evidence",),
     "cotag": ("cotag", "--field-a", "AI", "--field-b", "Algo", "--window", "1970:1974"),
 }
-NO_GRAPH = {"validate", "stats", "cotag"}
+NO_GRAPH = {"validate", "stats", "cotag", "rank-kdi"}
+# The kernel spans each analysis must record: the CLI calls its kernels by
+# the names the runner replaces, not by references bound at import.
+KERNELS = {
+    "rank": {"diversity.rank_fields"},
+    "rank-kdi": {"diversity.rank_fields", "diversity.build_keyword_sets"},
+    "impact": {"impact.compute_impact_scores"},
+    "impact-top-share": {"impact.compute_impact_scores"},
+    "buckets-rdi": {"impact.compute_impact_scores"},
+    "buckets-kdi": {"impact.compute_impact_scores", "diversity.build_keyword_sets"},
+    "reciprocity": {"reciprocity.citation_fraction_matrix"},
+    "acp": {"reciprocity.acp_bucket_test"},
+    "trajectory": {"trajectory.field_trajectory"},
+    "trajectory-phases": {"trajectory.field_trajectory", "trajectory.detect_phases"},
+    "evidence": {"trajectory.evidence_series"},
+}
 # Every subcommand folds or tables the columns it reads as the parse gives
 # them, and builds no Corpus.
 NO_CORPUS = set(INVOCATIONS)
@@ -63,8 +79,7 @@ def test_traced_runner_completes(label, tiny_corpus):
     assert layers <= names
     assert ("records.corpus_init" in names) is (label not in NO_CORPUS)
     assert ("graph.build" in names) is (label not in NO_GRAPH)
-    if label == "rank-kdi":
-        assert {"diversity.rank_fields", "diversity.build_keyword_sets"} <= names
+    assert KERNELS.get(label, set()) <= names
     counts = json.loads(spans.read_text())["counts"]
     if label in ("rank", "rank-kdi"):
         # One counted per-paper score for each paper of the ranked window.
