@@ -70,6 +70,17 @@ _READ_WHEN = {
 }
 
 
+def _read_help(flag: str, text: str, moded: bool = True) -> str:
+    """``text`` with the default of ``flag`` and, where the subcommand has
+    its mode flag (``moded``), the mode it is read in, as ``_READ_WHEN`` has
+    them."""
+    mode, read_under, default, _message = _READ_WHEN[flag]
+    if not moded:
+        return f"{text} (default: {default})"
+    when = "--" + mode.replace("_", "-") + ("" if read_under is True else f" {read_under}")
+    return f"{text} (default: {default}; read only with {when})"
+
+
 def _window(text: str) -> TimeWindow:
     return TimeWindow.parse(text)
 
@@ -120,10 +131,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", help="output file (default: stdout)")
         return p
 
-    # Shared by every subcommand that counts references per field.
-    counting = argparse.ArgumentParser(add_help=False)
-    counting.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL),
-                          help="how a reference to a k-field paper counts per field")
+    def counting(moded: bool) -> argparse.ArgumentParser:
+        """The flag of a subcommand that counts references per field, read
+        in every mode unless it is ``moded`` by ``--metric``."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--multiplicity", choices=(FULL_COUNT, FRACTIONAL), help=_read_help(
+            "multiplicity", "how a reference to a k-field paper counts per field", moded))
+        return parent
+
+    keyword_scope = _read_help(
+        "keyword_scope", "keyword pools of the window's papers or of the whole corpus")
     # Shared by every subcommand that scores impact.
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--horizon", type=_int_at_least(1),
@@ -133,11 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("stats", "per-field paper counts and corpus totals")
 
-    p = add("rank", "rank fields by a diversity metric per window", counting)
+    p = add("rank", "rank fields by a diversity metric per window", counting(True))
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--window", type=_window, action="append", required=True,
                    metavar="START:END")
-    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL))
+    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL), help=keyword_scope)
     p.add_argument("--normalized-kdi", action="store_true",
                    help="renormalize keyword overlaps before the entropy sum")
 
@@ -149,19 +166,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hit-rate", action="store_true",
                    help="with --top-share: fraction of each field's papers in the top set")
 
-    p = add("buckets", "impact means per equal-width diversity bucket", counting, horizon)
+    p = add("buckets", "impact means per equal-width diversity bucket", counting(True), horizon)
     p.add_argument("--metric", choices=(RDI, KDI), required=True)
     p.add_argument("--buckets", type=_int_at_least(1), default=5)
     p.add_argument("--window", type=_window, metavar="START:END")
-    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL))
+    p.add_argument("--keyword-scope", choices=(WINDOW_LOCAL, CORPUS_GLOBAL), help=keyword_scope)
 
-    p = add("reciprocity", "citation-fraction matrix and reciprocity correlations", counting)
+    p = add("reciprocity", "citation-fraction matrix and reciprocity correlations",
+            counting(False))
     p.add_argument("--window", type=_window, metavar="START:END")
     p.add_argument("--matrix", action="store_true",
                    help="emit the citation-fraction matrix instead of correlations")
     p.add_argument("--exclude-diagonal", action="store_true")
 
-    p = add("acp", "return-citation bucket test for a focal/target field pair", counting)
+    p = add("acp", "return-citation bucket test for a focal/target field pair", counting(False))
     p.add_argument("--focal", required=True, metavar="FIELD")
     p.add_argument("--target", required=True, metavar="FIELD")
     p.add_argument("--window", type=_window, required=True, metavar="START:END")
@@ -173,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="year span (default: field's first paper to corpus end)")
     p.add_argument("--phases", action="store_true",
                    help="emit the detected phase labeling instead of the series")
-    p.add_argument("--min-years", type=_int_at_least(2))
+    p.add_argument("--min-years", type=_int_at_least(2), help=_read_help(
+        "min_years", "fewest years with a defined tau that a phase labeling needs"))
 
     p = add("evidence", "per-year corpus-wide cross-field indicators")
     p.add_argument("--years", type=_window, metavar="START:END")

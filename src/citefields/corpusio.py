@@ -54,11 +54,15 @@ diagnostic and ordinal comes from one reader, in O(input) time.
 An id, year or reference is ASCII digits only: ``int()`` alone would also
 take a sign, an underscore or another script's digits. Label lookups,
 field-index sets and the fields of up to ``FIELD_TEXT_MEMO`` ``#f`` texts
-are memoized per parse; names, venues and keywords are not interned. The
-cyclic garbage collector is paused for the parse and its consumer, which
-leave no cycle. Diagnostics carry line numbers and the 1-based record
-ordinal. In strict mode the first error-severity diagnostic raises
-``ParseError``; in lenient mode the record is skipped (or the label
+are memoized per parse. The parser itself shares no name, venue, keyword or
+id: a record holds its own, and so does every text it hands on.
+``PaperTable.reader`` shares them in the table it builds, through one
+vocabulary per parse, so that equal venues, author keys, author-key tuples,
+keywords and ids are one object: a reference to a paper is that paper's
+own id. The cyclic garbage collector is paused for the parse and its
+consumer, which leave no cycle. Diagnostics carry line numbers and the
+1-based record ordinal. In strict mode the first error-severity diagnostic
+raises ``ParseError``; in lenient mode the record is skipped (or the label
 dropped) and counted.
 """
 
@@ -283,13 +287,17 @@ def _split_only(texts) -> bool:
                      or words[:1] in (" ", ",") or words[-1:] in (" ", ",")))
 
 
-def _keyword_tuples(texts) -> list[tuple[str, ...]]:
+def _keyword_tuples(texts, share: Callable[[str, str], str]) -> list[tuple[str, ...]]:
     """The keywords of each #k text of the column ``texts``, for readers
-    that take them as a set: a repeat is kept. A tuple of n keywords takes
-    40 + 8n bytes, a frozenset of five to 19 of them 728."""
+    that take them as a set: a repeat is kept, and each keyword is the one
+    ``share(keyword, keyword)`` gives, such as a vocabulary's
+    ``setdefault``. A tuple of n keywords takes 40 + 8n bytes, a frozenset
+    of five to 19 of them 728."""
     if _split_only(texts):
-        return [tuple(text.split(",")) if text else () for text in texts]
-    return [tuple(_keyword_set(text)) if text else () for text in texts]
+        words = [text.split(",") if text else () for text in texts]
+    else:
+        words = [_keyword_set(text) if text else () for text in texts]
+    return [tuple(map(share, each, each)) for each in words]
 
 
 def _keyword_counts(texts) -> list[int]:

@@ -2,11 +2,11 @@
 
 Construction is a single pass; the finished graph is immutable. Reference
 ids that do not resolve against the corpus (papers outside the crawl) are
-counted per paper and excluded from edges and from all field-flow totals.
-``field_flow`` folds the field-to-field flow on demand into rows of Python
-floats: 24 x 24 is too small for numpy to win back its import, about 0.12 s
-and 14 MiB a process. ``field_ref_counts`` is the one place the
-multiplicity rule for multi-field cited papers is applied:
+counted for each paper that has one and excluded from edges and from all
+field-flow totals. ``field_flow`` folds the field-to-field flow on demand
+into rows of Python floats: 24 x 24 is too small for numpy to win back its
+import, about 0.12 s and 14 MiB a process. ``field_ref_counts`` is the one
+place the multiplicity rule for multi-field cited papers is applied:
 
 * ``full``        a reference to a k-field paper adds 1 to each of the k
                   fields (per-field counts can sum past the references);
@@ -15,6 +15,7 @@ multiplicity rule for multi-field cited papers is applied:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from .records import Corpus, PaperTable, TimeWindow
@@ -25,13 +26,18 @@ FRACTIONAL = "fractional"
 
 
 class CitationGraph(Slotted):
+    """``out_edges`` of every paper and ``in_edges`` of every cited paper,
+    each an ascending id tuple, and ``unresolved``, a ``Counter`` of the
+    dangling references of only the papers that have one, so that any other
+    paper reads 0."""
+
     __slots__ = ("out_edges", "in_edges", "unresolved", "multiplicity")
 
     def __init__(
         self,
         out_edges: dict[int, tuple[int, ...]],
         in_edges: dict[int, tuple[int, ...]],
-        unresolved: dict[int, int],
+        unresolved: Counter,
         multiplicity: str,
     ):
         self.out_edges = out_edges
@@ -66,23 +72,27 @@ def field_ref_counts(
 def build_graph(corpus: Corpus | PaperTable, multiplicity: str = FULL_COUNT) -> CitationGraph:
     """Resolve reference ids into a citation graph over the corpus's papers.
 
-    Both out- and in-edge lists ascend by id (citing papers are visited in
-    ascending id), and every edge endpoint is a corpus id, so analyses index
-    the corpus's columns with it directly.
+    Both out- and in-edge lists ascend by id (the table's references ascend,
+    and citing papers are visited in ascending id), and every edge endpoint
+    is a corpus id, so analyses index the corpus's columns with it directly.
+    A paper whose references all resolve has the table's own tuple as its
+    out-edges.
     """
     if multiplicity not in (FULL_COUNT, FRACTIONAL):
         raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
     out_edges: dict[int, tuple[int, ...]] = {}
     in_lists: dict[int, list[int]] = {}
-    unresolved: dict[int, int] = {}
+    unresolved: Counter = Counter()
 
     papers = corpus.table
     known = papers.year.__contains__
     for pid, refs in papers.references.items():
-        resolved = tuple(sorted(filter(known, refs)))
-        out_edges[pid] = resolved
-        unresolved[pid] = len(refs) - len(resolved)
-        for rid in resolved:
+        if not all(map(known, refs)):
+            resolved = tuple(filter(known, refs))
+            unresolved[pid] = len(refs) - len(resolved)
+            refs = resolved
+        out_edges[pid] = refs
+        for rid in refs:
             in_lists.setdefault(rid, []).append(pid)
 
     in_edges = {pid: tuple(citers) for pid, citers in in_lists.items()}

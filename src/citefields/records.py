@@ -76,6 +76,20 @@ def author_key(name: str) -> str:
     return name.strip().casefold()
 
 
+def _shared_tuples(tuples: list[tuple[str, ...]], vocabulary: dict) -> list[tuple[str, ...]]:
+    """Each tuple of strings of ``tuples`` as the one equal tuple of
+    ``vocabulary``, made of its strings; ``vocabulary`` gains what it lacks."""
+    get, share = vocabulary.get, vocabulary.setdefault
+    shared = []
+    for values in tuples:
+        held = get(values)
+        if held is None:
+            held = tuple(map(share, values, values))
+            vocabulary[held] = held
+        shared.append(held)
+    return shared
+
+
 class PaperRecord(NamedTuple):
     """One publication. Field membership is stored as taxonomy indices, and
     ``keywords`` holds the distinct normalized keywords in ascending order.
@@ -191,11 +205,15 @@ class Corpus:
         """Every column of ``PaperTable`` for the records, built on first use."""
         if self._table is None:
             recs = self.records.values()
-            authors = [tuple(map(author_key, r.authors)) for r in recs]
+            vocabulary: dict = {}  # the table's one object per distinct value
+            share = vocabulary.setdefault
+            ids = [share(pid, pid) for pid in self.records]
+            authors = _shared_tuples([tuple(map(author_key, r.authors)) for r in recs], vocabulary)
             self._table = PaperTable(
-                self.taxonomy, list(self.records), year=[r.year for r in recs],
-                fields=[r.fields for r in recs], references=[r.references for r in recs],
-                venue=[r.venue for r in recs], keywords=[r.keywords for r in recs],
+                self.taxonomy, ids, year=[r.year for r in recs], fields=[r.fields for r in recs],
+                references=[tuple(sorted(map(share, r.references, r.references))) for r in recs],
+                venue=[r.venue and share(r.venue, r.venue) for r in recs],
+                keywords=[tuple(map(share, r.keywords, r.keywords)) for r in recs],
                 authors=authors, first_author=[keys[0] if keys else None for keys in authors])
         return self._table
 
@@ -214,12 +232,16 @@ class PaperTable(Slotted):
     """What the analyses read of a corpus: one column per value, each a dict
     from paper id to the paper's value, its keys ascending.
 
-    ``year``, ``fields`` and ``references`` (dangling ids included) are
-    always there. ``venue`` (trimmed, or None), ``first_author`` (the first
-    author's ``author_key``, or None), ``authors`` (each author's key) and
-    ``keywords`` (a tuple, read as a set) are None unless the table was
-    built with them, as the CLI builds only what its analysis reads. Every
-    kernel reads ``corpus.table``: a ``Corpus``'s, or a table, its own.
+    ``year``, ``fields`` and ``references`` (ascending, dangling ids
+    included) are always there. ``venue`` (trimmed, or None),
+    ``first_author`` (the first author's ``author_key``, or None),
+    ``authors`` (each author's key) and ``keywords`` (a tuple, read as a
+    set) are None unless the table was built with them, as the CLI builds
+    only what its analysis reads. Both builders, ``reader`` and
+    ``Corpus.table``, share values through one vocabulary per build: equal
+    venues, author keys, author-key tuples, keywords and ids are one object,
+    so a reference to a paper is that paper's own id. Every kernel reads
+    ``corpus.table``: a ``Corpus``'s, or a table, its own.
     """
 
     __slots__ = ("taxonomy", "year", "fields", "references",
@@ -227,7 +249,8 @@ class PaperTable(Slotted):
 
     def __init__(self, taxonomy: FieldTaxonomy, ids: list[int], **columns: list):
         """The table of the distinct ``ids`` with ``columns``, each a list
-        in the order of ``ids``; the rows are sorted only if out of order."""
+        in the order of ``ids``, each paper's references ascending; the
+        rows are sorted only if out of order."""
         if any(map(gt, ids, ids[1:])):
             order = sorted(range(len(ids)), key=ids.__getitem__)
             ids = [ids[i] for i in order]
@@ -240,28 +263,42 @@ class PaperTable(Slotted):
     def reader(cls, *extra: str) -> Callable[[Iterable[tuple], FieldTaxonomy], PaperTable]:
         """The ``into`` of ``corpusio.parse_corpus`` that builds the table of
         the accepted blocks, with the optional columns ``extra``, from the
-        parser's columns: no record, title or abstract is made."""
+        parser's columns: no record, title or abstract is made. References
+        are sorted a batch at a time, and the values of each parse are
+        shared through one vocabulary, dropped when the parse ends."""
         from .corpusio import _author_keys, _keyword_tuples, _stripped  # it imports this module
 
-        made = {  # each optional column: the parser column it is made of, and how
-            "venue": ("venue", _stripped),
-            "first_author": ("authors", lambda texts: [
-                keys[0] if keys else None for keys in _author_keys(texts)]),
-            "authors": ("authors", _author_keys),
-            "keywords": ("keywords", _keyword_tuples),
+        def kept(values, _vocabulary):
+            return values
+
+        made = {  # each column: the parser column it is made of, and how
+            "year": ("year", kept),
+            "fields": ("fields", kept),
+            "references": ("references", lambda refs, vocabulary: [
+                tuple(sorted(map(vocabulary.setdefault, cited, cited))) for cited in refs]),
+            "venue": ("venue", lambda texts, vocabulary: [
+                venue and vocabulary.setdefault(venue, venue) for venue in _stripped(texts)]),
+            "first_author": ("authors", lambda texts, vocabulary: [
+                vocabulary.setdefault(keys[0], keys[0]) if keys else None
+                for keys in _author_keys(texts)]),
+            "authors": ("authors", lambda texts, vocabulary: _shared_tuples(
+                _author_keys(texts), vocabulary)),
+            "keywords": ("keywords", lambda texts, vocabulary: _keyword_tuples(
+                texts, vocabulary.setdefault)),
         }
         names = ("year", "fields", "references", *extra)
-        makers = [list] * 3 + [made[name][1] for name in extra]
+        makers = [made[name][1] for name in names]
 
         def read(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> PaperTable:
             ids, *columns = [[] for _ in range(len(names) + 1)]
+            vocabulary: dict = {}
             for pids, *values in batches:
-                ids += pids
+                ids += map(vocabulary.setdefault, pids, pids)
                 for column, make, batch in zip(columns, makers, values):
-                    column += make(batch)
+                    column += make(batch, vocabulary)
             return cls(taxonomy, ids, **dict(zip(names, columns)))
 
-        read.columns = ("id", *names[:3], *(made[name][0] for name in extra))
+        read.columns = ("id", *(made[name][0] for name in names))
         return read
 
     @property

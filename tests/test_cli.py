@@ -216,6 +216,40 @@ def test_unknown_log_level_is_a_usage_error(level, tmp_path, capsys, monkeypatch
     }}
 
 
+def _help_entry(subcommand: str, flag: str, capsys) -> str:
+    """The entry of ``flag`` in ``subcommand --help``, from the flag to the
+    next option, with its whitespace runs made single spaces."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([subcommand, "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.split("\n")
+    start = lines.index(next(line for line in lines if line.startswith("  " + flag)))
+    end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith("   "))
+    return " ".join(" ".join(lines[start:end]).split())
+
+
+@pytest.mark.parametrize("subcommand, flag, tail", [
+    ("trajectory", "--min-years MIN_YEARS", "(default: 10; read only with --phases)"),
+    ("rank", "--keyword-scope {window-local,corpus-global}",
+     "(default: window-local; read only with --metric kdi)"),
+    ("buckets", "--keyword-scope {window-local,corpus-global}",
+     "(default: window-local; read only with --metric kdi)"),
+    ("rank", "--multiplicity {full,fractional}",
+     "(default: full; read only with --metric rdi)"),
+    ("buckets", "--multiplicity {full,fractional}",
+     "(default: full; read only with --metric rdi)"),
+    ("reciprocity", "--multiplicity {full,fractional}", "(default: full)"),
+    ("acp", "--multiplicity {full,fractional}", "(default: full)"),
+])
+def test_help_gives_each_conditional_default_and_the_mode_that_reads_it(
+        subcommand, flag, tail, capsys):
+    entry = _help_entry(subcommand, flag, capsys)
+    assert entry.endswith(" " + tail), entry
+    # The default is the one the flag takes when it is not given.
+    _mode, _read_under, default, _message = cli._READ_WHEN[flag.split()[0][2:].replace("-", "_")]
+    assert f"(default: {default}" in tail
+
+
 @pytest.mark.parametrize("level", ["Debug", "info", "warning", "ERROR", "critical"])
 def test_standard_log_levels_in_any_case_are_accepted(level, golden_file, capsys, monkeypatch):
     monkeypatch.setenv("CITEFIELDS_LOG", level)
