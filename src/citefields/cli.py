@@ -300,16 +300,15 @@ def _cmd_stats(args) -> MetricReport:
 
 
 def _analyze(args) -> MetricReport:
-    """Parse, check and run the table analysis of ``args.command``, with
-    the graph it needs. Of the metrics, kdi reads keywords and rdi a graph."""
-    columns, needs_graph, run = _ANALYSES[args.command]
+    """Parse, check and run the table analysis of ``args.command``: kdi reads
+    keywords, and a graph, all that reads references, is built when they are."""
+    columns, run = _ANALYSES[args.command]
     metric = getattr(args, "metric", None)
-    if metric == KDI:
-        columns += ("keywords",)
+    columns += {KDI: ("keywords",), RDI: ("references",)}.get(metric, ())
     papers, _pr = _parse_input(args, into=PaperTable.reader(*columns))
     _require_papers(args, len(papers), set(papers.year.values()))
     multiplicity = getattr(args, "multiplicity", FULL_COUNT)
-    graph = build_graph(papers, multiplicity) if needs_graph or metric == RDI else None
+    graph = None if papers.references is None else build_graph(papers, multiplicity)
     return run(args, papers, graph)
 
 
@@ -394,16 +393,16 @@ def _run_evidence(args, papers, graph) -> MetricReport:
 
 
 # Each table analysis: its optional PaperTable columns beside its metric's,
-# whether it needs a graph whatever its metric, and its run, whose kernels
-# are looked up as this module's globals when it is called.
+# references where it needs a graph whatever its metric, and its run, whose
+# kernels are looked up as this module's globals when it is called.
 _ANALYSES = {
-    "rank": ((), False, _run_rank),
-    "impact": (("venue", "first_author"), True, _run_impact),
-    "buckets": (("venue", "first_author"), True, _run_buckets),
-    "reciprocity": ((), True, _run_reciprocity),
-    "acp": ((), True, _run_acp),
-    "trajectory": ((), True, _run_trajectory),
-    "evidence": (("authors",), True, _run_evidence),
+    "rank": ((), _run_rank),
+    "impact": (("references", "venue", "first_author"), _run_impact),
+    "buckets": (("references", "venue", "first_author"), _run_buckets),
+    "reciprocity": (("references",), _run_reciprocity),
+    "acp": (("references",), _run_acp),
+    "trajectory": (("references",), _run_trajectory),
+    "evidence": (("references", "authors"), _run_evidence),
 }
 
 

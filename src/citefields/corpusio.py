@@ -22,20 +22,21 @@ parser alone says which values a record may hold.
 
 The reader makes one streaming pass, holding one chunk of text and one run
 of blocks at most. It hands the accepted blocks on in file order as
-batches of the columns its consumer names (the ``columns`` of
+batches of the record columns its consumer names (the ``columns`` of
 ``parse_corpus``'s ``into``): none for ``validate``, the year, fields,
-references and keyword count for ``stats``, the year and fields for
-``cotag``, and for every other subcommand the ``PaperTable`` columns of
-``PaperTable.reader``. No CLI subcommand builds a record, a title or an
-abstract: only the ``Corpus`` consumer calls ``_records``. Every block gets
-the same checks whatever the columns, so the report and any strict-mode
+references and keywords' text for ``stats``, the year and fields for
+``cotag``, and for every other subcommand those ``PaperTable.reader``
+reads. No CLI subcommand builds a record, a title or an abstract: only a
+parse into a ``Corpus`` calls ``_records``. Every block gets the same
+checks whatever the columns, so the report and any strict-mode
 ``ParseError`` are those of a parse that builds every record. An accepted
 id is a bit in a ``bytearray`` while ids stay below ``SEEN_ID_BITS`` per
 id accepted, and an entry in a set otherwise.
 
-For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line.
-Each line that is not UTF-8 becomes an ``encoding`` diagnostic with its own
-line and byte offset; a ``%%`` comment line is skipped whatever it holds.
+For ``bytes``, binary streams and ``str`` sources only ``\n`` ends a line,
+and ``\r\n`` reads as ``\n``. Each line that is not UTF-8 becomes an
+``encoding`` diagnostic with its own line and byte offset; a ``%%``
+comment line is skipped whatever it holds.
 
 Blocks reach one reader, ``finish()``, by two routes. A block that starts
 where no block is open, in a decoded chunk, is tried whole against one
@@ -47,8 +48,8 @@ before it and whose references hold neither its id nor a repeat can give
 no diagnostic, and goes on with the run's columns. ``finish()`` reads every
 other block from its lines: the refused blocks of a run, and blocks of any
 other shape (another tag order, a repeated or unknown tag, a
-whitespace-only line as in CRLF files, a chunk that is not all UTF-8, a
-text stream, a block longer than a chunk), collected line by line. So every
+whitespace-only line, a chunk that is not all UTF-8, a text stream, a
+block longer than a chunk), collected line by line. So every
 diagnostic and ordinal comes from one reader, in O(input) time.
 
 An id, year or reference is ASCII digits only: ``int()`` alone would also
@@ -165,11 +166,14 @@ def _pieces(source: str | bytes | IO) -> Iterator[str | list[str | UnicodeDecode
     whole lines, each ended by ``\n`` (the last line gets one if it has
     none), or a list of lines. A ``str`` source is one piece; binary input
     is read ``CHUNK_SIZE`` bytes at a time, cut after the last ``\n``,
-    which is never part of a multi-byte UTF-8 sequence. A chunk that is not
-    all UTF-8, and any other iterable of lines, is given as a list of its
-    lines, a line that is not UTF-8 as its ``UnicodeDecodeError``.
+    which is never part of a multi-byte UTF-8 sequence; in both, a ``\r\n``
+    becomes ``\n`` where a ``\r`` is found. A chunk that is not all UTF-8,
+    and any other iterable of lines, is given as a list of its lines, a
+    line that is not UTF-8 as its ``UnicodeDecodeError``.
     """
     if isinstance(source, str):
+        if "\r" in source:
+            source = source.replace("\r\n", "\n")
         if source:
             yield source if source.endswith("\n") else source + "\n"
         return
@@ -187,7 +191,8 @@ def _pieces(source: str | bytes | IO) -> Iterator[str | list[str | UnicodeDecode
             head.append(block)
             continue
         head.append(block[:cut + 1])
-        yield _text(b"".join(head))
+        text = b"".join(head)
+        yield _text(text.replace(b"\r\n", b"\n") if b"\r" in text else text)
         head = [block[cut + 1:]]
     tail = b"".join(head)  # the last line, if it has no "\n"
     if tail:
@@ -349,10 +354,8 @@ def _records(ids, titles, authors, years, venues, fields, keywords,
     ))
 
 
-# The columns a parse can hand over: a record's nine, each as _records
-# takes it, and each block's count of distinct keywords.
+# The columns a parse can hand over: a record's nine, each as _records takes it.
 _RECORD_COLUMNS = PaperRecord._fields
-KEYWORD_COUNT = "keyword_count"
 
 # The text of each _CANONICAL group, named by the record column it gives.
 _GROUPS = ("title", "authors", "year", "venue", "fields", "keywords", "id", "references",
@@ -391,26 +394,24 @@ def parse_corpus(
     strict mode. Repairable problems (duplicate or self references, unknown
     lines, repeated single-value tags) are warnings in both modes.
 
-    ``into(records, taxonomy)``, when given, must consume the accepted
-    records, in file order, and its result is returned in the corpus's
-    place; a strict-mode ``ParseError`` is raised from inside it. An
-    ``into`` with a ``columns`` attribute (names from ``PaperRecord._fields``
-    and ``KEYWORD_COUNT``) gets batches instead, and no record is built:
-    each a tuple of those columns of consecutive accepted blocks, holding
-    the checked id, year, fields and references, each text as it follows
-    its tag, or each block's count of distinct keywords. The CLI's are
-    ``discard_records``, ``_stats_fold``, ``_cotag_fold`` and
-    ``PaperTable.reader``'s. The garbage collector is paused while they run.
+    ``into(batches, taxonomy)``, when given, must consume the accepted
+    blocks in file order, and its result is returned in the corpus's place;
+    a strict-mode ``ParseError`` is raised from inside it. No record is
+    built: each batch holds the columns ``into.columns`` names, from
+    ``PaperRecord._fields``, of consecutive accepted blocks, the checked
+    id, year, fields and references and each other value as its tag's
+    text. The CLI's are ``discard_records``, ``_stats_fold``, ``_cotag_fold``
+    and ``PaperTable.reader``'s; ``Corpus._read`` feeds them a corpus's
+    records. The garbage collector is paused while they run.
     """
     if strictness not in (STRICT, LENIENT):
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")
     taxonomy = taxonomy or FieldTaxonomy.default()
     report = ParseReport()
-    columns = getattr(into, "columns", None)
-    if columns is None:
+    if into is None:
         read = _parse(source, taxonomy, strictness == STRICT, report)
     else:
-        read = _batches(source, taxonomy, strictness == STRICT, report, columns)
+        read = _batches(source, taxonomy, strictness == STRICT, report, into.columns)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -630,15 +631,11 @@ def _batches(
         mark(pid)
         if not columns:  # validate: no row to build, about 1% of its parse
             return ()
-        row = (pid, title or "", authors, year, venue, fields,
-               ",".join(keywords) if keywords else None, tuple(kept), abstract)
-        return tuple(_keyword_counts((row[at],)) if name == KEYWORD_COUNT else (row[at],)
-                     for name, at in zip(columns, places))
+        row = dict(zip(_RECORD_COLUMNS, (
+            pid, title or "", authors, year, venue, fields,
+            ",".join(keywords) if keywords else None, tuple(kept), abstract)))
+        return tuple((row[name],) for name in columns)
 
-    # Each column of columns as its place among a record's nine; the count
-    # of keywords reads the keywords' place.
-    places = [_RECORD_COLUMNS.index("keywords" if name == KEYWORD_COUNT else name)
-              for name in columns]
     # A run's groups are read all at once, the faster call, when columns
     # reads a text; otherwise only those the screen reads.
     screened_only = set(columns) <= set(_SCREENED)
@@ -688,7 +685,6 @@ def _batches(
                         report.parsed += 1
                     yield tuple(
                         list(map(fields_of_line.get, field_texts[done:i])) if name == "fields"
-                        else _keyword_counts(values["keywords"][done:i]) if name == KEYWORD_COUNT
                         else values[name][done:i]
                         for name in columns)
                 if i < n:

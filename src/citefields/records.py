@@ -14,9 +14,10 @@ boundaries).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from math import inf
 from operator import gt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import AnalysisError
 from .report import MetricReport, base_metadata
@@ -24,6 +25,7 @@ from .slotted import Slotted
 from .taxonomy import FieldTaxonomy
 
 YEAR_RANGE = (1900, 2100)  # inclusive; the parser skips a record dated outside it
+T = TypeVar("T")
 
 
 class TimeWindow(Slotted):
@@ -202,20 +204,24 @@ class Corpus:
 
     @property
     def table(self) -> PaperTable:
-        """Every column of ``PaperTable`` for the records, built on first use."""
+        """The records' ``PaperTable`` with every column, read on first use."""
         if self._table is None:
-            recs = self.records.values()
-            vocabulary: dict = {}  # the table's one object per distinct value
-            share = vocabulary.setdefault
-            ids = [share(pid, pid) for pid in self.records]
-            authors = _shared_tuples([tuple(map(author_key, r.authors)) for r in recs], vocabulary)
-            self._table = PaperTable(
-                self.taxonomy, ids, year=[r.year for r in recs], fields=[r.fields for r in recs],
-                references=[tuple(sorted(map(share, r.references, r.references))) for r in recs],
-                venue=[r.venue and share(r.venue, r.venue) for r in recs],
-                keywords=[tuple(map(share, r.keywords, r.keywords)) for r in recs],
-                authors=authors, first_author=[keys[0] if keys else None for keys in authors])
+            self._table = self._read(PaperTable.reader(*PaperTable.__slots__[3:]))
         return self._table
+
+    def _read(self, into: Callable[[Iterable[tuple], FieldTaxonomy], T]) -> T:
+        """``into`` of the records as a parse of them would call it, in
+        batches of 1024 (authors and keywords as their tag's text)."""
+
+        def batches() -> Iterator[tuple]:
+            records = iter(self.records.values())
+            while batch := list(islice(records, 1024)):
+                columns = dict(zip(PaperRecord._fields, zip(*batch)))
+                yield tuple([",".join(values) or None for values in columns[name]]
+                            if name in ("authors", "keywords") else columns[name]
+                            for name in into.columns)
+
+        return into(batches(), self.taxonomy)
 
     def __eq__(self, other) -> bool:
         return (
@@ -232,16 +238,16 @@ class PaperTable(Slotted):
     """What the analyses read of a corpus: one column per value, each a dict
     from paper id to the paper's value, its keys ascending.
 
-    ``year``, ``fields`` and ``references`` (ascending, dangling ids
-    included) are always there. ``venue`` (trimmed, or None),
-    ``first_author`` (the first author's ``author_key``, or None),
-    ``authors`` (each author's key) and ``keywords`` (a tuple, read as a
-    set) are None unless the table was built with them, as the CLI builds
-    only what its analysis reads. Both builders, ``reader`` and
-    ``Corpus.table``, share values through one vocabulary per build: equal
-    venues, author keys, author-key tuples, keywords and ids are one object,
-    so a reference to a paper is that paper's own id. Every kernel reads
-    ``corpus.table``: a ``Corpus``'s, or a table, its own.
+    ``year`` and ``fields`` are always there. ``references`` (ascending,
+    dangling ids included), ``venue`` (trimmed, or None), ``first_author``
+    (the first author's ``author_key``, or None), ``authors`` (each
+    author's key) and ``keywords`` (a tuple, read as a set) are None unless
+    the table was built with them, as the CLI builds only what its analysis
+    reads. ``reader`` builds every table, from a parse or from a
+    ``Corpus``'s records, and shares values through one vocabulary per
+    build: equal venues, author keys, author-key tuples, keywords and ids
+    are one object, so a reference to a paper is that paper's own id. Every
+    kernel reads ``corpus.table``: a ``Corpus``'s, or a table, its own.
     """
 
     __slots__ = ("taxonomy", "year", "fields", "references",
@@ -264,8 +270,8 @@ class PaperTable(Slotted):
         """The ``into`` of ``corpusio.parse_corpus`` that builds the table of
         the accepted blocks, with the optional columns ``extra``, from the
         parser's columns: no record, title or abstract is made. References
-        are sorted a batch at a time, and the values of each parse are
-        shared through one vocabulary, dropped when the parse ends."""
+        are sorted a batch at a time, and the values of each build are
+        shared through one vocabulary, dropped when the build ends."""
         from .corpusio import _author_keys, _keyword_tuples, _stripped  # it imports this module
 
         def kept(values, _vocabulary):
@@ -286,7 +292,7 @@ class PaperTable(Slotted):
             "keywords": ("keywords", lambda texts, vocabulary: _keyword_tuples(
                 texts, vocabulary.setdefault)),
         }
-        names = ("year", "fields", "references", *extra)
+        names = tuple(dict.fromkeys(("year", "fields", *extra)))  # each once
         makers = [made[name][1] for name in names]
 
         def read(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> PaperTable:
@@ -328,9 +334,7 @@ def corpus_stats(corpus: Corpus) -> MetricReport:
     """
     if not corpus.records:
         raise AnalysisError("corpus is empty, no stats to report")
-    _ids, _titles, _authors, years, _venues, fields, keywords, references, _abstracts = zip(
-        *corpus.records.values())
-    return _stats_fold([(years, fields, references, list(map(len, keywords)))], corpus.taxonomy)
+    return corpus._read(_stats_fold)
 
 
 def _stats_fold(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> MetricReport | None:
@@ -341,14 +345,16 @@ def _stats_fold(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> MetricRepo
     papers. Every total is an int, so each mean and share is the one a
     per-paper loop gives (exact below 2**53).
     """
+    from .corpusio import _keyword_counts  # it imports this module
+
     n = n_refs = n_kw = 0
     year_min, year_max = inf, -inf
     tags: Counter = Counter()  # field set -> papers
-    for years, fields, references, keyword_counts in batches:
+    for years, fields, references, keywords in batches:
         n += len(years)
         tags.update(fields)
         n_refs += sum(map(len, references))
-        n_kw += sum(keyword_counts)
+        n_kw += sum(_keyword_counts(keywords))
         year_min = min(year_min, min(years))
         year_max = max(year_max, max(years))
     if n == 0:
@@ -379,4 +385,4 @@ def _stats_fold(batches: Iterable[tuple], taxonomy: FieldTaxonomy) -> MetricRepo
 
 
 # The columns of a parse it reads (see corpusio.parse_corpus).
-_stats_fold.columns = ("year", "fields", "references", "keyword_count")
+_stats_fold.columns = ("year", "fields", "references", "keywords")

@@ -119,9 +119,7 @@ def cotag_report(
 
     The probability is None for a window with no multi-tagged A papers.
     """
-    records = corpus.records.values()
-    tally, taxonomy = _cotag_fold(
-        [([r.year for r in records], [r.fields for r in records])], corpus.taxonomy)
+    tally, taxonomy = corpus._read(_cotag_fold)
     return _cotag_rows(tally, taxonomy, field_a, field_b, windows)
 
 

@@ -943,6 +943,27 @@ def test_analyses_build_no_record_and_no_corpus(synth_file, tmp_path, monkeypatc
         parse_corpus(path.read_bytes())
 
 
+@pytest.mark.parametrize("argv, reads_references", [
+    (["rank", "--metric", "kdi", "--window", "1970:1975"], False),
+    (["rank", "--metric", "rdi", "--window", "1970:1975"], True),
+    (["buckets", "--metric", "kdi"], True),
+])
+def test_an_analysis_reads_references_exactly_when_it_builds_a_graph(
+        argv, reads_references, tiny_corpus, tmp_path, monkeypatch):
+    named = []  # the columns each table the analysis builds reads of the parse
+    reader = cli.PaperTable.reader
+
+    def recording(*extra):
+        read = reader(*extra)
+        named.append(read.columns)
+        return read
+
+    monkeypatch.setattr(cli.PaperTable, "reader", recording)
+    assert main([argv[0], str(tiny_corpus), *argv[1:], "-o", str(tmp_path / "out")]) == 0
+    assert len(named) == 1
+    assert ("references" in named[0]) is reads_references
+
+
 def test_stats_and_the_analyses_refuse_an_empty_corpus_alike(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("#*No index\n#t2000\n#fAI\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from citefields import (
     STRICT, AnalysisError, FieldTaxonomy, PaperRecord, TimeWindow, corpus_stats, parse_corpus,
     serialize_corpus, serialize_record,
 )
+from citefields import corpusio
 from conftest import corpus_of, rec
 
 
@@ -229,8 +230,11 @@ def test_corpus_rejects_ids_years_and_references_that_do_not_re_parse(records, m
         corpus_of(*records)
 
 
-def _in_file_order(records, _taxonomy):
-    return list(records)
+def _in_file_order(batches, _taxonomy):
+    return [record for batch in batches for record in corpusio._records(*batch)]
+
+
+_in_file_order.columns = PaperRecord._fields
 
 
 def _round_trips(records) -> bool:

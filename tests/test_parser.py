@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from citefields import (
-    Corpus, FieldTaxonomy, GeneratorSpec, LENIENT, ParseError, ParseReport, STRICT,
+    Corpus, FieldTaxonomy, GeneratorSpec, LENIENT, PaperRecord, ParseError, ParseReport, STRICT,
     generate, parse_corpus, serialize_corpus,
 )
 from citefields import corpusio
-from citefields.records import _stats_fold
+from citefields.records import PaperTable, _stats_fold
 from citefields.trajectory import _cotag_fold
 from conftest import GOLDEN_RECORD, corpus_of, rec
 from oracles import normalize_keyword, parse_lines_direct
@@ -568,6 +568,13 @@ CONSUMER_COLUMNS = (corpusio.discard_records.columns, _stats_fold.columns,
                     _cotag_fold.columns, ("id",))
 
 
+def test_every_consumer_names_record_columns_only():
+    readers = (corpusio.discard_records, _stats_fold, _cotag_fold,
+               PaperTable.reader(*PaperTable.__slots__[3:]))
+    for into in readers:
+        assert set(into.columns) <= set(PaperRecord._fields), into.columns
+
+
 def _ids(source, *args):
     """The ids of the accepted blocks of ``source``, read as the one column
     of a parse."""
@@ -575,8 +582,16 @@ def _ids(source, *args):
 
 
 def _column(record, name: str):
-    """The value a parse gives in the column ``name`` for the block of ``record``."""
-    return len(record.keywords) if name == corpusio.KEYWORD_COUNT else getattr(record, name)
+    """The value a parse gives in the column ``name`` for the block of
+    ``record``, keywords as their count (see ``_counted``)."""
+    return len(record.keywords) if name == "keywords" else getattr(record, name)
+
+
+def _counted(batch: tuple, columns: tuple[str, ...]) -> tuple:
+    """``batch`` of ``columns`` with its keyword texts as the count of
+    their distinct keywords."""
+    return tuple(corpusio._keyword_counts(values) if name == "keywords" else values
+                 for name, values in zip(columns, batch))
 
 
 def _outcome(parse, strict: bool) -> tuple:
@@ -597,6 +612,20 @@ def _outcome(parse, strict: bool) -> tuple:
 def test_parse_matches_the_line_loop_oracle(data, chunk_size):
     """Blocks matched whole and blocks read line by line give what the line
     loop alone gives, with chunks cut anywhere (None: the default size)."""
+    _check_against_the_oracle(data, chunk_size)
+
+
+def _crlf(data: bytes) -> bytes:
+    """``data`` with each ``\\n`` spelled ``\\r\\n``."""
+    return data.replace(b"\n", b"\r\n")
+
+
+@given(st.one_of(_fuzz_input(), _mutated_canonical(), _runs_cut_in_many_places()).map(_crlf),
+       st.sampled_from((1, 7, 64, None)))
+@settings(max_examples=200, deadline=None)
+def test_crlf_input_matches_the_line_loop_oracle(data, chunk_size):
+    """CRLF line ends, read as LF, give what the line loop gives, which
+    keeps each ``\\r`` and strips it from every value."""
     _check_against_the_oracle(data, chunk_size)
 
 
@@ -653,14 +682,20 @@ def _check_against_the_oracle(data: bytes, chunk_size: int | None,
                     assert all(len(batch) == len(columns) for batch in batches)
                     assert all(len({*map(len, batch)}) == 1 for batch in batches if columns)
                     if columns:
-                        assert [row for batch in batches for row in zip(*batch)] == [
+                        rows = [row for batch in batches for row in zip(*_counted(batch, columns))]
+                        assert rows == [
                             tuple(_column(r, name) for name in columns) for r in want[0]]
                 # The public entry point: the same records, report or error,
                 # also with the consumer that builds no record.
                 kept = []
                 strictness = STRICT if strict else LENIENT
-                for into in (lambda records, _tax: kept.extend(records),
-                             corpusio.discard_records):
+
+                def keep(batches, _taxonomy):
+                    for batch in batches:
+                        kept.extend(corpusio._records(*batch))
+
+                keep.columns = PaperRecord._fields
+                for into in (keep, corpusio.discard_records):
                     if hasattr(source, "seek"):
                         source.seek(0)
                     try:
@@ -714,7 +749,8 @@ def test_generated_corpus_reaches_no_line_loop(monkeypatch):
 
     monkeypatch.setattr(corpusio, "_items", matched_blocks_only)
     text = generate(GeneratorSpec(seed=4, field_count=4, years_span=5, papers_per_year=(40, 40)))
-    for source in (text, text.encode("utf-8")):
+    crlf = text.replace("\n", "\r\n")
+    for source in (text, text.encode("utf-8"), crlf, crlf.encode("utf-8")):
         corpus, report = parse_corpus(source, strictness=STRICT)
         assert len(corpus) == report.parsed == report.blocks == 200
         assert not report.diagnostics

@@ -10,7 +10,7 @@ from citefields import Corpus, GeneratorSpec, build_graph, generate, parse_corpu
 from citefields.records import PaperTable
 from test_kernels import _corpus_files
 
-OPTIONAL = ("venue", "first_author", "authors", "keywords")
+OPTIONAL = ("references", "venue", "first_author", "authors", "keywords")
 
 
 def _with_dangling_references(text: str) -> str:
