@@ -1,14 +1,13 @@
 """Immutable corpus model: paper records, time windows, the column table.
 
 A ``Corpus`` is built once (by the parser or programmatically) and is then
-read-only, so concurrent readers need no locking. Its field and year
-partitions are ascending id tuples. Every analysis reads a corpus's
-``table``, a ``PaperTable`` of the columns the analyses need, built on
-first use; the CLI parses straight into such a table and builds no
-``Corpus``. A time window is an argument of the analysis, not a corpus:
-the analysis selects the window's papers with ``papers_in`` and resolves
-their references in the whole corpus (citations may cross window
-boundaries).
+read-only, so concurrent readers need no locking. Every analysis reads a
+corpus's ``table``, a ``PaperTable`` of the columns the analyses need,
+built on first use; the CLI parses straight into such a table and builds
+no ``Corpus``. A time window is an argument of the analysis, not a corpus:
+the analysis selects the window's papers with the table's ``papers_in``
+and resolves their references in the whole corpus (citations may cross
+window boundaries).
 """
 
 from __future__ import annotations
@@ -111,10 +110,9 @@ class PaperRecord(NamedTuple):
 
 
 class Corpus:
-    """Id-indexed record collection with per-field and per-year partitions.
+    """Id-indexed record collection and the ``PaperTable`` of its records.
 
-    ``records`` iterates in ascending id order, and ``by_field[f]`` and
-    ``by_year[y]`` are ascending id tuples. Unless the parser built them,
+    ``records`` iterates in ascending id order. Unless the parser built them,
     the records must re-parse to the same ids with equal records
     (``corpusio.check_round_trip``), and before that ids must sort and be
     distinct, authors and references be tuples, fields a frozenset of
@@ -122,7 +120,7 @@ class Corpus:
     otherwise ``ValueError`` is raised.
     """
 
-    __slots__ = ("records", "taxonomy", "by_field", "by_year", "_table")
+    __slots__ = ("records", "taxonomy", "_table")
 
     def __init__(
         self,
@@ -140,8 +138,6 @@ class Corpus:
         self.taxonomy = taxonomy
         self._table: PaperTable | None = None
         n_fields = len(taxonomy)
-        by_field: dict[int, list[int]] = {}
-        by_year: dict[int, list[int]] = {}
         for rec in ordered:
             if _validate:
                 if rec.id in self.records:
@@ -167,11 +163,6 @@ class Corpus:
                         if not isinstance(text, str):
                             raise ValueError(f"paper {rec.id} {name} {text!r} is not a str")
             self.records[rec.id] = rec
-            for f in rec.fields:
-                by_field.setdefault(f, []).append(rec.id)
-            by_year.setdefault(rec.year, []).append(rec.id)
-        self.by_field = {f: tuple(ids) for f, ids in by_field.items()}
-        self.by_year = {y: tuple(ids) for y, ids in by_year.items()}
         if _validate:
             from .corpusio import check_round_trip  # corpusio imports this module
 
@@ -193,14 +184,9 @@ class Corpus:
         return iter(self.records)
 
     def papers_in(self, field: int | None = None, window: TimeWindow | None = None) -> list[int]:
-        """Ascending ids filtered by field membership and/or publication window."""
-        ids = self.records if field is None else self.by_field.get(field, ())
-        if window is None:
-            return list(ids)
-        return [pid for pid in ids if window.contains(self.records[pid].year)]
-
-    def years(self) -> list[int]:
-        return sorted(self.by_year)
+        """The table's ``papers_in``, kept as the name ``perfbench/traced.py``
+        counts."""
+        return self.table.papers_in(field, window)
 
     @property
     def table(self) -> PaperTable:

@@ -47,6 +47,24 @@ def entropy_direct(fractions) -> float:
     return total
 
 
+def papers_in(corpus: Corpus, field: int | None = None,
+              window: TimeWindow | None = None) -> list[int]:
+    """Ascending ids of the papers in ``field`` and ``window`` (each
+    optional), by a scan of ``corpus``'s records."""
+    return [pid for pid, rec in corpus.records.items()
+            if (field is None or field in rec.fields)
+            and (window is None or window.contains(rec.year))]
+
+
+def ids_by_year(corpus: Corpus) -> dict[int, list[int]]:
+    """Ascending ids of ``corpus``'s papers by publication year, the years
+    ascending, from its records."""
+    by_year: dict[int, list[int]] = {}
+    for pid, rec in corpus.records.items():
+        by_year.setdefault(rec.year, []).append(pid)
+    return dict(sorted(by_year.items()))
+
+
 def field_counts_direct(corpus: Corpus, pid: int, multiplicity: str = "full") -> dict[int, float]:
     counts: dict[int, float] = {}
     for rid in corpus[pid].references:
@@ -370,11 +388,11 @@ def author_breadth_direct(corpus: Corpus, year: int) -> float | None:
 
 
 def corpus_stats_direct(corpus: Corpus) -> MetricReport:
-    """``corpus_stats`` from a built corpus: counts from its partitions, means
-    by ``fsum`` over its records in id order."""
+    """``corpus_stats`` from a built corpus: counts and years from its
+    records, means by ``fsum`` over its records in id order."""
     n = len(corpus)
     multi = sum(1 for rec in corpus.records.values() if len(rec.fields) > 1)
-    years = corpus.years()
+    years = list(ids_by_year(corpus))
     mean_refs = fsum(len(rec.references) for rec in corpus.records.values()) / n
     mean_kw = fsum(len(rec.keywords) for rec in corpus.records.values()) / n
     report = MetricReport(
@@ -391,7 +409,7 @@ def corpus_stats_direct(corpus: Corpus) -> MetricReport:
         ),
     )
     for f in corpus.taxonomy.indices:
-        count = len(corpus.by_field.get(f, ()))
+        count = len(papers_in(corpus, field=f))
         report.add_row(corpus.taxonomy.abbr(f), count, count / n)
     return report
 
@@ -683,7 +701,7 @@ def cotag_report_records(
     )
     prev: int | None = None
     for window in windows:
-        tags = (corpus[pid].fields for pid in corpus.papers_in(field=field_a, window=window))
+        tags = (corpus[pid].fields for pid in papers_in(corpus, field=field_a, window=window))
         multi = [fields for fields in tags if len(fields) > 1]
         base = len(multi)
         count = sum(field_b in fields for fields in multi)
@@ -749,7 +767,7 @@ def field_flow(
 ) -> list[list[float]]:
     n = len(corpus.taxonomy)
     flow = [[0.0] * n for _ in range(n)]
-    for pid in corpus.papers_in(window=window):
+    for pid in papers_in(corpus, window=window):
         cited = graph.out_edges.get(pid, ())
         if not cited:
             continue
@@ -828,7 +846,7 @@ def paper_diversity(
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
     pools = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
     values = {}
-    for pid in corpus.papers_in(window=window):
+    for pid in papers_in(corpus, window=window):
         if metric == RDI:
             v = rdi_paper(graph, corpus, pid)
         else:
@@ -925,7 +943,7 @@ def compute_impact_scores(
     window: TimeWindow | None = None,
     horizon: int | None = DEFAULT_HORIZON,
 ) -> ImpactScores:
-    population = corpus.papers_in(window=window)
+    population = papers_in(corpus, window=window)
     if not population:
         raise AnalysisError("no papers in the analyzed window")
     jif_of = _jif_lookup(corpus, graph)
@@ -976,7 +994,7 @@ def acp_bucket_test(
 ) -> MetricReport:
     taxonomy = corpus.taxonomy
     buckets: tuple[list[int], list[int]] = ([], [])
-    for pid in corpus.papers_in(field=focal_field, window=focal_window):
+    for pid in papers_in(corpus, field=focal_field, window=focal_window):
         cited = graph.out_edges.get(pid, ())
         if not cited:
             continue
@@ -1038,12 +1056,12 @@ def evidence_series(
     corpus: Corpus,
     years: list[int] | None = None,
 ) -> MetricReport:
-    years = years if years is not None else corpus.years()
+    by_year = ids_by_year(corpus)
+    years = years if years is not None else list(by_year)
     wanted = set(years)
     rows: dict[int, tuple] = {}
     known: dict[str, frozenset[int]] = {}
-    for y in corpus.years():
-        ids = corpus.by_year[y]
+    for y, ids in by_year.items():
         for pid in ids:
             rec = corpus[pid]
             for author in rec.authors:
@@ -1105,12 +1123,12 @@ def field_trajectory(
     focal: int,
     years: list[int] | None = None,
 ) -> FieldTrajectory:
-    members = corpus.by_field.get(focal)
+    members = papers_in(corpus, field=focal)
     if not members:
         raise AnalysisError("field has no papers")
     if years is None:
         first = min(corpus[pid].year for pid in members)
-        years = list(range(first, corpus.years()[-1] + 1))
+        years = list(range(first, max(rec.year for rec in corpus.records.values()) + 1))
     # [cross, same] per year: tau counts the references the field's papers
     # emit in their own year, zeta the citations they receive by citing year.
     tau = {y: [0, 0] for y in years}
@@ -1138,7 +1156,7 @@ def _load(args) -> tuple:
     from citefields.cli import _parse_input, _require_papers
 
     corpus, report = _parse_input(args)
-    _require_papers(args, len(corpus), corpus.by_year)
+    _require_papers(args, len(corpus), ids_by_year(corpus))
     return corpus, report
 
 

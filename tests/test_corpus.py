@@ -1,4 +1,4 @@
-"""Corpus model: partitions, windows, stats."""
+"""Corpus model: field and window selection, windows, stats."""
 
 import random
 import re
@@ -34,15 +34,19 @@ def test_window_years_are_ascii_digits_only(text):
 
 
 def test_multi_field_paper_appears_in_each_partition():
-    corpus = corpus_of(rec(1, fields=(0, 3)), rec(2, fields=(3,)))
-    assert corpus.by_field[0] == (1,)
-    assert corpus.by_field[3] == (1, 2)
+    corpus = corpus_of(rec(2, fields=(3,)), rec(1, fields=(0, 3)))
+    for papers in (corpus, corpus.table):
+        assert papers.papers_in(field=0) == [1]
+        assert papers.papers_in(field=3) == [1, 2]
 
 
 def test_by_year_union_covers_all_ids():
-    corpus = corpus_of(rec(1, year=1990), rec(2, year=1991), rec(3, year=1990))
-    union = frozenset().union(*corpus.by_year.values())
-    assert union == frozenset(corpus.records)
+    corpus = corpus_of(rec(3, year=1990), rec(1, year=1990), rec(2, year=1991))
+    years = sorted(set(corpus.table.year.values()))
+    assert years == [1990, 1991]
+    for papers in (corpus, corpus.table):
+        union = frozenset().union(*(papers.papers_in(window=TimeWindow(y, y)) for y in years))
+        assert union == frozenset(corpus.records)
 
 
 def test_constructor_rejects_invariant_violations():
@@ -92,24 +96,23 @@ def test_papers_in_filters_by_field_and_window():
     assert corpus.papers_in(window=TimeWindow(1995, 1995)) == [2, 3]
 
 
-def test_partitions_are_ascending_tuples_whatever_the_record_order():
+def test_papers_in_ascends_whatever_the_record_order():
     rng = random.Random(7)
     records = [
         rec(pid, year=rng.randint(1990, 1995), fields=rng.sample(range(4), rng.randint(1, 2)))
         for pid in rng.sample(range(1, 500), 80)
     ]
     corpus = corpus_of(*records)
-    for partition in (corpus.by_field, corpus.by_year):
-        for ids in partition.values():
-            assert type(ids) is tuple and list(ids) == sorted(ids)
-    window = TimeWindow(1991, 1993)
-    for field in (None, 0, 1, 2, 3, 7):
-        for w in (None, window):
-            want = sorted(
-                r.id for r in records
-                if (field is None or field in r.fields) and (w is None or w.contains(r.year))
-            )
-            assert corpus.papers_in(field=field, window=w) == want
+    windows = (None, TimeWindow(1991, 1993), *(TimeWindow(y, y) for y in range(1990, 1996)))
+    for papers in (corpus, corpus.table):
+        for field in (None, 0, 1, 2, 3, 7):
+            for w in windows:
+                want = sorted(
+                    r.id for r in records
+                    if (field is None or field in r.fields) and (w is None or w.contains(r.year))
+                )
+                ids = papers.papers_in(field=field, window=w)
+                assert type(ids) is list and ids == want
 
 
 @pytest.mark.parametrize("keywords", [

@@ -13,7 +13,7 @@ from citefields.cli import (
 )
 from citefields.errors import AnalysisError, CitefieldsError
 from conftest import corpus_of, rec
-from oracles import cotag_report_records, stats_fold_records
+from oracles import cotag_report_records, ids_by_year, stats_fold_records
 from test_parser import _MUTATIONS, _joined, _mutate
 
 LABELS = ("AI", "Algo", "NETW", "Artificial Intelligence", "Quantum Basketry")
@@ -34,7 +34,7 @@ def _reference_cotag(args):
     if len(corpus) == 0:
         raise AnalysisError(NO_RECORDS)
     for span in args.window:
-        if not any(span.contains(year) for year in corpus.by_year):
+        if not any(span.contains(year) for year in ids_by_year(corpus)):
             raise AnalysisError(f"no papers in the window {span}")
     return cotag_report_records(
         corpus,

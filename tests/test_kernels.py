@@ -11,6 +11,7 @@ error record with the same exit code.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from contextlib import redirect_stderr
 from functools import partial
@@ -21,8 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import citefields
 import oracles
-from citefields import cli
-from test_golden import INVOCATIONS
+from citefields import Corpus, cli, generate
+from test_folds import _reference_cotag, _reference_stats
+from test_golden import INVOCATIONS, corpus_spec
 
 ANALYSES = {label: args for label, args in INVOCATIONS.items()
             if args[0] in oracles.RECORD_COMMANDS}
@@ -104,3 +106,29 @@ def test_analyses_equal_the_record_based_reports(work_dir, data):
         reference = _run(argv, partial(record_command, oracles), out)
         assert _run(argv, None, out) == reference, label
         assert _run(argv, partial(record_command, citefields), out) == reference, label
+
+
+def test_references_read_no_table(tmp_path, monkeypatch):
+    """The reference commands, and ``test_folds``' references of ``stats``
+    and ``cotag``, read a built corpus's records only: with ``Corpus.table``
+    raising, each writes its report for every invocation."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(generate(dataclasses.replace(corpus_spec(3), papers_per_year=(8, 8))),
+                      encoding="utf-8")
+    out = tmp_path / "report.out"
+
+    def no_table(_corpus):
+        raise AssertionError("a reference read Corpus.table")
+
+    monkeypatch.setattr(Corpus, "table", property(no_table))
+    references = {head: partial(command, oracles)
+                  for head, command in oracles.RECORD_COMMANDS.items()}
+    references.update(stats=_reference_stats, cotag=_reference_cotag)
+    ran = set()
+    for label, (head, *flags) in INVOCATIONS.items():
+        if head in references:
+            code, report, err = _run([head, str(corpus), *flags, "-o", str(out)],
+                                     references[head], out)
+            assert (code, err) == (0, "") and report, label
+            ran.add(head)
+    assert ran == set(references)

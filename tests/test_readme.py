@@ -39,3 +39,9 @@ def test_package_exports_the_readme_names_and_no_modules():
                          ("citations_received", "impact")):
         assert name not in exported and not hasattr(citefields, name)
         assert callable(getattr(import_module(f"citefields.{module}"), name))
+
+
+def test_readme_corpus_attributes_exist():
+    # Each `corpus.NAME` the README names in backticks is an attribute of Corpus.
+    names = re.findall(r"`corpus\.(\w+)", README.read_text(encoding="utf-8"))
+    assert names and not [name for name in names if not hasattr(citefields.Corpus, name)]
