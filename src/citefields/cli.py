@@ -10,7 +10,8 @@ other value is a usage error, reported before any input is read.
 
 ``_READ_WHEN`` says in which mode each conditional flag is read; given in
 another, even at its default, it is a usage error. One driver, ``_analyze``,
-runs each analysis of ``_ANALYSES`` on the columns and graph it reads.
+runs every subcommand but ``generate``: ``_ANALYSES`` names the parse
+consumer of each and its run, which reads what that consumer kept.
 
 Exit codes: 0 success; 1 bad input or an undefined analysis (unreadable
 file, strict-mode parse error, no parsed record for any subcommand but
@@ -82,7 +83,11 @@ def _read_help(flag: str, text: str, moded: bool = True) -> str:
 
 
 def _window(text: str) -> TimeWindow:
-    return TimeWindow.parse(text)
+    """argparse type: a ``START:END`` span, refused with ``TimeWindow``'s reason."""
+    try:
+        return TimeWindow.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(low: int):
@@ -224,17 +229,6 @@ def _parse_input(args, into=None) -> tuple:
         gc.enable()
 
 
-def _require_papers(args, papers: int, years) -> None:
-    """Raise unless there are ``papers`` and every --window and --years span
-    holds one of ``years``, the years they were published in."""
-    if papers == 0:
-        raise AnalysisError(NO_RECORDS)
-    spans = getattr(args, "window", None) or getattr(args, "years", None) or []
-    for span in spans if isinstance(spans, list) else [spans]:
-        if not any(span.contains(year) for year in years):
-            raise AnalysisError(f"no papers in the window {span}")
-
-
 def _fmt_flag(value) -> str:
     if isinstance(value, list):
         return ",".join(_fmt_flag(v) for v in value)
@@ -273,9 +267,33 @@ def _field_index(taxonomy: FieldTaxonomy, label: str) -> int:
     return idx
 
 
-def _cmd_validate(args) -> MetricReport:
-    # Only the parse report is written, so no record is built.
-    _none, parse_report = _parse_input(args, into=discard_records)
+def _analyze(args) -> MetricReport:
+    """Parse ``args.input`` into the consumer of ``args.command``, check what
+    it kept and run it. A table holds the columns its analysis names, plus
+    keywords for kdi and references for rdi, and a graph, all that reads
+    references, is built when it holds them. Every subcommand but ``validate``
+    needs a parsed record and a paper in each --window and --years span."""
+    into, run = _ANALYSES[args.command]
+    table = isinstance(into, tuple)
+    if table:
+        metric = getattr(args, "metric", None)
+        into = PaperTable.reader(*into, *{KDI: ("keywords",), RDI: ("references",)}.get(metric, ()))
+    kept, parse_report = _parse_input(args, into=into)
+    if parse_report.parsed == 0 and into is not discard_records:
+        raise AnalysisError(NO_RECORDS)
+    spans = getattr(args, "window", None) or getattr(args, "years", None) or []
+    # Only a table analysis or cotag takes a span: the years of its table or tally.
+    years = spans and (set(kept.year.values()) if table else {year for year, _f in kept[0]})
+    for span in spans if isinstance(spans, list) else [spans]:
+        if not any(map(span.contains, years)):
+            raise AnalysisError(f"no papers in the window {span}")
+    if not table:
+        return run(args, kept, parse_report)
+    multiplicity = getattr(args, "multiplicity", FULL_COUNT)
+    return run(args, kept, None if kept.references is None else build_graph(kept, multiplicity))
+
+
+def _run_validate(_args, _kept, parse_report) -> MetricReport:
     report = MetricReport(
         name="validate",
         columns=("line", "record", "severity", "code", "message"),
@@ -289,27 +307,6 @@ def _cmd_validate(args) -> MetricReport:
     for d in parse_report.diagnostics:
         report.add_row(d.line, d.record, d.severity, d.code, d.message)
     return report
-
-
-def _cmd_stats(args) -> MetricReport:
-    # The fold reads four columns, so no record is built.
-    report, _pr = _parse_input(args, into=_stats_fold)
-    if report is None:
-        raise AnalysisError(NO_RECORDS)
-    return report
-
-
-def _analyze(args) -> MetricReport:
-    """Parse, check and run the table analysis of ``args.command``: kdi reads
-    keywords, and a graph, all that reads references, is built when they are."""
-    columns, run = _ANALYSES[args.command]
-    metric = getattr(args, "metric", None)
-    columns += {KDI: ("keywords",), RDI: ("references",)}.get(metric, ())
-    papers, _pr = _parse_input(args, into=PaperTable.reader(*columns))
-    _require_papers(args, len(papers), set(papers.year.values()))
-    multiplicity = getattr(args, "multiplicity", FULL_COUNT)
-    graph = None if papers.references is None else build_graph(papers, multiplicity)
-    return run(args, papers, graph)
 
 
 def _run_rank(args, papers, graph) -> MetricReport:
@@ -392,10 +389,24 @@ def _run_evidence(args, papers, graph) -> MetricReport:
     return evidence_series(graph, papers, years)
 
 
-# Each table analysis: its optional PaperTable columns beside its metric's,
-# references where it needs a graph whatever its metric, and its run, whose
-# kernels are looked up as this module's globals when it is called.
+def _run_cotag(args, kept, _parse_report) -> MetricReport:
+    tally, taxonomy = kept
+    return _cotag_rows(
+        tally, taxonomy,
+        _field_index(taxonomy, args.field_a),
+        _field_index(taxonomy, args.field_b),
+        args.window,
+    )
+
+
+# Each corpus subcommand: its parse consumer, or the optional PaperTable columns
+# it reads beside its metric's (references where it needs a graph whatever its
+# metric), and its run: on the table and its graph (None without references),
+# or else on what the consumer kept and the parse report. A run looks its
+# kernels up as this module's globals when it is called.
 _ANALYSES = {
+    "validate": (discard_records, _run_validate),
+    "stats": (_stats_fold, lambda _args, report, _parse_report: report),  # the fold writes it
     "rank": ((), _run_rank),
     "impact": (("references", "venue", "first_author"), _run_impact),
     "buckets": (("references", "venue", "first_author"), _run_buckets),
@@ -403,19 +414,8 @@ _ANALYSES = {
     "acp": (("references",), _run_acp),
     "trajectory": (("references",), _run_trajectory),
     "evidence": (("references", "authors"), _run_evidence),
+    "cotag": (_cotag_fold, _run_cotag),
 }
-
-
-def _cmd_cotag(args) -> MetricReport:
-    # Years and field sets are all it reads, so no record is built.
-    (tally, taxonomy), _pr = _parse_input(args, into=_cotag_fold)
-    _require_papers(args, sum(tally.values()), {year for year, _fields in tally})
-    return _cotag_rows(
-        tally, taxonomy,
-        _field_index(taxonomy, args.field_a),
-        _field_index(taxonomy, args.field_b),
-        args.window,
-    )
 
 
 def _cmd_generate(args) -> None:
@@ -441,14 +441,6 @@ def _cmd_generate(args) -> None:
             out.write(chunk)
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "stats": _cmd_stats,
-    **dict.fromkeys(_ANALYSES, _analyze),
-    "cotag": _cmd_cotag,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     log_level = os.environ.get("CITEFIELDS_LOG", "WARNING")
     if log_level.upper() not in LOG_LEVELS:
@@ -468,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             _cmd_generate(args)
         else:
-            _emit(_COMMANDS[args.command](args), args)
+            _emit(_analyze(args), args)
         return 0
     except (CitefieldsError, OSError, ValueError) as exc:
         _error_record(exc)

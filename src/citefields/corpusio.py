@@ -23,10 +23,8 @@ parser alone says which values a record may hold.
 The reader makes one streaming pass, holding one chunk of text and one run
 of blocks at most. It hands the accepted blocks on in file order as
 batches of the record columns its consumer names (the ``columns`` of
-``parse_corpus``'s ``into``): none for ``validate``, the year, fields,
-references and keywords' text for ``stats``, the year and fields for
-``cotag``, and for every other subcommand those ``PaperTable.reader``
-reads. No CLI subcommand builds a record, a title or an abstract: only a
+``parse_corpus``'s ``into``; ``cli._ANALYSES`` names each subcommand's).
+No CLI subcommand builds a record, a title or an abstract: only a
 parse into a ``Corpus`` calls ``_records``. Every block gets the same
 checks whatever the columns, so the report and any strict-mode
 ``ParseError`` are those of a parse that builds every record. An accepted
@@ -400,9 +398,8 @@ def parse_corpus(
     built: each batch holds the columns ``into.columns`` names, from
     ``PaperRecord._fields``, of consecutive accepted blocks, the checked
     id, year, fields and references and each other value as its tag's
-    text. The CLI's are ``discard_records``, ``_stats_fold``, ``_cotag_fold``
-    and ``PaperTable.reader``'s; ``Corpus._read`` feeds them a corpus's
-    records. The garbage collector is paused while they run.
+    text. ``cli._ANALYSES`` names the CLI's; ``Corpus._read`` feeds any of
+    them a corpus's records. The garbage collector is paused while they run.
     """
     if strictness not in (STRICT, LENIENT):
         raise ValueError(f"strictness must be {STRICT!r} or {LENIENT!r}")

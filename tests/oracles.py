@@ -1153,10 +1153,16 @@ def field_trajectory(
 
 
 def _load(args) -> tuple:
-    from citefields.cli import _parse_input, _require_papers
+    from citefields.cli import NO_RECORDS, _parse_input
 
     corpus, report = _parse_input(args)
-    _require_papers(args, len(corpus), ids_by_year(corpus))
+    if len(corpus) == 0:
+        raise AnalysisError(NO_RECORDS)
+    years = ids_by_year(corpus)
+    spans = getattr(args, "window", None) or getattr(args, "years", None) or []
+    for span in spans if isinstance(spans, list) else [spans]:
+        if not any(span.contains(year) for year in years):
+            raise AnalysisError(f"no papers in the window {span}")
     return corpus, report
 
 
@@ -1260,7 +1266,7 @@ def _cmd_evidence(k, args) -> MetricReport:
 
 # The record-based CLI commands of the analyses, by subcommand. Each takes
 # the kernels' namespace first: this module, or the ``citefields`` package.
-RECORD_COMMANDS = {
+RECORD_ANALYSES = {
     "rank": _cmd_rank,
     "impact": _cmd_impact,
     "buckets": _cmd_buckets,

@@ -157,10 +157,10 @@ def test_trajectory_of_field_without_papers_fails(years, golden_file, capsys):
 
 
 def test_unexpected_exception_becomes_error_record(golden_file, capsys, monkeypatch):
-    def broken(_args):
+    def broken(_args, _kept, _parse_report):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "stats", broken)
+    monkeypatch.setitem(cli._ANALYSES, "stats", (cli._stats_fold, broken))
     assert main(["stats", str(golden_file)]) == cli.EXIT_INTERNAL == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -171,9 +171,9 @@ def test_unexpected_exception_becomes_error_record(golden_file, capsys, monkeypa
 _BROKEN_STATS = (
     "import sys\n"
     "from citefields import cli\n"
-    "def broken(_args):\n"
+    "def broken(_args, _kept, _parse_report):\n"
     "    raise RuntimeError('boom')\n"
-    "cli._COMMANDS['stats'] = broken\n"
+    "cli._ANALYSES['stats'] = (cli._stats_fold, broken)\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 
@@ -288,6 +288,22 @@ def test_out_of_range_numeric_flag_is_usage_error(argv, synth_file, capsys):
     assert flags[-2] in err  # names the offending flag
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["rank", "--metric", "rdi", "--window", "1980:1970"], "window start 1980 > end 1970"),
+    (["trajectory", "--field", "AI", "--years", "1980:1970"], "window start 1980 > end 1970"),
+    (["rank", "--metric", "rdi", "--window", "x"], "bad window 'x', expected START:END"),
+    (["evidence", "--years", "x"], "bad window 'x', expected START:END"),
+])
+def test_bad_span_usage_error_gives_its_reason(argv, reason, synth_file, capsys):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, str(synth_file), *flags])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[-2]}: {reason}" in err
+    assert "_window" not in err
+
+
 def test_hit_rate_without_top_share_is_usage_error(synth_file, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["impact", str(synth_file), "--hit-rate"])
@@ -398,7 +414,7 @@ _DRAWN = {
 
 
 def test_every_subcommand_has_a_mode():
-    assert {argv[0] for argv in _MODES.values()} == set(cli._COMMANDS)
+    assert {argv[0] for argv in _MODES.values()} == set(cli._ANALYSES)
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from citefields import FieldTaxonomy, corpus_stats, cotag_report, parse_corpus, serialize_corpus
-from citefields.cli import (
-    NO_RECORDS, _build_parser, _cmd_cotag, _cmd_stats, _field_index, _parse_input,
-)
+from citefields.cli import NO_RECORDS, _analyze, _build_parser, _field_index, _parse_input
 from citefields.errors import AnalysisError, CitefieldsError
 from conftest import corpus_of, rec
 from oracles import cotag_report_records, ids_by_year, stats_fold_records
@@ -109,9 +107,9 @@ def test_stats_and_cotag_equal_the_record_based_reports(fold_dir, data, windows,
         flags += ["--window", window]
     for strict in ([], ["--strict"]):
         args = parser.parse_args(["stats", str(path), *strict])
-        assert _outcome(_cmd_stats, args) == _outcome(_reference_stats, args)
+        assert _outcome(_analyze, args) == _outcome(_reference_stats, args)
         args = parser.parse_args(["cotag", str(path), *flags, *strict])
-        assert _outcome(_cmd_cotag, args) == _outcome(_reference_cotag, args)
+        assert _outcome(_analyze, args) == _outcome(_reference_cotag, args)
     # The library entry points, over the corpus the parse builds.
     corpus, _report = parse_corpus(data)
     if len(corpus):

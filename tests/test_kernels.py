@@ -27,7 +27,7 @@ from test_folds import _reference_cotag, _reference_stats
 from test_golden import INVOCATIONS, corpus_spec
 
 ANALYSES = {label: args for label, args in INVOCATIONS.items()
-            if args[0] in oracles.RECORD_COMMANDS}
+            if args[0] in oracles.RECORD_ANALYSES}
 
 # Abbreviations and names of the first ten default fields, so that a paper
 # can carry up to seven of them; AI, Algo and NETW are the invocations'.
@@ -78,17 +78,13 @@ def work_dir(tmp_path_factory):
 
 def _run(argv, command, out: Path) -> tuple:
     """The exit code, report bytes and stderr of ``cli.main(argv)``, with
-    ``command`` (when given) as its subcommand's."""
+    ``command`` (when given) in place of its driver, ``cli._analyze``."""
     out.unlink(missing_ok=True)
-    saved = dict(cli._COMMANDS)
-    if command is not None:
-        cli._COMMANDS[argv[0]] = command
     err = io.StringIO()
-    try:
-        with redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        cli._COMMANDS.update(saved)
+    with pytest.MonkeyPatch.context() as mp, redirect_stderr(err):
+        if command is not None:
+            mp.setattr(cli, "_analyze", command)
+        code = cli.main(argv)
     return code, out.read_bytes() if out.exists() else None, err.getvalue()
 
 
@@ -102,7 +98,7 @@ def test_analyses_equal_the_record_based_reports(work_dir, data):
     out = work_dir / "report.out"
     for label, (head, *flags) in ANALYSES.items():
         argv = [head, str(corpus), *flags, "-o", str(out)]
-        record_command = oracles.RECORD_COMMANDS[head]
+        record_command = oracles.RECORD_ANALYSES[head]
         reference = _run(argv, partial(record_command, oracles), out)
         assert _run(argv, None, out) == reference, label
         assert _run(argv, partial(record_command, citefields), out) == reference, label
@@ -122,7 +118,7 @@ def test_references_read_no_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Corpus, "table", property(no_table))
     references = {head: partial(command, oracles)
-                  for head, command in oracles.RECORD_COMMANDS.items()}
+                  for head, command in oracles.RECORD_ANALYSES.items()}
     references.update(stats=_reference_stats, cotag=_reference_cotag)
     ran = set()
     for label, (head, *flags) in INVOCATIONS.items():

@@ -13,9 +13,8 @@ from citefields import (
     Corpus, FieldTaxonomy, GeneratorSpec, LENIENT, PaperRecord, ParseError, ParseReport, STRICT,
     generate, parse_corpus, serialize_corpus,
 )
-from citefields import corpusio
-from citefields.records import PaperTable, _stats_fold
-from citefields.trajectory import _cotag_fold
+from citefields import cli, corpusio
+from citefields.records import PaperTable
 from conftest import GOLDEN_RECORD, corpus_of, rec
 from oracles import normalize_keyword, parse_lines_direct
 
@@ -562,16 +561,17 @@ def _runs_cut_in_many_places(draw) -> bytes:
     return _joined(blocks, kinds)
 
 
-# The columns each consumer of a parse reads, apart from a Corpus's nine:
-# validate's, stats', cotag's and the ids alone.
-CONSUMER_COLUMNS = (corpusio.discard_records.columns, _stats_fold.columns,
-                    _cotag_fold.columns, ("id",))
+# The fold consumers of the CLI's parses, each once: every consumer
+# ``cli._ANALYSES`` names that is not a table's columns.
+FOLDS = tuple(dict.fromkeys(into for into, _run in cli._ANALYSES.values()
+                            if not isinstance(into, tuple)))
+# The columns each fold reads, and the ids alone, apart from a Corpus's nine.
+CONSUMER_COLUMNS = (*(fold.columns for fold in FOLDS), ("id",))
 
 
 def test_every_consumer_names_record_columns_only():
-    readers = (corpusio.discard_records, _stats_fold, _cotag_fold,
-               PaperTable.reader(*PaperTable.__slots__[3:]))
-    for into in readers:
+    assert len(FOLDS) == 3
+    for into in (*FOLDS, PaperTable.reader(*PaperTable.__slots__[3:])):
         assert set(into.columns) <= set(PaperRecord._fields), into.columns
 
 

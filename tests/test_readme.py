@@ -1,20 +1,27 @@
-"""README's Library example runs as written against the current API."""
+"""README's Library example runs as written against the current API, and
+its CLI usage block names the CLI's subcommands."""
 
+import argparse
 import re
 from importlib import import_module
 from pathlib import Path
 from types import ModuleType
 
 import citefields
-from citefields import GeneratorSpec, generate
+from citefields import GeneratorSpec, cli, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_block() -> str:
+def _block(heading: str, language: str) -> str:
+    """The first ``language`` code block of README's section ``heading``."""
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Library"):]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    section = text[text.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def library_block() -> str:
+    return _block("## Library", "python")
 
 
 def test_library_example_runs(tmp_path, monkeypatch):
@@ -45,3 +52,12 @@ def test_readme_corpus_attributes_exist():
     # Each `corpus.NAME` the README names in backticks is an attribute of Corpus.
     names = re.findall(r"`corpus\.(\w+)", README.read_text(encoding="utf-8"))
     assert names and not [name for name in names if not hasattr(citefields.Corpus, name)]
+
+
+def test_readme_cli_block_names_each_subcommand_once():
+    subcommands = next(action.choices for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert set(subcommands) == {*cli._ANALYSES, "generate"}
+    named = [line.split()[1] for line in _block("## CLI", "sh").splitlines()
+             if line.startswith("citefields ")]
+    assert sorted(named) == sorted(subcommands)

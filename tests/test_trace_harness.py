@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from citefields import TimeWindow, parse_corpus
-from citefields.cli import _COMMANDS, main
+from citefields.cli import _ANALYSES, main
 from conftest import child_env
 from test_golden import defect_corpus
 
@@ -61,7 +61,7 @@ NO_CORPUS = set(INVOCATIONS)
 
 
 def test_every_subcommand_has_a_traced_run():
-    assert {args[0] for args in INVOCATIONS.values()} == set(_COMMANDS)
+    assert {args[0] for args in INVOCATIONS.values()} == set(_ANALYSES)
 
 
 @pytest.mark.parametrize("label", sorted(INVOCATIONS))
