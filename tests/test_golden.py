@@ -2,11 +2,11 @@
 
 Each snapshot under ``tests/golden/seed<N>/`` is the report one CLI
 invocation writes for a small generated planted-lifecycle corpus; those
-under ``tests/golden/defects/`` are the ``validate`` and ``stats`` reports
-on a hand-built corpus with parser defects, and those under
-``tests/golden/edges/`` the ``validate``, ``stats``, ``rank``, ``impact`` and
-``evidence`` reports on a hand-built corpus of parser edge cases. A snapshot
-may change only when
+under ``tests/golden/defects/`` are the ``validate``, ``stats``, ``impact``
+and ``reciprocity --matrix`` reports on a hand-built corpus with parser
+defects, and those under ``tests/golden/edges/`` the ``validate``,
+``stats``, ``rank``, ``impact`` and ``evidence`` reports on a hand-built
+corpus of parser edge cases. A snapshot may change only when
 CHANGES.md explains why (for example a proven last-ulp summation change),
 never to make a diff disappear. To rewrite them from the current code, run
 ``python tests/test_golden.py`` with ``src`` importable.
@@ -40,12 +40,14 @@ INVOCATIONS = {
     "rank-kdi-normalized-global": ("rank", "--metric", "kdi", *_WINDOWS, "--normalized-kdi",
                                    "--keyword-scope", "corpus-global"),
     "impact": ("impact",),
+    "impact-json": ("impact", "--format", "json"),
     "impact-top-share": ("impact", "--top-share"),
     "impact-top-share-hit-rate": ("impact", "--top-share", "--hit-rate"),
     "impact-lifetime": ("impact", "--lifetime"),
     "impact-1980-1989": ("impact", "--window", "1980:1989"),
     "impact-horizon-3": ("impact", "--horizon", "3"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
+    "buckets-rdi-json": ("buckets", "--metric", "rdi", "--format", "json"),
     "buckets-kdi": ("buckets", "--metric", "kdi"),
     "buckets-rdi-1980-1989": ("buckets", "--metric", "rdi", "--window", "1980:1989"),
     "buckets-rdi-horizon-3": ("buckets", "--metric", "rdi", "--horizon", "3"),
@@ -102,9 +104,13 @@ DEFECT_BLOCKS = (
     ("\n\n", "#*Last record\r\n#@Jo M\u00fcller\r\n#t1994\r\n#cVLDB\r\n"
                "#fML\r\n#index15\r\n#%13"),
 )
+# Paper 1 cites the missing id 99, so ``impact`` and ``reciprocity --matrix``
+# read a graph built over a table with a dangling reference.
 DEFECT_INVOCATIONS = {
     "validate": ("validate", "--format", "json"),
     "stats": ("stats",),
+    "impact": ("impact",),
+    "reciprocity-matrix": ("reciprocity", "--matrix"),
 }
 
 # Parser edge cases on records that mostly parse: keyword lines with tabs,
