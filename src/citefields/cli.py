@@ -42,7 +42,7 @@ from .records import PaperTable, TimeWindow, _stats_fold
 from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix, matrix_report, pearson_report,
 )
-from .report import MetricReport, base_metadata, window_label
+from .report import MetricReport, RowView, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
 from .trajectory import (
     _cotag_fold, _cotag_rows, detect_phases, evidence_series, field_trajectory,
@@ -337,14 +337,14 @@ def _run_impact(args, papers, graph) -> MetricReport:
             num, den = counts[f]
             report.add_row(taxonomy.abbr(f), num / den if den else None, num, den)
         return report
-    report = MetricReport(
+    cutoff = scores.cutoff
+    return MetricReport(  # its rows are made from the score columns as it is written
         name="impact",
         columns=("paper_id", "cp", "jif", "top_cited"),
+        rows=RowView(lambda pid, cp, jif: (pid, cp, jif, int(cp >= cutoff)),
+                     scores.ids, scores.cp, scores.jif),
         metadata=meta,
     )
-    for pid, s in scores.per_paper.items():
-        report.add_row(pid, s.cp, s.jif, int(s.top_cited))
-    return report
 
 
 def _run_buckets(args, papers, graph) -> MetricReport:

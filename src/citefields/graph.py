@@ -75,27 +75,33 @@ def build_graph(corpus: Corpus | PaperTable, multiplicity: str = FULL_COUNT) -> 
     Both out- and in-edge lists ascend by id (the table's references ascend,
     and citing papers are visited in ascending id), and every edge endpoint
     is a corpus id, so analyses index the corpus's columns with it directly.
-    A paper whose references all resolve has the table's own tuple as its
-    out-edges.
+    When every reference resolves, ``out_edges`` is the table's own
+    ``references`` dict, shared and not copied; otherwise it is a copy in
+    which each paper with a dangling reference has its resolved ones, and
+    the table's column is left as it is. Each in-edge list is replaced by
+    its tuple in place, so no second dict of them is built.
     """
     if multiplicity not in (FULL_COUNT, FRACTIONAL):
         raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
-    out_edges: dict[int, tuple[int, ...]] = {}
-    in_lists: dict[int, list[int]] = {}
+    papers = corpus.table
+    references = papers.references
+    out_edges: dict[int, tuple[int, ...]] = references
+    in_edges: dict = {}
     unresolved: Counter = Counter()
 
-    papers = corpus.table
     known = papers.year.__contains__
-    for pid, refs in papers.references.items():
+    for pid, refs in references.items():
         if not all(map(known, refs)):
+            if out_edges is references:
+                out_edges = dict(references)
             resolved = tuple(filter(known, refs))
             unresolved[pid] = len(refs) - len(resolved)
-            refs = resolved
-        out_edges[pid] = refs
+            out_edges[pid] = refs = resolved
         for rid in refs:
-            in_lists.setdefault(rid, []).append(pid)
+            in_edges.setdefault(rid, []).append(pid)
 
-    in_edges = {pid: tuple(citers) for pid, citers in in_lists.items()}
+    for pid, citers in in_edges.items():
+        in_edges[pid] = tuple(citers)
     return CitationGraph(out_edges, in_edges, unresolved, multiplicity)
 
 

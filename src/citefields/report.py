@@ -2,7 +2,9 @@
 
 Every analysis in the package returns (or can be wrapped into) a
 ``MetricReport``: named columns, rows of plain values, and a metadata
-mapping recording the configuration the numbers were produced under.
+mapping recording the configuration the numbers were produced under. The
+rows are a list, or a ``RowView`` that makes each row from columns as it
+is read, so a per-paper report holds no tuple per paper.
 Output is deterministic: no timestamps, floats via ``repr`` so values
 round-trip at full precision.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, IO, Iterator
+from typing import Any, Callable, IO, Iterator
 
 from .slotted import Slotted
 
@@ -38,6 +40,27 @@ def format_cell(value: Any) -> str:
     return text
 
 
+class RowView:
+    """Rows made from ``columns`` as they are read: row i is ``make`` of
+    each column's value i. Sized, indexable and re-iterable; ``make``
+    returns a tuple."""
+
+    __slots__ = ("make", "columns")
+
+    def __init__(self, make: Callable[..., tuple], *columns: list):
+        self.make = make
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self.make, *self.columns)
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.make(*(column[i] for column in self.columns))
+
+
 class MetricReport(Slotted):
     __slots__ = ("name", "columns", "rows", "metadata")
 
@@ -45,12 +68,12 @@ class MetricReport(Slotted):
         self,
         name: str,
         columns: tuple[str, ...],
-        rows: list[tuple] | None = None,
+        rows: list[tuple] | RowView | None = None,
         metadata: dict[str, Any] | None = None,
     ):
         self.name = name
         self.columns = columns
-        self.rows: list[tuple] = [] if rows is None else rows
+        self.rows = [] if rows is None else rows
         self.metadata: dict[str, Any] = {} if metadata is None else metadata
 
     def add_row(self, *values) -> None:
@@ -78,11 +101,11 @@ class MetricReport(Slotted):
         if fmt != "csv":
             import json  # loaded here, so a CSV report never imports it
 
-            payload = {  # json writes a tuple as it writes a list
+            payload = {  # json writes a tuple as it writes a list, and no view
                 "report": self.name,
                 "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
                 "columns": self.columns,
-                "rows": self.rows,
+                "rows": list(self.rows),
             }
             return chain(json.JSONEncoder(indent=2).iterencode(payload), ("\n",))
         meta = []

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import citefields
-from citefields import Corpus, FieldTaxonomy, GeneratorSpec, PaperRecord, generate
+from citefields import (
+    Corpus, FieldTaxonomy, GeneratorSpec, PaperRecord, PaperTable, generate, parse_corpus,
+)
 
 # A production-shape record (conference paper with authors, keywords, nine
 # references, abstract). Used for golden parsing and round-trip checks.
@@ -69,6 +71,17 @@ def golden_text() -> str:
 @pytest.fixture
 def taxonomy() -> FieldTaxonomy:
     return FieldTaxonomy.default()
+
+
+def impact_table(years_span: int = 20) -> PaperTable:
+    """The table ``impact`` parses from a generated corpus of the benchmark's
+    ``session-10k`` shape: 8 fields, 250 papers a year over ``years_span``
+    years, every reference resolving."""
+    spec = GeneratorSpec(seed=3, field_count=8, years_span=years_span,
+                         papers_per_year=(250, 250), references=(3, 6),
+                         multi_tag_probability=0.1)
+    reader = PaperTable.reader("references", "venue", "first_author")
+    return parse_corpus(generate(spec), into=reader)[0]
 
 
 def child_env() -> dict:

@@ -14,23 +14,23 @@ import math
 from functools import cache
 from itertools import chain
 from math import ceil, fsum, log
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from citefields import (
     Corpus, FieldTaxonomy, FieldTrajectory, MetricReport, PaperRecord, TimeWindow,
-    bucket_impact, detect_phases, matrix_report, pearson_report, phases_report,
-    trajectory_report,
+    detect_phases, matrix_report, pearson_report, phases_report, trajectory_report,
 )
 from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, ParseReport
 from citefields.diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL
 from citefields.errors import AnalysisError, ParseError
 from citefields.graph import FRACTIONAL, FULL_COUNT, CitationGraph
-from citefields.impact import DEFAULT_HORIZON, TOP_SHARE, ImpactScores, PaperImpact
+from citefields.impact import DEFAULT_HORIZON, TOP_SHARE, bucket_assignment
 from citefields.reciprocity import _row_total
 from citefields.records import YEAR_RANGE, author_key
 from citefields.report import base_metadata, window_label
+from citefields.slotted import Slotted
 
 
 def normalize_keyword(raw: str) -> str:
@@ -900,6 +900,29 @@ def rank_fields(
     return report
 
 
+class PaperImpact(NamedTuple):
+    cp: int
+    jif: float | None
+    top_cited: bool
+
+
+class ImpactScores(Slotted):
+    __slots__ = ("per_paper", "window")
+
+    def __init__(self, per_paper: dict[int, PaperImpact], window: TimeWindow | None):
+        self.per_paper = per_paper
+        self.window = window
+
+
+def per_paper_scores(scores) -> dict[int, PaperImpact]:
+    """``scores.per_paper`` of these kernels' ``ImpactScores``, or the
+    package's score columns as the same dict."""
+    if isinstance(scores, ImpactScores):
+        return scores.per_paper
+    return {pid: PaperImpact(cp, jif, cp >= scores.cutoff)
+            for pid, cp, jif in zip(scores.ids, scores.cp, scores.jif)}
+
+
 def citations_received(
     graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON
 ) -> tuple[int, ...]:
@@ -970,6 +993,51 @@ def top_cited_counts(
             in_top[f] += s.top_cited
     top_size = sum(s.top_cited for s in scores.per_paper.values())
     return [(in_top[f], in_population[f] if hit_rate else top_size) for f in range(n)]
+
+
+def bucket_impact(
+    metric_values: dict[int, float],
+    scores: ImpactScores,
+    n_buckets: int = 5,
+    metric_name: str = "metric",
+) -> MetricReport:
+    missing = [pid for pid in metric_values if pid not in scores.per_paper]
+    if missing:
+        raise AnalysisError(f"{len(missing)} papers lack impact scores (e.g. {missing[0]})")
+    assignment, lo, hi, degenerate = bucket_assignment(metric_values, n_buckets)
+    effective = 1 if degenerate else n_buckets
+    width = (hi - lo) / effective if not degenerate else 0.0
+    report = MetricReport(
+        name="buckets",
+        columns=(
+            "bucket_index", "bucket_lo", "bucket_hi", "count",
+            "mean_cp", "mean_jif", "top_cited_share",
+        ),
+        metadata=base_metadata(
+            "buckets",
+            metric=metric_name,
+            n_buckets=effective,
+            degenerate=str(degenerate).lower(),
+            population=len(metric_values),
+            window=window_label(scores.window),
+        ),
+    )
+    members: dict[int, list[int]] = {b: [] for b in range(effective)}
+    for pid, bucket in assignment.items():
+        members[bucket].append(pid)
+    for b in range(effective):
+        ids = members[b]
+        b_lo = lo + b * width
+        b_hi = hi if b == effective - 1 else lo + (b + 1) * width
+        if not ids:
+            report.add_row(b + 1, b_lo, b_hi, 0, None, None, None)
+            continue
+        mean_cp = fsum(scores.per_paper[p].cp for p in ids) / len(ids)
+        jifs = [scores.per_paper[p].jif for p in ids if scores.per_paper[p].jif is not None]
+        mean_jif = fsum(jifs) / len(jifs) if jifs else None
+        top_share = sum(1 for p in ids if scores.per_paper[p].top_cited) / len(ids)
+        report.add_row(b + 1, b_lo, b_hi, len(ids), mean_cp, mean_jif, top_share)
+    return report
 
 
 def citation_fraction_matrix(
@@ -1203,7 +1271,7 @@ def _cmd_impact(k, args) -> MetricReport:
         columns=("paper_id", "cp", "jif", "top_cited"),
         metadata=meta,
     )
-    for pid, s in scores.per_paper.items():
+    for pid, s in per_paper_scores(scores).items():
         report.add_row(pid, s.cp, s.jif, int(s.top_cited))
     return report
 
@@ -1213,7 +1281,7 @@ def _cmd_buckets(k, args) -> MetricReport:
     graph = k.build_graph(corpus, args.multiplicity)
     scores = k.compute_impact_scores(graph, corpus, window=args.window, horizon=args.horizon)
     values = k.paper_diversity(graph, corpus, args.metric, args.window, args.keyword_scope)
-    return bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
+    return k.bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
 
 
 def _cmd_reciprocity(k, args) -> MetricReport:

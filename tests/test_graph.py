@@ -1,5 +1,7 @@
 """Citation graph: resolution, adjacency invariants, field counts and flow."""
 
+import sys
+import tracemalloc
 from math import fsum
 
 import pytest
@@ -10,7 +12,7 @@ from citefields import (
 )
 from citefields.diversity import rdi_paper
 from citefields.graph import field_ref_counts
-from conftest import GOLDEN_RECORD, corpus_of, rec
+from conftest import GOLDEN_RECORD, corpus_of, impact_table, rec
 from oracles import field_counts_direct
 
 
@@ -29,6 +31,41 @@ def test_dangling_reference_counted_not_edged():
     assert graph.unresolved[1] == 1
     assert graph.out_edges[1] == ()
     assert graph.total_edges == 0
+
+
+def test_out_edges_are_the_table_references_when_all_resolve():
+    corpus = corpus_of(rec(1), rec(2, refs=(1,)), rec(3, refs=(1, 2)))
+    table = corpus.table
+    graph = build_graph(table)
+    assert graph.out_edges is table.references
+    assert graph.in_edges == {1: (2, 3), 2: (3,)}
+
+
+def test_a_dangling_reference_gets_a_copy_and_leaves_the_table_as_it_is():
+    corpus = corpus_of(rec(1), rec(2, refs=(1, 99)), rec(3, refs=(1, 2)))
+    table = corpus.table
+    graph = build_graph(table)
+    assert graph.out_edges is not table.references
+    assert graph.out_edges == {1: (), 2: (1,), 3: (1, 2)}
+    assert table.references[2] == (1, 99)
+    assert graph.out_edges[3] is table.references[3]  # a resolved paper's own tuple
+    assert graph.unresolved == {2: 1}
+
+
+def test_build_graph_holds_one_copy_of_the_in_edges():
+    """The peak of ``build_graph`` stays under 1.5 times what its in-edges
+    hold (the tuples and their dict): the lists they are gathered in are
+    replaced one by one, and the out-edges are the table's own dict."""
+    table = impact_table()
+    tracemalloc.start()
+    try:
+        graph = build_graph(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not graph.unresolved and graph.out_edges is table.references
+    held = sys.getsizeof(graph.in_edges) + sum(map(sys.getsizeof, graph.in_edges.values()))
+    assert peak < 1.5 * held, peak / held
 
 
 def test_golden_record_alone_fully_dangling(golden_text, taxonomy):

@@ -1,5 +1,8 @@
 """Impact indicators: the cp citation rule, jif formula, top-cited ties, bucket analysis."""
 
+import argparse
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +10,10 @@ from citefields import (
     AnalysisError, GeneratorSpec, TimeWindow,
     author_key, bucket_impact, build_graph, compute_impact_scores, generate_corpus, top_cited_counts,
 )
+from citefields.cli import _run_impact
 from citefields.diversity import rdi_paper
 from citefields.impact import _jif_lookup, bucket_assignment, citations_received
-from conftest import corpus_of, rec
+from conftest import corpus_of, impact_table, rec
 from oracles import citations_direct, cp_direct, jif_direct
 
 
@@ -46,6 +50,18 @@ def test_cp_matches_brute_force():
     graph = build_graph(corpus)
     for pid in corpus:
         assert len(citations_received(graph, corpus, pid)) == cp_direct(corpus, pid)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_horizon_below_one_is_refused(horizon):
+    # A horizon of no year counts no citation, so every paper would reach
+    # the cutoff of 0 and be flagged top-cited.
+    corpus = corpus_of(rec(1, year=2000), rec(2, year=2000, refs=(1,), authors=("B. Jones",)))
+    graph = build_graph(corpus)
+    with pytest.raises(ValueError, match=f"horizon must be at least 1 .*got {horizon}"):
+        citations_received(graph, corpus, 1, horizon=horizon)
+    with pytest.raises(ValueError, match=f"horizon must be at least 1 .*got {horizon}"):
+        compute_impact_scores(graph, corpus, horizon=horizon)
 
 
 def test_citations_received_unknown_id_raises():
@@ -128,9 +144,9 @@ def test_impact_scores_jif_matches_single_call():
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus)
     jif_of = _jif_lookup(corpus, graph)
-    for pid, s in scores.per_paper.items():
+    for pid, jif in zip(scores.ids, scores.jif):
         rec_ = corpus[pid]
-        assert s.jif == jif_of(rec_.venue, rec_.year)
+        assert jif == jif_of(rec_.venue, rec_.year)
 
 
 def test_jif_matches_direct_scan():
@@ -143,8 +159,8 @@ def test_jif_matches_direct_scan():
     jif_of = _jif_lookup(corpus, graph)
     for venue, year in keys:
         assert jif_of(venue, year) == want[venue, year]
-    for pid, s in scores.per_paper.items():
-        assert s.jif == want[corpus[pid].venue, corpus[pid].year]
+    for pid, jif in zip(scores.ids, scores.jif):
+        assert jif == want[corpus[pid].venue, corpus[pid].year]
 
 
 def test_top_cited_flags_and_share():
@@ -162,7 +178,7 @@ def test_top_cited_flags_and_share():
     graph = build_graph(corpus)
     window = TimeWindow(2000, 2000)
     scores = compute_impact_scores(graph, corpus, window=window)
-    top = {pid for pid, s in scores.per_paper.items() if s.top_cited}
+    top = {pid for pid, cp in zip(scores.ids, scores.cp) if cp >= scores.cutoff}
     assert top == {1, 2, 3, 4, 5}
     counts = top_cited_counts(scores, corpus)
     assert counts[1] == (5, 5)
@@ -191,7 +207,7 @@ def test_top_cited_tie_at_cutoff_extends_set():
     corpus = corpus_of(*records)
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus, window=TimeWindow(2000, 2000))
-    top = {pid for pid, s in scores.per_paper.items() if s.top_cited}
+    top = {pid for pid, cp in zip(scores.ids, scores.cp) if cp >= scores.cutoff}
     assert top == {1, 2, 3, 4, 5, 6, 7}  # ties included, size > 5%
 
 
@@ -254,6 +270,22 @@ def test_bucket_scale_invariance_randomized():
         assert a1 == a2
 
 
+@pytest.mark.parametrize("n_buckets", [0, -2])
+def test_bucket_count_below_one_is_refused(n_buckets):
+    corpus = corpus_of(rec(1, year=2000), rec(2, year=2000))
+    scores = compute_impact_scores(build_graph(corpus), corpus)
+    with pytest.raises(ValueError, match=f"n_buckets must be at least 1, got {n_buckets}"):
+        bucket_impact({1: 0.0, 2: 1.0}, scores, n_buckets=n_buckets)
+
+
+def test_bucket_paper_without_a_score_errors():
+    corpus = corpus_of(rec(1, year=2000), rec(3, year=2000), rec(5, year=2001))
+    scores = compute_impact_scores(build_graph(corpus), corpus, window=TimeWindow(2000, 2000))
+    for pid in (0, 2, 5):  # below, between and above the scored ids
+        with pytest.raises(AnalysisError, match=f"1 papers lack impact scores \\(e.g. {pid}\\)"):
+            bucket_impact({1: 0.0, pid: 0.5, 3: 1.0}, scores)
+
+
 def test_bucket_empty_values_error():
     corpus = corpus_of(rec(1, year=2000))
     graph = build_graph(corpus)
@@ -267,3 +299,54 @@ def test_impact_scores_empty_window_errors():
     graph = build_graph(corpus)
     with pytest.raises(AnalysisError):
         compute_impact_scores(graph, corpus, window=TimeWindow(1900, 1901))
+
+
+def test_scores_are_columns_over_the_ascending_ids():
+    corpus = corpus_of(rec(4, year=2001, venue="V"), rec(2, year=2000, venue="V"),
+                       rec(9, year=2002, refs=(2, 4), authors=("B. Jones",)))
+    scores = compute_impact_scores(build_graph(corpus), corpus)
+    assert scores.ids == [2, 4, 9]
+    assert scores.cp == [1, 1, 0]
+    assert scores.jif == [None, 0.0, None]
+    assert scores.cutoff == 1
+    # ``per_paper`` is the scored ids: its size is the population.
+    assert scores.per_paper is scores.ids
+
+
+def test_impact_report_rows_are_made_from_the_score_columns():
+    corpus = corpus_of(*[rec(i, year=2000 + i % 3, refs=tuple(range(1, i)),
+                             authors=(f"A{i}",), venue="V") for i in range(1, 8)])
+    graph = build_graph(corpus)
+    args = argparse.Namespace(lifetime=False, horizon=5, window=None, top_share=False)
+    report = _run_impact(args, corpus.table, graph)
+    scores = compute_impact_scores(graph, corpus)
+    want = [(pid, cp, jif, int(cp >= scores.cutoff))
+            for pid, cp, jif in zip(scores.ids, scores.cp, scores.jif)]
+    assert len(report.rows) == len(want)
+    assert list(report.rows) == list(report.rows) == want  # re-iterable
+    assert [report.rows[i] for i in range(len(want))] == want
+    assert report.column("top_cited") == [row[3] for row in want]
+
+
+class _Discard:
+    """A text stream that keeps nothing it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_impact_holds_columns_not_an_object_per_paper():
+    """Scoring a generated 5k-paper table and writing its ``impact`` CSV
+    peaks under 64 bytes per scored paper: three columns by row, and rows
+    made only as they are written."""
+    table = impact_table()
+    graph = build_graph(table)
+    args = argparse.Namespace(lifetime=False, horizon=5, window=None, top_share=False)
+    tracemalloc.start()
+    try:
+        _run_impact(args, table, graph).write(_Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) >= 5000 and not graph.unresolved
+    assert peak < 64 * len(table), peak / len(table)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import MetricReport
 from citefields.cli import main
-from citefields.report import WRITE_PIECES, format_cell
+from citefields.report import WRITE_PIECES, RowView, format_cell
 
 
 def _report():
@@ -159,3 +159,19 @@ def test_write_hands_the_stream_a_bounded_number_of_pieces(fmt):
 
 def test_column_accessor():
     assert _report().column("name") == ["pi", "none"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_row_view_writes_the_bytes_of_its_row_list(fmt):
+    ids, cps = [3, 5, 8], [2, 0, 7]
+    view = RowView(lambda pid, cp: (pid, cp, cp / 2 if cp else None), ids, cps)
+    listed = [(3, 2, 1.0), (5, 0, None), (8, 7, 3.5)]
+    assert len(view) == 3 and list(view) == list(view) == listed
+    assert [view[i] for i in range(3)] == listed and view[-1] == listed[-1]
+    meta = {"b": "x", "a": 1}
+    columns = ("paper_id", "cp", "half")
+    viewed = MetricReport("demo", columns, view, dict(meta))
+    assert viewed.column("half") == [1.0, None, 3.5]
+    out = io.StringIO()
+    viewed.write(out, fmt)
+    assert out.getvalue() == "".join(MetricReport("demo", columns, listed, dict(meta))._pieces(fmt))

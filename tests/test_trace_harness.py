@@ -74,24 +74,35 @@ def test_traced_runner_completes(label, tiny_corpus):
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
+    traced = json.loads(spans.read_text())
+    by_name = {span["name"]: span for span in traced["spans"]}
+    names = set(by_name)
     layers = {"cli.import", "cli.main", "corpusio.parse", "report.write"}
     assert layers <= names
     assert ("records.corpus_init" in names) is (label not in NO_CORPUS)
     assert ("graph.build" in names) is (label not in NO_GRAPH)
     assert KERNELS.get(label, set()) <= names
-    counts = json.loads(spans.read_text())["counts"]
+    counts = traced["counts"]
+    with open(tiny_corpus, "rb") as fh:
+        corpus, _report = parse_corpus(fh)
+    if label not in NO_GRAPH:
+        # The graph sizes the benchmark checks in every traced run, counted
+        # here from the parsed records.
+        refs = [rid for pid in corpus for rid in corpus[pid].references]
+        edges = sum(rid in corpus for rid in refs)
+        assert by_name["graph.build"]["counters"] == {"edges": edges, "dangling": len(refs) - edges}
     if label in ("rank", "rank-kdi"):
         # One counted per-paper score for each paper of the ranked window.
-        with open(tiny_corpus, "rb") as fh:
-            corpus, _report = parse_corpus(fh)
         papers = len(corpus.papers_in(window=TimeWindow(1970, 1974)))
         metric = "rdi" if label == "rank" else "kdi"
         assert counts[f"diversity.{metric}_paper_calls"] == papers
     if label == "impact":
-        # One counted cp rule call per scored paper, that is per report row.
-        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-        assert counts["graph.citations_received_calls"] == len(rows) - 1
+        # One counted cp rule call per scored paper, that is per report row,
+        # and the population and rows the benchmark checks are those rows.
+        rows = len([line for line in out.read_text().splitlines() if not line.startswith("#")]) - 1
+        assert counts["graph.citations_received_calls"] == rows
+        assert by_name["impact.compute_impact_scores"]["counters"]["population"] == rows
+        assert by_name["report.write"]["counters"]["rows"] == rows
 
 
 def test_traced_validate_sizes_match_the_report(tmp_path):

@@ -6,7 +6,7 @@ from citefields import (
     CitationGraph, Diagnostic, FieldTrajectory, MetricReport, ParseReport, Phase,
     PhaseDetection, TimeWindow,
 )
-from citefields.impact import ImpactScores, PaperImpact
+from citefields.impact import ImpactScores
 
 # Keyed by test id: the type, its fields in constructor order, one field
 # changed, and the repr of an instance built from the fields.
@@ -31,17 +31,12 @@ _TYPES = {
         "CitationGraph(out_edges={1: (), 2: (1,)}, in_edges={1: (2,)}, "
         "unresolved={1: 0, 2: 1}, multiplicity='full')",
     ),
-    "PaperImpact": (
-        PaperImpact,
-        {"cp": 4, "jif": None, "top_cited": True},
-        {"jif": 0.5},
-        "PaperImpact(cp=4, jif=None, top_cited=True)",
-    ),
     "ImpactScores": (
         ImpactScores,
-        {"per_paper": {7: PaperImpact(1, 0.25, False)}, "window": TimeWindow(1970, 1979)},
+        {"ids": [7, 9], "cp": [1, 4], "jif": [0.25, None], "cutoff": 4,
+         "window": TimeWindow(1970, 1979)},
         {"window": None},
-        "ImpactScores(per_paper={7: PaperImpact(cp=1, jif=0.25, top_cited=False)}, "
+        "ImpactScores(ids=[7, 9], cp=[1, 4], jif=[0.25, None], cutoff=4, "
         "window=TimeWindow(start=1970, end=1979))",
     ),
     "MetricReport": (
