@@ -9,18 +9,21 @@ library does not load it for any analysis.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from functools import cache
 from itertools import chain
 from math import ceil, fsum, log
+from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from citefields import (
-    Corpus, FieldTaxonomy, FieldTrajectory, MetricReport, PaperRecord, TimeWindow,
-    detect_phases, matrix_report, pearson_report, phases_report, trajectory_report,
+    DEFAULT_FIELDS, Corpus, FieldTaxonomy, FieldTrajectory, GeneratorSpec, MetricReport,
+    PaperRecord, TimeWindow, detect_phases, matrix_report, pearson_report, phases_report,
+    trajectory_report,
 )
 from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, ParseReport
 from citefields.diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL
@@ -309,6 +312,184 @@ def sampling_matrix_numpy(spec) -> np.ndarray:
             else:
                 matrix[i] /= total
     return matrix
+
+
+# -- the generator as written before its loop was flattened ---------------
+# Copied verbatim from ``citefields.synth``: its sampling helpers, keyword
+# pools, sampling matrix and ``generate_chunks``. ``generate`` must write the
+# same bytes and draw ``random()`` the same number of times in the same
+# order. Tests patch this module's ``Random`` to count or fix the draws.
+
+RNG_PIN = "python-random-mt19937-random()"
+GROWING_CROSS_FRACTION = 0.75
+SETTLED_SELF_FRACTION = 0.85
+INBOUND_LOW = 0.01
+INBOUND_HIGH = 0.6
+
+
+def _rand_int(rng: Random, lo: int, hi: int) -> int:
+    """Uniform integer in [lo, hi] inclusive."""
+    if lo == hi:
+        return lo
+    return min(lo + int(rng.random() * (hi - lo + 1)), hi)
+
+
+def _weighted_index(rng: Random, cumulative: list[float]) -> int:
+    return bisect.bisect_right(cumulative, rng.random() * cumulative[-1])
+
+
+def _cumulative(weights) -> list[float]:
+    out = []
+    total = 0.0
+    for w in weights:
+        total += w
+        out.append(total)
+    return out
+
+
+def _sample_distinct(rng: Random, pool: list[str], count: int) -> list[str]:
+    """Distinct draws without replacement, deterministic, order-of-draw."""
+    chosen: list[str] = []
+    taken: set[int] = set()
+    count = min(count, len(pool))
+    while len(chosen) < count:
+        i = _rand_int(rng, 0, len(pool) - 1)
+        if i not in taken:
+            taken.add(i)
+            chosen.append(pool[i])
+    return chosen
+
+
+def _keyword_pools(spec: GeneratorSpec, abbrs: list[str]) -> list[list[str]]:
+    shared_n = int(round(spec.keyword_pool_size * spec.keyword_overlap_fraction))
+    own_n = spec.keyword_pool_size - shared_n
+    shared = [f"kw shared {i}" for i in range(shared_n)]
+    return [
+        [f"kw {abbr.casefold()} {i}" for i in range(own_n)] + shared
+        for abbr in abbrs
+    ]
+
+
+def _sampling_matrix(spec: GeneratorSpec) -> list[list[float]]:
+    """Propensity rows to draw from. A planted lifecycle's inbound redirect is
+    the only channel into the focal field: every other row's focal entry is
+    zeroed and the row renormalized, so the baseline does not wash out the rise."""
+    matrix = spec.propensity_matrix()
+    lc = spec.lifecycle
+    if lc is not None:
+        for i, row in enumerate(matrix):
+            if i == lc.focal_field:
+                continue
+            row[lc.focal_field] = 0.0
+            total = _row_total(row)
+            if total <= 0.0:
+                matrix[i] = [1.0 if j == i else 0.0 for j in range(len(row))]
+            else:
+                matrix[i] = [x / total for x in row]
+    return matrix
+
+
+def generate_chunks(spec: GeneratorSpec) -> Iterator[str]:
+    """``generate(spec)`` in pieces: the ``%%`` header line, then the records
+    of each year, so a writer holds one year of text at a time.
+
+    The spec is validated before the first piece is returned.
+    """
+    spec.validate()
+    rng = Random(spec.seed)
+    k = spec.field_count
+    abbrs = [DEFAULT_FIELDS[i][1] for i in range(k)]
+    names = [DEFAULT_FIELDS[i][0] for i in range(k)]
+    lc = spec.lifecycle
+    base_rows = [_cumulative(row) for row in _sampling_matrix(spec)]
+    pools = _keyword_pools(spec, abbrs)
+    authors = [f"Author {i:03d}" for i in range(spec.author_pool_size)]
+    venues = [f"VENUE-{i}" for i in range(spec.venue_count)]
+
+    yield (
+        f"%% synthetic corpus: rng={RNG_PIN} seed={spec.seed} "
+        f"fields={k} years={spec.start_year}+{spec.years_span}\n"
+    )
+    by_field_prior: list[list[int]] = [[] for _ in range(k)]  # ids of papers from closed years
+    all_prior: list[int] = []
+    next_id = 1
+
+    def lifecycle_row(year: int) -> list[float]:
+        if year <= lc.tau_drop_year:
+            self_w = 1.0 - GROWING_CROSS_FRACTION
+        else:
+            self_w = SETTLED_SELF_FRACTION
+        row = [(1.0 - self_w) / (k - 1)] * k if k > 1 else [1.0]
+        row[lc.focal_field] = self_w if k > 1 else 1.0
+        return _cumulative(row)
+
+    for year in range(spec.start_year, spec.start_year + spec.years_span):
+        year_records: list[tuple[int, int]] = []  # (id, field) per tag
+        year_pids: list[int] = []
+        lines: list[str] = []
+        n_papers = _rand_int(rng, *spec.papers_per_year)
+        for _ in range(n_papers):
+            pid = next_id
+            next_id += 1
+            primary = _rand_int(rng, 0, k - 1)
+            fields = [primary]
+            if k > 1 and rng.random() < spec.multi_tag_probability:
+                extra = _rand_int(rng, 0, k - 2)
+                if extra >= primary:
+                    extra += 1
+                fields.append(extra)
+
+            n_refs = _rand_int(rng, *spec.references)
+            refs: list[int] = []
+            seen: set[int] = set()
+            if all_prior:
+                focal_paper = lc is not None and primary == lc.focal_field
+                cumrow = lifecycle_row(year) if focal_paper else base_rows[primary]
+                inbound = None
+                if lc is not None and not focal_paper:
+                    inbound = INBOUND_LOW if year <= lc.zeta_rise_year else INBOUND_HIGH
+                for _ in range(n_refs):
+                    if inbound is not None and rng.random() < inbound:
+                        target_field = lc.focal_field
+                    else:
+                        target_field = _weighted_index(rng, cumrow)
+                    candidates = by_field_prior[target_field] or all_prior
+                    for _attempt in range(8):
+                        rid = candidates[_rand_int(rng, 0, len(candidates) - 1)]
+                        if rid not in seen:
+                            seen.add(rid)
+                            refs.append(rid)
+                            break
+
+            n_kw = _rand_int(rng, *spec.keywords_per_paper)
+            keywords = sorted(_sample_distinct(rng, pools[primary], n_kw))
+            n_authors = _rand_int(rng, *spec.authors_per_paper)
+            paper_authors = _sample_distinct(rng, authors, n_authors)
+            venue = venues[_rand_int(rng, 0, len(venues) - 1)]
+
+            lines.append("")
+            lines.append(f"#*Synthetic study {pid:06d}")
+            lines.append("#@" + ",".join(paper_authors))
+            lines.append(f"#t{year}")
+            lines.append(f"#c{venue}")
+            lines.append("#f" + ",".join(names[f] for f in sorted(fields)))
+            lines.append("#k" + ",".join(keywords))
+            lines.append(f"#index{pid}")
+            for rid in refs:
+                lines.append(f"#%{rid}")
+            year_pids.append(pid)
+            for f in fields:
+                year_records.append((pid, f))
+        for pid, f in year_records:
+            by_field_prior[f].append(pid)
+        all_prior.extend(year_pids)
+        if lines:
+            yield "\n".join(lines) + "\n"
+
+
+def generate_reference(spec) -> str:
+    """``synth.generate(spec)`` by the reference generator."""
+    return "".join(generate_chunks(spec))
 
 
 def pearson_raw_moments(xs, ys) -> float:

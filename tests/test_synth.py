@@ -3,9 +3,11 @@
 import math
 from dataclasses import replace
 from functools import partial
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citefields import (
     AnalysisError, DEFAULT_FIELDS, GeneratorSpec, PlantedLifecycle, STRICT,
@@ -14,6 +16,7 @@ from citefields import (
     propensity_uniform, synth,
 )
 from citefields.diversity import rdi_paper
+import oracles
 from oracles import (
     propensity_identity_numpy, propensity_mixed_numpy, propensity_uniform_numpy,
     sampling_matrix_numpy, validate_propensity_numpy,
@@ -253,14 +256,154 @@ def test_generate_matches_numpy_reference(k, preset, planted, monkeypatch):
     _assert_generates_as_numpy_reference(spec, reference_spec, monkeypatch)
 
 
+# The benchmark's two corpus specs (perfbench/workloads.py), at a fixed seed.
+SESSION_10K = GeneratorSpec(
+    seed=21, field_count=8, start_year=1970, years_span=40, papers_per_year=(250, 250),
+    references=(3, 6), multi_tag_probability=0.1,
+    lifecycle=PlantedLifecycle(focal_field=2, tau_drop_year=1984, zeta_rise_year=1996),
+)
+INGEST_50K = GeneratorSpec(
+    seed=22, field_count=8, start_year=1950, years_span=50, papers_per_year=(1000, 1000),
+    references=(2, 4), multi_tag_probability=0.1,
+)
+
+
 def test_generate_matches_numpy_reference_at_session_shape(monkeypatch):
-    # The benchmark's session-10k corpus: the default propensity, planted.
-    spec = GeneratorSpec(
-        seed=21, field_count=8, start_year=1970, years_span=40, papers_per_year=(250, 250),
-        references=(3, 6), multi_tag_probability=0.1,
-        lifecycle=PlantedLifecycle(focal_field=2, tau_drop_year=1984, zeta_rise_year=1996),
+    # The default propensity, planted.
+    _assert_generates_as_numpy_reference(SESSION_10K, SESSION_10K, monkeypatch)
+
+
+# -- the byte-exact reference: same bytes, same random() draws -----------
+
+def _generated(module, spec, draw=None):
+    """``module.generate_chunks(spec)`` joined, and the number of ``random()``
+    calls it made. ``draw``, when given, is returned by every call in place
+    of the seeded stream's value."""
+    calls = 0
+
+    class CountingRandom(Random):
+        def random(self):
+            nonlocal calls
+            calls += 1
+            return super().random() if draw is None else draw
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "Random", CountingRandom)
+        text = "".join(module.generate_chunks(spec))
+    return text, calls
+
+
+def _assert_generates_as_reference(spec, draw=None):
+    text, calls = _generated(synth, spec, draw)
+    reference_text, reference_calls = _generated(oracles, spec, draw)
+    assert text == reference_text
+    assert calls == reference_calls
+    if draw is None:
+        assert generate(spec) == text  # the counting Random draws the seeded stream
+    return text
+
+
+_SMALL = GeneratorSpec(seed=11, field_count=4, years_span=6, papers_per_year=(4, 9))
+_PLANTED = PlantedLifecycle(focal_field=1, tau_drop_year=1971, zeta_rise_year=1973)
+
+
+_REFERENCE_GRID = {
+    **{f"k{k}": replace(_SMALL, seed=k, field_count=k) for k in (1, 2, 3, 8, 24)},
+    **{f"k{k}-planted": replace(_SMALL, seed=k, field_count=k,
+                                lifecycle=replace(_PLANTED, focal_field=k - 1))
+       for k in (2, 3, 8, 24)},
+    "papers-0:0": replace(_SMALL, papers_per_year=(0, 0)),
+    "papers-0:12": replace(_SMALL, papers_per_year=(0, 12)),
+    "refs-0:0": replace(_SMALL, references=(0, 0)),
+    "refs-0:9-planted": replace(_SMALL, references=(0, 9), lifecycle=_PLANTED),
+    "keywords-0:0": replace(_SMALL, keywords_per_paper=(0, 0)),
+    "keyword-pool-0": replace(_SMALL, keyword_pool_size=0, keywords_per_paper=(0, 0)),
+    "keyword-pool-1": replace(_SMALL, keyword_pool_size=1, keywords_per_paper=(1, 1)),
+    "keyword-pool-1-keywords-0:1": replace(_SMALL, keyword_pool_size=1,
+                                           keywords_per_paper=(0, 1)),
+    "keyword-pool-8-all": replace(_SMALL, keyword_pool_size=8, keywords_per_paper=(8, 8)),
+    "author-pool-1": replace(_SMALL, author_pool_size=1, authors_per_paper=(1, 1)),
+    "author-pool-1-authors-0:1": replace(_SMALL, author_pool_size=1, authors_per_paper=(0, 1)),
+    "author-pool-5-all": replace(_SMALL, author_pool_size=5, authors_per_paper=(5, 5)),
+    "venues-1": replace(_SMALL, venue_count=1),
+    "multi-tag-0": replace(_SMALL, multi_tag_probability=0.0),
+    "multi-tag-1": replace(_SMALL, multi_tag_probability=1.0),
+    "k2-multi-tag-1-planted": replace(_SMALL, field_count=2, multi_tag_probability=1.0,
+                                      lifecycle=_PLANTED),
+    "k3-multi-tag-1-planted": replace(_SMALL, field_count=3, multi_tag_probability=1.0,
+                                      lifecycle=_PLANTED),
+    "k3-identity-planted": replace(_SMALL, field_count=3, lifecycle=_PLANTED,
+                                   propensity=tuple(map(tuple, propensity_identity(3)))),
+    "session-10k": SESSION_10K,
+    "ingest-50k": INGEST_50K,
+}
+
+
+@pytest.mark.parametrize("spec", _REFERENCE_GRID.values(), ids=_REFERENCE_GRID)
+def test_generate_matches_the_reference_generator(spec):
+    _assert_generates_as_reference(spec)
+
+
+@st.composite
+def generator_specs(draw):
+    k = draw(st.integers(1, len(DEFAULT_FIELDS)))
+    start = draw(st.integers(1900, 2090))
+    span = draw(st.integers(1, 8))
+
+    def int_range(lo, hi):
+        a, b = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+        return min(a, b), max(a, b)
+
+    keywords = int_range(0, 10)
+    authors = int_range(0, 6)
+    preset = draw(st.sampled_from([None, propensity_identity, propensity_uniform,
+                                   propensity_mixed]))
+    if preset is propensity_mixed:
+        preset = partial(propensity_mixed, self_weight=draw(st.floats(0.0, 1.0)))
+    lifecycle = None
+    if k > 1 and span > 1 and draw(st.booleans()):
+        tau = draw(st.integers(start, start + span - 2))
+        lifecycle = PlantedLifecycle(draw(st.integers(0, k - 1)), tau,
+                                     draw(st.integers(tau + 1, start + span - 1)))
+    return GeneratorSpec(
+        seed=draw(st.integers(0, 2**40)), field_count=k, start_year=start, years_span=span,
+        papers_per_year=int_range(0, 12), references=int_range(0, 9),
+        propensity=None if preset is None else tuple(map(tuple, preset(k))),
+        multi_tag_probability=draw(st.floats(0.0, 1.0)),
+        keyword_pool_size=draw(st.integers(keywords[1], 14)),
+        keyword_overlap_fraction=draw(st.floats(0.0, 1.0)),
+        keywords_per_paper=keywords,
+        authors_per_paper=authors,
+        author_pool_size=draw(st.integers(max(authors[1], 1), 9)),
+        venue_count=draw(st.integers(1, 4)),
+        lifecycle=lifecycle,
     )
-    _assert_generates_as_numpy_reference(spec, spec, monkeypatch)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_specs())
+def test_generate_matches_the_reference_on_random_specs(spec):
+    _assert_generates_as_reference(spec)
+
+
+def test_generate_matches_the_reference_at_the_largest_draw():
+    # Every random() call returns its largest value, so each uniform integer is
+    # its range's top and each weighted index the last field of positive weight.
+    # Samples of two or more would never end, hence at most one of each.
+    spec = replace(_SMALL, field_count=8, references=(0, 9), keywords_per_paper=(0, 1),
+                   authors_per_paper=(0, 1), lifecycle=_PLANTED)
+    text = _assert_generates_as_reference(spec, draw=1 - 2**-53)
+    assert "#index1\n" in text and "#cVENUE-3\n" in text and "#cVENUE-0\n" not in text
+
+
+def test_a_draw_never_reaches_past_the_top_of_its_range():
+    # random() is at most 1 - 2**-53, and for every n < 2**53 that times n is
+    # below n, so lo + int(random() * n) is at most lo + n - 1: the generator
+    # needs no clamp to the top of a range of n integers.
+    top = 1 - 2**-53
+    assert top == math.nextafter(1.0, 0.0)
+    spans = [*range(1, 2**20), *(2**e + d for e in range(20, 53) for d in (-1, 0, 1)), 2**53 - 1]
+    assert all(int(top * n) == n - 1 for n in spans)
 
 
 _EDGE = 1.0e-5  # within np.allclose's 1e-9 + 1e-5 of 1
