@@ -12,7 +12,19 @@ Determinism is taken seriously: all sampling goes through ``random.Random``
 using only its ``random()`` method, the one stream Python guarantees stable
 across versions, so identical spec + seed yields byte-identical output
 anywhere. The RNG is pinned in a ``%%`` header comment of the output (the
-corpus reader skips such lines).
+corpus reader skips such lines). Each draw is made from ``u = random()``:
+
+- an integer in ``[lo, hi]`` is ``lo + int(u * (hi - lo + 1))``, and a range
+  of one integer takes no draw;
+- a weighted index is ``bisect_right(cumulative, u * cumulative[-1])`` over
+  the running sums of the weights;
+- a sample of distinct items draws integer indices into the pool until it
+  holds enough distinct ones, so it keeps the order of first draw; a pool
+  of one item takes no draw.
+
+``tests/oracles.py`` keeps the generator as it was written before its loop
+was flattened, and the tests require the same bytes and the same number of
+``random()`` calls from both on every spec they try.
 
 Drop/rise years name the last year of the old regime: the change takes
 effect the following year, which is also the convention the phase detector
@@ -21,7 +33,7 @@ reports change-points in.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -118,6 +130,8 @@ class GeneratorSpec:
             raise AnalysisError("keyword pool smaller than keywords_per_paper maximum")
         if self.author_pool_size < 1 or self.venue_count < 1:
             raise AnalysisError("author_pool_size and venue_count must be positive")
+        if self.author_pool_size < self.authors_per_paper[1]:
+            raise AnalysisError("author pool smaller than authors_per_paper maximum")
         matrix = self.propensity_matrix()
         if len(matrix) != self.field_count or any(len(row) != len(matrix) for row in matrix):
             raise AnalysisError("propensity matrix shape does not match field_count")
@@ -142,19 +156,6 @@ class GeneratorSpec:
         return [[float(x) for x in row] for row in self.propensity]
 
 
-# -- stable sampling helpers (only rng.random() is ever consumed) ---------
-
-def _rand_int(rng: Random, lo: int, hi: int) -> int:
-    """Uniform integer in [lo, hi] inclusive."""
-    if lo == hi:
-        return lo
-    return min(lo + int(rng.random() * (hi - lo + 1)), hi)
-
-
-def _weighted_index(rng: Random, cumulative: list[float]) -> int:
-    return bisect.bisect_right(cumulative, rng.random() * cumulative[-1])
-
-
 def _cumulative(weights) -> list[float]:
     out = []
     total = 0.0
@@ -162,19 +163,6 @@ def _cumulative(weights) -> list[float]:
         total += w
         out.append(total)
     return out
-
-
-def _sample_distinct(rng: Random, pool: list[str], count: int) -> list[str]:
-    """Distinct draws without replacement, deterministic, order-of-draw."""
-    chosen: list[str] = []
-    taken: set[int] = set()
-    count = min(count, len(pool))
-    while len(chosen) < count:
-        i = _rand_int(rng, 0, len(pool) - 1)
-        if i not in taken:
-            taken.add(i)
-            chosen.append(pool[i])
-    return chosen
 
 
 def _keyword_pools(spec: GeneratorSpec, abbrs: list[str]) -> list[list[str]]:
@@ -206,6 +194,14 @@ def _sampling_matrix(spec: GeneratorSpec) -> list[list[float]]:
     return matrix
 
 
+def _lifecycle_row(k: int, focal: int, self_weight: float) -> list[float]:
+    """The focal field's cumulative reference row: ``self_weight`` on itself,
+    the rest spread evenly over the other ``k - 1`` fields."""
+    row = [(1.0 - self_weight) / (k - 1)] * k
+    row[focal] = self_weight
+    return _cumulative(row)
+
+
 def generate(spec: GeneratorSpec) -> str:
     """Produce a corpus in the record format honoring the generator settings.
 
@@ -222,95 +218,103 @@ def generate_chunks(spec: GeneratorSpec) -> Iterator[str]:
     The spec is validated before the first piece is returned.
     """
     spec.validate()
-    rng = Random(spec.seed)
+    # Every draw is inlined; the module docstring says how each is made.
+    # random() is at most 1 - 2**-53, and (1 - 2**-53) * n < n for every
+    # n < 2**53, so lo + int(random() * n) never passes the top of its range.
+    random = Random(spec.seed).random
     k = spec.field_count
-    abbrs = [DEFAULT_FIELDS[i][1] for i in range(k)]
     names = [DEFAULT_FIELDS[i][0] for i in range(k)]
     lc = spec.lifecycle
+    focal = -1 if lc is None else lc.focal_field
     base_rows = [_cumulative(row) for row in _sampling_matrix(spec)]
-    pools = _keyword_pools(spec, abbrs)
+    if lc is not None:
+        growing_row = _lifecycle_row(k, focal, 1.0 - GROWING_CROSS_FRACTION)
+        settled_row = _lifecycle_row(k, focal, SETTLED_SELF_FRACTION)
+    pools = _keyword_pools(spec, [DEFAULT_FIELDS[i][1] for i in range(k)])
+    n_kw_pool = spec.keyword_pool_size  # the size of every field's pool
     authors = [f"Author {i:03d}" for i in range(spec.author_pool_size)]
-    venues = [f"VENUE-{i}" for i in range(spec.venue_count)]
+    n_author_pool = len(authors)
+    venue_lines = [f"#cVENUE-{i}\n" for i in range(spec.venue_count)]
+    n_venues = len(venue_lines)
+    # field_lines[p][e]: the #f line of primary field p tagged e too; [p][p] tags p alone.
+    field_lines = [[f"#f{names[min(p, e)]},{names[max(p, e)]}\n" if e != p else f"#f{names[p]}\n"
+                    for e in range(k)] for p in range(k)]
+    multi_tag = spec.multi_tag_probability
+    # Each count's range as its least value and its number of values.
+    (papers_lo, papers_n), (refs_lo, refs_n), (kw_lo, kw_n), (authors_lo, authors_n) = [
+        (lo, hi - lo + 1) for lo, hi in (spec.papers_per_year, spec.references,
+                                         spec.keywords_per_paper, spec.authors_per_paper)]
 
     yield (
         f"%% synthetic corpus: rng={RNG_PIN} seed={spec.seed} "
         f"fields={k} years={spec.start_year}+{spec.years_span}\n"
     )
     by_field_prior: list[list[int]] = [[] for _ in range(k)]  # ids of papers from closed years
-    all_prior: list[int] = []
     next_id = 1
 
-    def lifecycle_row(year: int) -> list[float]:
-        if year <= lc.tau_drop_year:
-            self_w = 1.0 - GROWING_CROSS_FRACTION
-        else:
-            self_w = SETTLED_SELF_FRACTION
-        row = [(1.0 - self_w) / (k - 1)] * k if k > 1 else [1.0]
-        row[lc.focal_field] = self_w if k > 1 else 1.0
-        return _cumulative(row)
-
     for year in range(spec.start_year, spec.start_year + spec.years_span):
-        year_records: list[tuple[int, int]] = []  # (id, field) per tag
-        year_pids: list[int] = []
-        lines: list[str] = []
-        n_papers = _rand_int(rng, *spec.papers_per_year)
-        for _ in range(n_papers):
-            pid = next_id
-            next_id += 1
-            primary = _rand_int(rng, 0, k - 1)
-            fields = [primary]
-            if k > 1 and rng.random() < spec.multi_tag_probability:
-                extra = _rand_int(rng, 0, k - 2)
+        year_line = f"#t{year}\n"
+        prior = range(1, next_id)  # every paper of a closed year
+        year_inbound = None  # another field's chance to cite the focal field
+        if lc is not None:
+            focal_row = growing_row if year <= lc.tau_drop_year else settled_row
+            year_inbound = INBOUND_LOW if year <= lc.zeta_rise_year else INBOUND_HIGH
+        year_by_field: list[list[int]] = [[] for _ in range(k)]
+        papers: list[str] = []
+        n_papers = papers_lo + int(random() * papers_n) if papers_n > 1 else papers_lo
+        for pid in range(next_id, next_id + n_papers):
+            primary = int(random() * k) if k > 1 else 0
+            extra = primary
+            if k > 1 and random() < multi_tag:
+                extra = int(random() * (k - 1)) if k > 2 else 0
                 if extra >= primary:
                     extra += 1
-                fields.append(extra)
+                year_by_field[extra].append(pid)
+            year_by_field[primary].append(pid)
 
-            n_refs = _rand_int(rng, *spec.references)
-            refs: list[int] = []
-            seen: set[int] = set()
-            if all_prior:
-                focal_paper = lc is not None and primary == lc.focal_field
-                cumrow = lifecycle_row(year) if focal_paper else base_rows[primary]
-                inbound = None
-                if lc is not None and not focal_paper:
-                    inbound = INBOUND_LOW if year <= lc.zeta_rise_year else INBOUND_HIGH
+            n_refs = refs_lo + int(random() * refs_n) if refs_n > 1 else refs_lo
+            refs: dict[int, None] = {}  # distinct, in draw order
+            if prior:
+                if primary == focal:
+                    cumrow, inbound = focal_row, None
+                else:
+                    cumrow, inbound = base_rows[primary], year_inbound
                 for _ in range(n_refs):
-                    if inbound is not None and rng.random() < inbound:
-                        target_field = lc.focal_field
+                    if inbound is not None and random() < inbound:
+                        target_field = focal
                     else:
-                        target_field = _weighted_index(rng, cumrow)
-                    candidates = by_field_prior[target_field] or all_prior
+                        target_field = bisect_right(cumrow, random() * cumrow[-1])
+                    candidates = by_field_prior[target_field] or prior
+                    n_candidates = len(candidates)
                     for _attempt in range(8):
-                        rid = candidates[_rand_int(rng, 0, len(candidates) - 1)]
-                        if rid not in seen:
-                            seen.add(rid)
-                            refs.append(rid)
+                        rid = candidates[int(random() * n_candidates) if n_candidates > 1 else 0]
+                        if rid not in refs:
+                            refs[rid] = None
                             break
 
-            n_kw = _rand_int(rng, *spec.keywords_per_paper)
-            keywords = sorted(_sample_distinct(rng, pools[primary], n_kw))
-            n_authors = _rand_int(rng, *spec.authors_per_paper)
-            paper_authors = _sample_distinct(rng, authors, n_authors)
-            venue = venues[_rand_int(rng, 0, len(venues) - 1)]
+            n_keywords = kw_lo + int(random() * kw_n) if kw_n > 1 else kw_lo
+            keywords: set[int] = set()  # distinct; written sorted
+            while len(keywords) < n_keywords:
+                keywords.add(int(random() * n_kw_pool) if n_kw_pool > 1 else 0)
+            n_authors = authors_lo + int(random() * authors_n) if authors_n > 1 else authors_lo
+            paper_authors: dict[int, None] = {}  # distinct, in draw order
+            while len(paper_authors) < n_authors:
+                paper_authors[int(random() * n_author_pool) if n_author_pool > 1 else 0] = None
+            venue_line = venue_lines[int(random() * n_venues) if n_venues > 1 else 0]
 
-            lines.append("")
-            lines.append(f"#*Synthetic study {pid:06d}")
-            lines.append("#@" + ",".join(paper_authors))
-            lines.append(f"#t{year}")
-            lines.append(f"#c{venue}")
-            lines.append("#f" + ",".join(names[f] for f in sorted(fields)))
-            lines.append("#k" + ",".join(keywords))
-            lines.append(f"#index{pid}")
-            for rid in refs:
-                lines.append(f"#%{rid}")
-            year_pids.append(pid)
-            for f in fields:
-                year_records.append((pid, f))
-        for pid, f in year_records:
-            by_field_prior[f].append(pid)
-        all_prior.extend(year_pids)
-        if lines:
-            yield "\n".join(lines) + "\n"
+            ref_lines = "".join([f"#%{rid}\n" for rid in refs])
+            papers.append(
+                f"\n#*Synthetic study {pid:06d}\n"
+                f"#@{','.join([authors[i] for i in paper_authors])}\n"
+                f"{year_line}{venue_line}{field_lines[primary][extra]}"
+                f"#k{','.join(sorted([pools[primary][i] for i in keywords]))}\n"
+                f"#index{pid}\n{ref_lines}"
+            )
+        for field, pids in enumerate(year_by_field):
+            by_field_prior[field] += pids
+        next_id += n_papers
+        if papers:
+            yield "".join(papers)
 
 
 def generate_corpus(spec: GeneratorSpec, taxonomy: FieldTaxonomy | None = None) -> Corpus:
@@ -352,10 +356,12 @@ def load_generator_spec(text: str) -> GeneratorSpec:
     selected by preset: ``identity``, ``uniform``, or ``mixed:<self_weight>``
     (full matrices are API-only). A lifecycle is spelled
     ``lifecycle = FIELD_INDEX:TAU_DROP_YEAR:ZETA_RISE_YEAR``. A bad line,
-    key or value raises ``AnalysisError`` naming the line.
+    key or value, or a key given twice, raises ``AnalysisError`` naming the
+    line.
     """
     kwargs: dict = {}
     propensity: Callable[[int], list[list[float]]] | None = None
+    key_lines: dict[str, int] = {}  # the line each key was read from
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -365,6 +371,11 @@ def load_generator_spec(text: str) -> GeneratorSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in key_lines:
+            raise AnalysisError(
+                f"spec line {lineno}: repeated key {key!r} (first on line {key_lines[key]})"
+            )
+        key_lines[key] = lineno
         try:
             if key in ("seed", "field_count", "start_year", "years_span",
                        "keyword_pool_size", "author_pool_size", "venue_count"):

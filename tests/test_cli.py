@@ -686,18 +686,21 @@ def test_generate_missing_spec_file_is_a_file_error(tmp_path, capsys):
     assert record["error"]["type"] == "FileNotFoundError"
 
 
-@pytest.mark.parametrize("line", [
-    "seed = abc", "lifecycle = 1:2", "papers_per_year = 1:2:3",
-    "propensity = mixed:abc", "propensity = bogus",
+@pytest.mark.parametrize("lines, message", [
+    *(pytest.param(line, "spec line 2: bad {} value {!r}".format(*line.split(" = ")), id=line)
+      for line in ("seed = abc", "lifecycle = 1:2", "papers_per_year = 1:2:3",
+                   "propensity = mixed:abc", "propensity = bogus")),
+    # A repeated key no longer lets the later line win silently.
+    pytest.param("seed = 1\nvenue_count = 2\nseed = 2",
+                 "spec line 4: repeated key 'seed' (first on line 2)", id="seed twice"),
 ])
-def test_generate_bad_spec_value_names_its_line(line, tmp_path, capsys):
+def test_generate_bad_spec_value_names_its_line(lines, message, tmp_path, capsys):
     spec = tmp_path / "gen.txt"
-    spec.write_text(f"# generator settings\n{line}\n", encoding="utf-8")
+    spec.write_text(f"# generator settings\n{lines}\n", encoding="utf-8")
     assert main(["generate", "--spec", str(spec)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "AnalysisError"
-    key, _, value = line.partition(" = ")
-    assert error["message"] == f"spec line 2: bad {key} value {value!r}"
+    assert error["message"] == message
 
 
 def test_taxonomy_sidecar_flag(tmp_path, capsys):

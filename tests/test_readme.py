@@ -1,7 +1,9 @@
-"""README's Library example runs as written against the current API, and
-its CLI usage block names the CLI's subcommands."""
+"""README's Library example runs as written against the current API, its
+CLI usage block names the CLI's subcommands, and its generator section
+names every spec key."""
 
 import argparse
+import dataclasses
 import re
 from importlib import import_module
 from pathlib import Path
@@ -13,11 +15,16 @@ from citefields import GeneratorSpec, cli, generate
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _section(heading: str) -> str:
+    """README's section ``heading``, up to the next section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading) + len(heading):]
+    return section.split("\n## ", 1)[0]
+
+
 def _block(heading: str, language: str) -> str:
     """The first ``language`` code block of README's section ``heading``."""
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index(heading):]
-    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(rf"```{language}\n(.*?)```", _section(heading), re.DOTALL).group(1)
 
 
 def library_block() -> str:
@@ -61,3 +68,11 @@ def test_readme_cli_block_names_each_subcommand_once():
     named = [line.split()[1] for line in _block("## CLI", "sh").splitlines()
              if line.startswith("citefields ")]
     assert sorted(named) == sorted(subcommands)
+
+
+def test_readme_generator_section_names_every_spec_key():
+    section = _section("## Synthetic generator")
+    missing = [field.name for field in dataclasses.fields(GeneratorSpec)
+               if f"`{field.name}`" not in section]
+    assert not missing
+    assert "`tests/oracles.py`" in section  # the generator's byte-exact reference

@@ -146,6 +146,9 @@ def test_infeasible_specs_rejected():
         GeneratorSpec(multi_tag_probability=1.5).validate()
     with pytest.raises(AnalysisError):
         GeneratorSpec(keyword_pool_size=3).validate()
+    # At the parent a pool of 2 validated and wrote papers of 2 authors.
+    with pytest.raises(AnalysisError, match="author pool smaller than authors_per_paper"):
+        GeneratorSpec(author_pool_size=2, authors_per_paper=(3, 3)).validate()
     with pytest.raises(AnalysisError):
         GeneratorSpec(propensity=((0.5, 0.2), (0.5, 0.5))).validate()
     with pytest.raises(AnalysisError):
@@ -293,13 +296,29 @@ def _generated(module, spec, draw=None):
     return text, calls
 
 
+def _first_difference(text, reference_text):
+    """The first line of ``text`` that differs from ``reference_text``'s, or
+    None if the two are equal. A failed ``==`` on megabytes of text would
+    have pytest compute their whole diff."""
+    if text == reference_text:
+        return None
+    lines = text.splitlines(keepends=True)
+    reference_lines = reference_text.splitlines(keepends=True)
+    at = next((i for i, pair in enumerate(zip(lines, reference_lines)) if pair[0] != pair[1]),
+              min(len(lines), len(reference_lines)))
+    return (f"line {at + 1}: {lines[at:at + 1]} where the reference has "
+            f"{reference_lines[at:at + 1]}")
+
+
 def _assert_generates_as_reference(spec, draw=None):
     text, calls = _generated(synth, spec, draw)
     reference_text, reference_calls = _generated(oracles, spec, draw)
-    assert text == reference_text
+    difference = _first_difference(text, reference_text)
+    assert difference is None
     assert calls == reference_calls
     if draw is None:
-        assert generate(spec) == text  # the counting Random draws the seeded stream
+        # The counting Random draws the seeded stream.
+        assert _first_difference(generate(spec), text) is None
     return text
 
 
