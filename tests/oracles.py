@@ -487,11 +487,6 @@ def generate_chunks(spec: GeneratorSpec) -> Iterator[str]:
             yield "\n".join(lines) + "\n"
 
 
-def generate_reference(spec) -> str:
-    """``synth.generate(spec)`` by the reference generator."""
-    return "".join(generate_chunks(spec))
-
-
 def pearson_raw_moments(xs, ys) -> float:
     """Raw-moment covariance formula, distinct from the centered version."""
     n = len(xs)
