@@ -16,7 +16,7 @@ from functools import cache
 from itertools import chain
 from math import ceil, fsum, log
 from random import Random
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +29,8 @@ from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, Pars
 from citefields.diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL
 from citefields.errors import AnalysisError, ParseError
 from citefields.graph import FRACTIONAL, FULL_COUNT, CitationGraph
-from citefields.impact import DEFAULT_HORIZON, TOP_SHARE, bucket_assignment
-from citefields.reciprocity import _row_total
-from citefields.records import YEAR_RANGE, author_key
+from citefields.impact import DEFAULT_HORIZON, TOP_SHARE
+from citefields.records import YEAR_RANGE
 from citefields.report import base_metadata, window_label
 from citefields.slotted import Slotted
 
@@ -888,6 +887,74 @@ def cotag_report_records(
         )
         prev = count
     return report
+
+
+# -- package helpers the references call ----------------------------------
+# Copied verbatim from ``citefields.records``, ``citefields.reciprocity`` and
+# ``citefields.impact``, so that a change to one of them shows in
+# ``test_kernels.py`` instead of cancelling out on both sides.
+
+def author_key(name: str) -> str:
+    """Author identity for matching names: trimmed, case-insensitive."""
+    return name.strip().casefold()
+
+
+def _row_total(row: Sequence[float]) -> float:
+    """Sum of ``row`` added in the order of numpy's pairwise ``sum(axis=1)``.
+
+    Fewer than 8 values are added in order. Up to 128 values go into 8
+    interleaved accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    and the tail past the last multiple of 8 is added in order. A longer row
+    is split in half, rounded down to a multiple of 8, and each half summed
+    the same way. Float addition is not associative, so any other order could
+    move a fraction, and a report, by the last bit.
+    """
+    n = len(row)
+    if n < 8:
+        total = 0.0
+        for x in row:
+            total += x
+        return total
+    if n <= 128:
+        cut = n - n % 8
+        r = list(row[:8])
+        for start in range(8, cut, 8):
+            for k in range(8):
+                r[k] += row[start + k]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in row[cut:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _row_total(row[:half]) + _row_total(row[half:])
+
+
+def bucket_assignment(values: dict[int, float], n_buckets: int) -> tuple[dict[int, int], float, float, bool]:
+    """Equal-width bucket index per paper over the observed value range.
+
+    Intervals are left-closed; the last is also right-closed. A degenerate
+    range (all values identical) collapses to one bucket. Values within
+    1e-9 bucket-widths of a boundary are treated as sitting exactly on it
+    (still left-closed), so assignments survive positive rescaling of the
+    metric: entropy-style metrics routinely produce values exactly on
+    boundaries, where bare floor() would flip on one-ulp perturbations.
+    Returns (assignment, lo, hi, degenerate).
+    """
+    if not values:
+        raise AnalysisError("no papers with a defined metric value")
+    lo = min(values.values())
+    hi = max(values.values())
+    if lo == hi:
+        return {pid: 0 for pid in values}, lo, hi, True
+    span = hi - lo
+    assignment = {}
+    for pid, v in values.items():
+        raw = n_buckets * (v - lo) / span
+        nearest = round(raw)
+        idx = int(nearest) if abs(raw - nearest) <= 1e-9 else int(raw)
+        assignment[pid] = min(max(idx, 0), n_buckets - 1)
+    return assignment, lo, hi, False
 
 
 # Verbatim copies of the record-based kernels that the column kernels

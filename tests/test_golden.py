@@ -46,11 +46,16 @@ INVOCATIONS = {
     "impact-lifetime": ("impact", "--lifetime"),
     "impact-1980-1989": ("impact", "--window", "1980:1989"),
     "impact-horizon-3": ("impact", "--horizon", "3"),
+    # The corpus's last two years: few papers have a counted citation yet.
+    "impact-2008-2009": ("impact", "--window", "2008:2009"),
+    "impact-top-share-hit-rate-2008-2009": ("impact", "--top-share", "--hit-rate",
+                                            "--window", "2008:2009"),
     "buckets-rdi": ("buckets", "--metric", "rdi"),
     "buckets-rdi-json": ("buckets", "--metric", "rdi", "--format", "json"),
     "buckets-kdi": ("buckets", "--metric", "kdi"),
     "buckets-rdi-1980-1989": ("buckets", "--metric", "rdi", "--window", "1980:1989"),
     "buckets-rdi-horizon-3": ("buckets", "--metric", "rdi", "--horizon", "3"),
+    "buckets-rdi-2008-2009": ("buckets", "--metric", "rdi", "--window", "2008:2009"),
     "buckets-kdi-1980-1989-global": ("buckets", "--metric", "kdi", "--window", "1980:1989",
                                      "--keyword-scope", "corpus-global"),
     "reciprocity": ("reciprocity",),

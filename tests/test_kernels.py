@@ -11,6 +11,7 @@ error record with the same exit code.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import io
 from contextlib import redirect_stderr
@@ -28,6 +29,33 @@ from test_golden import INVOCATIONS, corpus_spec
 
 ANALYSES = {label: args for label, args in INVOCATIONS.items()
             if args[0] in oracles.RECORD_ANALYSES}
+
+# Every name the reference may import from the package, with the reason:
+# any other name would be code that runs on both sides of a comparison.
+_VALUE = "a value type: it holds data and computes nothing the reference checks"
+_CONSTANT = "a constant"
+_ERROR = "an error type, so that error records match"
+REFERENCE_MAY_IMPORT = {
+    **dict.fromkeys(("CitationGraph", "Corpus", "Diagnostic", "FieldTaxonomy",
+                     "FieldTrajectory", "PaperRecord", "ParseReport", "TimeWindow"), _VALUE),
+    **dict.fromkeys(("COMMENT_PREFIX", "CORPUS_GLOBAL", "DEFAULT_FIELDS", "DEFAULT_HORIZON",
+                     "ERROR", "FRACTIONAL", "FULL_COUNT", "KDI", "RDI", "TOP_SHARE",
+                     "WARNING", "WINDOW_LOCAL", "YEAR_RANGE"), _CONSTANT),
+    **dict.fromkeys(("AnalysisError", "ParseError"), _ERROR),
+    "MetricReport": "the report whose bytes are compared",
+    "base_metadata": "the metadata lines every report starts with",
+    "window_label": "the window's text in the metadata",
+    "Slotted": "the base of the reference's own ImpactScores",
+    "GeneratorSpec": "the spec the generator reference reads",
+    "NO_RECORDS": "the CLI's error for an input with no record",
+    "_parse_input": "the CLI's parse of its input; the parse has references of its own",
+    "_field_index": "the CLI's lookup of a field flag, so that usage errors match",
+    "detect_phases": "shared on purpose: the trajectory reference checks the series",
+    "matrix_report": "shared on purpose: the reciprocity reference checks the matrix",
+    "pearson_report": "shared on purpose: the reciprocity reference checks the matrix",
+    "phases_report": "shared on purpose: the trajectory reference checks the series",
+    "trajectory_report": "shared on purpose: the trajectory reference checks the series",
+}
 
 # Abbreviations and names of the first ten default fields, so that a paper
 # can carry up to seven of them; AI, Algo and NETW are the invocations'.
@@ -128,3 +156,20 @@ def test_references_read_no_table(tmp_path, monkeypatch):
             assert (code, err) == (0, "") and report, label
             ran.add(head)
     assert ran == set(references)
+
+
+def test_the_reference_imports_only_what_it_may():
+    """Every name ``oracles.py`` imports from the package, at module level
+    or inside a function, is on ``REFERENCE_MAY_IMPORT``; it imports no
+    package module whole."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names
+                            if alias.name.partition(".")[0] == "citefields")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").partition(".")[0] == "citefields"):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert sorted(imported - REFERENCE_MAY_IMPORT.keys()) == []
