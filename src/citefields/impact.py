@@ -6,7 +6,9 @@
   from the corpus itself (citations made in year y to the venue's papers of
   y-1 and y-2, over the venue's paper count in those years);
 * top-cited: in the top 5% of the analyzed population by cp, ties at the
-  cutoff included (per field: ``top_cited_counts``).
+  cutoff included (per field: ``top_cited_counts``); a paper with no
+  counted citation never is, so the set falls short of 5% when fewer
+  papers have one.
 
 Scores are held as columns over the scored ids (``ImpactScores``), with no
 object per paper; a paper is top-cited when its cp reaches the cutoff.
@@ -35,8 +37,8 @@ TOP_SHARE = 0.05
 class ImpactScores(Slotted):
     """The scores of the papers of ``window``, as columns by row: ``ids``
     ascending, their ``cp`` and their ``jif`` (None where undefined), and
-    ``cutoff``, the least cp of the top-cited set, so that a paper is
-    top-cited when its cp is at least ``cutoff``."""
+    ``cutoff``, the least cp of the top-cited set and at least 1, so that a
+    paper is top-cited when its cp is at least ``cutoff``."""
 
     __slots__ = ("ids", "cp", "jif", "cutoff", "window")
 
@@ -127,7 +129,7 @@ def compute_impact_scores(
     horizon: int | None = DEFAULT_HORIZON,
 ) -> ImpactScores:
     """Score every paper in the window; the top 5% by cp (ties included)
-    are those at or above the cutoff."""
+    are those at or above the cutoff, which is at least 1."""
     _check_horizon(horizon)
     papers = corpus.table
     ids = papers.papers_in(window=window)
@@ -135,7 +137,7 @@ def compute_impact_scores(
         raise AnalysisError("no papers in the analyzed window")
     jif_of = _jif_lookup(papers, graph)
     cp = [len(citations_received(graph, papers, pid, horizon)) for pid in ids]
-    cutoff = sorted(cp, reverse=True)[ceil(TOP_SHARE * len(ids)) - 1]
+    cutoff = max(sorted(cp, reverse=True)[ceil(TOP_SHARE * len(ids)) - 1], 1)
     venues, years = papers.venue, papers.year
     jif = [jif_of(venues[pid], years[pid]) if venues[pid] else None for pid in ids]
     return ImpactScores(ids, cp, jif, cutoff, window)

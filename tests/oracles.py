@@ -1215,7 +1215,9 @@ def compute_impact_scores(
     jif_of = _jif_lookup(corpus, graph)
     cps = {pid: len(citations_received(graph, corpus, pid, horizon)) for pid in population}
     k = ceil(TOP_SHARE * len(population))
-    cutoff = sorted(cps.values(), reverse=True)[k - 1]
+    # The one deliberate change to the copy: a cutoff of at least 1, so
+    # that a paper with no counted citation is never top-cited.
+    cutoff = max(sorted(cps.values(), reverse=True)[k - 1], 1)
     per_paper = {}
     for pid in population:
         rec = corpus[pid]

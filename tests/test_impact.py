@@ -211,6 +211,21 @@ def test_top_cited_tie_at_cutoff_extends_set():
     assert top == {1, 2, 3, 4, 5, 6, 7}  # ties included, size > 5%
 
 
+@pytest.mark.parametrize("cited", [0, 2])
+def test_a_paper_with_no_counted_citation_is_never_top_cited(cited):
+    # 100 papers, so the top 5% would be 5; only ``cited`` of them have a
+    # counted citation, and the set holds only those.
+    records = [rec(i, year=2000) for i in range(1, 101)]
+    records += [rec(1000 + i, year=2001, refs=(i,), authors=(f"Citer {i}",))
+                for i in range(1, cited + 1)]
+    corpus = corpus_of(*records)
+    scores = compute_impact_scores(build_graph(corpus), corpus, window=TimeWindow(2000, 2000))
+    assert scores.cutoff == 1
+    top = {pid for pid, cp in zip(scores.ids, scores.cp) if cp >= scores.cutoff}
+    assert top == set(range(1, cited + 1))
+    assert top_cited_counts(scores, corpus)[0] == (cited, cited)
+
+
 def test_bucket_boundary_values():
     values = {1: 0.0, 2: 0.25, 3: 0.5, 4: 0.75, 5: 1.0}
     assignment, lo, hi, degenerate = bucket_assignment(values, 5)
