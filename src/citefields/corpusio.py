@@ -119,19 +119,11 @@ class Diagnostic(NamedTuple):
 
 
 class ParseReport(Slotted):
-    __slots__ = ("blocks", "parsed", "skipped", "diagnostics")
+    """The record ``blocks`` a parse read, ``parsed`` or ``skipped``, and its
+    ``diagnostics`` in input order; each starts at 0 or empty."""
 
-    def __init__(
-        self,
-        blocks: int = 0,
-        parsed: int = 0,
-        skipped: int = 0,
-        diagnostics: list[Diagnostic] | None = None,
-    ):
-        self.blocks = blocks
-        self.parsed = parsed
-        self.skipped = skipped
-        self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
+    __slots__ = ("blocks", "parsed", "skipped", "diagnostics")
+    _defaults = {"blocks": int, "parsed": int, "skipped": int, "diagnostics": list}
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == ERROR]

@@ -27,23 +27,11 @@ FRACTIONAL = "fractional"
 
 class CitationGraph(Slotted):
     """``out_edges`` of every paper and ``in_edges`` of every cited paper,
-    each an ascending id tuple, and ``unresolved``, a ``Counter`` of the
-    dangling references of only the papers that have one, so that any other
-    paper reads 0."""
+    each an ascending id tuple; ``unresolved``, a ``Counter`` of the dangling
+    references of the papers that have one (any other paper reads 0); and
+    the ``multiplicity`` rule, ``FULL_COUNT`` or ``FRACTIONAL``."""
 
     __slots__ = ("out_edges", "in_edges", "unresolved", "multiplicity")
-
-    def __init__(
-        self,
-        out_edges: dict[int, tuple[int, ...]],
-        in_edges: dict[int, tuple[int, ...]],
-        unresolved: Counter,
-        multiplicity: str,
-    ):
-        self.out_edges = out_edges
-        self.in_edges = in_edges
-        self.unresolved = unresolved
-        self.multiplicity = multiplicity
 
     @property
     def total_edges(self) -> int:

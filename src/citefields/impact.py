@@ -6,9 +6,8 @@
   from the corpus itself (citations made in year y to the venue's papers of
   y-1 and y-2, over the venue's paper count in those years);
 * top-cited: in the top 5% of the analyzed population by cp, ties at the
-  cutoff included (per field: ``top_cited_counts``); a paper with no
-  counted citation never is, so the set falls short of 5% when fewer
-  papers have one.
+  cutoff included, papers with no counted citation never (so the set can
+  fall short of 5%; per field: ``top_cited_counts``).
 
 Scores are held as columns over the scored ids (``ImpactScores``), with no
 object per paper; a paper is top-cited when its cp reaches the cutoff.
@@ -41,14 +40,6 @@ class ImpactScores(Slotted):
     paper is top-cited when its cp is at least ``cutoff``."""
 
     __slots__ = ("ids", "cp", "jif", "cutoff", "window")
-
-    def __init__(self, ids: list[int], cp: list[int], jif: list[float | None],
-                 cutoff: int, window: TimeWindow | None):
-        self.ids = ids
-        self.cp = cp
-        self.jif = jif
-        self.cutoff = cutoff
-        self.window = window
 
     @property
     def per_paper(self) -> list[int]:

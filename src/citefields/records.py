@@ -39,8 +39,7 @@ class TimeWindow(Slotted):
     def __init__(self, start: int, end: int):
         if start > end:
             raise ValueError(f"window start {start} > end {end}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        super().__init__(start, end)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -62,19 +62,11 @@ class RowView:
 
 
 class MetricReport(Slotted):
-    __slots__ = ("name", "columns", "rows", "metadata")
+    """``name``, ``columns``, ``rows`` (a list of tuples, empty by default, or
+    a ``RowView``) and ``metadata`` (a dict, empty by default)."""
 
-    def __init__(
-        self,
-        name: str,
-        columns: tuple[str, ...],
-        rows: list[tuple] | RowView | None = None,
-        metadata: dict[str, Any] | None = None,
-    ):
-        self.name = name
-        self.columns = columns
-        self.rows = [] if rows is None else rows
-        self.metadata: dict[str, Any] = {} if metadata is None else metadata
+    __slots__ = ("name", "columns", "rows", "metadata")
+    _defaults = {"rows": list, "metadata": dict}
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):

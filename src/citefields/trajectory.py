@@ -49,35 +49,18 @@ class Phase(NamedTuple):
 
 
 class PhaseDetection(Slotted):
-    __slots__ = ("phases", "tau_change_year", "zeta_change_year", "diagnostics")
+    """The ``phases`` in year order, ``tau_change_year`` and ``zeta_change_year``
+    (None where there is no change) and ``diagnostics``, empty by default."""
 
-    def __init__(
-        self,
-        phases: list[Phase],
-        tau_change_year: int | None,
-        zeta_change_year: int | None,
-        diagnostics: list[str] | None = None,
-    ):
-        self.phases = phases
-        self.tau_change_year = tau_change_year
-        self.zeta_change_year = zeta_change_year
-        self.diagnostics: list[str] = [] if diagnostics is None else diagnostics
+    __slots__ = ("phases", "tau_change_year", "zeta_change_year", "diagnostics")
+    _defaults = {"diagnostics": list}
 
 
 class FieldTrajectory(Slotted):
-    __slots__ = ("field", "years", "tau", "zeta")
+    """The ``tau`` and ``zeta`` series of the ``field`` index over
+    ``years``, tuples by year, None where a year has no same-field count."""
 
-    def __init__(
-        self,
-        field: int,
-        years: tuple[int, ...],
-        tau: tuple[float | None, ...],
-        zeta: tuple[float | None, ...],
-    ):
-        self.field = field
-        self.years = years
-        self.tau = tau
-        self.zeta = zeta
+    __slots__ = ("field", "years", "tau", "zeta")
 
 
 def _reference_split(

@@ -1,5 +1,7 @@
 """The package's plain value types: constructors, equality, repr, defaults."""
 
+from itertools import combinations
+
 import pytest
 
 from citefields import (
@@ -86,18 +88,41 @@ def test_value_type_builds_compares_and_prints_by_field(cls, fields, change, tex
     assert repr(by_keyword) == repr(by_position) == text
 
 
+@pytest.mark.parametrize("cls, fields, change, text", _TYPES.values(), ids=_TYPES)
+def test_value_type_refuses_a_call_that_does_not_fit_its_fields(cls, fields, change, text):
+    values = list(fields.values())
+    first = next(iter(fields))
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match=rf"{cls.__name__}.*'extra'"):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError, match=rf"{cls.__name__}.*'{first}'"):
+        cls(*values, **{first: values[0]})
+    for name in fields.keys() - getattr(cls, "_defaults", {}).keys():
+        with pytest.raises(TypeError, match=rf"{cls.__name__}.*'{name}'"):
+            cls(**{key: value for key, value in fields.items() if key != name})
+
+
 @pytest.mark.parametrize("build, name", [
-    (lambda: ParseReport(), "diagnostics"),
-    (lambda: MetricReport("demo", ("a",)), "rows"),
-    (lambda: MetricReport("demo", ("a",)), "metadata"),
-    (lambda: PhaseDetection([], None, None), "diagnostics"),
+    (lambda **named: ParseReport(**named), "diagnostics"),
+    (lambda **named: MetricReport("demo", ("a",), **named), "rows"),
+    (lambda **named: MetricReport("demo", ("a",), **named), "metadata"),
+    (lambda **named: PhaseDetection([], None, None, **named), "diagnostics"),
 ], ids=["ParseReport.diagnostics", "MetricReport.rows", "MetricReport.metadata",
         "PhaseDetection.diagnostics"])
 def test_mutable_default_is_fresh_per_instance(build, name):
-    first, second = build(), build()
-    assert getattr(first, name) == getattr(second, name)
-    assert len(getattr(first, name)) == 0
-    assert getattr(first, name) is not getattr(second, name)
+    # Left out twice, then given as None twice.
+    defaults = [getattr(made, name) for made in (build(), build(), build(**{name: None}),
+                                                 build(**{name: None}))]
+    for first, second in combinations(defaults, 2):
+        assert first == second
+        assert len(first) == 0
+        assert first is not second
+
+
+def test_parse_report_counts_default_to_zero():
+    assert ParseReport(blocks=None).blocks == 0
+    assert ParseReport(None, None, None, None) == ParseReport() == ParseReport(0, 0, 0, [])
 
 
 def test_time_window_is_hashable_and_immutable():
