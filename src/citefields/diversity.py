@@ -10,10 +10,11 @@ Two per-paper scores, each averaged over a field's papers inside a window:
   overlaps, deliberately not renormalized unless a flag asks for it.
 
 Logs are natural, which only rescales values. ``paper_diversity`` scores
-each paper in the window once; a field's mean is the ``fsum`` of its
-papers' scores over their count, so their order cannot change a bit of it.
-Papers whose score is undefined (no resolved references, or no keywords)
-are left out of field means and of the coverage count.
+each paper in the window once, as a column over its ascending ids (the rows
+of ``impact.ImpactScores``) with None where a score is undefined (no
+resolved references, or no keywords). A field's mean is the ``fsum`` of its
+papers' defined scores over their count, so their order cannot change a bit
+of it; undefined scores are left out of means and coverage counts.
 """
 
 from __future__ import annotations
@@ -106,23 +107,18 @@ def paper_diversity(
     window: TimeWindow | None = None,
     keyword_scope: str = WINDOW_LOCAL,
     normalized_kdi: bool = False,
-) -> dict[int, float]:
-    """One metric's score of every paper published in the window, by
-    ascending id, leaving out undefined scores. For ``kdi`` the keyword
-    pools are built for the window under ``keyword_scope``."""
+) -> list[float | None]:
+    """One metric's score of each paper of ``papers_in(window=window)``,
+    row by row, None where it is undefined. For ``kdi`` the keyword pools
+    are built for the window under ``keyword_scope``."""
     if metric not in (RDI, KDI):
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
     papers = corpus.table
-    pools = build_keyword_sets(papers, window, keyword_scope) if metric == KDI else None
-    values = {}
-    for pid in papers.papers_in(window=window):
-        if metric == RDI:
-            v = rdi_paper(graph, papers, pid)
-        else:
-            v = kdi_paper(papers, pools, pid, normalized=normalized_kdi)
-        if v is not None:
-            values[pid] = v
-    return values
+    ids = papers.papers_in(window=window)
+    if metric == RDI:
+        return [rdi_paper(graph, papers, pid) for pid in ids]
+    pools = build_keyword_sets(papers, window, keyword_scope)
+    return [kdi_paper(papers, pools, pid, normalized=normalized_kdi) for pid in ids]
 
 
 def rank_order(values: dict[int, float]) -> list[int]:
@@ -165,9 +161,10 @@ def rank_fields(
     for window in windows:
         scores = paper_diversity(graph, papers, metric, window, keyword_scope, normalized_kdi)
         per_field: dict[int, list[float]] = {}
-        for pid, v in scores.items():
-            for f in papers.fields[pid]:
-                per_field.setdefault(f, []).append(v)
+        for pid, v in zip(papers.papers_in(window=window), scores):
+            if v is not None:
+                for f in papers.fields[pid]:
+                    per_field.setdefault(f, []).append(v)
         values = {f: fsum(vs) / len(vs) for f, vs in per_field.items()}
         ranks = {f: i + 1 for i, f in enumerate(rank_order(values))}
         for f in taxonomy.indices:

@@ -12,13 +12,13 @@
 Scores are held as columns over the scored ids (``ImpactScores``), with no
 object per paper; a paper is top-cited when its cp reaches the cutoff.
 
-The bucket analysis reports the mean impact per equal-width bucket of any
-per-paper metric's observed range (left-closed, last one closed).
+The bucket analysis reports the mean impact per equal-width bucket of the
+observed range (left-closed, last one closed) of a per-paper metric column
+over the scores' rows, such as ``paper_diversity``'s, leaving out None.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache
 from math import ceil, fsum
 from typing import Callable
@@ -155,8 +155,8 @@ def top_cited_counts(
     return [(in_top[f], in_population[f] if hit_rate else top_size) for f in range(n)]
 
 
-def bucket_assignment(values: dict[int, float], n_buckets: int) -> tuple[dict[int, int], float, float, bool]:
-    """Equal-width bucket index per paper over the observed value range.
+def bucket_assignment(values: list[float], n_buckets: int) -> tuple[list[int], float, float, bool]:
+    """Equal-width bucket index of each value over the observed value range.
 
     Intervals are left-closed; the last is also right-closed. A degenerate
     range (all values identical) collapses to one bucket. Values within
@@ -164,43 +164,42 @@ def bucket_assignment(values: dict[int, float], n_buckets: int) -> tuple[dict[in
     (still left-closed), so assignments survive positive rescaling of the
     metric: entropy-style metrics routinely produce values exactly on
     boundaries, where bare floor() would flip on one-ulp perturbations.
-    Returns (assignment, lo, hi, degenerate).
+    Returns (assignment, lo, hi, degenerate), the assignment by position.
     """
     if not values:
         raise AnalysisError("no papers with a defined metric value")
-    lo = min(values.values())
-    hi = max(values.values())
+    lo = min(values)
+    hi = max(values)
     if lo == hi:
-        return {pid: 0 for pid in values}, lo, hi, True
+        return [0] * len(values), lo, hi, True
     span = hi - lo
-    assignment = {}
-    for pid, v in values.items():
+    assignment = []
+    for v in values:
         raw = n_buckets * (v - lo) / span
         nearest = round(raw)
         idx = int(nearest) if abs(raw - nearest) <= 1e-9 else int(raw)
-        assignment[pid] = min(max(idx, 0), n_buckets - 1)
+        assignment.append(min(max(idx, 0), n_buckets - 1))
     return assignment, lo, hi, False
 
 
 def bucket_impact(
-    metric_values: dict[int, float],
+    metric_values: list[float | None],
     scores: ImpactScores,
     n_buckets: int = 5,
     metric_name: str = "metric",
 ) -> MetricReport:
-    """Mean impact per equal-width bucket of a per-paper metric.
+    """Mean impact per equal-width bucket of a per-paper metric, given as a
+    column over ``scores.ids`` with None where it is undefined.
 
     Every paper with a defined metric value lands in exactly one bucket;
     empty buckets are emitted with count 0 and missing means.
     """
     if n_buckets < 1:
         raise ValueError(f"n_buckets must be at least 1, got {n_buckets}")
-    ids = scores.ids
-    rows = [bisect_left(ids, pid) for pid in metric_values]  # each paper's score row
-    missing = [pid for pid, row in zip(metric_values, rows) if row == len(ids) or ids[row] != pid]
-    if missing:
-        raise AnalysisError(f"{len(missing)} papers lack impact scores (e.g. {missing[0]})")
-    assignment, lo, hi, degenerate = bucket_assignment(metric_values, n_buckets)
+    if len(metric_values) != len(scores.ids):
+        raise AnalysisError(f"{len(metric_values)} metric values for {len(scores.ids)} scored papers")
+    rows = [r for r, v in enumerate(metric_values) if v is not None]
+    assignment, lo, hi, degenerate = bucket_assignment([metric_values[r] for r in rows], n_buckets)
     effective = 1 if degenerate else n_buckets
     width = (hi - lo) / effective if not degenerate else 0.0
     report = MetricReport(
@@ -214,13 +213,13 @@ def bucket_impact(
             metric=metric_name,
             n_buckets=effective,
             degenerate=str(degenerate).lower(),
-            population=len(metric_values),
+            population=len(rows),
             window=window_label(scores.window),
         ),
     )
-    members: dict[int, list[int]] = {b: [] for b in range(effective)}
-    for pid, row in zip(metric_values, rows):
-        members[assignment[pid]].append(row)
+    members: list[list[int]] = [[] for _ in range(effective)]
+    for row, b in zip(rows, assignment):
+        members[b].append(row)
     cps, jifs, cutoff = scores.cp, scores.jif, scores.cutoff
     for b in range(effective):
         bucket = members[b]

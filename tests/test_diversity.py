@@ -69,7 +69,8 @@ def test_rdi_field_mean_and_coverage():
     ]
     corpus = corpus_of(*records)
     graph = build_graph(corpus)
-    assert paper_diversity(graph, corpus, "rdi") == {1: 0.0, 2: pytest.approx(LN2, abs=1e-15)}
+    assert paper_diversity(graph, corpus, "rdi") == [
+        0.0, pytest.approx(LN2, abs=1e-15), None, None, None, None]
     row = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)]).rows[0]
     assert row[5] == 2  # coverage
     assert abs(row[4] - LN2 / 2) < 1e-12
@@ -79,11 +80,30 @@ def test_rdi_field_without_defined_paper_is_blank():
     # Field 0 has only a refless paper, field 5 has no paper at all.
     corpus = corpus_of(rec(1, fields=(0,)))
     graph = build_graph(corpus)
-    assert paper_diversity(graph, corpus, "rdi") == {}
+    assert paper_diversity(graph, corpus, "rdi") == [None]
     report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
     for f in (0, 5):
         row = report.rows[f]
         assert (row[4], row[5], row[7]) == (None, 0, None)  # value, coverage, rank
+
+
+def test_paper_diversity_is_a_column_over_the_window_ids():
+    # One row per paper of the window by ascending id, None where the score
+    # is undefined, also between defined ones; papers outside it get none.
+    corpus = corpus_of(
+        rec(7, year=2001, fields=(0,), refs=(20, 21), keywords=("k1",)),
+        rec(3, year=2000, fields=(0,), refs=(20,), keywords=("k1", "k2")),
+        rec(5, year=2000, fields=(1,), keywords=()),
+        rec(20, year=1990, fields=(1,), keywords=("k2",)),
+        rec(21, year=1990, fields=(2,)),
+    )
+    graph = build_graph(corpus)
+    window = TimeWindow(2000, 2001)
+    assert paper_diversity(graph, corpus, "rdi", window) == [0.0, None, pytest.approx(LN2)]
+    pools = build_keyword_sets(corpus, window)
+    assert paper_diversity(graph, corpus, "kdi", window) == [
+        kdi_paper(corpus, pools, 3), None, kdi_paper(corpus, pools, 7)]
+    assert paper_diversity(graph, corpus, "rdi") == [0.0, None, pytest.approx(LN2), None, None]
 
 
 def _kdi_corpus():
@@ -141,7 +161,7 @@ def test_kdi_field_mean():
     v2 = kdi_paper(corpus, sets, 2)
     v3 = kdi_paper(corpus, sets, 3)
     graph = build_graph(corpus)
-    assert paper_diversity(graph, corpus, "kdi") == {1: v1, 2: v2, 3: v3}
+    assert paper_diversity(graph, corpus, "kdi") == [v1, v2, v3]
     report = rank_fields(graph, corpus, "kdi", [TimeWindow(1900, 2100)])
     for row, v in zip(report.rows, (v1, v2)):
         assert row[5] == 1 and abs(row[4] - v) < 1e-15

@@ -227,17 +227,17 @@ def test_a_paper_with_no_counted_citation_is_never_top_cited(cited):
 
 
 def test_bucket_boundary_values():
-    values = {1: 0.0, 2: 0.25, 3: 0.5, 4: 0.75, 5: 1.0}
+    values = [0.0, 0.25, 0.5, 0.75, 1.0]
     assignment, lo, hi, degenerate = bucket_assignment(values, 5)
     assert not degenerate and (lo, hi) == (0.0, 1.0)
-    assert assignment == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+    assert assignment == [0, 1, 2, 3, 4]
 
 
 def test_bucket_degenerate_single_bucket():
     corpus = corpus_of(*[rec(i, year=2000) for i in range(1, 6)])
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus)
-    report = bucket_impact({i: 0.7 for i in range(1, 6)}, scores)
+    report = bucket_impact([0.7] * 5, scores)
     assert report.metadata["degenerate"] == "true"
     assert len(report.rows) == 1
     assert report.rows[0][3] == 5  # count column
@@ -247,7 +247,7 @@ def test_bucket_report_shape_and_empty_buckets():
     corpus = corpus_of(*[rec(i, year=2000) for i in range(1, 5)])
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus)
-    report = bucket_impact({1: 0.0, 2: 0.05, 3: 0.1, 4: 1.0}, scores, n_buckets=5)
+    report = bucket_impact([0.0, 0.05, 0.1, 1.0], scores, n_buckets=5)
     assert report.columns == (
         "bucket_index", "bucket_lo", "bucket_hi", "count",
         "mean_cp", "mean_jif", "top_cited_share",
@@ -261,13 +261,9 @@ def test_bucket_populations_partition():
     corpus = generate_corpus(GeneratorSpec(seed=8, years_span=8))
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus)
-    values = {}
-    for pid in corpus:
-        v = rdi_paper(graph, corpus, pid)
-        if v is not None:
-            values[pid] = v
+    values = [rdi_paper(graph, corpus, pid) for pid in scores.ids]
     report = bucket_impact(values, scores)
-    assert sum(row[3] for row in report.rows) == len(values)
+    assert sum(row[3] for row in report.rows) == len([v for v in values if v is not None])
 
 
 def test_bucket_scale_invariance_randomized():
@@ -278,10 +274,10 @@ def test_bucket_scale_invariance_randomized():
     rng = random.Random(1234)
     for _ in range(200):
         n = rng.randint(1, 60)
-        values = {i: rng.uniform(-1e3, 1e3) for i in range(n)}
+        values = [rng.uniform(-1e3, 1e3) for _ in range(n)]
         scale = rng.choice([1e-3, 0.1, 2.0, 3.7, 1e3]) * rng.uniform(0.5, 1.5)
         a1, *_ = bucket_assignment(values, 5)
-        a2, *_ = bucket_assignment({i: v * scale for i, v in values.items()}, 5)
+        a2, *_ = bucket_assignment([v * scale for v in values], 5)
         assert a1 == a2
 
 
@@ -290,23 +286,26 @@ def test_bucket_count_below_one_is_refused(n_buckets):
     corpus = corpus_of(rec(1, year=2000), rec(2, year=2000))
     scores = compute_impact_scores(build_graph(corpus), corpus)
     with pytest.raises(ValueError, match=f"n_buckets must be at least 1, got {n_buckets}"):
-        bucket_impact({1: 0.0, 2: 1.0}, scores, n_buckets=n_buckets)
+        bucket_impact([0.0, 1.0], scores, n_buckets=n_buckets)
 
 
 def test_bucket_paper_without_a_score_errors():
+    # The metric is a column over the scored ids: one row short or one row
+    # long is a paper without a metric value or without a score.
     corpus = corpus_of(rec(1, year=2000), rec(3, year=2000), rec(5, year=2001))
     scores = compute_impact_scores(build_graph(corpus), corpus, window=TimeWindow(2000, 2000))
-    for pid in (0, 2, 5):  # below, between and above the scored ids
-        with pytest.raises(AnalysisError, match=f"1 papers lack impact scores \\(e.g. {pid}\\)"):
-            bucket_impact({1: 0.0, pid: 0.5, 3: 1.0}, scores)
+    for values in ([0.0], [0.0, 0.5, 1.0]):
+        with pytest.raises(AnalysisError,
+                           match=f"^{len(values)} metric values for 2 scored papers$"):
+            bucket_impact(values, scores)
 
 
 def test_bucket_empty_values_error():
     corpus = corpus_of(rec(1, year=2000))
     graph = build_graph(corpus)
     scores = compute_impact_scores(graph, corpus)
-    with pytest.raises(AnalysisError):
-        bucket_impact({}, scores)
+    with pytest.raises(AnalysisError, match="no papers with a defined metric value"):
+        bucket_impact([None], scores)
 
 
 def test_impact_scores_empty_window_errors():

@@ -32,10 +32,13 @@ def test_full_range_view_matches_corpus_on_every_metric(synth):
     sets_full = build_keyword_sets(corpus, FULL_RANGE)
     assert sets_full == sets
 
+    ids = corpus.table.papers_in()
     for metric in ("rdi", "kdi"):
         scores = paper_diversity(graph, corpus, metric)
         assert paper_diversity(graph, corpus, metric, FULL_RANGE) == scores
-        members = [[v for pid, v in scores.items() if f in corpus[pid].fields] for f in range(5)]
+        assert len(scores) == len(ids)
+        members = [[v for pid, v in zip(ids, scores) if v is not None and f in corpus[pid].fields]
+                   for f in range(5)]
         rows = rank_fields(graph, corpus, metric, [FULL_RANGE]).rows
         assert [(row[4], row[5]) for row in rows[:5]] == [
             (fsum(vs) / len(vs), len(vs)) for vs in members

@@ -103,6 +103,14 @@ def test_traced_runner_completes(label, tiny_corpus):
         assert counts["graph.citations_received_calls"] == rows
         assert by_name["impact.compute_impact_scores"]["counters"]["population"] == rows
         assert by_name["report.write"]["counters"]["rows"] == rows
+    if label in ("buckets-rdi", "buckets-kdi"):
+        # One counted cp rule call and one counted per-paper score for each
+        # scored paper, defined or not.
+        population = len(corpus.papers_in())
+        assert by_name["impact.compute_impact_scores"]["counters"]["population"] == population
+        assert counts["graph.citations_received_calls"] == population
+        metric = label.removeprefix("buckets-")
+        assert counts[f"diversity.{metric}_paper_calls"] == population
 
 
 def test_traced_validate_sizes_match_the_report(tmp_path):
