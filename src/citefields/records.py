@@ -55,7 +55,8 @@ class TimeWindow(Slotted):
 
     @classmethod
     def parse(cls, text: str) -> "TimeWindow":
-        """Parse the CLI form ``START:END``, each year ASCII digits only.
+        """Parse the CLI form ``START:END``, each year ASCII digits only and
+        in ``YEAR_RANGE``, outside which no parsed record is dated.
 
         ``int()`` alone would also take a sign, an underscore, surrounding
         whitespace or another script's digits, all of which the parser
@@ -65,7 +66,10 @@ class TimeWindow(Slotted):
         if not (sep and start_s.isascii() and start_s.isdigit()
                 and end_s.isascii() and end_s.isdigit()):
             raise ValueError(f"bad window {text!r}, expected START:END")
-        return cls(int(start_s), int(end_s))
+        window = cls(int(start_s), int(end_s))
+        if not (YEAR_RANGE[0] <= window.start and window.end <= YEAR_RANGE[1]):
+            raise ValueError(f"window {text} falls outside the years {YEAR_RANGE[0]}:{YEAR_RANGE[1]}")
+        return window
 
     def __str__(self) -> str:
         return f"{self.start}:{self.end}"

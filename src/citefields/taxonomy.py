@@ -61,9 +61,8 @@ class FieldTaxonomy:
                     if sep in label:
                         raise ValueError(f"field {idx} ({name!r}): label {label!r} contains {sep!r}")
             for key in (name.casefold(), abbr.casefold()):
-                if key in lookup:
+                if lookup.setdefault(key, idx) != idx:
                     raise ValueError(f"duplicate field label {key!r}")
-                lookup[key] = idx
         self._lookup = lookup
 
     @classmethod

@@ -293,6 +293,10 @@ def test_out_of_range_numeric_flag_is_usage_error(argv, synth_file, capsys):
     (["trajectory", "--field", "AI", "--years", "1980:1970"], "window start 1980 > end 1970"),
     (["rank", "--metric", "rdi", "--window", "x"], "bad window 'x', expected START:END"),
     (["evidence", "--years", "x"], "bad window 'x', expected START:END"),
+    (["trajectory", "--field", "AI", "--years", "1970:2500"],
+     "window 1970:2500 falls outside the years 1900:2100"),
+    (["rank", "--metric", "rdi", "--window", "1899:1970"],
+     "window 1899:1970 falls outside the years 1900:2100"),
 ])
 def test_bad_span_usage_error_gives_its_reason(argv, reason, synth_file, capsys):
     command, *flags = argv
@@ -711,6 +715,16 @@ def test_taxonomy_sidecar_flag(tmp_path, capsys):
     assert main(["stats", str(corpus), "--taxonomy", str(taxonomy)]) == 0
     _meta, _header, rows = _read_csv(capsys.readouterr().out)
     assert [row[0] for row in rows] == ["ALS", "BES"]
+
+
+def test_taxonomy_field_named_as_its_abbreviation(tmp_path, capsys):
+    taxonomy = tmp_path / "fields.tsv"
+    taxonomy.write_text("Robotics\tRobotics\nBeta Studies\tBES\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("#*A\n#t2000\n#fROBOTICS\n#index1\n", encoding="utf-8")
+    assert main(["stats", str(corpus), "--taxonomy", str(taxonomy)]) == 0
+    _meta, _header, rows = _read_csv(capsys.readouterr().out)
+    assert [row[:2] for row in rows[:2]] == [["Robotics", "1"], ["BES", "0"]]
 
 
 def test_taxonomy_label_with_comma_is_an_error_record(tmp_path, capsys):

@@ -33,6 +33,14 @@ def test_window_years_are_ascii_digits_only(text):
         TimeWindow.parse(text)
 
 
+@pytest.mark.parametrize("text", ["1899:1950", "1970:2101", "1970:2500", "1970:99999999"])
+def test_window_years_outside_the_parsed_range_are_refused(text):
+    # No parsed record can be dated outside YEAR_RANGE, 1900 to 2100.
+    with pytest.raises(ValueError, match=f"^window {text} falls outside the years 1900:2100$"):
+        TimeWindow.parse(text)
+    assert TimeWindow.parse("1900:2100") == TimeWindow(1900, 2100)
+
+
 def test_multi_field_paper_appears_in_each_partition():
     corpus = corpus_of(rec(2, fields=(3,)), rec(1, fields=(0, 3)))
     for papers in (corpus, corpus.table):

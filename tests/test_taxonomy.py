@@ -37,6 +37,16 @@ def test_duplicate_labels_rejected():
         FieldTaxonomy([("Databases", "DB"), ("databases", "DBX")])
 
 
+def test_name_and_abbreviation_may_fold_equal():
+    # Both labels of one field resolve to it; only a label of another field
+    # is a duplicate.
+    tax = FieldTaxonomy([("Robotics", "ROBOTICS"), ("Databases", "DB")])
+    assert tax.index_of("robotics") == 0 and tax.index_of("db") == 1
+    assert FieldTaxonomy.from_text("Robotics\tRobotics\n").index_of("Robotics") == 0
+    with pytest.raises(ValueError, match="duplicate field label 'robotics'"):
+        FieldTaxonomy([("Robotics", "Robotics"), ("Rovers", "robotics")])
+
+
 def test_from_text_tab_separated_with_extra_columns():
     text = "Quantum Computing\tQC\nRobotics\tROB\tvenue:conference\n\n"
     tax = FieldTaxonomy.from_text(text)
