@@ -283,7 +283,7 @@ def _analyze(args) -> MetricReport:
         raise AnalysisError(NO_RECORDS)
     spans = getattr(args, "window", None) or getattr(args, "years", None) or []
     # Only a table analysis or cotag takes a span: the years of its table or tally.
-    years = spans and (set(kept.year.values()) if table else {year for year, _f in kept[0]})
+    years = spans and (set(kept.year) if table else {year for year, _f in kept[0]})
     for span in spans if isinstance(spans, list) else [spans]:
         if not any(map(span.contains, years)):
             raise AnalysisError(f"no papers in the window {span}")

@@ -46,8 +46,7 @@ def build_keyword_sets(
     effective = None if scope == CORPUS_GLOBAL else window
     papers = corpus.table
     pools: list[set[str]] = [set() for _ in papers.taxonomy.indices]
-    for year, fields, keywords in zip(
-            papers.year.values(), papers.fields.values(), papers.keywords.values()):
+    for year, fields, keywords in zip(papers.year, papers.fields, papers.keywords):
         if keywords and (effective is None or effective.contains(year)):
             for f in fields:
                 pools[f].update(keywords)
@@ -61,9 +60,10 @@ def _entropy_sum(fractions) -> float:
 
 def rdi_paper(graph: CitationGraph, corpus: Corpus | PaperTable, pid: int) -> float | None:
     """Entropy of one paper's per-field reference fractions; None if no resolved refs."""
-    if pid not in corpus:
+    r = corpus.table.row.get(pid)
+    if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
-    cited = graph.out_edges.get(pid, ())
+    cited = graph.out_edges[r]
     if not cited:
         return None
     counts = field_ref_counts(corpus, cited, graph.multiplicity)
@@ -83,9 +83,10 @@ def kdi_paper(
     set-with-set intersection takes about half the time of one with a tuple.
     A field with an empty pool is skipped: its zero overlap adds nothing to
     either sum."""
-    if pid not in corpus:
+    r = corpus.table.row.get(pid)
+    if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
-    kp = frozenset(corpus.table.keywords[pid])
+    kp = frozenset(corpus.table.keywords[r])
     if not kp:
         return None
     overlaps = [
@@ -114,11 +115,11 @@ def paper_diversity(
     if metric not in (RDI, KDI):
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
     papers = corpus.table
-    ids = papers.papers_in(window=window)
+    ids, rows = papers.ids, papers.papers_in(window=window)
     if metric == RDI:
-        return [rdi_paper(graph, papers, pid) for pid in ids]
+        return [rdi_paper(graph, papers, ids[r]) for r in rows]
     pools = build_keyword_sets(papers, window, keyword_scope)
-    return [kdi_paper(papers, pools, pid, normalized=normalized_kdi) for pid in ids]
+    return [kdi_paper(papers, pools, ids[r], normalized=normalized_kdi) for r in rows]
 
 
 def rank_order(values: dict[int, float]) -> list[int]:
@@ -161,9 +162,9 @@ def rank_fields(
     for window in windows:
         scores = paper_diversity(graph, papers, metric, window, keyword_scope, normalized_kdi)
         per_field: dict[int, list[float]] = {}
-        for pid, v in zip(papers.papers_in(window=window), scores):
+        for r, v in zip(papers.papers_in(window=window), scores):
             if v is not None:
-                for f in papers.fields[pid]:
+                for f in papers.fields[r]:
                     per_field.setdefault(f, []).append(v)
         values = {f: fsum(vs) / len(vs) for f, vs in per_field.items()}
         ranks = {f: i + 1 for i, f in enumerate(rank_order(values))}

@@ -65,16 +65,16 @@ def citations_received(
     (``records.author_key``)."""
     _check_horizon(horizon)
     papers = corpus.table
-    years, first_author = papers.year, papers.first_author
-    year = years.get(pid)
-    if year is None:
+    r = papers.row.get(pid)
+    if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
-    key = first_author[pid]
+    ids, years, first_author = papers.ids, papers.year, papers.first_author
+    year, key = years[r], first_author[r]
     # Made from a list, so the tuple is allocated at its size: one grown
     # from a generator is shrunk into the free list of a smaller size, and
     # 10k calls leave ~0.4 MiB parked there.
     return tuple([
-        q for q in graph.in_edges.get(pid, ())
+        ids[q] for q in graph.in_edges[r]
         if (horizon is None or 0 <= years[q] - year <= horizon - 1)
         and (key is None or first_author[q] != key)
     ])
@@ -93,13 +93,13 @@ def _jif_lookup(
     years = corpus.table.year
     papers: dict[tuple[str, int], int] = {}
     cites: dict[tuple[str, int], int] = {}
-    for pid, venue in corpus.table.venue.items():
+    for r, venue in enumerate(corpus.table.venue):
         if not venue:
             continue
-        year = years[pid]
+        year = years[r]
         key = (venue, year)
         papers[key] = papers.get(key, 0) + 1
-        for q in graph.in_edges.get(pid, ()):
+        for q in graph.in_edges[r]:
             citing_year = years[q]
             if citing_year - year in (1, 2):
                 cited_in = (venue, citing_year)
@@ -123,14 +123,15 @@ def compute_impact_scores(
     are those at or above the cutoff, which is at least 1."""
     _check_horizon(horizon)
     papers = corpus.table
-    ids = papers.papers_in(window=window)
-    if not ids:
+    rows = papers.papers_in(window=window)
+    if not rows:
         raise AnalysisError("no papers in the analyzed window")
     jif_of = _jif_lookup(papers, graph)
+    ids = [papers.ids[r] for r in rows]
     cp = [len(citations_received(graph, papers, pid, horizon)) for pid in ids]
     cutoff = max(sorted(cp, reverse=True)[ceil(TOP_SHARE * len(ids)) - 1], 1)
     venues, years = papers.venue, papers.year
-    jif = [jif_of(venues[pid], years[pid]) if venues[pid] else None for pid in ids]
+    jif = [jif_of(venues[r], years[r]) if venues[r] else None for r in rows]
     return ImpactScores(ids, cp, jif, cutoff, window)
 
 
@@ -140,7 +141,7 @@ def top_cited_counts(
     """(numerator, denominator) of each field's top-cited share, indexed by
     field: its papers in the top-cited set over the size of the set or, with
     ``hit_rate``, over its papers among those scored (0 for none)."""
-    fields_of = corpus.table.fields
+    fields_of, row = corpus.table.fields, corpus.table.row
     n = len(corpus.taxonomy)
     in_top = [0] * n
     in_population = [0] * n
@@ -149,7 +150,7 @@ def top_cited_counts(
     for pid, cp in zip(scores.ids, scores.cp):
         top = cp >= cutoff
         top_size += top
-        for f in fields_of[pid]:
+        for f in fields_of[row[pid]]:
             in_population[f] += 1
             in_top[f] += top
     return [(in_top[f], in_population[f] if hit_rate else top_size) for f in range(n)]

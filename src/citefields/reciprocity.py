@@ -146,13 +146,13 @@ def acp_bucket_test(
     papers = corpus.table
     taxonomy = papers.taxonomy
     buckets: tuple[list[int], list[int]] = ([], [])
-    for pid in papers.papers_in(field=focal_field, window=focal_window):
-        cited = graph.out_edges.get(pid, ())
+    for r in papers.papers_in(field=focal_field, window=focal_window):
+        cited = graph.out_edges[r]
         if not cited:
             continue
         counts = field_ref_counts(papers, cited, graph.multiplicity)
         fraction = counts.get(target_field, 0.0) / len(cited)
-        buckets[0 if fraction > threshold else 1].append(pid)
+        buckets[0 if fraction > threshold else 1].append(r)
     classified = len(buckets[0]) + len(buckets[1])
     if classified == 0:
         raise AnalysisError("no focal papers with resolved references in the window")
@@ -162,8 +162,8 @@ def acp_bucket_test(
     for members in buckets:
         returns = sum(
             target_field in papers.fields[q]
-            for pid in members
-            for q in graph.in_edges.get(pid, ())
+            for r in members
+            for q in graph.in_edges[r]
         )
         acps.append(returns / len(members) if members else None)
     diff_pct = None

@@ -187,15 +187,15 @@ class Corpus:
         return iter(self.records)
 
     def papers_in(self, field: int | None = None, window: TimeWindow | None = None) -> list[int]:
-        """The table's ``papers_in``, kept as the name ``perfbench/traced.py``
-        counts."""
-        return self.table.papers_in(field, window)
+        """The ids of the table's ``papers_in``, a name ``perfbench/traced.py`` counts."""
+        table = self.table
+        return [table.ids[r] for r in table.papers_in(field, window)]
 
     @property
     def table(self) -> PaperTable:
         """The records' ``PaperTable`` with every column, read on first use."""
         if self._table is None:
-            self._table = self._read(PaperTable.reader(*PaperTable.__slots__[3:]))
+            self._table = self._read(PaperTable.reader(*PaperTable.__slots__[6:]))
         return self._table
 
     def _read(self, into: Callable[[Iterable[tuple], FieldTaxonomy], T]) -> T:
@@ -224,35 +224,45 @@ class Corpus:
 
 
 class PaperTable(Slotted):
-    """What the analyses read of a corpus: one column per value, each a dict
-    from paper id to the paper's value, its keys ascending.
+    """What the analyses read of a corpus, by row: ``ids`` ascend, a paper's
+    row is its position there, ``row`` maps each id to it, and each column
+    is a list by row.
 
-    ``year`` and ``fields`` are always there. ``references`` (ascending,
-    dangling ids included), ``venue`` (trimmed, or None), ``first_author``
-    (the first author's ``author_key``, or None), ``authors`` (each
-    author's key) and ``keywords`` (a tuple, read as a set) are None unless
-    the table was built with them, as the CLI builds only what its analysis
-    reads. ``reader`` builds every table, from a parse or from a
-    ``Corpus``'s records, and shares values through one vocabulary per
-    build: equal venues, author keys, author-key tuples, keywords and ids
-    are one object, so a reference to a paper is that paper's own id. Every
-    kernel reads ``corpus.table``: a ``Corpus``'s, or a table, its own.
+    ``year`` and ``fields`` are always there. ``references`` (the cited
+    rows, ascending), ``venue`` (trimmed, or None), ``first_author`` (the
+    first author's ``author_key``, or None), ``authors`` (each author's key)
+    and ``keywords`` (a tuple, read as a set) are None unless the table was
+    built with them, as the CLI builds only what its analysis reads. A cited
+    id that is no paper's is dropped and counted in ``unresolved``, a
+    ``Counter`` by row. ``reader`` builds every table, from a parse or from a
+    ``Corpus``'s records, sharing equal venues, author keys, author-key
+    tuples and keywords through one vocabulary per build. Every kernel reads
+    ``corpus.table``: a ``Corpus``'s, or a table, its own.
     """
 
-    __slots__ = ("taxonomy", "year", "fields", "references",
+    __slots__ = ("taxonomy", "ids", "row", "unresolved", "year", "fields", "references",
                  "venue", "first_author", "authors", "keywords")
 
     def __init__(self, taxonomy: FieldTaxonomy, ids: list[int], **columns: list):
-        """The table of the distinct ``ids`` with ``columns``, each a list
-        in the order of ``ids``, each paper's references ascending; the
-        rows are sorted only if out of order."""
+        """The table of the distinct ``ids`` with ``columns``, lists in the
+        order of ``ids`` that become its own: sorted in place if out of
+        order, and each paper's ascending id tuple of ``references``
+        replaced in place by its tuple of rows."""
         if any(map(gt, ids, ids[1:])):
             order = sorted(range(len(ids)), key=ids.__getitem__)
-            ids = [ids[i] for i in order]
-            columns = {name: [values[i] for i in order] for name, values in columns.items()}
-        self.taxonomy = taxonomy
-        for name in self.__slots__[1:]:
-            setattr(self, name, dict(zip(ids, columns[name])) if name in columns else None)
+            for values in (ids, *columns.values()):
+                values[:] = [values[i] for i in order]
+        self.taxonomy, self.ids, self.row = taxonomy, ids, dict(zip(ids, range(len(ids))))
+        for name in self.__slots__[4:]:
+            setattr(self, name, columns.get(name))
+        self.unresolved = Counter()
+        get = self.row.get
+        for r, cited in enumerate(self.references or ()):
+            rows = tuple(map(get, cited))
+            if None in rows:
+                rows = tuple([c for c in rows if c is not None])
+                self.unresolved[r] = len(cited) - len(rows)
+            self.references[r] = rows
 
     @classmethod
     def reader(cls, *extra: str) -> Callable[[Iterable[tuple], FieldTaxonomy], PaperTable]:
@@ -301,19 +311,19 @@ class PaperTable(Slotted):
         return self
 
     def __len__(self) -> int:
-        return len(self.year)
+        return len(self.ids)
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self.year
+        return pid in self.row
 
     def papers_in(self, field: int | None = None, window: TimeWindow | None = None) -> list[int]:
-        """Ascending ids filtered by field membership and/or publication window."""
-        ids = self.year if field is None else [
-            pid for pid, fields in self.fields.items() if field in fields]
+        """Ascending rows, ``row``'s own ints, filtered by field and/or window."""
+        rows = self.row.values() if field is None else [
+            r for r, fields in zip(self.row.values(), self.fields) if field in fields]
         if window is None:
-            return list(ids)
+            return list(rows)
         start, end, year = window.start, window.end, self.year
-        return [pid for pid in ids if start <= year[pid] <= end]
+        return [r for r in rows if start <= year[r] <= end]
 
 
 def corpus_stats(corpus: Corpus) -> MetricReport:

@@ -64,13 +64,13 @@ class FieldTrajectory(Slotted):
 
 
 def _reference_split(
-    graph: CitationGraph, fields_of: dict[int, frozenset[int]], pid: int,
+    graph: CitationGraph, fields_of: list[frozenset[int]], r: int,
 ) -> tuple[int, int]:
-    """(cross, same) counts of a paper's resolved references, with
+    """(cross, same) counts of the resolved references of row ``r``, with
     ``fields_of`` a table's ``fields``: a reference is same-field when the
     cited paper shares a field tag with the citing paper."""
-    fields = fields_of[pid]
-    refs = graph.out_edges.get(pid, ())
+    fields = fields_of[r]
+    refs = graph.out_edges[r]
     same = sum(1 for rid in refs if fields_of[rid] & fields)
     return len(refs) - same, same
 
@@ -163,19 +163,19 @@ def evidence_series(
     """
     papers = corpus.table
     fields_of, authors_of = papers.fields, papers.authors
-    by_year: dict[int, list[int]] = {}
-    for pid, y in papers.year.items():
-        by_year.setdefault(y, []).append(pid)
+    by_year: dict[int, list[int]] = {}  # year -> its rows
+    for r, y in zip(papers.row.values(), papers.year):
+        by_year.setdefault(y, []).append(r)
     years = years if years is not None else sorted(by_year)
     wanted = set(years)
-    rows: dict[int, tuple] = {}
+    series: dict[int, tuple] = {}
     known: dict[str, frozenset[int]] = {}  # author key -> fields so far
     nothing: frozenset[int] = frozenset()
     for y in sorted(by_year):
-        ids = by_year[y]
-        for pid in ids:
-            fields = fields_of[pid]
-            for key in authors_of[pid]:
+        rows = by_year[y]
+        for r in rows:
+            fields = fields_of[r]
+            for key in authors_of[r]:
                 seen = known.get(key, nothing)
                 if not fields <= seen:
                     known[key] = seen | fields
@@ -186,18 +186,18 @@ def evidence_series(
         cross = same = 0
         team_sizes: list[int] = []
         breadths: list[int] = []
-        for pid in ids:
-            authors = authors_of[pid]
-            if len(fields_of[pid]) > 1:
+        for r in rows:
+            authors = authors_of[r]
+            if len(fields_of[r]) > 1:
                 multi += 1
             team_sizes.append(len(authors))
-            refs = graph.out_edges.get(pid, ())
+            refs = graph.out_edges[r]
             cited_fields: set[int] = set()
             for rid in refs:
                 cited_fields |= fields_of[rid]
             if refs:
                 fields_cited.append(len(cited_fields))
-            pcross, psame = _reference_split(graph, fields_of, pid)
+            pcross, psame = _reference_split(graph, fields_of, r)
             cross += pcross
             same += psame
             team_fields: set[int] = set()
@@ -205,9 +205,9 @@ def evidence_series(
                 team_fields |= known[key]
             if authors:
                 breadths.append(len(team_fields))
-        rows[y] = (
-            len(ids),
-            multi / len(ids),
+        series[y] = (
+            len(rows),
+            multi / len(rows),
             fsum(fields_cited) / len(fields_cited) if fields_cited else None,
             cross / same if same else None,
             fsum(team_sizes) / len(team_sizes),
@@ -223,7 +223,7 @@ def evidence_series(
         metadata=base_metadata("evidence"),
     )
     for y in years:
-        report.add_row(y, *rows.get(y, (0, None, None, None, None, None)))
+        report.add_row(y, *series.get(y, (0, None, None, None, None, None)))
     return report
 
 
@@ -245,19 +245,19 @@ def field_trajectory(
     if not members:
         raise AnalysisError("field has no papers")
     if years is None:
-        first = min(year_of[pid] for pid in members)
-        years = list(range(first, max(year_of.values()) + 1))
+        first = min(year_of[r] for r in members)
+        years = list(range(first, max(year_of) + 1))
     # [cross, same] per year: tau counts the references the field's papers
     # emit in their own year, zeta the citations they receive by citing year.
     tau = {y: [0, 0] for y in years}
     zeta = {y: [0, 0] for y in years}
-    for pid in members:
-        counts = tau.get(year_of[pid])
+    for r in members:
+        counts = tau.get(year_of[r])
         if counts is not None:
-            pcross, psame = _reference_split(graph, fields_of, pid)
+            pcross, psame = _reference_split(graph, fields_of, r)
             counts[0] += pcross
             counts[1] += psame
-        for q in graph.in_edges.get(pid, ()):
+        for q in graph.in_edges[r]:
             counts = zeta.get(year_of[q])
             if counts is not None:
                 counts[1 if focal in fields_of[q] else 0] += 1

@@ -73,15 +73,28 @@ def taxonomy() -> FieldTaxonomy:
     return FieldTaxonomy.default()
 
 
-def impact_table(years_span: int = 20) -> PaperTable:
+def with_dangling_references(text: str) -> str:
+    """``text`` with two dangling references added to every seventh block."""
+    header, *blocks = text.split("\n\n")
+    for i in range(0, len(blocks), 7):
+        lines = blocks[i].split("\n")
+        at = next(n for n, line in enumerate(lines) if line.startswith("#index")) + 1
+        lines[at:at] = [f"#%{900_000 + i}", f"#%{900_001 + i}"]
+        blocks[i] = "\n".join(lines)
+    return "\n\n".join([header, *blocks])
+
+
+def impact_table(years_span: int = 20, dangling: bool = False) -> PaperTable:
     """The table ``impact`` parses from a generated corpus of the benchmark's
     ``session-10k`` shape: 8 fields, 250 papers a year over ``years_span``
-    years, every reference resolving."""
+    years, every reference resolving unless ``dangling`` adds two dangling
+    ones to every seventh paper."""
     spec = GeneratorSpec(seed=3, field_count=8, years_span=years_span,
                          papers_per_year=(250, 250), references=(3, 6),
                          multi_tag_probability=0.1)
+    text = generate(spec)
     reader = PaperTable.reader("references", "venue", "first_author")
-    return parse_corpus(generate(spec), into=reader)[0]
+    return parse_corpus(with_dangling_references(text) if dangling else text, into=reader)[0]
 
 
 def child_env() -> dict:

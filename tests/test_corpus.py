@@ -43,18 +43,20 @@ def test_window_years_outside_the_parsed_range_are_refused(text):
 
 def test_multi_field_paper_appears_in_each_partition():
     corpus = corpus_of(rec(2, fields=(3,)), rec(1, fields=(0, 3)))
-    for papers in (corpus, corpus.table):
-        assert papers.papers_in(field=0) == [1]
-        assert papers.papers_in(field=3) == [1, 2]
+    row = corpus.table.row
+    assert corpus.papers_in(field=0) == [1]
+    assert corpus.papers_in(field=3) == [1, 2]
+    assert corpus.table.papers_in(field=0) == [row[1]]
+    assert corpus.table.papers_in(field=3) == [row[1], row[2]]
 
 
 def test_by_year_union_covers_all_ids():
     corpus = corpus_of(rec(3, year=1990), rec(1, year=1990), rec(2, year=1991))
-    years = sorted(set(corpus.table.year.values()))
+    years = sorted(set(corpus.table.year))
     assert years == [1990, 1991]
-    for papers in (corpus, corpus.table):
+    for papers, everyone in ((corpus, corpus.records), (corpus.table, corpus.table.row.values())):
         union = frozenset().union(*(papers.papers_in(window=TimeWindow(y, y)) for y in years))
-        assert union == frozenset(corpus.records)
+        assert union == frozenset(everyone)
 
 
 def test_constructor_rejects_invariant_violations():
@@ -112,7 +114,8 @@ def test_papers_in_ascends_whatever_the_record_order():
     ]
     corpus = corpus_of(*records)
     windows = (None, TimeWindow(1991, 1993), *(TimeWindow(y, y) for y in range(1990, 1996)))
-    for papers in (corpus, corpus.table):
+    row = corpus.table.row
+    for papers, of_ids in ((corpus, list), (corpus.table, lambda ids: [row[p] for p in ids])):
         for field in (None, 0, 1, 2, 3, 7):
             for w in windows:
                 want = sorted(
@@ -120,7 +123,7 @@ def test_papers_in_ascends_whatever_the_record_order():
                     if (field is None or field in r.fields) and (w is None or w.contains(r.year))
                 )
                 ids = papers.papers_in(field=field, window=w)
-                assert type(ids) is list and ids == want
+                assert type(ids) is list and ids == of_ids(want)
 
 
 @pytest.mark.parametrize("keywords", [

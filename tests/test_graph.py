@@ -19,8 +19,9 @@ from oracles import field_counts_direct
 def test_single_edge_same_field():
     corpus = corpus_of(rec(1, fields=(0,), refs=(2,)), rec(2, fields=(0,)))
     graph = build_graph(corpus)
-    assert graph.out_edges[1] == (2,)
-    assert graph.in_edges[2] == (1,)
+    row = corpus.table.row
+    assert graph.out_edges[row[1]] == (row[2],)
+    assert graph.in_edges[row[2]] == (row[1],)
     assert field_flow(graph, corpus)[0][0] == 1.0
     assert fsum(map(fsum, field_flow(graph, corpus))) == 1.0
 
@@ -28,8 +29,9 @@ def test_single_edge_same_field():
 def test_dangling_reference_counted_not_edged():
     corpus = corpus_of(rec(1, refs=(999,)))
     graph = build_graph(corpus)
-    assert graph.unresolved[1] == 1
-    assert graph.out_edges[1] == ()
+    row = corpus.table.row
+    assert graph.unresolved[row[1]] == 1
+    assert graph.out_edges[row[1]] == ()
     assert graph.total_edges == 0
 
 
@@ -38,40 +40,43 @@ def test_out_edges_are_the_table_references_when_all_resolve():
     table = corpus.table
     graph = build_graph(table)
     assert graph.out_edges is table.references
-    assert graph.in_edges == {1: (2, 3), 2: (3,)}
+    assert table.ids == [1, 2, 3]  # rows 0, 1 and 2
+    assert graph.in_edges == [(1, 2), (2,), ()]
 
 
-def test_a_dangling_reference_gets_a_copy_and_leaves_the_table_as_it_is():
+def test_a_dangling_reference_is_dropped_by_the_table_and_counted_by_row():
     corpus = corpus_of(rec(1), rec(2, refs=(1, 99)), rec(3, refs=(1, 2)))
     table = corpus.table
     graph = build_graph(table)
-    assert graph.out_edges is not table.references
-    assert graph.out_edges == {1: (), 2: (1,), 3: (1, 2)}
-    assert table.references[2] == (1, 99)
-    assert graph.out_edges[3] is table.references[3]  # a resolved paper's own tuple
-    assert graph.unresolved == {2: 1}
+    assert graph.out_edges is table.references
+    assert table.ids == [1, 2, 3]  # rows 0, 1 and 2
+    assert graph.out_edges == [(), (0,), (0, 1)]
+    assert graph.unresolved is table.unresolved
+    assert graph.unresolved == {1: 1}
 
 
 def test_build_graph_holds_one_copy_of_the_in_edges():
     """The peak of ``build_graph`` stays under 1.5 times what its in-edges
-    hold (the tuples and their dict): the lists they are gathered in are
-    replaced one by one, and the out-edges are the table's own dict."""
-    table = impact_table()
-    tracemalloc.start()
-    try:
-        graph = build_graph(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not graph.unresolved and graph.out_edges is table.references
-    held = sys.getsizeof(graph.in_edges) + sum(map(sys.getsizeof, graph.in_edges.values()))
-    assert peak < 1.5 * held, peak / held
+    hold (the tuples and their list): the lists they are gathered in are
+    replaced one by one, and the out-edges are the table's own list, also
+    when some references dangle."""
+    for dangling in (False, True):
+        table = impact_table(dangling=dangling)
+        tracemalloc.start()
+        try:
+            graph = build_graph(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bool(graph.unresolved) == dangling and graph.out_edges is table.references
+        held = sys.getsizeof(graph.in_edges) + sum(map(sys.getsizeof, graph.in_edges))
+        assert peak < 1.5 * held, peak / held
 
 
 def test_golden_record_alone_fully_dangling(golden_text, taxonomy):
     corpus, _ = parse_corpus(golden_text, taxonomy)
     graph = build_graph(corpus)
-    assert graph.unresolved[134672] == 9
+    assert graph.unresolved[corpus.table.row[134672]] == 9
     assert graph.total_edges == 0
     assert fsum(map(fsum, field_flow(graph, corpus))) == 0.0
 
@@ -83,8 +88,8 @@ def test_handshake_and_reference_accounting():
         rec(3),
     )
     graph = build_graph(corpus)
-    out_total = sum(len(v) for v in graph.out_edges.values())
-    in_total = sum(len(v) for v in graph.in_edges.values())
+    out_total = sum(len(v) for v in graph.out_edges)
+    in_total = sum(len(v) for v in graph.in_edges)
     assert out_total == in_total == graph.total_edges == 3
     refs_total = sum(len(corpus[p].references) for p in corpus)
     assert sum(graph.unresolved.values()) + graph.total_edges == refs_total
@@ -96,13 +101,14 @@ def test_adjacency_is_ascending():
         rec(2), rec(3), rec(4, refs=(3, 2)),
     )
     graph = build_graph(corpus)
-    assert graph.out_edges[1] == (2, 3, 4)
-    assert graph.in_edges[3] == (1, 4)
+    row = corpus.table.row
+    assert graph.out_edges[row[1]] == (row[2], row[3], row[4])
+    assert graph.in_edges[row[3]] == (row[1], row[4])
 
 
 def paper_field_refs(graph, corpus, pid):
     """Per-field counts of one paper's resolved references, plus their number."""
-    cited = graph.out_edges[pid]
+    cited = graph.out_edges[corpus.table.row[pid]]
     return field_ref_counts(corpus, cited, graph.multiplicity), len(cited)
 
 
@@ -169,9 +175,11 @@ def test_view_graph_keeps_cross_window_edges():
         rec(3, year=2010, fields=(0,), refs=(2,)),
     )
     graph = build_graph(corpus)
-    assert graph.out_edges[1] == (2,)
-    assert graph.unresolved[1] == 0
+    row = corpus.table.row
+    assert graph.out_edges[row[1]] == (row[2],)
+    assert graph.unresolved[row[1]] == 0
     flow = field_flow(graph, corpus, TimeWindow(1980, 2000))
     assert flow[0][1] == 1.0
     assert fsum(map(fsum, flow)) == 1.0  # paper 3 cites from after the window
     assert field_flow(graph, corpus)[0][1] == 2.0
+

@@ -81,7 +81,7 @@ def test_uniform_propensity_rdi_near_ln_k():
     corpus = generate_corpus(spec)
     graph = build_graph(corpus)
     values = []
-    last_year = sorted(set(corpus.table.year.values()))[-1]
+    last_year = sorted(set(corpus.table.year))[-1]
     for pid in corpus:
         if corpus[pid].year == last_year:
             v = rdi_paper(graph, corpus, pid)

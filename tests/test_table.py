@@ -8,20 +8,10 @@ from hypothesis import example, given, settings
 
 from citefields import Corpus, GeneratorSpec, build_graph, generate, parse_corpus
 from citefields.records import PaperTable
+from conftest import with_dangling_references
 from test_kernels import _corpus_files
 
 OPTIONAL = ("references", "venue", "first_author", "authors", "keywords")
-
-
-def _with_dangling_references(text: str) -> str:
-    """``text`` with two dangling references added to every seventh block."""
-    header, *blocks = text.split("\n\n")
-    for i in range(0, len(blocks), 7):
-        lines = blocks[i].split("\n")
-        at = next(n for n, line in enumerate(lines) if line.startswith("#index")) + 1
-        lines[at:at] = [f"#%{900_000 + i}", f"#%{900_001 + i}"]
-        blocks[i] = "\n".join(lines)
-    return "\n\n".join([header, *blocks])
 
 
 def _tables(text: str) -> dict[str, PaperTable]:
@@ -40,32 +30,28 @@ def test_repeated_values_are_held_once_and_references_are_shared():
     # papers: every value repeats.
     spec = GeneratorSpec(seed=4, field_count=3, years_span=20, papers_per_year=(30, 30),
                          author_pool_size=8, venue_count=3, keyword_pool_size=10)
-    text = _with_dangling_references(generate(spec))
+    text = with_dangling_references(generate(spec))
+    parsed, _report = parse_corpus(text)
     for builder, table in _tables(text).items():
         assert len(table) == 600, builder
-        _assert_one_object_per_value(table.venue.values())
-        _assert_one_object_per_value(table.first_author.values())
-        _assert_one_object_per_value(table.authors.values())
-        _assert_one_object_per_value(key for keys in table.authors.values() for key in keys)
-        _assert_one_object_per_value(word for words in table.keywords.values() for word in words)
-        assert len(set(table.venue.values())) == 3, builder
+        _assert_one_object_per_value(table.venue)
+        _assert_one_object_per_value(table.first_author)
+        _assert_one_object_per_value(table.authors)
+        _assert_one_object_per_value(key for keys in table.authors for key in keys)
+        _assert_one_object_per_value(word for words in table.keywords for word in words)
+        assert len(set(table.venue)) == 3, builder
 
-        ids = {pid: pid for pid in table.year}
-        dangling = {pid: sum(rid not in ids for rid in refs)
-                    for pid, refs in table.references.items()}
-        dangling = {pid: count for pid, count in dangling.items() if count}
-        assert list(dangling) == list(table.year)[::7], builder
+        # Every seventh paper has its two dangling references dropped and counted.
+        assert dict(table.unresolved) == dict.fromkeys(range(0, 600, 7), 2), builder
         graph = build_graph(table)
-        assert dict(graph.unresolved) == dangling, builder
-        for pid, refs in table.references.items():
-            assert list(refs) == sorted(refs), (builder, pid)
-            if pid in dangling:
-                assert graph.out_edges[pid] == tuple(rid for rid in refs if rid in ids)
-            else:
-                assert graph.unresolved[pid] == 0, (builder, pid)
-                assert graph.out_edges[pid] is refs, (builder, pid)
-                # Each reference is the cited paper's own id object.
-                assert all(ids[rid] is rid for rid in refs), (builder, pid)
+        assert graph.unresolved is table.unresolved and graph.out_edges is table.references
+        for r, refs in enumerate(table.references):
+            assert list(refs) == sorted(refs), (builder, r)
+            cited = parsed[table.ids[r]].references
+            assert [table.ids[c] for c in refs] == sorted(pid for pid in cited if pid in parsed)
+            assert table.unresolved[r] == len(cited) - len(refs), (builder, r)
+            # Each reference is the cited paper's own row object.
+            assert all(table.row[table.ids[c]] is c for c in refs), (builder, r)
 
 
 @given(data=_corpus_files())
@@ -76,13 +62,14 @@ def test_the_two_builders_agree_column_by_column(data):
     tables = _tables(data.decode("utf-8"))
     reader, corpus = tables["reader"], tables["corpus"]
     assert reader.taxonomy == corpus.taxonomy
-    for name in PaperTable.__slots__[1:]:
+    assert reader.ids == corpus.ids == sorted(reader.ids)
+    for name in PaperTable.__slots__[2:]:
         a, b = getattr(reader, name), getattr(corpus, name)
-        assert list(a) == list(b) == sorted(a), name
         if name == "keywords":  # read as sets; the reader keeps a repeat
-            assert {pid: set(v) for pid, v in a.items()} == {pid: set(v) for pid, v in b.items()}
+            assert list(map(set, a)) == list(map(set, b))
         else:
             assert a == b, name
     for table in tables.values():
-        for refs in table.references.values():
+        for refs in table.references:
             assert all(x < y for x, y in zip(refs, refs[1:])), refs
+

@@ -79,7 +79,7 @@ def test_tau_matches_direct_oracle():
     corpus = generate_corpus(GeneratorSpec(seed=31, field_count=4, years_span=10,
                                            multi_tag_probability=0.25))
     graph = build_graph(corpus)
-    for y in sorted(set(corpus.table.year.values())):
+    for y in sorted(set(corpus.table.year)):
         got = tau_by_year(graph, corpus, 0, [y])[y]
         want = tau_direct(corpus, 0, y)
         if want is None:
@@ -93,7 +93,7 @@ def test_zeta_matches_direct_oracle():
                                            multi_tag_probability=0.25))
     graph = build_graph(corpus)
     trajectory = field_trajectory(graph, corpus, 0)
-    assert trajectory.years[-1] == sorted(set(corpus.table.year.values()))[-1]
+    assert trajectory.years[-1] == sorted(set(corpus.table.year))[-1]
     for y, got in zip(trajectory.years, trajectory.zeta):
         want = zeta_direct(corpus, 0, y)
         if want is None:
@@ -229,7 +229,7 @@ def test_evidence_author_breadth_collapses_names_and_same_year_papers():
     # 1999: both Jo Coder papers see {0, 1}; Other One sees {2}.
     # 2000: {0, 1, 2, 3}. 2001: Other One's {2, 3, 4}.
     assert breadth == {1999: (2 + 2 + 1) / 3, 2000: 4.0, 2001: 3.0}
-    for year in sorted(set(corpus.table.year.values())):
+    for year in sorted(set(corpus.table.year)):
         assert breadth[year] == author_breadth_direct(corpus, year)
 
 
