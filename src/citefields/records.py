@@ -247,12 +247,18 @@ class PaperTable(Slotted):
         """The table of the distinct ``ids`` with ``columns``, lists in the
         order of ``ids`` that become its own: sorted in place if out of
         order, and each paper's ascending id tuple of ``references``
-        replaced in place by its tuple of rows."""
+        replaced in place by its tuple of rows. A repeated id, or a column
+        of another length than ``ids``, raises ``ValueError``."""
+        for name, values in columns.items():
+            if len(values) != len(ids):
+                raise ValueError(f"column {name!r} holds {len(values)} values for {len(ids)} ids")
         if any(map(gt, ids, ids[1:])):
             order = sorted(range(len(ids)), key=ids.__getitem__)
             for values in (ids, *columns.values()):
                 values[:] = [values[i] for i in order]
         self.taxonomy, self.ids, self.row = taxonomy, ids, dict(zip(ids, range(len(ids))))
+        if len(self.row) != len(ids):
+            raise ValueError(f"paper id {next(a for a, b in zip(ids, ids[1:]) if a == b)} repeats")
         for name in self.__slots__[4:]:
             setattr(self, name, columns.get(name))
         self.unresolved = Counter()

@@ -1,12 +1,16 @@
 """The column table's two builders: ``PaperTable.reader`` on the parser's
 columns and ``Corpus.table`` on built records. Both hold each value once,
-keep references ascending and agree column by column."""
+keep references ascending and agree column by column. The table refuses a
+repeated id and a column of another length."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 
-from citefields import Corpus, GeneratorSpec, build_graph, generate, parse_corpus
+from citefields import (
+    Corpus, FieldTaxonomy, GeneratorSpec, build_graph, generate, parse_corpus,
+)
 from citefields.records import PaperTable
 from conftest import with_dangling_references
 from test_kernels import _corpus_files
@@ -72,4 +76,22 @@ def test_the_two_builders_agree_column_by_column(data):
     for table in tables.values():
         for refs in table.references:
             assert all(x < y for x, y in zip(refs, refs[1:])), refs
+
+
+def _columns(n: int) -> dict[str, list]:
+    return {"year": [2000] * n, "fields": [frozenset({0})] * n}
+
+
+def test_a_repeated_id_is_refused():
+    for ids, repeated in (([1, 1, 2], 1), ([2, 1, 2], 2)):
+        with pytest.raises(ValueError, match=f"paper id {repeated} repeats"):
+            PaperTable(FieldTaxonomy.default(), ids, **_columns(3))
+
+
+def test_a_column_of_another_length_than_the_ids_is_refused():
+    for name in ("year", "fields", "references"):
+        columns = {**_columns(3), "references": [(2, 3), (3,), ()]}
+        columns[name] = columns[name][:2]
+        with pytest.raises(ValueError, match=f"column '{name}' holds 2 values for 3 ids"):
+            PaperTable(FieldTaxonomy.default(), [1, 2, 3], **columns)
 
