@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import fsum, log
 
 from .errors import AnalysisError
-from .graph import FULL_COUNT, CitationGraph, field_ref_counts
+from .graph import FULL_COUNT, CitationGraph, _table_of, field_ref_counts
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 
@@ -60,7 +60,7 @@ def _entropy_sum(fractions) -> float:
 
 def rdi_paper(graph: CitationGraph, corpus: Corpus | PaperTable, pid: int) -> float | None:
     """Entropy of one paper's per-field reference fractions; None if no resolved refs."""
-    r = corpus.table.row.get(pid)
+    r = _table_of(graph, corpus).row.get(pid)
     if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
     cited = graph.out_edges[r]

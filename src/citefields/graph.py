@@ -4,11 +4,12 @@ The graph is over the table's rows: its out-edges are the references the
 table resolved, and one pass inverts them; the finished graph is
 immutable. Reference ids that do not resolve against the corpus (papers
 outside the crawl) are counted for each paper that has one and excluded
-from edges and from all field-flow totals. ``field_flow`` folds the
-field-to-field flow on demand into rows of Python floats: 24 x 24 is too
-small for numpy to win back its import, about 0.12 s and 14 MiB a
-process. ``field_ref_counts`` is the one place the multiplicity rule for
-multi-field cited papers is applied:
+from edges and from all field-flow totals. An analysis refuses a graph
+built from another table. ``field_flow`` folds the field-to-field flow on
+demand into rows of Python floats: 24 x 24 is too small for numpy to win
+back its import, about 0.12 s and 14 MiB a process. ``field_ref_counts``
+is the one place the multiplicity rule for multi-field cited papers is
+applied:
 
 * ``full``        a reference to a k-field paper adds 1 to each of the k
                   fields (per-field counts can sum past the references);
@@ -37,6 +38,17 @@ class CitationGraph(Slotted):
     @property
     def total_edges(self) -> int:
         return sum(map(len, self.out_edges))
+
+
+def _table_of(graph: CitationGraph | None, corpus: Corpus | PaperTable) -> PaperTable:
+    """``corpus.table``, once ``graph`` is known to be built from it: a
+    graph's rows mean nothing against another table."""
+    papers = corpus.table
+    if graph is None:
+        raise ValueError("this analysis reads a citation graph, and none was given")
+    if graph.out_edges is not papers.references:
+        raise ValueError("the citation graph was not built from this corpus's table")
+    return papers
 
 
 def field_ref_counts(
@@ -86,7 +98,7 @@ def field_flow(
     field i (published inside the window, if given), their per-field
     reference counts into field j, citing rows and fields ascending.
     """
-    papers = corpus.table
+    papers = _table_of(graph, corpus)
     n = len(papers.taxonomy)
     flow = [[0.0] * n for _ in range(n)]
     for r in papers.papers_in(window=window):

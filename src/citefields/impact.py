@@ -24,7 +24,7 @@ from math import ceil, fsum
 from typing import Callable
 
 from .errors import AnalysisError
-from .graph import CitationGraph
+from .graph import CitationGraph, _table_of
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .slotted import Slotted
@@ -64,7 +64,7 @@ def citations_received(
     horizon of h (None keeps all) that do not share its first author
     (``records.author_key``)."""
     _check_horizon(horizon)
-    papers = corpus.table
+    papers = _table_of(graph, corpus)
     r = papers.row.get(pid)
     if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
@@ -90,7 +90,7 @@ def _jif_lookup(
     papers without a venue are left out. The lookup is None (undefined, not
     zero) when the venue published nothing in the two prior years.
     """
-    years = corpus.table.year
+    years = _table_of(graph, corpus).year
     papers: dict[tuple[str, int], int] = {}
     cites: dict[tuple[str, int], int] = {}
     for r, venue in enumerate(corpus.table.venue):

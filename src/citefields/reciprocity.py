@@ -20,7 +20,7 @@ from math import fsum, isnan, nan, sqrt
 from typing import Iterable, Sequence
 
 from .errors import AnalysisError
-from .graph import CitationGraph, field_flow, field_ref_counts
+from .graph import CitationGraph, _table_of, field_flow, field_ref_counts
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
@@ -143,7 +143,7 @@ def acp_bucket_test(
     citations are counted corpus-wide and normalized per bucket paper; the
     relative ACP difference lands in the report metadata.
     """
-    papers = corpus.table
+    papers = _table_of(graph, corpus)
     taxonomy = papers.taxonomy
     buckets: tuple[list[int], list[int]] = ([], [])
     for r in papers.papers_in(field=focal_field, window=focal_window):

@@ -26,7 +26,7 @@ from math import fsum, log
 from typing import Iterable, NamedTuple
 
 from .errors import AnalysisError
-from .graph import CitationGraph
+from .graph import CitationGraph, _table_of
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 from .slotted import Slotted
@@ -161,7 +161,7 @@ def evidence_series(
     order folds each year's authors in, then scores the year's papers, in
     O(papers x authors).
     """
-    papers = corpus.table
+    papers = _table_of(graph, corpus)
     fields_of, authors_of = papers.fields, papers.authors
     by_year: dict[int, list[int]] = {}  # year -> its rows
     for r, y in zip(papers.row.values(), papers.year):
@@ -239,7 +239,7 @@ def field_trajectory(
     year (incoming citations keep arriving after the field's last paper).
     A field without papers has no trajectory, whatever the span.
     """
-    papers = corpus.table
+    papers = _table_of(graph, corpus)
     year_of, fields_of = papers.year, papers.fields
     members = papers.papers_in(field=focal)
     if not members:

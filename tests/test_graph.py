@@ -1,4 +1,5 @@
-"""Citation graph: resolution, adjacency invariants, field counts and flow."""
+"""Citation graph: resolution, adjacency invariants, field counts and flow,
+and the refusal of a graph built from another table."""
 
 import sys
 import tracemalloc
@@ -7,11 +8,13 @@ from math import fsum
 import pytest
 
 from citefields import (
-    AnalysisError, FRACTIONAL, FULL_COUNT, GeneratorSpec, TimeWindow,
-    build_graph, field_flow, generate_corpus, parse_corpus,
+    AnalysisError, FRACTIONAL, FULL_COUNT, GeneratorSpec, TimeWindow, acp_bucket_test,
+    build_graph, citation_fraction_matrix, compute_impact_scores, evidence_series,
+    field_flow, field_trajectory, generate_corpus, paper_diversity, parse_corpus, rank_fields,
 )
 from citefields.diversity import rdi_paper
 from citefields.graph import field_ref_counts
+from citefields.impact import citations_received
 from conftest import GOLDEN_RECORD, corpus_of, impact_table, rec
 from oracles import field_counts_direct
 
@@ -183,3 +186,31 @@ def test_view_graph_keeps_cross_window_edges():
     assert fsum(map(fsum, flow)) == 1.0  # paper 3 cites from after the window
     assert field_flow(graph, corpus)[0][1] == 2.0
 
+
+_READ_A_GRAPH = {  # each analysis that reads a graph, called on (graph, corpus)
+    "field_flow": lambda graph, corpus: field_flow(graph, corpus),
+    "citation_fraction_matrix": lambda graph, corpus: citation_fraction_matrix(graph, corpus),
+    "acp_bucket_test": lambda graph, corpus: acp_bucket_test(
+        graph, corpus, 0, 1, TimeWindow(1970, 1979)),
+    "rank_fields rdi": lambda graph, corpus: rank_fields(
+        graph, corpus, "rdi", [TimeWindow(1970, 1979)]),
+    "paper_diversity rdi": lambda graph, corpus: paper_diversity(graph, corpus, "rdi"),
+    "rdi_paper": lambda graph, corpus: rdi_paper(graph, corpus, next(iter(corpus))),
+    "compute_impact_scores": lambda graph, corpus: compute_impact_scores(graph, corpus),
+    "citations_received": lambda graph, corpus: citations_received(
+        graph, corpus, next(iter(corpus))),
+    "field_trajectory": lambda graph, corpus: field_trajectory(graph, corpus, 0),
+    "evidence_series": lambda graph, corpus: evidence_series(graph, corpus),
+}
+
+
+@pytest.mark.parametrize("analysis", _READ_A_GRAPH.values(), ids=_READ_A_GRAPH)
+def test_an_analysis_refuses_a_graph_not_built_from_its_table(analysis):
+    corpus, other = (generate_corpus(GeneratorSpec(
+        seed=seed, field_count=4, years_span=10, papers_per_year=(8, 8))) for seed in (3, 4))
+    assert len(corpus) == len(other)  # the same rows, other papers
+    analysis(build_graph(corpus), corpus)  # its own graph is read
+    for graph, cause in ((build_graph(other), "not built from this corpus"),
+                         (None, "none was given")):
+        with pytest.raises(ValueError, match=cause):
+            analysis(graph, corpus)
