@@ -1,12 +1,13 @@
 """The column table's two builders: ``PaperTable.reader`` on the parser's
 columns and ``Corpus.table`` on built records. Both hold each value once,
 keep references ascending and agree column by column. The table refuses a
-repeated id and a column of another length."""
+repeated id and a column of another length, and its rows ascend with the
+ids, the graph's edges over them."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from citefields import (
     Corpus, FieldTaxonomy, GeneratorSpec, build_graph, generate, parse_corpus,
@@ -95,3 +96,29 @@ def test_a_column_of_another_length_than_the_ids_is_refused():
         with pytest.raises(ValueError, match=f"column '{name}' holds 2 values for 3 ids"):
             PaperTable(FieldTaxonomy.default(), [1, 2, 3], **columns)
 
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_ascend_and_the_graph_inverts_the_resolved_references(data):
+    ids = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=12), label="ids")
+    cited = st.integers(0, 10**6) if not ids else st.sampled_from(ids) | st.integers(0, 10**6)
+    references = [tuple(sorted(data.draw(st.sets(cited, max_size=5)))) for _ in ids]
+    table = PaperTable(FieldTaxonomy.default(), list(ids), **_columns(len(ids)),
+                       references=list(references))
+    graph = build_graph(table)
+
+    assert table.ids == sorted(ids)
+    assert all(table.row[pid] == r for r, pid in enumerate(table.ids))
+    assert graph.out_edges is table.references
+    given_refs = dict(zip(ids, references))
+    for r, rows in enumerate(graph.out_edges):
+        assert list(rows) == sorted(set(rows))
+        assert all(type(c) is int and 0 <= c < len(ids) for c in rows)
+        assert [table.ids[c] for c in rows] == [pid for pid in given_refs[table.ids[r]]
+                                                if pid in table.row]
+    inverted: list[list[int]] = [[] for _ in ids]
+    for r, rows in enumerate(graph.out_edges):
+        for c in rows:
+            inverted[c].append(r)
+    assert graph.in_edges == list(map(tuple, inverted))
+    assert graph.total_edges + sum(graph.unresolved.values()) == sum(map(len, references))
