@@ -27,11 +27,11 @@ _TYPES = {
     ),
     "CitationGraph": (
         CitationGraph,
-        {"out_edges": {1: (), 2: (1,)}, "in_edges": {1: (2,)}, "unresolved": {1: 0, 2: 1},
+        {"out_edges": [(), (0,)], "in_edges": [(1,), ()], "unresolved": {0: 0, 1: 1},
          "multiplicity": "full"},
         {"multiplicity": "fractional"},
-        "CitationGraph(out_edges={1: (), 2: (1,)}, in_edges={1: (2,)}, "
-        "unresolved={1: 0, 2: 1}, multiplicity='full')",
+        "CitationGraph(out_edges=[(), (0,)], in_edges=[(1,), ()], "
+        "unresolved={0: 0, 1: 1}, multiplicity='full')",
     ),
     "ImpactScores": (
         ImpactScores,
