@@ -71,7 +71,7 @@ def _reference_split(
     cited paper shares a field tag with the citing paper."""
     fields = fields_of[r]
     refs = graph.out_edges[r]
-    same = sum(1 for rid in refs if fields_of[rid] & fields)
+    same = sum(1 for c in refs if fields_of[c] & fields)
     return len(refs) - same, same
 
 
@@ -163,17 +163,17 @@ def evidence_series(
     """
     papers = _table_of(graph, corpus)
     fields_of, authors_of = papers.fields, papers.authors
-    by_year: dict[int, list[int]] = {}  # year -> its rows
+    by_year: dict[int, list[int]] = {}  # year -> its rows, the row dict's own ints
     for r, y in zip(papers.row.values(), papers.year):
         by_year.setdefault(y, []).append(r)
     years = years if years is not None else sorted(by_year)
     wanted = set(years)
-    series: dict[int, tuple] = {}
+    rows: dict[int, tuple] = {}
     known: dict[str, frozenset[int]] = {}  # author key -> fields so far
     nothing: frozenset[int] = frozenset()
     for y in sorted(by_year):
-        rows = by_year[y]
-        for r in rows:
+        members = by_year[y]
+        for r in members:
             fields = fields_of[r]
             for key in authors_of[r]:
                 seen = known.get(key, nothing)
@@ -186,15 +186,15 @@ def evidence_series(
         cross = same = 0
         team_sizes: list[int] = []
         breadths: list[int] = []
-        for r in rows:
+        for r in members:
             authors = authors_of[r]
             if len(fields_of[r]) > 1:
                 multi += 1
             team_sizes.append(len(authors))
             refs = graph.out_edges[r]
             cited_fields: set[int] = set()
-            for rid in refs:
-                cited_fields |= fields_of[rid]
+            for c in refs:
+                cited_fields |= fields_of[c]
             if refs:
                 fields_cited.append(len(cited_fields))
             pcross, psame = _reference_split(graph, fields_of, r)
@@ -205,9 +205,9 @@ def evidence_series(
                 team_fields |= known[key]
             if authors:
                 breadths.append(len(team_fields))
-        series[y] = (
-            len(rows),
-            multi / len(rows),
+        rows[y] = (
+            len(members),
+            multi / len(members),
             fsum(fields_cited) / len(fields_cited) if fields_cited else None,
             cross / same if same else None,
             fsum(team_sizes) / len(team_sizes),
@@ -223,7 +223,7 @@ def evidence_series(
         metadata=base_metadata("evidence"),
     )
     for y in years:
-        report.add_row(y, *series.get(y, (0, None, None, None, None, None)))
+        report.add_row(y, *rows.get(y, (0, None, None, None, None, None)))
     return report
 
 
