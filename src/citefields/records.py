@@ -2,12 +2,12 @@
 
 A ``Corpus`` is built once (by the parser or programmatically) and is then
 read-only, so concurrent readers need no locking. Every analysis reads a
-corpus's ``table``, a ``PaperTable`` of the columns the analyses need,
-built on first use; the CLI parses straight into such a table and builds
-no ``Corpus``. A time window is an argument of the analysis, not a corpus:
-the analysis selects the window's papers with the table's ``papers_in``
-and resolves their references in the whole corpus (citations may cross
-window boundaries).
+corpus's ``table``, a ``PaperTable`` of the columns the analyses need, by
+row in ascending id order, built on first use; the CLI parses straight
+into such a table and builds no ``Corpus``. A time window is an argument
+of the analysis, not a corpus: the analysis selects the rows of the
+window's papers with the table's ``papers_in`` and resolves their
+references in the whole corpus (citations may cross window boundaries).
 """
 
 from __future__ import annotations
