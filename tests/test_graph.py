@@ -188,19 +188,19 @@ def test_view_graph_keeps_cross_window_edges():
 
 
 _READ_A_GRAPH = {  # each analysis that reads a graph, called on (graph, corpus)
-    "field_flow": lambda graph, corpus: field_flow(graph, corpus),
-    "citation_fraction_matrix": lambda graph, corpus: citation_fraction_matrix(graph, corpus),
+    "field_flow": field_flow,
+    "citation_fraction_matrix": citation_fraction_matrix,
     "acp_bucket_test": lambda graph, corpus: acp_bucket_test(
         graph, corpus, 0, 1, TimeWindow(1970, 1979)),
     "rank_fields rdi": lambda graph, corpus: rank_fields(
         graph, corpus, "rdi", [TimeWindow(1970, 1979)]),
     "paper_diversity rdi": lambda graph, corpus: paper_diversity(graph, corpus, "rdi"),
     "rdi_paper": lambda graph, corpus: rdi_paper(graph, corpus, next(iter(corpus))),
-    "compute_impact_scores": lambda graph, corpus: compute_impact_scores(graph, corpus),
+    "compute_impact_scores": compute_impact_scores,
     "citations_received": lambda graph, corpus: citations_received(
         graph, corpus, next(iter(corpus))),
     "field_trajectory": lambda graph, corpus: field_trajectory(graph, corpus, 0),
-    "evidence_series": lambda graph, corpus: evidence_series(graph, corpus),
+    "evidence_series": evidence_series,
 }
 
 
