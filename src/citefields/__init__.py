@@ -17,7 +17,7 @@ from .diversity import (
     build_keyword_sets, paper_diversity, rank_fields,
 )
 from .errors import AnalysisError, CitefieldsError, ParseError
-from .graph import CitationGraph, FRACTIONAL, FULL_COUNT, build_graph, field_flow
+from .graph import FRACTIONAL, FULL_COUNT, build_graph, field_flow
 from .impact import bucket_impact, compute_impact_scores, top_cited_counts
 from .reciprocity import (
     acp_bucket_test, citation_fraction_matrix,
@@ -42,7 +42,7 @@ _SYNTH_NAMES = (
 )
 
 __all__ = [
-    "AnalysisError", "CORPUS_GLOBAL", "CitationGraph", "CitefieldsError",
+    "AnalysisError", "CORPUS_GLOBAL", "CitefieldsError",
     "Corpus", "DEFAULT_FIELDS", "Diagnostic", "FRACTIONAL", "FULL_COUNT",
     "FieldTaxonomy", "FieldTrajectory", "KDI", "LENIENT", "MetricReport",
     "PaperRecord", "PaperTable", "ParseError", "ParseReport", "Phase", "PhaseDetection",

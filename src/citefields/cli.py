@@ -1,4 +1,4 @@
-"""Command-line front end: parse -> column table -> graph -> analysis -> report.
+"""Command-line front end: parse -> column table and its graph -> analysis -> report.
 
 One subcommand per analysis. Reports go to stdout unless --output is given,
 carry the tool version and a config echo, and are byte-identical for
@@ -270,9 +270,9 @@ def _field_index(taxonomy: FieldTaxonomy, label: str) -> int:
 def _analyze(args) -> MetricReport:
     """Parse ``args.input`` into the consumer of ``args.command``, check what
     it kept and run it. A table holds the columns its analysis names, plus
-    keywords for kdi and references for rdi, and a graph, all that reads
-    references, is built when it holds them. Every subcommand but ``validate``
-    needs a parsed record and a paper in each --window and --years span."""
+    keywords for kdi and references for rdi, and its graph is built when it
+    holds references. Every subcommand but ``validate`` needs a parsed record
+    and a paper in each --window and --years span."""
     into, run = _ANALYSES[args.command]
     table = isinstance(into, tuple)
     if table:
@@ -289,8 +289,7 @@ def _analyze(args) -> MetricReport:
             raise AnalysisError(f"no papers in the window {span}")
     if not table:
         return run(args, kept, parse_report)
-    multiplicity = getattr(args, "multiplicity", FULL_COUNT)
-    return run(args, kept, None if kept.references is None else build_graph(kept, multiplicity))
+    return run(args, kept if kept.references is None else build_graph(kept))
 
 
 def _run_validate(_args, _kept, parse_report) -> MetricReport:
@@ -309,18 +308,19 @@ def _run_validate(_args, _kept, parse_report) -> MetricReport:
     return report
 
 
-def _run_rank(args, papers, graph) -> MetricReport:
+def _run_rank(args, papers) -> MetricReport:
     return rank_fields(
-        graph, papers, args.metric, args.window,
+        papers, args.metric, args.window,
         keyword_scope=args.keyword_scope,
         normalized_kdi=args.normalized_kdi,
+        multiplicity=args.multiplicity,
     )
 
 
-def _run_impact(args, papers, graph) -> MetricReport:
+def _run_impact(args, papers) -> MetricReport:
     taxonomy = papers.taxonomy
     horizon = None if args.lifetime else args.horizon
-    scores = compute_impact_scores(graph, papers, window=args.window, horizon=horizon)
+    scores = compute_impact_scores(papers, window=args.window, horizon=horizon)
     meta = base_metadata(
         "impact",
         horizon="lifetime" if horizon is None else horizon,
@@ -347,14 +347,15 @@ def _run_impact(args, papers, graph) -> MetricReport:
     )
 
 
-def _run_buckets(args, papers, graph) -> MetricReport:
-    scores = compute_impact_scores(graph, papers, window=args.window, horizon=args.horizon)
-    values = paper_diversity(graph, papers, args.metric, args.window, args.keyword_scope)
+def _run_buckets(args, papers) -> MetricReport:
+    scores = compute_impact_scores(papers, window=args.window, horizon=args.horizon)
+    values = paper_diversity(papers, args.metric, args.window, args.keyword_scope,
+                             multiplicity=args.multiplicity)
     return bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
 
 
-def _run_reciprocity(args, papers, graph) -> MetricReport:
-    matrix = citation_fraction_matrix(graph, papers, window=args.window)
+def _run_reciprocity(args, papers) -> MetricReport:
+    matrix = citation_fraction_matrix(papers, window=args.window, multiplicity=args.multiplicity)
     if args.matrix:
         return matrix_report(matrix, papers.taxonomy, window=args.window)
     return pearson_report(
@@ -364,29 +365,30 @@ def _run_reciprocity(args, papers, graph) -> MetricReport:
     )
 
 
-def _run_acp(args, papers, graph) -> MetricReport:
+def _run_acp(args, papers) -> MetricReport:
     return acp_bucket_test(
-        graph, papers,
+        papers,
         _field_index(papers.taxonomy, args.focal),
         _field_index(papers.taxonomy, args.target),
         args.window,
         threshold=args.threshold,
+        multiplicity=args.multiplicity,
     )
 
 
-def _run_trajectory(args, papers, graph) -> MetricReport:
+def _run_trajectory(args, papers) -> MetricReport:
     focal = _field_index(papers.taxonomy, args.field)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
-    trajectory = field_trajectory(graph, papers, focal, years)
+    trajectory = field_trajectory(papers, focal, years)
     if args.phases:
         detection = detect_phases(trajectory, min_years=args.min_years)
         return phases_report(trajectory, detection, papers.taxonomy)
     return trajectory_report(trajectory, papers.taxonomy)
 
 
-def _run_evidence(args, papers, graph) -> MetricReport:
+def _run_evidence(args, papers) -> MetricReport:
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
-    return evidence_series(graph, papers, years)
+    return evidence_series(papers, years)
 
 
 def _run_cotag(args, kept, _parse_report) -> MetricReport:
@@ -401,7 +403,7 @@ def _run_cotag(args, kept, _parse_report) -> MetricReport:
 
 # Each corpus subcommand: its parse consumer, or the optional PaperTable columns
 # it reads beside its metric's (references where it needs a graph whatever its
-# metric), and its run: on the table and its graph (None without references),
+# metric), and its run: on the table, its graph built if it holds references,
 # or else on what the consumer kept and the parse report. A run looks its
 # kernels up as this module's globals when it is called.
 _ANALYSES = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import fsum, log
 
 from .errors import AnalysisError
-from .graph import FULL_COUNT, CitationGraph, _table_of, field_ref_counts
+from .graph import FULL_COUNT, check_multiplicity, field_ref_counts
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 
@@ -44,7 +44,7 @@ def build_keyword_sets(
     if scope not in (WINDOW_LOCAL, CORPUS_GLOBAL):
         raise ValueError(f"unknown keyword scope {scope!r}")
     effective = None if scope == CORPUS_GLOBAL else window
-    papers = corpus.table
+    papers = corpus.table.require("keywords")
     pools: list[set[str]] = [set() for _ in papers.taxonomy.indices]
     for year, fields, keywords in zip(papers.year, papers.fields, papers.keywords):
         if keywords and (effective is None or effective.contains(year)):
@@ -58,15 +58,18 @@ def _entropy_sum(fractions) -> float:
     return fsum(-x * log(x) for x in fractions if x > 0.0) + 0.0
 
 
-def rdi_paper(graph: CitationGraph, corpus: Corpus | PaperTable, pid: int) -> float | None:
+def rdi_paper(corpus: Corpus | PaperTable, pid: int,
+              multiplicity: str = FULL_COUNT) -> float | None:
     """Entropy of one paper's per-field reference fractions; None if no resolved refs."""
-    r = _table_of(graph, corpus).row.get(pid)
+    check_multiplicity(multiplicity)
+    papers = corpus.table.require("references")
+    r = papers.row.get(pid)
     if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
-    cited = graph.out_edges[r]
+    cited = papers.references[r]
     if not cited:
         return None
-    counts = field_ref_counts(corpus, cited, graph.multiplicity)
+    counts = field_ref_counts(papers, cited, multiplicity)
     return _entropy_sum(counts[f] / len(cited) for f in sorted(counts))
 
 
@@ -83,10 +86,11 @@ def kdi_paper(
     set-with-set intersection takes about half the time of one with a tuple.
     A field with an empty pool is skipped: its zero overlap adds nothing to
     either sum."""
-    r = corpus.table.row.get(pid)
+    papers = corpus.table.require("keywords")
+    r = papers.row.get(pid)
     if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
-    kp = frozenset(corpus.table.keywords[r])
+    kp = frozenset(papers.keywords[r])
     if not kp:
         return None
     overlaps = [
@@ -102,22 +106,23 @@ def kdi_paper(
 
 
 def paper_diversity(
-    graph: CitationGraph | None,
     corpus: Corpus | PaperTable,
     metric: str,
     window: TimeWindow | None = None,
     keyword_scope: str = WINDOW_LOCAL,
     normalized_kdi: bool = False,
+    multiplicity: str = FULL_COUNT,
 ) -> list[float | None]:
     """One metric's score of each paper of ``papers_in(window=window)``,
     row by row, None where it is undefined. For ``kdi`` the keyword pools
     are built for the window under ``keyword_scope``."""
     if metric not in (RDI, KDI):
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
+    check_multiplicity(multiplicity)
     papers = corpus.table
     ids, rows = papers.ids, papers.papers_in(window=window)
     if metric == RDI:
-        return [rdi_paper(graph, papers, ids[r]) for r in rows]
+        return [rdi_paper(papers, ids[r], multiplicity) for r in rows]
     pools = build_keyword_sets(papers, window, keyword_scope)
     return [kdi_paper(papers, pools, ids[r], normalized=normalized_kdi) for r in rows]
 
@@ -128,23 +133,23 @@ def rank_order(values: dict[int, float]) -> list[int]:
 
 
 def rank_fields(
-    graph: CitationGraph | None,
     corpus: Corpus | PaperTable,
     metric: str,
     windows: list[TimeWindow],
     keyword_scope: str = WINDOW_LOCAL,
     normalized_kdi: bool = False,
+    multiplicity: str = FULL_COUNT,
 ) -> MetricReport:
     """Per-window field ranking by one diversity metric.
 
     A field's value is the mean score of its papers in the window that have
     one, and its coverage is their count; a field without one gets empty
-    value and rank cells and coverage 0. Under ``kdi`` ``graph`` may be
-    None, and the mode flags then say ``multiplicity=full``.
+    value and rank cells and coverage 0. The mode flags name the
+    multiplicity rule, which ``paper_diversity`` checks, under either metric.
     """
     if not windows:
         raise ValueError("at least one window is required")
-    mode_flags = f"log=natural;multiplicity={getattr(graph, 'multiplicity', FULL_COUNT)}"
+    mode_flags = f"log=natural;multiplicity={multiplicity}"
     if metric == KDI:
         mode_flags += f";keywords={keyword_scope}"
         if normalized_kdi:
@@ -160,7 +165,8 @@ def rank_fields(
     papers = corpus.table
     taxonomy = papers.taxonomy
     for window in windows:
-        scores = paper_diversity(graph, papers, metric, window, keyword_scope, normalized_kdi)
+        scores = paper_diversity(
+            papers, metric, window, keyword_scope, normalized_kdi, multiplicity)
         per_field: dict[int, list[float]] = {}
         for r, v in zip(papers.papers_in(window=window), scores):
             if v is not None:

@@ -1,15 +1,14 @@
-"""Directed citation graph with forward/inverted adjacency and field-level flow.
+"""The citation graph of a table's rows, and field-level flow.
 
-The graph is over the table's rows: its out-edges are the references the
-table resolved, and one pass inverts them; the finished graph is
-immutable. Reference ids that do not resolve against the corpus (papers
-outside the crawl) are counted for each paper that has one and excluded
-from edges and from all field-flow totals. An analysis refuses a graph
-built from another table. ``field_flow`` folds the field-to-field flow on
-demand into rows of Python floats: 24 x 24 is too small for numpy to win
-back its import, about 0.12 s and 14 MiB a process. ``field_ref_counts``
-is the one place the multiplicity rule for multi-field cited papers is
-applied:
+The graph is the table: its out-edges are the ``references`` the table
+resolved, a reference to no paper of the corpus is counted in its
+``unresolved`` and left out of edges and field flow, and ``build_graph``
+inverts the out-edges once into its ``in_edges``. ``field_flow`` folds the
+field-to-field flow on demand into rows of Python floats: 24 x 24 is too
+small for numpy to win back its import, about 0.12 s and 14 MiB a process.
+The functions that count references per field take the multiplicity rule
+for multi-field cited papers as an argument; ``field_ref_counts`` is the
+one place it is applied:
 
 * ``full``        a reference to a k-field paper adds 1 to each of the k
                   fields (per-field counts can sum past the references);
@@ -21,34 +20,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from .records import Corpus, PaperTable, TimeWindow
-from .slotted import Slotted
 
 FULL_COUNT = "full"
 FRACTIONAL = "fractional"
 
 
-class CitationGraph(Slotted):
-    """``out_edges`` (the table's ``references``) and ``in_edges``, lists by
-    row of the ascending rows a paper cites and of those citing it;
-    ``unresolved``, the table's ``Counter`` of dangling references by row
-    (0 for a row with none); and the ``multiplicity`` rule."""
-
-    __slots__ = ("out_edges", "in_edges", "unresolved", "multiplicity")
-
-    @property
-    def total_edges(self) -> int:
-        return sum(map(len, self.out_edges))
-
-
-def _table_of(graph: CitationGraph | None, corpus: Corpus | PaperTable) -> PaperTable:
-    """``corpus.table``, once ``graph`` is known to be built from it: a
-    graph's rows mean nothing against another table."""
-    papers = corpus.table
-    if graph is None:
-        raise ValueError("this analysis reads a citation graph, and none was given")
-    if graph.out_edges is not papers.references:
-        raise ValueError("the citation graph was not built from this corpus's table")
-    return papers
+def check_multiplicity(multiplicity: str) -> None:
+    """Refuse a multiplicity rule that is neither ``full`` nor ``fractional``."""
+    if multiplicity not in (FULL_COUNT, FRACTIONAL):
+        raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
 
 
 def field_ref_counts(
@@ -68,44 +48,43 @@ def field_ref_counts(
     return counts
 
 
-def build_graph(corpus: Corpus | PaperTable, multiplicity: str = FULL_COUNT) -> CitationGraph:
-    """The citation graph of the table's resolved references.
+def build_graph(corpus: Corpus | PaperTable) -> PaperTable:
+    """``corpus.table``, with its ``in_edges`` inverted from its resolved
+    ``references`` on the first call; a later call returns it at once.
 
-    ``out_edges`` is the table's own ``references`` list, shared and not
-    copied, and ``unresolved`` its ``Counter``. ``in_edges`` inverts them:
-    citing rows are visited in ascending order, so each in-edge tuple
-    ascends, and each row's list is replaced by its tuple in place.
+    Citing rows are visited in ascending order, so each in-edge tuple
+    ascends, and each row's list is replaced by its tuple in place. The
+    table takes the finished list, so no reader sees a part of it.
     """
-    if multiplicity not in (FULL_COUNT, FRACTIONAL):
-        raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
-    papers = corpus.table
-    out_edges = papers.references
-    in_edges: list = [[] for _ in out_edges]
-    for r, cited in zip(papers.row.values(), out_edges):  # the row dict's own ints
-        for c in cited:
-            in_edges[c].append(r)
-    for r, citers in enumerate(in_edges):
-        in_edges[r] = tuple(citers)
-    return CitationGraph(out_edges, in_edges, papers.unresolved, multiplicity)
+    papers = corpus.table.require("references")
+    if papers.in_edges is None:
+        in_edges: list = [[] for _ in papers.references]
+        for r, cited in zip(papers.row.values(), papers.references):  # the row dict's own ints
+            for c in cited:
+                in_edges[c].append(r)
+        for r, citers in enumerate(in_edges):
+            in_edges[r] = tuple(citers)
+        papers.in_edges = in_edges
+    return papers
 
 
-def field_flow(
-    graph: CitationGraph, corpus: Corpus | PaperTable, window: TimeWindow | None = None
-) -> list[list[float]]:
-    """Field-to-field resolved reference counts under the graph's multiplicity rule.
+def field_flow(corpus: Corpus | PaperTable, window: TimeWindow | None = None,
+               multiplicity: str = FULL_COUNT) -> list[list[float]]:
+    """Field-to-field resolved reference counts under the multiplicity rule.
 
     One row per taxonomy field: flow[i][j] sums, over the citing papers in
     field i (published inside the window, if given), their per-field
     reference counts into field j, citing rows and fields ascending.
     """
-    papers = _table_of(graph, corpus)
+    check_multiplicity(multiplicity)
+    papers = corpus.table.require("references")
     n = len(papers.taxonomy)
     flow = [[0.0] * n for _ in range(n)]
     for r in papers.papers_in(window=window):
-        cited = graph.out_edges[r]
+        cited = papers.references[r]
         if not cited:
             continue
-        counts = field_ref_counts(papers, cited, graph.multiplicity)
+        counts = field_ref_counts(papers, cited, multiplicity)
         for i in sorted(papers.fields[r]):
             for j in sorted(counts):
                 flow[i][j] += counts[j]

@@ -24,7 +24,6 @@ from math import ceil, fsum
 from typing import Callable
 
 from .errors import AnalysisError
-from .graph import CitationGraph, _table_of
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .slotted import Slotted
@@ -56,15 +55,14 @@ def _check_horizon(horizon: int | None) -> None:
 
 
 def citations_received(
-    graph: CitationGraph, corpus: Corpus | PaperTable, pid: int,
-    horizon: int | None = DEFAULT_HORIZON,
+    corpus: Corpus | PaperTable, pid: int, horizon: int | None = DEFAULT_HORIZON,
 ) -> tuple[int, ...]:
     """Ascending ids of the papers whose citation of ``pid`` counts toward
     its cp: citers published in its year or the h-1 following years for a
     horizon of h (None keeps all) that do not share its first author
     (``records.author_key``)."""
     _check_horizon(horizon)
-    papers = _table_of(graph, corpus)
+    papers = corpus.table.require("in_edges", "first_author")
     r = papers.row.get(pid)
     if r is None:
         raise AnalysisError(f"unknown paper id {pid}")
@@ -74,15 +72,13 @@ def citations_received(
     # from a generator is shrunk into the free list of a smaller size, and
     # 10k calls leave ~0.4 MiB parked there.
     return tuple([
-        ids[q] for q in graph.in_edges[r]
+        ids[q] for q in papers.in_edges[r]
         if (horizon is None or 0 <= years[q] - year <= horizon - 1)
         and (key is None or first_author[q] != key)
     ])
 
 
-def _jif_lookup(
-    corpus: Corpus | PaperTable, graph: CitationGraph,
-) -> Callable[[str, int], float | None]:
+def _jif_lookup(corpus: Corpus | PaperTable) -> Callable[[str, int], float | None]:
     """Two-year impact factor of any (venue, year), from one pass over the corpus.
 
     Tallies papers per (venue, year) and, per (venue, citing year), the
@@ -90,16 +86,17 @@ def _jif_lookup(
     papers without a venue are left out. The lookup is None (undefined, not
     zero) when the venue published nothing in the two prior years.
     """
-    years = _table_of(graph, corpus).year
+    table = corpus.table.require("in_edges", "venue")
+    years, in_edges = table.year, table.in_edges
     papers: dict[tuple[str, int], int] = {}
     cites: dict[tuple[str, int], int] = {}
-    for r, venue in enumerate(corpus.table.venue):
+    for r, venue in enumerate(table.venue):
         if not venue:
             continue
         year = years[r]
         key = (venue, year)
         papers[key] = papers.get(key, 0) + 1
-        for q in graph.in_edges[r]:
+        for q in in_edges[r]:
             citing_year = years[q]
             if citing_year - year in (1, 2):
                 cited_in = (venue, citing_year)
@@ -114,7 +111,6 @@ def _jif_lookup(
 
 
 def compute_impact_scores(
-    graph: CitationGraph,
     corpus: Corpus | PaperTable,
     window: TimeWindow | None = None,
     horizon: int | None = DEFAULT_HORIZON,
@@ -126,9 +122,9 @@ def compute_impact_scores(
     rows = papers.papers_in(window=window)
     if not rows:
         raise AnalysisError("no papers in the analyzed window")
-    jif_of = _jif_lookup(papers, graph)
+    jif_of = _jif_lookup(papers)
     ids = [papers.ids[r] for r in rows]
-    cp = [len(citations_received(graph, papers, pid, horizon)) for pid in ids]
+    cp = [len(citations_received(papers, pid, horizon)) for pid in ids]
     cutoff = max(sorted(cp, reverse=True)[ceil(TOP_SHARE * len(ids)) - 1], 1)
     venues, years = papers.venue, papers.year
     jif = [jif_of(venues[r], years[r]) if venues[r] else None for r in rows]

@@ -20,7 +20,7 @@ from math import fsum, isnan, nan, sqrt
 from typing import Iterable, Sequence
 
 from .errors import AnalysisError
-from .graph import CitationGraph, _table_of, field_flow, field_ref_counts
+from .graph import FULL_COUNT, check_multiplicity, field_flow, field_ref_counts
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata, window_label
 from .taxonomy import FieldTaxonomy
@@ -70,9 +70,9 @@ def _row_total(row: Sequence[float]) -> float:
 
 
 def citation_fraction_matrix(
-    graph: CitationGraph,
     corpus: Corpus | PaperTable,
     window: TimeWindow | None = None,
+    multiplicity: str = FULL_COUNT,
 ) -> list[list[float]]:
     """M[i][j] = fraction of field i's resolved references that point to field j.
 
@@ -81,7 +81,7 @@ def citation_fraction_matrix(
     counted.
     """
     matrix = []
-    for row in field_flow(graph, corpus, window):
+    for row in field_flow(corpus, window, multiplicity):
         total = _row_total(row)
         matrix.append([x / total for x in row] if total > 0 else [nan] * len(row))
     return matrix
@@ -128,12 +128,12 @@ def reciprocity_pearson(
 
 
 def acp_bucket_test(
-    graph: CitationGraph,
     corpus: Corpus | PaperTable,
     focal_field: int,
     target_field: int,
     focal_window: TimeWindow,
     threshold: float = 0.5,
+    multiplicity: str = FULL_COUNT,
 ) -> MetricReport:
     """Split focal papers by how heavily they reference the target field, then
     compare the target field's return citations into each bucket.
@@ -143,14 +143,15 @@ def acp_bucket_test(
     citations are counted corpus-wide and normalized per bucket paper; the
     relative ACP difference lands in the report metadata.
     """
-    papers = _table_of(graph, corpus)
+    check_multiplicity(multiplicity)
+    papers = corpus.table.require("references", "in_edges")
     taxonomy = papers.taxonomy
     buckets: tuple[list[int], list[int]] = ([], [])
     for r in papers.papers_in(field=focal_field, window=focal_window):
-        cited = graph.out_edges[r]
+        cited = papers.references[r]
         if not cited:
             continue
-        counts = field_ref_counts(papers, cited, graph.multiplicity)
+        counts = field_ref_counts(papers, cited, multiplicity)
         fraction = counts.get(target_field, 0.0) / len(cited)
         buckets[0 if fraction > threshold else 1].append(r)
     classified = len(buckets[0]) + len(buckets[1])
@@ -163,7 +164,7 @@ def acp_bucket_test(
         returns = sum(
             target_field in papers.fields[q]
             for r in members
-            for q in graph.in_edges[r]
+            for q in papers.in_edges[r]
         )
         acps.append(returns / len(members) if members else None)
     diff_pct = None
@@ -180,7 +181,7 @@ def acp_bucket_test(
             window=window_label(focal_window),
             threshold=threshold,
             classified_papers=classified,
-            multiplicity=graph.multiplicity,
+            multiplicity=multiplicity,
             citing_scope="all-years",
             acp_diff_pct=diff_pct,
         ),

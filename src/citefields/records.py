@@ -4,9 +4,10 @@ A ``Corpus`` is built once (by the parser or programmatically) and is then
 read-only, so concurrent readers need no locking. Every analysis reads a
 corpus's ``table``, a ``PaperTable`` of the columns the analyses need, by
 row in ascending id order, built on first use; the CLI parses straight
-into such a table and builds no ``Corpus``. A time window is an argument
-of the analysis, not a corpus: the analysis selects the rows of the
-window's papers with the table's ``papers_in`` and resolves their
+into such a table and builds no ``Corpus``. The table's one later write is
+``graph.build_graph`` filling its ``in_edges``, once. A time window is an
+argument of the analysis, not a corpus: the analysis selects the rows of
+the window's papers with the table's ``papers_in`` and resolves their
 references in the whole corpus (citations may cross window boundaries).
 """
 
@@ -195,7 +196,7 @@ class Corpus:
     def table(self) -> PaperTable:
         """The records' ``PaperTable`` with every column, read on first use."""
         if self._table is None:
-            self._table = self._read(PaperTable.reader(*PaperTable.__slots__[6:]))
+            self._table = self._read(PaperTable.reader(*PaperTable.COLUMNS))
         return self._table
 
     def _read(self, into: Callable[[Iterable[tuple], FieldTaxonomy], T]) -> T:
@@ -234,14 +235,17 @@ class PaperTable(Slotted):
     and ``keywords`` (a tuple, read as a set) are None unless the table was
     built with them, as the CLI builds only what its analysis reads. A cited
     id that is no paper's is dropped and counted in ``unresolved``, a
-    ``Counter`` by row. ``reader`` builds every table, from a parse or from a
-    ``Corpus``'s records, sharing equal venues, author keys, author-key
-    tuples and keywords through one vocabulary per build. Every kernel reads
-    ``corpus.table``: a ``Corpus``'s, or a table, its own.
+    ``Counter`` by row. ``in_edges``, the ascending rows citing each paper,
+    is None until ``graph.build_graph`` inverts ``references`` into it.
+    ``reader`` builds every table, from a parse or from a ``Corpus``'s
+    records, sharing equal venues, author keys, author-key tuples and
+    keywords through one vocabulary per build. Every kernel reads
+    ``corpus.table``, a ``Corpus``'s or a table's own, and ``require``s
+    the columns it reads.
     """
 
-    __slots__ = ("taxonomy", "ids", "row", "unresolved", "year", "fields", "references",
-                 "venue", "first_author", "authors", "keywords")
+    COLUMNS = ("year", "fields", "references", "venue", "first_author", "authors", "keywords")
+    __slots__ = ("taxonomy", "ids", "row", "unresolved", "in_edges", *COLUMNS)
 
     def __init__(self, taxonomy: FieldTaxonomy, ids: list[int], **columns: list):
         """The table of the distinct ``ids`` with ``columns``, lists in the
@@ -259,9 +263,9 @@ class PaperTable(Slotted):
         self.taxonomy, self.ids, self.row = taxonomy, ids, dict(zip(ids, range(len(ids))))
         if len(self.row) != len(ids):
             raise ValueError(f"paper id {next(a for a, b in zip(ids, ids[1:]) if a == b)} repeats")
-        for name in self.__slots__[4:]:
+        for name in self.COLUMNS:
             setattr(self, name, columns.get(name))
-        self.unresolved = Counter()
+        self.in_edges, self.unresolved = None, Counter()
         get = self.row.get
         for r, cited in enumerate(self.references or ()):
             rows = tuple(map(get, cited))
@@ -314,6 +318,19 @@ class PaperTable(Slotted):
 
     @property
     def table(self) -> PaperTable:
+        return self
+
+    @property
+    def total_edges(self) -> int:
+        """The number of resolved references."""
+        return sum(map(len, self.references))
+
+    def require(self, *names: str) -> PaperTable:
+        """The table, once it holds each column of ``names``: one it lacks raises ``ValueError``."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise ValueError(f"the table lacks {name!r}, which this analysis reads"
+                                 + (": call build_graph on it first" if name == "in_edges" else ""))
         return self
 
     def __len__(self) -> int:

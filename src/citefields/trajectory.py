@@ -26,7 +26,6 @@ from math import fsum, log
 from typing import Iterable, NamedTuple
 
 from .errors import AnalysisError
-from .graph import CitationGraph, _table_of
 from .records import Corpus, PaperTable, TimeWindow
 from .report import MetricReport, base_metadata
 from .slotted import Slotted
@@ -63,14 +62,13 @@ class FieldTrajectory(Slotted):
     __slots__ = ("field", "years", "tau", "zeta")
 
 
-def _reference_split(
-    graph: CitationGraph, fields_of: list[frozenset[int]], r: int,
-) -> tuple[int, int]:
-    """(cross, same) counts of the resolved references of row ``r``, with
-    ``fields_of`` a table's ``fields``: a reference is same-field when the
-    cited paper shares a field tag with the citing paper."""
+def _reference_split(papers: PaperTable, r: int) -> tuple[int, int]:
+    """(cross, same) counts of the resolved references of row ``r``: a
+    reference is same-field when the cited paper shares a field tag with
+    the citing paper."""
+    fields_of = papers.fields
     fields = fields_of[r]
-    refs = graph.out_edges[r]
+    refs = papers.references[r]
     same = sum(1 for c in refs if fields_of[c] & fields)
     return len(refs) - same, same
 
@@ -146,7 +144,6 @@ def _cotag_rows(
 
 
 def evidence_series(
-    graph: CitationGraph,
     corpus: Corpus | PaperTable,
     years: list[int] | None = None,
 ) -> MetricReport:
@@ -161,7 +158,7 @@ def evidence_series(
     order folds each year's authors in, then scores the year's papers, in
     O(papers x authors).
     """
-    papers = _table_of(graph, corpus)
+    papers = corpus.table.require("references", "authors")
     fields_of, authors_of = papers.fields, papers.authors
     by_year: dict[int, list[int]] = {}  # year -> its rows, the row dict's own ints
     for r, y in zip(papers.row.values(), papers.year):
@@ -191,13 +188,13 @@ def evidence_series(
             if len(fields_of[r]) > 1:
                 multi += 1
             team_sizes.append(len(authors))
-            refs = graph.out_edges[r]
+            refs = papers.references[r]
             cited_fields: set[int] = set()
             for c in refs:
                 cited_fields |= fields_of[c]
             if refs:
                 fields_cited.append(len(cited_fields))
-            pcross, psame = _reference_split(graph, fields_of, r)
+            pcross, psame = _reference_split(papers, r)
             cross += pcross
             same += psame
             team_fields: set[int] = set()
@@ -228,7 +225,6 @@ def evidence_series(
 
 
 def field_trajectory(
-    graph: CitationGraph,
     corpus: Corpus | PaperTable,
     focal: int,
     years: list[int] | None = None,
@@ -239,7 +235,7 @@ def field_trajectory(
     year (incoming citations keep arriving after the field's last paper).
     A field without papers has no trajectory, whatever the span.
     """
-    papers = _table_of(graph, corpus)
+    papers = corpus.table.require("references", "in_edges")
     year_of, fields_of = papers.year, papers.fields
     members = papers.papers_in(field=focal)
     if not members:
@@ -254,10 +250,10 @@ def field_trajectory(
     for r in members:
         counts = tau.get(year_of[r])
         if counts is not None:
-            pcross, psame = _reference_split(graph, fields_of, r)
+            pcross, psame = _reference_split(papers, r)
             counts[0] += pcross
             counts[1] += psame
-        for q in graph.in_edges[r]:
+        for q in papers.in_edges[r]:
             counts = zeta.get(year_of[q])
             if counts is not None:
                 counts[1 if focal in fields_of[q] else 0] += 1

@@ -28,7 +28,7 @@ from citefields import (
 from citefields.corpusio import COMMENT_PREFIX, ERROR, WARNING, Diagnostic, ParseReport
 from citefields.diversity import CORPUS_GLOBAL, KDI, RDI, WINDOW_LOCAL
 from citefields.errors import AnalysisError, ParseError
-from citefields.graph import FRACTIONAL, FULL_COUNT, CitationGraph
+from citefields.graph import FULL_COUNT
 from citefields.impact import DEFAULT_HORIZON, TOP_SHARE
 from citefields.records import YEAR_RANGE
 from citefields.report import base_metadata, window_label
@@ -960,7 +960,10 @@ def bucket_assignment(values: dict[int, float], n_buckets: int) -> tuple[dict[in
 # Verbatim copies of the record-based kernels that the column kernels
 # replaced, and of the CLI commands that ran them on a built Corpus. Each
 # kernel body is the one it replaces, except that ``first_author_key`` is a
-# function here rather than a ``PaperRecord`` method. The reference test
+# function here rather than a ``PaperRecord`` method, and that each kernel
+# that read a (graph, corpus) pair takes the reference's own ``Graph``,
+# which holds its corpus, and the multiplicity rule as an argument, as the
+# package's kernels take a table and the rule. The reference test
 # (``test_kernels.py``) compares their reports with the package's byte for
 # byte; the commands take the kernels as a namespace, so the same commands
 # also run the package's kernels on a Corpus.
@@ -986,9 +989,14 @@ def field_ref_counts(
     return counts
 
 
-def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph:
-    if multiplicity not in (FULL_COUNT, FRACTIONAL):
-        raise ValueError(f"unknown multiplicity rule {multiplicity!r}")
+class Graph(Slotted):
+    """The corpus, and its resolved ``out_edges``, ``in_edges`` and
+    ``unresolved`` counts as dicts by id."""
+
+    __slots__ = ("corpus", "out_edges", "in_edges", "unresolved")
+
+
+def build_graph(corpus: Corpus) -> Graph:
     out_edges: dict[int, tuple[int, ...]] = {}
     in_lists: dict[int, list[int]] = {}
     unresolved: dict[int, int] = {}
@@ -1002,19 +1010,20 @@ def build_graph(corpus: Corpus, multiplicity: str = FULL_COUNT) -> CitationGraph
             in_lists.setdefault(rid, []).append(pid)
 
     in_edges = {pid: tuple(citers) for pid, citers in in_lists.items()}
-    return CitationGraph(out_edges, in_edges, unresolved, multiplicity)
+    return Graph(corpus, out_edges, in_edges, unresolved)
 
 
 def field_flow(
-    graph: CitationGraph, corpus: Corpus, window: TimeWindow | None = None
+    graph: Graph, window: TimeWindow | None = None, multiplicity: str = FULL_COUNT
 ) -> list[list[float]]:
+    corpus = graph.corpus
     n = len(corpus.taxonomy)
     flow = [[0.0] * n for _ in range(n)]
     for pid in papers_in(corpus, window=window):
         cited = graph.out_edges.get(pid, ())
         if not cited:
             continue
-        counts = field_ref_counts(corpus, cited, graph.multiplicity)
+        counts = field_ref_counts(corpus, cited, multiplicity)
         for i in sorted(corpus[pid].fields):
             for j in sorted(counts):
                 flow[i][j] += counts[j]
@@ -1044,13 +1053,14 @@ def _entropy_sum(fractions) -> float:
     return fsum(-x * log(x) for x in fractions if x > 0.0) + 0.0
 
 
-def rdi_paper(graph: CitationGraph, corpus: Corpus, pid: int) -> float | None:
+def rdi_paper(graph: Graph, pid: int, multiplicity: str = FULL_COUNT) -> float | None:
+    corpus = graph.corpus
     if pid not in corpus:
         raise AnalysisError(f"unknown paper id {pid}")
     cited = graph.out_edges.get(pid, ())
     if not cited:
         return None
-    counts = field_ref_counts(corpus, cited, graph.multiplicity)
+    counts = field_ref_counts(corpus, cited, multiplicity)
     return _entropy_sum(counts[f] / len(cited) for f in sorted(counts))
 
 
@@ -1078,20 +1088,21 @@ def kdi_paper(
 
 
 def paper_diversity(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     metric: str,
     window: TimeWindow | None = None,
     keyword_scope: str = WINDOW_LOCAL,
     normalized_kdi: bool = False,
+    multiplicity: str = FULL_COUNT,
 ) -> dict[int, float]:
+    corpus = graph.corpus
     if metric not in (RDI, KDI):
         raise ValueError(f"metric must be {RDI!r} or {KDI!r}")
     pools = build_keyword_sets(corpus, window, keyword_scope) if metric == KDI else None
     values = {}
     for pid in papers_in(corpus, window=window):
         if metric == RDI:
-            v = rdi_paper(graph, corpus, pid)
+            v = rdi_paper(graph, pid, multiplicity)
         else:
             v = kdi_paper(corpus, pools, pid, normalized=normalized_kdi)
         if v is not None:
@@ -1104,16 +1115,17 @@ def rank_order(values: dict[int, float]) -> list[int]:
 
 
 def rank_fields(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     metric: str,
     windows: list[TimeWindow],
     keyword_scope: str = WINDOW_LOCAL,
     normalized_kdi: bool = False,
+    multiplicity: str = FULL_COUNT,
 ) -> MetricReport:
+    corpus = graph.corpus
     if not windows:
         raise ValueError("at least one window is required")
-    mode_flags = f"log=natural;multiplicity={graph.multiplicity}"
+    mode_flags = f"log=natural;multiplicity={multiplicity}"
     if metric == KDI:
         mode_flags += f";keywords={keyword_scope}"
         if normalized_kdi:
@@ -1128,7 +1140,8 @@ def rank_fields(
     )
     taxonomy = corpus.taxonomy
     for window in windows:
-        scores = paper_diversity(graph, corpus, metric, window, keyword_scope, normalized_kdi)
+        scores = paper_diversity(graph, metric, window, keyword_scope, normalized_kdi,
+                                 multiplicity)
         per_field: dict[int, list[float]] = {}
         for pid, v in scores.items():
             for f in corpus[pid].fields:
@@ -1167,8 +1180,9 @@ def per_paper_scores(scores) -> dict[int, PaperImpact]:
 
 
 def citations_received(
-    graph: CitationGraph, corpus: Corpus, pid: int, horizon: int | None = DEFAULT_HORIZON
+    graph: Graph, pid: int, horizon: int | None = DEFAULT_HORIZON
 ) -> tuple[int, ...]:
+    corpus = graph.corpus
     rec = corpus.records.get(pid)
     if rec is None:
         raise AnalysisError(f"unknown paper id {pid}")
@@ -1180,7 +1194,8 @@ def citations_received(
     )
 
 
-def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], float | None]:
+def _jif_lookup(graph: Graph) -> Callable[[str, int], float | None]:
+    corpus = graph.corpus
     papers: dict[tuple[str, int], int] = {}
     cites: dict[tuple[str, int], int] = {}
     for pid in corpus:
@@ -1204,16 +1219,16 @@ def _jif_lookup(corpus: Corpus, graph: CitationGraph) -> Callable[[str, int], fl
 
 
 def compute_impact_scores(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     window: TimeWindow | None = None,
     horizon: int | None = DEFAULT_HORIZON,
 ) -> ImpactScores:
+    corpus = graph.corpus
     population = papers_in(corpus, window=window)
     if not population:
         raise AnalysisError("no papers in the analyzed window")
-    jif_of = _jif_lookup(corpus, graph)
-    cps = {pid: len(citations_received(graph, corpus, pid, horizon)) for pid in population}
+    jif_of = _jif_lookup(graph)
+    cps = {pid: len(citations_received(graph, pid, horizon)) for pid in population}
     k = ceil(TOP_SHARE * len(population))
     # The one deliberate change to the copy: a cutoff of at least 1, so
     # that a paper with no counted citation is never top-cited.
@@ -1286,32 +1301,33 @@ def bucket_impact(
 
 
 def citation_fraction_matrix(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     window: TimeWindow | None = None,
+    multiplicity: str = FULL_COUNT,
 ) -> list[list[float]]:
     matrix = []
-    for row in field_flow(graph, corpus, window):
+    for row in field_flow(graph, window, multiplicity):
         total = _row_total(row)
         matrix.append([x / total for x in row] if total > 0 else [math.nan] * len(row))
     return matrix
 
 
 def acp_bucket_test(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     focal_field: int,
     target_field: int,
     focal_window: TimeWindow,
     threshold: float = 0.5,
+    multiplicity: str = FULL_COUNT,
 ) -> MetricReport:
+    corpus = graph.corpus
     taxonomy = corpus.taxonomy
     buckets: tuple[list[int], list[int]] = ([], [])
     for pid in papers_in(corpus, field=focal_field, window=focal_window):
         cited = graph.out_edges.get(pid, ())
         if not cited:
             continue
-        counts = field_ref_counts(corpus, cited, graph.multiplicity)
+        counts = field_ref_counts(corpus, cited, multiplicity)
         fraction = counts.get(target_field, 0.0) / len(cited)
         buckets[0 if fraction > threshold else 1].append(pid)
     classified = len(buckets[0]) + len(buckets[1])
@@ -1341,7 +1357,7 @@ def acp_bucket_test(
             window=window_label(focal_window),
             threshold=threshold,
             classified_papers=classified,
-            multiplicity=graph.multiplicity,
+            multiplicity=multiplicity,
             citing_scope="all-years",
             acp_diff_pct=diff_pct,
         ),
@@ -1357,7 +1373,8 @@ def acp_bucket_test(
     return report
 
 
-def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[int, int]:
+def _reference_split(graph: Graph, pid: int) -> tuple[int, int]:
+    corpus = graph.corpus
     fields = corpus[pid].fields
     refs = graph.out_edges.get(pid, ())
     same = sum(1 for rid in refs if corpus[rid].fields & fields)
@@ -1365,10 +1382,10 @@ def _reference_split(graph: CitationGraph, corpus: Corpus, pid: int) -> tuple[in
 
 
 def evidence_series(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     years: list[int] | None = None,
 ) -> MetricReport:
+    corpus = graph.corpus
     by_year = ids_by_year(corpus)
     years = years if years is not None else list(by_year)
     wanted = set(years)
@@ -1400,7 +1417,7 @@ def evidence_series(
                 cited_fields |= corpus[rid].fields
             if refs:
                 fields_cited.append(len(cited_fields))
-            pcross, psame = _reference_split(graph, corpus, pid)
+            pcross, psame = _reference_split(graph, pid)
             cross += pcross
             same += psame
             team_fields: set[int] = set()
@@ -1431,11 +1448,11 @@ def evidence_series(
 
 
 def field_trajectory(
-    graph: CitationGraph,
-    corpus: Corpus,
+    graph: Graph,
     focal: int,
     years: list[int] | None = None,
 ) -> FieldTrajectory:
+    corpus = graph.corpus
     members = papers_in(corpus, field=focal)
     if not members:
         raise AnalysisError("field has no papers")
@@ -1449,7 +1466,7 @@ def field_trajectory(
     for pid in members:
         counts = tau.get(corpus[pid].year)
         if counts is not None:
-            pcross, psame = _reference_split(graph, corpus, pid)
+            pcross, psame = _reference_split(graph, pid)
             counts[0] += pcross
             counts[1] += psame
         for q in graph.in_edges.get(pid, ()):
@@ -1481,11 +1498,11 @@ def _load(args) -> tuple:
 
 def _cmd_rank(k, args) -> MetricReport:
     corpus, _pr = _load(args)
-    graph = k.build_graph(corpus, args.multiplicity)
     return k.rank_fields(
-        graph, corpus, args.metric, args.window,
+        k.build_graph(corpus), args.metric, args.window,
         keyword_scope=args.keyword_scope,
         normalized_kdi=args.normalized_kdi,
+        multiplicity=args.multiplicity,
     )
 
 
@@ -1494,7 +1511,7 @@ def _cmd_impact(k, args) -> MetricReport:
     taxonomy = corpus.taxonomy
     graph = k.build_graph(corpus)
     horizon = None if args.lifetime else args.horizon
-    scores = k.compute_impact_scores(graph, corpus, window=args.window, horizon=horizon)
+    scores = k.compute_impact_scores(graph, window=args.window, horizon=horizon)
     meta = base_metadata(
         "impact",
         horizon="lifetime" if horizon is None else horizon,
@@ -1523,16 +1540,17 @@ def _cmd_impact(k, args) -> MetricReport:
 
 def _cmd_buckets(k, args) -> MetricReport:
     corpus, _pr = _load(args)
-    graph = k.build_graph(corpus, args.multiplicity)
-    scores = k.compute_impact_scores(graph, corpus, window=args.window, horizon=args.horizon)
-    values = k.paper_diversity(graph, corpus, args.metric, args.window, args.keyword_scope)
+    graph = k.build_graph(corpus)
+    scores = k.compute_impact_scores(graph, window=args.window, horizon=args.horizon)
+    values = k.paper_diversity(graph, args.metric, args.window, args.keyword_scope,
+                               multiplicity=args.multiplicity)
     return k.bucket_impact(values, scores, n_buckets=args.buckets, metric_name=args.metric)
 
 
 def _cmd_reciprocity(k, args) -> MetricReport:
     corpus, _pr = _load(args)
-    graph = k.build_graph(corpus, args.multiplicity)
-    matrix = k.citation_fraction_matrix(graph, corpus, window=args.window)
+    matrix = k.citation_fraction_matrix(k.build_graph(corpus), window=args.window,
+                                        multiplicity=args.multiplicity)
     if args.matrix:
         return matrix_report(matrix, corpus.taxonomy, window=args.window)
     return pearson_report(
@@ -1546,13 +1564,13 @@ def _cmd_acp(k, args) -> MetricReport:
     from citefields.cli import _field_index
 
     corpus, _pr = _load(args)
-    graph = k.build_graph(corpus, args.multiplicity)
     return k.acp_bucket_test(
-        graph, corpus,
+        k.build_graph(corpus),
         _field_index(corpus.taxonomy, args.focal),
         _field_index(corpus.taxonomy, args.target),
         args.window,
         threshold=args.threshold,
+        multiplicity=args.multiplicity,
     )
 
 
@@ -1560,10 +1578,9 @@ def _cmd_trajectory(k, args) -> MetricReport:
     from citefields.cli import _field_index
 
     corpus, _pr = _load(args)
-    graph = k.build_graph(corpus)
     focal = _field_index(corpus.taxonomy, args.field)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
-    trajectory = k.field_trajectory(graph, corpus, focal, years)
+    trajectory = k.field_trajectory(k.build_graph(corpus), focal, years)
     if args.phases:
         detection = detect_phases(trajectory, min_years=args.min_years)
         return phases_report(trajectory, detection, corpus.taxonomy)
@@ -1572,9 +1589,8 @@ def _cmd_trajectory(k, args) -> MetricReport:
 
 def _cmd_evidence(k, args) -> MetricReport:
     corpus, _pr = _load(args)
-    graph = k.build_graph(corpus)
     years = list(range(args.years.start, args.years.end + 1)) if args.years else None
-    return k.evidence_series(graph, corpus, years)
+    return k.evidence_series(k.build_graph(corpus), years)
 
 
 # The record-based CLI commands of the analyses, by subcommand. Each takes

@@ -80,8 +80,7 @@ def test_c2_entropy_oracles_and_analytic_values():
                 records.append(rec(next_id, fields=(f,), keywords=pool))
                 next_id += 1
             corpus = corpus_of(*records)
-            graph = build_graph(corpus)
-            got_rdi = rdi_paper(graph, corpus, 1)
+            got_rdi = rdi_paper(corpus, 1)
             want_rdi = rdi_direct(corpus, 1)
             assert got_rdi is not None
             assert got_rdi == pytest.approx(want_rdi, rel=1e-12), trial
@@ -101,7 +100,7 @@ def test_c2_entropy_oracles_and_analytic_values():
                     nid += 1
             records.append(rec(1, fields=(0,), refs=tuple(refs)))
             c = corpus_of(*records)
-            return rdi_paper(build_graph(c), c, 1)
+            return rdi_paper(build_graph(c), 1)
 
         assert abs(rdi_of_split({1: 7}) - 0.0) <= 1e-12
         assert abs(rdi_of_split({1: 2, 2: 2}) - math.log(2)) <= 1e-12
@@ -120,14 +119,14 @@ def test_c3_citation_oracles_on_50_seeds():
             )
             corpus = generate_corpus(spec)
             assert len(corpus) <= 200
-            graph = build_graph(corpus)
+            build_graph(corpus)
 
             for pid in corpus:
-                got = len(citations_received(graph, corpus, pid))
+                got = len(citations_received(corpus, pid))
                 assert got == cp_direct(corpus, pid), (seed, pid)
 
             window = TimeWindow(1990, 1994)
-            got = citation_fraction_matrix(graph, corpus, window)
+            got = citation_fraction_matrix(corpus, window)
             want = fraction_matrix_direct(corpus, len(corpus.taxonomy), window)
             for i in range(len(want)):
                 for j in range(len(want)):
@@ -140,7 +139,7 @@ def test_c3_citation_oracles_on_50_seeds():
                 b1, b2 = bucket_split_direct(corpus, 0, target, window)
                 if not (b1 or b2):
                     continue
-                report = acp_bucket_test(graph, corpus, 0, target, window)
+                report = acp_bucket_test(corpus, 0, target, window)
                 rows = {row[2]: row for row in report.rows}
                 total = len(b1) + len(b2)
                 assert rows["bucket-1"][3] == pytest.approx(100.0 * len(b1) / total)
@@ -190,10 +189,9 @@ def test_c5_ranking_invariant_under_log_base_change():
                 papers_per_year=(10, 16), multi_tag_probability=0.2,
             )
             corpus = generate_corpus(spec)
-            graph = build_graph(corpus)
             windows = [TimeWindow(1970, 1979), TimeWindow(1900, 2100)]
             for metric in ("rdi", "kdi"):
-                report = rank_fields(graph, corpus, metric, windows)
+                report = rank_fields(corpus, metric, windows)
                 for window in windows:
                     values = {
                         row[2]: row[4]
@@ -212,8 +210,7 @@ def test_c6_bucket_partition_and_rescaling():
                 papers_per_year=(10, 16),
             )
             corpus = generate_corpus(spec)
-            graph = build_graph(corpus)
-            values = [v for v in (rdi_paper(graph, corpus, pid) for pid in corpus)
+            values = [v for v in (rdi_paper(corpus, pid) for pid in corpus)
                       if v is not None]
             assignment, _lo, _hi, _deg = bucket_assignment(values, 5)
             assert len(assignment) == len(values)  # every paper exactly once
@@ -240,8 +237,8 @@ def test_c7_planted_lifecycle_recovery_10_seeds():
                 ),
             )
             corpus = generate_corpus(spec)
-            graph = build_graph(corpus)
-            trajectory = field_trajectory(graph, corpus, 2)
+            build_graph(corpus)
+            trajectory = field_trajectory(corpus, 2)
             detection = detect_phases(trajectory)
             assert detection.tau_change_year is not None, seed
             assert abs(detection.tau_change_year - y1) <= 1, seed
@@ -292,8 +289,8 @@ def test_c8_reciprocity_direction_on_planted_corpora():
                     records.append(rec(cid, year=1997, fields=(1,), refs=(pid,)))
                     cid += 1
             corpus = corpus_of(*records)
-            graph = build_graph(corpus)
-            report = acp_bucket_test(graph, corpus, 0, 1, TimeWindow(1990, 1995))
+            build_graph(corpus)
+            report = acp_bucket_test(corpus, 0, 1, TimeWindow(1990, 1995))
             rows = {row[2]: row for row in report.rows}
             assert rows["bucket-1"][4] > rows["bucket-2"][4], seed
             assert report.metadata["acp_diff_pct"] > 0, seed

@@ -596,13 +596,12 @@ def test_csv_numeric_values_round_trip_full_precision(synth_file, tmp_path):
         "--window", "1970:1989", "--output", str(out),
     ]) == 0
     from citefields import (
-        TimeWindow, build_graph, parse_corpus, rank_fields,
+        TimeWindow, parse_corpus, rank_fields,
     )
 
     with open(synth_file, encoding="utf-8") as fh:
         corpus, _report = parse_corpus(fh)
-    graph = build_graph(corpus)
-    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1970, 1989)])
+    report = rank_fields(corpus, "rdi", [TimeWindow(1970, 1989)])
     expected = {row[2]: row[4] for row in report.rows}
     _meta, header, rows = _read_csv(out.read_text(encoding="utf-8"))
     value_idx = header.index("value")
@@ -803,9 +802,9 @@ def test_package_imports_without_numpy_and_serves_generator_names():
         "import citefields\n"
         "assert 'numpy' not in sys.modules\n"
         "corpus, _ = citefields.parse_corpus('#t2000\\n#fAI\\n#index1\\n#%2\\n\\n#t2000\\n#fAlgo\\n#index2')\n"
-        "graph = citefields.build_graph(corpus)\n"
-        "assert citefields.field_flow(graph, corpus)[0][1] == 1.0\n"
-        "assert citefields.citation_fraction_matrix(graph, corpus)[0][1] == 1.0\n"
+        "assert citefields.build_graph(corpus) is corpus.table\n"
+        "assert citefields.field_flow(corpus)[0][1] == 1.0\n"
+        "assert citefields.citation_fraction_matrix(corpus)[0][1] == 1.0\n"
         f"loaded = [m for m in {_OPTIONAL_MODULES!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "assert citefields.synth.generate is citefields.generate\n"

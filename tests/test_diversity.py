@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from citefields import (
     CORPUS_GLOBAL, GeneratorSpec, TimeWindow, WINDOW_LOCAL,
-    build_graph, build_keyword_sets, generate_corpus,
+    build_keyword_sets, generate_corpus,
     paper_diversity, rank_fields,
 )
 from citefields.diversity import kdi_paper, rank_order, rdi_paper
@@ -34,28 +34,24 @@ def _rdi_corpus(split: dict[int, int]):
 
 def test_rdi_concentrated_refs_zero():
     corpus = _rdi_corpus({1: 5})
-    graph = build_graph(corpus)
-    assert rdi_paper(graph, corpus, 1) == 0.0
+    assert rdi_paper(corpus, 1) == 0.0
 
 
 def test_rdi_uniform_two_way_is_ln2():
     corpus = _rdi_corpus({1: 2, 2: 2})
-    graph = build_graph(corpus)
-    assert abs(rdi_paper(graph, corpus, 1) - LN2) < 1e-12
+    assert abs(rdi_paper(corpus, 1) - LN2) < 1e-12
 
 
 def test_rdi_two_one_split():
     corpus = _rdi_corpus({1: 2, 2: 1})
-    graph = build_graph(corpus)
     expected = -(2 / 3) * math.log(2 / 3) - (1 / 3) * math.log(1 / 3)
-    assert abs(rdi_paper(graph, corpus, 1) - expected) < 1e-12
+    assert abs(rdi_paper(corpus, 1) - expected) < 1e-12
     assert abs(expected - 0.636514) < 5e-7
 
 
 def test_rdi_undefined_without_resolved_refs():
     corpus = corpus_of(rec(1, refs=(999,)))
-    graph = build_graph(corpus)
-    assert rdi_paper(graph, corpus, 1) is None
+    assert rdi_paper(corpus, 1) is None
 
 
 def test_rdi_field_mean_and_coverage():
@@ -68,10 +64,9 @@ def test_rdi_field_mean_and_coverage():
         rec(3, fields=(0,)),
     ]
     corpus = corpus_of(*records)
-    graph = build_graph(corpus)
-    assert paper_diversity(graph, corpus, "rdi") == [
+    assert paper_diversity(corpus, "rdi") == [
         0.0, pytest.approx(LN2, abs=1e-15), None, None, None, None]
-    row = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)]).rows[0]
+    row = rank_fields(corpus, "rdi", [TimeWindow(1900, 2100)]).rows[0]
     assert row[5] == 2  # coverage
     assert abs(row[4] - LN2 / 2) < 1e-12
 
@@ -79,9 +74,8 @@ def test_rdi_field_mean_and_coverage():
 def test_rdi_field_without_defined_paper_is_blank():
     # Field 0 has only a refless paper, field 5 has no paper at all.
     corpus = corpus_of(rec(1, fields=(0,)))
-    graph = build_graph(corpus)
-    assert paper_diversity(graph, corpus, "rdi") == [None]
-    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
+    assert paper_diversity(corpus, "rdi") == [None]
+    report = rank_fields(corpus, "rdi", [TimeWindow(1900, 2100)])
     for f in (0, 5):
         row = report.rows[f]
         assert (row[4], row[5], row[7]) == (None, 0, None)  # value, coverage, rank
@@ -97,13 +91,12 @@ def test_paper_diversity_is_a_column_over_the_window_ids():
         rec(20, year=1990, fields=(1,), keywords=("k2",)),
         rec(21, year=1990, fields=(2,)),
     )
-    graph = build_graph(corpus)
     window = TimeWindow(2000, 2001)
-    assert paper_diversity(graph, corpus, "rdi", window) == [0.0, None, pytest.approx(LN2)]
+    assert paper_diversity(corpus, "rdi", window) == [0.0, None, pytest.approx(LN2)]
     pools = build_keyword_sets(corpus, window)
-    assert paper_diversity(graph, corpus, "kdi", window) == [
+    assert paper_diversity(corpus, "kdi", window) == [
         kdi_paper(corpus, pools, 3), None, kdi_paper(corpus, pools, 7)]
-    assert paper_diversity(graph, corpus, "rdi") == [0.0, None, pytest.approx(LN2), None, None]
+    assert paper_diversity(corpus, "rdi") == [0.0, None, pytest.approx(LN2), None, None]
 
 
 def _kdi_corpus():
@@ -160,9 +153,8 @@ def test_kdi_field_mean():
     v1 = kdi_paper(corpus, sets, 1)
     v2 = kdi_paper(corpus, sets, 2)
     v3 = kdi_paper(corpus, sets, 3)
-    graph = build_graph(corpus)
-    assert paper_diversity(graph, corpus, "kdi") == [v1, v2, v3]
-    report = rank_fields(graph, corpus, "kdi", [TimeWindow(1900, 2100)])
+    assert paper_diversity(corpus, "kdi") == [v1, v2, v3]
+    report = rank_fields(corpus, "kdi", [TimeWindow(1900, 2100)])
     for row, v in zip(report.rows, (v1, v2)):
         assert row[5] == 1 and abs(row[4] - v) < 1e-15
 
@@ -208,8 +200,7 @@ def test_global_scope_per_paper_values_unchanged_by_extra_papers():
 def test_rdi_matches_direct_oracle_property(counts):
     split = {f: c for f, c in enumerate(counts) if c > 0}
     corpus = _rdi_corpus(split)
-    graph = build_graph(corpus)
-    got = rdi_paper(graph, corpus, 1)
+    got = rdi_paper(corpus, 1)
     want = rdi_direct(corpus, 1)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -250,10 +241,9 @@ def test_rank_fields_match_direct_field_means(multi_tagged, metric, multiplicity
                                               normalized):
     corpus = multi_tagged
     assert sum(len(corpus[pid].fields) > 1 for pid in corpus) > 0.2 * len(corpus)
-    graph = build_graph(corpus, multiplicity)
     windows = [TimeWindow(1970, 1979), TimeWindow(1972, 1975)]
-    report = rank_fields(graph, corpus, metric, windows,
-                         keyword_scope=scope, normalized_kdi=normalized)
+    report = rank_fields(corpus, metric, windows, keyword_scope=scope,
+                         normalized_kdi=normalized, multiplicity=multiplicity)
     assert len(report.rows) == 24 * len(windows)
     for i, row in enumerate(report.rows):
         window, f = windows[i // 24], i % 24
@@ -272,8 +262,7 @@ def test_rank_fields_planted_ordering():
         rec(2, fields=(1,), refs=(10, 13)),
     ]
     corpus = corpus_of(*records)
-    graph = build_graph(corpus)
-    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
+    report = rank_fields(corpus, "rdi", [TimeWindow(1900, 2100)])
     by_field = {row[2]: row for row in report.rows}
     assert by_field["AI"][7] == 1  # rank column
     assert by_field["Algo"][7] == 2
@@ -282,8 +271,7 @@ def test_rank_fields_planted_ordering():
 
 def test_rank_fields_missing_cells_not_aborts():
     corpus = corpus_of(rec(1, fields=(0,), refs=(2,)), rec(2, fields=(0,)))
-    graph = build_graph(corpus)
-    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
+    report = rank_fields(corpus, "rdi", [TimeWindow(1900, 2100)])
     assert len(report.rows) == len(corpus.taxonomy)
     by_field = {row[2]: row for row in report.rows}
     assert by_field["AI"][4] == 0.0 and by_field["AI"][7] == 1
@@ -297,8 +285,7 @@ def test_rank_ties_break_by_field_index():
 
 def test_log_base_rescale_keeps_order():
     corpus = generate_corpus(GeneratorSpec(seed=9, field_count=6, years_span=8))
-    graph = build_graph(corpus)
-    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
+    report = rank_fields(corpus, "rdi", [TimeWindow(1900, 2100)])
     values = {row[2]: row[4] for row in report.rows if row[4] is not None}
     scaled = {f: v / LN2 for f, v in values.items()}
     assert rank_order(values) == rank_order(scaled)
@@ -306,7 +293,6 @@ def test_log_base_rescale_keeps_order():
 
 def test_single_field_always_rank_one():
     corpus = corpus_of(rec(1, fields=(0,), refs=(2,)), rec(2, fields=(1,)))
-    graph = build_graph(corpus)
-    report = rank_fields(graph, corpus, "rdi", [TimeWindow(1900, 2100)])
+    report = rank_fields(corpus, "rdi", [TimeWindow(1900, 2100)])
     ranked = [row for row in report.rows if row[7] is not None]
     assert len(ranked) == 1 and ranked[0][7] == 1

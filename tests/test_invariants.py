@@ -22,48 +22,49 @@ def synth():
     spec = GeneratorSpec(seed=61, field_count=5, start_year=1980, years_span=12,
                          papers_per_year=(10, 16), multi_tag_probability=0.2)
     corpus = generate_corpus(spec)
-    return corpus, build_graph(corpus)
+    build_graph(corpus)  # the in-edges impact, acp and trajectory read
+    return corpus
 
 
 def test_full_range_view_matches_corpus_on_every_metric(synth):
     # A window or year span covering the whole corpus equals no window.
-    corpus, graph = synth
+    corpus = synth
     sets = build_keyword_sets(corpus)
     sets_full = build_keyword_sets(corpus, FULL_RANGE)
     assert sets_full == sets
 
     ids = corpus.papers_in()
     for metric in ("rdi", "kdi"):
-        scores = paper_diversity(graph, corpus, metric)
-        assert paper_diversity(graph, corpus, metric, FULL_RANGE) == scores
+        scores = paper_diversity(corpus, metric)
+        assert paper_diversity(corpus, metric, FULL_RANGE) == scores
         assert len(scores) == len(ids)
         members = [[v for pid, v in zip(ids, scores) if v is not None and f in corpus[pid].fields]
                    for f in range(5)]
-        rows = rank_fields(graph, corpus, metric, [FULL_RANGE]).rows
+        rows = rank_fields(corpus, metric, [FULL_RANGE]).rows
         assert [(row[4], row[5]) for row in rows[:5]] == [
             (fsum(vs) / len(vs), len(vs)) for vs in members
         ]
 
     assert np.array_equal(
-        citation_fraction_matrix(graph, corpus, FULL_RANGE),
-        citation_fraction_matrix(graph, corpus),
+        citation_fraction_matrix(corpus, FULL_RANGE),
+        citation_fraction_matrix(corpus),
         equal_nan=True,
     )
 
     years = sorted(set(corpus.table.year))
     span = TimeWindow(years[0], years[-1])
-    r1 = acp_bucket_test(graph, corpus, 0, 1, FULL_RANGE)
-    r2 = acp_bucket_test(graph, corpus, 0, 1, span)
+    r1 = acp_bucket_test(corpus, 0, 1, FULL_RANGE)
+    r2 = acp_bucket_test(corpus, 0, 1, span)
     assert r1.rows == r2.rows
 
-    default = field_trajectory(graph, corpus, 0)
-    wide = field_trajectory(graph, corpus, 0, list(range(FULL_RANGE.start, FULL_RANGE.end + 1)))
+    default = field_trajectory(corpus, 0)
+    wide = field_trajectory(corpus, 0, list(range(FULL_RANGE.start, FULL_RANGE.end + 1)))
     shared = slice(wide.years.index(default.years[0]), wide.years.index(default.years[-1]) + 1)
     assert (wide.tau[shared], wide.zeta[shared]) == (default.tau, default.zeta)
-    assert evidence_series(graph, corpus, years).rows == evidence_series(graph, corpus).rows
+    assert evidence_series(corpus, years).rows == evidence_series(corpus).rows
 
-    s1 = compute_impact_scores(graph, corpus, window=FULL_RANGE)
-    s2 = compute_impact_scores(graph, corpus)
+    s1 = compute_impact_scores(corpus, window=FULL_RANGE)
+    s2 = compute_impact_scores(corpus)
     assert (s1.ids, s1.cp, s1.jif, s1.cutoff) == (s2.ids, s2.cp, s2.jif, s2.cutoff)
 
 
@@ -73,17 +74,16 @@ def test_rdi_bounded_by_log_field_count_with_single_field_targets():
     spec = GeneratorSpec(seed=62, field_count=6, years_span=10,
                          multi_tag_probability=0.0, references=(1, 12))
     corpus = generate_corpus(spec)
-    graph = build_graph(corpus)
     bound = math.log(len(corpus.taxonomy))
     for pid in corpus:
-        v = rdi_paper(graph, corpus, pid)
+        v = rdi_paper(corpus, pid)
         if v is not None:
             assert 0.0 <= v <= bound + 1e-12
 
 
 def test_evidence_pooled_tau_matches_brute_force(synth):
-    corpus, graph = synth
-    report = evidence_series(graph, corpus)
+    corpus = synth
+    report = evidence_series(corpus)
     for row in report.rows:
         year, tau = row[0], row[4]
         cross = same = 0
@@ -117,8 +117,7 @@ def test_rank_planted_cross_field_beats_in_field():
         multi_tag_probability=0.0,
     )
     corpus = generate_corpus(spec)
-    graph = build_graph(corpus)
-    report = rank_fields(graph, corpus, "rdi", [FULL_RANGE])
+    report = rank_fields(corpus, "rdi", [FULL_RANGE])
     by_abbr = {row[2]: row for row in report.rows}
     assert by_abbr["AI"][7] == 1
     for abbr in ("Algo", "NETW", "DB"):
@@ -135,7 +134,7 @@ def test_permuting_input_order_changes_no_metric():
     assert shuffled == corpus
     g1, g2 = build_graph(corpus), build_graph(shuffled)
     assert corpus.table.ids == shuffled.table.ids  # so the rows are the same papers
-    assert g1.out_edges == g2.out_edges
-    assert np.array_equal(field_flow(g1, corpus), field_flow(g2, shuffled))
-    assert rank_fields(g1, corpus, "rdi", [FULL_RANGE]).rows == \
-        rank_fields(g2, shuffled, "rdi", [FULL_RANGE]).rows
+    assert g1.references == g2.references and g1.in_edges == g2.in_edges
+    assert np.array_equal(field_flow(corpus), field_flow(shuffled))
+    assert rank_fields(corpus, "rdi", [FULL_RANGE]).rows == \
+        rank_fields(shuffled, "rdi", [FULL_RANGE]).rows

@@ -36,8 +36,8 @@ _VALUE = "a value type: it holds data and computes nothing the reference checks"
 _CONSTANT = "a constant"
 _ERROR = "an error type, so that error records match"
 REFERENCE_MAY_IMPORT = {
-    **dict.fromkeys(("CitationGraph", "Corpus", "Diagnostic", "FieldTaxonomy",
-                     "FieldTrajectory", "PaperRecord", "ParseReport", "TimeWindow"), _VALUE),
+    **dict.fromkeys(("Corpus", "Diagnostic", "FieldTaxonomy", "FieldTrajectory",
+                     "PaperRecord", "ParseReport", "TimeWindow"), _VALUE),
     **dict.fromkeys(("COMMENT_PREFIX", "CORPUS_GLOBAL", "DEFAULT_FIELDS", "DEFAULT_HORIZON",
                      "ERROR", "FRACTIONAL", "FULL_COUNT", "KDI", "RDI", "TOP_SHARE",
                      "WARNING", "WINDOW_LOCAL", "YEAR_RANGE"), _CONSTANT),

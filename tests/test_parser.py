@@ -571,7 +571,7 @@ CONSUMER_COLUMNS = (*(fold.columns for fold in FOLDS), ("id",))
 
 def test_every_consumer_names_record_columns_only():
     assert len(FOLDS) == 3
-    for into in (*FOLDS, PaperTable.reader(*PaperTable.__slots__[6:])):
+    for into in (*FOLDS, PaperTable.reader(*PaperTable.COLUMNS)):
         assert set(into.columns) <= set(PaperRecord._fields), into.columns
 
 

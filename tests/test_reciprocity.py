@@ -21,8 +21,7 @@ from oracles import (
 
 def test_matrix_self_citing_field_row():
     corpus = corpus_of(rec(1, fields=(0,), refs=(2,)), rec(2, fields=(0,)))
-    graph = build_graph(corpus)
-    m = citation_fraction_matrix(graph, corpus)
+    m = citation_fraction_matrix(corpus)
     assert m[0][0] == 1.0
     assert m[0][1] == 0.0
     assert all(math.isnan(x) for x in m[1])  # no outflow row
@@ -35,15 +34,13 @@ def test_matrix_planted_fractions():
         rec(2, fields=(0,)), rec(3, fields=(0,)),
         rec(4, fields=(1,)), rec(5, fields=(2,)),
     )
-    graph = build_graph(corpus)
-    m = citation_fraction_matrix(graph, corpus)
+    m = citation_fraction_matrix(corpus)
     assert m[0][0] == 0.5 and m[0][1] == 0.25 and m[0][2] == 0.25
 
 
 def test_matrix_rows_sum_to_one():
     corpus = generate_corpus(GeneratorSpec(seed=13, field_count=6, years_span=10))
-    graph = build_graph(corpus)
-    m = citation_fraction_matrix(graph, corpus)
+    m = citation_fraction_matrix(corpus)
     for i in range(len(m)):
         if not math.isnan(m[i][0]):
             assert abs(math.fsum(m[i]) - 1.0) <= 1e-12
@@ -52,9 +49,8 @@ def test_matrix_rows_sum_to_one():
 def test_matrix_matches_direct_oracle_with_window():
     corpus = generate_corpus(GeneratorSpec(seed=14, field_count=5, years_span=10,
                                            multi_tag_probability=0.25))
-    graph = build_graph(corpus)
     window = TimeWindow(1973, 1977)
-    got = citation_fraction_matrix(graph, corpus, window)
+    got = citation_fraction_matrix(corpus, window)
     want = fraction_matrix_direct(corpus, len(corpus.taxonomy), window)
     for i in range(len(want)):
         for j in range(len(want)):
@@ -169,8 +165,8 @@ def test_pearson_report_drops_groups_missing_a_member():
     assert rows == [("all", *reciprocity_pearson(m, include_diagonal=False))]
 
 
-def _bucket_acps(graph, corpus, focal, target, window):
-    rows = acp_bucket_test(graph, corpus, focal, target, window).rows
+def _bucket_acps(corpus, focal, target, window):
+    rows = acp_bucket_test(corpus, focal, target, window).rows
     return {row[2]: row[4] for row in rows}
 
 
@@ -184,10 +180,10 @@ def test_acp_no_citations_zero_and_direct_division():
         rec(3, year=1995, fields=(1,), refs=(1,)),
         rec(4, year=1985, fields=(1,)),
     )
-    graph = build_graph(corpus)
+    build_graph(corpus)
     window = TimeWindow(1990, 1990)
-    assert _bucket_acps(graph, corpus, 0, 1, window) == {"bucket-1": 0.5, "bucket-2": None}
-    assert _bucket_acps(graph, corpus, 0, 2, window) == {"bucket-1": None, "bucket-2": 0.0}
+    assert _bucket_acps(corpus, 0, 1, window) == {"bucket-1": 0.5, "bucket-2": None}
+    assert _bucket_acps(corpus, 0, 2, window) == {"bucket-1": None, "bucket-2": 0.0}
 
 
 def test_acp_ten_citations_into_four_papers():
@@ -198,19 +194,19 @@ def test_acp_ten_citations_into_four_papers():
         citers.append(rec(cid, fields=(1,), refs=(t,), year=2001))
         cid += 1
     corpus = corpus_of(rec(50, year=1999, fields=(1,)), *(targets + citers))
-    graph = build_graph(corpus)
-    acps = _bucket_acps(graph, corpus, 0, 1, TimeWindow(2000, 2000))
+    build_graph(corpus)
+    acps = _bucket_acps(corpus, 0, 1, TimeWindow(2000, 2000))
     assert acps["bucket-1"] == 2.5
 
 
 def test_acp_matches_brute_force():
     corpus = generate_corpus(GeneratorSpec(seed=44, field_count=4, years_span=10,
                                            multi_tag_probability=0.2))
-    graph = build_graph(corpus)
+    build_graph(corpus)
     window = TimeWindow(1972, 1977)
     for focal in range(4):
         for target in range(4):
-            acps = _bucket_acps(graph, corpus, focal, target, window)
+            acps = _bucket_acps(corpus, focal, target, window)
             for label, members in zip(("bucket-1", "bucket-2"),
                                       bucket_split_direct(corpus, focal, target, window)):
                 if members:
@@ -250,8 +246,8 @@ def _reciprocation_corpus():
 
 def test_acp_bucket_test_planted_reciprocation():
     corpus = _reciprocation_corpus()
-    graph = build_graph(corpus)
-    report = acp_bucket_test(graph, corpus, 0, 1, TimeWindow(1990, 1995))
+    build_graph(corpus)
+    report = acp_bucket_test(corpus, 0, 1, TimeWindow(1990, 1995))
     rows = {row[2]: row for row in report.rows}
     assert rows["bucket-1"][3] == 50.0 and rows["bucket-2"][3] == 50.0
     assert rows["bucket-1"][4] == 5.0
@@ -264,9 +260,9 @@ def test_acp_bucket_test_planted_reciprocation():
 def test_acp_bucket_test_matches_direct_split():
     corpus = generate_corpus(GeneratorSpec(seed=77, field_count=4, years_span=12,
                                            multi_tag_probability=0.2))
-    graph = build_graph(corpus)
+    build_graph(corpus)
     window = TimeWindow(1975, 1980)
-    report = acp_bucket_test(graph, corpus, 0, 1, window)
+    report = acp_bucket_test(corpus, 0, 1, window)
     b1, b2 = bucket_split_direct(corpus, 0, 1, window)
     rows = {row[2]: row for row in report.rows}
     total = len(b1) + len(b2)
@@ -283,8 +279,8 @@ def test_acp_bucket_test_empty_bucket_missing_acp():
         rec(1, year=1990, fields=(0,), refs=(2, 3)),
         rec(2, year=1985, fields=(2,)), rec(3, year=1985, fields=(2,)),
     )
-    graph = build_graph(corpus)
-    report = acp_bucket_test(graph, corpus, 0, 1, TimeWindow(1990, 1995))
+    build_graph(corpus)
+    report = acp_bucket_test(corpus, 0, 1, TimeWindow(1990, 1995))
     rows = {row[2]: row for row in report.rows}
     assert rows["bucket-1"][3] == 0.0 and rows["bucket-1"][4] is None
     assert rows["bucket-2"][3] == 100.0
@@ -297,14 +293,14 @@ def test_acp_bucket_test_threshold_is_strict():
         rec(1, year=1990, fields=(0,), refs=(2, 3)),
         rec(2, year=1985, fields=(1,)), rec(3, year=1985, fields=(2,)),
     )
-    graph = build_graph(corpus)
-    report = acp_bucket_test(graph, corpus, 0, 1, TimeWindow(1990, 1995))
+    build_graph(corpus)
+    report = acp_bucket_test(corpus, 0, 1, TimeWindow(1990, 1995))
     rows = {row[2]: row for row in report.rows}
     assert rows["bucket-2"][3] == 100.0
 
 
 def test_acp_bucket_test_no_classified_papers_errors():
     corpus = corpus_of(rec(1, year=1990, fields=(0,)))
-    graph = build_graph(corpus)
+    build_graph(corpus)
     with pytest.raises(AnalysisError):
-        acp_bucket_test(graph, corpus, 0, 1, TimeWindow(1990, 1995))
+        acp_bucket_test(corpus, 0, 1, TimeWindow(1990, 1995))

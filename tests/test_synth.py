@@ -64,9 +64,9 @@ def test_identity_propensity_gives_zero_tau():
         multi_tag_probability=0.0,
     )
     corpus = generate_corpus(spec)
-    graph = build_graph(corpus)
+    build_graph(corpus)
     for f in range(k):
-        for value in field_trajectory(graph, corpus, f).tau:
+        for value in field_trajectory(corpus, f).tau:
             assert value in (None, 0.0)
 
 
@@ -79,12 +79,11 @@ def test_uniform_propensity_rdi_near_ln_k():
         multi_tag_probability=0.0,
     )
     corpus = generate_corpus(spec)
-    graph = build_graph(corpus)
     values = []
     last_year = sorted(set(corpus.table.year))[-1]
     for pid in corpus:
         if corpus[pid].year == last_year:
-            v = rdi_paper(graph, corpus, pid)
+            v = rdi_paper(corpus, pid)
             if v is not None:
                 values.append(v)
     mean = sum(values) / len(values)
@@ -101,8 +100,7 @@ def test_flow_fractions_converge_to_propensity():
         multi_tag_probability=0.0,
     )
     corpus = generate_corpus(spec)
-    graph = build_graph(corpus)
-    flow = field_flow(graph, corpus)
+    flow = field_flow(corpus)
     assert math.fsum(map(math.fsum, flow)) > 10_000
     for i in range(k):
         total = math.fsum(flow[i])

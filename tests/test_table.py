@@ -2,7 +2,7 @@
 columns and ``Corpus.table`` on built records. Both hold each value once,
 keep references ascending and agree column by column. The table refuses a
 repeated id and a column of another length, and its rows ascend with the
-ids, the graph's edges over them."""
+ids, its references and in-edges over them."""
 
 from __future__ import annotations
 
@@ -16,11 +16,8 @@ from citefields.records import PaperTable
 from conftest import with_dangling_references
 from test_kernels import _corpus_files
 
-OPTIONAL = ("references", "venue", "first_author", "authors", "keywords")
-
-
 def _tables(text: str) -> dict[str, PaperTable]:
-    table, _report = parse_corpus(text, into=PaperTable.reader(*OPTIONAL))
+    table, _report = parse_corpus(text, into=PaperTable.reader(*PaperTable.COLUMNS))
     parsed, _report = parse_corpus(text)
     return {"reader": table, "corpus": Corpus(parsed.records.values(), parsed.taxonomy).table}
 
@@ -48,8 +45,7 @@ def test_repeated_values_are_held_once_and_references_are_shared():
 
         # Every seventh paper has its two dangling references dropped and counted.
         assert dict(table.unresolved) == dict.fromkeys(range(0, 600, 7), 2), builder
-        graph = build_graph(table)
-        assert graph.unresolved is table.unresolved and graph.out_edges is table.references
+        assert build_graph(table) is table
         for r, refs in enumerate(table.references):
             assert list(refs) == sorted(refs), (builder, r)
             cited = parsed[table.ids[r]].references
@@ -105,20 +101,19 @@ def test_rows_ascend_and_the_graph_inverts_the_resolved_references(data):
     references = [tuple(sorted(data.draw(st.sets(cited, max_size=5)))) for _ in ids]
     table = PaperTable(FieldTaxonomy.default(), list(ids), **_columns(len(ids)),
                        references=list(references))
-    graph = build_graph(table)
+    assert build_graph(table) is table
 
     assert table.ids == sorted(ids)
     assert all(table.row[pid] == r for r, pid in enumerate(table.ids))
-    assert graph.out_edges is table.references
     given_refs = dict(zip(ids, references))
-    for r, rows in enumerate(graph.out_edges):
+    for r, rows in enumerate(table.references):
         assert list(rows) == sorted(set(rows))
         assert all(type(c) is int and 0 <= c < len(ids) for c in rows)
         assert [table.ids[c] for c in rows] == [pid for pid in given_refs[table.ids[r]]
                                                 if pid in table.row]
     inverted: list[list[int]] = [[] for _ in ids]
-    for r, rows in enumerate(graph.out_edges):
+    for r, rows in enumerate(table.references):
         for c in rows:
             inverted[c].append(r)
-    assert graph.in_edges == list(map(tuple, inverted))
-    assert graph.total_edges + sum(graph.unresolved.values()) == sum(map(len, references))
+    assert table.in_edges == list(map(tuple, inverted))
+    assert table.total_edges + sum(table.unresolved.values()) == sum(map(len, references))

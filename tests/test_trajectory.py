@@ -12,13 +12,13 @@ from conftest import corpus_of, rec
 from oracles import author_breadth_direct, tau_direct, zeta_direct
 
 
-def tau_by_year(graph, corpus, focal, years):
-    trajectory = field_trajectory(graph, corpus, focal, years)
+def tau_by_year(corpus, focal, years):
+    trajectory = field_trajectory(corpus, focal, years)
     return dict(zip(trajectory.years, trajectory.tau))
 
 
-def zeta_by_year(graph, corpus, focal, years):
-    trajectory = field_trajectory(graph, corpus, focal, years)
+def zeta_by_year(corpus, focal, years):
+    trajectory = field_trajectory(corpus, focal, years)
     return dict(zip(trajectory.years, trajectory.zeta))
 
 
@@ -27,8 +27,8 @@ def test_tau_all_in_field_is_zero():
         rec(1, year=2000, fields=(0,), refs=(2, 3)),
         rec(2, year=1999, fields=(0,)), rec(3, year=1999, fields=(0,)),
     )
-    graph = build_graph(corpus)
-    assert tau_by_year(graph, corpus, 0, [2000])[2000] == 0.0
+    build_graph(corpus)
+    assert tau_by_year(corpus, 0, [2000])[2000] == 0.0
 
 
 def test_tau_pooled_two_cross_one_same():
@@ -38,8 +38,8 @@ def test_tau_pooled_two_cross_one_same():
         rec(2, year=1999, fields=(1,)), rec(3, year=1999, fields=(2,)),
         rec(5, year=1999, fields=(0,)),
     )
-    graph = build_graph(corpus)
-    assert tau_by_year(graph, corpus, 0, [2000])[2000] == 2.0
+    build_graph(corpus)
+    assert tau_by_year(corpus, 0, [2000])[2000] == 2.0
 
 
 def test_tau_shared_field_rule_with_multi_tagged_cited():
@@ -48,8 +48,8 @@ def test_tau_shared_field_rule_with_multi_tagged_cited():
         rec(2, year=1999, fields=(0, 1)),  # shares field 0 -> same
         rec(3, year=1999, fields=(1,)),    # cross
     )
-    graph = build_graph(corpus)
-    assert tau_by_year(graph, corpus, 0, [2000])[2000] == 1.0
+    build_graph(corpus)
+    assert tau_by_year(corpus, 0, [2000])[2000] == 1.0
 
 
 def test_tau_missing_when_no_same_field_refs():
@@ -57,8 +57,8 @@ def test_tau_missing_when_no_same_field_refs():
         rec(1, year=2000, fields=(0,), refs=(2,)),
         rec(2, year=1999, fields=(1,)),
     )
-    graph = build_graph(corpus)
-    assert tau_by_year(graph, corpus, 0, [2000, 2001]) == {2000: None, 2001: None}
+    build_graph(corpus)
+    assert tau_by_year(corpus, 0, [2000, 2001]) == {2000: None, 2001: None}
 
 
 def test_tau_per_paper_mode():
@@ -69,18 +69,18 @@ def test_tau_per_paper_mode():
         rec(5, year=1999, fields=(0,)), rec(6, year=1999, fields=(0,)),
         rec(7, year=1999, fields=(2,)),
     )
-    graph = build_graph(corpus)
+    build_graph(corpus)
     # Pooled over the year's papers: 2 cross / 3 same, not the per-paper
     # mean (0/2 + 2/1) / 2 = 1.0.
-    assert tau_by_year(graph, corpus, 0, [2000])[2000] == pytest.approx(2 / 3)
+    assert tau_by_year(corpus, 0, [2000])[2000] == pytest.approx(2 / 3)
 
 
 def test_tau_matches_direct_oracle():
     corpus = generate_corpus(GeneratorSpec(seed=31, field_count=4, years_span=10,
                                            multi_tag_probability=0.25))
-    graph = build_graph(corpus)
+    build_graph(corpus)
     for y in sorted(set(corpus.table.year)):
-        got = tau_by_year(graph, corpus, 0, [y])[y]
+        got = tau_by_year(corpus, 0, [y])[y]
         want = tau_direct(corpus, 0, y)
         if want is None:
             assert got is None
@@ -91,8 +91,8 @@ def test_tau_matches_direct_oracle():
 def test_zeta_matches_direct_oracle():
     corpus = generate_corpus(GeneratorSpec(seed=31, field_count=4, years_span=10,
                                            multi_tag_probability=0.25))
-    graph = build_graph(corpus)
-    trajectory = field_trajectory(graph, corpus, 0)
+    build_graph(corpus)
+    trajectory = field_trajectory(corpus, 0)
     assert trajectory.years[-1] == sorted(set(corpus.table.year))[-1]
     for y, got in zip(trajectory.years, trajectory.zeta):
         want = zeta_direct(corpus, 0, y)
@@ -107,8 +107,8 @@ def test_zeta_only_self_citations_zero():
         rec(1, year=2000, fields=(0,)),
         rec(2, year=2001, fields=(0,), refs=(1,)),
     )
-    graph = build_graph(corpus)
-    assert zeta_by_year(graph, corpus, 0, [2001])[2001] == 0.0
+    build_graph(corpus)
+    assert zeta_by_year(corpus, 0, [2001])[2001] == 0.0
 
 
 def test_zeta_three_external_two_internal():
@@ -121,8 +121,8 @@ def test_zeta_three_external_two_internal():
         records.append(rec(cid, year=2003, fields=(0,), refs=(2,)))
         cid += 1
     corpus = corpus_of(*records)
-    graph = build_graph(corpus)
-    assert zeta_by_year(graph, corpus, 0, [2003])[2003] == 1.5
+    build_graph(corpus)
+    assert zeta_by_year(corpus, 0, [2003])[2003] == 1.5
 
 
 def test_zeta_indexed_by_citing_year_by_default():
@@ -131,8 +131,8 @@ def test_zeta_indexed_by_citing_year_by_default():
         rec(2, year=2005, fields=(1,), refs=(1,)),
         rec(3, year=2005, fields=(0,), refs=(1,)),
     )
-    graph = build_graph(corpus)
-    by_citing = zeta_by_year(graph, corpus, 0, [2000, 2005])
+    build_graph(corpus)
+    by_citing = zeta_by_year(corpus, 0, [2000, 2005])
     assert by_citing[2000] is None
     assert by_citing[2005] == 1.0
 
@@ -181,8 +181,7 @@ def test_evidence_series_minimal_corpus():
         rec(1, year=2000, fields=(0,), authors=("Solo Author",)),
         rec(2, year=2001, fields=(0,), authors=("Solo Author",), refs=(1,)),
     )
-    graph = build_graph(corpus)
-    report = evidence_series(graph, corpus)
+    report = evidence_series(corpus)
     rows = {row[0]: row for row in report.rows}
     assert rows[2000][2] == 0.0   # multi-field fraction
     assert rows[2000][5] == 1.0   # team size
@@ -198,8 +197,7 @@ def test_evidence_distinct_fields_cited():
         rec(2, year=1999, fields=(1,)), rec(3, year=1999, fields=(2,)),
         rec(4, year=1999, fields=(2,)),
     )
-    graph = build_graph(corpus)
-    report = evidence_series(graph, corpus, years=[2000])
+    report = evidence_series(corpus, years=[2000])
     assert report.rows[0][3] == 2.0  # fields {1, 2}
 
 
@@ -210,8 +208,7 @@ def test_evidence_author_expertise_is_cumulative():
         rec(3, year=2000, fields=(2,), authors=("Jo Coder", "New Person")),
         rec(4, year=1999, fields=(3,), authors=("New Person",)),
     )
-    graph = build_graph(corpus)
-    report = evidence_series(graph, corpus, years=[2000])
+    report = evidence_series(corpus, years=[2000])
     # Jo Coder's history {0,1,2} union New Person's {2,3} -> 4 fields
     assert report.rows[0][6] == 4.0
 
@@ -224,8 +221,7 @@ def test_evidence_author_breadth_collapses_names_and_same_year_papers():
         rec(4, year=2000, fields=(3,), authors=("JO CODER", "Other One")),
         rec(5, year=2001, fields=(4,), authors=("Other One",)),
     )
-    graph = build_graph(corpus)
-    breadth = {row[0]: row[6] for row in evidence_series(graph, corpus).rows}
+    breadth = {row[0]: row[6] for row in evidence_series(corpus).rows}
     # 1999: both Jo Coder papers see {0, 1}; Other One sees {2}.
     # 2000: {0, 1, 2, 3}. 2001: Other One's {2, 3, 4}.
     assert breadth == {1999: (2 + 2 + 1) / 3, 2000: 4.0, 2001: 3.0}
@@ -243,15 +239,14 @@ def test_evidence_author_breadth_matches_direct_oracle(seed):
     part = Corpus((corpus[p] for p in corpus.papers_in(window=TimeWindow(1974, 1979))),
                   corpus.taxonomy)
     for c in (corpus, part):
-        report = evidence_series(build_graph(c), c, years=list(range(1968, 1983)))
+        report = evidence_series(c, years=list(range(1968, 1983)))
         for row in report.rows:
             assert row[6] == author_breadth_direct(c, row[0])
 
 
 def test_evidence_multi_field_fraction_bounds():
     corpus = generate_corpus(GeneratorSpec(seed=55, years_span=8, multi_tag_probability=0.4))
-    graph = build_graph(corpus)
-    report = evidence_series(graph, corpus)
+    report = evidence_series(corpus)
     for row in report.rows:
         if row[2] is not None:
             assert 0.0 <= row[2] <= 1.0
@@ -317,8 +312,8 @@ def test_single_field_in_field_corpus_collapses_to_matured():
         refs = (i,) if i else ()
         records.append(rec(i + 1, year=year, fields=(0,), refs=refs))
     corpus = corpus_of(*records)
-    graph = build_graph(corpus)
-    trajectory = field_trajectory(graph, corpus, 0)
+    build_graph(corpus)
+    trajectory = field_trajectory(corpus, 0)
     defined_tau = [v for v in trajectory.tau if v is not None]
     defined_zeta = [v for v in trajectory.zeta if v is not None]
     assert set(defined_tau) == {0.0} and set(defined_zeta) == {0.0}
@@ -373,8 +368,8 @@ def test_planted_lifecycle_recovered():
         lifecycle=PlantedLifecycle(focal_field=2, tau_drop_year=1979, zeta_rise_year=1989),
     )
     corpus = generate_corpus(spec)
-    graph = build_graph(corpus)
-    trajectory = field_trajectory(graph, corpus, 2)
+    build_graph(corpus)
+    trajectory = field_trajectory(corpus, 2)
     detection = detect_phases(trajectory)
     assert detection.tau_change_year is not None
     assert abs(detection.tau_change_year - 1979) <= 1

@@ -5,8 +5,7 @@ from itertools import combinations
 import pytest
 
 from citefields import (
-    CitationGraph, Diagnostic, FieldTrajectory, MetricReport, ParseReport, Phase,
-    PhaseDetection, TimeWindow,
+    Diagnostic, FieldTrajectory, MetricReport, ParseReport, Phase, PhaseDetection, TimeWindow,
 )
 from citefields.impact import ImpactScores
 
@@ -24,14 +23,6 @@ _TYPES = {
         {"blocks": 2, "parsed": 1, "skipped": 1, "diagnostics": []},
         {"skipped": 0},
         "ParseReport(blocks=2, parsed=1, skipped=1, diagnostics=[])",
-    ),
-    "CitationGraph": (
-        CitationGraph,
-        {"out_edges": [(), (0,)], "in_edges": [(1,), ()], "unresolved": {0: 0, 1: 1},
-         "multiplicity": "full"},
-        {"multiplicity": "fractional"},
-        "CitationGraph(out_edges=[(), (0,)], in_edges=[(1,), ()], "
-        "unresolved={0: 0, 1: 1}, multiplicity='full')",
     ),
     "ImpactScores": (
         ImpactScores,
@@ -139,8 +130,8 @@ def test_time_window_is_hashable_and_immutable():
         TimeWindow(1980, 1979)
 
 
-@pytest.mark.parametrize("cls", [ParseReport, CitationGraph, ImpactScores, MetricReport,
-                                 PhaseDetection, FieldTrajectory])
+@pytest.mark.parametrize("cls", [ParseReport, ImpactScores, MetricReport, PhaseDetection,
+                                 FieldTrajectory])
 def test_mutable_value_types_are_unhashable(cls):
     fields = _TYPES[cls.__name__][1]
     with pytest.raises(TypeError):
