@@ -194,6 +194,7 @@ def test_view_graph_keeps_cross_window_edges():
 
 # Each function that counts references per field, called with a multiplicity
 # rule over the papers of 1970-1971, none of which cites.
+WINDOW = TimeWindow(1970, 1971)
 _COUNT_PER_FIELD = {
     "field_flow": lambda corpus, rule: field_flow(corpus, WINDOW, rule),
     "citation_fraction_matrix": lambda corpus, rule: citation_fraction_matrix(
@@ -210,7 +211,6 @@ _COUNT_PER_FIELD = {
     "rank_fields kdi": lambda corpus, rule: rank_fields(
         corpus, "kdi", [WINDOW], multiplicity=rule),
 }
-WINDOW = TimeWindow(1970, 1971)
 
 
 @pytest.mark.parametrize("count", _COUNT_PER_FIELD.values(), ids=_COUNT_PER_FIELD)
@@ -218,11 +218,11 @@ def test_per_field_counts_refuse_an_unknown_multiplicity(count):
     corpus = corpus_of(rec(1, year=1970, fields=(0,)), rec(2, year=1971, fields=(0, 1)),
                        rec(3, year=1980, fields=(1,), refs=(1, 2)))
     build_graph(corpus)
-    for rule in (FULL_COUNT, FRACTIONAL):
+    for rule in (FULL_COUNT, FRACTIONAL):  # a known rule passes the check
         try:
             count(corpus, rule)
-        except AnalysisError:  # acp: no paper of the window cites
-            pass
+        except AnalysisError as exc:  # acp, after the check: no focal paper cites
+            assert "no focal papers with resolved references" in str(exc)
     for rule in ("Full", "thirds", ""):
         with pytest.raises(ValueError, match=f"unknown multiplicity rule {rule!r}"):
             count(corpus, rule)
